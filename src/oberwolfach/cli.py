@@ -64,7 +64,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         return EXIT_NONEXISTENT
     doc = serialize.document_for_solution(result)
-    _write(serialize.render(doc, args.format), args.out)
+    try:
+        _write(serialize.render(doc, args.format), args.out)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 
@@ -72,7 +77,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = serialize.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_ERROR
     kind = doc.host.kind
@@ -92,7 +97,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if kind not in builders:
             print(f"error: unknown host kind {kind!r}", file=sys.stderr)
             return EXIT_ERROR
-        host = builders[kind](doc.host.m_or_n)
+        try:
+            host = builders[kind](doc.host.m_or_n)
+        except ValueError as exc:
+            print(f"error: malformed input: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         report = verify_factorization(host, doc.factors, doc.ftype)
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK if report.passed else EXIT_ERROR

@@ -8,7 +8,9 @@ Dispatch:
 * n = 10: the circulant blow-up host *is* the complete digraph here, so the
   cap machinery solves it directly; search remains as a fallback.
 * n >= 14: split the host into one circulant blow-up plus (m-5)/2 cycle
-  blow-ups along Hamiltonian block cycles, and factor each part.
+  blow-ups along Hamiltonian block cycles, and factor each part.  The block
+  cycles are built deterministically: closed form for jumps coprime to m,
+  square switching for the jump pairs of the remaining ones.
 
 Every returned factorization carries a full verification report.
 """
@@ -25,7 +27,6 @@ from typing import Optional, Union
 
 from .caps import w_star_factorization
 from .checker import (
-    BudgetExceeded,
     Nonexistent,
     VerificationReport,
     brute_force_factorization,
@@ -102,79 +103,70 @@ def _pair_jumps(m: int, distances: list):
 
 def _decompose_pair_circulant(m: int, d: int, e: int):
     """Two Hamiltonian cycles partitioning the edges of the block circulant
-    with jump set {d, e}; seeded randomized search with restarts."""
-    edges: set = set()
-    adj: dict = {i: [] for i in range(m)}
-    for x in (d, e):
-        for i in range(m):
-            j = (i + x) % m
-            key = frozenset((i, j))
-            if key not in edges:
-                edges.add(key)
-                adj[i].append(j)
-                adj[j].append(i)
+    C_m(d, e), by square switching (after Bermond, Favaron & Maheo, JCTB 46,
+    1989).
 
-    def complement_cycle(path: list):
-        hedges = {frozenset((path[i], path[(i + 1) % m])) for i in range(m)}
-        comp = edges - hedges
-        cadj: dict = {}
-        for fe in comp:
-            a, b = tuple(fe)
-            cadj.setdefault(a, []).append(b)
-            cadj.setdefault(b, []).append(a)
-        if len(cadj) != m or any(len(v) != 2 for v in cadj.values()):
-            return None
-        walk = [0]
-        prev, cur = None, 0
-        while True:
-            step = next(w for w in cadj[cur] if w != prev)
-            if step == 0:
+    Factor X starts with every d-edge {i, i+d} and factor Y with every
+    e-edge {i, i+e}.  The square at i is the 4-cycle i, i+d, i+d+e, i+e; it
+    is alternating when its two d-edges lie in one factor and its two
+    e-edges in the other, and switching it swaps them over, so both factors
+    stay 2-regular.  The first alternating square, in order of i, whose
+    switch lowers the total cycle count without raising either factor's
+    count is switched, until both factors are Hamilton cycles.  Cycle ids
+    and positions make each candidate an O(1) test and are rebuilt in O(m)
+    per switch, O(m^2) in all.  Deterministic; raises RuntimeError if no
+    square qualifies.
+    """
+    side = ([0] * m, [1] * m)  # factor holding edge {i, i+d} / {i, i+e}
+
+    def label(f: int):
+        """Cycle id and position of every vertex in factor f, cycle lengths."""
+        adj: list = [[] for _ in range(m)]
+        for x, owners in zip((d, e), side):
+            for i, owner in enumerate(owners):
+                if owner == f:
+                    adj[i].append((i + x) % m)
+                    adj[(i + x) % m].append(i)
+        cid, pos, lengths = [-1] * m, [0] * m, []
+        for start in range(m):
+            prev, v, k = adj[start][1], start, 0
+            while cid[v] < 0:
+                cid[v], pos[v], k = len(lengths), k, k + 1
+                u, w = adj[v]
+                prev, v = v, (w if u == prev else u)
+            if k:
+                lengths.append(k)
+        return cid, pos, lengths
+
+    def delta(lab, p: int, q: int, r: int, s: int) -> int:
+        """Change in a factor's cycle count when its edges {p,q}, {r,s}
+        give way to {p,r}, {q,s}."""
+        cid, pos, lengths = lab
+        if cid[p] != cid[r]:
+            return -1
+        size = lengths[cid[p]]
+        return 0 if (pos[q] - pos[p]) % size == (pos[s] - pos[r]) % size else 1
+
+    while True:
+        labs = (label(0), label(1))
+        if len(labs[0][2]) == len(labs[1][2]) == 1:
+            return tuple(
+                tuple(sorted(range(m), key=lab[1].__getitem__)) for lab in labs
+            )
+        for a in range(m):
+            b, c, s = (a + d) % m, (a + e) % m, (a + d + e) % m
+            f = side[0][a]
+            if side[0][c] != f or side[1][a] == f or side[1][b] == f:
+                continue
+            dx, dy = delta(labs[f], a, b, c, s), delta(labs[1 - f], a, c, b, s)
+            if max(dx, dy) <= 0 and dx + dy < 0:
+                side[0][a] = side[0][c] = 1 - f
+                side[1][a] = side[1][b] = f
                 break
-            walk.append(step)
-            prev, cur = cur, step
-            if len(walk) > m:
-                return None
-        return tuple(walk) if len(walk) == m else None
-
-    rng = random.Random(m * 1_000_003 + d * 1_009 + e)
-    nodes = 0
-
-    def extend(path: list, used: set, budget: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded
-        v = path[-1]
-        if len(path) == m:
-            if path[0] in adj[v]:
-                comp = complement_cycle(path)
-                if comp is not None:
-                    return tuple(path), comp
-            return None
-        nbrs = adj[v][:]
-        rng.shuffle(nbrs)
-        for w in nbrs:
-            if w not in used:
-                used.add(w)
-                path.append(w)
-                found = extend(path, used, budget)
-                if found:
-                    return found
-                path.pop()
-                used.remove(w)
-        return None
-
-    for _ in range(5000):
-        nodes = 0
-        try:
-            found = extend([0], {0}, 20_000)
-        except BudgetExceeded:
-            continue
-        if found:
-            return found
-    raise RuntimeError(
-        f"no Hamiltonian decomposition found for jumps {{{d},{e}}} on {m} blocks"
-    )
+        else:
+            raise RuntimeError(
+                f"no square switch splits jumps {{{d},{e}}} on {m} blocks"
+            )
 
 
 def _hamilton_cycles_decomposition(m: int, distances: list) -> list:
@@ -191,10 +183,9 @@ def wh_decompose(m: int) -> WHDecomposition:
     """Reserve rungs and jumps 1, 2 for the circulant blow-up; split the
     remaining jumps 3..(m-1)/2 into Hamiltonian block cycles.
 
-    Jumps coprime to m get closed-form cycles; the rest are handled in
-    pairs by a capped randomized search.  Instant for m <= 33, seconds up
-    to m ~ 45, minutes beyond; the caps guarantee an explicit error rather
-    than an unbounded search.
+    Jumps coprime to m get the closed-form cycles i*d mod m; the rest are
+    paired and each pair circulant is split by square switching in O(m^2),
+    with no search, so the split depends on m alone.
     """
     if m < 7 or m % 2 == 0:
         raise DomainError(f"need odd m >= 7, got {m}")

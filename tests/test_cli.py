@@ -138,3 +138,47 @@ def test_verify_other_host_kinds(capsys, tmp_path):
     path.write_text(to_json(doc))
     assert main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_solve_out_unwritable_is_one_line_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["solve", "--n", "6", "--factor", "[2,4]", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def _verify_text(capsys, tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _assert_malformed(code, err):
+    assert code == 1
+    assert err.startswith("error: malformed input: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_top_level_list_is_malformed(capsys, tmp_path):
+    _assert_malformed(*_verify_text(capsys, tmp_path, "[1, 2, 3]"))
+
+
+def test_verify_non_list_factors_is_malformed(capsys, tmp_path):
+    data = json.loads(FIXTURE.read_text())
+    data["factors"] = 5
+    _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(data)))
+
+
+def test_verify_too_small_w_star_is_malformed(capsys, tmp_path):
+    doc = {
+        "n": 6,
+        "factor_type": [6],
+        "host": {"kind": "WStar", "m": 3},
+        "factors": [],
+        "verified": True,
+        "seed": 0,
+    }
+    _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(doc)))

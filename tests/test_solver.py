@@ -26,6 +26,8 @@ def test_wh_decompose_m11_step_cycles():
 
 
 def test_wh_decompose_m9_needs_search():
+    """m = 9 has jumps 3 and 4 only; 3 divides 9, so the two are split as a
+    pair by square switching (the test name predates that construction)."""
     wh = wh_decompose(9)
     assert len(wh.h_block_cycles) == 2
     seen = set()
@@ -52,6 +54,63 @@ def test_wh_decompose_composite_m(m):
             assert 3 <= min(step, m - step) <= (m - 1) // 2
             seen.add(frozenset((cyc[i], cyc[(i + 1) % m])))
     assert len(seen) == m * (m - 5) // 2
+
+
+def _block_cycle_edges(m, cycles):
+    """Undirected block edges of the given Hamiltonian cycles, as a list
+    (duplicates kept), after checking each cycle visits every block once."""
+    edges = []
+    for cyc in cycles:
+        assert sorted(cyc) == list(range(m))
+        edges.extend(frozenset((cyc[i], cyc[(i + 1) % m])) for i in range(m))
+    return edges
+
+
+def test_wh_decompose_every_odd_m_to_201():
+    """The split covers each jump 3..(m-1)/2 exactly once with (m-5)/2
+    Hamiltonian block cycles, for every odd m up to 201, with no search."""
+    for m in range(7, 202, 2):
+        wh = wh_decompose(m)
+        assert len(wh.h_block_cycles) == (m - 5) // 2, m
+        edges = _block_cycle_edges(m, wh.h_block_cycles)
+        expected = {
+            frozenset((i, (i + d) % m))
+            for d in range(3, (m - 1) // 2 + 1)
+            for i in range(m)
+        }
+        assert len(edges) == len(set(edges)) == len(expected), m
+        assert set(edges) == expected, m
+
+
+def test_pair_circulant_every_connected_pair_to_41():
+    """Square switching splits C_m(d, e) into two Hamilton cycles for every
+    pair of jumps with gcd(d, e, m) = 1, not only the pairs the solver uses."""
+    from math import gcd
+
+    from oberwolfach.solver import _decompose_pair_circulant
+
+    for m in range(7, 42, 2):
+        for d in range(1, (m - 1) // 2 + 1):
+            for e in range(d + 1, (m - 1) // 2 + 1):
+                if gcd(gcd(d, e), m) != 1:
+                    continue
+                cycles = _decompose_pair_circulant(m, d, e)
+                assert len(cycles) == 2
+                edges = _block_cycle_edges(m, cycles)
+                expected = {
+                    frozenset((i, (i + x) % m)) for x in (d, e) for i in range(m)
+                }
+                assert len(edges) == 2 * m and set(edges) == expected, (m, d, e)
+
+
+@pytest.mark.parametrize("n", [78, 90, 102])
+def test_solve_single_cycle_needs_paired_jumps(n):
+    """Orders whose block count m = n/2 has jumps sharing a factor with m."""
+    ftype = parse_cycle_type(f"[{n}]")
+    result = solve(n, ftype)
+    assert result.report.passed
+    assert len(result.factors) == n - 1
+    assert all(cycle_type_of(f) == ftype for f in result.factors)
 
 
 def test_pair_jumps_validity():
