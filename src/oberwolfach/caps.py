@@ -29,7 +29,7 @@ from .core import (
     shift_vertex,
     two_regular_from_arcs,
 )
-from .hosts import _j_arcs, fold, w_star
+from .hosts import fold, in_j_star, strip_vertices
 
 BOUNDARY = (Vertex("x", 0), Vertex("x", 1), Vertex("y", 0), Vertex("y", 1))
 
@@ -40,11 +40,12 @@ def external_pattern(d: TwoRegularDigraph) -> frozenset:
 
 
 def is_admissible(d: TwoRegularDigraph, m: int) -> bool:
-    """Order 2m, one vertex per boundary pair, all middle blocks saturated."""
+    """Order 2m, every arc in the opened host (tested with ``in_j_star``),
+    one vertex per boundary pair, all middle blocks saturated."""
     vs = d.vertices()
     if len(vs) != 2 * m:
         return False
-    if not d.arcs() <= _j_arcs(m):
+    if not all(in_j_star(a, m) for c in d.cycles for a in c.arcs()):
         return False
     for side, i in (("x", 0), ("x", 1), ("y", 0), ("y", 1)):
         pair = {Vertex(side, i), Vertex(side, i + m)}
@@ -414,9 +415,9 @@ def w_star_factorization(ftype: CycleType) -> list:
         )
     dec = j_decompose(ftype)
     folded = [fold(f, m) for f in dec.factors]
-    host = w_star(m)
+    span = strip_vertices(m)
     for f in folded:
-        if f.vertices() != host.vertices:
+        if f.vertices() != span:
             raise ValueError("folded factor does not span")
         if cycle_type_of(f) != ftype:
             raise ValueError("folded factor changed cycle type")

@@ -44,7 +44,7 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        ftype = parse_cycle_type(args.factor)
+        ftype = parse_cycle_type(args.factor, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -81,6 +81,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_ERROR
     kind = doc.host.kind
+    size = doc.host.m_or_n
+    host_order = {
+        "CompleteSymmetric": size,
+        "HStar": 2 * size,
+        "WStar": 2 * size,
+        "JStar": 2 * (size + 2),
+    }.get(kind, 0)
+    named = len({v for f in doc.factors for v in f.vertices()})
+    if host_order > named:
+        # An unspanned host fails anyway; refusing here keeps a huge declared
+        # size from building a huge host.
+        print(
+            f"error: malformed input: {kind} host of size {size} has "
+            f"{host_order} vertices, the factors name only {named}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     if kind == "JStar":
         dec = AdmissibleDecomposition(doc.host.m_or_n, doc.factors)
         report = verify_admissible_decomposition(doc.host.m_or_n, dec)

@@ -10,7 +10,7 @@ vertices, ``(x0,x1,y2)`` for cycles and ``<x0,y1>`` for paths.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class Vertex(NamedTuple):
@@ -219,12 +219,12 @@ class CycleType:
 _SPEC_PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_cycle_type(text: str) -> CycleType:
-    """Parse ``[2^3,4]`` or ``[2,2,2,4]`` into a canonical CycleType."""
+def _parse_counts(text: str) -> list:
+    """Parse ``[2^3,4]`` into ``(length, exponent)`` pairs, nothing expanded."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
-    lengths: list = []
+    counts: list = []
     if s.strip():
         for part in s.split(","):
             m = _SPEC_PART_RE.match(part.strip())
@@ -234,8 +234,25 @@ def parse_cycle_type(text: str) -> CycleType:
             mult = int(m.group(2)) if m.group(2) else 1
             if mult < 1:
                 raise ValueError(f"exponent must be >= 1 in {part!r}")
-            lengths.extend([length] * mult)
-    return CycleType(lengths)
+            if length < 2:
+                raise ValueError(f"cycle lengths must be >= 2: {part!r}")
+            counts.append((length, mult))
+    return counts
+
+
+def parse_cycle_type(text: str, n: Optional[int] = None) -> CycleType:
+    """Parse ``[2^3,4]`` or ``[2,2,2,4]`` into a canonical CycleType.
+
+    With ``n`` given, the order sum(length * exponent) must equal ``n``; it
+    is checked before any ``2^k`` is expanded, so a huge exponent is
+    rejected without allocating.
+    """
+    counts = _parse_counts(text)
+    if n is not None:
+        order = sum(length * mult for length, mult in counts)
+        if order != n:
+            raise ValueError(f"cycle lengths sum to {order}, not {n}")
+    return CycleType(length for length, mult in counts for _ in range(mult))
 
 
 class Digraph:

@@ -14,6 +14,15 @@ graph) over strip-labelled vertices:
 
 ``fold`` closes ``j_star(m)`` back onto ``w_star(m)`` by reducing block
 indices mod m; it is an arc bijection for m >= 5.
+
+Both blow-up hosts have closed-form arc sets, so membership is tested in
+constant time from the two endpoints, without building the host:
+
+* ``in_j_star(arc, m)`` -- ``arc`` is an arc of ``j_star(m)``: a rung
+  x_i <-> y_i with 1 <= i <= m, or a junction between blocks i and i+d,
+  d in {1, 2}, with 0 <= i <= m-1.
+* ``in_w_star(arc, m)`` -- ``arc`` is an arc of ``w_star(m)`` (m >= 5): both
+  blocks in 0..m-1, and a rung, or blocks differing by +-1 or +-2 mod m.
 """
 
 from __future__ import annotations
@@ -50,11 +59,16 @@ def complete_symmetric(n: int) -> Digraph:
     return Digraph(vertices, arcs)
 
 
+def strip_vertices(m: int) -> frozenset:
+    """The 2m vertices x_i, y_i (0 <= i < m) of ``h_star(m)`` and ``w_star(m)``."""
+    return frozenset(Vertex(s, i) for i in range(m) for s in ("x", "y"))
+
+
 def h_star(m: int) -> Digraph:
     """Doubled blow-up of the m-cycle: 4-in/out-regular, no rung arcs."""
     if m < 3:
         raise ValueError(f"h_star needs m >= 3, got {m}")
-    vertices = [Vertex(s, i) for i in range(m) for s in ("x", "y")]
+    vertices = strip_vertices(m)
     arcs = []
     for i in range(m):
         j = (i + 1) % m
@@ -68,7 +82,7 @@ def w_star(m: int) -> Digraph:
     """Doubled blow-up of the circulant with jumps {1,2} mod m, plus rungs."""
     if m < 5:
         raise ValueError(f"w_star needs m >= 5, got {m}")
-    vertices = [Vertex(s, i) for i in range(m) for s in ("x", "y")]
+    vertices = strip_vertices(m)
     arcs = []
     for i in range(m):
         arcs += _both(Vertex("x", i), Vertex("y", i))
@@ -93,6 +107,33 @@ def _j_arcs(m: int) -> frozenset:
     return frozenset(arcs)
 
 
+_SIDES = ("x", "y")
+
+
+def in_j_star(arc: Arc, m: int) -> bool:
+    """``arc in j_star(m).arcs``, by index arithmetic (valid for any m >= 1)."""
+    (s, i), (t, j) = arc
+    if s not in _SIDES or t not in _SIDES:
+        return False
+    if i < 0 or j < 0:
+        return False
+    if i == j:
+        return s != t and 1 <= i <= m
+    return abs(i - j) <= 2 and min(i, j) <= m - 1
+
+
+def in_w_star(arc: Arc, m: int) -> bool:
+    """``arc in w_star(m).arcs``, by index arithmetic (m >= 5)."""
+    (s, i), (t, j) = arc
+    if s not in _SIDES or t not in _SIDES:
+        return False
+    if not (0 <= i < m and 0 <= j < m):
+        return False
+    if i == j:
+        return s != t
+    return (j - i) % m in (1, 2, m - 2, m - 1)
+
+
 def j_star(m: int) -> Digraph:
     """Opened strip host on 2(m+2) vertices with 18m arcs."""
     if m < 3:
@@ -104,13 +145,19 @@ def j_star(m: int) -> Digraph:
 def fold(g: Union[Digraph, TwoRegularDigraph], m: int):
     """Reduce block indices mod m, mapping the opened host into w_star(m).
 
-    Raises if any folded arc is not an arc of ``w_star(m)`` (malformed input
-    or m < 5, where the arc correspondence breaks down).
+    Raises ``ValueError`` for m < 5, where the arc correspondence breaks
+    down, and if any folded arc fails ``in_w_star`` (malformed input).
     """
-    target = w_star(m)
+    if m < 5:
+        raise ValueError(f"fold needs m >= 5, got {m}")
 
     def phi(v: Vertex) -> Vertex:
         return Vertex(v.side, v.index % m)
+
+    def check(arcs) -> None:
+        bad = [a for a in arcs if not in_w_star(a, m)]
+        if bad:
+            raise ValueError(f"folded arcs outside host: {sorted(bad)[:3]}")
 
     if isinstance(g, TwoRegularDigraph):
         from .core import DirectedCycle
@@ -118,14 +165,10 @@ def fold(g: Union[Digraph, TwoRegularDigraph], m: int):
         folded = TwoRegularDigraph(
             DirectedCycle(phi(v) for v in c.vertices) for c in g.cycles
         )
-        bad = folded.arcs() - target.arcs
-        if bad:
-            raise ValueError(f"folded arcs outside host: {sorted(bad)[:3]}")
+        check(a for c in folded.cycles for a in c.arcs())
         return folded
     if isinstance(g, Digraph):
         arcs = frozenset(Arc(phi(a.tail), phi(a.head)) for a in g.arcs)
-        bad = arcs - target.arcs
-        if bad:
-            raise ValueError(f"folded arcs outside host: {sorted(bad)[:3]}")
+        check(arcs)
         return Digraph((phi(v) for v in g.vertices), arcs)
     raise TypeError(f"cannot fold {type(g).__name__}")

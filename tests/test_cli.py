@@ -182,3 +182,21 @@ def test_verify_too_small_w_star_is_malformed(capsys, tmp_path):
         "seed": 0,
     }
     _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(doc)))
+
+
+def test_solve_huge_exponent_is_rejected_before_expansion(capsys):
+    code = main(["solve", "--n", "14", "--factor", "[2^1000000000000000]"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: cycle lengths sum to 2000000000000000, not 14\n"
+
+
+def test_verify_huge_declared_host_is_malformed(capsys, tmp_path):
+    import time
+
+    data = json.loads(FIXTURE.read_text())
+    for kind in ("CompleteSymmetric", "WStar", "HStar", "JStar"):
+        data["host"] = {"kind": kind, "m": 100000}
+        start = time.perf_counter()
+        _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(data)))
+        assert time.perf_counter() - start < 0.5

@@ -1,7 +1,21 @@
 import pytest
 
-from oberwolfach.core import Arc, TwoRegularDigraph, cycle_from_text, parse_vertex
-from oberwolfach.hosts import complete_symmetric, fold, h_star, j_star, w_star
+from oberwolfach.core import (
+    Arc,
+    TwoRegularDigraph,
+    Vertex,
+    cycle_from_text,
+    parse_vertex,
+)
+from oberwolfach.hosts import (
+    complete_symmetric,
+    fold,
+    h_star,
+    in_j_star,
+    in_w_star,
+    j_star,
+    w_star,
+)
 
 
 def V(t):
@@ -147,3 +161,32 @@ def test_fold_rejects_garbage():
     bad = TwoRegularDigraph([cycle_from_text("(x0,x3)")])
     with pytest.raises(ValueError):
         fold(bad, 7)
+
+
+def _strip_arcs(m):
+    """Every ordered pair of distinct vertices with sides x/y and indices
+    -1..m+3, so out-of-range blocks on both ends are included."""
+    vs = [Vertex(s, i) for s in "xy" for i in range(-1, m + 4)]
+    return [Arc(u, v) for u in vs for v in vs if u != v]
+
+
+def test_in_j_star_matches_host():
+    for m in range(3, 31):
+        arcs = j_star(m).arcs
+        for a in _strip_arcs(m):
+            assert in_j_star(a, m) == (a in arcs), (m, a)
+
+
+def test_in_w_star_matches_host():
+    for m in range(5, 31):
+        arcs = w_star(m).arcs
+        for a in _strip_arcs(m):
+            assert in_w_star(a, m) == (a in arcs), (m, a)
+
+
+def test_fold_below_m5_raises():
+    with pytest.raises(ValueError):
+        fold(j_star(4), 4)
+    factor = TwoRegularDigraph([cycle_from_text("(x0,x1)")])
+    with pytest.raises(ValueError):
+        fold(factor, 4)

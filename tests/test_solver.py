@@ -189,6 +189,40 @@ def test_solve_domain_errors():
         solve(14, parse_cycle_type("[2,4]"))
 
 
+def test_build_path_never_builds_a_blow_up_host(monkeypatch):
+    """The W* route tests host membership by index arithmetic: building
+    w_star(m) or the opened host's arc set in the build path fails here."""
+    from oberwolfach import caps, checker, hosts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("host arc set built in the build path")
+
+    for module, name in (
+        (hosts, "w_star"),
+        (caps, "w_star"),
+        (hosts, "_j_arcs"),
+        (caps, "_j_arcs"),
+        (checker, "_j_arcs"),
+    ):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    folds = []
+    real_fold = caps.fold
+
+    def counting_fold(g, m):
+        folds.append(m)
+        return real_fold(g, m)
+
+    monkeypatch.setattr(caps, "fold", counting_fold)
+    for n, spec in ((14, "[14]"), (30, "[2,4,8,16]"), (38, "[2,2,2,4,28]")):
+        ftype = parse_cycle_type(spec)
+        result = solve(n, ftype)
+        assert not isinstance(result, Nonexistent)
+        assert result.report.passed
+        assert len(result.factors) == n - 1
+        assert all(cycle_type_of(f) == ftype for f in result.factors)
+    assert folds  # the W* route was taken
+
+
 def test_solve_h_embeddings_keep_type():
     ftype = parse_cycle_type("[4,10]")
     result = solve(14, ftype)
