@@ -3,15 +3,21 @@
 Every constructive routine in this package is re-checked from first
 principles here: arc-disjointness, exact coverage, spanning, cycle types,
 admissibility, boundary patterns, and the defining clauses of the cap and
-centre-piece tables.  ``brute_force_factorization`` is an exhaustive
-backtracking search over tiny hosts, used to confirm nonexistence claims
-and to cross-check the solver at order 6.
+centre-piece tables.  ``verify_factorization`` checks against a host
+description (``hosts.HostDescriptor``: vertex set, arc count, membership
+rule) as readily as against a built ``Digraph``.  Coverage is arc
+arithmetic -- the factors' distinct arcs, less those outside the host, must
+number the host's arcs -- so no host arc set is materialised.
+``brute_force_factorization`` is an exhaustive backtracking search over
+tiny hosts, used to confirm nonexistence claims and to cross-check the
+solver at order 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Union
 
 from .caps import (
     BOUNDARY,
@@ -32,7 +38,7 @@ from .core import (
     Vertex,
     cycle_type_of,
 )
-from .hosts import _j_arcs
+from .hosts import HostDescriptor, _j_arcs
 
 
 class BudgetExceeded(RuntimeError):
@@ -74,38 +80,58 @@ class VerificationReport:
 
 
 def verify_factorization(
-    host: Digraph, factors: Iterable[TwoRegularDigraph], ftype: CycleType
+    host: Union[HostDescriptor, Digraph],
+    factors: Iterable[TwoRegularDigraph],
+    ftype: CycleType,
 ) -> VerificationReport:
-    """Check that ``factors`` is an ftype-factorization of ``host``."""
+    """Check that ``factors`` is an ftype-factorization of ``host``.
+
+    ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its vertex
+    set, ``len(host.arcs)`` and ``host.count_outside`` are used, so the
+    host's arc set is never built or copied here.  The factors' arcs are
+    gathered as (tail, head) pairs into one set; they are disjoint when the
+    set is as large as the total cycle length, and they cover the host when
+    none is outside it and the distinct ones number ``len(host.arcs)``.
+    """
     fs = list(factors)
     report = VerificationReport()
-    all_arcs: list = []
+    used = 0
+    union: set = set()
     for f in fs:
-        all_arcs.extend(f.arcs())
-    union = set(all_arcs)
+        for c in f.cycles:
+            vs = c.vertices
+            used += len(vs)
+            union.update(zip(vs, vs[1:] + vs[:1]))
     report.add(
         "arc_disjoint",
-        len(all_arcs) == len(union),
-        f"{len(all_arcs)} arcs used, {len(union)} distinct",
+        used == len(union),
+        f"{used} arcs used, {len(union)} distinct",
     )
+    extra = host.count_outside(union)
+    missing = len(host.arcs) - (len(union) - extra)
     report.add(
         "coverage",
-        union == set(host.arcs),
-        f"missing {len(set(host.arcs) - union)}, extra {len(union - set(host.arcs))}",
+        missing == 0 and extra == 0,
+        f"missing {missing}, extra {extra}",
     )
-    spanning = [i for i, f in enumerate(fs) if f.vertices() != host.vertices]
-    report.add("spanning", not spanning, f"non-spanning factors: {spanning}")
-    wrong = [
-        (i, str(cycle_type_of(f)))
+    vertices = host.vertices
+    spanning = [
+        i
         for i, f in enumerate(fs)
-        if cycle_type_of(f) != ftype
+        if f.order != len(vertices)
+        or not vertices.issuperset(chain.from_iterable(c.vertices for c in f.cycles))
     ]
+    report.add("spanning", not spanning, f"non-spanning factors: {spanning}")
+    types = [cycle_type_of(f) for f in fs]
+    wrong = [(i, str(t)) for i, t in enumerate(types) if t != ftype]
     report.add("cycle_type", not wrong, f"mismatches: {wrong}")
     return report
 
 
 def verify_arc_partition(
-    host: Digraph, arc_sets: Iterable[frozenset], ftype: CycleType
+    host: Union[HostDescriptor, Digraph],
+    arc_sets: Iterable[frozenset],
+    ftype: CycleType,
 ) -> VerificationReport:
     """Like :func:`verify_factorization`, but from raw arc sets, so damaged
     certificates that are no longer 2-regular still yield a report."""

@@ -269,6 +269,10 @@ class Digraph:
             if a.tail not in self.vertices or a.head not in self.vertices:
                 raise ValueError(f"arc endpoint outside vertex set: {a}")
 
+    def count_outside(self, arcs) -> int:
+        """How many of ``arcs``, a set of (tail, head) pairs, are not arcs here."""
+        return len(set(arcs).difference(self.arcs))
+
     def out_degree(self, v: Vertex) -> int:
         return sum(1 for a in self.arcs if a.tail == v)
 

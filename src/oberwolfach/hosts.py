@@ -23,23 +23,117 @@ constant time from the two endpoints, without building the host:
   d in {1, 2}, with 0 <= i <= m-1.
 * ``in_w_star(arc, m)`` -- ``arc`` is an arc of ``w_star(m)`` (m >= 5): both
   blocks in 0..m-1, and a rung, or blocks differing by +-1 or +-2 mod m.
+* ``in_h_star(arc, m)`` -- ``arc`` is an arc of ``h_star(m)`` (m >= 3): both
+  blocks in 0..m-1, differing by +-1 mod m.
+
+A ``HostDescriptor`` names a factorization host by kind and size and is
+what the checker verifies against, so no host arc set is built to check a
+certificate.  It gives the host's vertex set, ``arcs`` (a sized container:
+``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
+``count_outside``, the number of given arcs that are not host arcs.  For the
+complete host an arc is a host arc exactly when its endpoints are distinct
+host vertices, so a set-level subset test answers for all arcs at once;
+the blow-up hosts use ``in_h_star``/``in_w_star`` arc by arc.  A built
+``Digraph`` answers the same three questions from its stored sets.  The
+descriptor refuses the sizes the builders refuse, with their messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, permutations, starmap
+from operator import eq
 from typing import Union
 
 from .core import Arc, Digraph, TwoRegularDigraph, Vertex
 
+# kind -> (builder, size letter, least size) for the hosts a factorization
+# is checked against; JStar decompositions have their own checker.
+_LEAST_SIZE = {
+    "CompleteSymmetric": ("complete_symmetric", "n", 2),
+    "HStar": ("h_star", "m", 3),
+    "WStar": ("w_star", "m", 5),
+}
+DESCRIBED_KINDS = frozenset(_LEAST_SIZE)
+
 
 @dataclass(frozen=True)
 class HostDescriptor:
+    """A host by kind and size: its vertex set, ``arcs`` (``len`` and ``in``)
+    and ``count_outside``, without building its arc set.  JStar, checked by
+    ``verify_admissible_decomposition``, is only named, not described."""
+
     kind: str  # CompleteSymmetric | HStar | WStar | JStar
     m_or_n: int
 
+    def __post_init__(self) -> None:
+        if self.kind in _LEAST_SIZE:
+            builder, letter, least = _LEAST_SIZE[self.kind]
+            if self.m_or_n < least:
+                raise ValueError(
+                    f"{builder} needs {letter} >= {least}, got {self.m_or_n}"
+                )
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "m": self.m_or_n}
+
+    def _described(self) -> None:
+        if self.kind not in _LEAST_SIZE:
+            raise ValueError(f"no arc rule for host kind {self.kind!r}")
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        self._described()
+        if self.kind == "CompleteSymmetric":
+            n = self.m_or_n
+            return frozenset(
+                [Vertex("x", i) for i in range((n + 1) // 2)]
+                + [Vertex("y", i) for i in range(n // 2)]
+            )
+        return strip_vertices(self.m_or_n)
+
+    @property
+    def arcs(self) -> "DescribedArcs":
+        self._described()
+        return DescribedArcs(self)
+
+    def count_outside(self, arcs) -> int:
+        """How many of ``arcs``, a set of (tail, head) pairs, are not host arcs."""
+        if self.kind == "CompleteSymmetric" and self.vertices.issuperset(
+            chain.from_iterable(arcs)
+        ):
+            # every endpoint is a host vertex, so only a loop is outside
+            return sum(starmap(eq, arcs))
+        rule = self.arcs
+        return sum(1 for a in arcs if a not in rule)
+
+
+class DescribedArcs:
+    """The arc set of a described host, answering ``len`` and ``in`` only."""
+
+    __slots__ = ("host",)
+
+    def __init__(self, host: HostDescriptor):
+        self.host = host
+
+    def __len__(self) -> int:
+        kind, size = self.host.kind, self.host.m_or_n
+        if kind == "HStar":
+            return 8 * size
+        if kind == "WStar":
+            return 18 * size
+        return size * (size - 1)
+
+    def __contains__(self, arc) -> bool:
+        kind, size = self.host.kind, self.host.m_or_n
+        if kind == "HStar":
+            return in_h_star(arc, size)
+        if kind == "WStar":
+            return in_w_star(arc, size)
+        tail, head = arc
+        vertices = self.host.vertices
+        return tail != head and tail in vertices and head in vertices
 
 
 def _both(u: Vertex, v: Vertex) -> list:
@@ -48,15 +142,8 @@ def _both(u: Vertex, v: Vertex) -> list:
 
 def complete_symmetric(n: int) -> Digraph:
     """K*_n: both arcs on every pair.  Even n uses blocks x_i, y_i, i < n/2."""
-    if n < 2:
-        raise ValueError(f"complete_symmetric needs n >= 2, got {n}")
-    vertices = [Vertex("x", i) for i in range((n + 1) // 2)]
-    vertices += [Vertex("y", i) for i in range(n // 2)]
-    arcs = []
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            arcs += _both(u, v)
-    return Digraph(vertices, arcs)
+    vertices = HostDescriptor("CompleteSymmetric", n).vertices
+    return Digraph(vertices, starmap(Arc, permutations(vertices, 2)))
 
 
 def strip_vertices(m: int) -> frozenset:
@@ -66,9 +153,7 @@ def strip_vertices(m: int) -> frozenset:
 
 def h_star(m: int) -> Digraph:
     """Doubled blow-up of the m-cycle: 4-in/out-regular, no rung arcs."""
-    if m < 3:
-        raise ValueError(f"h_star needs m >= 3, got {m}")
-    vertices = strip_vertices(m)
+    vertices = HostDescriptor("HStar", m).vertices
     arcs = []
     for i in range(m):
         j = (i + 1) % m
@@ -80,9 +165,7 @@ def h_star(m: int) -> Digraph:
 
 def w_star(m: int) -> Digraph:
     """Doubled blow-up of the circulant with jumps {1,2} mod m, plus rungs."""
-    if m < 5:
-        raise ValueError(f"w_star needs m >= 5, got {m}")
-    vertices = strip_vertices(m)
+    vertices = HostDescriptor("WStar", m).vertices
     arcs = []
     for i in range(m):
         arcs += _both(Vertex("x", i), Vertex("y", i))
@@ -120,6 +203,16 @@ def in_j_star(arc: Arc, m: int) -> bool:
     if i == j:
         return s != t and 1 <= i <= m
     return abs(i - j) <= 2 and min(i, j) <= m - 1
+
+
+def in_h_star(arc: Arc, m: int) -> bool:
+    """``arc in h_star(m).arcs``, by index arithmetic (m >= 3)."""
+    (s, i), (t, j) = arc
+    if s not in _SIDES or t not in _SIDES:
+        return False
+    if not (0 <= i < m and 0 <= j < m):
+        return False
+    return (j - i) % m in (1, m - 1)
 
 
 def in_w_star(arc: Arc, m: int) -> bool:

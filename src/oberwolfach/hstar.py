@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .checker import verify_factorization
 from .core import CycleType, DirectedCycle, TwoRegularDigraph, Vertex
-from .hosts import h_star
+from .hosts import HostDescriptor
 
 
 class ConstructionError(RuntimeError):
@@ -353,7 +353,7 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
             )
         factors = tuple(out)
 
-    report = verify_factorization(h_star(m), factors, ftype)
+    report = verify_factorization(HostDescriptor("HStar", m), factors, ftype)
     if not report.passed:
         raise ConstructionError(
             f"four-factor construction failed for {ftype}, m={m}: {report.failures()}"

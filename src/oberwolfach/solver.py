@@ -34,7 +34,7 @@ from .checker import (
     verify_factorization,
 )
 from .core import CycleType, DirectedCycle, Digraph, TwoRegularDigraph, Vertex
-from .hosts import complete_symmetric
+from .hosts import HostDescriptor, complete_symmetric
 from .hstar import factorize_h_star
 
 
@@ -71,34 +71,28 @@ def _pair_jumps(m: int, distances: list):
     Jumps d with gcd(d, m) > 1 have no single-jump Hamiltonian cycle, so
     each is paired with a partner e such that gcd(d, e, m) = 1 (the pair
     circulant is then connected, 4-regular, and Hamilton-decomposable).
-    Partners coprime to m are preferred; pairing is found by backtracking.
+    One pass in ascending order pairs each awkward jump with d-1 if that is
+    still free, else with d+1 -- gcd(d, d+1) = 1, so either qualifies --
+    else with any free coprime jump.  For wh_decompose's jumps 3..(m-1)/2
+    the top jump is coprime to m, so d+1 always exists.
     """
-    singles = [d for d in distances if math.gcd(d, m) == 1]
-    awkward = [d for d in distances if math.gcd(d, m) > 1]
-    if not awkward:
-        return singles, []
-
-    def match(todo: list, free: list):
-        if not todo:
-            return []
-        d = todo[0]
-        # coprime partners first, then compatible awkward ones
-        candidates = [e for e in free if math.gcd(e, m) == 1] + [
-            e for e in todo[1:] if math.gcd(math.gcd(d, e), m) == 1
-        ]
-        for e in candidates:
-            rest_todo = [x for x in todo if x not in (d, e)]
-            rest_free = [x for x in free if x != e]
-            tail = match(rest_todo, rest_free)
-            if tail is not None:
-                return [(d, e)] + tail
-        return None
-
-    pairs = match(awkward, sorted(singles))
-    if pairs is None:
-        raise RuntimeError(f"cannot pair the jump set {distances} for m={m}")
-    used = {e for pair in pairs for e in pair}
-    return [d for d in singles if d not in used], pairs
+    free = set(distances)
+    pairs = []
+    for d in sorted(distances):
+        if d not in free or math.gcd(d, m) == 1:
+            continue
+        free.remove(d)
+        if d - 1 in free:
+            e = d - 1
+        elif d + 1 in free:
+            e = d + 1
+        else:
+            e = min((x for x in free if math.gcd(x, m) == 1), default=None)
+            if e is None:
+                raise RuntimeError(f"cannot pair jump {d} of {distances} for m={m}")
+        free.remove(e)
+        pairs.append((d, e))
+    return [d for d in distances if d in free], pairs
 
 
 def _decompose_pair_circulant(m: int, d: int, e: int):
@@ -206,7 +200,7 @@ def round_robin_two_cycles(n: int, seed: int = 0) -> Factorization:
     replaced by a directed 2-cycle: n-1 factors of type [2^(n/2)]."""
     if n < 2 or n % 2:
         raise DomainError(f"need even n >= 2, got {n}")
-    host = complete_symmetric(n)
+    host = HostDescriptor("CompleteSymmetric", n)
     slots = sorted(host.vertices)
     pivot = slots[-1]
     wheel = slots[:-1]
@@ -312,7 +306,7 @@ def small_order_solve(
         raise DomainError(f"type order {ftype.order} != n = {n}")
     if set(ftype.lengths) == {2}:
         return round_robin_two_cycles(n, seed)
-    host = complete_symmetric(n)
+    host = HostDescriptor("CompleteSymmetric", n)
 
     key = f"{n}:{ftype.text()}"
     cached = _cache_load(key)
@@ -322,7 +316,7 @@ def small_order_solve(
             return Factorization(n, ftype, tuple(cached), report, seed)
 
     if n == 6:
-        result = brute_force_factorization(host, ftype)
+        result = brute_force_factorization(complete_symmetric(n), ftype)
         if isinstance(result, Nonexistent):
             return result
         factors = result
@@ -336,7 +330,9 @@ def small_order_solve(
                 if timeout_ms is not None
                 else None
             )
-            factors = _randomized_extraction(host, ftype, random.Random(seed), deadline)
+            factors = _randomized_extraction(
+                complete_symmetric(n), ftype, random.Random(seed), deadline
+            )
             if factors is None:
                 raise SearchTimeout(f"no factorization found for {ftype} at n={n}")
     report = verify_factorization(host, factors, ftype)
@@ -377,7 +373,7 @@ def solve(
     for block_cycle in wh.h_block_cycles:
         factors.extend(_relabel(f, block_cycle) for f in hfact.factors)
 
-    host = complete_symmetric(n)
+    host = HostDescriptor("CompleteSymmetric", n)
     report = verify_factorization(host, factors, ftype)
     if not report.passed:
         raise RuntimeError(f"solve failed verification: {report.failures()}")

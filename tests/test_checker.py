@@ -1,22 +1,31 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oberwolfach import tables
+from oberwolfach.caps import w_star_factorization
 from oberwolfach.checker import (
     BudgetExceeded,
     Nonexistent,
+    VerificationReport,
     brute_force_factorization,
     verify_admissible_decomposition,
     verify_factorization,
 )
 from oberwolfach.core import (
     Arc,
+    DirectedCycle,
     TwoRegularDigraph,
+    Vertex,
+    cycle_type_of,
     parse_cycle_type,
     two_regular_from_arcs,
 )
-from oberwolfach.hosts import complete_symmetric
+from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
+from oberwolfach.hstar import factorize_h_star
 from oberwolfach.solver import round_robin_two_cycles, solve
 
 
@@ -196,3 +205,111 @@ def test_mutations_always_detected():
             continue  # degree structure broken: detected at parse time
         report = verify_factorization(host, rebuilt, ftype)
         assert not report.passed
+
+
+@functools.lru_cache(maxsize=None)
+def _real_factorization(kind, spec):
+    """Factors of a real ftype-factorization of the named host, as vertex lists."""
+    ftype = parse_cycle_type(spec)
+    if kind == "CompleteSymmetric":
+        size = ftype.order
+        factors = solve(size, ftype).factors
+    elif kind == "HStar":
+        size = ftype.order // 2
+        factors = factorize_h_star(ftype, size).factors
+    else:
+        size = ftype.order // 2
+        factors = w_star_factorization(ftype)
+    return size, tuple(tuple(tuple(c.vertices) for c in f.cycles) for f in factors)
+
+
+_INSTANCES = (
+    [("CompleteSymmetric", f"[{n}]") for n in (10, 14, 18, 22, 26, 30)]
+    + [("CompleteSymmetric", f"[2^{n // 2}]") for n in (6, 14, 30)]
+    + [("CompleteSymmetric", "[2,4,8,16]"), ("CompleteSymmetric", "[4,6]")]
+    + [("HStar", f"[{2 * m}]") for m in range(3, 13)]
+    + [("HStar", f"[2,{2 * m - 2}]") for m in range(3, 13)]
+    + [("HStar", f"[2,2,{2 * m - 4}]") for m in range(4, 13)]
+    + [("WStar", f"[{2 * m}]") for m in range(5, 13)]
+    + [("WStar", f"[2,4,{2 * m - 6}]") for m in range(5, 13)]
+)
+_BUILDERS = {"CompleteSymmetric": complete_symmetric, "HStar": h_star, "WStar": w_star}
+_CORRUPTIONS = ("swap", "drop", "duplicate", "retarget", "outside_vertex", "stray_arc")
+
+
+def _corrupt(factors, op, data, size):
+    """Apply one corruption to ``factors`` (a list of lists of vertex lists)."""
+    i = data.draw(st.integers(0, len(factors) - 1))
+    cycles = factors[i]
+    if op == "drop":
+        del factors[i]
+    elif op == "duplicate":
+        factors[data.draw(st.integers(0, len(factors) - 1))] = [list(c) for c in cycles]
+    elif op == "stray_arc":
+        # a lone 2-cycle: for a blow-up host often a rung or a far jump,
+        # for any host possibly a vertex outside it
+        ends = st.builds(Vertex, st.sampled_from("xy"), st.integers(-1, size + 2))
+        u, v = data.draw(st.lists(ends, min_size=2, max_size=2, unique=True))
+        factors.append([[u, v]])
+    else:
+        flat = [(c, k) for c in cycles for k in range(len(c))]
+        c, k = flat[data.draw(st.integers(0, len(flat) - 1))]
+        if op == "swap":
+            j = (k + 1) % len(c)
+            c[k], c[j] = c[j], c[k]
+        elif op == "outside_vertex":
+            side = data.draw(st.sampled_from("xy"))
+            c[k] = Vertex(side, size + data.draw(st.integers(0, 3)))
+        else:  # retarget to another position of the same factor
+            d, j = flat[data.draw(st.integers(0, len(flat) - 1))]
+            c[k], d[j] = d[j], c[k]
+
+
+def _reference_report(host, factors, ftype):
+    """The report by plain set comparison with the built host's arc set."""
+    report = VerificationReport()
+    all_arcs = [a for f in factors for a in f.arcs()]
+    union = set(all_arcs)
+    report.add(
+        "arc_disjoint",
+        len(all_arcs) == len(union),
+        f"{len(all_arcs)} arcs used, {len(union)} distinct",
+    )
+    report.add(
+        "coverage",
+        union == host.arcs,
+        f"missing {len(host.arcs - union)}, extra {len(union - host.arcs)}",
+    )
+    spanning = [i for i, f in enumerate(factors) if f.vertices() != host.vertices]
+    report.add("spanning", not spanning, f"non-spanning factors: {spanning}")
+    wrong = [
+        (i, str(cycle_type_of(f)))
+        for i, f in enumerate(factors)
+        if cycle_type_of(f) != ftype
+    ]
+    report.add("cycle_type", not wrong, f"mismatches: {wrong}")
+    return report
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_descriptor_and_built_host_give_identical_reports(data):
+    """The checker's report against a host description equals, detail
+    strings included, its report against the built host and the report of
+    a plain set comparison, on real factorizations with random corruptions."""
+    kind, spec = data.draw(st.sampled_from(_INSTANCES))
+    size, clean = _real_factorization(kind, spec)
+    factors = [[list(c) for c in f] for f in clean]
+    for op in data.draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=3)):
+        if factors:
+            _corrupt(factors, op, data, size)
+    try:
+        fs = [TwoRegularDigraph(DirectedCycle(c) for c in f) for f in factors]
+    except ValueError:
+        return  # no longer a set of vertex-disjoint cycles
+    ftype = parse_cycle_type(spec)
+    host = _BUILDERS[kind](size)
+    expected = _reference_report(host, fs, ftype).to_json()
+    described = verify_factorization(HostDescriptor(kind, size), fs, ftype)
+    assert described.to_json() == expected
+    assert verify_factorization(host, fs, ftype).to_json() == expected

@@ -8,9 +8,11 @@ from oberwolfach.core import (
     parse_vertex,
 )
 from oberwolfach.hosts import (
+    HostDescriptor,
     complete_symmetric,
     fold,
     h_star,
+    in_h_star,
     in_j_star,
     in_w_star,
     j_star,
@@ -190,3 +192,57 @@ def test_fold_below_m5_raises():
     factor = TwoRegularDigraph([cycle_from_text("(x0,x1)")])
     with pytest.raises(ValueError):
         fold(factor, 4)
+
+
+def test_in_h_star_matches_host():
+    for m in range(3, 31):
+        arcs = h_star(m).arcs
+        for a in _strip_arcs(m):
+            assert in_h_star(a, m) == (a in arcs), (m, a)
+
+
+def _described_and_built():
+    for n in range(2, 41):
+        blocks = (n + 1) // 2
+        yield HostDescriptor("CompleteSymmetric", n), complete_symmetric(n), blocks
+    for m in range(3, 31):
+        yield HostDescriptor("HStar", m), h_star(m), m
+    for m in range(5, 31):
+        yield HostDescriptor("WStar", m), w_star(m), m
+
+
+def test_descriptor_matches_built_host():
+    """Vertex set, arc count, membership and the outside count agree with
+    the built host on every ordered pair (loops included) of vertices with
+    block indices -1..k+3, k the host's block count."""
+    for desc, host, k in _described_and_built():
+        assert desc.vertices == host.vertices, desc
+        assert len(desc.arcs) == len(host.arcs), desc
+        vs = [Vertex(s, i) for s in "xy" for i in range(-1, k + 4)]
+        pairs = [(u, v) for u in vs for v in vs]
+        for a in pairs:
+            outside = a not in host.arcs
+            assert (a not in desc.arcs) == outside, (desc, a)
+            assert desc.count_outside({a}) == outside, (desc, a)
+        assert desc.count_outside(set(pairs)) == len(set(pairs) - host.arcs)
+        assert desc.count_outside(set(host.arcs)) == 0
+        assert host.count_outside(set(pairs)) == len(set(pairs) - host.arcs)
+
+
+def test_descriptor_refuses_the_sizes_builders_refuse():
+    for kind, least, builder, letter in (
+        ("CompleteSymmetric", 2, complete_symmetric, "n"),
+        ("HStar", 3, h_star, "m"),
+        ("WStar", 5, w_star, "m"),
+    ):
+        message = f"{builder.__name__} needs {letter} >= {least}, got {least - 1}"
+        with pytest.raises(ValueError) as described:
+            HostDescriptor(kind, least - 1)
+        with pytest.raises(ValueError) as built:
+            builder(least - 1)
+        assert str(described.value) == str(built.value) == message
+        assert HostDescriptor(kind, least).vertices == builder(least).vertices
+    opened = HostDescriptor("JStar", 1)  # opened decompositions have their own checks
+    assert opened.to_json() == {"kind": "JStar", "m": 1}
+    with pytest.raises(ValueError):
+        opened.vertices

@@ -70,16 +70,20 @@ def test_wh_decompose_every_odd_m_to_201():
     """The split covers each jump 3..(m-1)/2 exactly once with (m-5)/2
     Hamiltonian block cycles, for every odd m up to 201, with no search."""
     for m in range(7, 202, 2):
-        wh = wh_decompose(m)
-        assert len(wh.h_block_cycles) == (m - 5) // 2, m
-        edges = _block_cycle_edges(m, wh.h_block_cycles)
-        expected = {
-            frozenset((i, (i + d) % m))
-            for d in range(3, (m - 1) // 2 + 1)
-            for i in range(m)
-        }
-        assert len(edges) == len(set(edges)) == len(expected), m
-        assert set(edges) == expected, m
+        _assert_split_covers_jumps(m)
+
+
+def _assert_split_covers_jumps(m):
+    wh = wh_decompose(m)
+    assert len(wh.h_block_cycles) == (m - 5) // 2, m
+    edges = _block_cycle_edges(m, wh.h_block_cycles)
+    expected = {
+        frozenset((i, (i + d) % m))
+        for d in range(3, (m - 1) // 2 + 1)
+        for i in range(m)
+    }
+    assert len(edges) == len(set(edges)) == len(expected), m
+    assert set(edges) == expected, m
 
 
 def test_pair_circulant_every_connected_pair_to_41():
@@ -103,9 +107,10 @@ def test_pair_circulant_every_connected_pair_to_41():
                 assert len(edges) == 2 * m and set(edges) == expected, (m, d, e)
 
 
-@pytest.mark.parametrize("n", [78, 90, 102])
+@pytest.mark.parametrize("n", [78, 90, 102, 630])
 def test_solve_single_cycle_needs_paired_jumps(n):
-    """Orders whose block count m = n/2 has jumps sharing a factor with m."""
+    """Orders whose block count m = n/2 has jumps sharing a factor with m
+    (85 of the 155 jumps at m = 315)."""
     ftype = parse_cycle_type(f"[{n}]")
     result = solve(n, ftype)
     assert result.report.passed
@@ -118,12 +123,17 @@ def test_pair_jumps_validity():
 
     from oberwolfach.solver import _pair_jumps
 
-    for m in (9, 15, 21, 27, 45, 51):
+    for m in range(7, 2002, 2):
         distances = list(range(3, (m - 1) // 2 + 1))
         singles, pairs = _pair_jumps(m, distances)
-        assert sorted(singles + [x for p in pairs for x in p]) == distances
-        assert all(gcd(d, m) == 1 for d in singles)
-        assert all(gcd(gcd(d, e), m) == 1 for d, e in pairs)
+        assert sorted(singles + [x for p in pairs for x in p]) == distances, m
+        assert all(gcd(d, m) == 1 for d in singles), m
+        assert all(gcd(gcd(d, e), m) == 1 for d, e in pairs), m
+
+
+def test_wh_decompose_many_awkward_jumps():
+    """m = 315 = 3^2 * 5 * 7: 85 of its 155 jumps share a factor with m."""
+    _assert_split_covers_jumps(315)
 
 
 @pytest.mark.parametrize("m", [7, 9, 11, 13])
@@ -190,9 +200,11 @@ def test_solve_domain_errors():
 
 
 def test_build_path_never_builds_a_blow_up_host(monkeypatch):
-    """The W* route tests host membership by index arithmetic: building
-    w_star(m) or the opened host's arc set in the build path fails here."""
-    from oberwolfach import caps, checker, hosts
+    """The W* route tests host membership by index arithmetic and the final
+    checks run against host descriptions: building w_star(m), h_star(m),
+    the complete host or the opened host's arc set in the build path fails
+    here."""
+    from oberwolfach import caps, checker, hosts, hstar, solver
 
     def refuse(*args, **kwargs):
         raise AssertionError("host arc set built in the build path")
@@ -203,6 +215,10 @@ def test_build_path_never_builds_a_blow_up_host(monkeypatch):
         (hosts, "_j_arcs"),
         (caps, "_j_arcs"),
         (checker, "_j_arcs"),
+        (hosts, "complete_symmetric"),
+        (solver, "complete_symmetric"),
+        (hosts, "h_star"),
+        (hstar, "h_star"),
     ):
         monkeypatch.setattr(module, name, refuse, raising=False)
     folds = []
