@@ -4,8 +4,11 @@ Every constructive routine in this package is re-checked from first
 principles here: arc-disjointness, exact coverage, spanning, cycle types,
 admissibility, boundary patterns, and the defining clauses of the cap and
 centre-piece tables.  ``verify_factorization`` checks against a host
-description (``hosts.HostDescriptor``: vertex set, arc count, membership
-rule) as readily as against a built ``Digraph``.  Coverage is arc
+description (``hosts.HostDescriptor``: vertex numbering, arc count,
+membership rule) as readily as against a built ``Digraph``.  Every arc is
+encoded through the host's vertex ids as one integer a*N + b, so the arcs
+of all factors are gathered into one set of ints; an arc with an endpoint
+outside the host goes into a small separate set of pairs.  Coverage is arc
 arithmetic -- the factors' distinct arcs, less those outside the host, must
 number the host's arcs -- so no host arc set is materialised.
 ``brute_force_factorization`` is an exhaustive backtracking search over
@@ -16,7 +19,8 @@ solver at order 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Optional, Union
 
 from .caps import (
@@ -36,7 +40,6 @@ from .core import (
     DirectedCycle,
     TwoRegularDigraph,
     Vertex,
-    cycle_type_of,
 )
 from .hosts import HostDescriptor, _j_arcs
 
@@ -86,46 +89,72 @@ def verify_factorization(
 ) -> VerificationReport:
     """Check that ``factors`` is an ftype-factorization of ``host``.
 
-    ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its vertex
-    set, ``len(host.arcs)`` and ``host.count_outside`` are used, so the
-    host's arc set is never built or copied here.  The factors' arcs are
-    gathered as (tail, head) pairs into one set; they are disjoint when the
-    set is as large as the total cycle length, and they cover the host when
-    none is outside it and the distinct ones number ``len(host.arcs)``.
+    ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its
+    ``vertex_ids``, ``len(host.arcs)`` and ``host.count_outside_codes`` are
+    used, so the host's arc set is never built or copied here.  Each arc
+    (a, b) between host vertices is gathered as the code a*N + b, and each
+    arc touching another vertex as a (tail, head) pair; the arcs are
+    disjoint when the distinct ones number the total cycle length, and they
+    cover the host when none is outside it and the distinct ones number
+    ``len(host.arcs)``.  A factor spans when its order is N and it names no
+    vertex outside the host (its cycles are vertex-disjoint).
     """
     fs = list(factors)
     report = VerificationReport()
+    ids = host.vertex_ids
+    order = len(ids)
+    codes: set = set()
+    foreign: set = set()
     used = 0
-    union: set = set()
-    for f in fs:
+    spanning = []
+    wrong = []
+    for i, f in enumerate(fs):
+        lengths = []
+        inside = True
         for c in f.cycles:
             vs = c.vertices
-            used += len(vs)
-            union.update(zip(vs, vs[1:] + vs[:1]))
+            lengths.append(len(vs))
+            try:
+                cs = list(map(ids.__getitem__, vs))
+            except KeyError:
+                inside = False
+                _gather_foreign(vs, ids, order, codes, foreign)
+                continue
+            codes.update(map(add, map(mul, cs, repeat(order)), cs[1:] + cs[:1]))
+        size = sum(lengths)
+        used += size
+        if size != order or not inside:
+            spanning.append(i)
+        if tuple(sorted(lengths)) != ftype.lengths:
+            wrong.append((i, str(CycleType(lengths))))
+    distinct = len(codes) + len(foreign)
     report.add(
         "arc_disjoint",
-        used == len(union),
-        f"{used} arcs used, {len(union)} distinct",
+        used == distinct,
+        f"{used} arcs used, {distinct} distinct",
     )
-    extra = host.count_outside(union)
-    missing = len(host.arcs) - (len(union) - extra)
+    outside = host.count_outside_codes(codes)
+    extra = outside + len(foreign)
+    missing = len(host.arcs) - (len(codes) - outside)
     report.add(
         "coverage",
         missing == 0 and extra == 0,
         f"missing {missing}, extra {extra}",
     )
-    vertices = host.vertices
-    spanning = [
-        i
-        for i, f in enumerate(fs)
-        if f.order != len(vertices)
-        or not vertices.issuperset(chain.from_iterable(c.vertices for c in f.cycles))
-    ]
     report.add("spanning", not spanning, f"non-spanning factors: {spanning}")
-    types = [cycle_type_of(f) for f in fs]
-    wrong = [(i, str(t)) for i, t in enumerate(types) if t != ftype]
     report.add("cycle_type", not wrong, f"mismatches: {wrong}")
     return report
+
+
+def _gather_foreign(vs: tuple, ids: dict, order: int, codes: set, foreign: set):
+    """Add the arcs of cycle ``vs``, which names a vertex outside the host:
+    arcs between host vertices as codes, the others as (tail, head) pairs."""
+    for tail, head in zip(vs, vs[1:] + vs[:1]):
+        a, b = ids.get(tail), ids.get(head)
+        if a is None or b is None:
+            foreign.add((tail, head))
+        else:
+            codes.add(a * order + b)
 
 
 def verify_arc_partition(

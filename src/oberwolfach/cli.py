@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import serialize, tables
 from .caps import AdmissibleDecomposition
@@ -27,7 +28,7 @@ from .checker import (
 )
 from .core import CycleType, parse_cycle_type
 from .hosts import DESCRIBED_KINDS
-from .solver import DomainError, SearchTimeout, solve
+from .solver import DomainError, SearchTimeout, check_order, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -44,6 +45,7 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
+        check_order(args.n)
         ftype = parse_cycle_type(args.factor, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -82,19 +84,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     kind = doc.host.kind
     size = doc.host.m_or_n
-    host_order = {
-        "CompleteSymmetric": size,
-        "HStar": 2 * size,
-        "WStar": 2 * size,
-        "JStar": 2 * (size + 2),
-    }.get(kind, 0)
-    named = len({v for f in doc.factors for v in f.vertices()})
+    host_order = doc.host.order
+    named = len(
+        set(chain.from_iterable(c.vertices for f in doc.factors for c in f.cycles))
+    )
     if host_order > named:
         # An unspanned host fails anyway; refusing here keeps a huge declared
         # size from building a huge host.
         print(
             f"error: malformed input: {kind} host of size {size} has "
             f"{host_order} vertices, the factors name only {named}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    if kind != "JStar" and kind not in DESCRIBED_KINDS:
+        print(f"error: unknown host kind {kind!r}", file=sys.stderr)
+        return EXIT_ERROR
+    # factors have order n: the complete host's, or 2m for the blow-ups and
+    # for JStar, whose factors fold onto the m-block circulant blow-up
+    factor_order = size if kind == "CompleteSymmetric" else 2 * size
+    if not doc.n == factor_order == doc.ftype.order:
+        print(
+            f"error: malformed input: declared n = {doc.n} does not match the "
+            f"{kind} host of size {size} (order {factor_order}) and factor_type "
+            f"{doc.ftype.text()} (order {doc.ftype.order})",
             file=sys.stderr,
         )
         return EXIT_ERROR
@@ -105,12 +118,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             t.lengths == doc.ftype.lengths for t in dec.cycle_types()
         )
         report.add("cycle_type", types_ok, f"expected {doc.ftype.text()}")
-    elif kind in DESCRIBED_KINDS:
+    else:
         # checked against the host's description; no host arc set is built
         report = verify_factorization(doc.host, doc.factors, doc.ftype)
-    else:
-        print(f"error: unknown host kind {kind!r}", file=sys.stderr)
-        return EXIT_ERROR
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK if report.passed else EXIT_ERROR
 

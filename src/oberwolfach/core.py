@@ -10,6 +10,8 @@ vertices, ``(x0,x1,y2)`` for cycles and ``<x0,y1>`` for paths.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 
@@ -26,14 +28,15 @@ class Vertex(NamedTuple):
         return self.text()
 
 
-_VERTEX_RE = re.compile(r"^([xy])(\d+)$")
+_VERTEX_RE = re.compile(r"[xy](?:0|[1-9][0-9]*)")
 
 
 def parse_vertex(token: str) -> Vertex:
-    m = _VERTEX_RE.match(token.strip())
-    if not m:
+    """The vertex a token names, accepting only the form ``Vertex.text``
+    writes: no whitespace, no leading zeros, ASCII digits."""
+    if not isinstance(token, str) or not _VERTEX_RE.fullmatch(token):
         raise ValueError(f"bad vertex token: {token!r}")
-    return Vertex(m.group(1), int(m.group(2)))
+    return Vertex(token[0], int(token[1:]))
 
 
 class Arc(NamedTuple):
@@ -134,16 +137,20 @@ class DirectedCycle:
         return self.text()
 
 
+_CYCLE_VERTICES = attrgetter("vertices")
+
+
 class TwoRegularDigraph:
     """A vertex-disjoint union of directed cycles."""
 
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: Iterable[DirectedCycle]):
-        cs = tuple(sorted(cycles, key=lambda c: c.vertices))
-        seen: set = set()
-        for c in cs:
-            for v in c.vertices:
+        cs = tuple(sorted(cycles, key=_CYCLE_VERTICES))
+        named = list(chain.from_iterable(map(_CYCLE_VERTICES, cs)))
+        if len(set(named)) != len(named):
+            seen: set = set()
+            for v in named:
                 if v in seen:
                     raise ValueError(f"cycles share vertex {v}")
                 seen.add(v)
@@ -269,9 +276,17 @@ class Digraph:
             if a.tail not in self.vertices or a.head not in self.vertices:
                 raise ValueError(f"arc endpoint outside vertex set: {a}")
 
-    def count_outside(self, arcs) -> int:
-        """How many of ``arcs``, a set of (tail, head) pairs, are not arcs here."""
-        return len(set(arcs).difference(self.arcs))
+    @property
+    def vertex_ids(self) -> dict:
+        """``Vertex -> id`` in sort order, the numbering of ``HostDescriptor``."""
+        return {v: i for i, v in enumerate(sorted(self.vertices))}
+
+    def count_outside_codes(self, codes: set) -> int:
+        """How many arc codes a*N + b in ``codes`` (a, b ids from
+        ``vertex_ids``, N the order) are not arcs here."""
+        ids = self.vertex_ids
+        n = len(ids)
+        return len(codes.difference(ids[a.tail] * n + ids[a.head] for a in self.arcs))
 
     def out_degree(self, v: Vertex) -> int:
         return sum(1 for a in self.arcs if a.tail == v)

@@ -28,22 +28,31 @@ constant time from the two endpoints, without building the host:
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
-certificate.  It gives the host's vertex set, ``arcs`` (a sized container:
+certificate.  It is also the one home of the vertex numbering: the host's
+vertices are numbered x_i -> i and y_i -> a + i, with a = ceil(n/2) for the
+complete host and a = m for the blow-ups, which is also their sort order.
+``vertex_table`` holds one interned ``Vertex`` per id, ``vertex_ids`` is the
+inverse and ``vertex_by_text`` maps the written form (``"x3"``) to the same
+objects.  The tables are shared by every descriptor with the same x and y
+counts, so ``CompleteSymmetric`` n = 2m, ``HStar`` m and ``WStar`` m use one
+table.  Parsing looks tokens up in it, the solver relabels onto it, and the
+checker encodes an arc (a, b) of ids as the integer a*N + b, N the order.
+
+Besides the numbering the descriptor gives ``arcs`` (a sized container:
 ``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
-``count_outside``, the number of given arcs that are not host arcs.  For the
-complete host an arc is a host arc exactly when its endpoints are distinct
-host vertices, so a set-level subset test answers for all arcs at once;
-the blow-up hosts use ``in_h_star``/``in_w_star`` arc by arc.  A built
-``Digraph`` answers the same three questions from its stored sets.  The
-descriptor refuses the sizes the builders refuse, with their messages.
+``count_outside_codes``, the number of given arc codes that are not host
+arcs.  For the complete host that is the number of loops, found by one
+set intersection; the blow-up hosts decode each code and apply
+``in_h_star``/``in_w_star``.  A built ``Digraph`` answers the same
+questions from its stored sets.  The descriptor refuses the sizes the
+builders refuse, with their messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, permutations, starmap
-from operator import eq
+from functools import cached_property, lru_cache
+from itertools import permutations, starmap
 from typing import Union
 
 from .core import Arc, Digraph, TwoRegularDigraph, Vertex
@@ -60,9 +69,10 @@ DESCRIBED_KINDS = frozenset(_LEAST_SIZE)
 
 @dataclass(frozen=True)
 class HostDescriptor:
-    """A host by kind and size: its vertex set, ``arcs`` (``len`` and ``in``)
-    and ``count_outside``, without building its arc set.  JStar, checked by
-    ``verify_admissible_decomposition``, is only named, not described."""
+    """A host by kind and size: its vertex numbering, ``arcs`` (``len`` and
+    ``in``) and ``count_outside_codes``, without building its arc set.
+    JStar, checked by ``verify_admissible_decomposition``, is only named
+    (and has an ``order``), not described."""
 
     kind: str  # CompleteSymmetric | HStar | WStar | JStar
     m_or_n: int
@@ -78,35 +88,78 @@ class HostDescriptor:
     def to_json(self) -> dict:
         return {"kind": self.kind, "m": self.m_or_n}
 
+    @property
+    def order(self) -> int:
+        """The host's vertex count, by arithmetic: n, 2m, or 2(m+2) for
+        JStar (blocks 0..m+1); 0 for an unknown kind."""
+        size = self.m_or_n
+        if self.kind == "CompleteSymmetric":
+            return size
+        if self.kind in ("HStar", "WStar"):
+            return 2 * size
+        if self.kind == "JStar":
+            return 2 * (size + 2)
+        return 0
+
     def _described(self) -> None:
         if self.kind not in _LEAST_SIZE:
             raise ValueError(f"no arc rule for host kind {self.kind!r}")
 
     @cached_property
-    def vertices(self) -> frozenset:
+    def _numbering(self) -> tuple:
         self._described()
+        size = self.m_or_n
         if self.kind == "CompleteSymmetric":
-            n = self.m_or_n
-            return frozenset(
-                [Vertex("x", i) for i in range((n + 1) // 2)]
-                + [Vertex("y", i) for i in range(n // 2)]
-            )
-        return strip_vertices(self.m_or_n)
+            return _vertex_numbering((size + 1) // 2, size // 2)
+        return _vertex_numbering(size, size)
+
+    @property
+    def vertex_table(self) -> tuple:
+        """The host's interned vertices in id order: x_0.., then y_0.."""
+        return self._numbering[0]
+
+    @property
+    def vertex_ids(self) -> dict:
+        """``Vertex -> id``, the inverse of ``vertex_table``."""
+        return self._numbering[1]
+
+    @property
+    def vertex_by_text(self) -> dict:
+        """``"x3" -> Vertex("x", 3)``, onto the objects of ``vertex_table``."""
+        return self._numbering[2]
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(self.vertex_table)
 
     @property
     def arcs(self) -> "DescribedArcs":
         self._described()
         return DescribedArcs(self)
 
-    def count_outside(self, arcs) -> int:
-        """How many of ``arcs``, a set of (tail, head) pairs, are not host arcs."""
-        if self.kind == "CompleteSymmetric" and self.vertices.issuperset(
-            chain.from_iterable(arcs)
-        ):
-            # every endpoint is a host vertex, so only a loop is outside
-            return sum(starmap(eq, arcs))
+    def count_outside_codes(self, codes: set) -> int:
+        """How many arc codes a*N + b in ``codes`` (a, b vertex ids, N the
+        order) are not host arcs."""
+        table = self.vertex_table
+        n = len(table)
+        if self.kind == "CompleteSymmetric":
+            # distinct host vertices are always joined, so only loops are outside
+            return len(codes.intersection(range(0, n * n, n + 1)))
         rule = self.arcs
-        return sum(1 for a in arcs if a not in rule)
+        return sum(1 for c in codes if (table[c // n], table[c % n]) not in rule)
+
+
+@lru_cache(maxsize=4)
+def _vertex_numbering(xs: int, ys: int) -> tuple:
+    """Interned vertices x_0..x_{xs-1}, y_0..y_{ys-1} in id order, with the
+    ``Vertex -> id`` and ``text -> Vertex`` maps onto them.  The result is
+    shared by every caller with the same counts and must not be mutated."""
+    table = tuple(
+        [Vertex("x", i) for i in range(xs)] + [Vertex("y", i) for i in range(ys)]
+    )
+    ids = {v: i for i, v in enumerate(table)}
+    by_text = {v.text(): v for v in table}
+    return table, ids, by_text
 
 
 class DescribedArcs:
@@ -148,7 +201,7 @@ def complete_symmetric(n: int) -> Digraph:
 
 def strip_vertices(m: int) -> frozenset:
     """The 2m vertices x_i, y_i (0 <= i < m) of ``h_star(m)`` and ``w_star(m)``."""
-    return frozenset(Vertex(s, i) for i in range(m) for s in ("x", "y"))
+    return frozenset(_vertex_numbering(m, m)[0])
 
 
 def h_star(m: int) -> Digraph:

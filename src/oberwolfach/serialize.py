@@ -8,6 +8,16 @@ JSON schema::
 
 Cycles are vertex lists in canonical rotation, so serialisation is
 deterministic and re-serialising a parsed file reproduces it byte for byte.
+
+Parsing resolves each vertex token through the declared host's
+``vertex_by_text`` table (``hosts.HostDescriptor``), so the common path runs
+no regex and every parsed vertex is one of the host's interned objects.  A
+token outside the table must still be written as ``Vertex.text`` writes it
+(``x0``, ``y12``: no whitespace, no leading zeros) or the document is
+malformed; such a token names a vertex outside the host, which the checker
+then reports.  The table is used only when the document has at least as
+many tokens as the host has vertices, so a huge declared size allocates
+nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .core import CycleType, DirectedCycle, TwoRegularDigraph, parse_vertex
-from .hosts import HostDescriptor
+from .hosts import DESCRIBED_KINDS, HostDescriptor
 
 
 @dataclass(frozen=True)
@@ -57,18 +67,33 @@ def to_json(doc: FactorizationDocument) -> str:
     return json.dumps(to_json_dict(doc), indent=2) + "\n"
 
 
+def _cycle_vertices(tokens, table: dict) -> list:
+    """The vertices a cycle's tokens name, by table lookup; a token outside
+    the table goes through ``parse_vertex``.  An unhashable token raises
+    ``TypeError``."""
+    vs = list(map(table.get, tokens))
+    if None in vs:
+        vs = [parse_vertex(t) if v is None else v for v, t in zip(vs, tokens)]
+    return vs
+
+
 def from_json_dict(data: dict) -> FactorizationDocument:
+    raw = data["factors"]
+    spec = data["host"]
+    host = HostDescriptor(str(spec["kind"]), int(spec["m"]))
+    table = {}
+    if host.kind in DESCRIBED_KINDS and host.order <= sum(
+        len(cyc) for factor in raw for cyc in factor
+    ):
+        table = host.vertex_by_text
     factors = tuple(
-        TwoRegularDigraph(
-            DirectedCycle(parse_vertex(t) for t in cyc) for cyc in factor
-        )
-        for factor in data["factors"]
+        TwoRegularDigraph(DirectedCycle(_cycle_vertices(cyc, table)) for cyc in factor)
+        for factor in raw
     )
-    host = data["host"]
     return FactorizationDocument(
         n=int(data["n"]),
         ftype=CycleType(data["factor_type"]),
-        host=HostDescriptor(str(host["kind"]), int(host["m"])),
+        host=host,
         factors=factors,
         verified=bool(data["verified"]),
         seed=int(data.get("seed", 0)),

@@ -1,5 +1,7 @@
 import functools
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from oberwolfach.core import (
 )
 from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
 from oberwolfach.hstar import factorize_h_star
+from oberwolfach.serialize import from_json
 from oberwolfach.solver import round_robin_two_cycles, solve
 
 
@@ -313,3 +316,100 @@ def test_descriptor_and_built_host_give_identical_reports(data):
     described = verify_factorization(HostDescriptor(kind, size), fs, ftype)
     assert described.to_json() == expected
     assert verify_factorization(host, fs, ftype).to_json() == expected
+
+
+_LENIENT_TOKEN = re.compile(r"^([xy])(\d+)$")
+
+
+def _lenient_vertex(token):
+    """The former token parser: surrounding whitespace, leading zeros and
+    any Unicode digits were accepted."""
+    m = _LENIENT_TOKEN.match(token.strip())
+    if not m:
+        raise ValueError(f"bad vertex token: {token!r}")
+    return Vertex(m.group(1), int(m.group(2)))
+
+
+def _regex_parse(data):
+    """The factors as the former parser read them: a regex match per token,
+    validated by the cycle and factor constructors."""
+    factors = tuple(
+        TwoRegularDigraph(
+            DirectedCycle(_lenient_vertex(t) for t in cyc) for cyc in factor
+        )
+        for factor in data["factors"]
+    )
+    host = data["host"]
+    HostDescriptor(str(host["kind"]), int(host["m"]))
+    return factors
+
+
+# forms the regex parser accepted for a token, which the written form never has
+_NON_CANONICAL = (
+    lambda t: " " + t,
+    lambda t: t + "\t",
+    lambda t: t[:1] + "0" + t[1:],
+    lambda t: t[:1] + "٣",  # an Arabic-Indic digit three
+)
+_MIX_INS = ("foreign", "non_canonical", "repeat", "non_string")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_from_json_and_checker_match_a_regex_parse(data):
+    """A corrupted certificate, written to JSON with foreign, non-canonical,
+    repeated and non-string tokens mixed in, is refused by ``from_json``
+    exactly when the former regex parser refused it or it has a
+    non-canonical token; otherwise it parses to the same factors, and the
+    checker's report equals the plain set comparison's."""
+    kind, spec = data.draw(st.sampled_from(_INSTANCES))
+    size, clean = _real_factorization(kind, spec)
+    factors = [[list(c) for c in f] for f in clean]
+    for op in data.draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=3)):
+        if factors:
+            _corrupt(factors, op, data, size)
+    tokens = [[[v.text() for v in c] for c in f] for f in factors]
+    positions = [(f, c, k) for f in tokens for c in f for k in range(len(c))]
+    picks = data.draw(
+        st.lists(st.integers(0, len(positions) - 1), max_size=2, unique=True)
+        if positions
+        else st.just([])
+    )
+    non_canonical = False
+    for f, c, k in (positions[p] for p in picks):
+        how = data.draw(st.sampled_from(_MIX_INS))
+        if how == "foreign":
+            c[k] = c[k][:1] + str(size + data.draw(st.integers(0, 3)))
+        elif how == "non_canonical":
+            c[k] = data.draw(st.sampled_from(_NON_CANONICAL))(c[k])
+            non_canonical = True
+        elif how == "repeat":  # a vertex twice in one factor
+            spots = [(d, j) for d in f for j in range(len(d))]
+            d, j = data.draw(st.sampled_from(spots))
+            c[k] = d[j]
+        else:
+            c[k] = data.draw(st.sampled_from((5, None, [c[k]])))
+    ftype = parse_cycle_type(spec)
+    document = {
+        "n": ftype.order,
+        "factor_type": list(ftype.lengths),
+        "host": {"kind": kind, "m": size},
+        "factors": tokens,
+        "verified": True,
+        "seed": 0,
+    }
+    text = json.dumps(document)
+    try:
+        expected = _regex_parse(json.loads(text))
+    except (ValueError, TypeError, AttributeError):
+        expected = None
+    try:
+        doc = from_json(text)
+    except (ValueError, TypeError, AttributeError):
+        doc = None
+    assert (doc is None) == (expected is None or non_canonical)
+    if doc is None:
+        return
+    assert doc.factors == expected
+    reference = _reference_report(_BUILDERS[kind](size), expected, ftype).to_json()
+    assert verify_factorization(doc.host, doc.factors, doc.ftype).to_json() == reference

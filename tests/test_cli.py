@@ -3,7 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from oberwolfach.checker import verify_factorization
 from oberwolfach.cli import main
+from oberwolfach.core import parse_cycle_type
 from oberwolfach.serialize import from_json, to_json
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "j12_4_8_decomposition.json"
@@ -200,3 +202,65 @@ def test_verify_huge_declared_host_is_malformed(capsys, tmp_path):
         start = time.perf_counter()
         _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(data)))
         assert time.perf_counter() - start < 0.5
+
+
+def _solved_certificate(tmp_path):
+    path = tmp_path / "cert.json"
+    assert main(["solve", "--n", "14", "--factor", "[4,10]", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_verify_declared_n_must_match_host_and_type(capsys, tmp_path):
+    data = _solved_certificate(tmp_path)
+    for n in (7, 16):
+        data["n"] = n
+        _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(data)))
+    data["n"] = 14
+    data["factor_type"] = [4, 12]
+    _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(data)))
+    fixture = json.loads(FIXTURE.read_text())  # JStar m = 6 folds to order 12
+    fixture["n"] = 16
+    _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(fixture)))
+
+
+def test_verify_vertex_tokens_canonical_or_malformed(capsys, tmp_path):
+    from oberwolfach.core import DirectedCycle, TwoRegularDigraph, parse_vertex
+    from oberwolfach.hosts import complete_symmetric
+
+    clean = _solved_certificate(tmp_path)
+    token = clean["factors"][0][0][0]
+    for variant in (" " + token, token + " ", token[0] + "0" + token[1:]):
+        data = json.loads(json.dumps(clean))
+        data["factors"][0][0][0] = variant
+        _assert_malformed(*_verify_text(capsys, tmp_path, json.dumps(data)))
+    # a canonical token outside the host still gets the full report
+    data = json.loads(json.dumps(clean))
+    data["factors"][0][0][0] = token[0] + "7"
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    printed = capsys.readouterr().out
+    factors = [
+        TwoRegularDigraph(DirectedCycle(map(parse_vertex, c)) for c in f)
+        for f in data["factors"]
+    ]
+    expected = verify_factorization(
+        complete_symmetric(14), factors, parse_cycle_type("[4,10]")
+    )
+    assert printed == json.dumps(expected.to_json(), indent=2) + "\n"
+    details = {c["name"]: c["detail"] for c in json.loads(printed)["checks"]}
+    assert details["coverage"] == "missing 2, extra 2"
+    assert details["spanning"] == "non-spanning factors: [0]"
+
+
+def test_solve_refuses_orders_above_the_cap(capsys):
+    import time
+
+    start = time.perf_counter()
+    for factor in ("[1000000000000002]", "[2^500000000000001]"):
+        code = main(["solve", "--n", "1000000000000002", "--factor", factor])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 1000000000000002 is above the largest")
+        assert len(err.strip().splitlines()) == 1
+    assert time.perf_counter() - start < 0.5

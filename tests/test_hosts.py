@@ -212,21 +212,33 @@ def _described_and_built():
 
 
 def test_descriptor_matches_built_host():
-    """Vertex set, arc count, membership and the outside count agree with
-    the built host on every ordered pair (loops included) of vertices with
-    block indices -1..k+3, k the host's block count."""
+    """Vertex set, arc count and membership agree with the built host on
+    every ordered pair (loops included) of vertices with block indices
+    -1..k+3, k the host's block count.  The numbering is the sort order
+    (x_i -> i, then y_i), onto one interned object per vertex and text, and
+    the outside count over arc codes a*N + b, loops included, agrees with
+    the built host's on every code."""
     for desc, host, k in _described_and_built():
         assert desc.vertices == host.vertices, desc
         assert len(desc.arcs) == len(host.arcs), desc
         vs = [Vertex(s, i) for s in "xy" for i in range(-1, k + 4)]
-        pairs = [(u, v) for u in vs for v in vs]
-        for a in pairs:
-            outside = a not in host.arcs
-            assert (a not in desc.arcs) == outside, (desc, a)
-            assert desc.count_outside({a}) == outside, (desc, a)
-        assert desc.count_outside(set(pairs)) == len(set(pairs) - host.arcs)
-        assert desc.count_outside(set(host.arcs)) == 0
-        assert host.count_outside(set(pairs)) == len(set(pairs) - host.arcs)
+        for a in [(u, v) for u in vs for v in vs]:
+            assert (a not in desc.arcs) == (a not in host.arcs), (desc, a)
+        table = desc.vertex_table
+        assert list(table) == sorted(host.vertices), desc
+        assert desc.vertex_ids == host.vertex_ids == {v: i for i, v in enumerate(table)}
+        assert all(desc.vertex_by_text[v.text()] is v for v in table), desc
+        n = len(table)
+        codes = set(range(n * n))
+        outside = n * n - len(host.arcs)
+        assert desc.count_outside_codes(codes) == outside, desc
+        assert host.count_outside_codes(codes) == outside, desc
+        for c in codes:
+            expected = Arc(table[c // n], table[c % n]) not in host.arcs
+            assert desc.count_outside_codes({c}) == expected, (desc, c)
+    assert HostDescriptor("HStar", 7).vertex_table is HostDescriptor(
+        "CompleteSymmetric", 14
+    ).vertex_table
 
 
 def test_descriptor_refuses_the_sizes_builders_refuse():

@@ -1,9 +1,8 @@
-import json
 
 import pytest
 
 from oberwolfach.checker import Nonexistent
-from oberwolfach.core import cycle_type_of, parse_cycle_type
+from oberwolfach.core import CycleType, cycle_type_of, parse_cycle_type
 from oberwolfach.serialize import document_for_solution, to_json
 from oberwolfach.solver import (
     DomainError,
@@ -116,6 +115,27 @@ def test_solve_single_cycle_needs_paired_jumps(n):
     assert result.report.passed
     assert len(result.factors) == n - 1
     assert all(cycle_type_of(f) == ftype for f in result.factors)
+
+
+@pytest.mark.parametrize("n, spec", [(14, "[4,10]"), (102, "[102]")])
+def test_solve_interns_vertices(n, spec):
+    """Every factor is relabelled onto the host's interned vertex table, so
+    a solve holds n vertex objects, not one per cycle position."""
+    result = solve(n, parse_cycle_type(spec))
+    objects = {id(v) for f in result.factors for c in f.cycles for v in c.vertices}
+    assert len(objects) == n
+
+
+def test_solve_refuses_orders_above_the_cap():
+    import time
+
+    from oberwolfach.solver import MAX_ORDER
+
+    start = time.perf_counter()
+    for n in (MAX_ORDER + 4, 1000000000000002):
+        with pytest.raises(DomainError, match="above the largest supported order"):
+            solve(n, CycleType([n]))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_pair_jumps_validity():
@@ -290,24 +310,3 @@ def test_determinism_across_processes():
         string_hashes.add(proc.stderr)
     assert len(string_hashes) == 3, "the children did not run under distinct hash seeds"
     assert len(outputs) == 1, "output bytes depend on the process hash seed"
-
-
-def test_corrupt_cache_is_a_miss(tmp_path, monkeypatch):
-    path = tmp_path / "cache.json"
-    path.write_text("{broken json")
-    monkeypatch.setenv("OBERWOLFACH_CACHE", str(path))
-    result = small_order_solve(6, parse_cycle_type("[2,4]"))
-    assert result.report.passed
-    json.loads(path.read_text())  # rewritten as valid JSON
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    path = tmp_path / "cache.json"
-    monkeypatch.setenv("OBERWOLFACH_CACHE", str(path))
-    first = small_order_solve(6, parse_cycle_type("[2,4]"))
-    assert path.exists()
-    data = json.loads(path.read_text())
-    assert "6:[2,4]" in data
-    second = small_order_solve(6, parse_cycle_type("[2,4]"))
-    assert second.report.passed
-    assert [f.text() for f in first.factors] == [f.text() for f in second.factors]
