@@ -11,11 +11,34 @@ Decompositions are built from three kinds of nine-element path systems
 (left caps, right caps, centre pieces; see :mod:`oberwolfach.tables`) glued
 end to end with the index shift, and from splicing whole decompositions
 whose boundary patterns agree entrywise.
+
+Check contract: every piece is checked once, where it is made.
+
+* Table decompositions are checked factor by factor with ``is_admissible``
+  when ``tables`` loads them (once per process, the loaders are cached).
+* ``assemble`` checks each factor's cycle type and admissibility, and
+  ``general_factor`` its result's cycle types; it is memoised per type.
+* ``_splice_all`` checks that every piece has the first piece's boundary
+  patterns and that each final factor is admissible; a nested splice has
+  checked its own result.  The public ``splice`` also checks both inputs.
+* ``w_star_factorization`` folds each factor (``fold`` checks every folded
+  arc against the circulant blow-up host) and checks spanning and type.
+
+Splice lemma: if A on a blocks and B on b blocks are admissible factors
+with equal external patterns, then A plus B shifted by a is admissible on
+a + b blocks.  A lies in blocks 0..a+1 and shifted B in a..a+b+1; in blocks
+a and a+1 the pattern equality hands each boundary vertex to exactly one of
+them, every arc stays in the larger opened host, and the new boundary
+pairs take their first vertex from A and their second from B.  By
+induction every prefix of a splice of admissible pieces with equal
+patterns is admissible, so a splice of k pieces checks admissibility once
+per factor, on the final factor, in time linear in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import tables
@@ -23,13 +46,15 @@ from .core import (
     CycleType,
     TwoRegularDigraph,
     Vertex,
-    concat,
+    DirectedCycle,
+    DirectedPath,
+    cycle_arcs,
     cycle_type_of,
     shift,
     shift_vertex,
     two_regular_from_arcs,
 )
-from .hosts import fold, in_j_star, strip_vertices
+from .hosts import _outside_j_star, fold, strip_vertices
 
 BOUNDARY = (Vertex("x", 0), Vertex("x", 1), Vertex("y", 0), Vertex("y", 1))
 
@@ -40,21 +65,19 @@ def external_pattern(d: TwoRegularDigraph) -> frozenset:
 
 
 def is_admissible(d: TwoRegularDigraph, m: int) -> bool:
-    """Order 2m, every arc in the opened host (tested with ``in_j_star``),
+    """Order 2m, every arc in the opened host (``hosts._outside_j_star``),
     one vertex per boundary pair, all middle blocks saturated."""
     vs = d.vertices()
     if len(vs) != 2 * m:
         return False
-    if not all(in_j_star(a, m) for c in d.cycles for a in c.arcs()):
+    if _outside_j_star(cycle_arcs(d.cycles), m):
         return False
     for side, i in (("x", 0), ("x", 1), ("y", 0), ("y", 1)):
-        pair = {Vertex(side, i), Vertex(side, i + m)}
-        if len(pair & vs) != 1:
+        if (Vertex(side, i) in vs) == (Vertex(side, i + m) in vs):
             return False
-    for i in range(2, m):
-        if Vertex("x", i) not in vs or Vertex("y", i) not in vs:
-            return False
-    return True
+    # every vertex is on an opened-host arc, so its side is x or y and the
+    # 2(m-2) middle vertices are all present iff that many lie in blocks 2..m-1
+    return sum(1 for v in vs if 2 <= v[1] < m) == 2 * max(m - 2, 0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +172,14 @@ def left_cap_patterns(cap: LeftCap) -> tuple:
 
 
 def concat_centre(piece: CentrePiece, k: int) -> CentrePiece:
-    """Chain ``k`` shifted copies of a length-4 centre piece into length 4k."""
+    """Chain ``k`` shifted copies of a length-4 centre piece into length 4k.
+
+    Copy j of Q is shifted by 4j and starts where copy j-1 ends, so each Q
+    must end four blocks after it starts, t(Q) = s(Q)+4; U runs the other
+    way, t(U) = s(U)-4.  Each chained vertex list is built once, and
+    ``DirectedPath`` refusing a repeated vertex is the check that the copies
+    meet only at their junctions.
+    """
     if piece.c != 4:
         raise ValueError("only length-4 centre pieces are chained")
     if k < 1:
@@ -158,15 +188,19 @@ def concat_centre(piece: CentrePiece, k: int) -> CentrePiece:
         return piece
     pairs = []
     for q, u in piece.pairs:
-        big_q = q
+        if q.terminal != shift_vertex(q.source, 4):
+            raise ValueError(f"cannot chain: t(Q)={q.terminal} != s(Q)+4")
+        if u.source != shift_vertex(u.terminal, 4):
+            raise ValueError(f"cannot chain: t(U)={u.terminal} != s(U)-4")
+        big_q = list(q.vertices)
         for step in range(1, k):
-            big_q = concat(big_q, shift(q, 4 * step))
-        big_u = shift(u, 4 * (k - 1))
+            big_q += [shift_vertex(v, 4 * step) for v in q.vertices[1:]]
+        big_u = [shift_vertex(v, 4 * (k - 1)) for v in u.vertices]
         for step in range(k - 2, -1, -1):
-            big_u = concat(big_u, shift(u, 4 * step))
-        if set(big_q.vertices) & set(big_u.vertices):
+            big_u += [shift_vertex(v, 4 * step) for v in u.vertices[1:]]
+        if set(big_q) & set(big_u):
             raise ValueError("chained centre paths are not vertex-disjoint")
-        pairs.append((big_q, big_u))
+        pairs.append((DirectedPath(big_q), DirectedPath(big_u)))
     return CentrePiece(4 * k, tuple(pairs))
 
 
@@ -227,18 +261,14 @@ def assemble(
 def splice(
     a: AdmissibleDecomposition, b: AdmissibleDecomposition
 ) -> AdmissibleDecomposition:
-    """Join compatible decompositions: factor j becomes A_j + shifted B_j."""
-    if a.patterns() != b.patterns():
-        raise ValueError("decompositions are not compatible (patterns differ)")
-    m = a.m + b.m
-    factors = []
-    for fa, fb in zip(a.factors, b.factors):
-        shifted = shift(fb, a.m)
-        factor = TwoRegularDigraph(tuple(fa.cycles) + tuple(shifted.cycles))
-        if not is_admissible(factor, m):
-            raise ValueError("spliced factor is not admissible")
-        factors.append(factor)
-    return AdmissibleDecomposition(m, tuple(factors))
+    """Join compatible decompositions: factor j becomes A_j + shifted B_j.
+
+    Both inputs' factors are checked for admissibility first, as the
+    caller may have built them by hand."""
+    for dec in (a, b):
+        if not all(is_admissible(f, dec.m) for f in dec.factors):
+            raise ValueError("splice input is not admissible")
+    return _splice_all([a, b])
 
 
 # Cap-family dispatch: family key, anchors present in the tables, and the
@@ -268,11 +298,14 @@ def _family_of(lengths: tuple):
     return None
 
 
+@lru_cache(maxsize=64)
 def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     """Decomposition for one long cycle plus at most two short side cycles.
 
     Covers the shapes [2s] (s>=4), [2s,2] (s>=4), [2s,2,2] (s>=4) and
-    [2s,4] (s>=5), via the embedded cap tables and centre chaining.
+    [2s,4] (s>=5), via the embedded cap tables and centre chaining.  The
+    result is immutable and checked when built, so it is memoised per type,
+    like the tables it is built from.
     """
     fit = _family_of(ftype.lengths)
     if fit is None:
@@ -312,10 +345,39 @@ def _single(length: int) -> AdmissibleDecomposition:
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
-    out = decs[0]
-    for d in decs[1:]:
-        out = splice(out, d)
-    return out
+    """Splice admissible pieces end to end in one pass: piece p shifted by
+    the block count of the pieces before it.
+
+    Every piece must have the first piece's boundary patterns.  The pieces
+    are admissible where they were made (see the module docstring), so by
+    the splice lemma only each final factor is checked; ``TwoRegularDigraph``
+    checks that the shifted pieces are vertex-disjoint.
+    """
+    if len(decs) == 1:
+        return decs[0]
+    pattern = decs[0].patterns()
+    if any(d.patterns() != pattern for d in decs[1:]):
+        raise ValueError("decompositions are not compatible (patterns differ)")
+    offsets = []
+    m = 0
+    for d in decs:
+        offsets.append(m)
+        m += d.m
+    factors = []
+    for j in range(9):
+        cycles = []
+        for d, offset in zip(decs, offsets):
+            for c in d.factors[j].cycles:
+                cycles.append(
+                    DirectedCycle([shift_vertex(v, offset) for v in c.vertices])
+                    if offset
+                    else c
+                )
+        factor = TwoRegularDigraph(cycles)
+        if not is_admissible(factor, m):
+            raise ValueError("spliced factor is not admissible")
+        factors.append(factor)
+    return AdmissibleDecomposition(m, tuple(factors))
 
 
 def j_decompose(ftype: CycleType) -> AdmissibleDecomposition:

@@ -28,7 +28,7 @@ from .checker import (
 )
 from .core import CycleType, parse_cycle_type
 from .hosts import DESCRIBED_KINDS
-from .solver import DomainError, SearchTimeout, check_order, solve
+from .solver import DomainError, check_order, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,12 +51,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        result = solve(args.n, ftype, seed=args.seed, timeout_ms=args.timeout_ms)
+        result = solve(args.n, ftype, seed=args.seed)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except SearchTimeout as exc:
-        print(f"error: timeout: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if isinstance(result, Nonexistent):
         print(
@@ -254,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="json", choices=sorted(serialize.FORMATS)
     )
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--timeout-ms", type=int, default=None)
     p_solve.add_argument("--out", default=None, help="output file (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 

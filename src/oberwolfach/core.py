@@ -179,6 +179,14 @@ class TwoRegularDigraph:
         return self.text()
 
 
+def cycle_arcs(cycles: Iterable[DirectedCycle]):
+    """Every arc of ``cycles`` as a (tail, head) pair of vertices, without
+    building ``Arc`` objects."""
+    for c in cycles:
+        vs = c.vertices
+        yield from zip(vs, vs[1:] + vs[:1])
+
+
 class CycleType:
     """Multiset of directed-cycle lengths, kept sorted non-decreasing."""
 

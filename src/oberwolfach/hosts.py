@@ -13,10 +13,14 @@ graph) over strip-labelled vertices:
   only for 1 <= i <= m.
 
 ``fold`` closes ``j_star(m)`` back onto ``w_star(m)`` by reducing block
-indices mod m; it is an arc bijection for m >= 5.
+indices mod m; it is an arc bijection for m >= 5.  A folded factor's
+vertices are the interned ones of the order-2m vertex table below.
 
 Both blow-up hosts have closed-form arc sets, so membership is tested in
-constant time from the two endpoints, without building the host:
+constant time from the two endpoints, without building the host.  The
+J* and W* rules are each written once, in ``_outside_j_star`` and
+``_outside_w_star``, which scan many (tail, head) pairs in one loop and
+return those outside the host; the single-arc tests wrap them:
 
 * ``in_j_star(arc, m)`` -- ``arc`` is an arc of ``j_star(m)``: a rung
   x_i <-> y_i with 1 <= i <= m, or a junction between blocks i and i+d,
@@ -55,7 +59,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations, starmap
 from typing import Union
 
-from .core import Arc, Digraph, TwoRegularDigraph, Vertex
+from .core import Arc, Digraph, TwoRegularDigraph, Vertex, cycle_arcs
 
 # kind -> (builder, size letter, least size) for the hosts a factorization
 # is checked against; JStar decompositions have their own checker.
@@ -246,16 +250,46 @@ def _j_arcs(m: int) -> frozenset:
 _SIDES = ("x", "y")
 
 
+def _outside_j_star(pairs, m: int) -> list:
+    """The pairs ((s, i), (t, j)) in ``pairs`` that are not arcs of
+    ``j_star(m)``: a rung x_i <-> y_i needs 1 <= i <= m, a junction between
+    blocks i and i+d, d in {1, 2}, needs 0 <= i <= m-1 (any m >= 1)."""
+    sides = _SIDES
+    out = []
+    for a in pairs:
+        (s, i), (t, j) = a
+        if s in sides and t in sides and i >= 0 and j >= 0:
+            if i == j:
+                if s != t and 1 <= i <= m:
+                    continue
+            elif -2 <= i - j <= 2 and min(i, j) < m:
+                continue
+        out.append(a)
+    return out
+
+
+def _outside_w_star(pairs, m: int) -> list:
+    """The pairs ((s, i), (t, j)) in ``pairs`` that are not arcs of
+    ``w_star(m)`` (m >= 5): both blocks in 0..m-1, and a rung, or blocks
+    differing by +-1 or +-2 mod m."""
+    sides = _SIDES
+    steps = (1, 2, m - 2, m - 1)
+    out = []
+    for a in pairs:
+        (s, i), (t, j) = a
+        if s in sides and t in sides and 0 <= i < m and 0 <= j < m:
+            if i == j:
+                if s != t:
+                    continue
+            elif (j - i) % m in steps:
+                continue
+        out.append(a)
+    return out
+
+
 def in_j_star(arc: Arc, m: int) -> bool:
     """``arc in j_star(m).arcs``, by index arithmetic (valid for any m >= 1)."""
-    (s, i), (t, j) = arc
-    if s not in _SIDES or t not in _SIDES:
-        return False
-    if i < 0 or j < 0:
-        return False
-    if i == j:
-        return s != t and 1 <= i <= m
-    return abs(i - j) <= 2 and min(i, j) <= m - 1
+    return not _outside_j_star((arc,), m)
 
 
 def in_h_star(arc: Arc, m: int) -> bool:
@@ -270,14 +304,7 @@ def in_h_star(arc: Arc, m: int) -> bool:
 
 def in_w_star(arc: Arc, m: int) -> bool:
     """``arc in w_star(m).arcs``, by index arithmetic (m >= 5)."""
-    (s, i), (t, j) = arc
-    if s not in _SIDES or t not in _SIDES:
-        return False
-    if not (0 <= i < m and 0 <= j < m):
-        return False
-    if i == j:
-        return s != t
-    return (j - i) % m in (1, 2, m - 2, m - 1)
+    return not _outside_w_star((arc,), m)
 
 
 def j_star(m: int) -> Digraph:
@@ -291,29 +318,43 @@ def j_star(m: int) -> Digraph:
 def fold(g: Union[Digraph, TwoRegularDigraph], m: int):
     """Reduce block indices mod m, mapping the opened host into w_star(m).
 
+    A factor's vertices are mapped through one dict onto the interned
+    vertex table of ``w_star(m)`` (``_vertex_numbering(m, m)``, shared with
+    the order-2m complete host), so a folded factor needs no relabelling.
     Raises ``ValueError`` for m < 5, where the arc correspondence breaks
-    down, and if any folded arc fails ``in_w_star`` (malformed input).
+    down, and if any folded arc is outside ``w_star(m)`` (malformed input).
     """
     if m < 5:
         raise ValueError(f"fold needs m >= 5, got {m}")
 
-    def phi(v: Vertex) -> Vertex:
-        return Vertex(v.side, v.index % m)
-
     def check(arcs) -> None:
-        bad = [a for a in arcs if not in_w_star(a, m)]
+        bad = _outside_w_star(arcs, m)
         if bad:
-            raise ValueError(f"folded arcs outside host: {sorted(bad)[:3]}")
+            raise ValueError(
+                f"folded arcs outside host: {sorted(starmap(Arc, bad))[:3]}"
+            )
 
     if isinstance(g, TwoRegularDigraph):
         from .core import DirectedCycle
 
+        table = _vertex_numbering(m, m)[0]
+        offset = {"x": 0, "y": m}
+        image = {}
+        for v in g.vertices():
+            side, index = v
+            if side in offset:
+                image[v] = table[offset[side] + index % m]
+            else:
+                image[v] = Vertex(side, index % m)
         folded = TwoRegularDigraph(
-            DirectedCycle(phi(v) for v in c.vertices) for c in g.cycles
+            DirectedCycle(map(image.__getitem__, c.vertices)) for c in g.cycles
         )
-        check(a for c in folded.cycles for a in c.arcs())
+        check(cycle_arcs(folded.cycles))
         return folded
     if isinstance(g, Digraph):
+        def phi(v: Vertex) -> Vertex:
+            return Vertex(v.side, v.index % m)
+
         arcs = frozenset(Arc(phi(a.tail), phi(a.head)) for a in g.arcs)
         check(arcs)
         return Digraph((phi(v) for v in g.vertices), arcs)

@@ -51,20 +51,60 @@ def document_for_solution(solution) -> FactorizationDocument:
 
 
 def to_json_dict(doc: FactorizationDocument) -> dict:
+    return _fields(
+        doc,
+        [[[v.text() for v in c.vertices] for c in f.cycles] for f in doc.factors],
+    )
+
+
+def _fields(doc: FactorizationDocument, factors) -> dict:
     return {
         "n": doc.n,
         "factor_type": list(doc.ftype.lengths),
         "host": doc.host.to_json(),
-        "factors": [
-            [[v.text() for v in c.vertices] for c in f.cycles] for f in doc.factors
-        ],
+        "factors": factors,
         "verified": doc.verified,
         "seed": doc.seed,
     }
 
 
+# how json.dumps(indent=2) writes the "factors" key with the value 0; its
+# quotes are unescaped, so it cannot occur inside any string value
+_FACTORS_SLOT = '\n  "factors": 0,\n'
+
+
 def to_json(doc: FactorizationDocument) -> str:
-    return json.dumps(to_json_dict(doc), indent=2) + "\n"
+    """``json.dumps(to_json_dict(doc), indent=2) + "\\n"``, byte for byte.
+
+    Every field but ``"factors"`` goes through ``json.dumps``.  The factors,
+    nearly all of the text, are written with ``str.join`` at the indents
+    ``json.dumps`` uses, each distinct vertex quoted once by
+    ``json.dumps(v.text())`` so the escaping is the encoder's own."""
+    head, _, tail = json.dumps(_fields(doc, 0), indent=2).partition(_FACTORS_SLOT)
+    named = set()
+    for f in doc.factors:
+        for c in f.cycles:
+            named.update(c.vertices)
+    quoted = {v: json.dumps(v.text()) for v in named}.__getitem__
+    block = _json_list(
+        [
+            _json_list(
+                [_json_list(list(map(quoted, c.vertices)), 3) for c in f.cycles], 2
+            )
+            for f in doc.factors
+        ],
+        1,
+    )
+    return f'{head}\n  "factors": {block},\n{tail}\n'
+
+
+def _json_list(items: list, depth: int) -> str:
+    """Already encoded ``items`` as ``json.dumps(indent=2)`` writes a list
+    nested ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * (depth + 1)
+    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * depth + "]"
 
 
 def _cycle_vertices(tokens, table: dict) -> list:

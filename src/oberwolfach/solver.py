@@ -6,7 +6,7 @@ Dispatch:
 * F all 2-cycles: the circle-method round robin, every edge doubled.
 * n = 6: exhaustive search (order 6 carries the single nonexistent type [6]).
 * n = 10: the circulant blow-up host *is* the complete digraph here, so the
-  cap machinery solves it directly; search remains as a fallback.
+  cap machinery solves it directly.
 * n >= 14: split the host into one circulant blow-up plus (m-5)/2 cycle
   blow-ups along Hamiltonian block cycles, and factor each part.  The block
   cycles are built deterministically: closed form for jumps coprime to m,
@@ -18,20 +18,17 @@ Every returned factorization carries a full verification report.
 from __future__ import annotations
 
 import math
-import random
-import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .caps import w_star_factorization
 from .checker import (
     Nonexistent,
     VerificationReport,
     brute_force_factorization,
-    factors_through_arc,
     verify_factorization,
 )
-from .core import CycleType, DirectedCycle, Digraph, TwoRegularDigraph
+from .core import CycleType, DirectedCycle, TwoRegularDigraph
 from .hosts import HostDescriptor, complete_symmetric
 from .hstar import factorize_h_star
 
@@ -55,10 +52,6 @@ def check_order(n: int) -> None:
             f"n = {n} is above the largest supported order {MAX_ORDER} "
             f"(a certificate holds n(n-1) arcs)"
         )
-
-
-class SearchTimeout(RuntimeError):
-    """A search hit its time budget; distinct from Nonexistent."""
 
 
 @dataclass(frozen=True)
@@ -234,38 +227,8 @@ def round_robin_two_cycles(n: int, seed: int = 0) -> Factorization:
     return Factorization(n, ftype, tuple(factors), report, seed)
 
 
-def _randomized_extraction(
-    host: Digraph,
-    ftype: CycleType,
-    rng: random.Random,
-    deadline: Optional[float],
-) -> Optional[list]:
-    """Extract type-F factors one at a time with restarts."""
-    n = len(host.vertices)
-    for _ in range(10_000):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("factor extraction timed out")
-        remaining = set(host.arcs)
-        factors = []
-        while remaining:
-            first = rng.choice(sorted(remaining))
-            found = None
-            for cycles in factors_through_arc(
-                frozenset(remaining), host.vertices, ftype.lengths, first
-            ):
-                found = TwoRegularDigraph(cycles)
-                break
-            if found is None:
-                break
-            factors.append(found)
-            remaining -= found.arcs()
-        if not remaining and len(factors) == n - 1:
-            return factors
-    return None
-
-
 def small_order_solve(
-    n: int, ftype: CycleType, seed: int = 0, timeout_ms: Optional[int] = None
+    n: int, ftype: CycleType, seed: int = 0
 ) -> Union[Factorization, Nonexistent]:
     """Orders 6 and 10, below the host-splitting threshold."""
     if n not in (6, 10):
@@ -281,20 +244,8 @@ def small_order_solve(
             return result
         factors = result
     else:
-        try:
-            # the jump-{1,2} circulant blow-up on 5 blocks is the whole host
-            factors = w_star_factorization(ftype)
-        except (ValueError, RuntimeError):
-            deadline = (
-                time.monotonic() + timeout_ms / 1000.0
-                if timeout_ms is not None
-                else None
-            )
-            factors = _randomized_extraction(
-                complete_symmetric(n), ftype, random.Random(seed), deadline
-            )
-            if factors is None:
-                raise SearchTimeout(f"no factorization found for {ftype} at n={n}")
+        # the jump-{1,2} circulant blow-up on 5 blocks is the whole host
+        factors = w_star_factorization(ftype)
     report = verify_factorization(host, factors, ftype)
     if not report.passed:
         raise RuntimeError(f"construction failed verification: {report.failures()}")
@@ -317,7 +268,7 @@ def _relabel(factor: TwoRegularDigraph, lookup: dict) -> TwoRegularDigraph:
 
 
 def solve(
-    n: int, ftype: CycleType, seed: int = 0, timeout_ms: Optional[int] = None
+    n: int, ftype: CycleType, seed: int = 0
 ) -> Union[Factorization, Nonexistent]:
     """Verified F-factorization of the order-n complete symmetric digraph,
     or Nonexistent for the single impossible case (n, F) = (6, [6])."""
@@ -332,15 +283,15 @@ def solve(
     if set(ftype.lengths) == {2}:
         return round_robin_two_cycles(n, seed)
     if n in (6, 10):
-        return small_order_solve(n, ftype, seed, timeout_ms)
+        return small_order_solve(n, ftype, seed)
 
     m = n // 2
     wh = wh_decompose(m)
     host = HostDescriptor("CompleteSymmetric", n)
     table = host.vertex_table
-    # every factor is mapped onto the host's interned vertices: n objects in all
-    identity = _block_lookup(table, tuple(range(m)))
-    factors = [_relabel(f, identity) for f in w_star_factorization(ftype)]
+    # every factor is on the host's interned vertices, n objects in all: the
+    # W* factors are folded onto this table, the H* copies are relabelled
+    factors = w_star_factorization(ftype)
     hfact = factorize_h_star(ftype, m)
     for block_cycle in wh.h_block_cycles:
         lookup = _block_lookup(table, block_cycle)

@@ -4,9 +4,11 @@ Everything in this module is a transcribed constant: the shared nine-entry
 boundary pattern ``X_PATTERN``, the length-2 left cap and length-4 centre
 piece, sixteen right-cap tables (four families, four anchor sizes each), and
 thirteen small admissible decompositions.  Nothing here is trusted as
-written: ``checker.verify_cap_complementarity`` and
+written: the decomposition loaders check every factor with
+``caps.is_admissible`` and refuse a table that fails, and
+``checker.verify_cap_complementarity`` and
 ``checker.verify_admissible_decomposition`` re-check every invariant of
-every table, and the ``tables --check`` CLI command runs that audit.
+every table, which the ``tables --check`` CLI command runs as an audit.
 
 Table encoding: paths are strings like ``"y2 y1 x2"``, cycles are strings
 like ``"(y1 x3)"``; both parse through :mod:`oberwolfach.core`.
@@ -521,10 +523,16 @@ def right_cap(family: str, anchor: int):
 
 
 def _decomposition_from_rows(rows: tuple, m: int):
-    from .caps import AdmissibleDecomposition
+    """The decomposition the rows spell, each factor checked with
+    ``caps.is_admissible``; the loaders below cache it, so the check runs
+    once per table and process."""
+    from .caps import AdmissibleDecomposition, is_admissible
     from .core import TwoRegularDigraph
 
     factors = tuple(TwoRegularDigraph(_c(c) for c in row) for row in rows)
+    for i, factor in enumerate(factors, 1):
+        if not is_admissible(factor, m):
+            raise ValueError(f"table row {i} is not admissible on {m} blocks")
     return AdmissibleDecomposition(m, factors)
 
 
