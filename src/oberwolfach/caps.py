@@ -38,7 +38,7 @@ per factor, on the final factor, in time linear in its order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from . import tables
@@ -88,6 +88,12 @@ class AdmissibleDecomposition:
     factors: tuple  # 9 TwoRegularDigraph
 
     def patterns(self) -> tuple:
+        return self._patterns
+
+    @cached_property
+    def _patterns(self) -> tuple:
+        # table pieces are shared and spliced again and again; their
+        # factors are immutable, so the patterns are computed once
         return tuple(external_pattern(f) for f in self.factors)
 
     def cycle_types(self) -> tuple:

@@ -3,14 +3,25 @@
 Every constructive routine in this package is re-checked from first
 principles here: arc-disjointness, exact coverage, spanning, cycle types,
 admissibility, boundary patterns, and the defining clauses of the cap and
-centre-piece tables.  ``verify_factorization`` checks against a host
-description (``hosts.HostDescriptor``: vertex numbering, arc count,
-membership rule) as readily as against a built ``Digraph``.  Every arc is
-encoded through the host's vertex ids as one integer a*N + b, so the arcs
-of all factors are gathered into one set of ints; an arc with an endpoint
-outside the host goes into a small separate set of pairs.  Coverage is arc
-arithmetic -- the factors' distinct arcs, less those outside the host, must
-number the host's arcs -- so no host arc set is materialised.
+centre-piece tables.
+
+A factorization is checked by ``verify_id_factorization``, which sees only
+vertex ids: each factor is a list of cycles, each cycle a list of ints, id i
+< N naming the host's vertex i (``hosts.HostDescriptor`` numbering, N the
+order) and ids >= N vertices outside the host.  It trusts nothing about how
+the lists were made.  Every arc between host ids is encoded as one integer
+a*N + b, so the arcs of all factors are gathered into one set of ints; an
+arc touching an id >= N goes into a small separate set of pairs.  Coverage
+is arc arithmetic -- the factors' distinct arcs, less those outside the
+host, must number the host's arcs -- so no host arc set is materialised.  A
+factor spans when its length is N, it names no id >= N, and its ids are
+distinct, counted by one set per factor; so spanning no longer rests on the
+cycle and factor constructors having refused repeated or shared vertices.
+``verify`` reads certificates straight into such lists
+(``serialize.read_certificate``); ``verify_factorization`` is the adapter
+for callers holding ``TwoRegularDigraph`` objects, so the solver, the H*
+self-check and ``verify`` run the same core.
+
 ``brute_force_factorization`` is an exhaustive backtracking search over
 tiny hosts, used to confirm nonexistence claims and to cross-check the
 solver at order 6.
@@ -19,8 +30,7 @@ solver at order 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, mul
+from operator import add
 from typing import Iterable, Optional, Union
 
 from .caps import (
@@ -40,6 +50,7 @@ from .core import (
     DirectedCycle,
     TwoRegularDigraph,
     Vertex,
+    cycle_type_text,
 )
 from .hosts import HostDescriptor, _j_arcs
 
@@ -87,54 +98,82 @@ def verify_factorization(
     factors: Iterable[TwoRegularDigraph],
     ftype: CycleType,
 ) -> VerificationReport:
-    """Check that ``factors`` is an ftype-factorization of ``host``.
-
-    ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its
-    ``vertex_ids``, ``len(host.arcs)`` and ``host.count_outside_codes`` are
-    used, so the host's arc set is never built or copied here.  Each arc
-    (a, b) between host vertices is gathered as the code a*N + b, and each
-    arc touching another vertex as a (tail, head) pair; the arcs are
-    disjoint when the distinct ones number the total cycle length, and they
-    cover the host when none is outside it and the distinct ones number
-    ``len(host.arcs)``.  A factor spans when its order is N and it names no
-    vertex outside the host (its cycles are vertex-disjoint).
-    """
-    fs = list(factors)
-    report = VerificationReport()
+    """Check that ``factors`` is an ftype-factorization of ``host``: each
+    factor's cycles are mapped through ``host.vertex_ids`` (a vertex outside
+    the host to an id >= N, one per distinct vertex) and judged by
+    :func:`verify_id_factorization`."""
     ids = host.vertex_ids
-    order = len(ids)
+    foreign: dict = {}
+
+    def vid(v) -> int:
+        i = ids.get(v)
+        return foreign.setdefault(v, len(ids) + len(foreign)) if i is None else i
+
+    def id_cycles(f: TwoRegularDigraph) -> list:
+        out = []
+        for c in f.cycles:
+            vs = c.vertices
+            try:
+                out.append(list(map(ids.__getitem__, vs)))
+            except KeyError:
+                out.append(list(map(vid, vs)))
+        return out
+
+    return verify_id_factorization(host, map(id_cycles, factors), ftype)
+
+
+def verify_id_factorization(
+    host: Union[HostDescriptor, Digraph],
+    factors: Iterable[list],
+    ftype: CycleType,
+) -> VerificationReport:
+    """Check that ``factors``, each a list of cycles given as lists of
+    vertex ids, is an ftype-factorization of ``host``.
+
+    ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its order
+    N, ``len(host.arcs)`` and ``host.count_outside_codes`` are used, so the
+    host's arc set is never built or copied here.  Ids are non-negative; id
+    i < N is the host's vertex i, and ids >= N are vertices outside it.
+    Each arc (a, b) between host ids is gathered as the code a*N + b, and
+    each arc touching another id as an (a, b) pair; the arcs are disjoint
+    when the distinct ones number the total cycle length, and they cover the
+    host when none is outside it and the distinct ones number
+    ``len(host.arcs)``.  A factor spans when its length and its count of
+    distinct ids are both N and every id is below N.
+    """
+    report = VerificationReport()
+    order = len(host.vertices)
+    row = [a * order for a in range(order)].__getitem__
     codes: set = set()
-    foreign: set = set()
+    pairs: set = set()
     used = 0
     spanning = []
     wrong = []
-    for i, f in enumerate(fs):
-        lengths = []
-        inside = True
-        for c in f.cycles:
-            vs = c.vertices
-            lengths.append(len(vs))
-            try:
-                cs = list(map(ids.__getitem__, vs))
-            except KeyError:
-                inside = False
-                _gather_foreign(vs, ids, order, codes, foreign)
-                continue
-            codes.update(map(add, map(mul, cs, repeat(order)), cs[1:] + cs[:1]))
+    for i, cycles in enumerate(factors):
+        lengths = list(map(len, cycles))
         size = sum(lengths)
         used += size
-        if size != order or not inside:
+        named: set = set()
+        for cs in cycles:
+            named.update(cs)
+        inside = not named or max(named) < order
+        for cs in cycles:
+            if inside:
+                codes.update(map(add, map(row, cs), cs[1:] + cs[:1]))
+            else:
+                _gather_foreign(cs, order, codes, pairs)
+        if size != order or len(named) != size or not inside:
             spanning.append(i)
         if tuple(sorted(lengths)) != ftype.lengths:
-            wrong.append((i, str(CycleType(lengths))))
-    distinct = len(codes) + len(foreign)
+            wrong.append((i, cycle_type_text(lengths)))
+    distinct = len(codes) + len(pairs)
     report.add(
         "arc_disjoint",
         used == distinct,
         f"{used} arcs used, {distinct} distinct",
     )
     outside = host.count_outside_codes(codes)
-    extra = outside + len(foreign)
+    extra = outside + len(pairs)
     missing = len(host.arcs) - (len(codes) - outside)
     report.add(
         "coverage",
@@ -146,15 +185,14 @@ def verify_factorization(
     return report
 
 
-def _gather_foreign(vs: tuple, ids: dict, order: int, codes: set, foreign: set):
-    """Add the arcs of cycle ``vs``, which names a vertex outside the host:
-    arcs between host vertices as codes, the others as (tail, head) pairs."""
-    for tail, head in zip(vs, vs[1:] + vs[:1]):
-        a, b = ids.get(tail), ids.get(head)
-        if a is None or b is None:
-            foreign.add((tail, head))
-        else:
+def _gather_foreign(cs: list, order: int, codes: set, pairs: set) -> None:
+    """Add the arcs of cycle ``cs``, which may name ids >= ``order``: arcs
+    between host ids as codes, the others as (tail, head) pairs."""
+    for a, b in zip(cs, cs[1:] + cs[:1]):
+        if a < order and b < order:
             codes.add(a * order + b)
+        else:
+            pairs.add((a, b))
 
 
 def verify_arc_partition(

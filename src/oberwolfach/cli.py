@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from functools import lru_cache
 
 from . import serialize, tables
 from .caps import AdmissibleDecomposition
@@ -24,9 +24,9 @@ from .checker import (
     Nonexistent,
     verify_admissible_decomposition,
     verify_cap_complementarity,
-    verify_factorization,
+    verify_id_factorization,
 )
-from .core import CycleType, parse_cycle_type
+from .core import CycleType, clip, parse_cycle_type
 from .hosts import DESCRIBED_KINDS
 from .solver import DomainError, check_order, solve
 
@@ -75,51 +75,52 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = serialize.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
+            cert = serialize.read_certificate(json.loads(fh.read()))
+        refusal = _refusal(cert)
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        refusal = f"malformed input: {exc}"
+    if refusal:
+        # some messages echo the input; the line stays short whatever it holds
+        print(f"error: {clip(refusal, 300)}", file=sys.stderr)
         return EXIT_ERROR
-    kind = doc.host.kind
-    size = doc.host.m_or_n
-    host_order = doc.host.order
-    named = len(
-        set(chain.from_iterable(c.vertices for f in doc.factors for c in f.cycles))
-    )
-    if host_order > named:
+    if cert.host.kind == "JStar":
+        dec = AdmissibleDecomposition(cert.host.m_or_n, cert.factor_objects())
+        report = verify_admissible_decomposition(cert.host.m_or_n, dec)
+        types_ok = all(
+            t.lengths == cert.ftype.lengths for t in dec.cycle_types()
+        )
+        report.add("cycle_type", types_ok, f"expected {cert.ftype.text()}")
+    else:
+        # checked against the host's description; no host arc set is built
+        report = verify_id_factorization(cert.host, cert.factors, cert.ftype)
+    print(json.dumps(report.to_json(), indent=2))
+    return EXIT_OK if report.passed else EXIT_ERROR
+
+
+def _refusal(cert: serialize.IdCertificate) -> str:
+    """Why ``verify`` refuses to check ``cert``, or "" when it does not."""
+    kind = cert.host.kind
+    size = cert.host.m_or_n
+    host_order = cert.host.order
+    if host_order > cert.named:
         # An unspanned host fails anyway; refusing here keeps a huge declared
         # size from building a huge host.
-        print(
-            f"error: malformed input: {kind} host of size {size} has "
-            f"{host_order} vertices, the factors name only {named}",
-            file=sys.stderr,
+        return (
+            f"malformed input: {kind} host of size {size} has "
+            f"{host_order} vertices, the factors name only {cert.named}"
         )
-        return EXIT_ERROR
     if kind != "JStar" and kind not in DESCRIBED_KINDS:
-        print(f"error: unknown host kind {kind!r}", file=sys.stderr)
-        return EXIT_ERROR
+        return f"unknown host kind {clip(repr(kind))}"
     # factors have order n: the complete host's, or 2m for the blow-ups and
     # for JStar, whose factors fold onto the m-block circulant blow-up
     factor_order = size if kind == "CompleteSymmetric" else 2 * size
-    if not doc.n == factor_order == doc.ftype.order:
-        print(
-            f"error: malformed input: declared n = {doc.n} does not match the "
+    if not cert.n == factor_order == cert.ftype.order:
+        return (
+            f"malformed input: declared n = {cert.n} does not match the "
             f"{kind} host of size {size} (order {factor_order}) and factor_type "
-            f"{doc.ftype.text()} (order {doc.ftype.order})",
-            file=sys.stderr,
+            f"{clip(cert.ftype.text())} (order {cert.ftype.order})"
         )
-        return EXIT_ERROR
-    if kind == "JStar":
-        dec = AdmissibleDecomposition(doc.host.m_or_n, doc.factors)
-        report = verify_admissible_decomposition(doc.host.m_or_n, dec)
-        types_ok = all(
-            t.lengths == doc.ftype.lengths for t in dec.cycle_types()
-        )
-        report.add("cycle_type", types_ok, f"expected {doc.ftype.text()}")
-    else:
-        # checked against the host's description; no host arc set is built
-        report = verify_factorization(doc.host, doc.factors, doc.ftype)
-    print(json.dumps(report.to_json(), indent=2))
-    return EXIT_OK if report.passed else EXIT_ERROR
+    return ""
 
 
 def _even_types(n: int) -> list:
@@ -272,8 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves no state in the parser
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

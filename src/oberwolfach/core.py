@@ -10,7 +10,7 @@ vertices, ``(x0,x1,y2)`` for cycles and ``<x0,y1>`` for paths.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -31,11 +31,19 @@ class Vertex(NamedTuple):
 _VERTEX_RE = re.compile(r"[xy](?:0|[1-9][0-9]*)")
 
 
+def clip(text: str, limit: int = 60) -> str:
+    """``text``, or its first ``limit`` characters and its length when it is
+    longer: an error message that echoes input stays short."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def parse_vertex(token: str) -> Vertex:
     """The vertex a token names, accepting only the form ``Vertex.text``
     writes: no whitespace, no leading zeros, ASCII digits."""
     if not isinstance(token, str) or not _VERTEX_RE.fullmatch(token):
-        raise ValueError(f"bad vertex token: {token!r}")
+        raise ValueError(f"bad vertex token: {clip(repr(token))}")
     return Vertex(token[0], int(token[1:]))
 
 
@@ -157,7 +165,7 @@ class TwoRegularDigraph:
         self.cycles = cs
 
     def vertices(self) -> frozenset:
-        return frozenset(v for c in self.cycles for v in c.vertices)
+        return frozenset(chain.from_iterable(map(_CYCLE_VERTICES, self.cycles)))
 
     def arcs(self) -> frozenset:
         return frozenset(a for c in self.cycles for a in c.arcs())
@@ -205,21 +213,8 @@ class CycleType:
     def is_bipartite(self) -> bool:
         return all(x % 2 == 0 for x in self.lengths)
 
-    def counts(self) -> list:
-        """Distinct lengths with multiplicities, ascending."""
-        out: list = []
-        for x in self.lengths:
-            if out and out[-1][0] == x:
-                out[-1][1] += 1
-            else:
-                out.append([x, 1])
-        return [(a, b) for a, b in out]
-
     def text(self) -> str:
-        parts = []
-        for length, mult in self.counts():
-            parts.append(f"{length}^{mult}" if mult > 1 else str(length))
-        return "[" + ",".join(parts) + "]"
+        return cycle_type_text(self.lengths)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycleType) and self.lengths == other.lengths
@@ -229,6 +224,16 @@ class CycleType:
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def cycle_type_text(lengths: Iterable[int]) -> str:
+    """The written form ``[2^3,4]`` of a multiset of lengths, unvalidated,
+    so the checker can name any cycle type it is shown."""
+    parts = []
+    for length, run in groupby(sorted(lengths)):
+        mult = sum(1 for _ in run)
+        parts.append(f"{length}^{mult}" if mult > 1 else str(length))
+    return "[" + ",".join(parts) + "]"
 
 
 _SPEC_PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")

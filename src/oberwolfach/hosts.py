@@ -16,11 +16,12 @@ graph) over strip-labelled vertices:
 indices mod m; it is an arc bijection for m >= 5.  A folded factor's
 vertices are the interned ones of the order-2m vertex table below.
 
-Both blow-up hosts have closed-form arc sets, so membership is tested in
+The blow-up hosts have closed-form arc sets, so membership is tested in
 constant time from the two endpoints, without building the host.  The
-J* and W* rules are each written once, in ``_outside_j_star`` and
-``_outside_w_star``, which scan many (tail, head) pairs in one loop and
-return those outside the host; the single-arc tests wrap them:
+J*, W* and H* rules are each written once, in ``_outside_j_star``,
+``_outside_w_star`` and ``_outside_h_star``, which scan many (tail, head)
+pairs in one loop and return those outside the host; the single-arc tests
+wrap them:
 
 * ``in_j_star(arc, m)`` -- ``arc`` is an arc of ``j_star(m)``: a rung
   x_i <-> y_i with 1 <= i <= m, or a junction between blocks i and i+d,
@@ -36,27 +37,27 @@ certificate.  It is also the one home of the vertex numbering: the host's
 vertices are numbered x_i -> i and y_i -> a + i, with a = ceil(n/2) for the
 complete host and a = m for the blow-ups, which is also their sort order.
 ``vertex_table`` holds one interned ``Vertex`` per id, ``vertex_ids`` is the
-inverse and ``vertex_by_text`` maps the written form (``"x3"``) to the same
-objects.  The tables are shared by every descriptor with the same x and y
-counts, so ``CompleteSymmetric`` n = 2m, ``HStar`` m and ``WStar`` m use one
-table.  Parsing looks tokens up in it, the solver relabels onto it, and the
-checker encodes an arc (a, b) of ids as the integer a*N + b, N the order.
+inverse and ``id_by_text`` maps the written form (``"x3"``) to the id.  The
+tables are shared by every descriptor with the same x and y counts, so
+``CompleteSymmetric`` n = 2m, ``HStar`` m and ``WStar`` m use one table.
+Parsing resolves tokens to ids through it, the solver relabels onto it, and
+the checker encodes an arc (a, b) of ids as the integer a*N + b, N the order.
 
 Besides the numbering the descriptor gives ``arcs`` (a sized container:
 ``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
 ``count_outside_codes``, the number of given arc codes that are not host
 arcs.  For the complete host that is the number of loops, found by one
-set intersection; the blow-up hosts decode each code and apply
-``in_h_star``/``in_w_star``.  A built ``Digraph`` answers the same
-questions from its stored sets.  The descriptor refuses the sizes the
-builders refuse, with their messages.
+set intersection; the blow-up hosts decode the codes into vertex pairs and
+scan them once with ``_outside_h_star``/``_outside_w_star``.  A built
+``Digraph`` answers the same questions from its stored sets.  The
+descriptor refuses the sizes the builders refuse, with their messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations, starmap
+from itertools import permutations, repeat, starmap
 from typing import Union
 
 from .core import Arc, Digraph, TwoRegularDigraph, Vertex, cycle_arcs
@@ -128,8 +129,8 @@ class HostDescriptor:
         return self._numbering[1]
 
     @property
-    def vertex_by_text(self) -> dict:
-        """``"x3" -> Vertex("x", 3)``, onto the objects of ``vertex_table``."""
+    def id_by_text(self) -> dict:
+        """``"x3" -> id``: each vertex's written form to its id."""
         return self._numbering[2]
 
     @cached_property
@@ -149,20 +150,21 @@ class HostDescriptor:
         if self.kind == "CompleteSymmetric":
             # distinct host vertices are always joined, so only loops are outside
             return len(codes.intersection(range(0, n * n, n + 1)))
-        rule = self.arcs
-        return sum(1 for c in codes if (table[c // n], table[c % n]) not in rule)
+        outside = _outside_h_star if self.kind == "HStar" else _outside_w_star
+        pairs = [(table[a], table[b]) for a, b in map(divmod, codes, repeat(n))]
+        return len(outside(pairs, self.m_or_n))
 
 
 @lru_cache(maxsize=4)
 def _vertex_numbering(xs: int, ys: int) -> tuple:
     """Interned vertices x_0..x_{xs-1}, y_0..y_{ys-1} in id order, with the
-    ``Vertex -> id`` and ``text -> Vertex`` maps onto them.  The result is
-    shared by every caller with the same counts and must not be mutated."""
+    ``Vertex -> id`` and ``text -> id`` maps.  The result is shared by every
+    caller with the same counts and must not be mutated."""
     table = tuple(
         [Vertex("x", i) for i in range(xs)] + [Vertex("y", i) for i in range(ys)]
     )
     ids = {v: i for i, v in enumerate(table)}
-    by_text = {v.text(): v for v in table}
+    by_text = {v.text(): i for i, v in enumerate(table)}
     return table, ids, by_text
 
 
@@ -287,6 +289,21 @@ def _outside_w_star(pairs, m: int) -> list:
     return out
 
 
+def _outside_h_star(pairs, m: int) -> list:
+    """The pairs ((s, i), (t, j)) in ``pairs`` that are not arcs of
+    ``h_star(m)`` (m >= 3): both blocks in 0..m-1, differing by +-1 mod m."""
+    sides = _SIDES
+    steps = (1, m - 1)
+    out = []
+    for a in pairs:
+        (s, i), (t, j) = a
+        if s in sides and t in sides and 0 <= i < m and 0 <= j < m:
+            if (j - i) % m in steps:
+                continue
+        out.append(a)
+    return out
+
+
 def in_j_star(arc: Arc, m: int) -> bool:
     """``arc in j_star(m).arcs``, by index arithmetic (valid for any m >= 1)."""
     return not _outside_j_star((arc,), m)
@@ -294,12 +311,7 @@ def in_j_star(arc: Arc, m: int) -> bool:
 
 def in_h_star(arc: Arc, m: int) -> bool:
     """``arc in h_star(m).arcs``, by index arithmetic (m >= 3)."""
-    (s, i), (t, j) = arc
-    if s not in _SIDES or t not in _SIDES:
-        return False
-    if not (0 <= i < m and 0 <= j < m):
-        return False
-    return (j - i) % m in (1, m - 1)
+    return not _outside_h_star((arc,), m)
 
 
 def in_w_star(arc: Arc, m: int) -> bool:

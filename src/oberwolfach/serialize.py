@@ -9,21 +9,41 @@ JSON schema::
 Cycles are vertex lists in canonical rotation, so serialisation is
 deterministic and re-serialising a parsed file reproduces it byte for byte.
 
-Parsing resolves each vertex token through the declared host's
-``vertex_by_text`` table (``hosts.HostDescriptor``), so the common path runs
-no regex and every parsed vertex is one of the host's interned objects.  A
-token outside the table must still be written as ``Vertex.text`` writes it
-(``x0``, ``y12``: no whitespace, no leading zeros) or the document is
-malformed; such a token names a vertex outside the host, which the checker
-then reports.  The table is used only when the document has at least as
-many tokens as the host has vertices, so a huge declared size allocates
-nothing.
+Certificates are read by one reader, ``read_certificate``; ``from_json`` is
+that reader plus construction through the ordinary cycle and factor
+constructors, and ``verify`` hands the reader's lists to the checker.
+
+* **Schema first.**  Before anything is built, the field types are checked:
+  ``n``, ``host.m``, ``seed`` (optional, default 0) and every
+  ``factor_type`` entry are JSON integers (not booleans), ``verified`` is a
+  boolean, ``host.kind`` a string and ``factors`` a list of lists of lists.
+  A violation raises ``ValueError`` naming the field and the JSON type found.
+* **Tokens to ids.**  Each vertex token is resolved through the declared
+  host's ``id_by_text`` table (``hosts.HostDescriptor``) to the vertex's id,
+  so the common path runs no regex and builds no object.  A token outside
+  the table must still be written as ``Vertex.text`` writes it (``x0``,
+  ``y12``: no whitespace, no leading zeros) or the document is malformed;
+  such a token names a vertex outside the host, which gets the id N + k,
+  one per distinct vertex, and the checker then reports it.  The table is
+  used only when the document has at least as many tokens as the host has
+  vertices, so a huge declared size allocates nothing; without it every
+  token is outside, and ``verify`` refuses the document for naming too few
+  vertices.
+* **One set per factor.**  A factor's ids are distinct when its id set is
+  as large as its total length.  A factor that fails this, has a cycle of
+  fewer than 2 vertices, or has a token that does not resolve, is read
+  again through the cycle and factor constructors, which raise the
+  error message for it (``repeated vertex in cycle ...``, ``cycles share
+  vertex ...``, ``cycle needs at least 2 vertices``, ``bad vertex token:
+  ...``), in the order the constructors meet them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+
 from .core import CycleType, DirectedCycle, TwoRegularDigraph, parse_vertex
 from .hosts import DESCRIBED_KINDS, HostDescriptor
 
@@ -107,36 +127,166 @@ def _json_list(items: list, depth: int) -> str:
     return "[" + indent + ("," + indent).join(items) + "\n" + "  " * depth + "]"
 
 
-def _cycle_vertices(tokens, table: dict) -> list:
-    """The vertices a cycle's tokens name, by table lookup; a token outside
-    the table goes through ``parse_vertex``.  An unhashable token raises
-    ``TypeError``."""
-    vs = list(map(table.get, tokens))
-    if None in vs:
-        vs = [parse_vertex(t) if v is None else v for v, t in zip(vs, tokens)]
-    return vs
+@dataclass(frozen=True)
+class IdCertificate:
+    """A certificate as ``read_certificate`` reads it: the factors as lists
+    of cycles, each a list of vertex ids.  ``vertices[i]`` is the vertex of
+    id i: the host's table when it was used (so ids below the host's order
+    are its vertices), then the foreign vertices.  ``named`` counts the
+    distinct vertices the factors name."""
+
+    n: int
+    ftype: CycleType
+    host: HostDescriptor
+    factors: list
+    vertices: list  # Vertex by id
+    named: int
+    verified: bool
+    seed: int
+
+    def factor_objects(self) -> tuple:
+        """The factors as ``TwoRegularDigraph``s, by the ordinary constructors."""
+        return tuple(
+            TwoRegularDigraph(_cycle_objects(f, self.vertices)) for f in self.factors
+        )
 
 
-def from_json_dict(data: dict) -> FactorizationDocument:
-    raw = data["factors"]
+def _cycle_objects(cycles: list, vertices: list) -> list:
+    """``DirectedCycle``s of id lists, in order, so the first bad one raises."""
+    return [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
+
+
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _expect(value, want: type, name: str) -> None:
+    """Refuse ``value`` unless its JSON type is ``want``'s (``bool`` is not
+    an integer here)."""
+    if type(value) is not want:
+        raise ValueError(
+            f"{name} must be {_JSON_TYPES[want]}, "
+            f"not {_JSON_TYPES.get(type(value), type(value).__name__)}"
+        )
+
+
+def _field(data: dict, key: str, want: type, name: str):
+    """``data[key]``, refused when missing or not of JSON type ``want``."""
+    if key not in data:
+        raise ValueError(f"missing field {name}")
+    _expect(data[key], want, name)
+    return data[key]
+
+
+def _expect_items(values: list, want: type, name: str) -> None:
+    """``_expect`` on every item of ``values``, by one pass over their types."""
+    if not {*map(type, values)} <= {want}:
+        for i, value in enumerate(values):
+            _expect(value, want, f"{name}[{i}]")
+
+
+def _check_schema(data) -> None:
+    """Refuse a document whose fields do not have the schema's JSON types."""
+    _expect(data, dict, "the document")
+    _field(data, "n", int, "n")
+    _expect_items(_field(data, "factor_type", list, "factor_type"), int, "factor_type")
+    host = _field(data, "host", dict, "host")
+    _field(host, "kind", str, "host.kind")
+    _field(host, "m", int, "host.m")
+    factors = _field(data, "factors", list, "factors")
+    _expect_items(factors, list, "factors")
+    if not {*map(type, chain.from_iterable(factors))} <= {list}:
+        for i, factor in enumerate(factors):
+            _expect_items(factor, list, f"factors[{i}]")
+    _field(data, "verified", bool, "verified")
+    if "seed" in data:
+        _expect(data["seed"], int, "seed")
+
+
+def read_certificate(data) -> IdCertificate:
+    """Read a certificate's parsed JSON into vertex-id lists (see the module
+    docstring); raise ``ValueError`` or ``TypeError`` on malformed input."""
+    _check_schema(data)
     spec = data["host"]
-    host = HostDescriptor(str(spec["kind"]), int(spec["m"]))
+    host = HostDescriptor(spec["kind"], spec["m"])
+    raw = data["factors"]
     table = {}
+    vertices = []
     if host.kind in DESCRIBED_KINDS and host.order <= sum(
-        len(cyc) for factor in raw for cyc in factor
+        map(len, chain.from_iterable(raw))
     ):
-        table = host.vertex_by_text
-    factors = tuple(
-        TwoRegularDigraph(DirectedCycle(_cycle_vertices(cyc, table)) for cyc in factor)
-        for factor in raw
-    )
-    return FactorizationDocument(
-        n=int(data["n"]),
+        table = host.id_by_text
+        vertices = list(host.vertex_table)
+    lookup = table.__getitem__
+    foreign_ids = {}
+
+    def foreign_id(token) -> int:
+        i = foreign_ids.get(token)
+        if i is None:
+            vertices.append(parse_vertex(token))
+            i = foreign_ids[token] = len(vertices) - 1
+        return i
+
+    def resolve(factor: list) -> list:
+        """The slow path, for a factor with a token outside the table."""
+        cycles = []
+        try:
+            for tokens in factor:
+                # all of a cycle's tokens are looked up before any is parsed:
+                # an unhashable token's TypeError precedes a bad token's error
+                ids = list(map(table.get, tokens))
+                if None in ids:
+                    ids = [
+                        foreign_id(t) if i is None else i for i, t in zip(ids, tokens)
+                    ]
+                cycles.append(ids)
+        except (ValueError, TypeError):
+            _cycle_objects(cycles, vertices)  # an earlier cycle's error is first
+            raise
+        return cycles
+
+    factors = []
+    named: set = set()
+    for factor in raw:
+        try:
+            cycles = [list(map(lookup, tokens)) for tokens in factor]
+        except (KeyError, TypeError):
+            cycles = resolve(factor)
+        ids: set = set()
+        for c in cycles:
+            ids.update(c)
+        if len(ids) != sum(map(len, cycles)) or min(map(len, cycles), default=2) < 2:
+            TwoRegularDigraph(_cycle_objects(cycles, vertices))  # raises
+        named |= ids
+        factors.append(cycles)
+    return IdCertificate(
+        n=data["n"],
         ftype=CycleType(data["factor_type"]),
         host=host,
         factors=factors,
-        verified=bool(data["verified"]),
-        seed=int(data.get("seed", 0)),
+        vertices=vertices,
+        named=len(named),
+        verified=data["verified"],
+        seed=data.get("seed", 0),
+    )
+
+
+def from_json_dict(data: dict) -> FactorizationDocument:
+    cert = read_certificate(data)
+    return FactorizationDocument(
+        n=cert.n,
+        ftype=cert.ftype,
+        host=cert.host,
+        factors=cert.factor_objects(),
+        verified=cert.verified,
+        seed=cert.seed,
     )
 
 

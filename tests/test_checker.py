@@ -1,7 +1,11 @@
+import contextlib
 import functools
+import io
 import json
+import os
 import random
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +21,16 @@ from oberwolfach.checker import (
     verify_admissible_decomposition,
     verify_factorization,
 )
+from oberwolfach.cli import main
 from oberwolfach.core import (
     Arc,
+    CycleType,
     DirectedCycle,
     TwoRegularDigraph,
     Vertex,
     cycle_type_of,
     parse_cycle_type,
+    parse_vertex,
     two_regular_from_arcs,
 )
 from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
@@ -344,6 +351,70 @@ def _regex_parse(data):
     return factors
 
 
+def _object_path_factors(data):
+    """The factors as the object path reads them: each token looked up in
+    the host's text table (used when the document has at least as many
+    tokens as the host has vertices) or parsed, each cycle and factor built
+    by its constructor."""
+    spec = data["host"]
+    host = HostDescriptor(spec["kind"], spec["m"])
+    table = {}
+    if host.kind in _BUILDERS and host.order <= sum(
+        len(c) for f in data["factors"] for c in f
+    ):
+        table = {v.text(): v for v in host.vertex_table}
+
+    def vertices(tokens):
+        vs = list(map(table.get, tokens))
+        return [parse_vertex(t) if v is None else v for v, t in zip(vs, tokens)]
+
+    factors = tuple(
+        TwoRegularDigraph(DirectedCycle(vertices(c)) for c in f)
+        for f in data["factors"]
+    )
+    return host, factors
+
+
+def _object_path_verify(text):
+    """``verify`` of a schema-valid certificate of a described host, by the
+    object path and a plain set comparison: ``(exit code, stdout, stderr)``."""
+    try:
+        data = json.loads(text)
+        host, factors = _object_path_factors(data)
+        ftype = CycleType(data["factor_type"])
+    except (ValueError, TypeError) as exc:
+        return 1, "", f"error: malformed input: {exc}\n"
+    named = len({v for f in factors for c in f.cycles for v in c.vertices})
+    kind, size = host.kind, host.m_or_n
+    if host.order > named:
+        return 1, "", (
+            f"error: malformed input: {kind} host of size {size} has "
+            f"{host.order} vertices, the factors name only {named}\n"
+        )
+    order = size if kind == "CompleteSymmetric" else 2 * size
+    if not data["n"] == order == ftype.order:
+        return 1, "", (
+            f"error: malformed input: declared n = {data['n']} does not match the "
+            f"{kind} host of size {size} (order {order}) and factor_type "
+            f"{ftype.text()} (order {ftype.order})\n"
+        )
+    report = _reference_report(_BUILDERS[kind](size), factors, ftype)
+    out = json.dumps(report.to_json(), indent=2) + "\n"
+    return (0 if report.passed else 1), out, ""
+
+
+def _cli_verify(text):
+    """``cli.main(["verify", path])`` in process: ``(exit code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", path])
+    return code, out.getvalue(), err.getvalue()
+
+
 # forms the regex parser accepted for a token, which the written form never has
 _NON_CANONICAL = (
     lambda t: " " + t,
@@ -351,17 +422,19 @@ _NON_CANONICAL = (
     lambda t: t[:1] + "0" + t[1:],
     lambda t: t[:1] + "٣",  # an Arabic-Indic digit three
 )
-_MIX_INS = ("foreign", "non_canonical", "repeat", "non_string")
+_MIX_INS = ("foreign", "non_canonical", "repeat", "shared", "non_string")
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_from_json_and_checker_match_a_regex_parse(data):
     """A corrupted certificate, written to JSON with foreign, non-canonical,
-    repeated and non-string tokens mixed in, is refused by ``from_json``
-    exactly when the former regex parser refused it or it has a
-    non-canonical token; otherwise it parses to the same factors, and the
-    checker's report equals the plain set comparison's."""
+    repeated, shared and non-string tokens and too-short cycles mixed in, is
+    refused by ``from_json`` exactly when the former regex parser refused it
+    or it has a non-canonical token; otherwise it parses to the same
+    factors, and the checker's report equals the plain set comparison's.
+    ``from_json`` and ``verify`` agree with the object path on every input:
+    the same factors or error, and the same exit code, stdout and stderr."""
     kind, spec = data.draw(st.sampled_from(_INSTANCES))
     size, clean = _real_factorization(kind, spec)
     factors = [[list(c) for c in f] for f in clean]
@@ -387,8 +460,17 @@ def test_from_json_and_checker_match_a_regex_parse(data):
             spots = [(d, j) for d in f for j in range(len(d))]
             d, j = data.draw(st.sampled_from(spots))
             c[k] = d[j]
+        elif how == "shared":  # a vertex of another cycle of the factor
+            spots = [(d, j) for d in f if d is not c for j in range(len(d))]
+            if spots:
+                d, j = data.draw(st.sampled_from(spots))
+                c[k] = d[j]
         else:
             c[k] = data.draw(st.sampled_from((5, None, [c[k]])))
+    cycles = [c for f in tokens for c in f]
+    if cycles and data.draw(st.booleans()):  # a cycle cut below 2 vertices
+        c = data.draw(st.sampled_from(cycles))
+        del c[data.draw(st.integers(0, 1)) :]
     ftype = parse_cycle_type(spec)
     document = {
         "n": ftype.order,
@@ -399,17 +481,59 @@ def test_from_json_and_checker_match_a_regex_parse(data):
         "seed": 0,
     }
     text = json.dumps(document)
+    assert _cli_verify(text) == _object_path_verify(text)
+    try:
+        reference = _object_path_factors(json.loads(text))[1]
+    except (ValueError, TypeError) as exc:
+        reference = str(exc)
+    try:
+        doc = from_json(text)
+    except (ValueError, TypeError) as exc:
+        assert str(exc) == reference
+        doc = None
+    else:
+        assert doc.factors == reference
     try:
         expected = _regex_parse(json.loads(text))
     except (ValueError, TypeError, AttributeError):
         expected = None
-    try:
-        doc = from_json(text)
-    except (ValueError, TypeError, AttributeError):
-        doc = None
     assert (doc is None) == (expected is None or non_canonical)
     if doc is None:
         return
     assert doc.factors == expected
     reference = _reference_report(_BUILDERS[kind](size), expected, ftype).to_json()
     assert verify_factorization(doc.host, doc.factors, doc.ftype).to_json() == reference
+
+
+def _unchecked_cycle(vertices):
+    """A ``DirectedCycle`` made without its constructor's checks."""
+    c = object.__new__(DirectedCycle)
+    c.vertices = tuple(vertices)
+    return c
+
+
+def _unchecked_factor(cycles):
+    """A ``TwoRegularDigraph`` made without its constructor's checks."""
+    f = object.__new__(TwoRegularDigraph)
+    f.cycles = tuple(cycles)
+    return f
+
+
+def test_spanning_does_not_rest_on_the_constructors():
+    """A factor of total length N whose cycles share a vertex, or whose
+    cycle repeats one, does not span, though it names only host vertices:
+    the checker counts each factor's distinct vertices itself."""
+    factors = list(round_robin_two_cycles(6).factors)
+    ftype = parse_cycle_type("[2^3]")
+    x0, x1, x2, y0, y1 = map(parse_vertex, ("x0", "x1", "x2", "y0", "y1"))
+    shared = _unchecked_factor(
+        [_unchecked_cycle(c) for c in ((x0, x1), (x1, x2), (y0, y1))]
+    )
+    repeated = _unchecked_factor(
+        [_unchecked_cycle(c) for c in ((x0, x1), (x2, x2), (y0, y1))]
+    )
+    for bad in (shared, repeated):
+        for host in (complete_symmetric(6), HostDescriptor("CompleteSymmetric", 6)):
+            report = verify_factorization(host, [bad] + factors[1:], ftype)
+            checks = {name: (ok, detail) for name, ok, detail in report.checks}
+            assert checks["spanning"] == (False, "non-spanning factors: [0]")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from oberwolfach.checker import verify_factorization
 from oberwolfach.cli import main
-from oberwolfach.core import parse_cycle_type
+from oberwolfach.core import parse_cycle_type, parse_vertex
 from oberwolfach.serialize import from_json, to_json
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "j12_4_8_decomposition.json"
@@ -264,3 +264,87 @@ def test_solve_refuses_orders_above_the_cap(capsys):
         assert err.startswith("error: n = 1000000000000002 is above the largest")
         assert len(err.strip().splitlines()) == 1
     assert time.perf_counter() - start < 0.5
+
+
+# one edit per schema rule: a value of the wrong JSON type, which int() or
+# bool() would once have coerced into a passing certificate
+_SCHEMA_EDITS = (
+    (("n",), 14.9, "n must be an integer, not a number"),
+    (("n",), True, "n must be an integer, not a boolean"),
+    (("factor_type",), [4.5, 10], "factor_type[0] must be an integer, not a number"),
+    (("factor_type",), ["4", "10"], "factor_type[0] must be an integer, not a string"),
+    (("factor_type",), [4, True], "factor_type[1] must be an integer, not a boolean"),
+    (("factor_type",), "[4,10]", "factor_type must be an array, not a string"),
+    (("host", "m"), 14.2, "host.m must be an integer, not a number"),
+    (("host", "m"), "14", "host.m must be an integer, not a string"),
+    (("host", "m"), True, "host.m must be an integer, not a boolean"),
+    (("host", "kind"), ["WStar"], "host.kind must be a string, not an array"),
+    (("host",), ["CompleteSymmetric", 14], "host must be an object, not an array"),
+    (("verified",), "no", "verified must be a boolean, not a string"),
+    (("verified",), 1, "verified must be a boolean, not an integer"),
+    (("seed",), 1.5, "seed must be an integer, not a number"),
+    (("seed",), False, "seed must be an integer, not a boolean"),
+    (("factors",), {"0": []}, "factors must be an array, not an object"),
+    (("factors", 3), "x0", "factors[3] must be an array, not a string"),
+    (("factors", 3, 1), {"x0": "x1"}, "factors[3][1] must be an array, not an object"),
+)
+
+
+def test_verify_checks_field_types_before_anything_else(capsys, tmp_path):
+    """Each schema violation on a real certificate exits 1 with one line
+    naming the field and the JSON type found."""
+    clean = _solved_certificate(tmp_path)
+    for keys, value, message in _SCHEMA_EDITS:
+        data = json.loads(json.dumps(clean))
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        code, err = _verify_text(capsys, tmp_path, json.dumps(data))
+        assert (code, err) == (1, f"error: malformed input: {message}\n")
+    for key in ("n", "factor_type", "host", "factors", "verified"):
+        data = {k: v for k, v in clean.items() if k != key}
+        code, err = _verify_text(capsys, tmp_path, json.dumps(data))
+        assert (code, err) == (1, f"error: malformed input: missing field {key}\n")
+    data = {k: v for k, v in clean.items() if k != "seed"}  # optional, default 0
+    assert _verify_text(capsys, tmp_path, json.dumps(data))[0] == 0
+
+
+def test_verify_error_lines_stay_short(capsys, tmp_path):
+    """No error line echoes an unbounded piece of the input."""
+    clean = _solved_certificate(tmp_path)
+    edits = (
+        ("factor_type", list(range(2, 1_000_000))),
+        ("factors", [[["z" * 1_000_000, "x0"]]] + clean["factors"]),
+        ("factors", [[["x0"] * 100_000]] + clean["factors"]),
+        ("host", {"kind": "K" * 1_000_000, "m": 14}),
+        ("host", {"kind": "CompleteSymmetric", "m": 9 * 10**4299}),
+        ("host", {"kind": "WStar", "m": 9 * 10**4299}),
+    )
+    for key, value in edits:
+        data = dict(clean, **{key: value})
+        code, err = _verify_text(capsys, tmp_path, json.dumps(data))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+        assert len(err.encode()) < 1024, err[:200]
+    try:
+        parse_vertex("z" * 1_000_000)
+    except ValueError as exc:
+        assert len(str(exc)) < 200
+
+
+def test_main_reuses_its_parser(capsys, tmp_path):
+    """Repeated in-process calls of ``main`` give identical results."""
+    path = tmp_path / "cert.json"
+    assert main(["solve", "--n", "10", "--factor", "[4,6]", "--out", str(path)]) == 0
+    broken = tmp_path / "broken.json"
+    data = json.loads(path.read_text())
+    del data["factors"][2]
+    broken.write_text(json.dumps(data))
+    runs = []
+    for _ in range(2):
+        for p in (path, broken):
+            code = main(["verify", str(p)])
+            runs.append((code, capsys.readouterr()))
+    assert runs[:2] == runs[2:]
+    assert [code for code, _ in runs] == [0, 1, 0, 1]

@@ -215,9 +215,9 @@ def test_descriptor_matches_built_host():
     """Vertex set, arc count and membership agree with the built host on
     every ordered pair (loops included) of vertices with block indices
     -1..k+3, k the host's block count.  The numbering is the sort order
-    (x_i -> i, then y_i), onto one interned object per vertex and text, and
-    the outside count over arc codes a*N + b, loops included, agrees with
-    the built host's on every code."""
+    (x_i -> i, then y_i), onto one interned object per vertex, each text
+    names its vertex's id, and the outside count over arc codes a*N + b,
+    loops included, agrees with the built host's on every code."""
     for desc, host, k in _described_and_built():
         assert desc.vertices == host.vertices, desc
         assert len(desc.arcs) == len(host.arcs), desc
@@ -227,7 +227,7 @@ def test_descriptor_matches_built_host():
         table = desc.vertex_table
         assert list(table) == sorted(host.vertices), desc
         assert desc.vertex_ids == host.vertex_ids == {v: i for i, v in enumerate(table)}
-        assert all(desc.vertex_by_text[v.text()] is v for v in table), desc
+        assert desc.id_by_text == {v.text(): i for i, v in enumerate(table)}, desc
         n = len(table)
         codes = set(range(n * n))
         outside = n * n - len(host.arcs)
