@@ -37,7 +37,6 @@ from .solver import (
     DomainError,
     Factorization,
     round_robin_two_cycles,
-    small_order_solve,
     solve,
     wh_decompose,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "DomainError",
     "Factorization",
     "round_robin_two_cycles",
-    "small_order_solve",
     "solve",
     "wh_decompose",
 ]

@@ -54,7 +54,7 @@ from .core import (
     shift_vertex,
     two_regular_from_arcs,
 )
-from .hosts import _outside_j_star, fold, strip_vertices
+from .hosts import HostDescriptor, _outside_j_star, fold
 
 BOUNDARY = (Vertex("x", 0), Vertex("x", 1), Vertex("y", 0), Vertex("y", 1))
 
@@ -483,7 +483,7 @@ def w_star_factorization(ftype: CycleType) -> list:
         )
     dec = j_decompose(ftype)
     folded = [fold(f, m) for f in dec.factors]
-    span = strip_vertices(m)
+    span = HostDescriptor("WStar", m).vertices
     for f in folded:
         if f.vertices() != span:
             raise ValueError("folded factor does not span")

@@ -8,7 +8,8 @@ Subcommands:
 * ``tables``   -- audit (``--check``) or export (``--dump``) the embedded
   construction tables.
 
-Exit codes: 0 success, 2 proven nonexistence, 1 domain or internal error.
+Exit codes: 0 success, 2 proven nonexistence, 1 usage, domain or internal
+error.  Every error is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .checker import (
 )
 from .core import CycleType, clip, parse_cycle_type
 from .hosts import DESCRIBED_KINDS
-from .solver import DomainError, check_order, solve
+from .solver import check_order, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -47,13 +48,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         check_order(args.n)
         ftype = parse_cycle_type(args.factor, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        result = solve(args.n, ftype, seed=args.seed)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        result = solve(args.n, ftype)
+    except ValueError as exc:  # solver.DomainError is one too
+        print(f"error: {clip(str(exc), 300)}", file=sys.stderr)
         return EXIT_ERROR
     if isinstance(result, Nonexistent):
         print(
@@ -142,7 +139,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         solved = nonexistent = failed = 0
         for ftype in types:
             try:
-                result = solve(n, ftype, seed=args.seed)
+                result = solve(n, ftype)
             except Exception as exc:  # report, keep going
                 print(f"n={n} {ftype.text()}: ERROR {exc}")
                 failed += 1
@@ -233,8 +230,17 @@ def tables_dump() -> dict:
     return data
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit 1, since exit 2
+    means proven nonexistence here.  Subcommand parsers share the class."""
+
+    def error(self, message: str):
+        print(f"error: {clip(' '.join(message.splitlines()), 300)}", file=sys.stderr)
+        sys.exit(EXIT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oberwolfach",
         description=(
             "Construct and certify directed 2-factorizations of complete "
@@ -251,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--format", default="json", choices=sorted(serialize.FORMATS)
     )
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", default=None, help="output file (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -261,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="solve+verify all types up to --max-n")
     p_self.add_argument("--max-n", type=int, default=14)
-    p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(func=cmd_selftest)
 
     p_tables = sub.add_parser("tables", help="audit or export the embedded tables")
@@ -280,7 +284,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # -h, or a usage error already reported
+        return exc.code
     return args.func(args)
 
 

@@ -58,12 +58,6 @@ class Arc(NamedTuple):
         return f"{self.tail.text()}->{self.head.text()}"
 
 
-def arc(tail: Vertex, head: Vertex) -> Arc:
-    if tail == head:
-        raise ValueError(f"loop arc at {tail}")
-    return Arc(tail, head)
-
-
 class DirectedPath:
     """A directed path given by its vertex sequence (no repeats)."""
 
@@ -236,7 +230,7 @@ def cycle_type_text(lengths: Iterable[int]) -> str:
     return "[" + ",".join(parts) + "]"
 
 
-_SPEC_PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_SPEC_PART_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 
 
 def _parse_counts(text: str) -> list:
@@ -247,21 +241,22 @@ def _parse_counts(text: str) -> list:
     counts: list = []
     if s.strip():
         for part in s.split(","):
-            m = _SPEC_PART_RE.match(part.strip())
+            m = _SPEC_PART_RE.fullmatch(part.strip())
             if not m:
-                raise ValueError(f"bad factor spec component: {part!r}")
+                raise ValueError(f"bad factor spec component: {clip(repr(part))}")
             length = int(m.group(1))
             mult = int(m.group(2)) if m.group(2) else 1
             if mult < 1:
-                raise ValueError(f"exponent must be >= 1 in {part!r}")
+                raise ValueError(f"exponent must be >= 1 in {clip(repr(part))}")
             if length < 2:
-                raise ValueError(f"cycle lengths must be >= 2: {part!r}")
+                raise ValueError(f"cycle lengths must be >= 2: {clip(repr(part))}")
             counts.append((length, mult))
     return counts
 
 
 def parse_cycle_type(text: str, n: Optional[int] = None) -> CycleType:
-    """Parse ``[2^3,4]`` or ``[2,2,2,4]`` into a canonical CycleType.
+    """Parse ``[2^3,4]`` or ``[2,2,2,4]`` into a canonical CycleType.  Lengths
+    and exponents are ASCII digits; an error echoes at most 60 characters.
 
     With ``n`` given, the order sum(length * exponent) must equal ``n``; it
     is checked before any ``2^k`` is expanded, so a huge exponent is
@@ -271,7 +266,7 @@ def parse_cycle_type(text: str, n: Optional[int] = None) -> CycleType:
     if n is not None:
         order = sum(length * mult for length, mult in counts)
         if order != n:
-            raise ValueError(f"cycle lengths sum to {order}, not {n}")
+            raise ValueError(f"cycle lengths sum to {clip(str(order))}, not {n}")
     return CycleType(length for length, mult in counts for _ in range(mult))
 
 

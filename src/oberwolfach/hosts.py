@@ -205,11 +205,6 @@ def complete_symmetric(n: int) -> Digraph:
     return Digraph(vertices, starmap(Arc, permutations(vertices, 2)))
 
 
-def strip_vertices(m: int) -> frozenset:
-    """The 2m vertices x_i, y_i (0 <= i < m) of ``h_star(m)`` and ``w_star(m)``."""
-    return frozenset(_vertex_numbering(m, m)[0])
-
-
 def h_star(m: int) -> Digraph:
     """Doubled blow-up of the m-cycle: 4-in/out-regular, no rung arcs."""
     vertices = HostDescriptor("HStar", m).vertices

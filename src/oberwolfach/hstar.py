@@ -5,7 +5,8 @@
 Three routes, by the number s of 2-cycles in F:
 
 * s = 0: an undirected F-factorization of the underlying graph into two
-  2-factors, each then directed both ways.
+  2-factors, the zig-zag factor and its complement (``haggkvist_undirected``
+  proves the complement has type F), each then directed both ways.
 * s = 1: an explicit four-family gadget construction: four directed
   2-cycles across the wrap junction plus four parallel chain cycles per
   remaining length.
@@ -18,7 +19,6 @@ Every output is re-verified against the host before being returned.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .checker import verify_factorization
@@ -147,20 +147,14 @@ def _congruence(length: int) -> str:
 # Undirected route
 
 
-def _junction_edges(i: int, j: int) -> list:
-    return [
-        frozenset((_x(i), _x(j))),
-        frozenset((_y(i), _y(j))),
-        frozenset((_x(i), _y(j))),
-        frozenset((_y(i), _x(j))),
-    ]
-
-
 def _undirected_host_edges(m: int) -> set:
-    edges: set = set()
-    for i in range(m):
-        edges.update(_junction_edges(i, (i + 1) % m))
-    return edges
+    """The four edges s_i t_{i+1} (s, t in {x, y}) at each of the m junctions."""
+    return {
+        frozenset((Vertex(s, i), Vertex(t, (i + 1) % m)))
+        for i in range(m)
+        for s in "xy"
+        for t in "xy"
+    }
 
 
 def _cycles_from_edges(edges: set) -> list:
@@ -208,82 +202,38 @@ def _segment_factor(ks: list, m: int) -> list:
     return cycles
 
 
-def _type_of_undirected(cycles: list) -> CycleType:
-    return CycleType(len(c) for c in cycles)
-
-
-def _fallback_search(ftype: CycleType, m: int):
-    """Backtracking over per-junction 2-subsets; used only if the zig-zag
-    complement misses the requested type."""
-    groups = [_junction_edges(i, (i + 1) % m) for i in range(m)]
-    deg: dict = {}
-    chosen: list = []
-
-    def block_done(i: int) -> bool:
-        return all(deg.get(v, 0) == 2 for v in (_x(i), _y(i)))
-
-    def rec(i: int):
-        if i == len(groups):
-            a_edges = set(itertools.chain.from_iterable(chosen))
-            b_edges = _undirected_host_edges(m) - a_edges
-            try:
-                a_cycles = _cycles_from_edges(a_edges)
-                b_cycles = _cycles_from_edges(b_edges)
-            except ValueError:
-                return None
-            if (
-                _type_of_undirected(a_cycles) == ftype
-                and _type_of_undirected(b_cycles) == ftype
-            ):
-                return a_cycles, b_cycles
-            return None
-        for pair in itertools.combinations(groups[i], 2):
-            ok = True
-            for e in pair:
-                for v in e:
-                    deg[v] = deg.get(v, 0) + 1
-                    if deg[v] > 2:
-                        ok = False
-            if ok and i >= 1 and not block_done(i):
-                ok = False
-            if ok and i == len(groups) - 1 and not (block_done(0) and block_done(i)):
-                ok = False
-            if ok:
-                chosen.append(pair)
-                result = rec(i + 1)
-                if result is not None:
-                    return result
-                chosen.pop()
-            for e in pair:
-                for v in e:
-                    deg[v] -= 1
-        return None
-
-    return rec(0)
-
-
 def haggkvist_undirected(ftype: CycleType, m: int):
     """Two edge-disjoint undirected 2-factors of the cycle blow-up, both of
-    type ``ftype``, partitioning its edge set."""
+    type ``ftype``, partitioning its edge set (Haggkvist, Ann. Discrete
+    Math. 27, 1985).
+
+    The first factor is the zig-zag one: a length 2k of F becomes the cycle
+    x_a .. x_{a+k-1} y_{a+k} .. y_{a+1} on blocks a..a+k, and consecutive
+    segments share their end block.  Its complement has the same type.  A
+    segment uses x_a x_{a+1} and x_a y_{a+1} at junction (a, a+1), xx and
+    yy at each inner junction, and x_{a+k-1} y_{a+k} and y_{a+k-1} y_{a+k}
+    at junction (a+k-1, a+k).  The other two edges of those junctions form
+    one cycle of length 2k: from y_a through both vertices of blocks
+    a+1..a+k-1 to x_{a+k} and back to y_a.  The argument needs m >= 3, so
+    that the m junctions are distinct; the type check stays as a guard.
+    """
     if not ftype.is_bipartite():
         raise ValueError(f"{ftype} has odd lengths")
     if ftype.order != 2 * m:
         raise ValueError(f"{ftype} has order {ftype.order}, expected {2 * m}")
     if 2 in ftype.lengths:
         raise ValueError("2-cycles are handled by the directed gadget route")
+    if m < 3:
+        raise ValueError(f"host undefined for m = {m} (need m >= 3)")
     ks = [x // 2 for x in ftype.lengths]
     a_cycles = _segment_factor(ks, m)
     a_edges = set()
     for cyc in a_cycles:
         n = len(cyc)
         a_edges.update(frozenset((cyc[i], cyc[(i + 1) % n])) for i in range(n))
-    b_edges = _undirected_host_edges(m) - a_edges
-    b_cycles = _cycles_from_edges(b_edges)
-    if _type_of_undirected(b_cycles) != ftype:
-        found = _fallback_search(ftype, m)
-        if found is None:
-            raise ConstructionError(f"no undirected factorization found for {ftype}")
-        a_cycles, b_cycles = found
+    b_cycles = _cycles_from_edges(_undirected_host_edges(m) - a_edges)
+    if CycleType(len(c) for c in b_cycles) != ftype:
+        raise ConstructionError(f"zig-zag complement is not of type {ftype}")
     return a_cycles, b_cycles
 
 

@@ -66,7 +66,7 @@ def document_for_solution(solution) -> FactorizationDocument:
         host=HostDescriptor("CompleteSymmetric", solution.n),
         factors=tuple(solution.factors),
         verified=solution.report.passed,
-        seed=solution.seed,
+        seed=0,  # kept in the schema; solve has no seed
     )
 
 

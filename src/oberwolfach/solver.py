@@ -1,16 +1,16 @@
 """Top-level pipeline: verified F-factorizations of the complete symmetric
 digraph for orders n = 2 (mod 4) and bipartite F.
 
-Dispatch:
+Three routes:
 
 * F all 2-cycles: the circle-method round robin, every edge doubled.
 * n = 6: exhaustive search (order 6 carries the single nonexistent type [6]).
-* n = 10: the circulant blow-up host *is* the complete digraph here, so the
-  cap machinery solves it directly.
-* n >= 14: split the host into one circulant blow-up plus (m-5)/2 cycle
-  blow-ups along Hamiltonian block cycles, and factor each part.  The block
-  cycles are built deterministically: closed form for jumps coprime to m,
-  square switching for the jump pairs of the remaining ones.
+* otherwise (n = 2m >= 10): split the host into one circulant blow-up plus
+  (m-5)/2 cycle blow-ups along Hamiltonian block cycles, and factor each
+  part.  At n = 10 there are no block cycles: the circulant blow-up on 5
+  blocks is the whole host.  The block cycles are built deterministically:
+  closed form for jumps coprime to m, square switching for the jump pairs
+  of the remaining ones.
 
 Every returned factorization carries a full verification report.
 """
@@ -70,7 +70,6 @@ class Factorization:
     ftype: CycleType
     factors: tuple
     report: VerificationReport
-    seed: int
 
 
 def _pair_jumps(m: int, distances: list):
@@ -187,10 +186,11 @@ def wh_decompose(m: int) -> WHDecomposition:
 
     Jumps coprime to m get the closed-form cycles i*d mod m; the rest are
     paired and each pair circulant is split by square switching in O(m^2),
-    with no search, so the split depends on m alone.
+    with no search, so the split depends on m alone.  At m = 5 there are no
+    such jumps and no block cycles.
     """
-    if m < 7 or m % 2 == 0:
-        raise DomainError(f"need odd m >= 7, got {m}")
+    if m < 5 or m % 2 == 0:
+        raise DomainError(f"need odd m >= 5, got {m}")
     distances = list(range(3, (m - 1) // 2 + 1))
     cycles = _hamilton_cycles_decomposition(m, distances)
     for cyc in cycles:
@@ -203,7 +203,7 @@ def wh_decompose(m: int) -> WHDecomposition:
     return WHDecomposition(m, tuple(cycles))
 
 
-def round_robin_two_cycles(n: int, seed: int = 0) -> Factorization:
+def round_robin_two_cycles(n: int) -> Factorization:
     """Circle-method 1-factorization of the complete graph, each edge
     replaced by a directed 2-cycle: n-1 factors of type [2^(n/2)]."""
     if n < 2 or n % 2:
@@ -224,32 +224,7 @@ def round_robin_two_cycles(n: int, seed: int = 0) -> Factorization:
     report = verify_factorization(host, factors, ftype)
     if not report.passed:
         raise RuntimeError(f"round robin failed verification: {report.failures()}")
-    return Factorization(n, ftype, tuple(factors), report, seed)
-
-
-def small_order_solve(
-    n: int, ftype: CycleType, seed: int = 0
-) -> Union[Factorization, Nonexistent]:
-    """Orders 6 and 10, below the host-splitting threshold."""
-    if n not in (6, 10):
-        raise DomainError(f"small-order path handles n in {{6, 10}}, got {n}")
-    if ftype.order != n:
-        raise DomainError(f"type order {ftype.order} != n = {n}")
-    if set(ftype.lengths) == {2}:
-        return round_robin_two_cycles(n, seed)
-    host = HostDescriptor("CompleteSymmetric", n)
-    if n == 6:
-        result = brute_force_factorization(complete_symmetric(n), ftype)
-        if isinstance(result, Nonexistent):
-            return result
-        factors = result
-    else:
-        # the jump-{1,2} circulant blow-up on 5 blocks is the whole host
-        factors = w_star_factorization(ftype)
-    report = verify_factorization(host, factors, ftype)
-    if not report.passed:
-        raise RuntimeError(f"construction failed verification: {report.failures()}")
-    return Factorization(n, ftype, tuple(factors), report, seed)
+    return Factorization(n, ftype, tuple(factors), report)
 
 
 def _block_lookup(table: tuple, block_cycle: tuple) -> dict:
@@ -267,9 +242,7 @@ def _relabel(factor: TwoRegularDigraph, lookup: dict) -> TwoRegularDigraph:
     )
 
 
-def solve(
-    n: int, ftype: CycleType, seed: int = 0
-) -> Union[Factorization, Nonexistent]:
+def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
     """Verified F-factorization of the order-n complete symmetric digraph,
     or Nonexistent for the single impossible case (n, F) = (6, [6])."""
     check_order(n)
@@ -281,23 +254,25 @@ def solve(
         raise DomainError(f"cycle lengths sum to {ftype.order}, not {n}")
 
     if set(ftype.lengths) == {2}:
-        return round_robin_two_cycles(n, seed)
-    if n in (6, 10):
-        return small_order_solve(n, ftype, seed)
-
-    m = n // 2
-    wh = wh_decompose(m)
+        return round_robin_two_cycles(n)
     host = HostDescriptor("CompleteSymmetric", n)
-    table = host.vertex_table
-    # every factor is on the host's interned vertices, n objects in all: the
-    # W* factors are folded onto this table, the H* copies are relabelled
-    factors = w_star_factorization(ftype)
-    hfact = factorize_h_star(ftype, m)
-    for block_cycle in wh.h_block_cycles:
-        lookup = _block_lookup(table, block_cycle)
-        factors.extend(_relabel(f, lookup) for f in hfact.factors)
+    if n == 6:
+        factors = brute_force_factorization(complete_symmetric(n), ftype)
+        if isinstance(factors, Nonexistent):
+            return factors
+    else:
+        m = n // 2
+        wh = wh_decompose(m)
+        # every factor is on the host's interned vertices, n objects in all:
+        # the W* factors are folded onto this table, the H* copies relabelled
+        factors = w_star_factorization(ftype)
+        if wh.h_block_cycles:
+            hfact = factorize_h_star(ftype, m)
+            for block_cycle in wh.h_block_cycles:
+                lookup = _block_lookup(host.vertex_table, block_cycle)
+                factors.extend(_relabel(f, lookup) for f in hfact.factors)
 
     report = verify_factorization(host, factors, ftype)
     if not report.passed:
         raise RuntimeError(f"solve failed verification: {report.failures()}")
-    return Factorization(n, ftype, tuple(factors), report, seed)
+    return Factorization(n, ftype, tuple(factors), report)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from oberwolfach.checker import verify_factorization
 from oberwolfach.cli import main
 from oberwolfach.core import parse_cycle_type, parse_vertex
@@ -348,3 +350,48 @@ def test_main_reuses_its_parser(capsys, tmp_path):
             runs.append((code, capsys.readouterr()))
     assert runs[:2] == runs[2:]
     assert [code for code, _ in runs] == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "14", "--factor", "[14]", "--seed", "3"],
+        ["solve", "--n", "14"],
+        ["solve", "--n", "abc", "--factor", "[14]"],
+        ["solve", "--n", "14", "--factor", "[14]", "--bogus"],
+        ["solve", "--n", "14", "--factor", "[14]", "a\nb"],
+        ["selftest", "--seed", "3"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    """Exit 2 means proven nonexistence, so a usage error must not use it."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_help_exits_0_and_offers_no_seed(capsys):
+    for command in ("solve", "selftest"):
+        assert main([command, "-h"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+
+
+def test_factor_digits_are_ascii(capsys):
+    # Arabic-Indic 4 and 10: int() reads them, the spec grammar does not
+    assert main(["solve", "--n", "14", "--factor", "[٤,١٠]"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad factor spec component")
+    with pytest.raises(ValueError):
+        parse_cycle_type("[٤,١٠]", 14)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    ["[" + "a" * 5000 + "]", "[2^" + "0" * 1000 + "]"],
+    ids=["long-component", "long-zero-exponent"],
+)
+def test_factor_error_echo_is_clipped(capsys, factor):
+    assert main(["solve", "--n", "14", "--factor", factor]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, len(err)

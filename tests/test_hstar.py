@@ -5,6 +5,7 @@ from oberwolfach.core import (
     CycleType,
     DirectedCycle,
     TwoRegularDigraph,
+    Vertex,
     cycle_from_text,
     cycle_type_of,
     parse_cycle_type,
@@ -116,26 +117,34 @@ def test_both_orientations_are_arc_disjoint(m):
             assert cycle_type_of(fwd) == cycle_type_of(bwd) == ftype
 
 
-@pytest.mark.parametrize("spec,m", [("[6]", 3), ("[4,4]", 4), ("[4,6]", 5)])
-def test_fallback_search_works_standalone(spec, m):
-    """The junction-wise backtracking fallback must produce valid pairs on
-    its own, even though the zig-zag construction normally suffices."""
-    from oberwolfach.hstar import _fallback_search
-
-    ftype = parse_cycle_type(spec)
-    found = _fallback_search(ftype, m)
-    assert found is not None
-    a, b = found
-    assert CycleType(len(c) for c in a) == ftype
-    assert CycleType(len(c) for c in b) == ftype
-    edges_a = {
-        frozenset((c[i], c[(i + 1) % len(c)])) for c in a for i in range(len(c))
-    }
-    edges_b = {
-        frozenset((c[i], c[(i + 1) % len(c)])) for c in b for i in range(len(c))
-    }
-    assert not edges_a & edges_b
-    assert len(edges_a) + len(edges_b) == 4 * m
+def test_zig_zag_complement_has_the_type_for_every_type():
+    """The proof in ``haggkvist_undirected``, checked: for every even type
+    without 2-cycles at m = 3..24, the zig-zag factor and its complement both
+    have type F and together hold each edge of the cycle blow-up once."""
+    checked = 0
+    for m in range(3, 25):
+        host = {
+            frozenset((Vertex(s, i), Vertex(t, (i + 1) % m)))
+            for i in range(m)
+            for s in "xy"
+            for t in "xy"
+        }
+        for ftype in even_types(2 * m):
+            if 2 in ftype.lengths:
+                continue
+            edges = []
+            for factor in haggkvist_undirected(ftype, m):
+                assert CycleType(len(c) for c in factor) == ftype
+                assert len({v for c in factor for v in c}) == 2 * m
+                edges += [
+                    frozenset((c[i - 1], c[i])) for c in factor for i in range(len(c))
+                ]
+            assert len(edges) == len(set(edges)) == len(host)
+            assert set(edges) == host
+            checked += 1
+    assert checked == 1573
+    with pytest.raises(ValueError):
+        haggkvist_undirected(parse_cycle_type("[4]"), 2)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
