@@ -19,10 +19,12 @@ Check contract: every piece is checked once, where it is made.
 * ``assemble`` checks each factor's cycle type and admissibility, and
   ``general_factor`` its result's cycle types; it is memoised per type.
 * ``_splice_all`` checks that every piece has the first piece's boundary
-  patterns and that each final factor is admissible; a nested splice has
-  checked its own result.  The public ``splice`` also checks both inputs.
-* ``w_star_factorization`` folds each factor (``fold`` checks every folded
-  arc against the circulant blow-up host) and checks spanning and type.
+  patterns and that each final factor is admissible.  ``j_decompose``
+  splices the flat list of pieces ``_decompose`` picks in one call, so no
+  factor is checked twice.  The public ``splice`` also checks both inputs.
+* ``w_star_id_factors`` folds each factor to vertex ids (``fold_ids``) and
+  checks the nine folded factors together against the circulant blow-up
+  host: arcs inside it, arc-disjoint and covering, spanning, and type.
 
 Splice lemma: if A on a blocks and B on b blocks are admissible factors
 with equal external patterns, then A plus B shifted by a is admissible on
@@ -48,13 +50,15 @@ from .core import (
     Vertex,
     DirectedCycle,
     DirectedPath,
+    canonical_id_cycles,
     cycle_arcs,
     cycle_type_of,
     shift,
     shift_vertex,
     two_regular_from_arcs,
+    two_regular_from_ids,
 )
-from .hosts import HostDescriptor, _outside_j_star, fold
+from .hosts import HostDescriptor, _outside_j_star, fold_ids
 
 BOUNDARY = (Vertex("x", 0), Vertex("x", 1), Vertex("y", 0), Vertex("y", 1))
 
@@ -395,7 +399,7 @@ def j_decompose(ftype: CycleType) -> AdmissibleDecomposition:
         raise ValueError(f"order {ftype.order} out of range (need >= 8)")
     if set(ftype.lengths) == {2}:
         raise ValueError("the all-2s type has no admissible decomposition here")
-    dec = _decompose(ftype.lengths)
+    dec = _splice_all(_decompose(ftype.lengths))
     if dec.patterns() != tables.X_PATTERN:
         raise ValueError("decomposition lost the shared boundary pattern")
     if dec.cycle_types() != (ftype,) * 9:
@@ -403,19 +407,22 @@ def j_decompose(ftype: CycleType) -> AdmissibleDecomposition:
     return dec
 
 
-def _decompose(lengths: tuple) -> AdmissibleDecomposition:
+def _decompose(lengths: tuple) -> list:
+    """The admissible pieces, in splice order, of a decomposition of type
+    ``lengths``: one table or cap-family piece, or a flat list that
+    ``j_decompose`` splices once."""
     key = tuple(sorted(lengths))
     if key in tables.SMALL_DECOMPS or key == (2, 4, 4):
-        return small_factor(CycleType(key))
+        return [small_factor(CycleType(key))]
     if _family_of(key) is not None:
-        return general_factor(CycleType(key))
+        return [general_factor(CycleType(key))]
 
     smallest = key[0]
     mult = key.count(smallest)
     rest = key[mult:]
 
     if smallest >= 6:
-        return _splice_all([_single(x) for x in key])
+        return [_single(x) for x in key]
 
     if smallest == 4:
         if mult == 1:
@@ -425,15 +432,14 @@ def _decompose(lengths: tuple) -> AdmissibleDecomposition:
                 head = small_factor(CycleType([4, nxt]))
             else:
                 head = general_factor(CycleType([4, nxt]))
-            decs = [head] + ([_decompose(rest[1:])] if rest[1:] else [])
-            return _splice_all(decs)
+            return [head] + (_decompose(rest[1:]) if rest[1:] else [])
         # two or more 4-cycles: 2*beta + 3*gamma copies
         gamma, beta = (1, (mult - 3) // 2) if mult % 2 else (0, mult // 2)
         decs = [small_factor(CycleType([4, 4]))] * beta
         decs += [small_factor(CycleType([4, 4, 4]))] * gamma
         if rest:
-            decs.append(_decompose(rest))
-        return _splice_all(decs)
+            decs += _decompose(rest)
+        return decs
 
     # smallest == 2
     nxt = rest[0]
@@ -444,8 +450,8 @@ def _decompose(lengths: tuple) -> AdmissibleDecomposition:
             decs += [small_factor(CycleType([2, 2, 2]))] * (mult // 3 - 1)
         else:
             decs = [small_factor(CycleType([2, 2, 2]))] * (mult // 3)
-            decs.append(_decompose(rest))
-        return _splice_all(decs)
+            decs += _decompose(rest)
+        return decs
     if residue == 1:
         if rest == (4, 4):
             decs = [small_factor(CycleType([2, 4, 4]))]
@@ -455,9 +461,9 @@ def _decompose(lengths: tuple) -> AdmissibleDecomposition:
                 if nxt in (4, 6)
                 else general_factor(CycleType([2, nxt]))
             )
-            decs = [head] + ([_decompose(rest[1:])] if rest[1:] else [])
+            decs = [head] + (_decompose(rest[1:]) if rest[1:] else [])
         decs += [small_factor(CycleType([2, 2, 2]))] * ((mult - 1) // 3)
-        return _splice_all(decs)
+        return decs
     # residue == 2
     if rest == (4, 4):
         decs = [small_factor(CycleType([2, 2, 4, 4]))]
@@ -467,14 +473,22 @@ def _decompose(lengths: tuple) -> AdmissibleDecomposition:
             if nxt in (4, 6)
             else general_factor(CycleType([2, 2, nxt]))
         )
-        decs = [head] + ([_decompose(rest[1:])] if rest[1:] else [])
+        decs = [head] + (_decompose(rest[1:]) if rest[1:] else [])
     decs += [small_factor(CycleType([2, 2, 2]))] * ((mult - 2) // 3)
-    return _splice_all(decs)
+    return decs
 
 
-def w_star_factorization(ftype: CycleType) -> list:
-    """Fold an opened-host decomposition into 9 verified 2-factors of the
-    circulant blow-up host of the same order."""
+def w_star_id_factors(ftype: CycleType) -> list:
+    """The 9 factors of an opened-host decomposition folded onto the
+    circulant blow-up host of the same order, as vertex ids: each a tuple of
+    cycles in canonical form (``core.canonical_id_cycles``) over the
+    ``w_star(m)`` numbering, which the order-2m complete host shares.
+
+    One ``verify_id_factorization`` against ``WStar`` m checks the folded
+    factors together: every arc in the host, arc-disjoint, covering its 18m
+    arcs, each factor spanning, each of type ``ftype``."""
+    from .checker import verify_id_factorization  # checker imports caps
+
     m = ftype.order // 2
     if m < 5:
         raise ValueError(
@@ -482,11 +496,15 @@ def w_star_factorization(ftype: CycleType) -> list:
             "than the circulant blow-up and the arc correspondence collapses"
         )
     dec = j_decompose(ftype)
-    folded = [fold(f, m) for f in dec.factors]
-    span = HostDescriptor("WStar", m).vertices
-    for f in folded:
-        if f.vertices() != span:
-            raise ValueError("folded factor does not span")
-        if cycle_type_of(f) != ftype:
-            raise ValueError("folded factor changed cycle type")
+    folded = [canonical_id_cycles(f) for f in fold_ids(dec.factors, m)[0]]
+    report = verify_id_factorization(HostDescriptor("WStar", m), folded, ftype)
+    if not report.passed:
+        raise ValueError(f"folded factors fail the W* check: {report.failures()}")
     return folded
+
+
+def w_star_factorization(ftype: CycleType) -> list:
+    """``w_star_id_factors`` as 9 ``TwoRegularDigraph``s on the interned
+    vertices of ``w_star(m)``."""
+    table = HostDescriptor("WStar", ftype.order // 2).vertex_table
+    return [two_regular_from_ids(f, table) for f in w_star_id_factors(ftype)]

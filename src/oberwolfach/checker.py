@@ -17,10 +17,11 @@ host, must number the host's arcs -- so no host arc set is materialised.  A
 factor spans when its length is N, it names no id >= N, and its ids are
 distinct, counted by one set per factor; so spanning no longer rests on the
 cycle and factor constructors having refused repeated or shared vertices.
-``verify`` reads certificates straight into such lists
-(``serialize.read_certificate``); ``verify_factorization`` is the adapter
-for callers holding ``TwoRegularDigraph`` objects, so the solver, the H*
-self-check and ``verify`` run the same core.
+``solve`` builds its factors as such lists and ``verify`` reads
+certificates straight into them (``serialize.read_certificate``);
+``verify_factorization`` is the adapter for callers holding
+``TwoRegularDigraph`` objects, such as the H* self-check, so all of them
+run the same core.
 
 ``brute_force_factorization`` is an exhaustive backtracking search over
 tiny hosts, used to confirm nonexistence claims and to cross-check the

@@ -94,7 +94,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_ERROR
 
 
-def _refusal(cert: serialize.IdCertificate) -> str:
+def _refusal(cert: serialize.FactorizationDocument) -> str:
     """Why ``verify`` refuses to check ``cert``, or "" when it does not."""
     kind = cert.host.kind
     size = cert.host.m_or_n

@@ -189,6 +189,19 @@ def cycle_arcs(cycles: Iterable[DirectedCycle]):
         yield from zip(vs, vs[1:] + vs[:1])
 
 
+def canonical_id_cycles(cycles: Iterable) -> tuple:
+    """Cycles given as sequences of vertex ids, in the canonical form of
+    ``TwoRegularDigraph``: each rotated to start at its least id, then the
+    cycles sorted.  Where ids number vertices in sort order (as
+    ``hosts.HostDescriptor`` does) this is the order of the objects."""
+    out = []
+    for c in cycles:
+        k = c.index(min(c))
+        out.append(tuple(c[k:]) + tuple(c[:k]))
+    out.sort()
+    return tuple(out)
+
+
 class CycleType:
     """Multiset of directed-cycle lengths, kept sorted non-decreasing."""
 
@@ -231,6 +244,9 @@ def cycle_type_text(lengths: Iterable[int]) -> str:
 
 
 _SPEC_PART_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
+# a length or exponent written with more digits is refused before ``int()``
+# sees it (far below the interpreter's own 4300-digit conversion limit)
+_MAX_SPEC_DIGITS = 300
 
 
 def _parse_counts(text: str) -> list:
@@ -242,7 +258,7 @@ def _parse_counts(text: str) -> list:
     if s.strip():
         for part in s.split(","):
             m = _SPEC_PART_RE.fullmatch(part.strip())
-            if not m:
+            if not m or max(len(g or "") for g in m.groups()) > _MAX_SPEC_DIGITS:
                 raise ValueError(f"bad factor spec component: {clip(repr(part))}")
             length = int(m.group(1))
             mult = int(m.group(2)) if m.group(2) else 1
@@ -397,6 +413,14 @@ def two_regular_from_arcs(arcs: Iterable[Arc]) -> TwoRegularDigraph:
         remaining.difference_update(walk)
         cycles.append(DirectedCycle(walk))
     return TwoRegularDigraph(cycles)
+
+
+def two_regular_from_ids(cycles: Iterable, vertices) -> TwoRegularDigraph:
+    """The factor whose cycles are the id sequences ``cycles``, id i naming
+    ``vertices[i]``, built by the ordinary constructors."""
+    return TwoRegularDigraph(
+        [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
+    )
 
 
 def path_from_text(text: str) -> DirectedPath:

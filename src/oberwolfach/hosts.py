@@ -13,8 +13,9 @@ graph) over strip-labelled vertices:
   only for 1 <= i <= m.
 
 ``fold`` closes ``j_star(m)`` back onto ``w_star(m)`` by reducing block
-indices mod m; it is an arc bijection for m >= 5.  A folded factor's
-vertices are the interned ones of the order-2m vertex table below.
+indices mod m; it is an arc bijection for m >= 5.  ``fold_ids`` folds a
+factor straight to vertex ids of the order-2m numbering below, and ``fold``
+rebuilds its objects from those ids.
 
 The blow-up hosts have closed-form arc sets, so membership is tested in
 constant time from the two endpoints, without building the host.  The
@@ -58,9 +59,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat, starmap
-from typing import Union
+from typing import Iterable, Union
 
-from .core import Arc, Digraph, TwoRegularDigraph, Vertex, cycle_arcs
+from .core import (
+    Arc,
+    Digraph,
+    TwoRegularDigraph,
+    Vertex,
+    cycle_arcs,
+    two_regular_from_ids,
+)
 
 # kind -> (builder, size letter, least size) for the hosts a factorization
 # is checked against; JStar decompositions have their own checker.
@@ -322,14 +330,55 @@ def j_star(m: int) -> Digraph:
     return Digraph(vertices, _j_arcs(m))
 
 
+def fold_ids(factors: Iterable[TwoRegularDigraph], m: int) -> tuple:
+    """Fold 2-regular digraphs on the strip onto ``w_star(m)`` by reducing
+    block indices mod m, as vertex ids: ``(folded, vertices)``.
+
+    ``folded[j]`` lists the cycles of the j-th factor, in its order, as
+    lists of ids in the numbering of ``w_star(m)`` (x_i -> i mod m,
+    y_i -> m + (i mod m), shared with the order-2m complete host), and
+    ``vertices[i]`` is the folded vertex of id i.  A vertex of a side other
+    than x and y folds to one id 2m + k per distinct image, as the checker
+    numbers vertices outside a host, and ``vertices`` lists those images
+    after the table.  Nothing is checked here: a folded cycle may repeat an
+    id or use arcs outside ``w_star(m)``.
+    """
+    vertices = list(_vertex_numbering(m, m)[0])
+    # the opened host's vertices, blocks 0..m+1, straight to their ids
+    lookup = {
+        Vertex(side, i): base + i % m
+        for side, base in (("x", 0), ("y", m))
+        for i in range(m + 2)
+    }
+    foreign: dict = {}
+
+    def fold_id(v: Vertex) -> int:
+        side, index = v
+        if side == "x" or side == "y":
+            return (m if side == "y" else 0) + index % m
+        image = Vertex(side, index % m)
+        if image not in foreign:
+            foreign[image] = len(vertices)
+            vertices.append(image)
+        return foreign[image]
+
+    folded = []
+    for g in factors:
+        try:
+            folded.append([list(map(lookup.__getitem__, c.vertices)) for c in g.cycles])
+        except KeyError:  # a block outside 0..m+1, or another side
+            folded.append([list(map(fold_id, c.vertices)) for c in g.cycles])
+    return folded, vertices
+
+
 def fold(g: Union[Digraph, TwoRegularDigraph], m: int):
     """Reduce block indices mod m, mapping the opened host into w_star(m).
 
-    A factor's vertices are mapped through one dict onto the interned
-    vertex table of ``w_star(m)`` (``_vertex_numbering(m, m)``, shared with
-    the order-2m complete host), so a folded factor needs no relabelling.
-    Raises ``ValueError`` for m < 5, where the arc correspondence breaks
-    down, and if any folded arc is outside ``w_star(m)`` (malformed input).
+    A factor is folded by ``fold_ids`` and rebuilt from the ids, so its
+    vertices are the interned ones of ``w_star(m)``'s vertex table (shared
+    with the order-2m complete host).  Raises ``ValueError`` for m < 5,
+    where the arc correspondence breaks down, and if any folded arc is
+    outside ``w_star(m)`` (malformed input).
     """
     if m < 5:
         raise ValueError(f"fold needs m >= 5, got {m}")
@@ -342,20 +391,8 @@ def fold(g: Union[Digraph, TwoRegularDigraph], m: int):
             )
 
     if isinstance(g, TwoRegularDigraph):
-        from .core import DirectedCycle
-
-        table = _vertex_numbering(m, m)[0]
-        offset = {"x": 0, "y": m}
-        image = {}
-        for v in g.vertices():
-            side, index = v
-            if side in offset:
-                image[v] = table[offset[side] + index % m]
-            else:
-                image[v] = Vertex(side, index % m)
-        folded = TwoRegularDigraph(
-            DirectedCycle(map(image.__getitem__, c.vertices)) for c in g.cycles
-        )
+        (cycles,), vertices = fold_ids([g], m)
+        folded = two_regular_from_ids(cycles, vertices)
         check(cycle_arcs(folded.cycles))
         return folded
     if isinstance(g, Digraph):

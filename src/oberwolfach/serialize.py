@@ -6,12 +6,16 @@ JSON schema::
     {"n": int, "factor_type": [int, ...], "host": {"kind": str, "m": int},
      "factors": [[["x0", "x1", ...], ...], ...], "verified": bool, "seed": int}
 
-Cycles are vertex lists in canonical rotation, so serialisation is
-deterministic and re-serialising a parsed file reproduces it byte for byte.
+A certificate is one document type, ``FactorizationDocument``, on vertex
+ids: the factors are lists of cycles of ids, and ``vertices`` maps each id
+to its vertex.  The solver's ids are in canonical form (each cycle from its
+least vertex, cycles sorted), so serialisation is deterministic; the one
+writer, ``to_json``, writes a document's ids as read, so re-serialising a
+parsed file reproduces it byte for byte.  ``factor_objects()`` builds the
+``TwoRegularDigraph``s, for the text, edge-list and DOT forms.
 
-Certificates are read by one reader, ``read_certificate``; ``from_json`` is
-that reader plus construction through the ordinary cycle and factor
-constructors, and ``verify`` hands the reader's lists to the checker.
+Certificates are read by one reader, ``read_certificate`` (``from_json``
+is it applied to text), and ``verify`` hands its lists to the checker.
 
 * **Schema first.**  Before anything is built, the field types are checked:
   ``n``, ``host.m``, ``seed`` (optional, default 0) and every
@@ -43,38 +47,59 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
-from .core import CycleType, DirectedCycle, TwoRegularDigraph, parse_vertex
+from .core import CycleType, DirectedCycle, parse_vertex, two_regular_from_ids
 from .hosts import DESCRIBED_KINDS, HostDescriptor
 
 
 @dataclass(frozen=True)
 class FactorizationDocument:
+    """A certificate on vertex ids: ``factors`` lists each factor's cycles,
+    each a sequence of ids, and ``vertices[i]`` is the vertex of id i.  For
+    a solution and for a document read with the host's table, ids below the
+    host's order are its vertices (``hosts.HostDescriptor`` numbering), then
+    come the foreign vertices.  ``named`` counts the distinct vertices the
+    factors name."""
+
     n: int
     ftype: CycleType
     host: HostDescriptor
-    factors: tuple  # TwoRegularDigraph
+    factors: Sequence
+    vertices: Sequence  # Vertex by id
+    named: int
     verified: bool
     seed: int
 
+    def factor_objects(self) -> tuple:
+        """The factors as ``TwoRegularDigraph``s, by the ordinary constructors."""
+        return tuple(two_regular_from_ids(f, self.vertices) for f in self.factors)
+
+
+def _cycle_objects(cycles, vertices) -> list:
+    """``DirectedCycle``s of id lists, in order, so the first bad one raises."""
+    return [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
+
 
 def document_for_solution(solution) -> FactorizationDocument:
-    """Wrap a solver result (over the complete host) for export."""
+    """Wrap a solver result (over the complete host) for export, on its
+    vertex ids: no cycle or factor object is built."""
+    host = HostDescriptor("CompleteSymmetric", solution.n)
     return FactorizationDocument(
         n=solution.n,
         ftype=solution.ftype,
-        host=HostDescriptor("CompleteSymmetric", solution.n),
-        factors=tuple(solution.factors),
+        host=host,
+        factors=solution.id_factors,
+        vertices=host.vertex_table,
+        named=solution.n,  # the solution's report checked that every factor spans
         verified=solution.report.passed,
         seed=0,  # kept in the schema; solve has no seed
     )
 
 
 def to_json_dict(doc: FactorizationDocument) -> dict:
-    return _fields(
-        doc,
-        [[[v.text() for v in c.vertices] for c in f.cycles] for f in doc.factors],
-    )
+    text = [v.text() for v in doc.vertices]
+    return _fields(doc, [[[text[i] for i in c] for c in f] for f in doc.factors])
 
 
 def _fields(doc: FactorizationDocument, factors) -> dict:
@@ -97,20 +122,14 @@ def to_json(doc: FactorizationDocument) -> str:
     """``json.dumps(to_json_dict(doc), indent=2) + "\\n"``, byte for byte.
 
     Every field but ``"factors"`` goes through ``json.dumps``.  The factors,
-    nearly all of the text, are written with ``str.join`` at the indents
-    ``json.dumps`` uses, each distinct vertex quoted once by
-    ``json.dumps(v.text())`` so the escaping is the encoder's own."""
+    nearly all of the text, are written from their ids with ``str.join`` at
+    the indents ``json.dumps`` uses; each vertex is quoted once, by
+    ``json.dumps(v.text())``, so the escaping is the encoder's own."""
     head, _, tail = json.dumps(_fields(doc, 0), indent=2).partition(_FACTORS_SLOT)
-    named = set()
-    for f in doc.factors:
-        for c in f.cycles:
-            named.update(c.vertices)
-    quoted = {v: json.dumps(v.text()) for v in named}.__getitem__
+    quoted = [json.dumps(v.text()) for v in doc.vertices].__getitem__
     block = _json_list(
         [
-            _json_list(
-                [_json_list(list(map(quoted, c.vertices)), 3) for c in f.cycles], 2
-            )
+            _json_list([_json_list(list(map(quoted, c)), 3) for c in f], 2)
             for f in doc.factors
         ],
         1,
@@ -125,35 +144,6 @@ def _json_list(items: list, depth: int) -> str:
         return "[]"
     indent = "\n" + "  " * (depth + 1)
     return "[" + indent + ("," + indent).join(items) + "\n" + "  " * depth + "]"
-
-
-@dataclass(frozen=True)
-class IdCertificate:
-    """A certificate as ``read_certificate`` reads it: the factors as lists
-    of cycles, each a list of vertex ids.  ``vertices[i]`` is the vertex of
-    id i: the host's table when it was used (so ids below the host's order
-    are its vertices), then the foreign vertices.  ``named`` counts the
-    distinct vertices the factors name."""
-
-    n: int
-    ftype: CycleType
-    host: HostDescriptor
-    factors: list
-    vertices: list  # Vertex by id
-    named: int
-    verified: bool
-    seed: int
-
-    def factor_objects(self) -> tuple:
-        """The factors as ``TwoRegularDigraph``s, by the ordinary constructors."""
-        return tuple(
-            TwoRegularDigraph(_cycle_objects(f, self.vertices)) for f in self.factors
-        )
-
-
-def _cycle_objects(cycles: list, vertices: list) -> list:
-    """``DirectedCycle``s of id lists, in order, so the first bad one raises."""
-    return [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
 
 
 _JSON_TYPES = {
@@ -210,7 +200,7 @@ def _check_schema(data) -> None:
         _expect(data["seed"], int, "seed")
 
 
-def read_certificate(data) -> IdCertificate:
+def read_certificate(data) -> FactorizationDocument:
     """Read a certificate's parsed JSON into vertex-id lists (see the module
     docstring); raise ``ValueError`` or ``TypeError`` on malformed input."""
     _check_schema(data)
@@ -263,10 +253,10 @@ def read_certificate(data) -> IdCertificate:
         for c in cycles:
             ids.update(c)
         if len(ids) != sum(map(len, cycles)) or min(map(len, cycles), default=2) < 2:
-            TwoRegularDigraph(_cycle_objects(cycles, vertices))  # raises
+            two_regular_from_ids(cycles, vertices)  # raises
         named |= ids
         factors.append(cycles)
-    return IdCertificate(
+    return FactorizationDocument(
         n=data["n"],
         ftype=CycleType(data["factor_type"]),
         host=host,
@@ -278,20 +268,8 @@ def read_certificate(data) -> IdCertificate:
     )
 
 
-def from_json_dict(data: dict) -> FactorizationDocument:
-    cert = read_certificate(data)
-    return FactorizationDocument(
-        n=cert.n,
-        ftype=cert.ftype,
-        host=cert.host,
-        factors=cert.factor_objects(),
-        verified=cert.verified,
-        seed=cert.seed,
-    )
-
-
 def from_json(text: str) -> FactorizationDocument:
-    return from_json_dict(json.loads(text))
+    return read_certificate(json.loads(text))
 
 
 def to_text(doc: FactorizationDocument) -> str:
@@ -299,7 +277,7 @@ def to_text(doc: FactorizationDocument) -> str:
         f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
         f"verified={doc.verified} seed={doc.seed}"
     ]
-    for i, f in enumerate(doc.factors, 1):
+    for i, f in enumerate(doc.factor_objects(), 1):
         lines.append(f"F{i}: " + " ".join(c.text() for c in f.cycles))
     return "\n".join(lines) + "\n"
 
@@ -307,7 +285,7 @@ def to_text(doc: FactorizationDocument) -> str:
 def to_edges(doc: FactorizationDocument) -> str:
     """One line per arc: ``<factor-index> <tail> <head>``."""
     lines = []
-    for i, f in enumerate(doc.factors, 1):
+    for i, f in enumerate(doc.factor_objects(), 1):
         for a in sorted(f.arcs()):
             lines.append(f"{i} {a.tail.text()} {a.head.text()}")
     return "\n".join(lines) + "\n"
@@ -316,7 +294,7 @@ def to_edges(doc: FactorizationDocument) -> str:
 def to_dot(doc: FactorizationDocument) -> str:
     """A digraph with exactly one edge statement per arc, tagged by factor."""
     lines = [f'digraph factorization_{doc.n} {{']
-    for i, f in enumerate(doc.factors, 1):
+    for i, f in enumerate(doc.factor_objects(), 1):
         for a in sorted(f.arcs()):
             lines.append(
                 f'  "{a.tail.text()}" -> "{a.head.text()}" [factor={i}];'

@@ -12,23 +12,31 @@ Three routes:
   closed form for jumps coprime to m, square switching for the jump pairs
   of the remaining ones.
 
-Every returned factorization carries a full verification report.
+Every route builds the factors as tuples of vertex ids of the complete
+host (``hosts.HostDescriptor`` numbering) in canonical form, and every
+returned factorization carries the report of one final check on those ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
-from .caps import w_star_factorization
+from .caps import w_star_id_factors
 from .checker import (
     Nonexistent,
     VerificationReport,
     brute_force_factorization,
-    verify_factorization,
+    verify_id_factorization,
 )
-from .core import CycleType, DirectedCycle, TwoRegularDigraph
+from .core import (
+    CycleType,
+    TwoRegularDigraph,
+    canonical_id_cycles,
+    two_regular_from_ids,
+)
 from .hosts import HostDescriptor, complete_symmetric
 from .hstar import factorize_h_star
 
@@ -38,10 +46,11 @@ class DomainError(ValueError):
 
 
 # A certificate of order n holds n(n-1) arcs, and the final check gathers
-# them all as integer codes.  Measured under CPython 3.11, solve plus check
-# peaks near 80 bytes per arc (94 MB at n = 1002, 332 MB at n = 2002); at
-# that rate n = 4002 (16 million arcs) would need about 1.3 GB and
-# n = 10002 about 8 GB.  Larger orders are refused up front.
+# them all as integer codes.  Measured under CPython 3.11 on x86-64, solve
+# plus to_json of [n] peaks near 84 bytes per arc (95 MB at n = 1002,
+# 335 MB at n = 2002, one process each); at that rate n = 4002 (16 million
+# arcs) would need about 1.3 GB and n = 10002 about 8 GB.  Larger orders
+# are refused up front.
 MAX_ORDER = 4002
 
 
@@ -66,10 +75,22 @@ class WHDecomposition:
 
 @dataclass(frozen=True)
 class Factorization:
+    """A verified factorization of the order-n complete symmetric digraph.
+
+    ``id_factors`` holds the n-1 factors as tuples of cycles, each a tuple
+    of the complete host's vertex ids (``hosts.HostDescriptor`` numbering)
+    in canonical form; ``factors`` builds them as ``TwoRegularDigraph``s on
+    the host's interned vertices on first access."""
+
     n: int
     ftype: CycleType
-    factors: tuple
+    id_factors: tuple
     report: VerificationReport
+
+    @cached_property
+    def factors(self) -> tuple:
+        table = HostDescriptor("CompleteSymmetric", self.n).vertex_table
+        return tuple(two_regular_from_ids(f, table) for f in self.id_factors)
 
 
 def _pair_jumps(m: int, distances: list):
@@ -209,37 +230,33 @@ def round_robin_two_cycles(n: int) -> Factorization:
     if n < 2 or n % 2:
         raise DomainError(f"need even n >= 2, got {n}")
     host = HostDescriptor("CompleteSymmetric", n)
-    slots = host.vertex_table  # in sort order
-    pivot = slots[-1]
-    wheel = slots[:-1]
+    pivot = n - 1  # the last id; the wheel is ids 0..n-2
     factors = []
     for r in range(n - 1):
-        pairs = [(pivot, wheel[r])]
+        pairs = [(r, pivot)]
         for i in range(1, (n - 1) // 2 + 1):
-            u = wheel[(r + i) % (n - 1)]
-            v = wheel[(r - i) % (n - 1)]
-            pairs.append((u, v))
-        factors.append(TwoRegularDigraph(DirectedCycle(p) for p in pairs))
+            pairs.append(((r + i) % (n - 1), (r - i) % (n - 1)))
+        factors.append(canonical_id_cycles(pairs))
     ftype = CycleType([2] * (n // 2))
-    report = verify_factorization(host, factors, ftype)
+    return _verified(host, factors, ftype, "round robin")
+
+
+def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str):
+    """The factorization of id factors ``factors``, after the final check."""
+    report = verify_id_factorization(host, factors, ftype)
     if not report.passed:
-        raise RuntimeError(f"round robin failed verification: {report.failures()}")
-    return Factorization(n, ftype, tuple(factors), report)
+        raise RuntimeError(f"{route} failed verification: {report.failures()}")
+    return Factorization(host.m_or_n, ftype, tuple(factors), report)
 
 
-def _block_lookup(table: tuple, block_cycle: tuple) -> dict:
-    """Vertex x_i / y_i of a strip host on m blocks -> the interned vertex
-    x_{b_i} / y_{b_i} of the order-2m complete host, b = ``block_cycle``.
-    Both hosts number x_i -> i, y_i -> m + i, so ``table`` serves both."""
-    m = len(block_cycle)
-    images = [table[b] for b in block_cycle] + [table[m + b] for b in block_cycle]
-    return dict(zip(table, images))
+def _id_cycles(factor: TwoRegularDigraph, ids: dict) -> list:
+    """A factor's cycles as lists of the vertex ids ``ids`` gives."""
+    return [list(map(ids.__getitem__, c.vertices)) for c in factor.cycles]
 
 
-def _relabel(factor: TwoRegularDigraph, lookup: dict) -> TwoRegularDigraph:
-    return TwoRegularDigraph(
-        DirectedCycle(map(lookup.__getitem__, c.vertices)) for c in factor.cycles
-    )
+def _relabel(factor: list, image: list) -> tuple:
+    """An H* factor's id cycles through the permutation ``image`` of ids."""
+    return canonical_id_cycles([list(map(image.__getitem__, c)) for c in factor])
 
 
 def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
@@ -257,22 +274,24 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         return round_robin_two_cycles(n)
     host = HostDescriptor("CompleteSymmetric", n)
     if n == 6:
-        factors = brute_force_factorization(complete_symmetric(n), ftype)
-        if isinstance(factors, Nonexistent):
-            return factors
+        found = brute_force_factorization(complete_symmetric(n), ftype)
+        if isinstance(found, Nonexistent):
+            return found
+        factors = [canonical_id_cycles(_id_cycles(f, host.vertex_ids)) for f in found]
     else:
         m = n // 2
         wh = wh_decompose(m)
-        # every factor is on the host's interned vertices, n objects in all:
-        # the W* factors are folded onto this table, the H* copies relabelled
-        factors = w_star_factorization(ftype)
+        # W*, H* and the complete host of order 2m share one numbering
+        # (x_i -> i, y_i -> m + i): the W* factors need no relabelling, and
+        # the H* copy on block cycle b maps id i to image[i]
+        factors = w_star_id_factors(ftype)
         if wh.h_block_cycles:
             hfact = factorize_h_star(ftype, m)
+            hids = [_id_cycles(f, host.vertex_ids) for f in hfact.factors]
+            # one int object per id, shared by every copy's tuples
+            number = list(range(n))
             for block_cycle in wh.h_block_cycles:
-                lookup = _block_lookup(host.vertex_table, block_cycle)
-                factors.extend(_relabel(f, lookup) for f in hfact.factors)
-
-    report = verify_factorization(host, factors, ftype)
-    if not report.passed:
-        raise RuntimeError(f"solve failed verification: {report.failures()}")
-    return Factorization(n, ftype, tuple(factors), report)
+                image = [number[b] for b in block_cycle]
+                image += [number[m + b] for b in block_cycle]
+                factors.extend(_relabel(f, image) for f in hids)
+    return _verified(host, factors, ftype, "solve")

@@ -492,7 +492,7 @@ def test_from_json_and_checker_match_a_regex_parse(data):
         assert str(exc) == reference
         doc = None
     else:
-        assert doc.factors == reference
+        assert doc.factor_objects() == reference
     try:
         expected = _regex_parse(json.loads(text))
     except (ValueError, TypeError, AttributeError):
@@ -500,9 +500,10 @@ def test_from_json_and_checker_match_a_regex_parse(data):
     assert (doc is None) == (expected is None or non_canonical)
     if doc is None:
         return
-    assert doc.factors == expected
+    assert doc.factor_objects() == expected
     reference = _reference_report(_BUILDERS[kind](size), expected, ftype).to_json()
-    assert verify_factorization(doc.host, doc.factors, doc.ftype).to_json() == reference
+    report = verify_factorization(doc.host, doc.factor_objects(), doc.ftype)
+    assert report.to_json() == reference
 
 
 def _unchecked_cycle(vertices):

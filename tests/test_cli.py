@@ -130,11 +130,17 @@ def test_verify_other_host_kinds(capsys, tmp_path):
 
     ftype = parse_cycle_type("[4,6]")
     hf = factorize_h_star(ftype, 5)
+    host = HostDescriptor("HStar", 5)
     doc = FactorizationDocument(
         n=10,
         ftype=ftype,
-        host=HostDescriptor("HStar", 5),
-        factors=hf.factors,
+        host=host,
+        factors=[
+            [[host.vertex_ids[v] for v in c.vertices] for c in f.cycles]
+            for f in hf.factors
+        ],
+        vertices=host.vertex_table,
+        named=10,
         verified=True,
         seed=0,
     )
@@ -395,3 +401,17 @@ def test_factor_error_echo_is_clipped(capsys, factor):
     assert main(["solve", "--n", "14", "--factor", factor]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err.encode()) < 200, len(err)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    ["[" + "9" * 5000 + "]", "[2^" + "9" * 5000 + "]"],
+    ids=["length", "exponent"],
+)
+def test_factor_numbers_of_thousands_of_digits_are_refused(capsys, factor):
+    """A length or exponent of thousands of digits is a bad component, refused
+    before ``int()`` meets the interpreter's digit limit."""
+    assert main(["solve", "--n", "14", "--factor", factor]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad factor spec component: ")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err

@@ -4,7 +4,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oberwolfach.core import DirectedCycle, TwoRegularDigraph, Vertex, parse_cycle_type
+from oberwolfach.core import Vertex, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.serialize import document_for_solution, to_json, to_json_dict
 from oberwolfach.solver import solve
@@ -25,7 +25,8 @@ _KINDS = st.sampled_from(
 @st.composite
 def _documents(draw):
     doc = draw(st.sampled_from(_DOCS))
-    factors = [list(f.cycles) for f in doc.factors]
+    factors = list(doc.factors)
+    vertices = list(doc.vertices)
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(["empty_factor", "drop", "foreign", "none"]))
         if op == "empty_factor":
@@ -34,9 +35,8 @@ def _documents(draw):
             factors.pop(draw(st.integers(0, len(factors) - 1)))
         elif op == "foreign":
             index = draw(st.integers(0, 10**6))
-            factors.append(
-                [DirectedCycle([Vertex(draw(_SIDES), index), Vertex("x", index + 1)])]
-            )
+            vertices += [Vertex(draw(_SIDES), index), Vertex("x", index + 1)]
+            factors.append([[len(vertices) - 2, len(vertices) - 1]])
     if draw(st.booleans()):
         factors = []
     host = doc.host
@@ -45,7 +45,8 @@ def _documents(draw):
     return dataclasses.replace(
         doc,
         host=host,
-        factors=tuple(TwoRegularDigraph(f) for f in factors),
+        factors=factors,
+        vertices=vertices,
         verified=draw(st.booleans()),
         seed=draw(st.integers(-5, 10**9)),
     )

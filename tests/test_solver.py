@@ -125,6 +125,39 @@ def test_solve_interns_vertices(n, spec):
     assert len(objects) == n
 
 
+@pytest.mark.parametrize("lengths", [lambda n: [n], lambda n: [2, 4, 8, n - 14]])
+def test_solve_and_export_build_no_objects_per_block_cycle(monkeypatch, lengths):
+    """The folded W* factors and the relabelled H* copies stay vertex ids
+    to the certificate: a warm solve builds the same number of factor
+    objects at n = 30 and n = 62 (only the spliced J* factors and the four
+    H* factors), the export builds none, and ``factors`` builds the same
+    objects as reading the certificate back."""
+    from oberwolfach import core
+    from oberwolfach.serialize import from_json
+
+    built = []
+    real_init = core.TwoRegularDigraph.__init__
+
+    def counting_init(self, cycles):
+        built.append(1)
+        real_init(self, cycles)
+
+    counts, exports = [], []
+    for n in (30, 62):
+        ftype = CycleType(lengths(n))
+        solve(n, ftype)  # warm: tables and cap-family pieces loaded
+        monkeypatch.setattr(core.TwoRegularDigraph, "__init__", counting_init)
+        result = solve(n, ftype)
+        counts.append(len(built))
+        exports.append((result, to_json(document_for_solution(result))))
+        assert len(built) == counts[-1]
+        monkeypatch.undo()
+        built.clear()
+    assert counts[0] == counts[1], counts
+    for result, text in exports:
+        assert result.factors == from_json(text).factor_objects()
+
+
 def test_solve_refuses_orders_above_the_cap():
     import time
 
@@ -242,13 +275,13 @@ def test_build_path_never_builds_a_blow_up_host(monkeypatch):
     ):
         monkeypatch.setattr(module, name, refuse, raising=False)
     folds = []
-    real_fold = caps.fold
+    real_fold_ids = caps.fold_ids
 
-    def counting_fold(g, m):
+    def counting_fold_ids(factors, m):
         folds.append(m)
-        return real_fold(g, m)
+        return real_fold_ids(factors, m)
 
-    monkeypatch.setattr(caps, "fold", counting_fold)
+    monkeypatch.setattr(caps, "fold_ids", counting_fold_ids)
     for n, spec in ((14, "[14]"), (30, "[2,4,8,16]"), (38, "[2,2,2,4,28]")):
         ftype = parse_cycle_type(spec)
         result = solve(n, ftype)

@@ -360,3 +360,22 @@ def test_general_factor_is_memoised_per_type():
     a = general_factor(CycleType([22]))
     assert general_factor(CycleType([22])) is a
     assert general_factor.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("spec", ["[2,4,6,8,10]", "[4,6,8,12]"])
+def test_a_nested_type_is_spliced_once(monkeypatch, spec):
+    """``j_decompose`` splices the flat list of pieces in one call, so once
+    the pieces are loaded each of the nine final factors is checked for
+    admissibility once, and no inner splice re-checks its own factors."""
+    ftype = parse_cycle_type(spec)
+    caps.j_decompose(ftype)  # load the tables and the cap-family pieces
+    checked = []
+    real_is_admissible = caps.is_admissible
+
+    def counting_is_admissible(d, m):
+        checked.append(m)
+        return real_is_admissible(d, m)
+
+    monkeypatch.setattr(caps, "is_admissible", counting_is_admissible)
+    caps.j_decompose(ftype)
+    assert checked == [ftype.order // 2] * 9
