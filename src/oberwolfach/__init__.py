@@ -9,11 +9,8 @@ from .core import (
     DirectedPath,
     TwoRegularDigraph,
     Vertex,
-    concat,
     cycle_type_of,
     parse_cycle_type,
-    reverse_cycle,
-    shift,
 )
 from .hosts import HostDescriptor, complete_symmetric, fold, h_star, j_star, w_star
 from .caps import (
@@ -49,11 +46,8 @@ __all__ = [
     "DirectedPath",
     "TwoRegularDigraph",
     "Vertex",
-    "concat",
     "cycle_type_of",
     "parse_cycle_type",
-    "reverse_cycle",
-    "shift",
     "HostDescriptor",
     "complete_symmetric",
     "fold",

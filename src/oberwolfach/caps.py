@@ -12,17 +12,28 @@ Decompositions are built from three kinds of nine-element path systems
 end to end with the index shift, and from splicing whole decompositions
 whose boundary patterns agree entrywise.
 
-Check contract: every piece is checked once, where it is made.
+The build runs on J* ids (``hosts.strip_id``: block b, side s -> 2b + s),
+so shifting by k blocks adds 2k.  An ``AdmissibleDecomposition`` holds its
+factors as tuples of id cycles (``id_factors``) and builds the
+``TwoRegularDigraph`` objects only when ``factors`` is read.  Each cap and
+centre piece converts its paths to ids once (``id_paths``, ``id_pairs``,
+``id_elements``); the ``tables`` loaders are cached, so that is once per
+process.  ``is_admissible``, ``concat_centre`` and ``splice`` take and
+return objects and call the id functions.
 
-* Table decompositions are checked factor by factor with ``is_admissible``
-  when ``tables`` loads them (once per process, the loaders are cached).
-* ``assemble`` checks each factor's cycle type and admissibility, and
-  ``general_factor`` its result's cycle types; it is memoised per type.
+Check contract: every piece is checked once, where it is made, on ids.
+
+* Table decompositions are checked factor by factor with
+  ``admissible_ids`` when ``tables`` loads them (once per process, the
+  loaders are cached).
+* ``assemble`` checks each factor's degrees, cycle type and
+  admissibility, and ``general_factor`` its result's cycle types; it is
+  memoised per type.
 * ``_splice_all`` checks that every piece has the first piece's boundary
   patterns and that each final factor is admissible.  ``j_decompose``
   splices the flat list of pieces ``_decompose`` picks in one call, so no
   factor is checked twice.  The public ``splice`` also checks both inputs.
-* ``w_star_id_factors`` folds each factor to vertex ids (``fold_ids``) and
+* ``w_star_id_factors`` folds each factor to host ids (``fold_ids``) and
   checks the nine folded factors together against the circulant blow-up
   host: arcs inside it, arc-disjoint and covering, spanning, and type.
 
@@ -41,26 +52,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from . import tables
 from .core import (
     CycleType,
-    TwoRegularDigraph,
-    Vertex,
     DirectedCycle,
     DirectedPath,
+    TwoRegularDigraph,
+    Vertex,
     canonical_id_cycles,
-    cycle_arcs,
-    cycle_type_of,
-    shift,
     shift_vertex,
-    two_regular_from_arcs,
     two_regular_from_ids,
 )
-from .hosts import HostDescriptor, _outside_j_star, fold_ids
+from .hosts import HostDescriptor, _outside_j_star, fold_ids, strip_id, strip_vertex
 
 BOUNDARY = (Vertex("x", 0), Vertex("x", 1), Vertex("y", 0), Vertex("y", 1))
+_BOUNDARY_BY_ID = {strip_id(v): v for v in BOUNDARY}
 
 
 def external_pattern(d: TwoRegularDigraph) -> frozenset:
@@ -68,40 +77,91 @@ def external_pattern(d: TwoRegularDigraph) -> frozenset:
     return frozenset(BOUNDARY) & d.vertices()
 
 
-def is_admissible(d: TwoRegularDigraph, m: int) -> bool:
-    """Order 2m, every arc in the opened host (``hosts._outside_j_star``),
-    one vertex per boundary pair, all middle blocks saturated."""
-    vs = d.vertices()
-    if len(vs) != 2 * m:
+def _ids(walk) -> tuple:
+    """A cycle's or path's vertices as a tuple of J* ids."""
+    return tuple(map(strip_id, walk.vertices))
+
+
+def _id_cycles(cycles) -> tuple:
+    return tuple(map(_ids, cycles))
+
+
+def _arcs(c):
+    """The arcs of id cycle ``c`` as (tail, head) pairs."""
+    return zip(c, c[1:] + c[:1])
+
+
+def admissible_ids(cycles, m: int) -> bool:
+    """Whether the cycles of J* ids ``cycles`` form an admissible factor on
+    m blocks: 2m distinct ids, every arc in the opened host
+    (``hosts._outside_j_star``), one id of each boundary pair
+    {b, b + 2m} for b = 0..3 (x0, y0, x1, y1), all middle blocks saturated.
+
+    With all 2m ids in 0..2m+3 and one of each boundary pair present, the
+    other 2m - 4 lie in 4..2m-1, which has that many ids, so the middle
+    blocks are saturated."""
+    named: set = set()
+    total = 0
+    for c in cycles:
+        named.update(c)
+        total += len(c)
+    if m < 1 or total != 2 * m or len(named) != total:
         return False
-    if _outside_j_star(cycle_arcs(d.cycles), m):
+    if min(named) < 0 or max(named) > 2 * m + 3:
         return False
-    for side, i in (("x", 0), ("x", 1), ("y", 0), ("y", 1)):
-        if (Vertex(side, i) in vs) == (Vertex(side, i + m) in vs):
+    for b in range(4):
+        if (b in named) == (b + 2 * m in named):
             return False
-    # every vertex is on an opened-host arc, so its side is x or y and the
-    # 2(m-2) middle vertices are all present iff that many lie in blocks 2..m-1
-    return sum(1 for v in vs if 2 <= v[1] < m) == 2 * max(m - 2, 0)
+    return not _outside_j_star([a for c in cycles for a in _arcs(c)], m)
+
+
+def is_admissible(d: TwoRegularDigraph, m: int) -> bool:
+    """``admissible_ids`` of ``d``'s cycles in J* ids (a vertex of another
+    side than x and y is never admissible)."""
+    try:
+        cycles = _id_cycles(d.cycles)
+    except ValueError:
+        return False
+    return admissible_ids(cycles, m)
 
 
 @dataclass(frozen=True)
 class AdmissibleDecomposition:
-    """Nine admissible factors partitioning the arcs of the opened host."""
+    """Nine admissible factors partitioning the arcs of the opened host on
+    ``m`` blocks, each a tuple of cycles of J* ids."""
 
     m: int
-    factors: tuple  # 9 TwoRegularDigraph
+    id_factors: tuple  # 9 tuples of id tuples
+
+    @classmethod
+    def from_factors(cls, m: int, factors) -> "AdmissibleDecomposition":
+        """The decomposition of ``TwoRegularDigraph`` factors on the strip."""
+        return cls(m, tuple(_id_cycles(f.cycles) for f in factors))
+
+    @cached_property
+    def factors(self) -> tuple:
+        """The factors as ``TwoRegularDigraph``s, built on first access."""
+        return tuple(
+            TwoRegularDigraph(DirectedCycle(map(strip_vertex, c)) for c in f)
+            for f in self.id_factors
+        )
 
     def patterns(self) -> tuple:
         return self._patterns
 
     @cached_property
     def _patterns(self) -> tuple:
-        # table pieces are shared and spliced again and again; their
-        # factors are immutable, so the patterns are computed once
-        return tuple(external_pattern(f) for f in self.factors)
+        # table pieces are shared and spliced again and again, so the
+        # patterns of a decomposition are computed once
+        return tuple(
+            frozenset(
+                map(_BOUNDARY_BY_ID.__getitem__, _BOUNDARY_BY_ID.keys() & chain(*f))
+            )
+            for f in self.id_factors
+        )
 
     def cycle_types(self) -> tuple:
-        return tuple(cycle_type_of(f) for f in self.factors)
+        return tuple(CycleType(map(len, f)) for f in self.id_factors)
 
 
 class InternalPatternEntry(NamedTuple):
@@ -120,6 +180,10 @@ class LeftCap:
     ell: int
     paths: tuple  # 9 DirectedPath
 
+    @cached_property
+    def id_paths(self) -> tuple:
+        return _id_cycles(self.paths)
+
 
 @dataclass(frozen=True)
 class RightCap:
@@ -131,6 +195,10 @@ class RightCap:
     side_lengths: tuple  # lengths of the t side cycles
     elements: tuple  # 9 of (DirectedPath, tuple[DirectedCycle, ...])
 
+    @cached_property
+    def id_elements(self) -> tuple:
+        return tuple((_ids(p), _id_cycles(cs)) for p, cs in self.elements)
+
 
 @dataclass(frozen=True)
 class CentrePiece:
@@ -139,6 +207,10 @@ class CentrePiece:
 
     c: int
     pairs: tuple  # 9 of (Q, U)
+
+    @cached_property
+    def id_pairs(self) -> tuple:
+        return tuple(_id_cycles(pair) for pair in self.pairs)
 
 
 def internal_pattern(piece, i: int) -> InternalPatternEntry:
@@ -182,36 +254,67 @@ def left_cap_patterns(cap: LeftCap) -> tuple:
 
 
 def concat_centre(piece: CentrePiece, k: int) -> CentrePiece:
-    """Chain ``k`` shifted copies of a length-4 centre piece into length 4k.
-
-    Copy j of Q is shifted by 4j and starts where copy j-1 ends, so each Q
-    must end four blocks after it starts, t(Q) = s(Q)+4; U runs the other
-    way, t(U) = s(U)-4.  Each chained vertex list is built once, and
-    ``DirectedPath`` refusing a repeated vertex is the check that the copies
-    meet only at their junctions.
-    """
+    """Chain ``k`` shifted copies of a length-4 centre piece into length 4k
+    (``_chain_centre``), as ``DirectedPath`` objects."""
     if piece.c != 4:
         raise ValueError("only length-4 centre pieces are chained")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return piece
+    pairs = tuple(
+        tuple(DirectedPath(map(strip_vertex, p)) for p in pair)
+        for pair in _chain_centre(piece, k)
+    )
+    return CentrePiece(4 * k, pairs)
+
+
+def _chain_centre(piece: CentrePiece, k: int) -> list:
+    """The id paths (Q, U) of ``k`` >= 1 chained copies of a length-4 centre
+    piece.
+
+    Copy j of Q is shifted by 4j blocks (8j in ids) and starts where copy
+    j-1 ends, so each Q must end four blocks after it starts,
+    t(Q) = s(Q)+4; U runs the other way, t(U) = s(U)-4.  Each chained id
+    list is built once; no id may repeat in Q and U together, which checks
+    that the copies meet only at their junctions and that Q and U are
+    disjoint.  One copy is the piece itself."""
+    if k == 1:
+        return piece.id_pairs
     pairs = []
-    for q, u in piece.pairs:
-        if q.terminal != shift_vertex(q.source, 4):
-            raise ValueError(f"cannot chain: t(Q)={q.terminal} != s(Q)+4")
-        if u.source != shift_vertex(u.terminal, 4):
-            raise ValueError(f"cannot chain: t(U)={u.terminal} != s(U)-4")
-        big_q = list(q.vertices)
+    for q, u in piece.id_pairs:
+        if q[-1] != q[0] + 8:
+            raise ValueError(f"cannot chain: t(Q)={strip_vertex(q[-1])} != s(Q)+4")
+        if u[0] != u[-1] + 8:
+            raise ValueError(f"cannot chain: t(U)={strip_vertex(u[-1])} != s(U)-4")
+        big_q = list(q)
         for step in range(1, k):
-            big_q += [shift_vertex(v, 4 * step) for v in q.vertices[1:]]
-        big_u = [shift_vertex(v, 4 * (k - 1)) for v in u.vertices]
+            big_q += [v + 8 * step for v in q[1:]]
+        big_u = [v + 8 * (k - 1) for v in u]
         for step in range(k - 2, -1, -1):
-            big_u += [shift_vertex(v, 4 * step) for v in u.vertices[1:]]
-        if set(big_q) & set(big_u):
-            raise ValueError("chained centre paths are not vertex-disjoint")
-        pairs.append((DirectedPath(big_q), DirectedPath(big_u)))
-    return CentrePiece(4 * k, tuple(pairs))
+            big_u += [v + 8 * step for v in u[1:]]
+        if len({*big_q, *big_u}) != len(big_q) + len(big_u):
+            raise ValueError("chained centre paths repeat or share a vertex")
+        pairs.append((big_q, big_u))
+    return pairs
+
+
+def _cycles_of(arcs: list) -> tuple:
+    """The cycles, as id tuples, of the (tail, head) id pairs ``arcs``,
+    which must give every vertex they name one out-arc and one in-arc."""
+    succ = dict(arcs)
+    if len(succ) != len(arcs) or set(succ.values()) != succ.keys():
+        raise ValueError("the arcs are not a union of vertex-disjoint cycles")
+    cycles = []
+    seen: set = set()
+    for start in succ:
+        if start not in seen:
+            walk = [start]
+            while succ[walk[-1]] != start:
+                walk.append(succ[walk[-1]])
+            seen.update(walk)
+            cycles.append(tuple(walk))
+    return tuple(cycles)
 
 
 def assemble(
@@ -222,11 +325,12 @@ def assemble(
 ) -> AdmissibleDecomposition:
     """Glue left cap + k centre blocks + right cap into a decomposition.
 
-    Factor i is the arc union of the left path, the shifted chained centre
-    pair, and the shifted right element; the result is an admissible
-    decomposition of the opened host on ell + 4k + r blocks whose factor i
-    is one cycle of length m0 + 8k (m0 = len(L_i) + len(P_i)) together with
-    the right cap's side cycles.
+    Factor i is the arc union of the left path, the chained centre pair
+    shifted by ell blocks, and the right element shifted by ell + 4k
+    blocks, all in J* ids; the result is an admissible decomposition of the
+    opened host on ell + 4k + r blocks whose factor i is one cycle of length
+    m0 + 8k (m0 = len(L_i) + len(P_i)) together with the right cap's side
+    cycles.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -242,28 +346,31 @@ def assemble(
     if len(m0s) != 1:
         raise ValueError(f"len(L_i) + len(P_i) is not constant: {sorted(m0s)}")
     m0 = m0s.pop()
-    chained = concat_centre(centre, k) if k > 0 else None
+    if k > 0 and centre.c != 4:
+        raise ValueError("only length-4 centre pieces are chained")
+    chained = _chain_centre(centre, k) if k > 0 else [()] * 9
     m = left.ell + 4 * k + right.r
     expected = CycleType([m0 + 8 * k, *right.side_lengths])
+    centre_at = 2 * left.ell
+    right_at = 2 * (left.ell + 4 * k)
     factors = []
-    for i in range(9):
-        arcs = set(left.paths[i].arcs())
-        if chained is not None:
-            q, u = chained.pairs[i]
-            arcs.update(shift(q, left.ell).arcs())
-            arcs.update(shift(u, left.ell).arcs())
-        path, cycles = right.elements[i]
-        offset = left.ell + 4 * k
-        arcs.update(shift(path, offset).arcs())
-        for c in cycles:
-            arcs.update(shift(c, offset).arcs())
-        factor = two_regular_from_arcs(arcs)
-        if cycle_type_of(factor) != expected:
-            raise ValueError(
-                f"factor {i + 1} has type {cycle_type_of(factor)}, wanted {expected}"
-            )
-        if not is_admissible(factor, m):
-            raise ValueError(f"factor {i + 1} is not admissible")
+    for i, (path, (rpath, rcycles)) in enumerate(
+        zip(left.id_paths, right.id_elements), 1
+    ):
+        arcs = list(zip(path, path[1:]))
+        for p in chained[i - 1]:
+            p = [v + centre_at for v in p]
+            arcs += zip(p, p[1:])
+        rpath = [v + right_at for v in rpath]
+        arcs += zip(rpath, rpath[1:])
+        for c in rcycles:
+            arcs += _arcs(tuple(v + right_at for v in c))
+        factor = _cycles_of(arcs)
+        got = CycleType(map(len, factor))
+        if got != expected:
+            raise ValueError(f"factor {i} has type {got}, wanted {expected}")
+        if not admissible_ids(factor, m):
+            raise ValueError(f"factor {i} is not admissible")
         factors.append(factor)
     return AdmissibleDecomposition(m, tuple(factors))
 
@@ -276,7 +383,7 @@ def splice(
     Both inputs' factors are checked for admissibility first, as the
     caller may have built them by hand."""
     for dec in (a, b):
-        if not all(is_admissible(f, dec.m) for f in dec.factors):
+        if not all(admissible_ids(f, dec.m) for f in dec.id_factors):
             raise ValueError("splice input is not admissible")
     return _splice_all([a, b])
 
@@ -356,12 +463,12 @@ def _single(length: int) -> AdmissibleDecomposition:
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
     """Splice admissible pieces end to end in one pass: piece p shifted by
-    the block count of the pieces before it.
+    the block count of the pieces before it, 2 per block in J* ids.
 
     Every piece must have the first piece's boundary patterns.  The pieces
     are admissible where they were made (see the module docstring), so by
-    the splice lemma only each final factor is checked; ``TwoRegularDigraph``
-    checks that the shifted pieces are vertex-disjoint.
+    the splice lemma only each final factor is checked; ``admissible_ids``
+    counts its distinct ids, so shifted pieces that overlap are refused.
     """
     if len(decs) == 1:
         return decs[0]
@@ -371,22 +478,19 @@ def _splice_all(decs: list) -> AdmissibleDecomposition:
     offsets = []
     m = 0
     for d in decs:
-        offsets.append(m)
+        offsets.append(2 * m)
         m += d.m
     factors = []
     for j in range(9):
         cycles = []
         for d, offset in zip(decs, offsets):
-            for c in d.factors[j].cycles:
-                cycles.append(
-                    DirectedCycle([shift_vertex(v, offset) for v in c.vertices])
-                    if offset
-                    else c
-                )
-        factor = TwoRegularDigraph(cycles)
-        if not is_admissible(factor, m):
+            if offset:
+                cycles += [tuple([v + offset for v in c]) for c in d.id_factors[j]]
+            else:
+                cycles += d.id_factors[j]
+        if not admissible_ids(cycles, m):
             raise ValueError("spliced factor is not admissible")
-        factors.append(factor)
+        factors.append(tuple(cycles))
     return AdmissibleDecomposition(m, tuple(factors))
 
 
@@ -496,7 +600,7 @@ def w_star_id_factors(ftype: CycleType) -> list:
             "than the circulant blow-up and the arc correspondence collapses"
         )
     dec = j_decompose(ftype)
-    folded = [canonical_id_cycles(f) for f in fold_ids(dec.factors, m)[0]]
+    folded = [canonical_id_cycles(f) for f in fold_ids(dec.id_factors, m)]
     report = verify_id_factorization(HostDescriptor("WStar", m), folded, ftype)
     if not report.passed:
         raise ValueError(f"folded factors fail the W* check: {report.failures()}")

@@ -17,11 +17,12 @@ host, must number the host's arcs -- so no host arc set is materialised.  A
 factor spans when its length is N, it names no id >= N, and its ids are
 distinct, counted by one set per factor; so spanning no longer rests on the
 cycle and factor constructors having refused repeated or shared vertices.
-``solve`` builds its factors as such lists and ``verify`` reads
-certificates straight into them (``serialize.read_certificate``);
-``verify_factorization`` is the adapter for callers holding
-``TwoRegularDigraph`` objects, such as the H* self-check, so all of them
-run the same core.
+``solve``, the W* check and the H* self-check build their factors as such
+lists and ``verify`` reads certificates straight into them
+(``serialize.read_certificate``); ``verify_factorization`` is the adapter
+for library callers holding ``TwoRegularDigraph`` objects, so all of them
+run the same core.  ``verify_admissible_decomposition`` likewise checks a
+decomposition's J* id cycles against the opened host's rule on ids.
 
 ``brute_force_factorization`` is an exhaustive backtracking search over
 tiny hosts, used to confirm nonexistence claims and to cross-check the
@@ -40,8 +41,8 @@ from .caps import (
     CentrePiece,
     LeftCap,
     RightCap,
+    admissible_ids,
     internal_patterns,
-    is_admissible,
     left_cap_patterns,
 )
 from .core import (
@@ -53,7 +54,7 @@ from .core import (
     Vertex,
     cycle_type_text,
 )
-from .hosts import HostDescriptor, _j_arcs
+from .hosts import HostDescriptor, _j_arcs, _outside_j_star
 
 
 class BudgetExceeded(RuntimeError):
@@ -196,47 +197,25 @@ def _gather_foreign(cs: list, order: int, codes: set, pairs: set) -> None:
             pairs.add((a, b))
 
 
-def verify_arc_partition(
-    host: Union[HostDescriptor, Digraph],
-    arc_sets: Iterable[frozenset],
-    ftype: CycleType,
-) -> VerificationReport:
-    """Like :func:`verify_factorization`, but from raw arc sets, so damaged
-    certificates that are no longer 2-regular still yield a report."""
-    sets = [frozenset(s) for s in arc_sets]
-    report = VerificationReport()
-    factors = []
-    broken = []
-    for i, arcs in enumerate(sets):
-        try:
-            from .core import two_regular_from_arcs
-
-            factors.append(two_regular_from_arcs(arcs))
-        except ValueError as exc:
-            broken.append((i, str(exc)))
-    report.add("factor_wellformed", not broken, f"broken factors: {broken[:3]}")
-    if broken:
-        return report
-    inner = verify_factorization(host, factors, ftype)
-    report.checks.extend(inner.checks)
-    return report
-
-
 def verify_admissible_decomposition(
     m: int,
     dec: AdmissibleDecomposition,
     expected_patterns: Optional[tuple] = None,
 ) -> VerificationReport:
+    """Check that ``dec``'s nine factors, cycles of J* ids, are admissible
+    on ``m`` blocks and partition the arcs of the opened host: the distinct
+    arcs, less those outside it (``hosts._outside_j_star``), must number
+    its 18m arcs."""
     report = VerificationReport()
-    report.add("nine_factors", len(dec.factors) == 9, f"{len(dec.factors)} factors")
+    factors = dec.id_factors
+    report.add("nine_factors", len(factors) == 9, f"{len(factors)} factors")
     report.add("width", dec.m == m, f"declared {dec.m}, expected {m}")
-    bad = [i for i, f in enumerate(dec.factors) if not is_admissible(f, m)]
+    bad = [i for i, f in enumerate(factors) if not admissible_ids(f, m)]
     report.add("admissible", not bad, f"inadmissible factors: {bad}")
-    all_arcs: list = []
-    for f in dec.factors:
-        all_arcs.extend(f.arcs())
+    all_arcs = [a for f in factors for c in f for a in zip(c, c[1:] + c[:1])]
     union = set(all_arcs)
-    host_arcs = _j_arcs(m)
+    extra = len(_outside_j_star(union, m))
+    missing = 18 * max(m, 0) - (len(union) - extra)
     report.add(
         "arc_disjoint",
         len(all_arcs) == len(union),
@@ -244,8 +223,8 @@ def verify_admissible_decomposition(
     )
     report.add(
         "coverage",
-        union == set(host_arcs),
-        f"missing {len(set(host_arcs) - union)}, extra {len(union - set(host_arcs))}",
+        missing == 0 and extra == 0,
+        f"missing {missing}, extra {extra}",
     )
     if expected_patterns is not None:
         got = dec.patterns()
@@ -474,13 +453,30 @@ def brute_force_factorization(
     Returns a list of TwoRegularDigraph on success and ``Nonexistent`` only
     after the whole search space is exhausted.  Raises BudgetExceeded if the
     node budget runs out first.
+
+    Each search node takes the least arc left, ``first``, and tries every
+    factor through it (``factors_through_arc``).  At the root of a complete
+    host only one factor per orbit of the stabiliser of first's two ends
+    (every permutation of the other vertices) is tried: the first one
+    enumerated with each length L of the cycle through ``first``.  That
+    loses nothing.  Two factors through ``first`` of the same type whose
+    cycle through it has the same length are mapped onto each other by a
+    permutation fixing first's ends (cycle onto cycle, position by
+    position, the first cycles from their tails).  Such a permutation is an
+    automorphism of the complete host, so it maps a factorization whose
+    factor through ``first`` is F onto one whose factor through ``first``
+    is the representative of F's orbit.  Hence the root has a factor that
+    extends to a factorization exactly when a representative does, and the
+    first root factor that extends, in enumeration order, is the first of
+    its orbit: the search returns the same factorization as without the
+    reduction, after fewer nodes.
     """
-    if len(host.vertices) > cap:
-        raise ValueError(f"host too large for the oracle ({len(host.vertices)} > {cap})")
-    if ftype.order != len(host.vertices):
-        raise ValueError(
-            f"type order {ftype.order} != host order {len(host.vertices)}"
-        )
+    order = len(host.vertices)
+    if order > cap:
+        raise ValueError(f"host too large for the oracle ({order} > {cap})")
+    if ftype.order != order:
+        raise ValueError(f"type order {ftype.order} != host order {order}")
+    complete = len(host.arcs) == order * (order - 1)
     nodes = 0
 
     def search(remaining: frozenset, acc: list):
@@ -491,9 +487,14 @@ def brute_force_factorization(
         if not remaining:
             return list(acc)
         first = min(remaining)
+        tried: set = set()  # root orbits tried, by the length through first
         for cycles in factors_through_arc(
             remaining, host.vertices, ftype.lengths, first
         ):
+            if complete and not acc:
+                if cycles[0].length in tried:
+                    continue
+                tried.add(cycles[0].length)
             factor = TwoRegularDigraph(cycles)
             result = search(remaining - factor.arcs(), acc + [factor])
             if result is not None:

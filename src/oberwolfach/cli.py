@@ -28,7 +28,7 @@ from .checker import (
     verify_id_factorization,
 )
 from .core import CycleType, clip, parse_cycle_type
-from .hosts import DESCRIBED_KINDS
+from .hosts import DESCRIBED_KINDS, strip_id
 from .solver import check_order, solve
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            cert = serialize.read_certificate(json.loads(fh.read()))
+            cert = serialize.read_certificate(serialize.parse_json(fh.read()))
         refusal = _refusal(cert)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         refusal = f"malformed input: {exc}"
@@ -81,7 +81,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {clip(refusal, 300)}", file=sys.stderr)
         return EXIT_ERROR
     if cert.host.kind == "JStar":
-        dec = AdmissibleDecomposition(cert.host.m_or_n, cert.factor_objects())
+        # a JStar document names no table, so every id is one of its vertices
+        ids = [strip_id(v) for v in cert.vertices]
+        dec = AdmissibleDecomposition(
+            cert.host.m_or_n,
+            tuple(tuple(tuple(map(ids.__getitem__, c)) for c in f) for f in cert.factors),
+        )
         report = verify_admissible_decomposition(cert.host.m_or_n, dec)
         types_ok = all(
             t.lengths == cert.ftype.lengths for t in dec.cycle_types()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 
 class Vertex(NamedTuple):
@@ -50,9 +50,6 @@ def parse_vertex(token: str) -> Vertex:
 class Arc(NamedTuple):
     tail: Vertex
     head: Vertex
-
-    def reversed(self) -> "Arc":
-        return Arc(self.head, self.tail)
 
     def __repr__(self) -> str:
         return f"{self.tail.text()}->{self.head.text()}"
@@ -181,14 +178,6 @@ class TwoRegularDigraph:
         return self.text()
 
 
-def cycle_arcs(cycles: Iterable[DirectedCycle]):
-    """Every arc of ``cycles`` as a (tail, head) pair of vertices, without
-    building ``Arc`` objects."""
-    for c in cycles:
-        vs = c.vertices
-        yield from zip(vs, vs[1:] + vs[:1])
-
-
 def canonical_id_cycles(cycles: Iterable) -> tuple:
     """Cycles given as sequences of vertex ids, in the canonical form of
     ``TwoRegularDigraph``: each rotated to start at its least id, then the
@@ -312,12 +301,6 @@ class Digraph:
         n = len(ids)
         return len(codes.difference(ids[a.tail] * n + ids[a.head] for a in self.arcs))
 
-    def out_degree(self, v: Vertex) -> int:
-        return sum(1 for a in self.arcs if a.tail == v)
-
-    def in_degree(self, v: Vertex) -> int:
-        return sum(1 for a in self.arcs if a.head == v)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
@@ -327,9 +310,6 @@ class Digraph:
 
     def __hash__(self) -> int:
         return hash(("D", self.vertices, self.arcs))
-
-
-Shiftable = Union[Digraph, TwoRegularDigraph, DirectedCycle, DirectedPath, Vertex]
 
 
 def cycle_type_of(d: TwoRegularDigraph) -> CycleType:
@@ -344,94 +324,9 @@ def shift_vertex(v: Vertex, k: int) -> Vertex:
     return Vertex(v.side, j)
 
 
-def shift(g: Shiftable, k: int) -> Shiftable:
-    """Translate every vertex index by ``k`` (absolute, no wraparound)."""
-    if isinstance(g, Vertex):
-        return shift_vertex(g, k)
-    if isinstance(g, DirectedPath):
-        return DirectedPath(shift_vertex(v, k) for v in g.vertices)
-    if isinstance(g, DirectedCycle):
-        return DirectedCycle(shift_vertex(v, k) for v in g.vertices)
-    if isinstance(g, TwoRegularDigraph):
-        return TwoRegularDigraph(shift(c, k) for c in g.cycles)
-    if isinstance(g, Digraph):
-        return Digraph(
-            (shift_vertex(v, k) for v in g.vertices),
-            (Arc(shift_vertex(a.tail, k), shift_vertex(a.head, k)) for a in g.arcs),
-        )
-    raise TypeError(f"cannot shift {type(g).__name__}")
-
-
-def reverse_cycle(c: DirectedCycle) -> DirectedCycle:
-    return DirectedCycle(reversed(c.vertices))
-
-
-def concat(p: DirectedPath, q: DirectedPath):
-    """Join two paths at t(p) = s(q).
-
-    Returns a DirectedPath when that is the only shared vertex, and a
-    DirectedCycle when additionally s(p) = t(q) with no other overlap.
-    """
-    if p.terminal != q.source:
-        raise ValueError(f"cannot concatenate: t(p)={p.terminal} != s(q)={q.source}")
-    shared = set(p.vertices) & set(q.vertices)
-    closes = p.source == q.terminal
-    expected = {p.terminal, p.source} if closes else {p.terminal}
-    if shared != expected:
-        raise ValueError(f"paths share unexpected vertices: {sorted(shared - expected)}")
-    if closes:
-        return DirectedCycle(p.vertices + q.vertices[1:-1])
-    return DirectedPath(p.vertices + q.vertices[1:])
-
-
-def two_regular_from_arcs(arcs: Iterable[Arc]) -> TwoRegularDigraph:
-    """Assemble an arc set into vertex-disjoint cycles.
-
-    Raises if any saturated vertex does not have in-degree = out-degree = 1.
-    """
-    succ: dict = {}
-    heads: set = set()
-    for a in arcs:
-        if a.tail in succ:
-            raise ValueError(f"out-degree > 1 at {a.tail}")
-        if a.head in heads:
-            raise ValueError(f"in-degree > 1 at {a.head}")
-        succ[a.tail] = a.head
-        heads.add(a.head)
-    if set(succ) != heads:
-        extra = set(succ) ^ heads
-        raise ValueError(f"unbalanced degrees at {sorted(extra)}")
-    cycles = []
-    remaining = set(succ)
-    while remaining:
-        start = min(remaining)
-        walk = [start]
-        v = succ[start]
-        while v != start:
-            walk.append(v)
-            v = succ[v]
-        remaining.difference_update(walk)
-        cycles.append(DirectedCycle(walk))
-    return TwoRegularDigraph(cycles)
-
-
 def two_regular_from_ids(cycles: Iterable, vertices) -> TwoRegularDigraph:
     """The factor whose cycles are the id sequences ``cycles``, id i naming
     ``vertices[i]``, built by the ordinary constructors."""
     return TwoRegularDigraph(
         [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
     )
-
-
-def path_from_text(text: str) -> DirectedPath:
-    s = text.strip()
-    if s.startswith("<") and s.endswith(">"):
-        s = s[1:-1]
-    return DirectedPath(parse_vertex(t) for t in re.split(r"[,\s]+", s.strip()) if t)
-
-
-def cycle_from_text(text: str) -> DirectedCycle:
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    return DirectedCycle(parse_vertex(t) for t in re.split(r"[,\s]+", s.strip()) if t)

@@ -1,4 +1,5 @@
-"""Builders for the four host digraphs and the fold map between two of them.
+"""Builders for the four host digraphs, their vertex numberings and their
+membership rules, and the fold map between two of them.
 
 All hosts are symmetric digraphs (both arcs on every edge of an underlying
 graph) over strip-labelled vertices:
@@ -12,46 +13,55 @@ graph) over strip-labelled vertices:
   blocks 0..m+1: jump-1 and jump-2 junctions for 0 <= i <= m-1 only, rungs
   only for 1 <= i <= m.
 
-``fold`` closes ``j_star(m)`` back onto ``w_star(m)`` by reducing block
-indices mod m; it is an arc bijection for m >= 5.  ``fold_ids`` folds a
-factor straight to vertex ids of the order-2m numbering below, and ``fold``
-rebuilds its objects from those ids.
+Two vertex numberings are used, and the builders work on their ids:
 
-The blow-up hosts have closed-form arc sets, so membership is tested in
-constant time from the two endpoints, without building the host.  The
-J*, W* and H* rules are each written once, in ``_outside_j_star``,
-``_outside_w_star`` and ``_outside_h_star``, which scan many (tail, head)
-pairs in one loop and return those outside the host; the single-arc tests
-wrap them:
+* **The host numbering**, owned by ``HostDescriptor``: x_i -> i and
+  y_i -> a + i, with a = ceil(n/2) for the complete host and a = m for the
+  blow-ups, which is also their sort order.  ``CompleteSymmetric`` n = 2m,
+  ``HStar`` m and ``WStar`` m share it.  Ids >= the order name vertices
+  outside the host.
+* **The J* numbering** of the opened host: vertex (block b, side s) has id
+  2b + s, x = 0 and y = 1 (``strip_id``, inverse ``strip_vertex``).  Every
+  integer is a strip vertex, negative ones in negative blocks, so shifting
+  a piece by k blocks adds 2k to each id.
 
-* ``in_j_star(arc, m)`` -- ``arc`` is an arc of ``j_star(m)``: a rung
-  x_i <-> y_i with 1 <= i <= m, or a junction between blocks i and i+d,
+``fold_ids`` closes ``j_star(m)`` onto ``w_star(m)`` by reducing block
+indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
+id.  It is an arc bijection for m >= 5.  ``fold`` converts a factor's
+vertices to J* ids, folds them with ``fold_ids`` and builds its objects.
+
+The blow-up hosts have closed-form arc sets, so membership is decided in
+constant time from the two endpoint ids, without building the host.  Each
+rule is written once, on id pairs, in ``_outside_j_star`` (J* numbering),
+``_outside_w_star`` and ``_outside_h_star`` (host numbering); each scans
+many (tail, head) pairs in one loop and returns those outside the host:
+
+* J* (any m >= 1): both ids in 0..2m+3 (blocks 0..m+1), and a rung
+  (ids 2i, 2i+1) with 1 <= i <= m, or a junction between blocks i and i+d,
   d in {1, 2}, with 0 <= i <= m-1.
-* ``in_w_star(arc, m)`` -- ``arc`` is an arc of ``w_star(m)`` (m >= 5): both
-  blocks in 0..m-1, and a rung, or blocks differing by +-1 or +-2 mod m.
-* ``in_h_star(arc, m)`` -- ``arc`` is an arc of ``h_star(m)`` (m >= 3): both
-  blocks in 0..m-1, differing by +-1 mod m.
+* W* (m >= 5): both ids below 2m, and a rung (same block, other side), or
+  blocks differing by +-1 or +-2 mod m.
+* H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
+
+``in_j_star``, ``in_w_star`` and ``in_h_star`` ask the rule about an
+``Arc`` of vertex objects; a vertex with no id there is outside the host.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
-certificate.  It is also the one home of the vertex numbering: the host's
-vertices are numbered x_i -> i and y_i -> a + i, with a = ceil(n/2) for the
-complete host and a = m for the blow-ups, which is also their sort order.
-``vertex_table`` holds one interned ``Vertex`` per id, ``vertex_ids`` is the
-inverse and ``id_by_text`` maps the written form (``"x3"``) to the id.  The
-tables are shared by every descriptor with the same x and y counts, so
-``CompleteSymmetric`` n = 2m, ``HStar`` m and ``WStar`` m use one table.
-Parsing resolves tokens to ids through it, the solver relabels onto it, and
-the checker encodes an arc (a, b) of ids as the integer a*N + b, N the order.
+certificate.  ``vertex_table`` holds one interned ``Vertex`` per host id,
+``vertex_ids`` is the inverse and ``id_by_text`` maps ``"x3"`` to the id;
+descriptors with the same x and y counts share them.  The checker encodes
+an arc (a, b) of ids as the integer a*N + b, N the order.
 
 Besides the numbering the descriptor gives ``arcs`` (a sized container:
 ``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
 ``count_outside_codes``, the number of given arc codes that are not host
 arcs.  For the complete host that is the number of loops, found by one
-set intersection; the blow-up hosts decode the codes into vertex pairs and
-scan them once with ``_outside_h_star``/``_outside_w_star``.  A built
-``Digraph`` answers the same questions from its stored sets.  The
-descriptor refuses the sizes the builders refuse, with their messages.
+set intersection; the blow-up hosts decode each code with ``divmod`` into
+an id pair and scan the pairs once with the host's rule, so a declared
+size allocates nothing.  A built ``Digraph`` answers the same questions
+from its stored sets.  The descriptor refuses the sizes the builders
+refuse, with their messages.
 """
 
 from __future__ import annotations
@@ -59,16 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat, starmap
-from typing import Iterable, Union
-
-from .core import (
-    Arc,
-    Digraph,
-    TwoRegularDigraph,
-    Vertex,
-    cycle_arcs,
-    two_regular_from_ids,
-)
+from .core import Arc, Digraph, TwoRegularDigraph, Vertex, two_regular_from_ids
 
 # kind -> (builder, size letter, least size) for the hosts a factorization
 # is checked against; JStar decompositions have their own checker.
@@ -141,9 +142,9 @@ class HostDescriptor:
         """``"x3" -> id``: each vertex's written form to its id."""
         return self._numbering[2]
 
-    @cached_property
+    @property
     def vertices(self) -> frozenset:
-        return frozenset(self.vertex_table)
+        return self._numbering[3]
 
     @property
     def arcs(self) -> "DescribedArcs":
@@ -153,27 +154,27 @@ class HostDescriptor:
     def count_outside_codes(self, codes: set) -> int:
         """How many arc codes a*N + b in ``codes`` (a, b vertex ids, N the
         order) are not host arcs."""
-        table = self.vertex_table
-        n = len(table)
+        n = self.order
         if self.kind == "CompleteSymmetric":
             # distinct host vertices are always joined, so only loops are outside
             return len(codes.intersection(range(0, n * n, n + 1)))
+        self._described()
         outside = _outside_h_star if self.kind == "HStar" else _outside_w_star
-        pairs = [(table[a], table[b]) for a, b in map(divmod, codes, repeat(n))]
-        return len(outside(pairs, self.m_or_n))
+        return len(outside(map(divmod, codes, repeat(n)), self.m_or_n))
 
 
 @lru_cache(maxsize=4)
 def _vertex_numbering(xs: int, ys: int) -> tuple:
     """Interned vertices x_0..x_{xs-1}, y_0..y_{ys-1} in id order, with the
-    ``Vertex -> id`` and ``text -> id`` maps.  The result is shared by every
-    caller with the same counts and must not be mutated."""
+    ``Vertex -> id`` and ``text -> id`` maps and the vertex set.  The result
+    is shared by every caller with the same counts and must not be
+    mutated."""
     table = tuple(
         [Vertex("x", i) for i in range(xs)] + [Vertex("y", i) for i in range(ys)]
     )
     ids = {v: i for i, v in enumerate(table)}
     by_text = {v.text(): i for i, v in enumerate(table)}
-    return table, ids, by_text
+    return table, ids, by_text, frozenset(table)
 
 
 class DescribedArcs:
@@ -240,86 +241,107 @@ def w_star(m: int) -> Digraph:
 
 
 def _j_arcs(m: int) -> frozenset:
-    """Arc set of the opened host on blocks 0..m+1 (valid for any m >= 1)."""
-    arcs = []
-    for i in range(1, m + 1):
-        arcs += _both(Vertex("x", i), Vertex("y", i))
-    for i in range(m):
-        for d in (1, 2):
-            for s in ("x", "y"):
-                for t in ("x", "y"):
-                    arcs += _both(Vertex(s, i), Vertex(t, i + d))
-    return frozenset(arcs)
+    """Arc set of the opened host on blocks 0..m+1 (any m >= 1): the pairs
+    of J* ids at most two blocks apart (ids at most 5 apart) that the J*
+    rule admits."""
+    top = 2 * m + 4
+    near = [(a, b) for a in range(top) for b in range(max(a - 5, 0), min(a + 6, top))]
+    outside = set(_outside_j_star(near, m))
+    return frozenset(
+        Arc(strip_vertex(a), strip_vertex(b)) for a, b in near if (a, b) not in outside
+    )
 
 
-_SIDES = ("x", "y")
+def strip_id(v: Vertex) -> int:
+    """The J* id 2 * index + side of a vertex of side x (0) or y (1)."""
+    side, index = v
+    if side not in ("x", "y"):
+        raise ValueError(f"{v!r} is not a strip vertex (side x or y)")
+    return 2 * index + (side == "y")
+
+
+def strip_vertex(i: int) -> Vertex:
+    """The vertex of J* id ``i``, the inverse of ``strip_id``."""
+    return Vertex("y" if i & 1 else "x", i >> 1)
 
 
 def _outside_j_star(pairs, m: int) -> list:
-    """The pairs ((s, i), (t, j)) in ``pairs`` that are not arcs of
-    ``j_star(m)``: a rung x_i <-> y_i needs 1 <= i <= m, a junction between
-    blocks i and i+d, d in {1, 2}, needs 0 <= i <= m-1 (any m >= 1)."""
-    sides = _SIDES
+    """The J* id pairs (a, b) in ``pairs`` that are not arcs of
+    ``j_star(m)``: both ids in 0..2m+3, and a rung (same block i, other
+    side) with 1 <= i <= m, or a junction between blocks i and i+d,
+    d in {1, 2}, with 0 <= i <= m-1 (any m >= 1)."""
+    top = 2 * m + 4
     out = []
-    for a in pairs:
-        (s, i), (t, j) = a
-        if s in sides and t in sides and i >= 0 and j >= 0:
+    for a, b in pairs:
+        if 0 <= a < top and 0 <= b < top:
+            i = a >> 1
+            j = b >> 1
             if i == j:
-                if s != t and 1 <= i <= m:
+                if a != b and 0 < i <= m:
                     continue
-            elif -2 <= i - j <= 2 and min(i, j) < m:
+            elif -2 <= i - j <= 2 and (i < m or j < m):
                 continue
-        out.append(a)
+        out.append((a, b))
     return out
 
 
 def _outside_w_star(pairs, m: int) -> list:
-    """The pairs ((s, i), (t, j)) in ``pairs`` that are not arcs of
-    ``w_star(m)`` (m >= 5): both blocks in 0..m-1, and a rung, or blocks
-    differing by +-1 or +-2 mod m."""
-    sides = _SIDES
+    """The host id pairs (a, b) in ``pairs`` that are not arcs of
+    ``w_star(m)`` (m >= 5): both ids below 2m, and a rung (same block, other
+    side), or blocks differing by +-1 or +-2 mod m."""
+    n = 2 * m
     steps = (1, 2, m - 2, m - 1)
     out = []
-    for a in pairs:
-        (s, i), (t, j) = a
-        if s in sides and t in sides and 0 <= i < m and 0 <= j < m:
-            if i == j:
-                if s != t:
+    for a, b in pairs:
+        if 0 <= a < n and 0 <= b < n:
+            step = (b - a) % m  # y_i = m + i, so this is the block difference
+            if step == 0:
+                if a != b:
                     continue
-            elif (j - i) % m in steps:
+            elif step in steps:
                 continue
-        out.append(a)
+        out.append((a, b))
     return out
 
 
 def _outside_h_star(pairs, m: int) -> list:
-    """The pairs ((s, i), (t, j)) in ``pairs`` that are not arcs of
-    ``h_star(m)`` (m >= 3): both blocks in 0..m-1, differing by +-1 mod m."""
-    sides = _SIDES
+    """The host id pairs (a, b) in ``pairs`` that are not arcs of
+    ``h_star(m)`` (m >= 3): both ids below 2m, blocks differing by +-1 mod m."""
+    n = 2 * m
     steps = (1, m - 1)
     out = []
-    for a in pairs:
-        (s, i), (t, j) = a
-        if s in sides and t in sides and 0 <= i < m and 0 <= j < m:
-            if (j - i) % m in steps:
-                continue
-        out.append(a)
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n and (b - a) % m in steps):
+            out.append((a, b))
     return out
 
 
+def _host_id(v: Vertex, m: int) -> int:
+    """The id of ``v`` in the numbering of the m-block blow-ups, or -1 when
+    ``v`` is not one of their vertices."""
+    side, index = v
+    if 0 <= index < m and side in ("x", "y"):
+        return index + (m if side == "y" else 0)
+    return -1
+
+
 def in_j_star(arc: Arc, m: int) -> bool:
-    """``arc in j_star(m).arcs``, by index arithmetic (valid for any m >= 1)."""
-    return not _outside_j_star((arc,), m)
+    """``arc in j_star(m).arcs``, by the J* rule on ids (any m >= 1)."""
+    try:
+        pair = (strip_id(arc[0]), strip_id(arc[1]))
+    except ValueError:
+        return False
+    return not _outside_j_star((pair,), m)
 
 
 def in_h_star(arc: Arc, m: int) -> bool:
-    """``arc in h_star(m).arcs``, by index arithmetic (m >= 3)."""
-    return not _outside_h_star((arc,), m)
+    """``arc in h_star(m).arcs``, by the H* rule on ids (m >= 3)."""
+    return not _outside_h_star(((_host_id(arc[0], m), _host_id(arc[1], m)),), m)
 
 
 def in_w_star(arc: Arc, m: int) -> bool:
-    """``arc in w_star(m).arcs``, by index arithmetic (m >= 5)."""
-    return not _outside_w_star((arc,), m)
+    """``arc in w_star(m).arcs``, by the W* rule on ids (m >= 5)."""
+    return not _outside_w_star(((_host_id(arc[0], m), _host_id(arc[1], m)),), m)
 
 
 def j_star(m: int) -> Digraph:
@@ -330,76 +352,36 @@ def j_star(m: int) -> Digraph:
     return Digraph(vertices, _j_arcs(m))
 
 
-def fold_ids(factors: Iterable[TwoRegularDigraph], m: int) -> tuple:
-    """Fold 2-regular digraphs on the strip onto ``w_star(m)`` by reducing
-    block indices mod m, as vertex ids: ``(folded, vertices)``.
-
-    ``folded[j]`` lists the cycles of the j-th factor, in its order, as
-    lists of ids in the numbering of ``w_star(m)`` (x_i -> i mod m,
-    y_i -> m + (i mod m), shared with the order-2m complete host), and
-    ``vertices[i]`` is the folded vertex of id i.  A vertex of a side other
-    than x and y folds to one id 2m + k per distinct image, as the checker
-    numbers vertices outside a host, and ``vertices`` lists those images
-    after the table.  Nothing is checked here: a folded cycle may repeat an
-    id or use arcs outside ``w_star(m)``.
-    """
-    vertices = list(_vertex_numbering(m, m)[0])
-    # the opened host's vertices, blocks 0..m+1, straight to their ids
-    lookup = {
-        Vertex(side, i): base + i % m
-        for side, base in (("x", 0), ("y", m))
-        for i in range(m + 2)
-    }
-    foreign: dict = {}
-
-    def fold_id(v: Vertex) -> int:
-        side, index = v
-        if side == "x" or side == "y":
-            return (m if side == "y" else 0) + index % m
-        image = Vertex(side, index % m)
-        if image not in foreign:
-            foreign[image] = len(vertices)
-            vertices.append(image)
-        return foreign[image]
-
-    folded = []
-    for g in factors:
-        try:
-            folded.append([list(map(lookup.__getitem__, c.vertices)) for c in g.cycles])
-        except KeyError:  # a block outside 0..m+1, or another side
-            folded.append([list(map(fold_id, c.vertices)) for c in g.cycles])
-    return folded, vertices
+def fold_ids(factors, m: int) -> list:
+    """Fold factors given as cycles of J* ids onto ``w_star(m)`` by reducing
+    block indices mod m: J* id v becomes host id (v >> 1) % m + (v & 1) * m
+    (x_i -> i mod m, y_i -> m + (i mod m), the numbering the order-2m
+    complete host shares).  Each factor's cycles keep their order.  Nothing
+    is checked here: a folded cycle may repeat an id or use arcs outside
+    ``w_star(m)``."""
+    return [
+        [[(v >> 1) % m + (v & 1) * m for v in c] for c in f] for f in factors
+    ]
 
 
-def fold(g: Union[Digraph, TwoRegularDigraph], m: int):
-    """Reduce block indices mod m, mapping the opened host into w_star(m).
+def fold(g: TwoRegularDigraph, m: int) -> TwoRegularDigraph:
+    """Reduce block indices mod m, mapping a factor on the opened host into
+    w_star(m).
 
-    A factor is folded by ``fold_ids`` and rebuilt from the ids, so its
-    vertices are the interned ones of ``w_star(m)``'s vertex table (shared
-    with the order-2m complete host).  Raises ``ValueError`` for m < 5,
-    where the arc correspondence breaks down, and if any folded arc is
-    outside ``w_star(m)`` (malformed input).
+    The vertices are mapped to J* ids (``strip_id``, so every vertex must
+    be of side x or y), folded by ``fold_ids`` and rebuilt as the interned
+    vertices of ``w_star(m)``'s vertex table (shared with the order-2m
+    complete host).  Raises ``ValueError`` for m < 5, where the arc
+    correspondence breaks down, and if any folded arc is outside
+    ``w_star(m)`` (malformed input).
     """
     if m < 5:
         raise ValueError(f"fold needs m >= 5, got {m}")
-
-    def check(arcs) -> None:
-        bad = _outside_w_star(arcs, m)
-        if bad:
-            raise ValueError(
-                f"folded arcs outside host: {sorted(starmap(Arc, bad))[:3]}"
-            )
-
-    if isinstance(g, TwoRegularDigraph):
-        (cycles,), vertices = fold_ids([g], m)
-        folded = two_regular_from_ids(cycles, vertices)
-        check(cycle_arcs(folded.cycles))
-        return folded
-    if isinstance(g, Digraph):
-        def phi(v: Vertex) -> Vertex:
-            return Vertex(v.side, v.index % m)
-
-        arcs = frozenset(Arc(phi(a.tail), phi(a.head)) for a in g.arcs)
-        check(arcs)
-        return Digraph((phi(v) for v in g.vertices), arcs)
-    raise TypeError(f"cannot fold {type(g).__name__}")
+    table = _vertex_numbering(m, m)[0]
+    (cycles,) = fold_ids([[list(map(strip_id, c.vertices)) for c in g.cycles]], m)
+    folded = two_regular_from_ids(cycles, table)
+    bad = _outside_w_star([a for c in cycles for a in zip(c, c[1:] + c[:1])], m)
+    if bad:
+        arcs = sorted(Arc(table[a], table[b]) for a, b in bad)
+        raise ValueError(f"folded arcs outside host: {arcs[:3]}")
+    return folded

@@ -14,15 +14,21 @@ Three routes, by the number s of 2-cycles in F:
   undirected factor is split into two alternating matchings whose edges
   become directed 2-cycles.
 
-Every output is re-verified against the host before being returned.
+The factors are cycles of ids in the ``HStar`` m numbering (x_i -> i,
+y_i -> m + i, shared by the order-2m complete host), checked by
+``checker.verify_id_factorization`` before they are returned.  Each walk is
+written once over vertex makers ``x(i)``, ``y(i)``, which make ids here and
+``Vertex`` objects in ``two_cycle_gadgets``, ``chain_cycles`` and
+``haggkvist_undirected``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .checker import verify_factorization
-from .core import CycleType, DirectedCycle, TwoRegularDigraph, Vertex
+from .checker import verify_id_factorization
+from .core import CycleType, DirectedCycle, Vertex, two_regular_from_ids
 from .hosts import HostDescriptor
 
 
@@ -32,9 +38,18 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class HStarFactorization:
+    """Four factors of ``h_star(m)``: ``id_factors`` holds each as a tuple of
+    id cycles in the ``HStar`` m numbering; ``factors`` builds them as
+    ``TwoRegularDigraph``s on the host's interned vertices on first access."""
+
     m: int
     ftype: CycleType
-    factors: tuple  # 4 TwoRegularDigraph
+    id_factors: tuple
+
+    @cached_property
+    def factors(self) -> tuple:
+        table = HostDescriptor("HStar", self.m).vertex_table
+        return tuple(two_regular_from_ids(f, table) for f in self.id_factors)
 
 
 def _x(i: int) -> Vertex:
@@ -45,16 +60,15 @@ def _y(i: int) -> Vertex:
     return Vertex("y", i)
 
 
+def _gadget_walks(m: int, x, y) -> list:
+    return [[x(0), x(m - 1)], [y(0), x(m - 1)], [y(0), y(m - 1)], [x(0), y(m - 1)]]
+
+
 def two_cycle_gadgets(m: int) -> list:
     """The four arc-disjoint 2-cycles across the wrap junction."""
     if m < 3:
         raise ValueError("need m >= 3")
-    return [
-        DirectedCycle([_x(0), _x(m - 1)]),
-        DirectedCycle([_y(0), _x(m - 1)]),
-        DirectedCycle([_y(0), _y(m - 1)]),
-        DirectedCycle([_x(0), _y(m - 1)]),
-    ]
+    return [DirectedCycle(w) for w in _gadget_walks(m, _x, _y)]
 
 
 def chain_cycles(position: str, a: int, k: int, congruence: str) -> list:
@@ -64,6 +78,11 @@ def chain_cycles(position: str, a: int, k: int, congruence: str) -> list:
     at offset 0) or "later"; ``congruence`` ("0mod4"/"2mod4") must match the
     parity of k and selects the zig-zag shapes.
     """
+    return [DirectedCycle(w) for w in _chain_walks(position, a, k, congruence, _x, _y)]
+
+
+def _chain_walks(position: str, a: int, k: int, congruence: str, x, y) -> list:
+    """The four walks of ``chain_cycles``, over the vertex makers x, y."""
     if k < 2:
         raise ValueError("need k >= 2")
     if congruence not in ("0mod4", "2mod4"):
@@ -73,70 +92,63 @@ def chain_cycles(position: str, a: int, k: int, congruence: str) -> list:
     if position == "second":
         if a != 0:
             raise ValueError("the second piece sits at offset 0")
-        c0 = [_y(j) for j in range(k + 1)] + [_x(j) for j in range(k - 1, 0, -1)]
+        c0 = [y(j) for j in range(k + 1)] + [x(j) for j in range(k - 1, 0, -1)]
         if k % 2 == 0:
             c1 = (
-                [_x(0)]
-                + [_x(j) if j % 2 else _y(j) for j in range(1, k + 1)]
-                + [_y(j) if j % 2 else _x(j) for j in range(k - 1, 0, -1)]
+                [x(0)]
+                + [x(j) if j % 2 else y(j) for j in range(1, k + 1)]
+                + [y(j) if j % 2 else x(j) for j in range(k - 1, 0, -1)]
             )
             c2 = (
-                [_x(0), _y(1)]
-                + [_x(j) for j in range(2, k + 1)]
-                + [_y(j) for j in range(k - 1, 1, -1)]
-                + [_x(1)]
+                [x(0), y(1)]
+                + [x(j) for j in range(2, k + 1)]
+                + [y(j) for j in range(k - 1, 1, -1)]
+                + [x(1)]
             )
             c3 = (
-                [_y(0), _x(1)]
-                + [_x(j) if j % 2 == 0 else _y(j) for j in range(2, k + 1)]
-                + [_x(j) if j % 2 else _y(j) for j in range(k - 1, 1, -1)]
-                + [_y(1)]
+                [y(0), x(1)]
+                + [x(j) if j % 2 == 0 else y(j) for j in range(2, k + 1)]
+                + [x(j) if j % 2 else y(j) for j in range(k - 1, 1, -1)]
+                + [y(1)]
             )
         else:
-            c1 = [_x(j) for j in range(k)] + [_y(j) for j in range(k, 0, -1)]
+            c1 = [x(j) for j in range(k)] + [y(j) for j in range(k, 0, -1)]
             c2 = (
-                [_x(0)]
-                + [_y(j) if j % 2 else _x(j) for j in range(1, k)]
-                + [_x(k)]
-                + [_y(j) if j % 2 == 0 else _x(j) for j in range(k - 1, 0, -1)]
+                [x(0)]
+                + [y(j) if j % 2 else x(j) for j in range(1, k)]
+                + [x(k)]
+                + [y(j) if j % 2 == 0 else x(j) for j in range(k - 1, 0, -1)]
             )
             c3 = (
-                [_y(0)]
-                + [_x(j) if j % 2 else _y(j) for j in range(1, k)]
-                + [_x(k)]
-                + [_x(j) if j % 2 == 0 else _y(j) for j in range(k - 1, 0, -1)]
+                [y(0)]
+                + [x(j) if j % 2 else y(j) for j in range(1, k)]
+                + [x(k)]
+                + [x(j) if j % 2 == 0 else y(j) for j in range(k - 1, 0, -1)]
             )
-        return [DirectedCycle(c) for c in (c0, c1, c2, c3)]
+        return [c0, c1, c2, c3]
     if position != "later":
         raise ValueError(f"bad position {position!r}")
     if k % 2 == 0:
-        c0 = [_x(a + d) for d in range(k)] + [_y(a + d) for d in range(k, 0, -1)]
+        c0 = [x(a + d) for d in range(k)] + [y(a + d) for d in range(k, 0, -1)]
         c2 = (
-            [_y(a)]
-            + [_x(a + d) if d % 2 else _y(a + d) for d in range(1, k)]
-            + [_x(a + k)]
-            + [_y(a + d) if d % 2 else _x(a + d) for d in range(k - 1, 0, -1)]
+            [y(a)]
+            + [x(a + d) if d % 2 else y(a + d) for d in range(1, k)]
+            + [x(a + k)]
+            + [y(a + d) if d % 2 else x(a + d) for d in range(k - 1, 0, -1)]
         )
     else:
         c0 = (
-            [_x(a), _x(a + 1)]
-            + [_y(a + d) if d % 2 == 0 else _x(a + d) for d in range(2, k)]
-            + [_y(a + k)]
-            + [_x(a + d) if d % 2 == 0 else _y(a + d) for d in range(k - 1, 0, -1)]
+            [x(a), x(a + 1)]
+            + [y(a + d) if d % 2 == 0 else x(a + d) for d in range(2, k)]
+            + [y(a + k)]
+            + [x(a + d) if d % 2 == 0 else y(a + d) for d in range(k - 1, 0, -1)]
         )
         c2 = (
-            [_y(a)]
-            + [_x(a + d) for d in range(1, k + 1)]
-            + [_y(a + d) for d in range(k - 1, 0, -1)]
+            [y(a)]
+            + [x(a + d) for d in range(1, k + 1)]
+            + [y(a + d) for d in range(k - 1, 0, -1)]
         )
-    zero = DirectedCycle(c0)
-    two = DirectedCycle(c2)
-    return [
-        zero,
-        DirectedCycle(reversed(zero.vertices)),
-        two,
-        DirectedCycle(reversed(two.vertices)),
-    ]
+    return [c0, c0[::-1], c2, c2[::-1]]
 
 
 def _congruence(length: int) -> str:
@@ -147,65 +159,46 @@ def _congruence(length: int) -> str:
 # Undirected route
 
 
-def _undirected_host_edges(m: int) -> set:
-    """The four edges s_i t_{i+1} (s, t in {x, y}) at each of the m junctions."""
-    return {
-        frozenset((Vertex(s, i), Vertex(t, (i + 1) % m)))
-        for i in range(m)
-        for s in "xy"
-        for t in "xy"
-    }
-
-
-def _cycles_from_edges(edges: set) -> list:
-    """Split a 2-regular undirected edge set into vertex tuples.
-
-    Adjacency lists are sorted so the traversal (and hence the chosen
-    orientation of each cycle) is independent of set iteration order.
-    """
-    adj: dict = {}
-    for e in edges:
-        u, v = tuple(sorted(e))
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise ValueError(f"degree {len(nbrs)} at {v}")
-        nbrs.sort()
-    cycles = []
-    todo = set(adj)
-    while todo:
-        start = min(todo)
-        walk = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            step = nxt[0]
-            if step == start:
-                break
-            walk.append(step)
-            prev, cur = cur, step
-        todo.difference_update(walk)
-        cycles.append(tuple(walk))
-    return cycles
-
-
-def _segment_factor(ks: list, m: int) -> list:
+def _segment_walks(ks: list, m: int, x, y) -> list:
     """The zig-zag 2-factor: one cycle per segment, wrapping mod m."""
     cycles = []
     a = 0
     for k in ks:
-        cyc = [_x((a + d) % m) for d in range(k)]
-        cyc += [_y((a + d) % m) for d in range(k, 0, -1)]
+        cyc = [x((a + d) % m) for d in range(k)]
+        cyc += [y((a + d) % m) for d in range(k, 0, -1)]
         cycles.append(tuple(cyc))
         a += k
+    return cycles
+
+
+def _complement_walks(ks: list, m: int, x, y) -> list:
+    """The complement of the zig-zag factor: per segment of blocks a..a+k
+    the cycle y_a, then blocks a+1..a+k-1 alternating from x, x_{a+k}, then
+    back through the other vertex of each of those blocks (indices mod m).
+
+    Each cycle starts at its least vertex and goes on to the smaller of its
+    two neighbours, and the cycles are sorted, as a walk of the complement's
+    edges from its least unvisited vertex would give them."""
+    cycles = []
+    a = 0
+    for k in ks:
+        out = [x((a + d) % m) if d % 2 else y((a + d) % m) for d in range(1, k)]
+        back = [y((a + d) % m) if d % 2 else x((a + d) % m) for d in range(1, k)]
+        cyc = [y(a % m), *out, x((a + k) % m), *reversed(back)]
+        i = cyc.index(min(cyc))
+        cyc = cyc[i:] + cyc[:i]
+        if cyc[-1] < cyc[1]:
+            cyc = cyc[:1] + cyc[:0:-1]
+        cycles.append(tuple(cyc))
+        a += k
+    cycles.sort()
     return cycles
 
 
 def haggkvist_undirected(ftype: CycleType, m: int):
     """Two edge-disjoint undirected 2-factors of the cycle blow-up, both of
     type ``ftype``, partitioning its edge set (Haggkvist, Ann. Discrete
-    Math. 27, 1985).
+    Math. 27, 1985), as tuples of ``Vertex`` objects.
 
     The first factor is the zig-zag one: a length 2k of F becomes the cycle
     x_a .. x_{a+k-1} y_{a+k} .. y_{a+1} on blocks a..a+k, and consecutive
@@ -214,9 +207,14 @@ def haggkvist_undirected(ftype: CycleType, m: int):
     yy at each inner junction, and x_{a+k-1} y_{a+k} and y_{a+k-1} y_{a+k}
     at junction (a+k-1, a+k).  The other two edges of those junctions form
     one cycle of length 2k: from y_a through both vertices of blocks
-    a+1..a+k-1 to x_{a+k} and back to y_a.  The argument needs m >= 3, so
-    that the m junctions are distinct; the type check stays as a guard.
+    a+1..a+k-1 to x_{a+k} and back to y_a (``_complement_walks``).  The
+    argument needs m >= 3, so that the m junctions are distinct.
     """
+    return _haggkvist(ftype, m, _x, _y)
+
+
+def _haggkvist(ftype: CycleType, m: int, x, y):
+    """``haggkvist_undirected`` over the vertex makers x, y."""
     if not ftype.is_bipartite():
         raise ValueError(f"{ftype} has odd lengths")
     if ftype.order != 2 * m:
@@ -225,22 +223,12 @@ def haggkvist_undirected(ftype: CycleType, m: int):
         raise ValueError("2-cycles are handled by the directed gadget route")
     if m < 3:
         raise ValueError(f"host undefined for m = {m} (need m >= 3)")
-    ks = [x // 2 for x in ftype.lengths]
-    a_cycles = _segment_factor(ks, m)
-    a_edges = set()
-    for cyc in a_cycles:
-        n = len(cyc)
-        a_edges.update(frozenset((cyc[i], cyc[(i + 1) % n])) for i in range(n))
-    b_cycles = _cycles_from_edges(_undirected_host_edges(m) - a_edges)
-    if CycleType(len(c) for c in b_cycles) != ftype:
-        raise ConstructionError(f"zig-zag complement is not of type {ftype}")
-    return a_cycles, b_cycles
+    ks = [length // 2 for length in ftype.lengths]
+    return _segment_walks(ks, m, x, y), _complement_walks(ks, m, x, y)
 
 
 def _direct_both_ways(cycles: list) -> tuple:
-    fwd = TwoRegularDigraph(DirectedCycle(c) for c in cycles)
-    bwd = TwoRegularDigraph(DirectedCycle(reversed(c)) for c in cycles)
-    return fwd, bwd
+    return [tuple(c) for c in cycles], [tuple(reversed(c)) for c in cycles]
 
 
 def _split_two_s_cycle(cycles: list, s: int):
@@ -264,48 +252,41 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
         # the m = 2 host degenerates to a doubled 4-cycle, which cannot carry
         # four arc-disjoint spanning factors without parallel arcs
         raise ValueError(f"host undefined for m = {m} (need m >= 3)")
+    x, y = int, m.__add__  # the HStar ids of x_i and y_i: i and m + i
     s = ftype.lengths.count(2)
-    rest = [x for x in ftype.lengths if x != 2]
+    rest = [length for length in ftype.lengths if length != 2]
 
     if s == 0:
-        a_cycles, b_cycles = haggkvist_undirected(ftype, m)
+        a_cycles, b_cycles = _haggkvist(ftype, m, x, y)
         factors = _direct_both_ways(a_cycles) + _direct_both_ways(b_cycles)
     elif s == 1:
-        families = [[g] for g in two_cycle_gadgets(m)]
+        families = [[g] for g in _gadget_walks(m, x, y)]
         second, later = rest[0], rest[1:]
         k2 = second // 2
-        for fam, cyc in zip(families, chain_cycles("second", 0, k2, _congruence(second))):
+        walks = _chain_walks("second", 0, k2, _congruence(second), x, y)
+        for fam, cyc in zip(families, walks):
             fam.append(cyc)
         a = k2
         for length in later:
             k = length // 2
-            for fam, cyc in zip(
-                families, chain_cycles("later", a, k, _congruence(length))
-            ):
+            walks = _chain_walks("later", a, k, _congruence(length), x, y)
+            for fam, cyc in zip(families, walks):
                 fam.append(cyc)
             a += k
-        factors = tuple(TwoRegularDigraph(fam) for fam in families)
+        factors = families
     else:
         merged = CycleType([2 * s, *rest])
-        out = []
-        for und in haggkvist_undirected(merged, m):
+        factors = []
+        for und in _haggkvist(merged, m, x, y):
             match1, match2, others = _split_two_s_cycle(und, s)
             fwd, bwd = _direct_both_ways(others)
-            out.append(
-                TwoRegularDigraph(
-                    list(fwd.cycles) + [DirectedCycle(e) for e in match1]
-                )
-            )
-            out.append(
-                TwoRegularDigraph(
-                    list(bwd.cycles) + [DirectedCycle(e) for e in match2]
-                )
-            )
-        factors = tuple(out)
+            factors.append(fwd + match1)
+            factors.append(bwd + match2)
 
-    report = verify_factorization(HostDescriptor("HStar", m), factors, ftype)
+    factors = tuple(tuple(map(tuple, f)) for f in factors)
+    report = verify_id_factorization(HostDescriptor("HStar", m), factors, ftype)
     if not report.passed:
         raise ConstructionError(
             f"four-factor construction failed for {ftype}, m={m}: {report.failures()}"
         )
-    return HStarFactorization(m, ftype, tuple(factors))
+    return HStarFactorization(m, ftype, factors)

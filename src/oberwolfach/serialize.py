@@ -45,6 +45,7 @@ is it applied to text), and ``verify`` hands its lists to the checker.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -268,8 +269,22 @@ def read_certificate(data) -> FactorizationDocument:
     )
 
 
+def _bounded_int(literal: str) -> int:
+    """A JSON integer literal, refused with a plain message when it is
+    longer than the interpreter converts (``sys.get_int_max_str_digits``)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(literal.lstrip("-")) > limit:
+        raise ValueError(f"an integer literal has more than {limit} digits")
+    return int(literal)
+
+
+def parse_json(text: str):
+    """``json.loads(text)``, with integer literals read by ``_bounded_int``."""
+    return json.loads(text, parse_int=_bounded_int)
+
+
 def from_json(text: str) -> FactorizationDocument:
-    return read_certificate(json.loads(text))
+    return read_certificate(parse_json(text))
 
 
 def to_text(doc: FactorizationDocument) -> str:

@@ -20,6 +20,7 @@ returned factorization carries the report of one final check on those ids.
 from __future__ import annotations
 
 import math
+from operator import sub
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -31,12 +32,7 @@ from .checker import (
     brute_force_factorization,
     verify_id_factorization,
 )
-from .core import (
-    CycleType,
-    TwoRegularDigraph,
-    canonical_id_cycles,
-    two_regular_from_ids,
-)
+from .core import CycleType, canonical_id_cycles, two_regular_from_ids
 from .hosts import HostDescriptor, complete_symmetric
 from .hstar import factorize_h_star
 
@@ -214,13 +210,13 @@ def wh_decompose(m: int) -> WHDecomposition:
         raise DomainError(f"need odd m >= 5, got {m}")
     distances = list(range(3, (m - 1) // 2 + 1))
     cycles = _hamilton_cycles_decomposition(m, distances)
+    reserved = {0, 1, 2, m - 2, m - 1}
     for cyc in cycles:
         if len(set(cyc)) != m:
             raise RuntimeError("block cycle is not Hamiltonian")
-        for i in range(m):
-            step = (cyc[(i + 1) % m] - cyc[i]) % m
-            if min(step, m - step) < 3:
-                raise RuntimeError("block cycle uses a reserved jump")
+        steps = set(map(sub, cyc[1:] + cyc[:1], cyc))
+        if not reserved.isdisjoint(step % m for step in steps):
+            raise RuntimeError("block cycle uses a reserved jump")
     return WHDecomposition(m, tuple(cycles))
 
 
@@ -249,11 +245,6 @@ def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str)
     return Factorization(host.m_or_n, ftype, tuple(factors), report)
 
 
-def _id_cycles(factor: TwoRegularDigraph, ids: dict) -> list:
-    """A factor's cycles as lists of the vertex ids ``ids`` gives."""
-    return [list(map(ids.__getitem__, c.vertices)) for c in factor.cycles]
-
-
 def _relabel(factor: list, image: list) -> tuple:
     """An H* factor's id cycles through the permutation ``image`` of ids."""
     return canonical_id_cycles([list(map(image.__getitem__, c)) for c in factor])
@@ -277,7 +268,11 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         found = brute_force_factorization(complete_symmetric(n), ftype)
         if isinstance(found, Nonexistent):
             return found
-        factors = [canonical_id_cycles(_id_cycles(f, host.vertex_ids)) for f in found]
+        ids = host.vertex_ids.__getitem__
+        factors = [
+            canonical_id_cycles([list(map(ids, c.vertices)) for c in f.cycles])
+            for f in found
+        ]
     else:
         m = n // 2
         wh = wh_decompose(m)
@@ -286,8 +281,7 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         # the H* copy on block cycle b maps id i to image[i]
         factors = w_star_id_factors(ftype)
         if wh.h_block_cycles:
-            hfact = factorize_h_star(ftype, m)
-            hids = [_id_cycles(f, host.vertex_ids) for f in hfact.factors]
+            hids = factorize_h_star(ftype, m).id_factors
             # one int object per id, shared by every copy's tuples
             number = list(range(n))
             for block_cycle in wh.h_block_cycles:

@@ -4,11 +4,14 @@ Everything in this module is a transcribed constant: the shared nine-entry
 boundary pattern ``X_PATTERN``, the length-2 left cap and length-4 centre
 piece, sixteen right-cap tables (four families, four anchor sizes each), and
 thirteen small admissible decompositions.  Nothing here is trusted as
-written: the decomposition loaders check every factor with
-``caps.is_admissible`` and refuse a table that fails, and
-``checker.verify_cap_complementarity`` and
+written: the decomposition loaders read every factor as J* ids
+(``hosts.strip_id``), check it with ``caps.admissible_ids`` and refuse a
+table that fails, and ``checker.verify_cap_complementarity`` and
 ``checker.verify_admissible_decomposition`` re-check every invariant of
 every table, which the ``tables --check`` CLI command runs as an audit.
+The cap and centre loaders build ``DirectedPath``/``DirectedCycle`` pieces,
+which convert themselves to J* ids once (``caps.LeftCap.id_paths`` and its
+kin); the loaders are cached, so each table is read once per process.
 
 Table encoding: paths are strings like ``"y2 y1 x2"``, cycles are strings
 like ``"(y1 x3)"``; both parse through :mod:`oberwolfach.core`.
@@ -523,15 +526,14 @@ def right_cap(family: str, anchor: int):
 
 
 def _decomposition_from_rows(rows: tuple, m: int):
-    """The decomposition the rows spell, each factor checked with
-    ``caps.is_admissible``; the loaders below cache it, so the check runs
+    """The decomposition the rows spell, in J* ids, each factor checked with
+    ``caps.admissible_ids``; the loaders below cache it, so the check runs
     once per table and process."""
-    from .caps import AdmissibleDecomposition, is_admissible
-    from .core import TwoRegularDigraph
+    from .caps import AdmissibleDecomposition, _id_cycles, admissible_ids
 
-    factors = tuple(TwoRegularDigraph(_c(c) for c in row) for row in rows)
+    factors = tuple(_id_cycles(map(_c, row)) for row in rows)
     for i, factor in enumerate(factors, 1):
-        if not is_admissible(factor, m):
+        if not admissible_ids(factor, m):
             raise ValueError(f"table row {i} is not admissible on {m} blocks")
     return AdmissibleDecomposition(m, factors)
 

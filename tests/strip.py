@@ -1,0 +1,96 @@
+"""Text forms and object helpers the tests use as references.
+
+The package builds on vertex ids and no longer needs these; the tests keep
+them to write examples readably and to state properties of the objects.
+"""
+
+import re
+
+from oberwolfach.core import (
+    DirectedCycle,
+    DirectedPath,
+    TwoRegularDigraph,
+    Vertex,
+    parse_vertex,
+    shift_vertex,
+)
+
+
+def _tokens(text: str, opening: str, closing: str) -> list:
+    s = text.strip()
+    if s.startswith(opening) and s.endswith(closing):
+        s = s[1:-1]
+    return [parse_vertex(t) for t in re.split(r"[,\s]+", s.strip()) if t]
+
+
+def path_from_text(text: str) -> DirectedPath:
+    """``"<x0,y1>"`` (or ``"x0 y1"``) as a path."""
+    return DirectedPath(_tokens(text, "<", ">"))
+
+
+def cycle_from_text(text: str) -> DirectedCycle:
+    """``"(x0,y1)"`` (or ``"x0 y1"``) as a cycle."""
+    return DirectedCycle(_tokens(text, "(", ")"))
+
+
+def shift(g, k: int):
+    """Translate every vertex index of a vertex, path, cycle or 2-regular
+    digraph by ``k`` (absolute, no wraparound)."""
+    if isinstance(g, Vertex):
+        return shift_vertex(g, k)
+    if isinstance(g, DirectedPath):
+        return DirectedPath(shift_vertex(v, k) for v in g.vertices)
+    if isinstance(g, DirectedCycle):
+        return DirectedCycle(shift_vertex(v, k) for v in g.vertices)
+    if isinstance(g, TwoRegularDigraph):
+        return TwoRegularDigraph(shift(c, k) for c in g.cycles)
+    raise TypeError(f"cannot shift {type(g).__name__}")
+
+
+def concat(p: DirectedPath, q: DirectedPath):
+    """Join two paths at t(p) = s(q).
+
+    Returns a DirectedPath when that is the only shared vertex, and a
+    DirectedCycle when additionally s(p) = t(q) with no other overlap.
+    """
+    if p.terminal != q.source:
+        raise ValueError(f"cannot concatenate: t(p)={p.terminal} != s(q)={q.source}")
+    shared = set(p.vertices) & set(q.vertices)
+    closes = p.source == q.terminal
+    expected = {p.terminal, p.source} if closes else {p.terminal}
+    if shared != expected:
+        raise ValueError(f"paths share unexpected vertices: {sorted(shared - expected)}")
+    if closes:
+        return DirectedCycle(p.vertices + q.vertices[1:-1])
+    return DirectedPath(p.vertices + q.vertices[1:])
+
+
+def two_regular_from_arcs(arcs) -> TwoRegularDigraph:
+    """Assemble an arc set into vertex-disjoint cycles.
+
+    Raises if any saturated vertex does not have in-degree = out-degree = 1.
+    """
+    succ: dict = {}
+    heads: set = set()
+    for a in arcs:
+        if a.tail in succ:
+            raise ValueError(f"out-degree > 1 at {a.tail}")
+        if a.head in heads:
+            raise ValueError(f"in-degree > 1 at {a.head}")
+        succ[a.tail] = a.head
+        heads.add(a.head)
+    if set(succ) != heads:
+        extra = set(succ) ^ heads
+        raise ValueError(f"unbalanced degrees at {sorted(extra)}")
+    cycles = []
+    remaining = set(succ)
+    while remaining:
+        start = min(remaining)
+        walk = [start]
+        v = succ[start]
+        while v != start:
+            walk.append(v)
+            v = succ[v]
+        remaining.difference_update(walk)
+        cycles.append(DirectedCycle(walk))
+    return TwoRegularDigraph(cycles)

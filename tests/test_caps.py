@@ -21,15 +21,12 @@ from oberwolfach.checker import (
 )
 from oberwolfach.core import (
     TwoRegularDigraph,
-    concat,
-    cycle_from_text,
     cycle_type_of,
     parse_cycle_type,
     parse_vertex,
-    path_from_text,
-    shift,
 )
 from oberwolfach.hosts import w_star
+from strip import concat, cycle_from_text, path_from_text, shift
 
 
 def V(t):
@@ -64,8 +61,8 @@ def test_is_admissible():
 
 
 def test_splice_worked_example():
-    a = AdmissibleDecomposition(4, (PIECE_2_6,) * 9)
-    b = AdmissibleDecomposition(3, (PIECE_6,) * 9)
+    a = AdmissibleDecomposition.from_factors(4, (PIECE_2_6,) * 9)
+    b = AdmissibleDecomposition.from_factors(3, (PIECE_6,) * 9)
     spliced = splice(a, b)
     assert spliced.m == 7
     factor = spliced.factors[0]
@@ -96,8 +93,8 @@ def test_splice_order_additivity_and_associativity():
 
 
 def test_splice_rejects_incompatible():
-    a = AdmissibleDecomposition(4, (PIECE_2_6,) * 9)
-    shuffled = AdmissibleDecomposition(
+    a = AdmissibleDecomposition.from_factors(4, (PIECE_2_6,) * 9)
+    shuffled = AdmissibleDecomposition.from_factors(
         3, (PIECE_6,) * 8 + (TwoRegularDigraph([cycle_from_text("(y0,x2,x4,y3,x1,y2)")]),)
     )
     with pytest.raises(ValueError):

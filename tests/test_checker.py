@@ -31,12 +31,12 @@ from oberwolfach.core import (
     cycle_type_of,
     parse_cycle_type,
     parse_vertex,
-    two_regular_from_arcs,
 )
 from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import from_json
 from oberwolfach.solver import round_robin_two_cycles, solve
+from strip import two_regular_from_arcs
 
 
 def test_round_robin_passes_verification():
@@ -60,13 +60,13 @@ def test_missing_factor_fails_coverage():
 
 
 def test_admissible_decomposition_named_failure():
-    from oberwolfach.core import cycle_from_text
+    from strip import cycle_from_text
 
     dec = tables.small_decomposition((6,))
     # a factor carrying both y0 and y3 violates the one-of-two rule
     bad_factor = TwoRegularDigraph([cycle_from_text("(y0,x1,y3,x3,x2,y2)")])
     report = verify_admissible_decomposition(
-        3, type(dec)(3, (bad_factor,) + dec.factors[1:]), tables.X_PATTERN
+        3, type(dec).from_factors(3, (bad_factor,) + dec.factors[1:]), tables.X_PATTERN
     )
     assert not report.passed
     assert "admissible" in [n for n, _ in report.failures()]
@@ -161,6 +161,58 @@ def test_factor_enumerator_complete_against_permutations():
                 naive.add(arcs)
         assert found == naive, spec
         assert all(first in arcs for arcs in found)
+
+
+def _plain_brute_force(host, ftype):
+    """The oracle's search without the symmetry reduction at its root: at
+    every node, every factor through the least arc left is tried."""
+    from oberwolfach.checker import factors_through_arc
+
+    def search(remaining, acc):
+        if not remaining:
+            return list(acc)
+        first = min(remaining)
+        for cycles in factors_through_arc(
+            remaining, host.vertices, ftype.lengths, first
+        ):
+            factor = TwoRegularDigraph(cycles)
+            result = search(remaining - factor.arcs(), acc + [factor])
+            if result is not None:
+                return result
+        return None
+
+    result = search(frozenset(host.arcs), [])
+    return Nonexistent("plain search") if result is None else result
+
+
+def _cycle_types(n):
+    def parts(total, largest):
+        if total == 0:
+            yield ()
+            return
+        for p in range(min(largest, total), 1, -1):
+            for rest in parts(total - p, p):
+                yield (p,) + rest
+
+    return [CycleType(t) for t in parts(n, n)]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_symmetry_reduced_oracle_matches_the_plain_search(n):
+    """For every cycle type of order 4 and 6 the reduced search returns
+    what the plain search returns: the same factors in the same order, or
+    nonexistence, after fewer nodes."""
+    host = complete_symmetric(n)
+    types = _cycle_types(n)
+    assert len(types) == {4: 2, 6: 4}[n]
+    for ftype in types:
+        got = brute_force_factorization(host, ftype)
+        want = _plain_brute_force(host, ftype)
+        assert isinstance(got, Nonexistent) == isinstance(want, Nonexistent), ftype
+        if not isinstance(want, Nonexistent):
+            assert got == want, ftype
+    nodes = brute_force_factorization(host, CycleType([n])).reason
+    assert nodes == {4: "exhaustive search over 2 nodes", 6: "exhaustive search over 37 nodes"}[n]
 
 
 def test_brute_force_budget():

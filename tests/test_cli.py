@@ -415,3 +415,20 @@ def test_factor_numbers_of_thousands_of_digits_are_refused(capsys, factor):
     err = capsys.readouterr().err
     assert err.startswith("error: bad factor spec component: ")
     assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize("field", ["n", "host.m", "factor_type", "seed"])
+def test_verify_integer_of_thousands_of_digits_is_one_plain_line(capsys, tmp_path, field):
+    """An integer literal longer than the interpreter converts is named as
+    such, not with the interpreter's advice to change its limit."""
+    data = json.loads(FIXTURE.read_text())
+    if field == "host.m":
+        data["host"]["m"] = "HUGE"
+    elif field == "factor_type":
+        data["factor_type"] = ["HUGE"]
+    else:
+        data[field] = "HUGE"
+    text = json.dumps(data).replace('"HUGE"', "-" + "9" * 5000)
+    code, err = _verify_text(capsys, tmp_path, text)
+    _assert_malformed(code, err)
+    assert err == "error: malformed input: an integer literal has more than 4300 digits\n"

@@ -4,20 +4,22 @@ from oberwolfach.core import (
     Arc,
     TwoRegularDigraph,
     Vertex,
-    cycle_from_text,
     parse_vertex,
 )
 from oberwolfach.hosts import (
     HostDescriptor,
     complete_symmetric,
     fold,
+    fold_ids,
     h_star,
     in_h_star,
     in_j_star,
     in_w_star,
     j_star,
+    strip_id,
     w_star,
 )
+from strip import cycle_from_text
 
 
 def V(t):
@@ -124,24 +126,35 @@ def test_j_star_matches_reference(m):
     assert j_star(m).arcs == expected
 
 
+def _degrees(g, v):
+    """(out-degree, in-degree) of ``v`` in the digraph ``g``."""
+    return (
+        sum(1 for a in g.arcs if a.tail == v),
+        sum(1 for a in g.arcs if a.head == v),
+    )
+
+
 def test_degree_profiles():
     h = h_star(6)
-    assert all(h.out_degree(v) == h.in_degree(v) == 4 for v in h.vertices)
+    assert all(_degrees(h, v) == (4, 4) for v in h.vertices)
     w = w_star(6)
-    assert all(w.out_degree(v) == w.in_degree(v) == 9 for v in w.vertices)
+    assert all(_degrees(w, v) == (9, 9) for v in w.vertices)
     j = j_star(6)
     for v in j.vertices:
         if 2 <= v.index <= 4:
-            assert j.out_degree(v) == j.in_degree(v) == 9
+            assert _degrees(j, v) == (9, 9)
 
 
 @pytest.mark.parametrize("m", [5, 7])
 def test_fold_is_arc_bijection(m):
+    """The arithmetic fold maps the opened host's arcs one to one onto the
+    circulant blow-up's."""
     j = j_star(m)
     w = w_star(m)
-    folded = fold(j, m)
-    assert folded.arcs == w.arcs
-    assert len(j.arcs) == len(w.arcs) == 18 * m
+    (folded,) = fold_ids([[(strip_id(a.tail), strip_id(a.head)) for a in j.arcs]], m)
+    table = HostDescriptor("WStar", m).vertex_table
+    assert {Arc(table[a], table[b]) for a, b in folded} == w.arcs
+    assert len(set(map(tuple, folded))) == len(j.arcs) == len(w.arcs) == 18 * m
 
 
 def test_fold_of_admissible_factor():

@@ -6,7 +6,6 @@ from oberwolfach.core import (
     DirectedCycle,
     TwoRegularDigraph,
     Vertex,
-    cycle_from_text,
     cycle_type_of,
     parse_cycle_type,
 )
@@ -17,6 +16,7 @@ from oberwolfach.hstar import (
     haggkvist_undirected,
     two_cycle_gadgets,
 )
+from strip import cycle_from_text
 
 
 def even_types(n):

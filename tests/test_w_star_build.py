@@ -1,20 +1,24 @@
-"""The linear-time W* build against the implementations it replaced.
+"""The W* build on vertex ids against the object implementations it
+replaced.
 
-The former ``is_admissible``, ``fold``, pairwise splice and ``concat``-based
-centre chaining are kept here as references; the fast versions must agree
-with them on random inputs, and the whole build must do work linear in the
-order.
+The former object membership rules, ``is_admissible``, ``fold``, pairwise
+splice and ``concat``-based centre chaining are kept here as references;
+the id rules, the id admissibility test, the arithmetic fold and the
+one-pass splice must agree with them on random inputs, including blocks
+outside the host and ids of no host vertex, and the whole build must do
+work linear in the order.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oberwolfach import caps, core, tables
+from oberwolfach import caps, tables
 from oberwolfach.caps import (
     AdmissibleDecomposition,
     CentrePiece,
     _splice_all,
+    admissible_ids,
     concat_centre,
     general_factor,
     is_admissible,
@@ -27,11 +31,19 @@ from oberwolfach.core import (
     DirectedPath,
     TwoRegularDigraph,
     Vertex,
-    concat,
     parse_cycle_type,
-    shift,
 )
-from oberwolfach.hosts import HostDescriptor, fold
+from oberwolfach.hosts import (
+    HostDescriptor,
+    _outside_h_star,
+    _outside_j_star,
+    _outside_w_star,
+    fold,
+    fold_ids,
+    strip_id,
+    strip_vertex,
+)
+from strip import concat, shift
 
 
 def _ref_in_j_star(arc, m):
@@ -52,6 +64,15 @@ def _ref_in_w_star(arc, m):
     if i == j:
         return s != t
     return (j - i) % m in (1, 2, m - 2, m - 1)
+
+
+def _ref_in_h_star(arc, m):
+    (s, i), (t, j) = arc
+    if s not in "xy" or t not in "xy":
+        return False
+    if not (0 <= i < m and 0 <= j < m):
+        return False
+    return (j - i) % m in (1, m - 1)
 
 
 def _ref_is_admissible(d, m):
@@ -94,7 +115,7 @@ def _ref_splice(a, b):
         if not _ref_is_admissible(factor, m):
             raise ValueError("spliced factor is not admissible")
         factors.append(factor)
-    return AdmissibleDecomposition(m, tuple(factors))
+    return AdmissibleDecomposition.from_factors(m, tuple(factors))
 
 
 def _ref_splice_all(decs):
@@ -129,6 +150,93 @@ def _outcome(fn, *args):
         return "ok", fn(*args)
     except ValueError as exc:
         return "ValueError", str(exc)
+
+
+def _host_vertex(i, m):
+    """The vertex of host id ``i`` in the m-block blow-up numbering; an id
+    of no host vertex (negative, or 2m and up) is a vertex of side z."""
+    if 0 <= i < m:
+        return Vertex("x", i)
+    if m <= i < 2 * m:
+        return Vertex("y", i - m)
+    return Vertex("z", i)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_id_host_rules_match_the_object_references(data):
+    """The J*, W* and H* rules on id pairs agree with the object rules, on
+    ids in and around each host: negative ids, blocks past the opened
+    host's last block m+1 and ids of no blow-up vertex (2m and up)."""
+    m = data.draw(st.integers(1, 13))
+    ids = st.integers(-6, 2 * m + 10)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+    pairs += [(a, b) for a in range(-2, 2 * m + 6) for b in (a - 5, a - 1, a, a + 1, a + 4)]
+    j_out = set(_outside_j_star(pairs, m))
+    for a, b in pairs:
+        arc = (strip_vertex(a), strip_vertex(b))
+        assert ((a, b) not in j_out) == _ref_in_j_star(arc, m), (m, a, b)
+    if m >= 3:
+        h_out = set(_outside_h_star(pairs, m))
+        for a, b in pairs:
+            arc = (_host_vertex(a, m), _host_vertex(b, m))
+            assert ((a, b) not in h_out) == _ref_in_h_star(arc, m), (m, a, b)
+    if m >= 5:
+        w_out = set(_outside_w_star(pairs, m))
+        for a, b in pairs:
+            arc = (_host_vertex(a, m), _host_vertex(b, m))
+            assert ((a, b) not in w_out) == _ref_in_w_star(arc, m), (m, a, b)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(m=st.integers(5, 13), size=st.integers(1, 60))
+def test_descriptor_counts_outside_codes_by_the_rules(m, size):
+    """``count_outside_codes`` of the blow-ups decodes each code and applies
+    the rule: it agrees with the object references on codes spread over the
+    order-2m square, every loop and rung included."""
+    n = 2 * m
+    codes = set(range(0, n * n, max(1, n * n // size)))
+    codes |= {a * n + a for a in range(n)}  # loops
+    codes |= {a * n + (a + m) % n for a in range(n)}  # rungs
+    for kind, ref in (("WStar", _ref_in_w_star), ("HStar", _ref_in_h_star)):
+        want = sum(
+            not ref((_host_vertex(c // n, m), _host_vertex(c % n, m)), m)
+            for c in codes
+        )
+        assert HostDescriptor(kind, m).count_outside_codes(codes) == want
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_admissible_ids_matches_the_object_reference(data):
+    """Random id cycles, negative ids and blocks past m+1 included: the id
+    test agrees with the former per-vertex test on the same vertices."""
+    m = data.draw(st.integers(1, 10))
+    chosen = data.draw(
+        st.lists(st.integers(-4, 2 * m + 8), min_size=2, max_size=3 * m, unique=True)
+    )
+    cycles = []
+    while chosen:
+        size = data.draw(st.integers(2, len(chosen)))
+        if len(chosen) - size == 1:
+            size += 1
+        cycles.append(tuple(chosen[:size]))
+        chosen = chosen[size:]
+    objects = TwoRegularDigraph(DirectedCycle(map(strip_vertex, c)) for c in cycles)
+    for size in (m, sum(map(len, cycles)) // 2):
+        assert admissible_ids(cycles, size) == _ref_is_admissible(objects, size)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(m=st.integers(5, 40), v=st.integers(-200, 200))
+def test_arithmetic_fold_reduces_the_block_mod_m(m, v):
+    """``fold_ids`` sends J* id v (any integer: negative blocks and blocks
+    past m+1 too) to the host id of its vertex with block index mod m."""
+    side, index = strip_vertex(v)
+    image = Vertex(side, index % m)
+    (((folded,),),) = fold_ids([[[v]]], m)
+    assert _host_vertex(folded, m) == image
+    assert strip_id(strip_vertex(v)) == v
 
 
 # admissible pieces made where the build makes them: table loads and
@@ -209,12 +317,18 @@ def test_is_admissible_reference_sees_both_answers():
 @settings(max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_fold_matches_reference(data):
+    """The same folded factor or the same error message; a vertex of a side
+    other than x and y has no J* id, so there both only refuse."""
     m = data.draw(st.integers(3, 12))
     d = data.draw(_two_regular(m))
     assume(d is not None)
+    on_strip = all(v.side in ("x", "y") for v in d.vertices())
     for size in {m, d.order // 2}:
         got, want = _outcome(fold, d, size), _outcome(_ref_fold, d, size)
-        assert got == want, (d, size)
+        if on_strip:
+            assert got == want, (d, size)
+        else:
+            assert got[0] == want[0] == "ValueError", (d, size)
 
 
 def test_fold_rejects_an_arc_outside_w_star_with_the_former_message():
@@ -228,7 +342,7 @@ def test_fold_rejects_an_arc_outside_w_star_with_the_former_message():
 
 def _permuted(dec, shift_by):
     """The same factors in another order: admissible, other patterns."""
-    fs = dec.factors[shift_by:] + dec.factors[:shift_by]
+    fs = dec.id_factors[shift_by:] + dec.id_factors[:shift_by]
     return AdmissibleDecomposition(dec.m, fs)
 
 
@@ -260,7 +374,7 @@ def test_splice_refuses_a_non_admissible_input():
          DirectedCycle([Vertex("y", 2), Vertex("x", 4)]),
          DirectedCycle([Vertex("x", 3), Vertex("y", 4)])]
     )
-    bad = AdmissibleDecomposition(dec.m, tuple(bent))
+    bad = AdmissibleDecomposition.from_factors(dec.m, tuple(bent))
     with pytest.raises(ValueError):
         splice(dec, bad)
     with pytest.raises(ValueError):
@@ -317,29 +431,30 @@ def test_concat_centre_refuses_a_path_that_does_not_chain():
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
 def test_w_star_build_is_linear(monkeypatch, spec, n):
-    """Admissibility is checked on O(n) vertices in all and O(n) vertices
-    are shifted: no prefix is re-checked and no chain is rebuilt."""
+    """Admissibility is checked on O(n) ids in all and the chained centre
+    paths are built once, O(n) ids: no prefix is re-checked and no chain is
+    rebuilt."""
     checked = []
-    shifted = []
-    real_is_admissible = caps.is_admissible
-    real_shift_vertex = core.shift_vertex
+    chained = []
+    real_admissible_ids = caps.admissible_ids
+    real_chain_centre = caps._chain_centre
 
-    def counting_is_admissible(d, m):
-        checked.append(d.order)
-        return real_is_admissible(d, m)
+    def counting_admissible_ids(cycles, m):
+        checked.append(sum(map(len, cycles)))
+        return real_admissible_ids(cycles, m)
 
-    def counting_shift_vertex(v, k):
-        shifted.append(1)
-        return real_shift_vertex(v, k)
+    def counting_chain_centre(piece, k):
+        pairs = real_chain_centre(piece, k)
+        chained.extend(len(p) for pair in pairs for p in pair)
+        return pairs
 
-    monkeypatch.setattr(caps, "is_admissible", counting_is_admissible)
-    monkeypatch.setattr(caps, "shift_vertex", counting_shift_vertex)
-    monkeypatch.setattr(core, "shift_vertex", counting_shift_vertex)
+    monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
+    monkeypatch.setattr(caps, "_chain_centre", counting_chain_centre)
     general_factor.cache_clear()
     factors = w_star_factorization(parse_cycle_type(spec, n))
     assert len(factors) == 9
     assert checked and sum(checked) <= 20 * n, sum(checked)
-    assert shifted and len(shifted) <= 20 * n, len(shifted)
+    assert sum(chained) <= 20 * n, sum(chained)
 
 
 @pytest.mark.parametrize(
@@ -370,12 +485,12 @@ def test_a_nested_type_is_spliced_once(monkeypatch, spec):
     ftype = parse_cycle_type(spec)
     caps.j_decompose(ftype)  # load the tables and the cap-family pieces
     checked = []
-    real_is_admissible = caps.is_admissible
+    real_admissible_ids = caps.admissible_ids
 
-    def counting_is_admissible(d, m):
+    def counting_admissible_ids(cycles, m):
         checked.append(m)
-        return real_is_admissible(d, m)
+        return real_admissible_ids(cycles, m)
 
-    monkeypatch.setattr(caps, "is_admissible", counting_is_admissible)
+    monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
     caps.j_decompose(ftype)
     assert checked == [ftype.order // 2] * 9
