@@ -256,47 +256,53 @@ def left_cap_patterns(cap: LeftCap) -> tuple:
 def concat_centre(piece: CentrePiece, k: int) -> CentrePiece:
     """Chain ``k`` shifted copies of a length-4 centre piece into length 4k
     (``_chain_centre``), as ``DirectedPath`` objects."""
-    if piece.c != 4:
-        raise ValueError("only length-4 centre pieces are chained")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    chained = _chain_centre(piece, k)
     if k == 1:
         return piece
     pairs = tuple(
-        tuple(DirectedPath(map(strip_vertex, p)) for p in pair)
-        for pair in _chain_centre(piece, k)
+        tuple(DirectedPath(map(strip_vertex, p)) for p in pair) for pair in chained
     )
     return CentrePiece(4 * k, pairs)
 
 
-def _chain_centre(piece: CentrePiece, k: int) -> list:
+def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
     """The id paths (Q, U) of ``k`` >= 1 chained copies of a length-4 centre
-    piece.
+    piece, placed ``at`` ids along the strip.
 
     Copy j of Q is shifted by 4j blocks (8j in ids) and starts where copy
     j-1 ends, so each Q must end four blocks after it starts,
     t(Q) = s(Q)+4; U runs the other way, t(U) = s(U)-4.  Each chained id
     list is built once; no id may repeat in Q and U together, which checks
     that the copies meet only at their junctions and that Q and U are
-    disjoint.  One copy is the piece itself."""
+    disjoint.  One copy is the piece itself, unchecked."""
+    if piece.c != 4:
+        raise ValueError("only length-4 centre pieces are chained")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k == 1:
-        return piece.id_pairs
+        return [(_shifted(q, at), _shifted(u, at)) for q, u in piece.id_pairs]
     pairs = []
     for q, u in piece.id_pairs:
         if q[-1] != q[0] + 8:
             raise ValueError(f"cannot chain: t(Q)={strip_vertex(q[-1])} != s(Q)+4")
         if u[0] != u[-1] + 8:
             raise ValueError(f"cannot chain: t(U)={strip_vertex(u[-1])} != s(U)-4")
-        big_q = list(q)
+        big_q = list(_shifted(q, at))
         for step in range(1, k):
-            big_q += [v + 8 * step for v in q[1:]]
-        big_u = [v + 8 * (k - 1) for v in u]
+            big_q += _shifted(q[1:], at + 8 * step)
+        big_u = list(_shifted(u, at + 8 * (k - 1)))
         for step in range(k - 2, -1, -1):
-            big_u += [v + 8 * step for v in u[1:]]
+            big_u += _shifted(u[1:], at + 8 * step)
         if len({*big_q, *big_u}) != len(big_q) + len(big_u):
             raise ValueError("chained centre paths repeat or share a vertex")
         pairs.append((big_q, big_u))
     return pairs
+
+
+def _shifted(ids, by: int) -> tuple:
+    """The J* ids ``ids`` moved ``by`` ids along the strip (2 per block);
+    every shift made while chaining and splicing goes through here."""
+    return tuple([v + by for v in ids])
 
 
 def _cycles_of(arcs: list) -> tuple:
@@ -346,12 +352,9 @@ def assemble(
     if len(m0s) != 1:
         raise ValueError(f"len(L_i) + len(P_i) is not constant: {sorted(m0s)}")
     m0 = m0s.pop()
-    if k > 0 and centre.c != 4:
-        raise ValueError("only length-4 centre pieces are chained")
-    chained = _chain_centre(centre, k) if k > 0 else [()] * 9
+    chained = _chain_centre(centre, k, 2 * left.ell) if k > 0 else [()] * 9
     m = left.ell + 4 * k + right.r
     expected = CycleType([m0 + 8 * k, *right.side_lengths])
-    centre_at = 2 * left.ell
     right_at = 2 * (left.ell + 4 * k)
     factors = []
     for i, (path, (rpath, rcycles)) in enumerate(
@@ -359,12 +362,11 @@ def assemble(
     ):
         arcs = list(zip(path, path[1:]))
         for p in chained[i - 1]:
-            p = [v + centre_at for v in p]
             arcs += zip(p, p[1:])
-        rpath = [v + right_at for v in rpath]
+        rpath = _shifted(rpath, right_at)
         arcs += zip(rpath, rpath[1:])
         for c in rcycles:
-            arcs += _arcs(tuple(v + right_at for v in c))
+            arcs += _arcs(_shifted(c, right_at))
         factor = _cycles_of(arcs)
         got = CycleType(map(len, factor))
         if got != expected:
@@ -485,7 +487,7 @@ def _splice_all(decs: list) -> AdmissibleDecomposition:
         cycles = []
         for d, offset in zip(decs, offsets):
             if offset:
-                cycles += [tuple([v + offset for v in c]) for c in d.id_factors[j]]
+                cycles += [_shifted(c, offset) for c in d.id_factors[j]]
             else:
                 cycles += d.id_factors[j]
         if not admissible_ids(cycles, m):

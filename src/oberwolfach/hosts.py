@@ -69,7 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat, starmap
-from .core import Arc, Digraph, TwoRegularDigraph, Vertex, two_regular_from_ids
+from .core import Arc, Digraph, DirectedCycle, TwoRegularDigraph, Vertex
+from .core import two_regular_from_ids
 
 # kind -> (builder, size letter, least size) for the hosts a factorization
 # is checked against; JStar decompositions have their own checker.
@@ -142,9 +143,9 @@ class HostDescriptor:
         """``"x3" -> id``: each vertex's written form to its id."""
         return self._numbering[2]
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
-        return self._numbering[3]
+        return frozenset(self.vertex_table)
 
     @property
     def arcs(self) -> "DescribedArcs":
@@ -166,15 +167,14 @@ class HostDescriptor:
 @lru_cache(maxsize=4)
 def _vertex_numbering(xs: int, ys: int) -> tuple:
     """Interned vertices x_0..x_{xs-1}, y_0..y_{ys-1} in id order, with the
-    ``Vertex -> id`` and ``text -> id`` maps and the vertex set.  The result
-    is shared by every caller with the same counts and must not be
-    mutated."""
+    ``Vertex -> id`` and ``text -> id`` maps.  The result is shared by every
+    caller with the same counts and must not be mutated."""
     table = tuple(
         [Vertex("x", i) for i in range(xs)] + [Vertex("y", i) for i in range(ys)]
     )
     ids = {v: i for i, v in enumerate(table)}
     by_text = {v.text(): i for i, v in enumerate(table)}
-    return table, ids, by_text, frozenset(table)
+    return table, ids, by_text
 
 
 class DescribedArcs:
@@ -368,17 +368,25 @@ def fold(g: TwoRegularDigraph, m: int) -> TwoRegularDigraph:
     """Reduce block indices mod m, mapping a factor on the opened host into
     w_star(m).
 
-    The vertices are mapped to J* ids (``strip_id``, so every vertex must
-    be of side x or y), folded by ``fold_ids`` and rebuilt as the interned
-    vertices of ``w_star(m)``'s vertex table (shared with the order-2m
-    complete host).  Raises ``ValueError`` for m < 5, where the arc
-    correspondence breaks down, and if any folded arc is outside
-    ``w_star(m)`` (malformed input).
+    The vertices are mapped to J* ids (``strip_id``), folded by
+    ``fold_ids`` and rebuilt as the interned vertices of ``w_star(m)``'s
+    vertex table (shared with the order-2m complete host).  Raises
+    ``ValueError`` for m < 5, where the arc correspondence breaks down, and
+    if any folded arc is outside ``w_star(m)`` (malformed input, a vertex
+    of a side other than x and y included).
     """
     if m < 5:
         raise ValueError(f"fold needs m >= 5, got {m}")
     table = _vertex_numbering(m, m)[0]
-    (cycles,) = fold_ids([[list(map(strip_id, c.vertices)) for c in g.cycles]], m)
+    try:
+        ids = [list(map(strip_id, c.vertices)) for c in g.cycles]
+    except ValueError:  # a vertex of another side has no J* id: name the arcs
+        folded = TwoRegularDigraph(
+            DirectedCycle(Vertex(s, i % m) for s, i in c.vertices) for c in g.cycles
+        )
+        bad = sorted(a for a in folded.arcs() if not in_w_star(a, m))
+        raise ValueError(f"folded arcs outside host: {bad[:3]}") from None
+    (cycles,) = fold_ids([ids], m)
     folded = two_regular_from_ids(cycles, table)
     bad = _outside_w_star([a for c in cycles for a in zip(c, c[1:] + c[:1])], m)
     if bad:

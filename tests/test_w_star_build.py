@@ -317,18 +317,14 @@ def test_is_admissible_reference_sees_both_answers():
 @settings(max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_fold_matches_reference(data):
-    """The same folded factor or the same error message; a vertex of a side
-    other than x and y has no J* id, so there both only refuse."""
+    """The same folded factor or the same error message, for vertices of a
+    side other than x and y too."""
     m = data.draw(st.integers(3, 12))
     d = data.draw(_two_regular(m))
     assume(d is not None)
-    on_strip = all(v.side in ("x", "y") for v in d.vertices())
     for size in {m, d.order // 2}:
         got, want = _outcome(fold, d, size), _outcome(_ref_fold, d, size)
-        if on_strip:
-            assert got == want, (d, size)
-        else:
-            assert got[0] == want[0] == "ValueError", (d, size)
+        assert got == want, (d, size)
 
 
 def test_fold_rejects_an_arc_outside_w_star_with_the_former_message():
@@ -431,30 +427,40 @@ def test_concat_centre_refuses_a_path_that_does_not_chain():
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
 def test_w_star_build_is_linear(monkeypatch, spec, n):
-    """Admissibility is checked on O(n) ids in all and the chained centre
-    paths are built once, O(n) ids: no prefix is re-checked and no chain is
-    rebuilt."""
+    """Admissibility is checked on O(n) ids in all and O(n) ids are shifted
+    while chaining and splicing: no prefix is re-checked or re-shifted and
+    no chain is rebuilt."""
     checked = []
+    shifted = []
     chained = []
     real_admissible_ids = caps.admissible_ids
+    real_shifted = caps._shifted
     real_chain_centre = caps._chain_centre
 
     def counting_admissible_ids(cycles, m):
         checked.append(sum(map(len, cycles)))
         return real_admissible_ids(cycles, m)
 
-    def counting_chain_centre(piece, k):
-        pairs = real_chain_centre(piece, k)
+    def counting_shifted(ids, by):
+        out = real_shifted(ids, by)
+        shifted.append(len(out))
+        return out
+
+    def counting_chain_centre(piece, k, at=0):
+        pairs = real_chain_centre(piece, k, at)
         chained.extend(len(p) for pair in pairs for p in pair)
         return pairs
 
     monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
+    monkeypatch.setattr(caps, "_shifted", counting_shifted)
     monkeypatch.setattr(caps, "_chain_centre", counting_chain_centre)
     general_factor.cache_clear()
     factors = w_star_factorization(parse_cycle_type(spec, n))
     assert len(factors) == 9
     assert checked and sum(checked) <= 20 * n, sum(checked)
-    assert sum(chained) <= 20 * n, sum(chained)
+    assert shifted and sum(shifted) <= 20 * n, sum(shifted)
+    if spec == "[1002]":
+        assert chained and sum(chained) <= 20 * n, sum(chained)
 
 
 @pytest.mark.parametrize(
