@@ -121,3 +121,97 @@ def test_corrupted_table_is_caught():
     )
     report = verify_cap_complementarity(tables.left_cap(), bad)
     assert not report.passed
+
+
+# -- one corrupted piece per audit clause -----------------------------------
+
+
+def _edit(rows, i, row):
+    """``rows`` with row ``i`` replaced."""
+    return rows[:i] + (row,) + rows[i + 1 :]
+
+
+def _moved(text, k):
+    """A path text with every block index raised by ``k``."""
+    return " ".join(f"{t[0]}{int(t[1:]) + k}" for t in text.split())
+
+
+def _audit(
+    left_paths=tables.LEFT_CAP_PATHS,
+    ell=2,
+    cap=("L", 4),
+    cap_rows=None,
+    centre_pairs=tables.CENTRE_PAIRS,
+):
+    """``verify_cap_complementarity`` of pieces built from table text by the
+    loaders' own parsers, in the loaders' own piece classes."""
+    strip, sides, rows = tables.RIGHT_CAPS[cap]
+    left = type(tables.left_cap())(ell, tuple(map(tables._p, left_paths)))
+    right = type(tables.right_cap(*cap))(
+        strip,
+        len(sides),
+        tuple(sides),
+        tuple(
+            (tables._p(row[0]), tuple(map(tables._c, row[1:])))
+            for row in (rows if cap_rows is None else cap_rows)
+        ),
+    )
+    centre = type(tables.centre_piece())(
+        4, tuple((tables._p(q), tables._p(u)) for q, u in centre_pairs)
+    )
+    return verify_cap_complementarity(left, right, centre)
+
+
+_L4 = tables.RIGHT_CAPS[("L", 4)][2]
+_L5 = tables.RIGHT_CAPS[("L", 5)][2]
+_L2_4 = tables.RIGHT_CAPS[("L2", 4)][2]
+_LEFT = tables.LEFT_CAP_PATHS
+_CENTRE = tables.CENTRE_PAIRS
+
+# clause -> table edit that breaks it
+_CLAUSE_BREAKERS = {
+    # a terminal two blocks past the seam
+    "left_endpoints": dict(left_paths=_edit(_LEFT, 0, "y2 y1 x2 x4")),
+    # one block wider: y3 y2 x3 misses the middle vertex x2
+    "left_middles": dict(ell=3, left_paths=tuple(_moved(p, 1) for p in _LEFT)),
+    # the arcs y2 x1 x2 of path 8 twice
+    "left_union": dict(left_paths=_edit(_LEFT, 0, "y2 x1 x2")),
+    # the side cycle meets the path at x3
+    "right_shapes": dict(cap=("L2", 4), cap_rows=_edit(_L2_4, 0, (_L2_4[0][0], "(y2 x3)"))),
+    # x2, the outer twin of x0, where the pattern holds x0
+    "right_boundary": dict(cap_rows=_edit(_L4, 3, ("y1 x2 x1",))),
+    # the path starts in the middle block
+    "right_endpoints": dict(cap=("L", 5), cap_rows=_edit(_L5, 3, ("y2 y1 x2 x1",))),
+    # x2 dropped
+    "right_middles": dict(cap=("L", 5), cap_rows=_edit(_L5, 3, ("y1 y2 x1",))),
+    # the rung y1 x1 turned round
+    "right_union": dict(cap_rows=_edit(_L4, 3, ("x1 y1",))),
+    "patterns_match": dict(cap_rows=_edit(_L4, 3, ("x1 y1",))),
+    # one path a vertex shorter
+    "m0_constant": dict(cap_rows=_edit(_L4, 8, ("y0 y1",))),
+    # U passes through y2, which Q holds
+    "centre_disjoint_pairs": dict(centre_pairs=_edit(_CENTRE, 0, (_CENTRE[0][0], "y4 x3 y2 y0"))),
+    "centre_lengths": dict(centre_pairs=_edit(_CENTRE, 0, (_CENTRE[0][0], "y4 x3 y0"))),
+    # Q ends five blocks after it starts
+    "centre_endpoints": dict(centre_pairs=_edit(_CENTRE, 0, ("x0 y2 x2 x1 y3 x5", _CENTRE[0][1]))),
+    # neither x1 nor x5 present
+    "centre_one_of_pair": dict(centre_pairs=_edit(_CENTRE, 0, ("x0 y2 x2 y3 x4", _CENTRE[0][1]))),
+    # y2 in neither path
+    "centre_middles": dict(centre_pairs=_edit(_CENTRE, 0, ("x0 x2 x1 y3 x4", _CENTRE[0][1]))),
+    # x2 and y2 visited the other way round
+    "centre_union": dict(centre_pairs=_edit(_CENTRE, 0, ("x0 x2 y2 x1 y3 x4", _CENTRE[0][1]))),
+    # U ends at y1 instead of y0
+    "centre_patterns_match": dict(centre_pairs=_edit(_CENTRE, 0, (_CENTRE[0][0], "y4 x3 y0 y1"))),
+}
+
+
+def test_every_audit_clause_has_a_breaker():
+    report = _audit()
+    assert report.passed, report.failures()
+    assert sorted(name for name, _, _ in report.checks) == sorted(_CLAUSE_BREAKERS)
+
+
+@pytest.mark.parametrize("clause", sorted(_CLAUSE_BREAKERS))
+def test_each_audit_clause_catches_its_corruption(clause):
+    report = _audit(**_CLAUSE_BREAKERS[clause])
+    assert clause in [name for name, _ in report.failures()], report
