@@ -6,21 +6,14 @@ from .core import (
     CycleType,
     Digraph,
     DirectedCycle,
-    DirectedPath,
     TwoRegularDigraph,
     Vertex,
     cycle_type_of,
     parse_cycle_type,
 )
-from .hosts import HostDescriptor, complete_symmetric, fold, h_star, j_star, w_star
-from .caps import (
-    AdmissibleDecomposition,
-    external_pattern,
-    is_admissible,
-    j_decompose,
-    splice,
-    w_star_factorization,
-)
+from .hosts import HostDescriptor, complete_symmetric, h_star, j_star, w_star
+from .tables import AdmissibleDecomposition
+from .caps import j_decompose
 from .checker import (
     Nonexistent,
     VerificationReport,
@@ -29,7 +22,7 @@ from .checker import (
     verify_cap_complementarity,
     verify_factorization,
 )
-from .hstar import HStarFactorization, factorize_h_star, haggkvist_undirected
+from .hstar import HStarFactorization, factorize_h_star
 from .solver import (
     DomainError,
     Factorization,
@@ -43,23 +36,17 @@ __all__ = [
     "CycleType",
     "Digraph",
     "DirectedCycle",
-    "DirectedPath",
     "TwoRegularDigraph",
     "Vertex",
     "cycle_type_of",
     "parse_cycle_type",
     "HostDescriptor",
     "complete_symmetric",
-    "fold",
     "h_star",
     "j_star",
     "w_star",
     "AdmissibleDecomposition",
-    "external_pattern",
-    "is_admissible",
     "j_decompose",
-    "splice",
-    "w_star_factorization",
     "Nonexistent",
     "VerificationReport",
     "brute_force_factorization",
@@ -68,7 +55,6 @@ __all__ = [
     "verify_factorization",
     "HStarFactorization",
     "factorize_h_star",
-    "haggkvist_undirected",
     "DomainError",
     "Factorization",
     "round_robin_two_cycles",

@@ -2,10 +2,11 @@
 
 An *admissible* 2-regular subdigraph of the opened host on blocks 0..m+1 has
 order 2m, takes exactly one vertex from each boundary pair {x0,xm},
-{x1,xm+1}, {y0,ym}, {y1,ym+1}, and therefore saturates every middle block.
-Nine arc-disjoint admissible factors covering all 18m arcs form an
-admissible decomposition; folding block indices mod m turns such a
-decomposition into a 2-factorization of the circulant blow-up host.
+{x1,xm+1}, {y0,ym}, {y1,ym+1}, and therefore saturates every middle block
+(``hosts.admissible_ids``).  Nine arc-disjoint admissible factors covering
+all 18m arcs form an admissible decomposition; folding block indices mod m
+turns such a decomposition into a 2-factorization of the circulant blow-up
+host.
 
 Decompositions are built from three kinds of nine-element path systems
 (left caps, right caps, centre pieces; see :mod:`oberwolfach.tables`) glued
@@ -13,13 +14,9 @@ end to end with the index shift, and from splicing whole decompositions
 whose boundary patterns agree entrywise.
 
 The build runs on J* ids (``hosts.strip_id``: block b, side s -> 2b + s),
-so shifting by k blocks adds 2k.  An ``AdmissibleDecomposition`` holds its
-factors as tuples of id cycles (``id_factors``) and builds the
-``TwoRegularDigraph`` objects only when ``factors`` is read.  Each cap and
-centre piece converts its paths to ids once (``id_paths``, ``id_pairs``,
-``id_elements``); the ``tables`` loaders are cached, so that is once per
-process.  ``is_admissible``, ``concat_centre`` and ``splice`` take and
-return objects and call the id functions.
+so shifting by k blocks adds 2k.  The table pieces hold ids, and an
+``AdmissibleDecomposition`` holds its factors as tuples of id cycles
+(``id_factors``); objects are built only when ``factors`` is read.
 
 Check contract: every piece is checked once, where it is made, on ids.
 
@@ -32,7 +29,7 @@ Check contract: every piece is checked once, where it is made, on ids.
 * ``_splice_all`` checks that every piece has the first piece's boundary
   patterns and that each final factor is admissible.  ``j_decompose``
   splices the flat list of pieces ``_decompose`` picks in one call, so no
-  factor is checked twice.  The public ``splice`` also checks both inputs.
+  factor is checked twice.
 * ``w_star_id_factors`` folds each factor to host ids (``fold_ids``) and
   checks the nine folded factors together against the circulant blow-up
   host: arcs inside it, arc-disjoint and covering, spanning, and type.
@@ -50,219 +47,19 @@ per factor, on the final factor, in time linear in its order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import Optional
 
 from . import tables
-from .core import (
-    CycleType,
-    DirectedCycle,
-    DirectedPath,
-    TwoRegularDigraph,
-    Vertex,
-    canonical_id_cycles,
-    shift_vertex,
-    two_regular_from_ids,
-)
-from .hosts import HostDescriptor, _outside_j_star, fold_ids, strip_id, strip_vertex
-
-BOUNDARY = (Vertex("x", 0), Vertex("x", 1), Vertex("y", 0), Vertex("y", 1))
-_BOUNDARY_BY_ID = {strip_id(v): v for v in BOUNDARY}
-
-
-def external_pattern(d: TwoRegularDigraph) -> frozenset:
-    """The subset of {x0, x1, y0, y1} that ``d`` meets."""
-    return frozenset(BOUNDARY) & d.vertices()
-
-
-def _ids(walk) -> tuple:
-    """A cycle's or path's vertices as a tuple of J* ids."""
-    return tuple(map(strip_id, walk.vertices))
-
-
-def _id_cycles(cycles) -> tuple:
-    return tuple(map(_ids, cycles))
+from .checker import verify_id_factorization
+from .core import CycleType, canonical_id_cycles
+from .hosts import HostDescriptor, admissible_ids, fold_ids, strip_vertex
+from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
 def _arcs(c):
     """The arcs of id cycle ``c`` as (tail, head) pairs."""
     return zip(c, c[1:] + c[:1])
-
-
-def admissible_ids(cycles, m: int) -> bool:
-    """Whether the cycles of J* ids ``cycles`` form an admissible factor on
-    m blocks: 2m distinct ids, every arc in the opened host
-    (``hosts._outside_j_star``), one id of each boundary pair
-    {b, b + 2m} for b = 0..3 (x0, y0, x1, y1), all middle blocks saturated.
-
-    With all 2m ids in 0..2m+3 and one of each boundary pair present, the
-    other 2m - 4 lie in 4..2m-1, which has that many ids, so the middle
-    blocks are saturated."""
-    named: set = set()
-    total = 0
-    for c in cycles:
-        named.update(c)
-        total += len(c)
-    if m < 1 or total != 2 * m or len(named) != total:
-        return False
-    if min(named) < 0 or max(named) > 2 * m + 3:
-        return False
-    for b in range(4):
-        if (b in named) == (b + 2 * m in named):
-            return False
-    return not _outside_j_star([a for c in cycles for a in _arcs(c)], m)
-
-
-def is_admissible(d: TwoRegularDigraph, m: int) -> bool:
-    """``admissible_ids`` of ``d``'s cycles in J* ids (a vertex of another
-    side than x and y is never admissible)."""
-    try:
-        cycles = _id_cycles(d.cycles)
-    except ValueError:
-        return False
-    return admissible_ids(cycles, m)
-
-
-@dataclass(frozen=True)
-class AdmissibleDecomposition:
-    """Nine admissible factors partitioning the arcs of the opened host on
-    ``m`` blocks, each a tuple of cycles of J* ids."""
-
-    m: int
-    id_factors: tuple  # 9 tuples of id tuples
-
-    @classmethod
-    def from_factors(cls, m: int, factors) -> "AdmissibleDecomposition":
-        """The decomposition of ``TwoRegularDigraph`` factors on the strip."""
-        return cls(m, tuple(_id_cycles(f.cycles) for f in factors))
-
-    @cached_property
-    def factors(self) -> tuple:
-        """The factors as ``TwoRegularDigraph``s, built on first access."""
-        return tuple(
-            TwoRegularDigraph(DirectedCycle(map(strip_vertex, c)) for c in f)
-            for f in self.id_factors
-        )
-
-    def patterns(self) -> tuple:
-        return self._patterns
-
-    @cached_property
-    def _patterns(self) -> tuple:
-        # table pieces are shared and spliced again and again, so the
-        # patterns of a decomposition are computed once
-        return tuple(
-            frozenset(
-                map(_BOUNDARY_BY_ID.__getitem__, _BOUNDARY_BY_ID.keys() & chain(*f))
-            )
-            for f in self.id_factors
-        )
-
-    def cycle_types(self) -> tuple:
-        return tuple(CycleType(map(len, f)) for f in self.id_factors)
-
-
-class InternalPatternEntry(NamedTuple):
-    """Normalised (source-end, terminal-end, absent-set) seam description."""
-
-    first: Vertex
-    second: Vertex
-    absent: frozenset
-
-
-@dataclass(frozen=True)
-class LeftCap:
-    """Nine arc-disjoint paths whose union is the width-``ell`` opened host
-    minus the arc x_ell -> y_ell; path endpoints sit in blocks ell, ell+1."""
-
-    ell: int
-    paths: tuple  # 9 DirectedPath
-
-    @cached_property
-    def id_paths(self) -> tuple:
-        return _id_cycles(self.paths)
-
-
-@dataclass(frozen=True)
-class RightCap:
-    """Nine arc-disjoint path-plus-cycles pieces whose union is the
-    width-``r`` opened host plus the arc x0 -> y0."""
-
-    r: int
-    t: int
-    side_lengths: tuple  # lengths of the t side cycles
-    elements: tuple  # 9 of (DirectedPath, tuple[DirectedCycle, ...])
-
-    @cached_property
-    def id_elements(self) -> tuple:
-        return tuple((_ids(p), _id_cycles(cs)) for p, cs in self.elements)
-
-
-@dataclass(frozen=True)
-class CentrePiece:
-    """Nine pairs of vertex-disjoint paths bridging ``c`` blocks; the union
-    is the width-``c`` opened host plus x0 -> y0 minus x_c -> y_c."""
-
-    c: int
-    pairs: tuple  # 9 of (Q, U)
-
-    @cached_property
-    def id_pairs(self) -> tuple:
-        return tuple(_id_cycles(pair) for pair in self.pairs)
-
-
-def internal_pattern(piece, i: int) -> InternalPatternEntry:
-    """Entry ``i`` (1-based) of the seam pattern of a cap or centre piece."""
-    if isinstance(piece, LeftCap):
-        path = piece.paths[i - 1]
-        seam = {Vertex(s, piece.ell + j) for s in "xy" for j in (0, 1)}
-        absent = frozenset(
-            shift_vertex(v, -piece.ell) for v in path.internal_vertices() & seam
-        )
-        return InternalPatternEntry(
-            shift_vertex(path.source, -piece.ell),
-            shift_vertex(path.terminal, -piece.ell),
-            absent,
-        )
-    if isinstance(piece, RightCap):
-        path, cycles = piece.elements[i - 1]
-        present = set(path.vertices)
-        for c in cycles:
-            present.update(c.vertices)
-        return InternalPatternEntry(
-            path.terminal, path.source, frozenset(BOUNDARY) - present
-        )
-    if isinstance(piece, CentrePiece):
-        q, u = piece.pairs[i - 1]
-        present = set(q.vertices) | set(u.vertices)
-        return InternalPatternEntry(
-            u.terminal, q.source, frozenset(BOUNDARY) - present
-        )
-    raise TypeError(f"no internal pattern for {type(piece).__name__}")
-
-
-def internal_patterns(piece) -> tuple:
-    return tuple(internal_pattern(piece, i) for i in range(1, 10))
-
-
-def left_cap_patterns(cap: LeftCap) -> tuple:
-    return tuple(
-        frozenset(BOUNDARY) & set(p.vertices) for p in cap.paths
-    )
-
-
-def concat_centre(piece: CentrePiece, k: int) -> CentrePiece:
-    """Chain ``k`` shifted copies of a length-4 centre piece into length 4k
-    (``_chain_centre``), as ``DirectedPath`` objects."""
-    chained = _chain_centre(piece, k)
-    if k == 1:
-        return piece
-    pairs = tuple(
-        tuple(DirectedPath(map(strip_vertex, p)) for p in pair) for pair in chained
-    )
-    return CentrePiece(4 * k, pairs)
 
 
 def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
@@ -280,9 +77,9 @@ def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return [(_shifted(q, at), _shifted(u, at)) for q, u in piece.id_pairs]
+        return [(_shifted(q, at), _shifted(u, at)) for q, u in piece.pairs]
     pairs = []
-    for q, u in piece.id_pairs:
+    for q, u in piece.pairs:
         if q[-1] != q[0] + 8:
             raise ValueError(f"cannot chain: t(Q)={strip_vertex(q[-1])} != s(Q)+4")
         if u[0] != u[-1] + 8:
@@ -342,13 +139,12 @@ def assemble(
         raise ValueError("k must be >= 0")
     if k > 0 and centre is None:
         raise ValueError("k > 0 requires a centre piece")
-    if internal_patterns(left) != internal_patterns(right):
+    seams = left.internal_patterns()
+    if seams != right.internal_patterns():
         raise ValueError("left and right caps have different seam patterns")
-    if centre is not None and internal_patterns(left) != internal_patterns(centre):
+    if centre is not None and seams != centre.internal_patterns():
         raise ValueError("centre piece does not match the caps' seam patterns")
-    m0s = {
-        left.paths[i].length + right.elements[i][0].length for i in range(9)
-    }
+    m0s = {len(p) + len(e[0]) - 2 for p, e in zip(left.paths, right.elements)}
     if len(m0s) != 1:
         raise ValueError(f"len(L_i) + len(P_i) is not constant: {sorted(m0s)}")
     m0 = m0s.pop()
@@ -358,7 +154,7 @@ def assemble(
     right_at = 2 * (left.ell + 4 * k)
     factors = []
     for i, (path, (rpath, rcycles)) in enumerate(
-        zip(left.id_paths, right.id_elements), 1
+        zip(left.paths, right.elements), 1
     ):
         arcs = list(zip(path, path[1:]))
         for p in chained[i - 1]:
@@ -375,19 +171,6 @@ def assemble(
             raise ValueError(f"factor {i} is not admissible")
         factors.append(factor)
     return AdmissibleDecomposition(m, tuple(factors))
-
-
-def splice(
-    a: AdmissibleDecomposition, b: AdmissibleDecomposition
-) -> AdmissibleDecomposition:
-    """Join compatible decompositions: factor j becomes A_j + shifted B_j.
-
-    Both inputs' factors are checked for admissibility first, as the
-    caller may have built them by hand."""
-    for dec in (a, b):
-        if not all(admissible_ids(f, dec.m) for f in dec.id_factors):
-            raise ValueError("splice input is not admissible")
-    return _splice_all([a, b])
 
 
 # Cap-family dispatch: family key, anchors present in the tables, and the
@@ -593,8 +376,6 @@ def w_star_id_factors(ftype: CycleType) -> list:
     One ``verify_id_factorization`` against ``WStar`` m checks the folded
     factors together: every arc in the host, arc-disjoint, covering its 18m
     arcs, each factor spanning, each of type ``ftype``."""
-    from .checker import verify_id_factorization  # checker imports caps
-
     m = ftype.order // 2
     if m < 5:
         raise ValueError(
@@ -608,9 +389,3 @@ def w_star_id_factors(ftype: CycleType) -> list:
         raise ValueError(f"folded factors fail the W* check: {report.failures()}")
     return folded
 
-
-def w_star_factorization(ftype: CycleType) -> list:
-    """``w_star_id_factors`` as 9 ``TwoRegularDigraph``s on the interned
-    vertices of ``w_star(m)``."""
-    table = HostDescriptor("WStar", ftype.order // 2).vertex_table
-    return [two_regular_from_ids(f, table) for f in w_star_id_factors(ftype)]

@@ -22,7 +22,15 @@ lists and ``verify`` reads certificates straight into them
 (``serialize.read_certificate``); ``verify_factorization`` is the adapter
 for library callers holding ``TwoRegularDigraph`` objects, so all of them
 run the same core.  ``verify_admissible_decomposition`` likewise checks a
-decomposition's J* id cycles against the opened host's rule on ids.
+decomposition's J* id cycles against the opened host's rule on ids, and
+``verify_cap_complementarity`` checks the cap and centre tables' id paths
+clause by clause, comparing their arc unions with the same rule by
+counting.
+
+The checker imports only ``core`` and ``hosts``, the numberings and rules
+it judges by, and none of the modules that build what it judges; the
+pieces and decompositions it is handed are read through their fields and
+methods (``id_factors``, ``patterns``, ``internal_patterns``).
 
 ``brute_force_factorization`` is an exhaustive backtracking search over
 tiny hosts, used to confirm nonexistence claims and to cross-check the
@@ -35,26 +43,15 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Optional, Union
 
-from .caps import (
-    BOUNDARY,
-    AdmissibleDecomposition,
-    CentrePiece,
-    LeftCap,
-    RightCap,
-    admissible_ids,
-    internal_patterns,
-    left_cap_patterns,
-)
 from .core import (
     Arc,
     CycleType,
     Digraph,
     DirectedCycle,
     TwoRegularDigraph,
-    Vertex,
     cycle_type_text,
 )
-from .hosts import HostDescriptor, _j_arcs, _outside_j_star
+from .hosts import BOUNDARY, HostDescriptor, _outside_j_star, admissible_ids
 
 
 class BudgetExceeded(RuntimeError):
@@ -199,13 +196,14 @@ def _gather_foreign(cs: list, order: int, codes: set, pairs: set) -> None:
 
 def verify_admissible_decomposition(
     m: int,
-    dec: AdmissibleDecomposition,
+    dec,
     expected_patterns: Optional[tuple] = None,
 ) -> VerificationReport:
-    """Check that ``dec``'s nine factors, cycles of J* ids, are admissible
-    on ``m`` blocks and partition the arcs of the opened host: the distinct
-    arcs, less those outside it (``hosts._outside_j_star``), must number
-    its 18m arcs."""
+    """Check that ``dec`` (a ``tables.AdmissibleDecomposition``: ``m``,
+    ``id_factors`` and ``patterns()``) has nine factors, cycles of J* ids,
+    admissible on ``m`` blocks, that partition the arcs of the opened host:
+    the distinct arcs, less those outside it (``hosts._outside_j_star``),
+    must number its 18m arcs."""
     report = VerificationReport()
     factors = dec.id_factors
     report.add("nine_factors", len(factors) == 9, f"{len(factors)} factors")
@@ -237,86 +235,89 @@ def verify_admissible_decomposition(
     return report
 
 
-def verify_cap_complementarity(
-    left: LeftCap, right: RightCap, centre: Optional[CentrePiece] = None
-) -> VerificationReport:
-    """Check every defining clause of the cap (and centre piece) tables."""
+def _is_opened_host(arcs: list, m: int, plus: set, minus: set) -> bool:
+    """Whether the J* id pairs ``arcs`` are distinct and make up the opened
+    host on ``m`` blocks with the arcs ``plus`` (outside it) added and the
+    arcs ``minus`` (inside it) taken away: none of them is outside that
+    union, and they number its 18m + |plus| - |minus| arcs."""
+    union = set(arcs)
+    return (
+        len(arcs) == len(union) == 18 * m + len(plus) - len(minus)
+        and not union & minus
+        and not _outside_j_star(union - plus, m)
+    )
+
+
+def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
+    """Check every defining clause of the cap (and centre piece) tables:
+    ``tables.LeftCap``, ``RightCap`` and ``CentrePiece`` pieces, whose paths
+    and cycles are tuples of J* ids (vertex (s, j) is 2j + s)."""
     report = VerificationReport()
-    x0y0 = Arc(Vertex("x", 0), Vertex("y", 0))
+    x0y0 = {(0, 1)}
 
     # Left cap clauses.
     ell = left.ell
-    seam = {Vertex(s, ell + j) for s in "xy" for j in (0, 1)}
+    seam = range(2 * ell, 2 * ell + 4)
     larcs: list = []
     ok = True
     for p in left.paths:
-        larcs.extend(p.arcs())
-        if not (p.source in seam and p.terminal in seam):
+        larcs += zip(p, p[1:])
+        if not (p[0] in seam and p[-1] in seam):
             ok = False
     report.add("left_endpoints", ok, "sources/terminals in the seam blocks")
-    middles_ok = all(
-        {Vertex("x", j), Vertex("y", j)} <= set(p.vertices)
-        for p in left.paths
-        for j in range(2, ell)
-    )
-    report.add("left_middles", middles_ok)
-    expected_left = set(_j_arcs(ell)) - {Arc(Vertex("x", ell), Vertex("y", ell))}
+    middles = set(range(4, 2 * ell))  # both sides of blocks 2..ell-1
+    report.add("left_middles", all(middles <= set(p) for p in left.paths))
     report.add(
         "left_union",
-        len(larcs) == len(set(larcs)) and set(larcs) == expected_left,
-        f"{len(larcs)} arcs vs {len(expected_left)} expected",
+        _is_opened_host(larcs, ell, set(), {(2 * ell, 2 * ell + 1)}),
+        f"{len(larcs)} arcs vs {18 * ell - 1} expected",
     )
 
     # Right cap clauses.
     r = right.r
+    middles = set(range(4, 2 * r))
     rarcs: list = []
     shapes_ok = True
     boundary_ok = True
     ends_ok = True
     middles_ok = True
+    left_patterns = left.patterns()
     for idx, (path, cycles) in enumerate(right.elements):
-        rarcs.extend(path.arcs())
-        seen = set(path.vertices)
+        rarcs += zip(path, path[1:])
+        seen = set(path)
         for c in cycles:
-            rarcs.extend(c.arcs())
-            if set(c.vertices) & seen:
+            rarcs += zip(c, c[1:] + c[:1])
+            if seen.intersection(c):
                 shapes_ok = False
-            seen.update(c.vertices)
-        if tuple(sorted(c.length for c in cycles)) != tuple(
-            sorted(right.side_lengths)
-        ):
+            seen.update(c)
+        if sorted(map(len, cycles)) != sorted(right.side_lengths):
             shapes_ok = False
-        ext = left_cap_patterns(left)[idx]
-        for side, j in (("x", 0), ("x", 1), ("y", 0), ("y", 1)):
-            inner = Vertex(side, j)
-            outer = Vertex(side, r + j)
-            if (outer in seen) != (inner not in ext):
+        ext = left_patterns[idx]
+        for inner in BOUNDARY:
+            if (inner + 2 * r in seen) != (inner not in ext):
                 boundary_ok = False
-        if not (path.source in set(BOUNDARY) and path.terminal in set(BOUNDARY)):
+        if not (path[0] in BOUNDARY and path[-1] in BOUNDARY):
             ends_ok = False
-        for j in range(2, r):
-            if not {Vertex("x", j), Vertex("y", j)} <= seen:
-                middles_ok = False
+        if not middles <= seen:
+            middles_ok = False
     report.add("right_shapes", shapes_ok, "one path plus the declared side cycles")
     report.add("right_boundary", boundary_ok, "outer blocks complement the pattern")
     report.add("right_endpoints", ends_ok)
     report.add("right_middles", middles_ok)
-    expected_right = set(_j_arcs(r)) | {x0y0}
     report.add(
         "right_union",
-        len(rarcs) == len(set(rarcs)) and set(rarcs) == expected_right,
-        f"{len(rarcs)} arcs vs {len(expected_right)} expected",
+        _is_opened_host(rarcs, r, x0y0, set()),
+        f"{len(rarcs)} arcs vs {18 * r + 1} expected",
     )
 
     # Matching seam patterns and the constant joined length.
+    seams = left.internal_patterns()
     report.add(
         "patterns_match",
-        internal_patterns(left) == internal_patterns(right),
+        seams == right.internal_patterns(),
         "left/right seam patterns",
     )
-    m0s = {
-        left.paths[i].length + right.elements[i][0].length for i in range(9)
-    }
+    m0s = {len(p) + len(e[0]) - 2 for p, e in zip(left.paths, right.elements)}
     report.add("m0_constant", len(m0s) == 1, f"m0 values {sorted(m0s)}")
 
     if centre is not None:
@@ -328,49 +329,38 @@ def verify_cap_complementarity(
         one_of_ok = True
         middles_ok = True
         for q, u in centre.pairs:
-            carcs.extend(q.arcs())
-            carcs.extend(u.arcs())
-            if set(q.vertices) & set(u.vertices):
+            carcs += zip(q, q[1:])
+            carcs += zip(u, u[1:])
+            if set(q) & set(u):
                 pair_ok = False
-            if q.length + u.length != 2 * c:
+            if len(q) + len(u) - 2 != 2 * c:
                 length_ok = False
-            if q.source not in set(BOUNDARY):
+            # Q runs c blocks right from the boundary, U c blocks left to it,
+            # each staying on its side
+            if q[0] not in BOUNDARY or q[-1] != q[0] + 2 * c:
                 ends_ok = False
-            if q.terminal != Vertex(q.source.side, q.source.index + c):
+            if u[0] - 2 * c not in BOUNDARY or u[-1] != u[0] - 2 * c:
                 ends_ok = False
-            if u.source not in {Vertex(s, c + j) for s in "xy" for j in (0, 1)}:
-                ends_ok = False
-            if u.terminal != Vertex(u.source.side, u.source.index - c):
-                ends_ok = False
-            present = set(q.vertices) | set(u.vertices)
-            for w in BOUNDARY:
-                if w in (q.source, u.terminal):
-                    continue
-                far = Vertex(w.side, w.index + c)
-                if (w in present) == (far in present):
+            present = set(q) | set(u)
+            for w in BOUNDARY - {q[0], u[-1]}:
+                if (w in present) == (w + 2 * c in present):
                     one_of_ok = False
-            for j in range(2, c):
-                for s in "xy":
-                    if (Vertex(s, j) in set(q.vertices)) == (
-                        Vertex(s, j) in set(u.vertices)
-                    ):
-                        middles_ok = False
+            for v in range(4, 2 * c):  # both sides of blocks 2..c-1
+                if (v in q) == (v in u):
+                    middles_ok = False
         report.add("centre_disjoint_pairs", pair_ok)
         report.add("centre_lengths", length_ok, "len(Q)+len(U) = 2c")
         report.add("centre_endpoints", ends_ok)
         report.add("centre_one_of_pair", one_of_ok)
         report.add("centre_middles", middles_ok)
-        expected_centre = (set(_j_arcs(c)) | {x0y0}) - {
-            Arc(Vertex("x", c), Vertex("y", c))
-        }
         report.add(
             "centre_union",
-            len(carcs) == len(set(carcs)) and set(carcs) == expected_centre,
-            f"{len(carcs)} arcs vs {len(expected_centre)} expected",
+            _is_opened_host(carcs, c, x0y0, {(2 * c, 2 * c + 1)}),
+            f"{len(carcs)} arcs vs {18 * c} expected",
         )
         report.add(
             "centre_patterns_match",
-            internal_patterns(centre) == internal_patterns(left),
+            centre.internal_patterns() == seams,
             "centre seam patterns",
         )
     return report

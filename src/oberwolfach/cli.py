@@ -20,7 +20,6 @@ import sys
 from functools import lru_cache
 
 from . import serialize, tables
-from .caps import AdmissibleDecomposition
 from .checker import (
     Nonexistent,
     verify_admissible_decomposition,
@@ -28,7 +27,7 @@ from .checker import (
     verify_id_factorization,
 )
 from .core import CycleType, clip, parse_cycle_type
-from .hosts import DESCRIBED_KINDS, strip_id
+from .hosts import DESCRIBED_KINDS, strip_id, strip_vertex
 from .solver import check_order, solve
 
 EXIT_OK = 0
@@ -83,7 +82,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cert.host.kind == "JStar":
         # a JStar document names no table, so every id is one of its vertices
         ids = [strip_id(v) for v in cert.vertices]
-        dec = AdmissibleDecomposition(
+        dec = tables.AdmissibleDecomposition(
             cert.host.m_or_n,
             tuple(tuple(tuple(map(ids.__getitem__, c)) for c in f) for f in cert.factors),
         )
@@ -175,9 +174,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     failures = 0
     left = tables.left_cap()
     centre = tables.centre_piece()
-    from .caps import left_cap_patterns
-
-    pattern_ok = left_cap_patterns(left) == tables.X_PATTERN
+    pattern_ok = left.patterns() == tables.X_PATTERN
     if not pattern_ok:
         failures += 1
     print(f"left cap pattern: {'ok' if pattern_ok else 'FAIL'}")
@@ -218,7 +215,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def tables_dump() -> dict:
     """All embedded tables in the core text forms, for external audit."""
     data: dict = {
-        "pattern": [sorted(v.text() for v in p) for p in tables.X_PATTERN],
+        "pattern": [
+            sorted(strip_vertex(v).text() for v in p) for p in tables.X_PATTERN
+        ],
         "left_cap": list(tables.LEFT_CAP_PATHS),
         "centre": [list(pair) for pair in tables.CENTRE_PAIRS],
         "right_caps": {
@@ -242,6 +241,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         print(f"error: {clip(' '.join(message.splitlines()), 300)}", file=sys.stderr)
         sys.exit(EXIT_ERROR)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse turns a joined "--opt=--" into [] and skips type= and
+        # choices=; every option here takes one value, so a list is refused
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if action.option_strings and isinstance(
+                getattr(namespace, action.dest, None), list
+            ):
+                self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,10 @@
-"""Graph kernel: vertices, arcs, paths, directed cycles, 2-regular digraphs.
+"""Graph kernel: vertices, arcs, directed cycles, 2-regular digraphs.
 
 Vertices live on a two-row strip: row ``x`` and row ``y``, each indexed by a
 non-negative block number.  All structures are immutable and hashable, so
 they can be shared freely between threads and used as dict keys.  The text
 forms used everywhere (serialisation, CLI, tables) are ``x3`` / ``y11`` for
-vertices, ``(x0,x1,y2)`` for cycles and ``<x0,y1>`` for paths.
+vertices and ``(x0,x1,y2)`` for cycles.
 """
 
 from __future__ import annotations
@@ -53,51 +53,6 @@ class Arc(NamedTuple):
 
     def __repr__(self) -> str:
         return f"{self.tail.text()}->{self.head.text()}"
-
-
-class DirectedPath:
-    """A directed path given by its vertex sequence (no repeats)."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: Iterable[Vertex]):
-        vs = tuple(vertices)
-        if not vs:
-            raise ValueError("empty path")
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in path {vs}")
-        self.vertices = vs
-
-    @property
-    def source(self) -> Vertex:
-        return self.vertices[0]
-
-    @property
-    def terminal(self) -> Vertex:
-        return self.vertices[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def internal_vertices(self) -> frozenset:
-        return frozenset(self.vertices[1:-1])
-
-    def arcs(self) -> tuple:
-        vs = self.vertices
-        return tuple(Arc(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-
-    def text(self) -> str:
-        return "<" + ",".join(v.text() for v in self.vertices) + ">"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DirectedPath) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(("P", self.vertices))
-
-    def __repr__(self) -> str:
-        return self.text()
 
 
 class DirectedCycle:
@@ -315,13 +270,6 @@ class Digraph:
 def cycle_type_of(d: TwoRegularDigraph) -> CycleType:
     """The multiset of cycle lengths of ``d`` in canonical order."""
     return CycleType(c.length for c in d.cycles)
-
-
-def shift_vertex(v: Vertex, k: int) -> Vertex:
-    j = v.index + k
-    if j < 0:
-        raise ValueError(f"shift of {v} by {k} gives negative index")
-    return Vertex(v.side, j)
 
 
 def two_regular_from_ids(cycles: Iterable, vertices) -> TwoRegularDigraph:

@@ -1,8 +1,9 @@
-"""Builders for the four host digraphs, their vertex numberings and their
-membership rules, and the fold map between two of them.
+"""The hosts' specification: the four host digraphs, their vertex
+numberings, their membership rules, admissibility and the fold.
 
-All hosts are symmetric digraphs (both arcs on every edge of an underlying
-graph) over strip-labelled vertices:
+This module is the one the checker judges by; it imports nothing but
+``core``.  All hosts are symmetric digraphs (both arcs on every edge of an
+underlying graph) over strip-labelled vertices:
 
 * ``complete_symmetric(n)``  -- every ordered pair of distinct vertices.
 * ``h_star(m)``    -- blow each vertex of an m-cycle into a pair {x_i, y_i};
@@ -13,7 +14,8 @@ graph) over strip-labelled vertices:
   blocks 0..m+1: jump-1 and jump-2 junctions for 0 <= i <= m-1 only, rungs
   only for 1 <= i <= m.
 
-Two vertex numberings are used, and the builders work on their ids:
+Two vertex numberings are used, and everything below the library edge
+works on their ids:
 
 * **The host numbering**, owned by ``HostDescriptor``: x_i -> i and
   y_i -> a + i, with a = ceil(n/2) for the complete host and a = m for the
@@ -23,12 +25,12 @@ Two vertex numberings are used, and the builders work on their ids:
 * **The J* numbering** of the opened host: vertex (block b, side s) has id
   2b + s, x = 0 and y = 1 (``strip_id``, inverse ``strip_vertex``).  Every
   integer is a strip vertex, negative ones in negative blocks, so shifting
-  a piece by k blocks adds 2k to each id.
+  a piece by k blocks adds 2k to each id.  ``BOUNDARY`` holds the ids of
+  blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
 
 ``fold_ids`` closes ``j_star(m)`` onto ``w_star(m)`` by reducing block
 indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
-id.  It is an arc bijection for m >= 5.  ``fold`` converts a factor's
-vertices to J* ids, folds them with ``fold_ids`` and builds its objects.
+id.  It is an arc bijection for m >= 5.
 
 The blow-up hosts have closed-form arc sets, so membership is decided in
 constant time from the two endpoint ids, without building the host.  Each
@@ -43,8 +45,11 @@ many (tail, head) pairs in one loop and returns those outside the host:
   blocks differing by +-1 or +-2 mod m.
 * H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
 
-``in_j_star``, ``in_w_star`` and ``in_h_star`` ask the rule about an
-``Arc`` of vertex objects; a vertex with no id there is outside the host.
+``admissible_ids`` decides, from the J* rule, whether cycles of J* ids are
+an admissible factor of the opened host: 2m distinct ids, one of each
+boundary pair {b, b + 2m}, every arc inside.  ``in_w_star`` and
+``in_h_star`` ask the blow-up rules about an ``Arc`` of vertex objects; a
+vertex with no id there is outside the host.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
@@ -69,8 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat, starmap
-from .core import Arc, Digraph, DirectedCycle, TwoRegularDigraph, Vertex
-from .core import two_regular_from_ids
+from .core import Arc, Digraph, Vertex
 
 # kind -> (builder, size letter, least size) for the hosts a factorization
 # is checked against; JStar decompositions have their own checker.
@@ -285,6 +289,35 @@ def _outside_j_star(pairs, m: int) -> list:
     return out
 
 
+# The J* ids of the boundary blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
+# Their twins across m blocks, in blocks m and m+1, are b + 2m.
+BOUNDARY = frozenset(range(4))
+
+
+def admissible_ids(cycles, m: int) -> bool:
+    """Whether the cycles of J* ids ``cycles`` form an admissible factor on
+    m blocks: 2m distinct ids, every arc in the opened host
+    (``_outside_j_star``), one id of each boundary pair {b, b + 2m} for b in
+    ``BOUNDARY``, all middle blocks saturated.
+
+    With all 2m ids in 0..2m+3 and one of each boundary pair present, the
+    other 2m - 4 lie in 4..2m-1, which has that many ids, so the middle
+    blocks are saturated."""
+    named: set = set()
+    total = 0
+    for c in cycles:
+        named.update(c)
+        total += len(c)
+    if m < 1 or total != 2 * m or len(named) != total:
+        return False
+    if min(named) < 0 or max(named) > 2 * m + 3:
+        return False
+    for b in BOUNDARY:
+        if (b in named) == (b + 2 * m in named):
+            return False
+    return not _outside_j_star([a for c in cycles for a in zip(c, c[1:] + c[:1])], m)
+
+
 def _outside_w_star(pairs, m: int) -> list:
     """The host id pairs (a, b) in ``pairs`` that are not arcs of
     ``w_star(m)`` (m >= 5): both ids below 2m, and a rung (same block, other
@@ -325,15 +358,6 @@ def _host_id(v: Vertex, m: int) -> int:
     return -1
 
 
-def in_j_star(arc: Arc, m: int) -> bool:
-    """``arc in j_star(m).arcs``, by the J* rule on ids (any m >= 1)."""
-    try:
-        pair = (strip_id(arc[0]), strip_id(arc[1]))
-    except ValueError:
-        return False
-    return not _outside_j_star((pair,), m)
-
-
 def in_h_star(arc: Arc, m: int) -> bool:
     """``arc in h_star(m).arcs``, by the H* rule on ids (m >= 3)."""
     return not _outside_h_star(((_host_id(arc[0], m), _host_id(arc[1], m)),), m)
@@ -362,34 +386,3 @@ def fold_ids(factors, m: int) -> list:
     return [
         [[(v >> 1) % m + (v & 1) * m for v in c] for c in f] for f in factors
     ]
-
-
-def fold(g: TwoRegularDigraph, m: int) -> TwoRegularDigraph:
-    """Reduce block indices mod m, mapping a factor on the opened host into
-    w_star(m).
-
-    The vertices are mapped to J* ids (``strip_id``), folded by
-    ``fold_ids`` and rebuilt as the interned vertices of ``w_star(m)``'s
-    vertex table (shared with the order-2m complete host).  Raises
-    ``ValueError`` for m < 5, where the arc correspondence breaks down, and
-    if any folded arc is outside ``w_star(m)`` (malformed input, a vertex
-    of a side other than x and y included).
-    """
-    if m < 5:
-        raise ValueError(f"fold needs m >= 5, got {m}")
-    table = _vertex_numbering(m, m)[0]
-    try:
-        ids = [list(map(strip_id, c.vertices)) for c in g.cycles]
-    except ValueError:  # a vertex of another side has no J* id: name the arcs
-        folded = TwoRegularDigraph(
-            DirectedCycle(Vertex(s, i % m) for s, i in c.vertices) for c in g.cycles
-        )
-        bad = sorted(a for a in folded.arcs() if not in_w_star(a, m))
-        raise ValueError(f"folded arcs outside host: {bad[:3]}") from None
-    (cycles,) = fold_ids([ids], m)
-    folded = two_regular_from_ids(cycles, table)
-    bad = _outside_w_star([a for c in cycles for a in zip(c, c[1:] + c[:1])], m)
-    if bad:
-        arcs = sorted(Arc(table[a], table[b]) for a, b in bad)
-        raise ValueError(f"folded arcs outside host: {arcs[:3]}")
-    return folded

@@ -5,8 +5,8 @@
 Three routes, by the number s of 2-cycles in F:
 
 * s = 0: an undirected F-factorization of the underlying graph into two
-  2-factors, the zig-zag factor and its complement (``haggkvist_undirected``
-  proves the complement has type F), each then directed both ways.
+  2-factors, the zig-zag factor and its complement (``_haggkvist`` proves
+  the complement has type F), each then directed both ways.
 * s = 1: an explicit four-family gadget construction: four directed
   2-cycles across the wrap junction plus four parallel chain cycles per
   remaining length.
@@ -14,12 +14,10 @@ Three routes, by the number s of 2-cycles in F:
   undirected factor is split into two alternating matchings whose edges
   become directed 2-cycles.
 
-The factors are cycles of ids in the ``HStar`` m numbering (x_i -> i,
-y_i -> m + i, shared by the order-2m complete host), checked by
-``checker.verify_id_factorization`` before they are returned.  Each walk is
-written once over vertex makers ``x(i)``, ``y(i)``, which make ids here and
-``Vertex`` objects in ``two_cycle_gadgets``, ``chain_cycles`` and
-``haggkvist_undirected``.
+Every walk is written on ids of the ``HStar`` m numbering (x_i -> i,
+y_i -> m + i, shared by the order-2m complete host), and the factors are
+checked by ``checker.verify_id_factorization`` before they are returned.
+Objects are built only when ``HStarFactorization.factors`` is read.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .checker import verify_id_factorization
-from .core import CycleType, DirectedCycle, Vertex, two_regular_from_ids
+from .core import CycleType, two_regular_from_ids
 from .hosts import HostDescriptor
 
 
@@ -52,100 +50,80 @@ class HStarFactorization:
         return tuple(two_regular_from_ids(f, table) for f in self.id_factors)
 
 
-def _x(i: int) -> Vertex:
-    return Vertex("x", i)
+def _gadget_walks(m: int) -> list:
+    """The four arc-disjoint 2-cycles across the wrap junction (m-1, 0):
+    x0 x_{m-1}, y0 x_{m-1}, y0 y_{m-1} and x0 y_{m-1}, as ids."""
+    last = m - 1
+    return [[0, last], [m, last], [m, m + last], [0, m + last]]
 
 
-def _y(i: int) -> Vertex:
-    return Vertex("y", i)
-
-
-def _gadget_walks(m: int, x, y) -> list:
-    return [[x(0), x(m - 1)], [y(0), x(m - 1)], [y(0), y(m - 1)], [x(0), y(m - 1)]]
-
-
-def two_cycle_gadgets(m: int) -> list:
-    """The four arc-disjoint 2-cycles across the wrap junction."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    return [DirectedCycle(w) for w in _gadget_walks(m, _x, _y)]
-
-
-def chain_cycles(position: str, a: int, k: int, congruence: str) -> list:
-    """Four parallel length-2k cycles spanning blocks a..a+k.
+def _chain_walks(position: str, a: int, k: int, congruence: str, m: int) -> list:
+    """Four parallel length-2k cycles spanning blocks a..a+k, as ids: x_j is
+    j and y_j is m + j.
 
     ``position`` is "second" (the piece adjacent to the wrap gadgets, always
     at offset 0) or "later"; ``congruence`` ("0mod4"/"2mod4") must match the
     parity of k and selects the zig-zag shapes.
     """
-    return [DirectedCycle(w) for w in _chain_walks(position, a, k, congruence, _x, _y)]
-
-
-def _chain_walks(position: str, a: int, k: int, congruence: str, x, y) -> list:
-    """The four walks of ``chain_cycles``, over the vertex makers x, y."""
     if k < 2:
         raise ValueError("need k >= 2")
     if congruence not in ("0mod4", "2mod4"):
         raise ValueError(f"bad congruence {congruence!r}")
     if (congruence == "0mod4") != (k % 2 == 0):
         raise ValueError(f"congruence {congruence} inconsistent with k={k}")
+    y = m.__add__
     if position == "second":
         if a != 0:
             raise ValueError("the second piece sits at offset 0")
-        c0 = [y(j) for j in range(k + 1)] + [x(j) for j in range(k - 1, 0, -1)]
+        c0 = [y(j) for j in range(k + 1)] + list(range(k - 1, 0, -1))
         if k % 2 == 0:
             c1 = (
-                [x(0)]
-                + [x(j) if j % 2 else y(j) for j in range(1, k + 1)]
-                + [y(j) if j % 2 else x(j) for j in range(k - 1, 0, -1)]
+                [0]
+                + [j if j % 2 else y(j) for j in range(1, k + 1)]
+                + [y(j) if j % 2 else j for j in range(k - 1, 0, -1)]
             )
-            c2 = (
-                [x(0), y(1)]
-                + [x(j) for j in range(2, k + 1)]
-                + [y(j) for j in range(k - 1, 1, -1)]
-                + [x(1)]
-            )
+            c2 = [0, y(1), *range(2, k + 1)] + [y(j) for j in range(k - 1, 1, -1)] + [1]
             c3 = (
-                [y(0), x(1)]
-                + [x(j) if j % 2 == 0 else y(j) for j in range(2, k + 1)]
-                + [x(j) if j % 2 else y(j) for j in range(k - 1, 1, -1)]
+                [y(0), 1]
+                + [j if j % 2 == 0 else y(j) for j in range(2, k + 1)]
+                + [j if j % 2 else y(j) for j in range(k - 1, 1, -1)]
                 + [y(1)]
             )
         else:
-            c1 = [x(j) for j in range(k)] + [y(j) for j in range(k, 0, -1)]
+            c1 = list(range(k)) + [y(j) for j in range(k, 0, -1)]
             c2 = (
-                [x(0)]
-                + [y(j) if j % 2 else x(j) for j in range(1, k)]
-                + [x(k)]
-                + [y(j) if j % 2 == 0 else x(j) for j in range(k - 1, 0, -1)]
+                [0]
+                + [y(j) if j % 2 else j for j in range(1, k)]
+                + [k]
+                + [y(j) if j % 2 == 0 else j for j in range(k - 1, 0, -1)]
             )
             c3 = (
                 [y(0)]
-                + [x(j) if j % 2 else y(j) for j in range(1, k)]
-                + [x(k)]
-                + [x(j) if j % 2 == 0 else y(j) for j in range(k - 1, 0, -1)]
+                + [j if j % 2 else y(j) for j in range(1, k)]
+                + [k]
+                + [j if j % 2 == 0 else y(j) for j in range(k - 1, 0, -1)]
             )
         return [c0, c1, c2, c3]
     if position != "later":
         raise ValueError(f"bad position {position!r}")
     if k % 2 == 0:
-        c0 = [x(a + d) for d in range(k)] + [y(a + d) for d in range(k, 0, -1)]
+        c0 = list(range(a, a + k)) + [y(a + d) for d in range(k, 0, -1)]
         c2 = (
             [y(a)]
-            + [x(a + d) if d % 2 else y(a + d) for d in range(1, k)]
-            + [x(a + k)]
-            + [y(a + d) if d % 2 else x(a + d) for d in range(k - 1, 0, -1)]
+            + [a + d if d % 2 else y(a + d) for d in range(1, k)]
+            + [a + k]
+            + [y(a + d) if d % 2 else a + d for d in range(k - 1, 0, -1)]
         )
     else:
         c0 = (
-            [x(a), x(a + 1)]
-            + [y(a + d) if d % 2 == 0 else x(a + d) for d in range(2, k)]
+            [a, a + 1]
+            + [y(a + d) if d % 2 == 0 else a + d for d in range(2, k)]
             + [y(a + k)]
-            + [x(a + d) if d % 2 == 0 else y(a + d) for d in range(k - 1, 0, -1)]
+            + [a + d if d % 2 == 0 else y(a + d) for d in range(k - 1, 0, -1)]
         )
         c2 = (
             [y(a)]
-            + [x(a + d) for d in range(1, k + 1)]
+            + list(range(a + 1, a + k + 1))
             + [y(a + d) for d in range(k - 1, 0, -1)]
         )
     return [c0, c0[::-1], c2, c2[::-1]]
@@ -159,32 +137,33 @@ def _congruence(length: int) -> str:
 # Undirected route
 
 
-def _segment_walks(ks: list, m: int, x, y) -> list:
+def _segment_walks(ks: list, m: int) -> list:
     """The zig-zag 2-factor: one cycle per segment, wrapping mod m."""
     cycles = []
     a = 0
     for k in ks:
-        cyc = [x((a + d) % m) for d in range(k)]
-        cyc += [y((a + d) % m) for d in range(k, 0, -1)]
+        cyc = [(a + d) % m for d in range(k)]
+        cyc += [m + (a + d) % m for d in range(k, 0, -1)]
         cycles.append(tuple(cyc))
         a += k
     return cycles
 
 
-def _complement_walks(ks: list, m: int, x, y) -> list:
+def _complement_walks(ks: list, m: int) -> list:
     """The complement of the zig-zag factor: per segment of blocks a..a+k
     the cycle y_a, then blocks a+1..a+k-1 alternating from x, x_{a+k}, then
     back through the other vertex of each of those blocks (indices mod m).
 
-    Each cycle starts at its least vertex and goes on to the smaller of its
-    two neighbours, and the cycles are sorted, as a walk of the complement's
+    Each cycle starts at its least id and goes on to the smaller of its two
+    neighbours, and the cycles are sorted, as a walk of the complement's
     edges from its least unvisited vertex would give them."""
     cycles = []
     a = 0
     for k in ks:
-        out = [x((a + d) % m) if d % 2 else y((a + d) % m) for d in range(1, k)]
-        back = [y((a + d) % m) if d % 2 else x((a + d) % m) for d in range(1, k)]
-        cyc = [y(a % m), *out, x((a + k) % m), *reversed(back)]
+        # out takes x from the odd blocks a + d and y from the even ones
+        out = [(a + d) % m + m * (d % 2 == 0) for d in range(1, k)]
+        back = [(a + d) % m + m * (d % 2) for d in range(1, k)]
+        cyc = [m + a % m, *out, (a + k) % m, *reversed(back)]
         i = cyc.index(min(cyc))
         cyc = cyc[i:] + cyc[:i]
         if cyc[-1] < cyc[1]:
@@ -195,10 +174,10 @@ def _complement_walks(ks: list, m: int, x, y) -> list:
     return cycles
 
 
-def haggkvist_undirected(ftype: CycleType, m: int):
+def _haggkvist(ftype: CycleType, m: int):
     """Two edge-disjoint undirected 2-factors of the cycle blow-up, both of
     type ``ftype``, partitioning its edge set (Haggkvist, Ann. Discrete
-    Math. 27, 1985), as tuples of ``Vertex`` objects.
+    Math. 27, 1985), as tuples of ids of the ``HStar`` m numbering.
 
     The first factor is the zig-zag one: a length 2k of F becomes the cycle
     x_a .. x_{a+k-1} y_{a+k} .. y_{a+1} on blocks a..a+k, and consecutive
@@ -210,11 +189,6 @@ def haggkvist_undirected(ftype: CycleType, m: int):
     a+1..a+k-1 to x_{a+k} and back to y_a (``_complement_walks``).  The
     argument needs m >= 3, so that the m junctions are distinct.
     """
-    return _haggkvist(ftype, m, _x, _y)
-
-
-def _haggkvist(ftype: CycleType, m: int, x, y):
-    """``haggkvist_undirected`` over the vertex makers x, y."""
     if not ftype.is_bipartite():
         raise ValueError(f"{ftype} has odd lengths")
     if ftype.order != 2 * m:
@@ -224,7 +198,7 @@ def _haggkvist(ftype: CycleType, m: int, x, y):
     if m < 3:
         raise ValueError(f"host undefined for m = {m} (need m >= 3)")
     ks = [length // 2 for length in ftype.lengths]
-    return _segment_walks(ks, m, x, y), _complement_walks(ks, m, x, y)
+    return _segment_walks(ks, m), _complement_walks(ks, m)
 
 
 def _direct_both_ways(cycles: list) -> tuple:
@@ -252,24 +226,23 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
         # the m = 2 host degenerates to a doubled 4-cycle, which cannot carry
         # four arc-disjoint spanning factors without parallel arcs
         raise ValueError(f"host undefined for m = {m} (need m >= 3)")
-    x, y = int, m.__add__  # the HStar ids of x_i and y_i: i and m + i
     s = ftype.lengths.count(2)
     rest = [length for length in ftype.lengths if length != 2]
 
     if s == 0:
-        a_cycles, b_cycles = _haggkvist(ftype, m, x, y)
+        a_cycles, b_cycles = _haggkvist(ftype, m)
         factors = _direct_both_ways(a_cycles) + _direct_both_ways(b_cycles)
     elif s == 1:
-        families = [[g] for g in _gadget_walks(m, x, y)]
+        families = [[g] for g in _gadget_walks(m)]
         second, later = rest[0], rest[1:]
         k2 = second // 2
-        walks = _chain_walks("second", 0, k2, _congruence(second), x, y)
+        walks = _chain_walks("second", 0, k2, _congruence(second), m)
         for fam, cyc in zip(families, walks):
             fam.append(cyc)
         a = k2
         for length in later:
             k = length // 2
-            walks = _chain_walks("later", a, k, _congruence(length), x, y)
+            walks = _chain_walks("later", a, k, _congruence(length), m)
             for fam, cyc in zip(families, walks):
                 fam.append(cyc)
             a += k
@@ -277,7 +250,7 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
     else:
         merged = CycleType([2 * s, *rest])
         factors = []
-        for und in _haggkvist(merged, m, x, y):
+        for und in _haggkvist(merged, m):
             match1, match2, others = _split_two_s_cycle(und, s)
             fwd, bwd = _direct_both_ways(others)
             factors.append(fwd + match1)

@@ -119,32 +119,35 @@ def _fields(doc: FactorizationDocument, factors) -> dict:
 _FACTORS_SLOT = '\n  "factors": 0,\n'
 
 
+# json.dumps(indent=2) writes a non-empty list nested d = 1, 2, 3 levels deep
+# (the factors, a factor, a cycle) as "[", a line break and the indent of
+# depth d, the items joined by _SEP[d] (a comma, a line break and that
+# indent), a line break, the indent of depth d - 1 and "]".  An empty list
+# is "[]".
+_SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
+
+
 def to_json(doc: FactorizationDocument) -> str:
     """``json.dumps(to_json_dict(doc), indent=2) + "\\n"``, byte for byte.
 
     Every field but ``"factors"`` goes through ``json.dumps``.  The factors,
-    nearly all of the text, are written from their ids with ``str.join`` at
-    the indents ``json.dumps`` uses; each vertex is quoted once, by
-    ``json.dumps(v.text())``, so the escaping is the encoder's own."""
+    nearly all of the text, are written from their ids by one nested
+    ``str.join`` with the fixed separators of ``_SEP``; each vertex is
+    quoted once, by ``json.dumps(v.text())``, so the escaping is the
+    encoder's own."""
     head, _, tail = json.dumps(_fields(doc, 0), indent=2).partition(_FACTORS_SLOT)
     quoted = [json.dumps(v.text()) for v in doc.vertices].__getitem__
-    block = _json_list(
-        [
-            _json_list([_json_list(list(map(quoted, c)), 3) for c in f], 2)
-            for f in doc.factors
-        ],
-        1,
+    s0, s1, s2, s3 = _SEP
+    o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
+    c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
+    factors = s1.join(
+        o2 + s2.join(o3 + s3.join(map(quoted, c)) + c3 if c else "[]" for c in f) + c2
+        if f
+        else "[]"
+        for f in doc.factors
     )
+    block = o1 + factors + c1 if doc.factors else "[]"
     return f'{head}\n  "factors": {block},\n{tail}\n'
-
-
-def _json_list(items: list, depth: int) -> str:
-    """Already encoded ``items`` as ``json.dumps(indent=2)`` writes a list
-    nested ``depth`` levels deep."""
-    if not items:
-        return "[]"
-    indent = "\n" + "  " * (depth + 1)
-    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * depth + "]"
 
 
 _JSON_TYPES = {

@@ -1,39 +1,60 @@
-"""Embedded construction data for the cap/splice machinery.
+"""Embedded construction data for the cap/splice machinery, and the piece
+classes that type it.
 
 Everything in this module is a transcribed constant: the shared nine-entry
 boundary pattern ``X_PATTERN``, the length-2 left cap and length-4 centre
 piece, sixteen right-cap tables (four families, four anchor sizes each), and
 thirteen small admissible decompositions.  Nothing here is trusted as
-written: the decomposition loaders read every factor as J* ids
-(``hosts.strip_id``), check it with ``caps.admissible_ids`` and refuse a
-table that fails, and ``checker.verify_cap_complementarity`` and
+written: the decomposition loaders check every factor with
+``hosts.admissible_ids`` and refuse a table that fails, and
+``checker.verify_cap_complementarity`` and
 ``checker.verify_admissible_decomposition`` re-check every invariant of
 every table, which the ``tables --check`` CLI command runs as an audit.
-The cap and centre loaders build ``DirectedPath``/``DirectedCycle`` pieces,
-which convert themselves to J* ids once (``caps.LeftCap.id_paths`` and its
-kin); the loaders are cached, so each table is read once per process.
 
 Table encoding: paths are strings like ``"y2 y1 x2"``, cycles are strings
-like ``"(y1 x3)"``; both parse through :mod:`oberwolfach.core`.
+like ``"(y1 x3)"``.  Each token is parsed once, straight to its J* id
+(``hosts.strip_id``: block b, side s -> 2b + s), so every piece below holds
+tuples of ids: ``LeftCap.paths``, ``RightCap.elements``,
+``CentrePiece.pairs`` and ``AdmissibleDecomposition.id_factors``.  A path
+or cycle that repeats a vertex is refused when it is parsed.  The loaders
+are cached, so each table is read once per process.
+
+Patterns are frozensets of boundary ids (``hosts.BOUNDARY``: x0 = 0,
+y0 = 1, x1 = 2, y1 = 3).  ``AdmissibleDecomposition.patterns`` and
+``LeftCap.patterns`` give the boundary ids each factor or path meets; the
+seam pattern of a cap or centre piece (``internal_patterns``) says where
+its paths cross the seam with the next piece.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import NamedTuple
 
-from .core import DirectedCycle, DirectedPath, parse_vertex
+from .core import CycleType, DirectedCycle, TwoRegularDigraph, parse_vertex
+from .hosts import BOUNDARY, admissible_ids, strip_id, strip_vertex
 
 
-def _p(text: str) -> DirectedPath:
-    return DirectedPath(parse_vertex(t) for t in text.split())
+def _strip_ids(tokens: list, least: int, what: str) -> tuple:
+    """The J* ids of vertex tokens: at least ``least`` of them, no repeats."""
+    ids = tuple(strip_id(parse_vertex(t)) for t in tokens)
+    if len(ids) < least or len(set(ids)) != len(ids):
+        raise ValueError(f"bad {what}: {' '.join(tokens)!r}")
+    return ids
 
 
-def _c(text: str) -> DirectedCycle:
-    return DirectedCycle(parse_vertex(t) for t in text.strip("() ").split())
+def _p(text: str) -> tuple:
+    return _strip_ids(text.split(), 1, "path")
+
+
+def _c(text: str) -> tuple:
+    return _strip_ids(text.strip("() ").split(), 2, "cycle")
 
 
 def _pattern(text: str) -> frozenset:
-    return frozenset(parse_vertex(t) for t in text.split())
+    return frozenset(_p(text))
 
 
 # The boundary pattern shared by every table: entry i is the subset of
@@ -52,6 +73,109 @@ X_PATTERN = tuple(
         "x0 x1 y0 y1",
     )
 )
+
+
+class InternalPatternEntry(NamedTuple):
+    """Normalised (source-end, terminal-end, absent-set) seam description,
+    in boundary ids."""
+
+    first: int
+    second: int
+    absent: frozenset
+
+
+@dataclass(frozen=True)
+class LeftCap:
+    """Nine arc-disjoint paths whose union is the width-``ell`` opened host
+    minus the arc x_ell -> y_ell; path endpoints sit in blocks ell, ell+1."""
+
+    ell: int
+    paths: tuple  # 9 id paths
+
+    def patterns(self) -> tuple:
+        """The boundary ids each path meets."""
+        return tuple(BOUNDARY.intersection(p) for p in self.paths)
+
+    def internal_patterns(self) -> tuple:
+        """Path i's ends and the seam ids it passes through, moved back by
+        ``ell`` blocks onto the boundary."""
+        seam = set(range(2 * self.ell, 2 * self.ell + 4))
+        back = -2 * self.ell
+        return tuple(
+            InternalPatternEntry(
+                p[0] + back,
+                p[-1] + back,
+                frozenset(v + back for v in seam.intersection(p[1:-1])),
+            )
+            for p in self.paths
+        )
+
+
+@dataclass(frozen=True)
+class RightCap:
+    """Nine arc-disjoint path-plus-cycles pieces whose union is the
+    width-``r`` opened host plus the arc x0 -> y0."""
+
+    r: int
+    t: int
+    side_lengths: tuple  # lengths of the t side cycles
+    elements: tuple  # 9 of (id path, tuple of id cycles)
+
+    def internal_patterns(self) -> tuple:
+        """Each path's terminal and source, and the boundary ids the element
+        leaves out."""
+        return tuple(
+            InternalPatternEntry(p[-1], p[0], BOUNDARY.difference(p, *cycles))
+            for p, cycles in self.elements
+        )
+
+
+@dataclass(frozen=True)
+class CentrePiece:
+    """Nine pairs of vertex-disjoint paths bridging ``c`` blocks; the union
+    is the width-``c`` opened host plus x0 -> y0 minus x_c -> y_c."""
+
+    c: int
+    pairs: tuple  # 9 of (Q, U), id paths
+
+    def internal_patterns(self) -> tuple:
+        """Each U's terminal, Q's source, and the boundary ids the pair
+        leaves out."""
+        return tuple(
+            InternalPatternEntry(u[-1], q[0], BOUNDARY.difference(q, u))
+            for q, u in self.pairs
+        )
+
+
+@dataclass(frozen=True)
+class AdmissibleDecomposition:
+    """Nine admissible factors partitioning the arcs of the opened host on
+    ``m`` blocks, each a tuple of cycles of J* ids."""
+
+    m: int
+    id_factors: tuple  # 9 tuples of id tuples
+
+    @cached_property
+    def factors(self) -> tuple:
+        """The factors as ``TwoRegularDigraph``s, built on first access."""
+        return tuple(
+            TwoRegularDigraph(DirectedCycle(map(strip_vertex, c)) for c in f)
+            for f in self.id_factors
+        )
+
+    def patterns(self) -> tuple:
+        """The boundary ids each factor meets."""
+        return self._patterns
+
+    @cached_property
+    def _patterns(self) -> tuple:
+        # table pieces are shared and spliced again and again, so the
+        # patterns of a decomposition are computed once
+        return tuple(BOUNDARY.intersection(chain(*f)) for f in self.id_factors)
+
+    def cycle_types(self) -> tuple:
+        return tuple(CycleType(map(len, f)) for f in self.id_factors)
+
 
 # Left cap of length 2: nine arc-disjoint paths whose union is the opened
 # host on blocks 0..3 minus the arc x2->y2.
@@ -501,37 +625,27 @@ SUPPLEMENTAL_2_4_4 = (
 
 
 @lru_cache(maxsize=None)
-def left_cap():
-    from .caps import LeftCap
-
-    return LeftCap(2, tuple(_p(t) for t in LEFT_CAP_PATHS))
+def left_cap() -> LeftCap:
+    return LeftCap(2, tuple(map(_p, LEFT_CAP_PATHS)))
 
 
 @lru_cache(maxsize=None)
-def centre_piece():
-    from .caps import CentrePiece
-
+def centre_piece() -> CentrePiece:
     return CentrePiece(4, tuple((_p(q), _p(u)) for q, u in CENTRE_PAIRS))
 
 
 @lru_cache(maxsize=None)
-def right_cap(family: str, anchor: int):
-    from .caps import RightCap
-
+def right_cap(family: str, anchor: int) -> RightCap:
     strip, side_lengths, rows = RIGHT_CAPS[(family, anchor)]
-    elements = tuple(
-        (_p(row[0]), tuple(_c(c) for c in row[1:])) for row in rows
-    )
+    elements = tuple((_p(row[0]), tuple(map(_c, row[1:]))) for row in rows)
     return RightCap(strip, len(side_lengths), tuple(side_lengths), elements)
 
 
-def _decomposition_from_rows(rows: tuple, m: int):
-    """The decomposition the rows spell, in J* ids, each factor checked with
-    ``caps.admissible_ids``; the loaders below cache it, so the check runs
+def _decomposition_from_rows(rows: tuple, m: int) -> AdmissibleDecomposition:
+    """The decomposition the rows spell, each factor checked with
+    ``hosts.admissible_ids``; the loaders below cache it, so the check runs
     once per table and process."""
-    from .caps import AdmissibleDecomposition, _id_cycles, admissible_ids
-
-    factors = tuple(_id_cycles(map(_c, row)) for row in rows)
+    factors = tuple(tuple(map(_c, row)) for row in rows)
     for i, factor in enumerate(factors, 1):
         if not admissible_ids(factor, m):
             raise ValueError(f"table row {i} is not admissible on {m} blocks")
@@ -539,18 +653,18 @@ def _decomposition_from_rows(rows: tuple, m: int):
 
 
 @lru_cache(maxsize=None)
-def small_decomposition(lengths: tuple):
+def small_decomposition(lengths: tuple) -> AdmissibleDecomposition:
     key = tuple(sorted(lengths))
     return _decomposition_from_rows(SMALL_DECOMPS[key], sum(key) // 2)
 
 
 @lru_cache(maxsize=None)
-def figure_4_8_decomposition():
+def figure_4_8_decomposition() -> AdmissibleDecomposition:
     return _decomposition_from_rows(FIGURE_4_8, 6)
 
 
 @lru_cache(maxsize=None)
-def supplemental_2_4_4():
+def supplemental_2_4_4() -> AdmissibleDecomposition:
     return _decomposition_from_rows(SUPPLEMENTAL_2_4_4, 5)
 
 

@@ -2,18 +2,63 @@
 
 The package builds on vertex ids and no longer needs these; the tests keep
 them to write examples readably and to state properties of the objects.
+``ids`` and ``strip_ids`` write such examples as the J* ids the package
+works on.
 """
 
 import re
 
+from typing import Iterable
+
 from oberwolfach.core import (
     DirectedCycle,
-    DirectedPath,
     TwoRegularDigraph,
     Vertex,
     parse_vertex,
-    shift_vertex,
 )
+from oberwolfach.hosts import strip_id
+
+
+class DirectedPath:
+    """A directed path given by its vertex sequence (no repeats)."""
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: Iterable[Vertex]):
+        vs = tuple(vertices)
+        if not vs:
+            raise ValueError("empty path")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated vertex in path {vs}")
+        self.vertices = vs
+
+    @property
+    def source(self) -> Vertex:
+        return self.vertices[0]
+
+    @property
+    def terminal(self) -> Vertex:
+        return self.vertices[-1]
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DirectedPath) and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(("P", self.vertices))
+
+    def __repr__(self) -> str:
+        return "<" + ",".join(v.text() for v in self.vertices) + ">"
+
+
+def shift_vertex(v: Vertex, k: int) -> Vertex:
+    j = v.index + k
+    if j < 0:
+        raise ValueError(f"shift of {v} by {k} gives negative index")
+    return Vertex(v.side, j)
 
 
 def _tokens(text: str, opening: str, closing: str) -> list:
@@ -94,3 +139,13 @@ def two_regular_from_arcs(arcs) -> TwoRegularDigraph:
         remaining.difference_update(walk)
         cycles.append(DirectedCycle(walk))
     return TwoRegularDigraph(cycles)
+
+
+def ids(text: str) -> tuple:
+    """``"(x0,y1)"``, ``"<x0,y1>"`` or ``"x0 y1"`` as a tuple of J* ids."""
+    return tuple(map(strip_id, _tokens(text.strip("<>"), "(", ")")))
+
+
+def strip_ids(d: TwoRegularDigraph) -> tuple:
+    """The cycles of a 2-regular digraph on the strip as tuples of J* ids."""
+    return tuple(tuple(map(strip_id, c.vertices)) for c in d.cycles)

@@ -11,13 +11,10 @@ import pytest
 
 from oberwolfach import tables
 from oberwolfach.caps import (
-    AdmissibleDecomposition,
+    _splice_all,
     assemble,
-    external_pattern,
-    is_admissible,
     j_decompose,
-    splice,
-    w_star_factorization,
+    w_star_id_factors,
 )
 from oberwolfach.checker import (
     Nonexistent,
@@ -26,18 +23,26 @@ from oberwolfach.checker import (
     verify_admissible_decomposition,
     verify_cap_complementarity,
     verify_factorization,
+    verify_id_factorization,
 )
 from oberwolfach.core import (
     Arc,
     CycleType,
-    TwoRegularDigraph,
     cycle_type_of,
     parse_cycle_type,
 )
-from oberwolfach.hosts import complete_symmetric, w_star
+from oberwolfach.hosts import admissible_ids, complete_symmetric, w_star
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.solver import solve
-from strip import concat, cycle_from_text, path_from_text, shift, two_regular_from_arcs
+from oberwolfach.tables import AdmissibleDecomposition
+from strip import (
+    concat,
+    cycle_from_text,
+    ids,
+    path_from_text,
+    shift,
+    two_regular_from_arcs,
+)
 
 
 def even_types(n):
@@ -85,7 +90,8 @@ def test_criterion_2_table_audit():
         cap = tables.right_cap(family, anchor)
         report = verify_cap_complementarity(left, cap, centre)
         assert report.passed, (family, anchor, report.failures())
-        m0 = {left.paths[i].length + cap.elements[i][0].length for i in range(9)}
+        # path lengths in arcs
+        m0 = {len(p) - 1 + len(e[0]) - 1 for p, e in zip(left.paths, cap.elements)}
         assert m0 == {2 * anchor}, (family, anchor, m0)
         declared = {"L": (), "L2": (2,), "L22": (2, 2), "L4": (4,)}[family]
         assert cap.side_lengths == declared
@@ -147,15 +153,15 @@ def test_criterion_4_opened_host_suite():
             assert all(t == ftype for t in dec.cycle_types())
             count += 1
             if m >= 5:
-                factors = w_star_factorization(ftype)
-                wreport = verify_factorization(w_star(m), factors, ftype)
+                factors = w_star_id_factors(ftype)
+                wreport = verify_id_factorization(w_star(m), factors, ftype)
                 assert wreport.passed, (m, ftype, wreport.failures())
                 folds += 1
     # m = 4: the opened host has 72 arcs but the folded host only 56, so the
     # arc correspondence (and hence the fold) does not exist; the code
     # refuses rather than emitting an unverifiable object.
     with pytest.raises(ValueError):
-        w_star_factorization(parse_cycle_type("[4,4]"))
+        w_star_id_factors(parse_cycle_type("[4,4]"))
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"budget exceeded: {elapsed:.1f}s"
     report_line(
@@ -171,26 +177,12 @@ def test_criterion_5_micro_examples():
         "(x1,x3,y4,x2,y3,y2)"
     )
     # splice of the two compatible worked-example pieces
-    a = AdmissibleDecomposition.from_factors(
-        4,
-        (
-            TwoRegularDigraph(
-                [cycle_from_text("(x0,x1)"), cycle_from_text("(y1,y2,x2,x3,y4,y3)")]
-            ),
-        )
-        * 9,
-    )
-    b = AdmissibleDecomposition.from_factors(
-        3, (TwoRegularDigraph([cycle_from_text("(x0,x2,y3,x1,y2,y1)")]),) * 9
-    )
-    factor = splice(a, b).factors[0]
-    assert cycle_type_of(factor).lengths == (2, 6, 6)
-    assert is_admissible(factor, 7)
-    from oberwolfach.core import parse_vertex
-
-    assert external_pattern(factor) == frozenset(
-        parse_vertex(t) for t in ("x0", "x1", "y1")
-    )
+    a = AdmissibleDecomposition(4, ((ids("(x0,x1)"), ids("(y1,y2,x2,x3,y4,y3)")),) * 9)
+    b = AdmissibleDecomposition(3, ((ids("(x0,x2,y3,x1,y2,y1)"),),) * 9)
+    spliced = _splice_all([a, b])
+    assert cycle_type_of(spliced.factors[0]).lengths == (2, 6, 6)
+    assert admissible_ids(spliced.id_factors[0], 7)
+    assert spliced.patterns()[0] == frozenset(ids("x0 x1 y1"))
     # the length-10 joined cycle
     left = path_from_text("<y2,x0,y1,x1,x3>")
     right = path_from_text("<x1,y2,y3,y1,x0,x2,y0>")

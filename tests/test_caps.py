@@ -2,79 +2,76 @@ import pytest
 
 from oberwolfach import tables
 from oberwolfach.caps import (
-    AdmissibleDecomposition,
+    _chain_centre,
+    _splice_all,
     assemble,
-    concat_centre,
-    external_pattern,
     general_factor,
-    internal_pattern,
-    is_admissible,
     j_decompose,
     small_factor,
-    splice,
-    w_star_factorization,
+    w_star_id_factors,
 )
 from oberwolfach.checker import (
     verify_admissible_decomposition,
     verify_cap_complementarity,
-    verify_factorization,
+    verify_id_factorization,
 )
 from oberwolfach.core import (
     TwoRegularDigraph,
     cycle_type_of,
     parse_cycle_type,
-    parse_vertex,
 )
-from oberwolfach.hosts import w_star
-from strip import concat, cycle_from_text, path_from_text, shift
-
-
-def V(t):
-    return parse_vertex(t)
-
-
-# the two compatible pieces shown saturating the same boundary vertices
-PIECE_2_6 = TwoRegularDigraph(
-    [cycle_from_text("(x0,x1)"), cycle_from_text("(y1,y2,x2,x3,y4,y3)")]
+from oberwolfach.hosts import BOUNDARY, admissible_ids, w_star
+from oberwolfach.tables import (
+    AdmissibleDecomposition,
+    CentrePiece,
+    LeftCap,
+    RightCap,
 )
-PIECE_6 = TwoRegularDigraph([cycle_from_text("(x0,x2,y3,x1,y2,y1)")])
+from strip import concat, cycle_from_text, ids, path_from_text, shift
+
+X0, Y0, X1, Y1 = sorted(BOUNDARY)
+
+# the two compatible pieces shown saturating the same boundary vertices, as
+# cycles of J* ids
+PIECE_2_6 = (ids("(x0,x1)"), ids("(y1,y2,x2,x3,y4,y3)"))
+PIECE_6 = (ids("(x0,x2,y3,x1,y2,y1)"),)
 
 
 def test_external_pattern_examples():
-    assert external_pattern(PIECE_2_6) == {V("x0"), V("x1"), V("y1")}
-    assert external_pattern(PIECE_6) == {V("x0"), V("x1"), V("y1")}
-    empty = TwoRegularDigraph([cycle_from_text("(x2,y3)")])
-    assert external_pattern(empty) == frozenset()
-    assert tables.X_PATTERN[3] == {V("x0"), V("x1"), V("y0"), V("y1")}
+    def pattern(factor):
+        return AdmissibleDecomposition(1, (factor,)).patterns()[0]
+
+    assert pattern(PIECE_2_6) == {X0, X1, Y1}
+    assert pattern(PIECE_6) == {X0, X1, Y1}
+    assert pattern((ids("(x2,y3)"),)) == frozenset()
+    assert tables.X_PATTERN[3] == {X0, X1, Y0, Y1} == BOUNDARY
 
 
 def test_is_admissible():
-    assert is_admissible(PIECE_2_6, 4)
-    assert is_admissible(PIECE_6, 3)
+    assert admissible_ids(PIECE_2_6, 4)
+    assert admissible_ids(PIECE_6, 3)
     # adding x_{m+1} alongside x1 breaks the one-of-two rule
-    too_big = TwoRegularDigraph(
-        list(PIECE_2_6.cycles) + [cycle_from_text("(x5,y5)")]
-    )
-    assert not is_admissible(too_big, 4)
-    for factor in tables.figure_4_8_decomposition().factors:
-        assert is_admissible(factor, 6)
+    too_big = PIECE_2_6 + (ids("(x5,y5)"),)
+    assert not admissible_ids(too_big, 4)
+    for factor in tables.figure_4_8_decomposition().id_factors:
+        assert admissible_ids(factor, 6)
 
 
 def test_splice_worked_example():
-    a = AdmissibleDecomposition.from_factors(4, (PIECE_2_6,) * 9)
-    b = AdmissibleDecomposition.from_factors(3, (PIECE_6,) * 9)
-    spliced = splice(a, b)
+    a = AdmissibleDecomposition(4, (PIECE_2_6,) * 9)
+    b = AdmissibleDecomposition(3, (PIECE_6,) * 9)
+    spliced = _splice_all([a, b])
     assert spliced.m == 7
+    assert admissible_ids(spliced.id_factors[0], 7)
+    assert spliced.patterns()[0] == {X0, X1, Y1}
     factor = spliced.factors[0]
     assert cycle_type_of(factor).lengths == (2, 6, 6)
-    assert is_admissible(factor, 7)
-    assert external_pattern(factor) == {V("x0"), V("x1"), V("y1")}
     assert cycle_from_text("(x4,x6,y7,x5,y6,y5)") in factor.cycles
 
 
 def test_splice_all_two_cycles_with_itself():
     small = small_factor(parse_cycle_type("[2^3]"))
-    doubled = splice(small, small)
+    doubled = _splice_all([small, small])
     report = verify_admissible_decomposition(6, doubled, tables.X_PATTERN)
     assert report.passed
     assert all(t.lengths == (2,) * 6 for t in doubled.cycle_types())
@@ -84,34 +81,29 @@ def test_splice_order_additivity_and_associativity():
     a = small_factor(parse_cycle_type("[2,4]"))
     b = small_factor(parse_cycle_type("[6]"))
     c = small_factor(parse_cycle_type("[4^2]"))
-    left = splice(splice(a, b), c)
-    right = splice(a, splice(b, c))
-    assert left.m == right.m == a.m + b.m + c.m
-    assert all(
-        fa.arcs() == fb.arcs() for fa, fb in zip(left.factors, right.factors)
-    )
+    left = _splice_all([_splice_all([a, b]), c])
+    right = _splice_all([a, _splice_all([b, c])])
+    flat = _splice_all([a, b, c])
+    assert left.m == right.m == flat.m == a.m + b.m + c.m
+    assert left.factors == right.factors == flat.factors
 
 
 def test_splice_rejects_incompatible():
-    a = AdmissibleDecomposition.from_factors(4, (PIECE_2_6,) * 9)
-    shuffled = AdmissibleDecomposition.from_factors(
-        3, (PIECE_6,) * 8 + (TwoRegularDigraph([cycle_from_text("(y0,x2,x4,y3,x1,y2)")]),)
+    a = AdmissibleDecomposition(4, (PIECE_2_6,) * 9)
+    shuffled = AdmissibleDecomposition(
+        3, (PIECE_6,) * 8 + ((ids("(y0,x2,x4,y3,x1,y2)"),),)
     )
     with pytest.raises(ValueError):
-        splice(a, shuffled)
+        _splice_all([a, shuffled])
 
 
 def test_internal_pattern_worked_example():
     # the length-4/length-6 cap pair from the running example
-    from oberwolfach.caps import LeftCap, RightCap
-
-    left = LeftCap(2, (path_from_text("<y2,x0,y1,x1,x3>"),) * 9)
-    entry = internal_pattern(left, 1)
-    assert entry == (V("y0"), V("x1"), frozenset())
-    right = RightCap(
-        3, 0, (), ((path_from_text("<x1,y2,y3,y1,x0,x2,y0>"), ()),) * 9
-    )
-    assert internal_pattern(right, 1) == entry
+    left = LeftCap(2, (ids("<y2,x0,y1,x1,x3>"),) * 9)
+    entry = left.internal_patterns()[0]
+    assert entry == (Y0, X1, frozenset())
+    right = RightCap(3, 0, (), ((ids("<x1,y2,y3,y1,x0,x2,y0>"), ()),) * 9)
+    assert right.internal_patterns()[0] == entry
 
 
 def test_worked_example_ten_cycle():
@@ -122,21 +114,24 @@ def test_worked_example_ten_cycle():
     assert joined == cycle_from_text("(y2,x0,y1,x1,x3,y4,y5,y3,x2,x4)")
 
 
+def _chained(piece, k):
+    """``k`` chained copies of a length-4 centre piece, as a piece."""
+    return CentrePiece(4 * k, tuple(map(tuple, _chain_centre(piece, k))))
+
+
 def test_concat_centre():
     centre = tables.centre_piece()
-    assert concat_centre(centre, 1) is centre
-    doubled = concat_centre(centre, 2)
+    assert _chain_centre(centre, 1) == list(centre.pairs)
+    doubled = _chained(centre, 2)
     assert doubled.c == 8
-    assert all(q.length + u.length == 16 for q, u in doubled.pairs)
-    from oberwolfach.caps import internal_patterns
-
-    tripled = concat_centre(centre, 3)
-    assert internal_patterns(tripled) == internal_patterns(centre)
+    assert all(len(q) + len(u) - 2 == 16 for q, u in doubled.pairs)
+    tripled = _chained(centre, 3)
+    assert tripled.internal_patterns() == centre.internal_patterns()
 
 
 def test_concat_centre_k3_satisfies_all_conditions():
     # run every defining centre-piece clause against the chained piece
-    tripled = concat_centre(tables.centre_piece(), 3)
+    tripled = _chained(tables.centre_piece(), 3)
     report = verify_cap_complementarity(
         tables.left_cap(), tables.right_cap("L", 4), tripled
     )
@@ -213,13 +208,15 @@ def test_j_decompose_domain():
 def test_w_star_factorization():
     for spec, m in [("[2,6,6]", 7), ("[14]", 7)]:
         ftype = parse_cycle_type(spec)
-        factors = w_star_factorization(ftype)
+        factors = w_star_id_factors(ftype)
         assert len(factors) == 9
-        report = verify_factorization(w_star(m), factors, ftype)
+        # judged against the built host, not its description
+        report = verify_id_factorization(w_star(m), factors, ftype)
         assert report.passed
-    assert sum(len(f.arcs()) for f in w_star_factorization(parse_cycle_type("[14]"))) == 18 * 7
+    factors = w_star_id_factors(parse_cycle_type("[14]"))
+    assert sum(len(c) for f in factors for c in f) == 18 * 7
 
 
 def test_w_star_factorization_m4_collapses():
-    with pytest.raises(ValueError):
-        w_star_factorization(parse_cycle_type("[4,4]"))
+    with pytest.raises(ValueError, match="folding needs m >= 5"):
+        w_star_id_factors(parse_cycle_type("[4,4]"))

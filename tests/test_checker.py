@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oberwolfach import tables
-from oberwolfach.caps import w_star_factorization
+from oberwolfach.caps import w_star_id_factors
 from oberwolfach.checker import (
     BudgetExceeded,
     Nonexistent,
@@ -31,6 +31,7 @@ from oberwolfach.core import (
     cycle_type_of,
     parse_cycle_type,
     parse_vertex,
+    two_regular_from_ids,
 )
 from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
 from oberwolfach.hstar import factorize_h_star
@@ -60,13 +61,13 @@ def test_missing_factor_fails_coverage():
 
 
 def test_admissible_decomposition_named_failure():
-    from strip import cycle_from_text
+    from strip import ids
 
     dec = tables.small_decomposition((6,))
     # a factor carrying both y0 and y3 violates the one-of-two rule
-    bad_factor = TwoRegularDigraph([cycle_from_text("(y0,x1,y3,x3,x2,y2)")])
+    bad_factor = (ids("(y0,x1,y3,x3,x2,y2)"),)
     report = verify_admissible_decomposition(
-        3, type(dec).from_factors(3, (bad_factor,) + dec.factors[1:]), tables.X_PATTERN
+        3, type(dec)(3, (bad_factor,) + dec.id_factors[1:]), tables.X_PATTERN
     )
     assert not report.passed
     assert "admissible" in [n for n, _ in report.failures()]
@@ -281,7 +282,8 @@ def _real_factorization(kind, spec):
         factors = factorize_h_star(ftype, size).factors
     else:
         size = ftype.order // 2
-        factors = w_star_factorization(ftype)
+        table = HostDescriptor("WStar", size).vertex_table
+        factors = [two_regular_from_ids(f, table) for f in w_star_id_factors(ftype)]
     return size, tuple(tuple(tuple(c.vertices) for c in f.cycles) for f in factors)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oberwolfach.checker import verify_factorization
-from oberwolfach.cli import main
+from oberwolfach.cli import build_parser, main
 from oberwolfach.core import parse_cycle_type, parse_vertex
 from oberwolfach.serialize import from_json, to_json
 
@@ -376,6 +377,47 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def _subcommand_options():
+    """(subcommand, option) for every long option of every subcommand."""
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return [
+        (name, option)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+
+
+_REQUIRED = {"solve": ["--n", "10", "--factor", "[10]"]}
+
+
+@pytest.mark.parametrize("command, option", _subcommand_options())
+def test_an_option_joined_to_a_double_dash_is_a_usage_error(capsys, command, option):
+    """``--opt=--`` reaches argparse's handler as an empty list, past
+    ``type=`` and ``choices=``; it is refused like a missing value, with one
+    line and exit 1, and nothing is written."""
+    argv = [command, *_REQUIRED.get(command, []), f"{option}=--"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: argument {option}"), err
+
+
+def test_every_subcommand_option_is_probed():
+    assert set(_subcommand_options()) == {
+        ("solve", "--n"),
+        ("solve", "--factor"),
+        ("solve", "--format"),
+        ("solve", "--out"),
+        ("selftest", "--max-n"),
+        ("tables", "--check"),
+        ("tables", "--dump"),
+    }
 
 
 def test_help_exits_0_and_offers_no_seed(capsys):

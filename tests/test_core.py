@@ -4,14 +4,20 @@ from oberwolfach.core import (
     Arc,
     CycleType,
     DirectedCycle,
-    DirectedPath,
     TwoRegularDigraph,
     Vertex,
     cycle_type_of,
     parse_cycle_type,
     parse_vertex,
 )
-from strip import concat, cycle_from_text, path_from_text, shift, two_regular_from_arcs
+from strip import (
+    DirectedPath,
+    concat,
+    cycle_from_text,
+    path_from_text,
+    shift,
+    two_regular_from_arcs,
+)
 
 
 def V(t):

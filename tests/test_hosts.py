@@ -1,25 +1,21 @@
 import pytest
 
-from oberwolfach.core import (
-    Arc,
-    TwoRegularDigraph,
-    Vertex,
-    parse_vertex,
-)
+from oberwolfach.caps import w_star_id_factors
+from oberwolfach.core import Arc, Vertex, parse_cycle_type, parse_vertex
 from oberwolfach.hosts import (
     HostDescriptor,
+    _outside_j_star,
+    _outside_w_star,
     complete_symmetric,
-    fold,
     fold_ids,
     h_star,
     in_h_star,
-    in_j_star,
     in_w_star,
     j_star,
     strip_id,
     w_star,
 )
-from strip import cycle_from_text
+from strip import ids
 
 
 def V(t):
@@ -157,25 +153,24 @@ def test_fold_is_arc_bijection(m):
     assert len(set(map(tuple, folded))) == len(j.arcs) == len(w.arcs) == 18 * m
 
 
+def _folded_arcs(factor, m):
+    """The arcs of a factor of J* id cycles folded onto w_star(m)."""
+    ((*cycles,),) = fold_ids([factor], m)
+    return [a for c in cycles for a in zip(c, c[1:] + c[:1])]
+
+
 def test_fold_of_admissible_factor():
     # [2,6,6] subdigraph assembled from the two compatible pieces
-    factor = TwoRegularDigraph(
-        [
-            cycle_from_text("(x0,x1)"),
-            cycle_from_text("(y1,y2,x2,x3,y4,y3)"),
-            cycle_from_text("(x4,x6,y7,x5,y6,y5)"),
-        ]
-    )
-    folded = fold(factor, 7)
-    assert folded.vertices() == w_star(7).vertices
-    assert V("x3") in factor.vertices()  # middle vertices unchanged
-    assert V("x3") in folded.vertices()
+    factor = [ids("(x0,x1)"), ids("(y1,y2,x2,x3,y4,y3)"), ids("(x4,x6,y7,x5,y6,y5)")]
+    ((*folded,),) = fold_ids([factor], 7)
+    assert sorted(v for c in folded for v in c) == list(range(14))  # w_star(7)'s ids
+    assert HostDescriptor("WStar", 7).id_by_text["x3"] in folded[1]  # middle unchanged
+    assert not _outside_w_star(_folded_arcs(factor, 7), 7)
 
 
 def test_fold_rejects_garbage():
-    bad = TwoRegularDigraph([cycle_from_text("(x0,x3)")])
-    with pytest.raises(ValueError):
-        fold(bad, 7)
+    # x0 -> x3 folds onto blocks three apart, which w_star(7) does not join
+    assert _outside_w_star(_folded_arcs([ids("(x0,x3)")], 7), 7)
 
 
 def _strip_arcs(m):
@@ -188,8 +183,10 @@ def _strip_arcs(m):
 def test_in_j_star_matches_host():
     for m in range(3, 31):
         arcs = j_star(m).arcs
-        for a in _strip_arcs(m):
-            assert in_j_star(a, m) == (a in arcs), (m, a)
+        pairs = {(strip_id(a.tail), strip_id(a.head)): a for a in _strip_arcs(m)}
+        outside = set(_outside_j_star(pairs, m))
+        for pair, a in pairs.items():
+            assert (pair not in outside) == (a in arcs), (m, a)
 
 
 def test_in_w_star_matches_host():
@@ -200,11 +197,11 @@ def test_in_w_star_matches_host():
 
 
 def test_fold_below_m5_raises():
-    with pytest.raises(ValueError):
-        fold(j_star(4), 4)
-    factor = TwoRegularDigraph([cycle_from_text("(x0,x1)")])
-    with pytest.raises(ValueError):
-        fold(factor, 4)
+    # 72 opened-host arcs cannot fold one to one onto w_star(4)'s 56
+    with pytest.raises(ValueError, match="folding needs m >= 5"):
+        w_star_id_factors(parse_cycle_type("[8]"))
+    with pytest.raises(ValueError, match="folding needs m >= 5"):
+        w_star_id_factors(parse_cycle_type("[2,6]"))
 
 
 def test_in_h_star_matches_host():

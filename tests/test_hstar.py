@@ -3,20 +3,28 @@ import pytest
 from oberwolfach.checker import verify_factorization
 from oberwolfach.core import (
     CycleType,
-    DirectedCycle,
     TwoRegularDigraph,
-    Vertex,
     cycle_type_of,
     parse_cycle_type,
 )
-from oberwolfach.hosts import h_star
+from oberwolfach.hosts import HostDescriptor, h_star
 from oberwolfach.hstar import (
-    chain_cycles,
+    _chain_walks,
+    _gadget_walks,
+    _haggkvist,
     factorize_h_star,
-    haggkvist_undirected,
-    two_cycle_gadgets,
 )
 from strip import cycle_from_text
+
+
+def hids(text, m):
+    """``"(x0,y1)"`` as a list of ids of the ``HStar`` m numbering."""
+    by_text = HostDescriptor("HStar", m).id_by_text
+    return [by_text[t] for t in text.strip("()").split(",")]
+
+
+def arcs(cycles):
+    return [a for c in cycles for a in zip(c, c[1:] + c[:1])]
 
 
 def even_types(n):
@@ -32,41 +40,40 @@ def even_types(n):
 
 
 def test_two_cycle_gadgets():
-    gadgets = two_cycle_gadgets(7)
-    assert gadgets[0] == cycle_from_text("(x0,x6)")
-    arcs = [a for g in gadgets for a in g.arcs()]
-    assert len(arcs) == len(set(arcs)) == 8  # arc-disjoint, full wrap junction
+    gadgets = _gadget_walks(7)
+    assert gadgets[0] == hids("(x0,x6)", 7)
+    used = arcs(gadgets)
+    assert len(used) == len(set(used)) == 8  # arc-disjoint, full wrap junction
 
 
 def test_chain_second_small():
-    c = chain_cycles("second", 0, 2, "0mod4")
-    assert c[0] == cycle_from_text("(y0,y1,y2,x1)")
-    assert all(x.length == 4 for x in c)
+    c = _chain_walks("second", 0, 2, "0mod4", 9)
+    assert c[0] == hids("(y0,y1,y2,x1)", 9)
+    assert all(len(x) == 4 for x in c)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_chain_later_disjoint_and_reversed(k):
     congruence = "0mod4" if k % 2 == 0 else "2mod4"
-    cycles = chain_cycles("later", 3, k, congruence)
-    assert cycles[1] == DirectedCycle(reversed(cycles[0].vertices))
-    assert cycles[3] == DirectedCycle(reversed(cycles[2].vertices))
-    arcs = [a for c in cycles for a in c.arcs()]
-    assert len(arcs) == len(set(arcs)) == 8 * k
+    cycles = _chain_walks("later", 3, k, congruence, 9)
+    assert cycles[1] == cycles[0][::-1]
+    assert cycles[3] == cycles[2][::-1]
+    used = arcs(cycles)
+    assert len(used) == len(set(used)) == 8 * k
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_chain_second_disjoint(k):
     congruence = "0mod4" if k % 2 == 0 else "2mod4"
-    cycles = chain_cycles("second", 0, k, congruence)
-    arcs = [a for c in cycles for a in c.arcs()]
-    assert len(arcs) == len(set(arcs)) == 8 * k
+    used = arcs(_chain_walks("second", 0, k, congruence, 9))
+    assert len(used) == len(set(used)) == 8 * k
 
 
 def test_chain_validation():
     with pytest.raises(ValueError):
-        chain_cycles("second", 1, 2, "0mod4")
+        _chain_walks("second", 1, 2, "0mod4", 9)
     with pytest.raises(ValueError):
-        chain_cycles("later", 0, 2, "2mod4")  # parity mismatch
+        _chain_walks("later", 0, 2, "2mod4", 9)  # parity mismatch
 
 
 def test_factorize_2_4_explicit_factor():
@@ -92,7 +99,7 @@ def test_factorize_all_two_cycles():
 def test_haggkvist_examples():
     for spec, m in [("[10]", 5), ("[4,6]", 5), ("[6]", 3)]:
         ftype = parse_cycle_type(spec)
-        a, b = haggkvist_undirected(ftype, m)
+        a, b = _haggkvist(ftype, m)
         assert CycleType(len(c) for c in a) == ftype
         assert CycleType(len(c) for c in b) == ftype
         edges_a = {
@@ -110,30 +117,32 @@ def test_both_orientations_are_arc_disjoint(m):
     for ftype in even_types(2 * m):
         if 2 in ftype.lengths:
             continue
-        for und in haggkvist_undirected(ftype, m):
-            fwd = TwoRegularDigraph(DirectedCycle(c) for c in und)
-            bwd = TwoRegularDigraph(DirectedCycle(reversed(c)) for c in und)
-            assert not fwd.arcs() & bwd.arcs()
-            assert cycle_type_of(fwd) == cycle_type_of(bwd) == ftype
+        for und in _haggkvist(ftype, m):
+            fwd = arcs(und)
+            bwd = arcs([c[::-1] for c in und])
+            assert len({v for c in und for v in c}) == 2 * m
+            assert len(set(fwd)) == len(set(bwd)) == 2 * m
+            assert not set(fwd) & set(bwd)
+            assert CycleType(map(len, und)) == ftype
 
 
 def test_zig_zag_complement_has_the_type_for_every_type():
-    """The proof in ``haggkvist_undirected``, checked: for every even type
-    without 2-cycles at m = 3..24, the zig-zag factor and its complement both
-    have type F and together hold each edge of the cycle blow-up once."""
+    """The proof in ``_haggkvist``, checked: for every even type without
+    2-cycles at m = 3..24, the zig-zag factor and its complement both have
+    type F and together hold each edge of the cycle blow-up once."""
     checked = 0
     for m in range(3, 25):
         host = {
-            frozenset((Vertex(s, i), Vertex(t, (i + 1) % m)))
+            frozenset((i + s, (i + 1) % m + t))  # x_i is i, y_i is m + i
             for i in range(m)
-            for s in "xy"
-            for t in "xy"
+            for s in (0, m)
+            for t in (0, m)
         }
         for ftype in even_types(2 * m):
             if 2 in ftype.lengths:
                 continue
             edges = []
-            for factor in haggkvist_undirected(ftype, m):
+            for factor in _haggkvist(ftype, m):
                 assert CycleType(len(c) for c in factor) == ftype
                 assert len({v for c in factor for v in c}) == 2 * m
                 edges += [
@@ -144,7 +153,7 @@ def test_zig_zag_complement_has_the_type_for_every_type():
             checked += 1
     assert checked == 1573
     with pytest.raises(ValueError):
-        haggkvist_undirected(parse_cycle_type("[4]"), 2)
+        _haggkvist(parse_cycle_type("[4]"), 2)
 
 
 @pytest.mark.parametrize("m", range(3, 11))

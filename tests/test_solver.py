@@ -256,8 +256,8 @@ def test_solve_domain_errors():
 @pytest.mark.parametrize("lengths", [lambda n: [n], lambda n: [2, 4, 8, n - 14]])
 def test_warm_solve_constructs_no_vertex_or_cycle_objects(monkeypatch, n, lengths):
     """From the split to the final check, a warm solve of order >= 10 runs
-    on vertex ids: no ``Vertex``, ``DirectedCycle``, ``DirectedPath`` or
-    ``TwoRegularDigraph`` is constructed (the W* and H* builders included)."""
+    on vertex ids: no ``Vertex``, ``DirectedCycle`` or ``TwoRegularDigraph``
+    is constructed (the W* and H* builders included)."""
     from oberwolfach import core
 
     ftype = CycleType(lengths(n))
@@ -274,7 +274,7 @@ def test_warm_solve_constructs_no_vertex_or_cycle_objects(monkeypatch, n, length
         monkeypatch.setattr(cls, name, count)
 
     counting(core.Vertex, "__new__")
-    for cls in (core.DirectedCycle, core.DirectedPath, core.TwoRegularDigraph):
+    for cls in (core.DirectedCycle, core.TwoRegularDigraph):
         counting(cls, "__init__")
     result = solve(n, ftype)
     assert result.report.passed

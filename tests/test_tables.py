@@ -4,20 +4,17 @@ figure-form cap pictures (boundary and seam patterns, piece lengths)."""
 import pytest
 
 from oberwolfach import tables
-from oberwolfach.caps import internal_patterns, left_cap_patterns
 from oberwolfach.checker import (
     verify_admissible_decomposition,
     verify_cap_complementarity,
 )
-from oberwolfach.core import CycleType, parse_vertex
-
-
-def V(t):
-    return parse_vertex(t)
+from oberwolfach.core import CycleType
+from strip import ids
 
 
 def entry(first, second, absent):
-    return (V(first), V(second), frozenset(V(t) for t in absent))
+    """A seam pattern entry written with vertex names, as J* ids."""
+    return (*ids(f"{first} {second}"), frozenset(ids(" ".join(absent))))
 
 
 # The seam pattern stated for each of the nine cap elements.
@@ -35,15 +32,15 @@ STATED_INTERNAL = (
 
 
 def test_left_cap_boundary_pattern_is_shared():
-    assert left_cap_patterns(tables.left_cap()) == tables.X_PATTERN
+    assert tables.left_cap().patterns() == tables.X_PATTERN
 
 
 def test_left_cap_internal_patterns_match_stated():
-    assert internal_patterns(tables.left_cap()) == STATED_INTERNAL
+    assert tables.left_cap().internal_patterns() == STATED_INTERNAL
 
 
 def test_centre_internal_patterns_match_stated():
-    assert internal_patterns(tables.centre_piece()) == STATED_INTERNAL
+    assert tables.centre_piece().internal_patterns() == STATED_INTERNAL
 
 
 @pytest.mark.parametrize("family,anchor", sorted(tables.RIGHT_CAPS))
@@ -58,9 +55,8 @@ def test_right_cap_complementarity(family, anchor):
 def test_right_cap_joined_length_is_twice_anchor(family, anchor):
     left = tables.left_cap()
     cap = tables.right_cap(family, anchor)
-    m0 = {
-        left.paths[i].length + cap.elements[i][0].length for i in range(9)
-    }
+    # path lengths in arcs
+    m0 = {len(p) - 1 + len(e[0]) - 1 for p, e in zip(left.paths, cap.elements)}
     assert m0 == {2 * anchor}
 
 
@@ -107,8 +103,7 @@ def test_known_table_cells():
 
 
 def test_corrupted_table_is_caught():
-    from oberwolfach.caps import RightCap
-    from oberwolfach.tables import _c, _p
+    from oberwolfach.tables import RightCap, _c, _p
 
     strip, side_lengths, rows = tables.RIGHT_CAPS[("L", 4)]
     rows = list(rows)

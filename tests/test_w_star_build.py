@@ -3,10 +3,10 @@ replaced.
 
 The former object membership rules, ``is_admissible``, ``fold``, pairwise
 splice and ``concat``-based centre chaining are kept here as references;
-the id rules, the id admissibility test, the arithmetic fold and the
-one-pass splice must agree with them on random inputs, including blocks
-outside the host and ids of no host vertex, and the whole build must do
-work linear in the order.
+the id rules, ``admissible_ids``, the arithmetic fold, the one-pass splice
+and the centre chaining must agree with them on random inputs, including
+blocks outside the host and ids of no host vertex, and the whole build
+must do work linear in the order.
 """
 
 import pytest
@@ -15,35 +15,32 @@ from hypothesis import strategies as st
 
 from oberwolfach import caps, tables
 from oberwolfach.caps import (
-    AdmissibleDecomposition,
-    CentrePiece,
+    _chain_centre,
     _splice_all,
-    admissible_ids,
-    concat_centre,
     general_factor,
-    is_admissible,
-    splice,
-    w_star_factorization,
+    w_star_id_factors,
 )
 from oberwolfach.core import (
     CycleType,
     DirectedCycle,
-    DirectedPath,
     TwoRegularDigraph,
     Vertex,
+    canonical_id_cycles,
     parse_cycle_type,
+    two_regular_from_ids,
 )
 from oberwolfach.hosts import (
     HostDescriptor,
     _outside_h_star,
     _outside_j_star,
     _outside_w_star,
-    fold,
+    admissible_ids,
     fold_ids,
     strip_id,
     strip_vertex,
 )
-from strip import concat, shift
+from oberwolfach.tables import AdmissibleDecomposition, CentrePiece
+from strip import DirectedPath, concat, ids, shift, strip_ids
 
 
 def _ref_in_j_star(arc, m):
@@ -115,7 +112,7 @@ def _ref_splice(a, b):
         if not _ref_is_admissible(factor, m):
             raise ValueError("spliced factor is not admissible")
         factors.append(factor)
-    return AdmissibleDecomposition.from_factors(m, tuple(factors))
+    return AdmissibleDecomposition(m, tuple(map(strip_ids, factors)))
 
 
 def _ref_splice_all(decs):
@@ -127,11 +124,14 @@ def _ref_splice_all(decs):
 
 
 def _ref_concat_centre(piece, k):
-    """The former chaining by repeated ``concat`` of growing paths."""
-    if k == 1:
-        return piece
+    """The former chaining by repeated ``concat`` of growing object paths:
+    the vertex sequences of the k chained copies of each (Q, U)."""
     pairs = []
     for q, u in piece.pairs:
+        q, u = (DirectedPath(map(strip_vertex, p)) for p in (q, u))
+        if k == 1:
+            pairs.append((q.vertices, u.vertices))
+            continue
         big_q = q
         for step in range(1, k):
             big_q = concat(big_q, shift(q, 4 * step))
@@ -140,8 +140,8 @@ def _ref_concat_centre(piece, k):
             big_u = concat(big_u, shift(u, 4 * step))
         if set(big_q.vertices) & set(big_u.vertices):
             raise ValueError("chained centre paths are not vertex-disjoint")
-        pairs.append((big_q, big_u))
-    return CentrePiece(4 * k, tuple(pairs))
+        pairs.append((big_q.vertices, big_u.vertices))
+    return pairs
 
 
 def _outcome(fn, *args):
@@ -300,40 +300,53 @@ def _two_regular(draw, m):
 @settings(max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_is_admissible_matches_reference(data):
+    """Real factors, mutated or not, and random ones: ``admissible_ids``
+    agrees with the reference.  A vertex of side z has no J* id; the
+    reference never admits it."""
     m = data.draw(st.integers(1, 12))
     d = data.draw(_two_regular(m))
     assume(d is not None)
+    try:
+        cycles = strip_ids(d)
+    except ValueError:
+        assert not _ref_is_admissible(d, m)
+        return
     for size in (m, d.order // 2):
-        assert is_admissible(d, size) == _ref_is_admissible(d, size), (d, size)
+        assert admissible_ids(cycles, size) == _ref_is_admissible(d, size), (d, size)
 
 
 def test_is_admissible_reference_sees_both_answers():
     """The random inputs above include admissible ones: every real factor."""
     for factor, m in _REAL_FACTORS:
-        assert is_admissible(factor, m) and _ref_is_admissible(factor, m)
-        assert not is_admissible(factor, m + 1)
+        cycles = strip_ids(factor)
+        assert admissible_ids(cycles, m) and _ref_is_admissible(factor, m)
+        assert not admissible_ids(cycles, m + 1)
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_fold_matches_reference(data):
-    """The same folded factor or the same error message, for vertices of a
-    side other than x and y too."""
-    m = data.draw(st.integers(3, 12))
+    """``fold_ids`` followed by the W* rule and a repeated-id count accepts
+    exactly what the former object fold accepted, with the same folded
+    factor.  A vertex of side z has no J* id; the reference refuses it."""
+    m = data.draw(st.integers(5, 12))
     d = data.draw(_two_regular(m))
     assume(d is not None)
-    for size in {m, d.order // 2}:
-        got, want = _outcome(fold, d, size), _outcome(_ref_fold, d, size)
-        assert got == want, (d, size)
-
-
-def test_fold_rejects_an_arc_outside_w_star_with_the_former_message():
-    d = TwoRegularDigraph(
-        [DirectedCycle([Vertex("x", 0), Vertex("x", 3), Vertex("y", 9)])]
-    )
-    got = _outcome(fold, d, 7)
-    assert got == _outcome(_ref_fold, d, 7)
-    assert got[0] == "ValueError" and "outside host" in got[1]
+    for size in {m, d.order // 2} - set(range(5)):
+        want = _outcome(_ref_fold, d, size)
+        try:
+            cycles = strip_ids(d)
+        except ValueError:
+            assert want[0] == "ValueError", (d, size)
+            continue
+        ((*folded,),) = fold_ids([cycles], size)
+        named = [v for c in folded for v in c]
+        arcs = [a for c in folded for a in zip(c, c[1:] + c[:1])]
+        ok = len(set(named)) == len(named) and not _outside_w_star(arcs, size)
+        assert ok == (want[0] == "ok"), (d, size, want)
+        if ok:
+            table = HostDescriptor("WStar", size).vertex_table
+            assert two_regular_from_ids(folded, table) == want[1]
 
 
 def _permuted(dec, shift_by):
@@ -363,18 +376,16 @@ def test_splice_all_refuses_a_pattern_mismatch():
 
 
 def test_splice_refuses_a_non_admissible_input():
+    """A piece with the right patterns but an inadmissible factor (y1 and
+    y4 on three blocks, no y3) makes the final factor inadmissible."""
     dec = tables.small_decomposition((2, 2, 2))
-    bent = list(dec.factors)
-    bent[0] = TwoRegularDigraph(
-        [DirectedCycle([Vertex("y", 1), Vertex("x", 2)]),
-         DirectedCycle([Vertex("y", 2), Vertex("x", 4)]),
-         DirectedCycle([Vertex("x", 3), Vertex("y", 4)])]
-    )
-    bad = AdmissibleDecomposition.from_factors(dec.m, tuple(bent))
-    with pytest.raises(ValueError):
-        splice(dec, bad)
-    with pytest.raises(ValueError):
-        splice(bad, dec)
+    bent = (ids("(y1,x2)"), ids("(y2,x4)"), ids("(x3,y4)"))
+    bad = AdmissibleDecomposition(dec.m, (bent,) + dec.id_factors[1:])
+    assert bad.patterns() == dec.patterns()
+    with pytest.raises(ValueError, match="not admissible"):
+        _splice_all([dec, bad])
+    with pytest.raises(ValueError, match="not admissible"):
+        _splice_all([bad, dec])
 
 
 def test_a_non_admissible_table_row_is_refused_at_load():
@@ -389,16 +400,16 @@ def _mutated_centre(piece, op, i):
     pairs = list(piece.pairs)
     q, u = pairs[i]
     if op == "short_q":
-        q = DirectedPath(q.vertices[:-1])
+        q = q[:-1]
     elif op == "short_u":
-        u = DirectedPath(u.vertices[1:])
+        u = u[1:]
     elif op == "swap":
         q, u = u, q
     elif op == "touch":
         # move U's second vertex onto a vertex Q passes through
-        vs = list(u.vertices)
-        vs[1] = q.vertices[1]
-        u = DirectedPath(vs)
+        u = (u[0], q[1], *u[2:])
+    if any(len(set(p)) != len(p) for p in (q, u)):
+        raise ValueError("a mutated path repeats a vertex")
     pairs[i] = (q, u)
     return CentrePiece(4, tuple(pairs))
 
@@ -412,17 +423,18 @@ def test_concat_centre_matches_repeated_concat(k, op):
             mutated = _mutated_centre(piece, op, i)
         except ValueError:
             continue  # the mutation itself repeats a vertex
-        got = _outcome(concat_centre, mutated, k)
+        got = _outcome(_chain_centre, mutated, k)
         want = _outcome(_ref_concat_centre, mutated, k)
         assert got[0] == want[0], (op, i, k, got, want)
         if got[0] == "ok":
-            assert got[1] == want[1] or (k == 1 and got[1] is mutated)
+            vertices = [tuple(tuple(map(strip_vertex, p)) for p in pair) for pair in got[1]]
+            assert vertices == want[1]
 
 
 def test_concat_centre_refuses_a_path_that_does_not_chain():
     mutated = _mutated_centre(tables.centre_piece(), "short_q", 0)
     with pytest.raises(ValueError, match="chain"):
-        concat_centre(mutated, 2)
+        _chain_centre(mutated, 2)
 
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
@@ -455,7 +467,7 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
     monkeypatch.setattr(caps, "_shifted", counting_shifted)
     monkeypatch.setattr(caps, "_chain_centre", counting_chain_centre)
     general_factor.cache_clear()
-    factors = w_star_factorization(parse_cycle_type(spec, n))
+    factors = w_star_id_factors(parse_cycle_type(spec, n))
     assert len(factors) == 9
     assert checked and sum(checked) <= 20 * n, sum(checked)
     assert shifted and sum(shifted) <= 20 * n, sum(shifted)
@@ -467,13 +479,14 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
     "spec", ["[10]", "[14]", "[2,6,6]", "[6^5]", "[2,4^4,8]", "[26,4]"]
 )
 def test_w_star_factors_are_interned(spec):
+    """The W* factors are ids of the numbering the complete host of the
+    same order shares, each vertex once, in canonical form: the library
+    edge builds them on that host's interned vertices."""
     ftype = parse_cycle_type(spec)
-    host = HostDescriptor("CompleteSymmetric", ftype.order)
-    table, ids = host.vertex_table, host.vertex_ids
-    for f in w_star_factorization(ftype):
-        for c in f.cycles:
-            for v in c.vertices:
-                assert table[ids[v]] is v, v
+    table = HostDescriptor("CompleteSymmetric", ftype.order).vertex_table
+    for f in w_star_id_factors(ftype):
+        assert sorted(v for c in f for v in c) == list(range(len(table)))
+        assert f == canonical_id_cycles(f)
 
 
 def test_general_factor_is_memoised_per_type():
