@@ -36,7 +36,7 @@ EXIT_NONEXISTENT = 2
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -234,6 +234,13 @@ def tables_dump() -> dict:
     return data
 
 
+def _out_path(text: str) -> str:
+    """An ``--out`` value: a path, never empty (empty is not stdout)."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line and exit 1, since exit 2
     means proven nonexistence here.  Subcommand parsers share the class."""
@@ -272,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--format", default="json", choices=sorted(serialize.FORMATS)
     )
-    p_solve.add_argument("--out", default=None, help="output file (default stdout)")
+    p_solve.add_argument(
+        "--out", type=_out_path, default=None, help="output file (default stdout)"
+    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="re-check an exported JSON file")

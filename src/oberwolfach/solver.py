@@ -95,10 +95,16 @@ def _pair_jumps(m: int, distances: list):
     Jumps d with gcd(d, m) > 1 have no single-jump Hamiltonian cycle, so
     each is paired with a partner e such that gcd(d, e, m) = 1 (the pair
     circulant is then connected, 4-regular, and Hamilton-decomposable).
-    One pass in ascending order pairs each awkward jump with d-1 if that is
-    still free, else with d+1 -- gcd(d, d+1) = 1, so either qualifies --
-    else with any free coprime jump.  For wh_decompose's jumps 3..(m-1)/2
-    the top jump is coprime to m, so d+1 always exists.
+    One pass in ascending order pairs each awkward jump d with d-1 if that
+    is still free, else with d+1; gcd(d, d±1) = 1, so either qualifies.
+
+    ``distances`` is a run of consecutive jumps whose top one is coprime to
+    m, as wh_decompose's 3..(m-1)/2 are (gcd((m-1)/2, m) divides
+    gcd(m-1, m) = 1).  Then d+1 is always free when d is reached: d+1 is in
+    the run, since d is awkward and so below the top; d+1 was not paired as
+    an awkward jump, since those are taken in ascending order; and it was
+    not taken as the partner d'-1 or d'+1 of an earlier awkward d' < d,
+    since d'-1 < d + 1 and d'+1 = d+1 only for d' = d.
     """
     free = set(distances)
     pairs = []
@@ -106,17 +112,74 @@ def _pair_jumps(m: int, distances: list):
         if d not in free or math.gcd(d, m) == 1:
             continue
         free.remove(d)
-        if d - 1 in free:
-            e = d - 1
-        elif d + 1 in free:
-            e = d + 1
-        else:
-            e = min((x for x in free if math.gcd(x, m) == 1), default=None)
-            if e is None:
-                raise RuntimeError(f"cannot pair jump {d} of {distances} for m={m}")
+        e = d - 1 if d - 1 in free else d + 1
         free.remove(e)
         pairs.append((d, e))
     return [d for d in distances if d in free], pairs
+
+
+def _retag(nxt: list, prv: list, cid: list, v: int, tag: int, flip: bool) -> None:
+    """Give the cycle through ``v`` the id ``tag``, reversing it if ``flip``."""
+    u = v
+    while True:
+        cid[u] = tag
+        w = nxt[u]
+        if flip:
+            nxt[u], prv[u] = prv[u], w
+        u = w
+        if u == v:
+            return
+
+
+def _reverse(nxt: list, prv: list, q: int, r: int) -> None:
+    """Reverse the run of a cycle from ``q`` forward to ``r`` in place; the
+    caller reconnects its two ends."""
+    u = q
+    while True:
+        w = nxt[u]
+        nxt[u], prv[u] = prv[u], w
+        if u == r:
+            return
+        u = w
+
+
+def _switch(cycles: tuple, p: int, q: int, r: int, s: int, merge: bool) -> None:
+    """Replace the edges {p,q}, {r,s} of a factor by {p,r}, {q,s}.
+
+    ``cycles`` is the factor's oriented cycles as flat lists (successor,
+    predecessor, cycle id of each block; size of each id).  A merge joins
+    two cycles: the smaller takes the larger's id, reversed first when
+    their orientations disagree.  Otherwise the edges lie on one cycle in
+    the same direction and the shorter of the two runs between them is
+    reversed, found by walking both at once.  Either way the switch
+    rewrites no more blocks than the smaller cycle or run holds.
+    """
+    nxt, prv, cid, sizes = cycles
+    if nxt[p] != q:  # the same two edges, named so that p -> q
+        p, q, r, s = q, p, s, r
+    if merge:  # p -> q on one cycle, r - s on the other
+        a, b = cid[p], cid[r]
+        flip = nxt[r] == s  # the join needs s -> r
+        if sizes[a] >= sizes[b]:
+            _retag(nxt, prv, cid, r, a, flip)
+        else:
+            _retag(nxt, prv, cid, p, b, flip)
+            a, b = b, a
+            if flip:
+                p, q, r, s = q, p, s, r
+        sizes[a] += sizes[b]
+        sizes[b] = 0
+        # q -> ... -> p -> r -> ... -> s -> q
+        nxt[p], prv[r], nxt[s], prv[q] = r, p, q, s
+    else:  # p -> q -> ... -> r -> s -> ... -> p
+        u, w = q, s
+        while u != r and w != p:
+            u, w = nxt[u], nxt[w]
+        if u != r:
+            p, q, r, s = r, s, p, q
+        _reverse(nxt, prv, q, r)
+        # p -> r -> ... -> q -> s
+        nxt[p], prv[r], nxt[q], prv[s] = r, p, s, q
 
 
 def _decompose_pair_circulant(m: int, d: int, e: int):
@@ -130,61 +193,81 @@ def _decompose_pair_circulant(m: int, d: int, e: int):
     e-edges in the other, and switching it swaps them over, so both factors
     stay 2-regular.  The first alternating square, in order of i, whose
     switch lowers the total cycle count without raising either factor's
-    count is switched, until both factors are Hamilton cycles.  Cycle ids
-    and positions make each candidate an O(1) test and are rebuilt in O(m)
-    per switch, O(m^2) in all.  Deterministic; raises RuntimeError if no
-    square qualifies.
+    count is switched, until both factors are Hamilton cycles.
+
+    Each factor keeps its cycles in place as oriented successor and
+    predecessor lists with a cycle id per block (see ``_switch``), so each
+    candidate is an O(1) test: two edges on different cycles merge them,
+    two edges on one cycle keep the count when they run the same way and
+    split it otherwise.  Each switch lowers the total count, so there are
+    at most gcd(d, m) + gcd(e, m) - 2 of them, and each rewrites the
+    smaller merged cycle or the shorter reversed run, at most m/2 blocks.
+    No switch splits a cycle, so blocks on one cycle stay on one cycle: a
+    square whose four blocks lie on one cycle of each factor can never
+    lower the count again, and the scan drops it for good instead of
+    passing it after every switch.  Each cycle is returned from block 0
+    toward its first neighbour among 0+d, 0-d, 0+e, 0-e in that order.
+    Deterministic; raises RuntimeError if no square qualifies.
     """
     side = ([0] * m, [1] * m)  # factor holding edge {i, i+d} / {i, i+e}
 
-    def label(f: int):
-        """Cycle id and position of every vertex in factor f, cycle lengths."""
-        adj: list = [[] for _ in range(m)]
-        for x, owners in zip((d, e), side):
-            for i, owner in enumerate(owners):
-                if owner == f:
-                    adj[i].append((i + x) % m)
-                    adj[(i + x) % m].append(i)
-        cid, pos, lengths = [-1] * m, [0] * m, []
-        for start in range(m):
-            prev, v, k = adj[start][1], start, 0
-            while cid[v] < 0:
-                cid[v], pos[v], k = len(lengths), k, k + 1
-                u, w = adj[v]
-                prev, v = v, (w if u == prev else u)
-            if k:
-                lengths.append(k)
-        return cid, pos, lengths
+    def start(x: int) -> tuple:
+        """C_m(x) oriented i -> i + x: g cycles, block i on cycle i mod g."""
+        g, ids = math.gcd(x, m), range(m)
+        nxt = [*ids[x:], *ids[:x]]
+        prv = [*ids[m - x :], *ids[: m - x]]
+        return nxt, prv, list(range(g)) * (m // g), [m // g] * g
 
-    def delta(lab, p: int, q: int, r: int, s: int) -> int:
+    def delta(cycles: tuple, p: int, q: int, r: int, s: int) -> int:
         """Change in a factor's cycle count when its edges {p,q}, {r,s}
         give way to {p,r}, {q,s}."""
-        cid, pos, lengths = lab
+        nxt, _, cid, _ = cycles
         if cid[p] != cid[r]:
             return -1
-        size = lengths[cid[p]]
-        return 0 if (pos[q] - pos[p]) % size == (pos[s] - pos[r]) % size else 1
+        return 0 if (nxt[p] == q) == (nxt[r] == s) else 1
 
-    while True:
-        labs = (label(0), label(1))
-        if len(labs[0][2]) == len(labs[1][2]) == 1:
-            return tuple(
-                tuple(sorted(range(m), key=lab[1].__getitem__)) for lab in labs
-            )
-        for a in range(m):
+    factors = (start(d), start(e))
+    counts = [len(factors[0][3]), len(factors[1][3])]
+    later = [*range(1, m + 1), 0]  # next square in play after i; m heads them
+    while counts != [1, 1]:
+        prev, a = m, later[m]
+        while a < m:
             b, c, s = (a + d) % m, (a + e) % m, (a + d + e) % m
             f = side[0][a]
-            if side[0][c] != f or side[1][a] == f or side[1][b] == f:
-                continue
-            dx, dy = delta(labs[f], a, b, c, s), delta(labs[1 - f], a, c, b, s)
-            if max(dx, dy) <= 0 and dx + dy < 0:
-                side[0][a] = side[0][c] = 1 - f
-                side[1][a] = side[1][b] = f
-                break
+            if side[0][c] == f and side[1][a] != f and side[1][b] != f:
+                dx = delta(factors[f], a, b, c, s)
+                dy = delta(factors[1 - f], a, c, b, s)
+                if max(dx, dy) <= 0 and dx + dy < 0:
+                    _switch(factors[f], a, b, c, s, dx < 0)
+                    _switch(factors[1 - f], a, c, b, s, dy < 0)
+                    counts[f] += dx
+                    counts[1 - f] += dy
+                    side[0][a] = side[0][c] = 1 - f
+                    side[1][a] = side[1][b] = f
+                    break
+                if min(dx, dy) >= 0:  # a, b, c, s share a cycle in both: drop
+                    later[prev] = a = later[a]
+                    continue
+            prev, a = a, later[a]
         else:
             raise RuntimeError(
                 f"no square switch splits jumps {{{d},{e}}} on {m} blocks"
             )
+    out = []
+    for f, (nxt, prv, _, _) in enumerate(factors):
+        if side[0][0] == f:
+            first = d
+        elif side[0][m - d] == f:
+            first = m - d
+        else:
+            first = e if side[1][0] == f else m - e
+        step = nxt if nxt[0] == first else prv
+        cycle, v = [0], step[0]
+        while v:
+            cycle.append(v)
+            v = step[v]
+        out.append(tuple(cycle))
+    return tuple(out)
 
 
 def _hamilton_cycles_decomposition(m: int, distances: list) -> list:
@@ -202,9 +285,9 @@ def wh_decompose(m: int) -> WHDecomposition:
     remaining jumps 3..(m-1)/2 into Hamiltonian block cycles.
 
     Jumps coprime to m get the closed-form cycles i*d mod m; the rest are
-    paired and each pair circulant is split by square switching in O(m^2),
-    with no search, so the split depends on m alone.  At m = 5 there are no
-    such jumps and no block cycles.
+    paired and each pair circulant is split by square switching
+    (``_decompose_pair_circulant``), with no search, so the split depends
+    on m alone.  At m = 5 there are no such jumps and no block cycles.
     """
     if m < 5 or m % 2 == 0:
         raise DomainError(f"need odd m >= 5, got {m}")

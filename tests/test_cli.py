@@ -160,6 +160,15 @@ def test_solve_out_unwritable_is_one_line_error(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--out", ""], ["--out="]], ids=["split", "joined"])
+def test_solve_out_empty_is_a_usage_error(capsys, argv):
+    """An empty ``--out`` is refused, not read as "write to stdout"."""
+    assert main(["solve", "--n", "10", "--factor", "[10]", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: argument --out: empty path\n"
+
+
 def _verify_text(capsys, tmp_path, text):
     path = tmp_path / "input.json"
     path.write_text(text)

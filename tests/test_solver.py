@@ -1,11 +1,17 @@
 
+from math import gcd
+
 import pytest
 
+import relabel_split
+from oberwolfach import solver
 from oberwolfach.checker import Nonexistent
 from oberwolfach.core import CycleType, cycle_type_of, parse_cycle_type
 from oberwolfach.serialize import document_for_solution, to_json
 from oberwolfach.solver import (
     DomainError,
+    _decompose_pair_circulant,
+    _pair_jumps,
     round_robin_two_cycles,
     solve,
     wh_decompose,
@@ -84,25 +90,91 @@ def _assert_split_covers_jumps(m):
     assert set(edges) == expected, m
 
 
+def _connected_pairs(m):
+    """Every ordered pair of distinct jumps d, e <= (m-1)/2 with
+    gcd(d, e, m) = 1, each in both orders."""
+    jumps = range(1, (m - 1) // 2 + 1)
+    return [(d, e) for d in jumps for e in jumps if d != e and gcd(gcd(d, e), m) == 1]
+
+
 def test_pair_circulant_every_connected_pair_to_41():
     """Square switching splits C_m(d, e) into two Hamilton cycles for every
     pair of jumps with gcd(d, e, m) = 1, not only the pairs the solver uses."""
-    from math import gcd
-
-    from oberwolfach.solver import _decompose_pair_circulant
-
     for m in range(7, 42, 2):
-        for d in range(1, (m - 1) // 2 + 1):
-            for e in range(d + 1, (m - 1) // 2 + 1):
-                if gcd(gcd(d, e), m) != 1:
-                    continue
-                cycles = _decompose_pair_circulant(m, d, e)
-                assert len(cycles) == 2
-                edges = _block_cycle_edges(m, cycles)
-                expected = {
-                    frozenset((i, (i + x) % m)) for x in (d, e) for i in range(m)
-                }
-                assert len(edges) == 2 * m and set(edges) == expected, (m, d, e)
+        for d, e in _connected_pairs(m):
+            if d > e:
+                continue
+            cycles = _decompose_pair_circulant(m, d, e)
+            assert len(cycles) == 2
+            edges = _block_cycle_edges(m, cycles)
+            expected = {
+                frozenset((i, (i + x) % m)) for x in (d, e) for i in range(m)
+            }
+            assert len(edges) == 2 * m and set(edges) == expected, (m, d, e)
+
+
+def test_pair_circulant_matches_the_relabelling_reference_to_41():
+    """Keeping the cycles in place switches the same squares as relabelling
+    both factors after every switch: the same two cycles, block for block,
+    for every connected pair of jumps in either order."""
+    for m in range(5, 42, 2):
+        for d, e in _connected_pairs(m):
+            expected = relabel_split.decompose_pair_circulant(m, d, e)
+            assert _decompose_pair_circulant(m, d, e) == expected, (m, d, e)
+
+
+@pytest.mark.parametrize(
+    "orders", [range(7, 202, 2), [315]], ids=["odd-m-to-201", "m-315"]
+)
+def test_solver_pairs_match_the_relabelling_reference(orders):
+    for m in orders:
+        _, pairs = _pair_jumps(m, list(range(3, (m - 1) // 2 + 1)))
+        for d, e in pairs:
+            expected = relabel_split.decompose_pair_circulant(m, d, e)
+            assert _decompose_pair_circulant(m, d, e) == expected, (m, d, e)
+
+
+def test_square_switches_rewrite_a_fraction_of_the_blocks(monkeypatch):
+    """At m = 315 each switch rewrites the smaller of the two cycles it
+    merges or the shorter of the two runs it could reverse, so never more
+    than half the blocks, and in all under a quarter of the m blocks per
+    factor and switch that relabelling both factors rewrote.  Counts blocks,
+    not time."""
+    m = 315
+    switched, rewritten = [], []
+    real_switch, real_retag, real_reverse = (
+        solver._switch,
+        solver._retag,
+        solver._reverse,
+    )
+
+    def run(nxt, v, stop):
+        """Blocks from v forward to stop, both included."""
+        k = 1
+        while v != stop:
+            v, k = nxt[v], k + 1
+        return k
+
+    def counting_switch(cycles, p, q, r, s, merge):
+        switched.append(merge)
+        real_switch(cycles, p, q, r, s, merge)
+
+    def counting_retag(nxt, prv, cid, v, tag, flip):
+        rewritten.append(run(nxt, nxt[v], v))
+        real_retag(nxt, prv, cid, v, tag, flip)
+
+    def counting_reverse(nxt, prv, q, r):
+        rewritten.append(run(nxt, q, r))
+        real_reverse(nxt, prv, q, r)
+
+    monkeypatch.setattr(solver, "_switch", counting_switch)
+    monkeypatch.setattr(solver, "_retag", counting_retag)
+    monkeypatch.setattr(solver, "_reverse", counting_reverse)
+    _assert_split_covers_jumps(m)
+    assert switched.count(True) and switched.count(False)
+    assert len(rewritten) == len(switched)
+    assert max(rewritten) <= m // 2, max(rewritten)
+    assert 4 * sum(rewritten) < m * len(switched), (sum(rewritten), len(switched))
 
 
 @pytest.mark.parametrize("n", [78, 90, 102, 630])
@@ -171,16 +243,13 @@ def test_solve_refuses_orders_above_the_cap():
 
 
 def test_pair_jumps_validity():
-    from math import gcd
-
-    from oberwolfach.solver import _pair_jumps
-
     for m in range(7, 2002, 2):
         distances = list(range(3, (m - 1) // 2 + 1))
         singles, pairs = _pair_jumps(m, distances)
         assert sorted(singles + [x for p in pairs for x in p]) == distances, m
         assert all(gcd(d, m) == 1 for d in singles), m
         assert all(gcd(gcd(d, e), m) == 1 for d, e in pairs), m
+        assert all(abs(d - e) == 1 for d, e in pairs), m
 
 
 def test_wh_decompose_many_awkward_jumps():
