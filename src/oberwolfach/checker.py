@@ -50,6 +50,7 @@ from .core import (
     DirectedCycle,
     TwoRegularDigraph,
     cycle_type_text,
+    id_arcs,
 )
 from .hosts import BOUNDARY, HostDescriptor, _outside_j_star, admissible_ids
 
@@ -130,18 +131,21 @@ def verify_id_factorization(
     vertex ids, is an ftype-factorization of ``host``.
 
     ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its order
-    N, ``len(host.arcs)`` and ``host.count_outside_codes`` are used, so the
+    N (``host.order``, or ``len(host.vertices)`` for a ``Digraph``),
+    ``len(host.arcs)`` and ``host.count_outside_codes`` are used, so the
     host's arc set is never built or copied here.  Ids are non-negative; id
     i < N is the host's vertex i, and ids >= N are vertices outside it.
-    Each arc (a, b) between host ids is gathered as the code a*N + b, and
-    each arc touching another id as an (a, b) pair; the arcs are disjoint
+    Each factor is flattened once into its tails and heads
+    (``core.id_arcs``); each arc (a, b) between host ids is gathered as the
+    code a*N + b, by one set update per factor, and each arc touching
+    another id as an (a, b) pair; the arcs are disjoint
     when the distinct ones number the total cycle length, and they cover the
     host when none is outside it and the distinct ones number
     ``len(host.arcs)``.  A factor spans when its length and its count of
     distinct ids are both N and every id is below N.
     """
     report = VerificationReport()
-    order = len(host.vertices)
+    order = host.order if isinstance(host, HostDescriptor) else len(host.vertices)
     row = [a * order for a in range(order)].__getitem__
     codes: set = set()
     pairs: set = set()
@@ -150,17 +154,15 @@ def verify_id_factorization(
     wrong = []
     for i, cycles in enumerate(factors):
         lengths = list(map(len, cycles))
-        size = sum(lengths)
+        tails, heads = id_arcs(cycles)
+        size = len(tails)
         used += size
-        named: set = set()
-        for cs in cycles:
-            named.update(cs)
+        named = set(tails)
         inside = not named or max(named) < order
-        for cs in cycles:
-            if inside:
-                codes.update(map(add, map(row, cs), cs[1:] + cs[:1]))
-            else:
-                _gather_foreign(cs, order, codes, pairs)
+        if inside:
+            codes.update(map(add, map(row, tails), heads))
+        else:
+            _gather_foreign(tails, heads, order, codes, pairs)
         if size != order or len(named) != size or not inside:
             spanning.append(i)
         if tuple(sorted(lengths)) != ftype.lengths:
@@ -184,10 +186,11 @@ def verify_id_factorization(
     return report
 
 
-def _gather_foreign(cs: list, order: int, codes: set, pairs: set) -> None:
-    """Add the arcs of cycle ``cs``, which may name ids >= ``order``: arcs
-    between host ids as codes, the others as (tail, head) pairs."""
-    for a, b in zip(cs, cs[1:] + cs[:1]):
+def _gather_foreign(tails: list, heads: list, order: int, codes: set, pairs: set) -> None:
+    """Add the arcs ``zip(tails, heads)`` of a factor that names ids >=
+    ``order``: arcs between host ids as codes, the others as (tail, head)
+    pairs."""
+    for a, b in zip(tails, heads):
         if a < order and b < order:
             codes.add(a * order + b)
         else:

@@ -137,13 +137,31 @@ def canonical_id_cycles(cycles: Iterable) -> tuple:
     """Cycles given as sequences of vertex ids, in the canonical form of
     ``TwoRegularDigraph``: each rotated to start at its least id, then the
     cycles sorted.  Where ids number vertices in sort order (as
-    ``hosts.HostDescriptor`` does) this is the order of the objects."""
+    ``hosts.HostDescriptor`` does) this is the order of the objects.  A
+    list is rotated as a list and copied into its tuple once, so no
+    short-lived tuple is made; a tuple that starts at its least id is kept
+    as it is."""
     out = []
     for c in cycles:
         k = c.index(min(c))
-        out.append(tuple(c[k:]) + tuple(c[:k]))
+        out.append(tuple(c[k:] + c[:k]) if k else tuple(c))
     out.sort()
     return tuple(out)
+
+
+def id_arcs(cycles) -> tuple:
+    """The arcs of cycles of ids as two parallel lists, tails and heads.
+    The tails are the cycles' ids in order; the heads are the same list
+    shifted by one, with the head of each cycle's last id set to its first
+    id (a 1-cycle's arc is a loop, an empty cycle has none)."""
+    tails = list(chain.from_iterable(cycles))
+    heads = tails[1:] + tails[:1]
+    end = 0
+    for k in map(len, cycles):
+        if k:
+            heads[end + k - 1] = tails[end]
+            end += k
+    return tails, heads
 
 
 class CycleType:

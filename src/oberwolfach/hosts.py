@@ -32,11 +32,13 @@ works on their ids:
 indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
 id.  It is an arc bijection for m >= 5.
 
-The blow-up hosts have closed-form arc sets, so membership is decided in
-constant time from the two endpoint ids, without building the host.  Each
-rule is written once, on id pairs, in ``_outside_j_star`` (J* numbering),
-``_outside_w_star`` and ``_outside_h_star`` (host numbering); each scans
-many (tail, head) pairs in one loop and returns those outside the host:
+The three strip hosts have closed-form arc sets.  Each rule is written
+once, as the ``range``s of its arc codes a * width + b: ``_j_star_ranges``
+on J* ids (width 2m + 4), ``_blow_up_ranges`` on host ids (width 2m).
+Every family of arcs -- the rungs, or the junctions at one block
+difference between one pair of sides -- moves both ids with its block, so
+its codes are an arithmetic progression, and a rule is O(1) ranges built
+in O(1):
 
 * J* (any m >= 1): both ids in 0..2m+3 (blocks 0..m+1), and a rung
   (ids 2i, 2i+1) with 1 <= i <= m, or a junction between blocks i and i+d,
@@ -45,11 +47,17 @@ many (tail, head) pairs in one loop and returns those outside the host:
   blocks differing by +-1 or +-2 mod m.
 * H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
 
-``admissible_ids`` decides, from the J* rule, whether cycles of J* ids are
-an admissible factor of the opened host: 2m distinct ids, one of each
-boundary pair {b, b + 2m}, every arc inside.  ``in_w_star`` and
-``in_h_star`` ask the blow-up rules about an ``Arc`` of vertex objects; a
-vertex with no id there is outside the host.
+``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
+by C-level set calls, and keeps the last few.  Everything else asks it:
+``count_outside_codes`` is a set difference, ``admissible_ids`` tests one
+superset per factor, and ``_outside_j_star``, ``_outside_w_star`` and
+``_outside_h_star`` return the id pairs whose code it lacks.
+``admissible_ids`` decides whether cycles of J* ids are an admissible
+factor of the opened host: 2m distinct ids, one of each boundary pair
+{b, b + 2m}, every arc inside.  ``in_w_star`` and ``in_h_star`` ask about
+one ``Arc`` of vertex objects, of the rule's ranges (``code in range`` is
+arithmetic), so a question about a large host builds no set; a vertex with
+no id there is outside the host.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
@@ -62,9 +70,10 @@ Besides the numbering the descriptor gives ``arcs`` (a sized container:
 ``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
 ``count_outside_codes``, the number of given arc codes that are not host
 arcs.  For the complete host that is the number of loops, found by one
-set intersection; the blow-up hosts decode each code with ``divmod`` into
-an id pair and scan the pairs once with the host's rule, so a declared
-size allocates nothing.  A built ``Digraph`` answers the same questions
+set intersection; for a blow-up it is one set difference with its
+``arc_codes``, 8m or 18m ints, as many as the host has arcs (``verify``
+refuses a host larger than its document before the checker sees it).  A
+built ``Digraph`` answers the same questions
 from its stored sets.  The descriptor refuses the sizes the builders
 refuse, with their messages.
 """
@@ -73,8 +82,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations, repeat, starmap
-from .core import Arc, Digraph, Vertex
+from itertools import chain, permutations, repeat, starmap
+from operator import add, mul
+
+from .core import Arc, Digraph, Vertex, id_arcs
 
 # kind -> (builder, size letter, least size) for the hosts a factorization
 # is checked against; JStar decompositions have their own checker.
@@ -164,8 +175,7 @@ class HostDescriptor:
             # distinct host vertices are always joined, so only loops are outside
             return len(codes.intersection(range(0, n * n, n + 1)))
         self._described()
-        outside = _outside_h_star if self.kind == "HStar" else _outside_w_star
-        return len(outside(map(divmod, codes, repeat(n)), self.m_or_n))
+        return len(codes.difference(arc_codes(self.kind, self.m_or_n)))
 
 
 @lru_cache(maxsize=4)
@@ -245,14 +255,11 @@ def w_star(m: int) -> Digraph:
 
 
 def _j_arcs(m: int) -> frozenset:
-    """Arc set of the opened host on blocks 0..m+1 (any m >= 1): the pairs
-    of J* ids at most two blocks apart (ids at most 5 apart) that the J*
-    rule admits."""
+    """Arc set of the opened host on blocks 0..m+1 (any m >= 1), as vertex
+    objects: the J* rule's codes decoded."""
     top = 2 * m + 4
-    near = [(a, b) for a in range(top) for b in range(max(a - 5, 0), min(a + 6, top))]
-    outside = set(_outside_j_star(near, m))
     return frozenset(
-        Arc(strip_vertex(a), strip_vertex(b)) for a, b in near if (a, b) not in outside
+        Arc(strip_vertex(c // top), strip_vertex(c % top)) for c in arc_codes("JStar", m)
     )
 
 
@@ -269,24 +276,79 @@ def strip_vertex(i: int) -> Vertex:
     return Vertex("y" if i & 1 else "x", i >> 1)
 
 
+def _run(step: int, first: int, last: int, offset: int) -> range:
+    """The codes offset + i * step for first <= i < last: the arcs of one
+    family of a rule, whose ids both move as block i does."""
+    return range(offset + first * step, offset + last * step, step)
+
+
+def _j_star_ranges(m: int) -> list:
+    """The J* rule (any m >= 1) as ranges of codes a * (2m+4) + b of J* ids:
+    a rung 2i <-> 2i+1 for 1 <= i <= m, and a junction between blocks i and
+    i+d, d in {1, 2}, for 0 <= i <= m-1, all four side pairs, both ways.
+    Id 2i + s moves two per block, so each family steps by 2 * (2m+5)."""
+    top = 2 * m + 4
+    step = 2 * (top + 1)
+    out = [_run(step, 1, m + 1, 1), _run(step, 1, m + 1, top)]  # rungs x->y, y->x
+    for d in (1, 2):
+        for s in (0, 1):
+            for t in (0, 1):
+                out.append(_run(step, 0, m, s * top + 2 * d + t))  # block i -> i + d
+                out.append(_run(step, 0, m, (2 * d + t) * top + s))  # block i + d -> i
+    return out
+
+
+def _blow_up_ranges(m: int, steps: tuple, rungs: bool) -> list:
+    """A blow-up rule as ranges of codes a * 2m + b of host ids (x_i = i,
+    y_i = m + i): block i joined to block (i + d) % m for d in ``steps``,
+    all four side pairs, plus the rungs x_i <-> y_i when ``rungs``.  Id
+    i + s*m moves one per block, so each family steps by 2m + 1, and a
+    junction's codes split into two runs where its head block wraps."""
+    n = 2 * m
+    step = n + 1
+    out = [_run(step, 0, m, m), _run(step, 0, m, m * n)] if rungs else []  # x->y, y->x
+    for d in steps:
+        for base in (0, m, m * n, m * n + m):  # x -> x, x -> y, y -> x, y -> y
+            out.append(_run(step, 0, m - d, base + d))  # head block i + d
+            out.append(_run(step, m - d, m, base + d - m))  # head block i + d - m
+    return out
+
+
+def _ranges(kind: str, m: int) -> list:
+    """The rule of host ``kind`` ("JStar", "WStar" or "HStar") on m blocks,
+    as ranges of arc codes: the one definition of each rule."""
+    if kind == "JStar":
+        return _j_star_ranges(m)
+    if kind == "WStar":
+        return _blow_up_ranges(m, (1, 2, m - 2, m - 1), True)
+    return _blow_up_ranges(m, (1, m - 1), False)
+
+
+@lru_cache(maxsize=4)
+def arc_codes(kind: str, m: int) -> frozenset:
+    """The arc codes of ``j_star(m)`` (``"JStar"``, J* ids, width 2m + 4),
+    ``w_star(m)`` (``"WStar"``) or ``h_star(m)`` (``"HStar"``, host ids,
+    width 2m): every a * width + b with (a, b) an arc, the union of the
+    rule's ranges, gathered in O(m) by C-level set calls.  Every test of
+    many arcs against a rule asks this set; it is shared by the callers with
+    the same m and must not be mutated."""
+    return frozenset(chain.from_iterable(_ranges(kind, m)))
+
+
+def _outside(pairs, width: int, codes: frozenset) -> list:
+    """The id pairs (a, b) in ``pairs`` that are not arcs: an id outside
+    0..width-1, or a code a * width + b not in ``codes``."""
+    return [
+        (a, b)
+        for a, b in pairs
+        if not (0 <= a < width and 0 <= b < width and a * width + b in codes)
+    ]
+
+
 def _outside_j_star(pairs, m: int) -> list:
     """The J* id pairs (a, b) in ``pairs`` that are not arcs of
-    ``j_star(m)``: both ids in 0..2m+3, and a rung (same block i, other
-    side) with 1 <= i <= m, or a junction between blocks i and i+d,
-    d in {1, 2}, with 0 <= i <= m-1 (any m >= 1)."""
-    top = 2 * m + 4
-    out = []
-    for a, b in pairs:
-        if 0 <= a < top and 0 <= b < top:
-            i = a >> 1
-            j = b >> 1
-            if i == j:
-                if a != b and 0 < i <= m:
-                    continue
-            elif -2 <= i - j <= 2 and (i < m or j < m):
-                continue
-        out.append((a, b))
-    return out
+    ``j_star(m)`` (any m >= 1)."""
+    return _outside(pairs, 2 * m + 4, arc_codes("JStar", m))
 
 
 # The J* ids of the boundary blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
@@ -297,56 +359,35 @@ BOUNDARY = frozenset(range(4))
 def admissible_ids(cycles, m: int) -> bool:
     """Whether the cycles of J* ids ``cycles`` form an admissible factor on
     m blocks: 2m distinct ids, every arc in the opened host
-    (``_outside_j_star``), one id of each boundary pair {b, b + 2m} for b in
-    ``BOUNDARY``, all middle blocks saturated.
+    (``arc_codes("JStar", m)``), one id of each boundary pair {b, b + 2m}
+    for b in ``BOUNDARY``, all middle blocks saturated.
 
     With all 2m ids in 0..2m+3 and one of each boundary pair present, the
     other 2m - 4 lie in 4..2m-1, which has that many ids, so the middle
     blocks are saturated."""
-    named: set = set()
-    total = 0
-    for c in cycles:
-        named.update(c)
-        total += len(c)
-    if m < 1 or total != 2 * m or len(named) != total:
+    tails, heads = id_arcs(cycles)
+    named = set(tails)
+    if m < 1 or len(tails) != 2 * m or len(named) != len(tails):
         return False
     if min(named) < 0 or max(named) > 2 * m + 3:
         return False
     for b in BOUNDARY:
         if (b in named) == (b + 2 * m in named):
             return False
-    return not _outside_j_star([a for c in cycles for a in zip(c, c[1:] + c[:1])], m)
+    codes = map(add, map(mul, tails, repeat(2 * m + 4)), heads)
+    return arc_codes("JStar", m).issuperset(codes)
 
 
 def _outside_w_star(pairs, m: int) -> list:
     """The host id pairs (a, b) in ``pairs`` that are not arcs of
-    ``w_star(m)`` (m >= 5): both ids below 2m, and a rung (same block, other
-    side), or blocks differing by +-1 or +-2 mod m."""
-    n = 2 * m
-    steps = (1, 2, m - 2, m - 1)
-    out = []
-    for a, b in pairs:
-        if 0 <= a < n and 0 <= b < n:
-            step = (b - a) % m  # y_i = m + i, so this is the block difference
-            if step == 0:
-                if a != b:
-                    continue
-            elif step in steps:
-                continue
-        out.append((a, b))
-    return out
+    ``w_star(m)`` (m >= 5)."""
+    return _outside(pairs, 2 * m, arc_codes("WStar", m))
 
 
 def _outside_h_star(pairs, m: int) -> list:
     """The host id pairs (a, b) in ``pairs`` that are not arcs of
-    ``h_star(m)`` (m >= 3): both ids below 2m, blocks differing by +-1 mod m."""
-    n = 2 * m
-    steps = (1, m - 1)
-    out = []
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n and (b - a) % m in steps):
-            out.append((a, b))
-    return out
+    ``h_star(m)`` (m >= 3)."""
+    return _outside(pairs, 2 * m, arc_codes("HStar", m))
 
 
 def _host_id(v: Vertex, m: int) -> int:
@@ -358,14 +399,22 @@ def _host_id(v: Vertex, m: int) -> int:
     return -1
 
 
+def _has_arc(kind: str, arc: Arc, m: int) -> bool:
+    """Whether a blow-up host has ``arc``, asked of its rule's ranges, so
+    one question about a large host builds no code set."""
+    a, b = _host_id(arc[0], m), _host_id(arc[1], m)
+    code = a * 2 * m + b
+    return a >= 0 and b >= 0 and any(code in r for r in _ranges(kind, m))
+
+
 def in_h_star(arc: Arc, m: int) -> bool:
     """``arc in h_star(m).arcs``, by the H* rule on ids (m >= 3)."""
-    return not _outside_h_star(((_host_id(arc[0], m), _host_id(arc[1], m)),), m)
+    return _has_arc("HStar", arc, m)
 
 
 def in_w_star(arc: Arc, m: int) -> bool:
     """``arc in w_star(m).arcs``, by the W* rule on ids (m >= 5)."""
-    return not _outside_w_star(((_host_id(arc[0], m), _host_id(arc[1], m)),), m)
+    return _has_arc("WStar", arc, m)
 
 
 def j_star(m: int) -> Digraph:
@@ -376,13 +425,33 @@ def j_star(m: int) -> Digraph:
     return Digraph(vertices, _j_arcs(m))
 
 
+class _FoldTable(dict):
+    """J* id -> host id of ``w_star(m)``, (v >> 1) % m + (v & 1) * m,
+    stored for the opened host's ids 0..2m+3; any other id is folded by the
+    same arithmetic when looked up, and not stored."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+        self.update(zip(range(2 * m + 4), map(self.__missing__, range(2 * m + 4))))
+
+    def __missing__(self, v: int) -> int:
+        return (v >> 1) % self.m + (v & 1) * self.m
+
+
+@lru_cache(maxsize=4)
+def _fold_table(m: int) -> _FoldTable:
+    return _FoldTable(m)
+
+
 def fold_ids(factors, m: int) -> list:
     """Fold factors given as cycles of J* ids onto ``w_star(m)`` by reducing
     block indices mod m: J* id v becomes host id (v >> 1) % m + (v & 1) * m
     (x_i -> i mod m, y_i -> m + (i mod m), the numbering the order-2m
-    complete host shares).  Each factor's cycles keep their order.  Nothing
-    is checked here: a folded cycle may repeat an id or use arcs outside
-    ``w_star(m)``."""
-    return [
-        [[(v >> 1) % m + (v & 1) * m for v in c] for c in f] for f in factors
-    ]
+    complete host shares), looked up in one table per m.  Each factor's
+    cycles keep their order.  Nothing is checked here: a folded cycle may
+    repeat an id or use arcs outside ``w_star(m)``."""
+    fold = _fold_table(m).__getitem__
+    return [[list(map(fold, c)) for c in f] for f in factors]

@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Sequence
 
@@ -127,26 +128,46 @@ _FACTORS_SLOT = '\n  "factors": 0,\n'
 _SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
 
 
+@lru_cache(maxsize=4)
+def _quoted_tokens(host: HostDescriptor):
+    """The lookup of each vertex's JSON string by its id in ``host``'s
+    table: a list's ``__getitem__``, which ``map`` calls faster than a
+    tuple's."""
+    return [json.dumps(v.text()) for v in host.vertex_table].__getitem__
+
+
 def to_json(doc: FactorizationDocument) -> str:
     """``json.dumps(to_json_dict(doc), indent=2) + "\\n"``, byte for byte.
 
     Every field but ``"factors"`` goes through ``json.dumps``.  The factors,
-    nearly all of the text, are written from their ids by one nested
-    ``str.join`` with the fixed separators of ``_SEP``; each vertex is
-    quoted once, by ``json.dumps(v.text())``, so the escaping is the
-    encoder's own."""
+    nearly all of the text, are written from their ids by nested
+    ``str.join`` calls with the fixed separators of ``_SEP``, one ``map``
+    over each factor's cycles.  Each vertex is quoted by
+    ``json.dumps(v.text())``, so the escaping is the encoder's own; a
+    document on its host's own vertex table (every solution) takes the
+    quoted tokens kept for that host, one that names other vertices quotes
+    its own."""
     head, _, tail = json.dumps(_fields(doc, 0), indent=2).partition(_FACTORS_SLOT)
-    quoted = [json.dumps(v.text()) for v in doc.vertices].__getitem__
+    host = doc.host
+    if host.kind in DESCRIBED_KINDS and doc.vertices is host.vertex_table:
+        quoted = _quoted_tokens(host)
+    else:
+        quoted = [json.dumps(v.text()) for v in doc.vertices].__getitem__
     s0, s1, s2, s3 = _SEP
     o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
     c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
-    factors = s1.join(
-        o2 + s2.join(o3 + s3.join(map(quoted, c)) + c3 if c else "[]" for c in f) + c2
-        if f
-        else "[]"
-        for f in doc.factors
-    )
-    block = o1 + factors + c1 if doc.factors else "[]"
+    tokens = partial(map, quoted)  # a cycle's quoted vertices
+    between = c3 + s2 + o3  # closes a cycle and opens the next
+
+    def factor(f) -> str:
+        if not f:
+            return "[]"
+        text = o2 + o3 + between.join(map(s3.join, map(tokens, f))) + c3 + c2
+        # an empty cycle comes out opened and closed; the separators hold
+        # line breaks, which no quoted token does, so nothing else matches
+        return text if all(f) else text.replace(o3 + c3, "[]")
+
+    block = o1 + s1.join(map(factor, doc.factors)) + c1 if doc.factors else "[]"
     return f'{head}\n  "factors": {block},\n{tail}\n'
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from operator import sub
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .caps import w_star_id_factors
@@ -272,14 +272,18 @@ def _decompose_pair_circulant(m: int, d: int, e: int):
 
 def _hamilton_cycles_decomposition(m: int, distances: list) -> list:
     """Split the block circulant on the given jump set into Hamiltonian
-    cycles, one per jump."""
+    cycles, one per jump.  All cycles share one int object per block, so a
+    kept split holds a reference, not an int, per entry."""
     singles, pairs = _pair_jumps(m, distances)
-    cycles = [tuple((i * d) % m for i in range(m)) for d in sorted(singles)]
+    number = list(range(m))
+    cycles = [tuple([number[(i * d) % m] for i in range(m)]) for d in sorted(singles)]
     for d, e in pairs:
-        cycles.extend(_decompose_pair_circulant(m, d, e))
+        for cycle in _decompose_pair_circulant(m, d, e):
+            cycles.append(tuple(map(number.__getitem__, cycle)))
     return cycles
 
 
+@lru_cache(maxsize=4)
 def wh_decompose(m: int) -> WHDecomposition:
     """Reserve rungs and jumps 1, 2 for the circulant blow-up; split the
     remaining jumps 3..(m-1)/2 into Hamiltonian block cycles.
@@ -287,7 +291,8 @@ def wh_decompose(m: int) -> WHDecomposition:
     Jumps coprime to m get the closed-form cycles i*d mod m; the rest are
     paired and each pair circulant is split by square switching
     (``_decompose_pair_circulant``), with no search, so the split depends
-    on m alone.  At m = 5 there are no such jumps and no block cycles.
+    on m alone: it is kept for the last few orders, for the solves that
+    follow.  At m = 5 there are no such jumps and no block cycles.
     """
     if m < 5 or m % 2 == 0:
         raise DomainError(f"need odd m >= 5, got {m}")
@@ -328,9 +333,10 @@ def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str)
     return Factorization(host.m_or_n, ftype, tuple(factors), report)
 
 
-def _relabel(factor: list, image: list) -> tuple:
-    """An H* factor's id cycles through the permutation ``image`` of ids."""
-    return canonical_id_cycles([list(map(image.__getitem__, c)) for c in factor])
+def _relabel(factor: tuple, image) -> tuple:
+    """An H* factor's id cycles through the lookup ``image`` of a
+    permutation of ids, in canonical form."""
+    return canonical_id_cycles([list(map(image, c)) for c in factor])
 
 
 def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
@@ -370,5 +376,5 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
             for block_cycle in wh.h_block_cycles:
                 image = [number[b] for b in block_cycle]
                 image += [number[m + b] for b in block_cycle]
-                factors.extend(_relabel(f, image) for f in hids)
+                factors.extend(_relabel(f, image.__getitem__) for f in hids)
     return _verified(host, factors, ftype, "solve")

@@ -26,16 +26,23 @@ _KINDS = st.sampled_from(
 def _documents(draw):
     doc = draw(st.sampled_from(_DOCS))
     factors = list(doc.factors)
-    vertices = list(doc.vertices)
+    vertices = doc.vertices  # the host's own table until a foreign vertex joins
     for _ in range(draw(st.integers(0, 3))):
-        op = draw(st.sampled_from(["empty_factor", "drop", "foreign", "none"]))
+        op = draw(
+            st.sampled_from(["empty_factor", "empty_cycle", "drop", "foreign", "none"])
+        )
         if op == "empty_factor":
             factors.insert(draw(st.integers(0, len(factors))), [])
+        elif op == "empty_cycle" and factors:
+            at = draw(st.integers(0, len(factors) - 1))
+            cycles = list(factors[at])
+            cycles.insert(draw(st.integers(0, len(cycles))), [])
+            factors[at] = cycles
         elif op == "drop" and factors:
             factors.pop(draw(st.integers(0, len(factors) - 1)))
         elif op == "foreign":
             index = draw(st.integers(0, 10**6))
-            vertices += [Vertex(draw(_SIDES), index), Vertex("x", index + 1)]
+            vertices = [*vertices, Vertex(draw(_SIDES), index), Vertex("x", index + 1)]
             factors.append([[len(vertices) - 2, len(vertices) - 1]])
     if draw(st.booleans()):
         factors = []
@@ -56,5 +63,5 @@ def _documents(draw):
 @given(doc=_documents())
 def test_to_json_equals_the_encoder(doc):
     """The joined text is exactly what the json encoder writes, for empty
-    factor lists, empty factors and foreign vertices too."""
+    factor lists, empty factors, empty cycles and foreign vertices too."""
     assert to_json(doc) == json.dumps(to_json_dict(doc), indent=2) + "\n"

@@ -141,6 +141,7 @@ def test_square_switches_rewrite_a_fraction_of_the_blocks(monkeypatch):
     factor and switch that relabelling both factors rewrote.  Counts blocks,
     not time."""
     m = 315
+    wh_decompose.cache_clear()  # an earlier test's split of m would skip the count
     switched, rewritten = [], []
     real_switch, real_retag, real_reverse = (
         solver._switch,
@@ -414,6 +415,7 @@ def test_determinism_across_processes():
 
     # The children import the same package as this process, whether it comes
     # from an install or from ``src/`` on PYTHONPATH; nothing else is inherited.
+    # They run with -B, so they write no bytecode next to the sources.
     package_root = str(Path(oberwolfach.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     snippet = (
@@ -429,7 +431,7 @@ def test_determinism_across_processes():
     string_hashes = set()
     for hashseed in ("1", "2", "40351"):
         proc = subprocess.run(
-            [sys.executable, "-c", snippet],
+            [sys.executable, "-B", "-c", snippet],
             capture_output=True,
             text=True,
             env={
