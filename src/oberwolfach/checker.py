@@ -52,7 +52,7 @@ from .core import (
     cycle_type_text,
     id_arcs,
 )
-from .hosts import BOUNDARY, HostDescriptor, _outside_j_star, admissible_ids
+from .hosts import BOUNDARY, HostDescriptor, _outside, admissible_ids
 
 
 class BudgetExceeded(RuntimeError):
@@ -205,7 +205,7 @@ def verify_admissible_decomposition(
     """Check that ``dec`` (a ``tables.AdmissibleDecomposition``: ``m``,
     ``id_factors`` and ``patterns()``) has nine factors, cycles of J* ids,
     admissible on ``m`` blocks, that partition the arcs of the opened host:
-    the distinct arcs, less those outside it (``hosts._outside_j_star``),
+    the distinct arcs, less those outside it (``hosts._outside``),
     must number its 18m arcs."""
     report = VerificationReport()
     factors = dec.id_factors
@@ -215,7 +215,7 @@ def verify_admissible_decomposition(
     report.add("admissible", not bad, f"inadmissible factors: {bad}")
     all_arcs = [a for f in factors for c in f for a in zip(c, c[1:] + c[:1])]
     union = set(all_arcs)
-    extra = len(_outside_j_star(union, m))
+    extra = len(_outside("JStar", union, m))
     missing = 18 * max(m, 0) - (len(union) - extra)
     report.add(
         "arc_disjoint",
@@ -247,7 +247,7 @@ def _is_opened_host(arcs: list, m: int, plus: set, minus: set) -> bool:
     return (
         len(arcs) == len(union) == 18 * m + len(plus) - len(minus)
         and not union & minus
-        and not _outside_j_star(union - plus, m)
+        and not _outside("JStar", union - plus, m)
     )
 
 

@@ -138,13 +138,12 @@ def canonical_id_cycles(cycles: Iterable) -> tuple:
     ``TwoRegularDigraph``: each rotated to start at its least id, then the
     cycles sorted.  Where ids number vertices in sort order (as
     ``hosts.HostDescriptor`` does) this is the order of the objects.  A
-    list is rotated as a list and copied into its tuple once, so no
-    short-lived tuple is made; a tuple that starts at its least id is kept
-    as it is."""
+    cycle that starts at its least id is copied once, into its tuple (a
+    tuple not at all)."""
     out = []
     for c in cycles:
         k = c.index(min(c))
-        out.append(tuple(c[k:] + c[:k]) if k else tuple(c))
+        out.append(tuple(c[k:]) + tuple(c[:k]) if k else tuple(c))
     out.sort()
     return tuple(out)
 

@@ -50,8 +50,8 @@ in O(1):
 ``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
 by C-level set calls, and keeps the last few.  Everything else asks it:
 ``count_outside_codes`` is a set difference, ``admissible_ids`` tests one
-superset per factor, and ``_outside_j_star``, ``_outside_w_star`` and
-``_outside_h_star`` return the id pairs whose code it lacks.
+superset per factor, and ``_outside`` returns the id pairs whose code it
+lacks.
 ``admissible_ids`` decides whether cycles of J* ids are an admissible
 factor of the opened host: 2m distinct ids, one of each boundary pair
 {b, b + 2m}, every arc inside.  ``in_w_star`` and ``in_h_star`` ask about
@@ -257,7 +257,7 @@ def w_star(m: int) -> Digraph:
 def _j_arcs(m: int) -> frozenset:
     """Arc set of the opened host on blocks 0..m+1 (any m >= 1), as vertex
     objects: the J* rule's codes decoded."""
-    top = 2 * m + 4
+    top = _width("JStar", m)
     return frozenset(
         Arc(strip_vertex(c // top), strip_vertex(c % top)) for c in arc_codes("JStar", m)
     )
@@ -335,20 +335,23 @@ def arc_codes(kind: str, m: int) -> frozenset:
     return frozenset(chain.from_iterable(_ranges(kind, m)))
 
 
-def _outside(pairs, width: int, codes: frozenset) -> list:
-    """The id pairs (a, b) in ``pairs`` that are not arcs: an id outside
-    0..width-1, or a code a * width + b not in ``codes``."""
+def _width(kind: str, m: int) -> int:
+    """The id count of host ``kind`` on m blocks: codes are a * width + b."""
+    return 2 * m + 4 if kind == "JStar" else 2 * m
+
+
+def _outside(kind: str, pairs, m: int) -> list:
+    """The id pairs (a, b) in ``pairs`` that are not arcs of host ``kind``
+    on m blocks: an id outside 0..width-1, or a code a * width + b not in
+    ``arc_codes(kind, m)`` (J* ids for "JStar" (any m >= 1), host ids for
+    "WStar" (m >= 5) and "HStar" (m >= 3))."""
+    width = _width(kind, m)
+    codes = arc_codes(kind, m)
     return [
         (a, b)
         for a, b in pairs
         if not (0 <= a < width and 0 <= b < width and a * width + b in codes)
     ]
-
-
-def _outside_j_star(pairs, m: int) -> list:
-    """The J* id pairs (a, b) in ``pairs`` that are not arcs of
-    ``j_star(m)`` (any m >= 1)."""
-    return _outside(pairs, 2 * m + 4, arc_codes("JStar", m))
 
 
 # The J* ids of the boundary blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
@@ -374,20 +377,8 @@ def admissible_ids(cycles, m: int) -> bool:
     for b in BOUNDARY:
         if (b in named) == (b + 2 * m in named):
             return False
-    codes = map(add, map(mul, tails, repeat(2 * m + 4)), heads)
+    codes = map(add, map(mul, tails, repeat(_width("JStar", m))), heads)
     return arc_codes("JStar", m).issuperset(codes)
-
-
-def _outside_w_star(pairs, m: int) -> list:
-    """The host id pairs (a, b) in ``pairs`` that are not arcs of
-    ``w_star(m)`` (m >= 5)."""
-    return _outside(pairs, 2 * m, arc_codes("WStar", m))
-
-
-def _outside_h_star(pairs, m: int) -> list:
-    """The host id pairs (a, b) in ``pairs`` that are not arcs of
-    ``h_star(m)`` (m >= 3)."""
-    return _outside(pairs, 2 * m, arc_codes("HStar", m))
 
 
 def _host_id(v: Vertex, m: int) -> int:
@@ -403,7 +394,7 @@ def _has_arc(kind: str, arc: Arc, m: int) -> bool:
     """Whether a blow-up host has ``arc``, asked of its rule's ranges, so
     one question about a large host builds no code set."""
     a, b = _host_id(arc[0], m), _host_id(arc[1], m)
-    code = a * 2 * m + b
+    code = a * _width(kind, m) + b
     return a >= 0 and b >= 0 and any(code in r for r in _ranges(kind, m))
 
 

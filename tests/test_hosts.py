@@ -4,8 +4,7 @@ from oberwolfach.caps import w_star_id_factors
 from oberwolfach.core import Arc, Vertex, parse_cycle_type, parse_vertex
 from oberwolfach.hosts import (
     HostDescriptor,
-    _outside_j_star,
-    _outside_w_star,
+    _outside,
     complete_symmetric,
     fold_ids,
     h_star,
@@ -165,12 +164,12 @@ def test_fold_of_admissible_factor():
     ((*folded,),) = fold_ids([factor], 7)
     assert sorted(v for c in folded for v in c) == list(range(14))  # w_star(7)'s ids
     assert HostDescriptor("WStar", 7).id_by_text["x3"] in folded[1]  # middle unchanged
-    assert not _outside_w_star(_folded_arcs(factor, 7), 7)
+    assert not _outside("WStar", _folded_arcs(factor, 7), 7)
 
 
 def test_fold_rejects_garbage():
     # x0 -> x3 folds onto blocks three apart, which w_star(7) does not join
-    assert _outside_w_star(_folded_arcs([ids("(x0,x3)")], 7), 7)
+    assert _outside("WStar", _folded_arcs([ids("(x0,x3)")], 7), 7)
 
 
 def _strip_arcs(m):
@@ -184,7 +183,7 @@ def test_in_j_star_matches_host():
     for m in range(3, 31):
         arcs = j_star(m).arcs
         pairs = {(strip_id(a.tail), strip_id(a.head)): a for a in _strip_arcs(m)}
-        outside = set(_outside_j_star(pairs, m))
+        outside = set(_outside("JStar", pairs, m))
         for pair, a in pairs.items():
             assert (pair not in outside) == (a in arcs), (m, a)
 

@@ -31,9 +31,7 @@ from oberwolfach.core import (
 )
 from oberwolfach.hosts import (
     HostDescriptor,
-    _outside_h_star,
-    _outside_j_star,
-    _outside_w_star,
+    _outside,
     admissible_ids,
     fold_ids,
     strip_id,
@@ -172,17 +170,17 @@ def test_id_host_rules_match_the_object_references(data):
     ids = st.integers(-6, 2 * m + 10)
     pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
     pairs += [(a, b) for a in range(-2, 2 * m + 6) for b in (a - 5, a - 1, a, a + 1, a + 4)]
-    j_out = set(_outside_j_star(pairs, m))
+    j_out = set(_outside("JStar", pairs, m))
     for a, b in pairs:
         arc = (strip_vertex(a), strip_vertex(b))
         assert ((a, b) not in j_out) == _ref_in_j_star(arc, m), (m, a, b)
     if m >= 3:
-        h_out = set(_outside_h_star(pairs, m))
+        h_out = set(_outside("HStar", pairs, m))
         for a, b in pairs:
             arc = (_host_vertex(a, m), _host_vertex(b, m))
             assert ((a, b) not in h_out) == _ref_in_h_star(arc, m), (m, a, b)
     if m >= 5:
-        w_out = set(_outside_w_star(pairs, m))
+        w_out = set(_outside("WStar", pairs, m))
         for a, b in pairs:
             arc = (_host_vertex(a, m), _host_vertex(b, m))
             assert ((a, b) not in w_out) == _ref_in_w_star(arc, m), (m, a, b)
@@ -191,8 +189,8 @@ def test_id_host_rules_match_the_object_references(data):
 @settings(max_examples=100, deadline=None, database=None)
 @given(m=st.integers(5, 13), size=st.integers(1, 60))
 def test_descriptor_counts_outside_codes_by_the_rules(m, size):
-    """``count_outside_codes`` of the blow-ups decodes each code and applies
-    the rule: it agrees with the object references on codes spread over the
+    """``count_outside_codes`` of the blow-ups, a difference with the rule's
+    code set, agrees with the object references on codes spread over the
     order-2m square, every loop and rung included."""
     n = 2 * m
     codes = set(range(0, n * n, max(1, n * n // size)))
@@ -342,7 +340,7 @@ def test_fold_matches_reference(data):
         ((*folded,),) = fold_ids([cycles], size)
         named = [v for c in folded for v in c]
         arcs = [a for c in folded for a in zip(c, c[1:] + c[:1])]
-        ok = len(set(named)) == len(named) and not _outside_w_star(arcs, size)
+        ok = len(set(named)) == len(named) and not _outside("WStar", arcs, size)
         assert ok == (want[0] == "ok"), (d, size, want)
         if ok:
             table = HostDescriptor("WStar", size).vertex_table
