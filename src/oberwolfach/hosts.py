@@ -48,7 +48,8 @@ in O(1):
 * H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
 
 ``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
-by C-level set calls, and keeps the last few.  Everything else asks it:
+by C-level set calls, and keeps the three of the last order.  Everything
+else asks it:
 ``count_outside_codes`` is a set difference, ``admissible_ids`` tests one
 superset per factor, and ``_outside`` returns the id pairs whose code it
 lacks.
@@ -324,7 +325,7 @@ def _ranges(kind: str, m: int) -> list:
     return _blow_up_ranges(m, (1, m - 1), False)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=3)  # the J*, W* and H* rules of one order
 def arc_codes(kind: str, m: int) -> frozenset:
     """The arc codes of ``j_star(m)`` (``"JStar"``, J* ids, width 2m + 4),
     ``w_star(m)`` (``"WStar"``) or ``h_star(m)`` (``"HStar"``, host ids,
@@ -432,7 +433,7 @@ class _FoldTable(dict):
         return (v >> 1) % self.m + (v & 1) * self.m
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _fold_table(m: int) -> _FoldTable:
     return _FoldTable(m)
 

@@ -128,7 +128,7 @@ _FACTORS_SLOT = '\n  "factors": 0,\n'
 _SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _quoted_tokens(host: HostDescriptor):
     """The lookup of each vertex's JSON string by its id in ``host``'s
     table: a list's ``__getitem__``, which ``map`` calls faster than a

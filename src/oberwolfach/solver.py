@@ -283,7 +283,7 @@ def _hamilton_cycles_decomposition(m: int, distances: list) -> list:
     return cycles
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def wh_decompose(m: int) -> WHDecomposition:
     """Reserve rungs and jumps 1, 2 for the circulant blow-up; split the
     remaining jumps 3..(m-1)/2 into Hamiltonian block cycles.
@@ -291,8 +291,8 @@ def wh_decompose(m: int) -> WHDecomposition:
     Jumps coprime to m get the closed-form cycles i*d mod m; the rest are
     paired and each pair circulant is split by square switching
     (``_decompose_pair_circulant``), with no search, so the split depends
-    on m alone: it is kept for the last few orders, for the solves that
-    follow.  At m = 5 there are no such jumps and no block cycles.
+    on m alone, and the last order's is kept for the solves that follow.
+    At m = 5 there are no such jumps and no block cycles.
     """
     if m < 5 or m % 2 == 0:
         raise DomainError(f"need odd m >= 5, got {m}")
@@ -333,10 +333,9 @@ def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str)
     return Factorization(host.m_or_n, ftype, tuple(factors), report)
 
 
-def _relabel(factor: tuple, image) -> tuple:
-    """An H* factor's id cycles through the lookup ``image`` of a
-    permutation of ids, in canonical form."""
-    return canonical_id_cycles([list(map(image, c)) for c in factor])
+def _relabel(factor: list, image: list) -> tuple:
+    """An H* factor's id cycles through the permutation ``image`` of ids."""
+    return canonical_id_cycles([list(map(image.__getitem__, c)) for c in factor])
 
 
 def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
@@ -376,5 +375,5 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
             for block_cycle in wh.h_block_cycles:
                 image = [number[b] for b in block_cycle]
                 image += [number[m + b] for b in block_cycle]
-                factors.extend(_relabel(f, image.__getitem__) for f in hids)
+                factors.extend(_relabel(f, image) for f in hids)
     return _verified(host, factors, ftype, "solve")
