@@ -48,11 +48,10 @@ in O(1):
 * H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
 
 ``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
-by C-level set calls, and keeps the three of the last order.  Everything
-else asks it:
-``count_outside_codes`` is a set difference, ``admissible_ids`` tests one
-superset per factor, and ``_outside`` returns the id pairs whose code it
-lacks.
+by C-level set calls, and keeps the last one: ``admissible_ids`` tests one
+superset of it per factor, and ``_outside`` returns the id pairs whose code
+it lacks.  ``count_outside_codes``, run once per check, is one set
+difference with the rule's ranges themselves, so no W* or H* set is kept.
 ``admissible_ids`` decides whether cycles of J* ids are an admissible
 factor of the opened host: 2m distinct ids, one of each boundary pair
 {b, b + 2m}, every arc inside.  ``in_w_star`` and ``in_h_star`` ask about
@@ -71,10 +70,10 @@ Besides the numbering the descriptor gives ``arcs`` (a sized container:
 ``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
 ``count_outside_codes``, the number of given arc codes that are not host
 arcs.  For the complete host that is the number of loops, found by one
-set intersection; for a blow-up it is one set difference with its
-``arc_codes``, 8m or 18m ints, as many as the host has arcs (``verify``
-refuses a host larger than its document before the checker sees it).  A
-built ``Digraph`` answers the same questions
+set intersection; for a blow-up it is one set difference with the ranges
+of its rule, which walks its 8m or 18m codes, as many as the host has arcs
+(``verify`` refuses a host larger than its document before the checker
+sees it).  A built ``Digraph`` answers the same questions
 from its stored sets.  The descriptor refuses the sizes the builders
 refuse, with their messages.
 """
@@ -176,7 +175,7 @@ class HostDescriptor:
             # distinct host vertices are always joined, so only loops are outside
             return len(codes.intersection(range(0, n * n, n + 1)))
         self._described()
-        return len(codes.difference(arc_codes(self.kind, self.m_or_n)))
+        return len(codes.difference(*_ranges(self.kind, self.m_or_n)))
 
 
 @lru_cache(maxsize=4)
@@ -325,14 +324,14 @@ def _ranges(kind: str, m: int) -> list:
     return _blow_up_ranges(m, (1, m - 1), False)
 
 
-@lru_cache(maxsize=3)  # the J*, W* and H* rules of one order
+@lru_cache(maxsize=1)
 def arc_codes(kind: str, m: int) -> frozenset:
     """The arc codes of ``j_star(m)`` (``"JStar"``, J* ids, width 2m + 4),
     ``w_star(m)`` (``"WStar"``) or ``h_star(m)`` (``"HStar"``, host ids,
     width 2m): every a * width + b with (a, b) an arc, the union of the
-    rule's ranges, gathered in O(m) by C-level set calls.  Every test of
-    many arcs against a rule asks this set; it is shared by the callers with
-    the same m and must not be mutated."""
+    rule's ranges, gathered in O(m) by C-level set calls.  The last one is
+    kept for the tests that follow (nine or more per solve on J*); it must
+    not be mutated."""
     return frozenset(chain.from_iterable(_ranges(kind, m)))
 
 
