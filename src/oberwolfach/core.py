@@ -153,8 +153,11 @@ def id_arcs(cycles) -> tuple:
     The tails are the cycles' ids in order; the heads are the same list
     shifted by one, with the head of each cycle's last id set to its first
     id (a 1-cycle's arc is a loop, an empty cycle has none)."""
-    tails = list(chain.from_iterable(cycles))
-    heads = tails[1:] + tails[:1]
+    tails = []
+    for c in cycles:
+        tails += c  # a block copy per cycle, faster than chaining the ids
+    heads = tails[1:]
+    heads += tails[:1]
     end = 0
     for k in map(len, cycles):
         if k:
