@@ -432,9 +432,7 @@ class _FoldTable(dict):
         return (v >> 1) % self.m + (v & 1) * self.m
 
 
-@lru_cache(maxsize=1)
-def _fold_table(m: int) -> _FoldTable:
-    return _FoldTable(m)
+_fold_table = lru_cache(maxsize=1)(_FoldTable)  # one order's table is kept
 
 
 def fold_ids(factors, m: int) -> list:
