@@ -7,16 +7,48 @@ centre-piece tables.
 
 A factorization is checked by ``verify_id_factorization``, which sees only
 vertex ids: each factor is a list of cycles, each cycle a list of ints, id i
-< N naming the host's vertex i (``hosts.HostDescriptor`` numbering, N the
-order) and ids >= N vertices outside the host.  It trusts nothing about how
-the lists were made.  Every arc between host ids is encoded as one integer
-a*N + b, so the arcs of all factors are gathered into one set of ints; an
-arc touching an id >= N goes into a small separate set of pairs.  Coverage
-is arc arithmetic -- the factors' distinct arcs, less those outside the
-host, must number the host's arcs -- so no host arc set is materialised.  A
-factor spans when its length is N, it names no id >= N, and its ids are
-distinct, counted by one set per factor; so spanning no longer rests on the
-cycle and factor constructors having refused repeated or shared vertices.
+in 0..N-1 naming the host's vertex i (``hosts.HostDescriptor`` numbering, N
+the order) and every other id, negative ones too, a vertex outside the
+host.  It trusts nothing about how the lists were made.  It reports four
+checks from four counts over all factors: ``used`` arcs and ``distinct``
+ones (disjoint when equal), host arcs ``missing`` and ``extra`` arcs
+outside the host (coverage when both are 0), plus the factors that do not
+span and those of the wrong cycle type.  Two kernels count them.
+
+* **The set kernel** takes any ids and any host.  Every arc between host
+  ids is encoded as one integer a*N + b, so the arcs of all factors are
+  gathered into one set of ints; an arc touching another id goes into a
+  small separate set of pairs.  Coverage is arc arithmetic -- the factors'
+  distinct arcs, less those outside the host, must number the host's arcs
+  -- so no host arc set is materialised.  A factor spans when its length
+  is N, every id is in 0..N-1, and its ids are distinct, counted by one
+  set per factor; so spanning does not rest on the cycle and factor
+  constructors having refused repeated or shared vertices.
+* **The column kernel** runs when the host is a ``HostDescriptor`` of
+  order N <= 256, so that an id fits in a byte, and every factor is a
+  permutation of 0..N-1; it counts with C-level ``bytes`` operations and
+  boxes no int per arc.  Each factor becomes its successor table, the
+  heads of ids 0..N-1 in order; column v of the joined tables holds v's
+  heads in all k factors.  It decides every check of a solve up to
+  n = 254: the W* check and the H* self-check (order 2m <= 254) and the
+  final check.  Any other input (a foreign, negative or repeated id, a
+  short factor, a built ``Digraph``, JStar, N > 256) goes to the set
+  kernel, which stays the one exact path there.
+
+The two give the same report whenever every factor is a permutation of
+0..N-1.  Then each factor has exactly one arc out of each vertex v, to
+v's entry in its table, and no arc touches an id outside the host, so the
+set kernel's pairs are empty and every factor spans.  Its ``used`` is kN,
+the column kernel's.  Its ``distinct`` counts the distinct pairs (v, w) of
+all arcs, which grouped by tail is, for each v, the number of distinct
+bytes in column v: N less the ids that deleting the column leaves.  A
+code is inside the host exactly when its head is in v's out-neighbours
+(``hosts.out_neighbour_bytes``, the same rule as ``arcs`` and
+``count_outside_codes``), so the distinct arcs inside number
+len(host.arcs) less the out-neighbours that no column entry hits, which is
+``missing`` in both; ``extra`` is the distinct arcs outside, ``distinct``
+less those inside.  The cycle-type check reads the same lengths in both.
+
 ``solve``, the W* check and the H* self-check build their factors as such
 lists and ``verify`` reads certificates straight into them
 (``serialize.read_certificate``); ``verify_factorization`` is the adapter
@@ -52,7 +84,14 @@ from .core import (
     cycle_type_text,
     id_arcs,
 )
-from .hosts import BOUNDARY, HostDescriptor, _outside, admissible_ids
+from .hosts import (
+    BOUNDARY,
+    DESCRIBED_KINDS,
+    HostDescriptor,
+    _outside,
+    admissible_ids,
+    out_neighbour_bytes,
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -127,55 +166,35 @@ def verify_id_factorization(
     factors: Iterable[list],
     ftype: CycleType,
 ) -> VerificationReport:
-    """Check that ``factors``, each a list of cycles given as lists of
-    vertex ids, is an ftype-factorization of ``host``.
+    """Check that ``factors``, each a list of cycles given as lists (or
+    tuples) of vertex ids, is an ftype-factorization of ``host``.
 
-    ``host`` is a ``HostDescriptor`` or a built ``Digraph``: only its order
-    N (``host.order``, or ``len(host.vertices)`` for a ``Digraph``),
-    ``len(host.arcs)`` and ``host.count_outside_codes`` are used, so the
-    host's arc set is never built or copied here.  Ids are non-negative; id
-    i < N is the host's vertex i, and ids >= N are vertices outside it.
-    Each factor is flattened once into its tails and heads
-    (``core.id_arcs``); each arc (a, b) between host ids is gathered as the
-    code a*N + b, by one set update per factor, and each arc touching
-    another id as an (a, b) pair; the arcs are disjoint
-    when the distinct ones number the total cycle length, and they cover the
-    host when none is outside it and the distinct ones number
-    ``len(host.arcs)``.  A factor spans when its length and its count of
-    distinct ids are both N and every id is below N.
+    ``host`` is a ``HostDescriptor`` or a built ``Digraph``.  Ids are
+    integers; id i in 0..N-1 is the host's vertex i (N the order), and any
+    other id, negative ones too, is a vertex outside it.  The arcs are
+    counted by the column kernel when the host is described with N <= 256
+    and every factor is a permutation of 0..N-1 (``_column_counts``), and by
+    the set kernel otherwise (``_set_counts``); the module docstring says
+    why the two give the same report.
     """
+    described = isinstance(host, HostDescriptor)
+    order = host.order if described else len(host.vertices)
+    want = list(ftype.lengths)
+    if described and host.kind in DESCRIBED_KINDS and order <= 256:
+        factors = list(factors)
+        counts = _column_counts(host, factors, want)
+        if counts is not None:
+            return _report(*counts)
+    return _report(*_set_counts(host, order, factors, want))
+
+
+def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationReport:
     report = VerificationReport()
-    order = host.order if isinstance(host, HostDescriptor) else len(host.vertices)
-    row = [a * order for a in range(order)].__getitem__
-    codes: set = set()
-    pairs: set = set()
-    used = 0
-    spanning = []
-    wrong = []
-    for i, cycles in enumerate(factors):
-        lengths = list(map(len, cycles))
-        tails, heads = id_arcs(cycles)
-        size = len(tails)
-        used += size
-        named = set(tails)
-        inside = not named or max(named) < order
-        if inside:
-            codes.update(map(add, map(row, tails), heads))
-        else:
-            _gather_foreign(tails, heads, order, codes, pairs)
-        if size != order or len(named) != size or not inside:
-            spanning.append(i)
-        if tuple(sorted(lengths)) != ftype.lengths:
-            wrong.append((i, cycle_type_text(lengths)))
-    distinct = len(codes) + len(pairs)
     report.add(
         "arc_disjoint",
         used == distinct,
         f"{used} arcs used, {distinct} distinct",
     )
-    outside = host.count_outside_codes(codes)
-    extra = outside + len(pairs)
-    missing = len(host.arcs) - (len(codes) - outside)
     report.add(
         "coverage",
         missing == 0 and extra == 0,
@@ -186,12 +205,95 @@ def verify_id_factorization(
     return report
 
 
+def _column_counts(host: HostDescriptor, factors: list, want: list) -> Optional[tuple]:
+    """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
+    described host of order N <= 256, by bytes, the cycle lengths compared
+    with the sorted ``want``; None when a factor is not a permutation of
+    0..N-1.
+
+    A factor's ids as one ``bytes``, ``tails``, are a permutation when
+    there are N of them and deleting them from ``ids`` leaves nothing.  Its
+    successor table in id order is then ``bytes.maketrans`` of ``tails``
+    onto ``tails`` shifted by one, with the last id of each cycle sent back
+    to its first.  The tables are joined into one grid whose column v,
+    ``grid[v::N]``, holds v's heads in every factor: deleting the column
+    from ``ids`` counts v's distinct heads, and deleting it from v's
+    out-neighbours (``hosts.out_neighbour_bytes``) counts the ones it
+    misses."""
+    n = host.order
+    ids = bytes(range(n))
+    tables = []
+    wrong = []
+    for i, cycles in enumerate(factors):
+        try:
+            tails = b"".join(map(bytes, cycles))
+        except (ValueError, TypeError):
+            return None
+        if len(tails) != n or ids.translate(None, tails):
+            return None
+        table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
+        for c in cycles:
+            if c:
+                table[c[-1]] = c[0]
+        tables.append(table[:n])
+        lengths = sorted(map(len, cycles))
+        if lengths != want:
+            wrong.append((i, cycle_type_text(lengths)))
+    grid = b"".join(tables)
+    distinct = missing = 0
+    for v, nbr in enumerate(out_neighbour_bytes(host.kind, host.m_or_n)):
+        col = grid[v::n]
+        distinct += n - len(ids.translate(None, col))
+        missing += len(nbr.translate(None, col))
+    # the distinct arcs inside the host number its arcs less the missing ones
+    extra = distinct - (len(host.arcs) - missing)
+    return n * len(tables), distinct, missing, extra, [], wrong
+
+
+def _set_counts(
+    host: Union[HostDescriptor, Digraph], order: int, factors: Iterable, want: list
+) -> tuple:
+    """(used, distinct, missing, extra, spanning, wrong) of ``factors``,
+    any ids, the cycle lengths compared with the sorted ``want``.  Each
+    factor is flattened once into its tails and heads (``core.id_arcs``);
+    each arc (a, b) between host ids is gathered as the code a*N + b, by
+    one set update per factor, and each arc touching another id as an
+    (a, b) pair.  Only ``len(host.arcs)`` and ``host.count_outside_codes``
+    are asked of the host, so its arc set is never built or copied here.  A
+    factor spans when its length and its count of distinct ids are both N
+    and every id is in 0..N-1."""
+    row = [a * order for a in range(order)].__getitem__
+    codes: set = set()
+    pairs: set = set()
+    used = 0
+    spanning = []
+    wrong = []
+    for i, cycles in enumerate(factors):
+        lengths = sorted(map(len, cycles))
+        tails, heads = id_arcs(cycles)
+        size = len(tails)
+        used += size
+        named = set(tails)
+        inside = not named or (min(named) >= 0 and max(named) < order)
+        if inside:
+            codes.update(map(add, map(row, tails), heads))
+        else:
+            _gather_foreign(tails, heads, order, codes, pairs)
+        if size != order or len(named) != size or not inside:
+            spanning.append(i)
+        if lengths != want:
+            wrong.append((i, cycle_type_text(lengths)))
+    outside = host.count_outside_codes(codes)
+    missing = len(host.arcs) - (len(codes) - outside)
+    return used, len(codes) + len(pairs), missing, outside + len(pairs), spanning, wrong
+
+
 def _gather_foreign(tails: list, heads: list, order: int, codes: set, pairs: set) -> None:
-    """Add the arcs ``zip(tails, heads)`` of a factor that names ids >=
-    ``order``: arcs between host ids as codes, the others as (tail, head)
-    pairs."""
+    """Add the arcs ``zip(tails, heads)`` of a factor that names an id
+    outside 0..``order``-1: arcs between host ids as codes, the others as
+    (tail, head) pairs."""
     for a, b in zip(tails, heads):
-        if a < order and b < order:
+        if 0 <= a < order and 0 <= b < order:
             codes.add(a * order + b)
         else:
             pairs.add((a, b))

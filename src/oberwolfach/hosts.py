@@ -52,6 +52,12 @@ by C-level set calls, and keeps the last one: ``admissible_ids`` tests one
 superset of it per factor, and ``_outside`` returns the id pairs whose code
 it lacks.  ``count_outside_codes``, run once per check, is one set
 difference with the rule's ranges themselves, so no W* or H* set is kept.
+``out_neighbour_bytes(kind, size)`` writes a host of order at most 256 as
+one ``bytes`` per id, its out-neighbours, a byte holding one id: every
+other id for the complete host, the rule's ranges decoded once for W* and
+H*, so each rule is still written once.  The checker's column kernel
+counts each vertex's missing heads against these bytes; one order's three
+hosts (the complete host, W* and H* on the same 2m ids) are kept.
 ``admissible_ids`` decides whether cycles of J* ids are an admissible
 factor of the opened host: 2m distinct ids, one of each boundary pair
 {b, b + 2m}, every arc inside.  ``in_w_star`` and ``in_h_star`` ask about
@@ -63,8 +69,9 @@ A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
 certificate.  ``vertex_table`` holds one interned ``Vertex`` per host id,
 ``vertex_ids`` is the inverse and ``id_by_text`` maps ``"x3"`` to the id;
-descriptors with the same x and y counts share them.  The checker encodes
-an arc (a, b) of ids as the integer a*N + b, N the order.
+descriptors with the same x and y counts share them.  The checker's set
+kernel encodes an arc (a, b) of ids as the integer a*N + b, N the order;
+its column kernel reads ``out_neighbour_bytes`` instead.
 
 Besides the numbering the descriptor gives ``arcs`` (a sized container:
 ``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
@@ -333,6 +340,23 @@ def arc_codes(kind: str, m: int) -> frozenset:
     kept for the tests that follow (nine or more per solve on J*); it must
     not be mutated."""
     return frozenset(chain.from_iterable(_ranges(kind, m)))
+
+
+@lru_cache(maxsize=3)
+def out_neighbour_bytes(kind: str, size: int) -> tuple:
+    """Each host id's out-neighbours, as one ``bytes`` per id in id order,
+    for a described host (``"CompleteSymmetric"`` n, ``"WStar"`` or
+    ``"HStar"`` m) of order at most 256: every other id for the complete
+    host, and for a blow-up the heads of its rule's ranges, decoded once.
+    One order's three hosts are kept; the result must not be mutated."""
+    if kind == "CompleteSymmetric":
+        ids = bytes(range(size))
+        return tuple(ids[:v] + ids[v + 1 :] for v in range(size))
+    n = _width(kind, size)
+    heads = [bytearray() for _ in range(n)]
+    for a, b in map(divmod, chain.from_iterable(_ranges(kind, size)), repeat(n)):
+        heads[a].append(b)
+    return tuple(map(bytes, heads))
 
 
 def _width(kind: str, m: int) -> int:

@@ -101,30 +101,22 @@ def document_for_solution(solution) -> FactorizationDocument:
 
 def to_json_dict(doc: FactorizationDocument) -> dict:
     text = [v.text() for v in doc.vertices]
-    return _fields(doc, [[[text[i] for i in c] for c in f] for f in doc.factors])
-
-
-def _fields(doc: FactorizationDocument, factors) -> dict:
     return {
         "n": doc.n,
         "factor_type": list(doc.ftype.lengths),
         "host": doc.host.to_json(),
-        "factors": factors,
+        "factors": [[[text[i] for i in c] for c in f] for f in doc.factors],
         "verified": doc.verified,
         "seed": doc.seed,
     }
 
 
-# how json.dumps(indent=2) writes the "factors" key with the value 0; its
-# quotes are unescaped, so it cannot occur inside any string value
-_FACTORS_SLOT = '\n  "factors": 0,\n'
-
-
-# json.dumps(indent=2) writes a non-empty list nested d = 1, 2, 3 levels deep
-# (the factors, a factor, a cycle) as "[", a line break and the indent of
-# depth d, the items joined by _SEP[d] (a comma, a line break and that
-# indent), a line break, the indent of depth d - 1 and "]".  An empty list
-# is "[]".
+# json.dumps(indent=2) writes a non-empty list or object nested d = 0, 1, 2,
+# 3 levels deep (the document, the factors, a factor, a cycle; the factor
+# type and the host are at depth 1) as its bracket, a line break and the
+# indent of depth d, the items joined by _SEP[d] (a comma, a line break and
+# that indent), a line break, the indent of depth d - 1 and the closing
+# bracket.  An empty list is "[]".
 _SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
 
 
@@ -139,23 +131,26 @@ def _quoted_tokens(host: HostDescriptor):
 def to_json(doc: FactorizationDocument) -> str:
     """``json.dumps(to_json_dict(doc), indent=2) + "\\n"``, byte for byte.
 
-    Every field but ``"factors"`` goes through ``json.dumps``.  The factors,
-    nearly all of the text, are written from their ids by nested
-    ``str.join`` calls with the fixed separators of ``_SEP``, one ``map``
-    over each factor's cycles.  Each vertex is quoted by
-    ``json.dumps(v.text())``, so the escaping is the encoder's own; a
-    document on its host's own vertex table (every solution) takes the
-    quoted tokens kept for that host, one that names other vertices quotes
-    its own."""
-    head, _, tail = json.dumps(_fields(doc, 0), indent=2).partition(_FACTORS_SLOT)
+    The text is joined with the fixed separators of ``_SEP``; only
+    ``indent`` makes the encoder run in Python, so it is handed no
+    container.  Each scalar of the other fields (``n``, the host's keys
+    and values, ``verified``, ``seed``) goes through ``json.dumps``, whose
+    C encoder takes a lone scalar, and the cycle lengths, ints, through
+    ``str``.  The factors, nearly all of the text, are written from their
+    ids by nested ``str.join`` calls, one ``map`` over each factor's
+    cycles.  Each vertex is quoted by ``json.dumps(v.text())``, so the
+    escaping is the encoder's own; a document on its host's own vertex
+    table (every solution) takes the quoted tokens kept for that host, one
+    that names other vertices quotes its own."""
+    dumps = json.dumps
+    s0, s1, s2, s3 = _SEP
+    o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
+    c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
     host = doc.host
     if host.kind in DESCRIBED_KINDS and doc.vertices is host.vertex_table:
         quoted = _quoted_tokens(host)
     else:
-        quoted = [json.dumps(v.text()) for v in doc.vertices].__getitem__
-    s0, s1, s2, s3 = _SEP
-    o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
-    c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
+        quoted = [dumps(v.text()) for v in doc.vertices].__getitem__
     tokens = partial(map, quoted)  # a cycle's quoted vertices
     between = c3 + s2 + o3  # closes a cycle and opens the next
 
@@ -168,7 +163,14 @@ def to_json(doc: FactorizationDocument) -> str:
         return text if all(f) else text.replace(o3 + c3, "[]")
 
     block = o1 + s1.join(map(factor, doc.factors)) + c1 if doc.factors else "[]"
-    return f'{head}\n  "factors": {block},\n{tail}\n'
+    lengths = doc.ftype.lengths
+    ftype = o1 + s1.join(map(str, lengths)) + c1 if lengths else "[]"
+    members = s1.join([f"{dumps(k)}: {dumps(v)}" for k, v in host.to_json().items()])
+    return (
+        f'{{\n  "n": {dumps(doc.n)},\n  "factor_type": {ftype},\n'
+        f'  "host": {{{s1[1:]}{members}{s0[1:]}}},\n  "factors": {block},\n'
+        f'  "verified": {dumps(doc.verified)},\n  "seed": {dumps(doc.seed)}\n}}\n'
+    )
 
 
 _JSON_TYPES = {

@@ -4,8 +4,9 @@ code sets: one set update per cycle, and one Python loop per arc that
 decodes each code and tests the rule.
 
 The package no longer runs these; the tests keep them as the reference
-that ``checker.verify_id_factorization`` must match check for check, and
-that ``hosts.arc_codes`` must match pair for pair.
+that both kernels of ``checker.verify_id_factorization`` must match check
+for check, and that ``hosts.arc_codes`` must match pair for pair.  An id
+outside 0..N-1, a negative one too, names a vertex outside the host.
 """
 
 from operator import add
@@ -82,7 +83,7 @@ def _count_outside_codes(kind, size, codes):
 
 def _gather_foreign(cs, order, codes, pairs):
     for a, b in zip(cs, cs[1:] + cs[:1]):
-        if a < order and b < order:
+        if 0 <= a < order and 0 <= b < order:
             codes.add(a * order + b)
         else:
             pairs.add((a, b))
@@ -106,7 +107,7 @@ def verify_id_factorization(kind, size, factors, ftype):
         named = set()
         for cs in cycles:
             named.update(cs)
-        inside = not named or max(named) < order
+        inside = not named or (min(named) >= 0 and max(named) < order)
         for cs in cycles:
             if inside:
                 codes.update(map(add, map(row, cs), cs[1:] + cs[:1]))

@@ -1,15 +1,18 @@
-"""The per-factor checker kernel and the host rules' code sets against the
-per-cycle, per-arc reference in ``reference_checker.py``."""
+"""The checker's column and set kernels and the host rules' code sets
+against the per-cycle, per-arc reference in ``reference_checker.py``."""
 
 import functools
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checker as ref
+from oberwolfach import checker
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.checker import verify_id_factorization
-from oberwolfach.core import parse_cycle_type
+from oberwolfach.core import CycleType, parse_cycle_type
 from oberwolfach.hosts import (
     HostDescriptor,
     arc_codes,
@@ -88,8 +91,8 @@ def _corrupt(factors, op, data, order):
     elif op == "repeated_id":  # an id the factor already names elsewhere
         d, j = spots[data.draw(st.integers(0, len(spots) - 1))]
         c[k] = d[j]
-    elif op == "foreign_id":
-        c[k] = order + data.draw(st.integers(0, 3))
+    elif op == "foreign_id":  # above the host's ids or negative
+        c[k] = data.draw(st.one_of(st.integers(order, order + 3), st.integers(-4, -1)))
     elif data.draw(st.booleans()):  # one_cycle: a cycle cut to one id
         del c[1:]
     else:  # one_cycle: a lone id added as a cycle of its own
@@ -138,3 +141,129 @@ def test_code_sets_equal_the_rules_to_41():
             codes = arc_codes("WStar", m)
             assert codes == _rule_codes(2 * m, ref.outside_w_star, m), m
             assert len(codes) == 18 * m
+
+
+def test_a_negative_id_is_foreign():
+    """A negative id is a vertex outside the host, like an id above it: its
+    arcs are extra and the host arcs it stands for are missing, in the
+    kernel and in the reference alike."""
+    host = HostDescriptor("CompleteSymmetric", 4)
+    ftype = parse_cycle_type("[2,2]")
+    for foreign in (-1, 5):
+        factors = [[[0, foreign]], [[1, 2]]]
+        report = verify_id_factorization(host, factors, ftype)
+        assert report.checks[1] == ("coverage", False, "missing 10, extra 2")
+        assert report.checks == ref.verify_id_factorization(
+            "CompleteSymmetric", 4, factors, ftype
+        ).checks
+
+
+def _shift_factors(n):
+    """The factorization of the complete host on ids 0..n-1 (any n >= 2)
+    into the n - 1 shifts v -> v + d mod n, each as its cycles."""
+    factors = []
+    for d in range(1, n):
+        seen = set()
+        cycles = []
+        for start in range(n):
+            if start not in seen:
+                cycle = [start]
+                v = (start + d) % n
+                while v != start:
+                    cycle.append(v)
+                    v = (v + d) % n
+                seen.update(cycle)
+                cycles.append(cycle)
+        factors.append(cycles)
+    return factors
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary(kind, size):
+    """A factorization of a host of order near 256, the column kernel's
+    largest: the shifts on the complete host, the real W* and H* builds."""
+    if kind == "CompleteSymmetric":
+        return tuple(map(tuple, map(tuple, _shift_factors(size))))
+    ftype = parse_cycle_type(f"[4,{2 * size - 4}]")
+    if kind == "HStar":
+        return factorize_h_star(ftype, size).id_factors
+    return tuple(w_star_id_factors(ftype))
+
+
+_BOUNDARY = [("CompleteSymmetric", n) for n in (255, 256, 257)] + [
+    (kind, m) for kind in ("WStar", "HStar") for m in (127, 128, 129)
+]
+# corruptions after which every factor is still a permutation of the host
+# ids, and ones that send the check to the set kernel
+_PERMUTING = ("swap", "duplicate", "drop", "reorder", "split")
+_FALLING_BACK = ("repeated_id", "foreign_id", "one_cycle", "empty_factor")
+
+
+def _set_kernel_only():
+    """Within it, the column kernel declines every input."""
+    return mock.patch.object(checker, "_column_counts", lambda *args: None)
+
+
+def _column_kernel_only():
+    """Within it, reaching the set kernel fails the test."""
+
+    def refuse(*args):
+        raise AssertionError("the set kernel decided")
+
+    return mock.patch.object(checker, "_set_counts", refuse)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_column_and_set_kernels_agree_across_256(data):
+    """On hosts of order 254 to 258, the column kernel, the set kernel and
+    the reference give the same checks under corruptions that keep every
+    factor a permutation and under ones that force the fallback."""
+    kind, size = data.draw(st.sampled_from(_BOUNDARY))
+    host = HostDescriptor(kind, size)
+    clean = _boundary(kind, size)
+    ftype = CycleType(map(len, clean[0]))
+    factors = [[list(c) for c in f] for f in clean]
+    ops = data.draw(st.lists(st.sampled_from(_PERMUTING + _FALLING_BACK), max_size=3))
+    for op in ops:
+        if not factors:
+            break
+        if op == "reorder":  # the factors shuffled, each cycle rotated
+            factors = data.draw(st.permutations(factors))
+            factors = [[c[1:] + c[:1] for c in f] for f in factors]
+        elif op == "split":  # one cycle cut in two, down to 1-cycles
+            f = factors[data.draw(st.integers(0, len(factors) - 1))]
+            if not f:
+                continue
+            c = f.pop(data.draw(st.integers(0, len(f) - 1)))
+            k = data.draw(st.integers(0, len(c)))
+            f += [c[:k], c[k:]]  # an empty part is an empty cycle
+        else:
+            _corrupt(factors, op, data, host.order)
+    expected = ref.verify_id_factorization(kind, size, factors, ftype).checks
+    if host.order <= 256 and set(ops) <= set(_PERMUTING):
+        with _column_kernel_only():
+            assert verify_id_factorization(host, factors, ftype).checks == expected
+    else:
+        assert verify_id_factorization(host, factors, ftype).checks == expected
+    with _set_kernel_only():
+        assert verify_id_factorization(host, factors, ftype).checks == expected
+
+
+@pytest.mark.parametrize(
+    "n, spec", [(10, "[4,6]"), (38, "[38]"), (106, "[2,4,6,94]"), (254, "[4,250]")]
+)
+def test_the_column_kernel_decides_clean_solves_and_permuting_corruptions(n, spec):
+    """Every check of a solve up to n = 254 -- the W* check, the H*
+    self-check and the final check -- and of its swap, drop and duplicate
+    corruptions runs in the column kernel, and the corruptions fail it."""
+    ftype = parse_cycle_type(spec)
+    with _column_kernel_only():
+        factors = solve(n, ftype).id_factors
+        host = HostDescriptor("CompleteSymmetric", n)
+        assert verify_id_factorization(host, factors, ftype).passed
+        swapped = [[list(c) for c in f] for f in factors]
+        cycle = max(swapped[0], key=len)
+        cycle[0], cycle[1] = cycle[1], cycle[0]
+        for corrupted in (swapped, factors[1:], [factors[0], *factors[:-1]]):
+            assert not verify_id_factorization(host, corrupted, ftype).passed
