@@ -2,6 +2,7 @@
 against the per-cycle, per-arc reference in ``reference_checker.py``."""
 
 import functools
+import math
 from unittest import mock
 
 import pytest
@@ -160,21 +161,11 @@ def test_a_negative_id_is_foreign():
 
 def _shift_factors(n):
     """The factorization of the complete host on ids 0..n-1 (any n >= 2)
-    into the n - 1 shifts v -> v + d mod n, each as its cycles."""
+    into the n - 1 shifts v -> v + d mod n, each as its gcd(n, d) cycles."""
     factors = []
     for d in range(1, n):
-        seen = set()
-        cycles = []
-        for start in range(n):
-            if start not in seen:
-                cycle = [start]
-                v = (start + d) % n
-                while v != start:
-                    cycle.append(v)
-                    v = (v + d) % n
-                seen.update(cycle)
-                cycles.append(cycle)
-        factors.append(cycles)
+        g = math.gcd(n, d)
+        factors.append([[(s + k * d) % n for k in range(n // g)] for s in range(g)])
     return factors
 
 
@@ -183,7 +174,7 @@ def _boundary(kind, size):
     """A factorization of a host of order near 256, the column kernel's
     largest: the shifts on the complete host, the real W* and H* builds."""
     if kind == "CompleteSymmetric":
-        return tuple(map(tuple, map(tuple, _shift_factors(size))))
+        return _shift_factors(size)
     ftype = parse_cycle_type(f"[4,{2 * size - 4}]")
     if kind == "HStar":
         return factorize_h_star(ftype, size).id_factors
