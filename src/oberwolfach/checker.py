@@ -32,8 +32,8 @@ span and those of the wrong cycle type.  Two kernels count them.
   heads in all k factors.  It decides every check of a solve up to
   n = 254: the W* check and the H* self-check (order 2m <= 254) and the
   final check.  Any other input (a foreign, negative or repeated id, a
-  short factor, a built ``Digraph``, JStar, N > 256) goes to the set
-  kernel, which stays the one exact path there.
+  short factor, JStar, N > 256) goes to the set kernel, which stays the
+  one exact path there.
 
 The two give the same report whenever every factor is a permutation of
 0..N-1.  Then each factor has exactly one arc out of each vertex v, to
@@ -43,14 +43,15 @@ the column kernel's.  Its ``distinct`` counts the distinct pairs (v, w) of
 all arcs, which grouped by tail is, for each v, the number of distinct
 bytes in column v: N less the ids that deleting the column leaves.  A
 code is inside the host exactly when its head is in v's out-neighbours
-(``hosts.out_neighbour_bytes``, the same rule as ``arcs`` and
+(``hosts.out_neighbour_bytes``, the same rule as ``arc_count`` and
 ``count_outside_codes``), so the distinct arcs inside number
-len(host.arcs) less the out-neighbours that no column entry hits, which is
-``missing`` in both; ``extra`` is the distinct arcs outside, ``distinct``
+``host.arc_count`` less the out-neighbours that no column entry hits, which
+is ``missing`` in both; ``extra`` is the distinct arcs outside, ``distinct``
 less those inside.  The cycle-type check reads the same lengths in both.
 
-``solve``, the W* check and the H* self-check build their factors as such
-lists and ``verify`` reads certificates straight into them
+Every host is a ``hosts.HostDescriptor``; no host arc set is built or
+asked for.  ``solve``, the W* check and the H* self-check build their
+factors as such lists and ``verify`` reads certificates straight into them
 (``serialize.read_certificate``); ``verify_factorization`` is the adapter
 for library callers holding ``TwoRegularDigraph`` objects, so all of them
 run the same core.  ``verify_admissible_decomposition`` likewise checks a
@@ -65,25 +66,18 @@ pieces and decompositions it is handed are read through their fields and
 methods (``id_factors``, ``patterns``, ``internal_patterns``).
 
 ``brute_force_factorization`` is an exhaustive backtracking search over
-tiny hosts, used to confirm nonexistence claims and to cross-check the
-solver at order 6.
+the complete host of a tiny order, on its vertex ids, used to confirm
+nonexistence claims and to cross-check the solver at order 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import add
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from .core import (
-    Arc,
-    CycleType,
-    Digraph,
-    DirectedCycle,
-    TwoRegularDigraph,
-    cycle_type_text,
-    id_arcs,
-)
+from .core import CycleType, canonical_id_cycles, cycle_type_text, id_arcs
 from .hosts import (
     BOUNDARY,
     DESCRIBED_KINDS,
@@ -133,11 +127,10 @@ class VerificationReport:
 
 
 def verify_factorization(
-    host: Union[HostDescriptor, Digraph],
-    factors: Iterable[TwoRegularDigraph],
-    ftype: CycleType,
+    host: HostDescriptor, factors: Iterable, ftype: CycleType
 ) -> VerificationReport:
-    """Check that ``factors`` is an ftype-factorization of ``host``: each
+    """Check that ``factors``, ``TwoRegularDigraph``s, are an
+    ftype-factorization of the described ``host``: each
     factor's cycles are mapped through ``host.vertex_ids`` (a vertex outside
     the host to an id >= N, one per distinct vertex) and judged by
     :func:`verify_id_factorization`."""
@@ -148,7 +141,7 @@ def verify_factorization(
         i = ids.get(v)
         return foreign.setdefault(v, len(ids) + len(foreign)) if i is None else i
 
-    def id_cycles(f: TwoRegularDigraph) -> list:
+    def id_cycles(f) -> list:
         out = []
         for c in f.cycles:
             vs = c.vertices
@@ -162,25 +155,22 @@ def verify_factorization(
 
 
 def verify_id_factorization(
-    host: Union[HostDescriptor, Digraph],
-    factors: Iterable[list],
-    ftype: CycleType,
+    host: HostDescriptor, factors: Iterable[list], ftype: CycleType
 ) -> VerificationReport:
     """Check that ``factors``, each a list of cycles given as lists (or
-    tuples) of vertex ids, is an ftype-factorization of ``host``.
+    tuples) of vertex ids, is an ftype-factorization of the described
+    ``host``.
 
-    ``host`` is a ``HostDescriptor`` or a built ``Digraph``.  Ids are
-    integers; id i in 0..N-1 is the host's vertex i (N the order), and any
-    other id, negative ones too, is a vertex outside it.  The arcs are
+    Ids are integers; id i in 0..N-1 is the host's vertex i (N the order),
+    and any other id, negative ones too, is a vertex outside it.  The arcs are
     counted by the column kernel when the host is described with N <= 256
     and every factor is a permutation of 0..N-1 (``_column_counts``), and by
     the set kernel otherwise (``_set_counts``); the module docstring says
     why the two give the same report.
     """
-    described = isinstance(host, HostDescriptor)
-    order = host.order if described else len(host.vertices)
+    order = host.order
     want = list(ftype.lengths)
-    if described and host.kind in DESCRIBED_KINDS and order <= 256:
+    if host.kind in DESCRIBED_KINDS and order <= 256:
         factors = list(factors)
         counts = _column_counts(host, factors, want)
         if counts is not None:
@@ -246,19 +236,17 @@ def _column_counts(host: HostDescriptor, factors: list, want: list) -> Optional[
         distinct += n - len(ids.translate(None, col))
         missing += len(nbr.translate(None, col))
     # the distinct arcs inside the host number its arcs less the missing ones
-    extra = distinct - (len(host.arcs) - missing)
+    extra = distinct - (host.arc_count - missing)
     return n * len(tables), distinct, missing, extra, [], wrong
 
 
-def _set_counts(
-    host: Union[HostDescriptor, Digraph], order: int, factors: Iterable, want: list
-) -> tuple:
+def _set_counts(host: HostDescriptor, order: int, factors: Iterable, want: list) -> tuple:
     """(used, distinct, missing, extra, spanning, wrong) of ``factors``,
     any ids, the cycle lengths compared with the sorted ``want``.  Each
     factor is flattened once into its tails and heads (``core.id_arcs``);
     each arc (a, b) between host ids is gathered as the code a*N + b, by
     one set update per factor, and each arc touching another id as an
-    (a, b) pair.  Only ``len(host.arcs)`` and ``host.count_outside_codes``
+    (a, b) pair.  Only ``host.arc_count`` and ``host.count_outside_codes``
     are asked of the host, so its arc set is never built or copied here.  A
     factor spans when its length and its count of distinct ids are both N
     and every id is in 0..N-1."""
@@ -284,7 +272,7 @@ def _set_counts(
         if lengths != want:
             wrong.append((i, cycle_type_text(lengths)))
     outside = host.count_outside_codes(codes)
-    missing = len(host.arcs) - (len(codes) - outside)
+    missing = host.arc_count - (len(codes) - outside)
     return used, len(codes) + len(pairs), missing, outside + len(pairs), spanning, wrong
 
 
@@ -475,40 +463,32 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
 # Exhaustive oracle
 
 
-def _adjacency(arcs: Iterable[Arc]) -> dict:
-    adj: dict = {}
-    for a in arcs:
-        adj.setdefault(a.tail, set()).add(a.head)
-    return adj
+def factors_through_arc(codes: frozenset, n: int, lengths: tuple, first: int):
+    """Yield every spanning 2-regular subdigraph of the arcs ``codes``
+    (codes a*n + b of ids 0..n-1) with the given cycle-length multiset that
+    uses the arc of code ``first``, as a list of id cycles (tuples).
 
-
-def factors_through_arc(
-    arcs: frozenset, vertices: frozenset, lengths: tuple, first: Arc
-):
-    """Yield every spanning 2-regular subdigraph of the given arc set with
-    the given cycle-length multiset that uses ``first``.
-
-    Each factor is produced exactly once: the cycle through ``first`` is
-    rooted at its tail, every other cycle at its least uncovered vertex.
+    Each factor is produced exactly once: the cycle through ``first`` comes
+    first, rooted at its tail, and every other cycle at its least uncovered
+    id.
     """
-    adj = _adjacency(arcs)
-    n = len(vertices)
-    if sum(lengths) != n:
+    if sum(lengths) != n or first not in codes:
         return
-
-    def distinct(ls: tuple):
-        return sorted(set(ls))
+    adj = [[] for _ in range(n)]  # each id's heads, ascending
+    for a, b in sorted(map(divmod, codes, repeat(n))):
+        adj[a].append(b)
+    ids = frozenset(range(n))
 
     def grow(path: list, target_len: int, used: set, rest: tuple, cycles: list):
         v = path[-1]
         if len(path) == target_len:
-            if path[0] in adj.get(v, ()):
+            if v * n + path[0] in codes:
                 yield from next_cycle(used, rest, cycles + [tuple(path)])
             return
-        for w in sorted(adj.get(v, ())):
+        for w in adj[v]:
             if w in used:
                 continue
-            # anchoring: later cycles must start at the least vertex they use
+            # anchoring: later cycles must start at the least id they use
             if cycles and w < path[0]:
                 continue
             used.add(w)
@@ -520,58 +500,58 @@ def factors_through_arc(
     def next_cycle(used: set, rest: tuple, cycles: list):
         if not rest:
             if len(used) == n:
-                yield [DirectedCycle(c) for c in cycles]
+                yield cycles
             return
-        anchor = min(vertices - used)
-        for length in distinct(rest):
+        anchor = min(ids - used)
+        for length in sorted(set(rest)):
             remaining = list(rest)
             remaining.remove(length)
             used.add(anchor)
             yield from grow([anchor], length, used, tuple(remaining), cycles)
             used.remove(anchor)
 
-    tail, head = first
-    if tail not in vertices or head not in adj.get(tail, ()):
-        return
-    for length in distinct(lengths):
+    tail, head = divmod(first, n)
+    for length in sorted(set(lengths)):
         remaining = list(lengths)
         remaining.remove(length)
-        used = {tail, head}
-        yield from grow([tail, head], length, used, tuple(remaining), [])
+        yield from grow([tail, head], length, {tail, head}, tuple(remaining), [])
 
 
 def brute_force_factorization(
-    host: Digraph, ftype: CycleType, budget: int = 2_000_000, cap: int = 10
+    n: int, ftype: CycleType, budget: int = 2_000_000, cap: int = 10
 ):
-    """Exhaustive search for an ftype-factorization of a tiny host.
+    """Exhaustive search for an ftype-factorization of the complete
+    symmetric digraph of a tiny order ``n``, on its vertex ids
+    (``hosts.HostDescriptor`` numbering, which is the vertices' sort order)
+    and its arcs as codes a*n + b.
 
-    Returns a list of TwoRegularDigraph on success and ``Nonexistent`` only
+    Returns the factors, each a tuple of id cycles in canonical form
+    (``core.canonical_id_cycles``), on success and ``Nonexistent`` only
     after the whole search space is exhausted.  Raises BudgetExceeded if the
     node budget runs out first.
 
     Each search node takes the least arc left, ``first``, and tries every
-    factor through it (``factors_through_arc``).  At the root of a complete
-    host only one factor per orbit of the stabiliser of first's two ends
-    (every permutation of the other vertices) is tried: the first one
-    enumerated with each length L of the cycle through ``first``.  That
-    loses nothing.  Two factors through ``first`` of the same type whose
-    cycle through it has the same length are mapped onto each other by a
-    permutation fixing first's ends (cycle onto cycle, position by
-    position, the first cycles from their tails).  Such a permutation is an
-    automorphism of the complete host, so it maps a factorization whose
-    factor through ``first`` is F onto one whose factor through ``first``
-    is the representative of F's orbit.  Hence the root has a factor that
-    extends to a factorization exactly when a representative does, and the
-    first root factor that extends, in enumeration order, is the first of
-    its orbit: the search returns the same factorization as without the
+    factor through it (``factors_through_arc``).  At the root only one
+    factor per orbit of the stabiliser of first's two ends (every
+    permutation of the other vertices) is tried: the first one enumerated
+    with each length L of the cycle through ``first``.  That loses nothing.
+    Two factors through ``first`` of the same type whose cycle through it
+    has the same length are mapped onto each other by a permutation fixing
+    first's ends (cycle onto cycle, position by position, the first cycles
+    from their tails).  Such a permutation is an automorphism of the
+    complete host, so it maps a factorization whose factor through
+    ``first`` is F onto one whose factor through ``first`` is the
+    representative of F's orbit.  Hence the root has a factor that extends
+    to a factorization exactly when a representative does, and the first
+    root factor that extends, in enumeration order, is the first of its
+    orbit: the search returns the same factorization as without the
     reduction, after fewer nodes.
     """
-    order = len(host.vertices)
-    if order > cap:
-        raise ValueError(f"host too large for the oracle ({order} > {cap})")
-    if ftype.order != order:
-        raise ValueError(f"type order {ftype.order} != host order {order}")
-    complete = len(host.arcs) == order * (order - 1)
+    HostDescriptor("CompleteSymmetric", n)  # refuses n < 2, as the builder does
+    if n > cap:
+        raise ValueError(f"host too large for the oracle ({n} > {cap})")
+    if ftype.order != n:
+        raise ValueError(f"type order {ftype.order} != host order {n}")
     nodes = 0
 
     def search(remaining: frozenset, acc: list):
@@ -581,22 +561,21 @@ def brute_force_factorization(
             raise BudgetExceeded(f"oracle budget {budget} exhausted")
         if not remaining:
             return list(acc)
-        first = min(remaining)
         tried: set = set()  # root orbits tried, by the length through first
-        for cycles in factors_through_arc(
-            remaining, host.vertices, ftype.lengths, first
-        ):
-            if complete and not acc:
-                if cycles[0].length in tried:
+        for cycles in factors_through_arc(remaining, n, ftype.lengths, min(remaining)):
+            if not acc:
+                if len(cycles[0]) in tried:
                     continue
-                tried.add(cycles[0].length)
-            factor = TwoRegularDigraph(cycles)
-            result = search(remaining - factor.arcs(), acc + [factor])
+                tried.add(len(cycles[0]))
+            tails, heads = id_arcs(cycles)
+            used = frozenset(a * n + b for a, b in zip(tails, heads))
+            result = search(remaining - used, acc + [canonical_id_cycles(cycles)])
             if result is not None:
                 return result
         return None
 
-    result = search(frozenset(host.arcs), [])
+    arcs = frozenset(a * n + b for a in range(n) for b in range(n) if a != b)
+    result = search(arcs, [])
     if result is None:
         return Nonexistent(f"exhaustive search over {nodes} nodes")
     return result

@@ -136,7 +136,16 @@ def _even_types(n: int) -> list:
     return [CycleType(t) for t in parts(n, n)]
 
 
+# selftest enumerates every even type of each order from 6 up to --max-n:
+# 19,597 types up to 62, but the counts p(n/2) grow fast (about 2.1e8
+# types at n = 202)
+SELFTEST_MAX_N = 62
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
+    if not 6 <= args.max_n <= SELFTEST_MAX_N:
+        print(f"error: --max-n must be in 6..{SELFTEST_MAX_N}", file=sys.stderr)
+        return EXIT_ERROR
     failures = 0
     for n in range(6, args.max_n + 1, 4):
         types = _even_types(n)

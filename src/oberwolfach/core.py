@@ -264,18 +264,6 @@ class Digraph:
             if a.tail not in self.vertices or a.head not in self.vertices:
                 raise ValueError(f"arc endpoint outside vertex set: {a}")
 
-    @property
-    def vertex_ids(self) -> dict:
-        """``Vertex -> id`` in sort order, the numbering of ``HostDescriptor``."""
-        return {v: i for i, v in enumerate(sorted(self.vertices))}
-
-    def count_outside_codes(self, codes: set) -> int:
-        """How many arc codes a*N + b in ``codes`` (a, b ids from
-        ``vertex_ids``, N the order) are not arcs here."""
-        ids = self.vertex_ids
-        n = len(ids)
-        return len(codes.difference(ids[a.tail] * n + ids[a.head] for a in self.arcs))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)

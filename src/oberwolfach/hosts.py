@@ -60,10 +60,7 @@ counts each vertex's missing heads against these bytes; one order's three
 hosts (the complete host, W* and H* on the same 2m ids) are kept.
 ``admissible_ids`` decides whether cycles of J* ids are an admissible
 factor of the opened host: 2m distinct ids, one of each boundary pair
-{b, b + 2m}, every arc inside.  ``in_w_star`` and ``in_h_star`` ask about
-one ``Arc`` of vertex objects, of the rule's ranges (``code in range`` is
-arithmetic), so a question about a large host builds no set; a vertex with
-no id there is outside the host.
+{b, b + 2m}, every arc inside.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
@@ -73,16 +70,19 @@ descriptors with the same x and y counts share them.  The checker's set
 kernel encodes an arc (a, b) of ids as the integer a*N + b, N the order;
 its column kernel reads ``out_neighbour_bytes`` instead.
 
-Besides the numbering the descriptor gives ``arcs`` (a sized container:
-``len`` is the arc count n(n-1), 8m or 18m, ``in`` the membership rule) and
-``count_outside_codes``, the number of given arc codes that are not host
-arcs.  For the complete host that is the number of loops, found by one
-set intersection; for a blow-up it is one set difference with the ranges
-of its rule, which walks its 8m or 18m codes, as many as the host has arcs
-(``verify`` refuses a host larger than its document before the checker
-sees it).  A built ``Digraph`` answers the same questions
-from its stored sets.  The descriptor refuses the sizes the builders
-refuse, with their messages.
+Besides the numbering the descriptor gives ``arc_count`` (n(n-1), 8m or
+18m, by arithmetic) and ``count_outside_codes``, the number of given arc
+codes that are not host arcs.  For the complete host that is the number of
+loops, found by one set intersection; for a blow-up it is one set
+difference with the ranges of its rule, which walks its 8m or 18m codes, as
+many as the host has arcs (``verify`` refuses a host larger than its
+document before the checker sees it).  These two, the numbering and
+``out_neighbour_bytes`` are all that the checker asks of a host.  The descriptor
+refuses the sizes the builders refuse, with their messages.
+
+The builders (``complete_symmetric``, ``h_star``, ``w_star``, ``j_star``)
+make ``Digraph``s of vertex objects for library callers; the tests compare
+the rules above with them.  Nothing in the package builds them.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ DESCRIBED_KINDS = frozenset(_LEAST_SIZE)
 
 @dataclass(frozen=True)
 class HostDescriptor:
-    """A host by kind and size: its vertex numbering, ``arcs`` (``len`` and
-    ``in``) and ``count_outside_codes``, without building its arc set.
+    """A host by kind and size: its vertex numbering, ``arc_count`` and
+    ``count_outside_codes``, without building its arc set.
     JStar, checked by ``verify_admissible_decomposition``, is only named
     (and has an ``order``), not described."""
 
@@ -170,9 +170,15 @@ class HostDescriptor:
         return frozenset(self.vertex_table)
 
     @property
-    def arcs(self) -> "DescribedArcs":
+    def arc_count(self) -> int:
+        """The host's arc count: n(n-1), 8m for HStar, 18m for WStar."""
         self._described()
-        return DescribedArcs(self)
+        size = self.m_or_n
+        if self.kind == "HStar":
+            return 8 * size
+        if self.kind == "WStar":
+            return 18 * size
+        return size * (size - 1)
 
     def count_outside_codes(self, codes: set) -> int:
         """How many arc codes a*N + b in ``codes`` (a, b vertex ids, N the
@@ -196,33 +202,6 @@ def _vertex_numbering(xs: int, ys: int) -> tuple:
     ids = {v: i for i, v in enumerate(table)}
     by_text = {v.text(): i for i, v in enumerate(table)}
     return table, ids, by_text
-
-
-class DescribedArcs:
-    """The arc set of a described host, answering ``len`` and ``in`` only."""
-
-    __slots__ = ("host",)
-
-    def __init__(self, host: HostDescriptor):
-        self.host = host
-
-    def __len__(self) -> int:
-        kind, size = self.host.kind, self.host.m_or_n
-        if kind == "HStar":
-            return 8 * size
-        if kind == "WStar":
-            return 18 * size
-        return size * (size - 1)
-
-    def __contains__(self, arc) -> bool:
-        kind, size = self.host.kind, self.host.m_or_n
-        if kind == "HStar":
-            return in_h_star(arc, size)
-        if kind == "WStar":
-            return in_w_star(arc, size)
-        tail, head = arc
-        vertices = self.host.vertices
-        return tail != head and tail in vertices and head in vertices
 
 
 def _both(u: Vertex, v: Vertex) -> list:
@@ -403,33 +382,6 @@ def admissible_ids(cycles, m: int) -> bool:
             return False
     codes = map(add, map(mul, tails, repeat(_width("JStar", m))), heads)
     return arc_codes("JStar", m).issuperset(codes)
-
-
-def _host_id(v: Vertex, m: int) -> int:
-    """The id of ``v`` in the numbering of the m-block blow-ups, or -1 when
-    ``v`` is not one of their vertices."""
-    side, index = v
-    if 0 <= index < m and side in ("x", "y"):
-        return index + (m if side == "y" else 0)
-    return -1
-
-
-def _has_arc(kind: str, arc: Arc, m: int) -> bool:
-    """Whether a blow-up host has ``arc``, asked of its rule's ranges, so
-    one question about a large host builds no code set."""
-    a, b = _host_id(arc[0], m), _host_id(arc[1], m)
-    code = a * _width(kind, m) + b
-    return a >= 0 and b >= 0 and any(code in r for r in _ranges(kind, m))
-
-
-def in_h_star(arc: Arc, m: int) -> bool:
-    """``arc in h_star(m).arcs``, by the H* rule on ids (m >= 3)."""
-    return _has_arc("HStar", arc, m)
-
-
-def in_w_star(arc: Arc, m: int) -> bool:
-    """``arc in w_star(m).arcs``, by the W* rule on ids (m >= 5)."""
-    return _has_arc("WStar", arc, m)
 
 
 def j_star(m: int) -> Digraph:

@@ -17,16 +17,14 @@ Three routes, by the number s of 2-cycles in F:
 Every walk is written on ids of the ``HStar`` m numbering (x_i -> i,
 y_i -> m + i, shared by the order-2m complete host), and the factors are
 checked by ``checker.verify_id_factorization`` before they are returned.
-Objects are built only when ``HStarFactorization.factors`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .checker import verify_id_factorization
-from .core import CycleType, two_regular_from_ids
+from .core import CycleType
 from .hosts import HostDescriptor
 
 
@@ -37,17 +35,11 @@ class ConstructionError(RuntimeError):
 @dataclass(frozen=True)
 class HStarFactorization:
     """Four factors of ``h_star(m)``: ``id_factors`` holds each as a tuple of
-    id cycles in the ``HStar`` m numbering; ``factors`` builds them as
-    ``TwoRegularDigraph``s on the host's interned vertices on first access."""
+    id cycles in the ``HStar`` m numbering."""
 
     m: int
     ftype: CycleType
     id_factors: tuple
-
-    @cached_property
-    def factors(self) -> tuple:
-        table = HostDescriptor("HStar", self.m).vertex_table
-        return tuple(two_regular_from_ids(f, table) for f in self.id_factors)
 
 
 def _gadget_walks(m: int) -> list:

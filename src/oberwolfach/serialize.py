@@ -10,9 +10,12 @@ A certificate is one document type, ``FactorizationDocument``, on vertex
 ids: the factors are lists of cycles of ids, and ``vertices`` maps each id
 to its vertex.  The solver's ids are in canonical form (each cycle from its
 least vertex, cycles sorted), so serialisation is deterministic; the one
-writer, ``to_json``, writes a document's ids as read, so re-serialising a
-parsed file reproduces it byte for byte.  ``factor_objects()`` builds the
-``TwoRegularDigraph``s, for the text, edge-list and DOT forms.
+JSON writer, ``to_json``, writes a document's ids as read, so
+re-serialising a parsed file reproduces it byte for byte.  The text,
+edge-list and DOT forms are written from the ids and each vertex's text,
+with cycles rotated and sorted and arcs sorted by the vertices' sort order,
+as the ``DirectedCycle`` and ``TwoRegularDigraph`` constructors order them,
+whatever order a read document's ids are in.
 
 Certificates are read by one reader, ``read_certificate`` (``from_json``
 is it applied to text), and ``verify`` hands its lists to the checker.
@@ -51,7 +54,14 @@ from functools import lru_cache, partial
 from itertools import chain
 from typing import Sequence
 
-from .core import CycleType, DirectedCycle, parse_vertex, two_regular_from_ids
+from .core import (
+    CycleType,
+    DirectedCycle,
+    canonical_id_cycles,
+    id_arcs,
+    parse_vertex,
+    two_regular_from_ids,
+)
 from .hosts import DESCRIBED_KINDS, HostDescriptor
 
 
@@ -72,10 +82,6 @@ class FactorizationDocument:
     named: int
     verified: bool
     seed: int
-
-    def factor_objects(self) -> tuple:
-        """The factors as ``TwoRegularDigraph``s, by the ordinary constructors."""
-        return tuple(two_regular_from_ids(f, self.vertices) for f in self.factors)
 
 
 def _cycle_objects(cycles, vertices) -> list:
@@ -99,18 +105,6 @@ def document_for_solution(solution) -> FactorizationDocument:
     )
 
 
-def to_json_dict(doc: FactorizationDocument) -> dict:
-    text = [v.text() for v in doc.vertices]
-    return {
-        "n": doc.n,
-        "factor_type": list(doc.ftype.lengths),
-        "host": doc.host.to_json(),
-        "factors": [[[text[i] for i in c] for c in f] for f in doc.factors],
-        "verified": doc.verified,
-        "seed": doc.seed,
-    }
-
-
 # json.dumps(indent=2) writes a non-empty list or object nested d = 0, 1, 2,
 # 3 levels deep (the document, the factors, a factor, a cycle; the factor
 # type and the host are at depth 1) as its bracket, a line break and the
@@ -129,7 +123,8 @@ def _quoted_tokens(host: HostDescriptor):
 
 
 def to_json(doc: FactorizationDocument) -> str:
-    """``json.dumps(to_json_dict(doc), indent=2) + "\\n"``, byte for byte.
+    """The document as ``json.dumps(obj, indent=2) + "\\n"`` writes the
+    schema's object ``obj`` (each vertex by its text), byte for byte.
 
     The text is joined with the fixed separators of ``_SEP``; only
     ``indent`` makes the encoder run in Python, so it is handed no
@@ -313,33 +308,55 @@ def from_json(text: str) -> FactorizationDocument:
     return read_certificate(parse_json(text))
 
 
+def _ranked(doc: FactorizationDocument) -> tuple:
+    """The factors with each id replaced by its vertex's place in the sort
+    order of ``doc.vertices``, and the vertices' texts in that order.  On
+    these ranks, id order is vertex order, also for a read document whose
+    foreign vertices got ids after the host's."""
+    vertices = doc.vertices
+    order = sorted(range(len(vertices)), key=vertices.__getitem__)
+    rank = [0] * len(order)
+    for k, i in enumerate(order):
+        rank[i] = k
+    rank = rank.__getitem__
+    factors = [[list(map(rank, c)) for c in f] for f in doc.factors]
+    return factors, [vertices[i].text() for i in order]
+
+
 def to_text(doc: FactorizationDocument) -> str:
+    """A header line, then one line per factor: its cycles, each from its
+    least vertex, in sorted order."""
+    factors, texts = _ranked(doc)
+    text = texts.__getitem__
     lines = [
         f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
         f"verified={doc.verified} seed={doc.seed}"
     ]
-    for i, f in enumerate(doc.factor_objects(), 1):
-        lines.append(f"F{i}: " + " ".join(c.text() for c in f.cycles))
+    for i, f in enumerate(factors, 1):
+        cycles = ("(" + ",".join(map(text, c)) + ")" for c in canonical_id_cycles(f))
+        lines.append(f"F{i}: " + " ".join(cycles))
     return "\n".join(lines) + "\n"
+
+
+def _sorted_arcs(doc: FactorizationDocument):
+    """(factor index from 1, tail text, head text) of every arc, each
+    factor's arcs sorted by vertex."""
+    factors, texts = _ranked(doc)
+    for i, f in enumerate(factors, 1):
+        for a, b in sorted(zip(*id_arcs(f))):
+            yield i, texts[a], texts[b]
 
 
 def to_edges(doc: FactorizationDocument) -> str:
     """One line per arc: ``<factor-index> <tail> <head>``."""
-    lines = []
-    for i, f in enumerate(doc.factor_objects(), 1):
-        for a in sorted(f.arcs()):
-            lines.append(f"{i} {a.tail.text()} {a.head.text()}")
+    lines = [f"{i} {a} {b}" for i, a, b in _sorted_arcs(doc)]
     return "\n".join(lines) + "\n"
 
 
 def to_dot(doc: FactorizationDocument) -> str:
     """A digraph with exactly one edge statement per arc, tagged by factor."""
     lines = [f'digraph factorization_{doc.n} {{']
-    for i, f in enumerate(doc.factor_objects(), 1):
-        for a in sorted(f.arcs()):
-            lines.append(
-                f'  "{a.tail.text()}" -> "{a.head.text()}" [factor={i}];'
-            )
+    lines += [f'  "{a}" -> "{b}" [factor={i}];' for i, a, b in _sorted_arcs(doc)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -33,7 +33,7 @@ from .checker import (
     verify_id_factorization,
 )
 from .core import CycleType, canonical_id_cycles, two_regular_from_ids
-from .hosts import HostDescriptor, complete_symmetric
+from .hosts import HostDescriptor
 from .hstar import factorize_h_star
 
 
@@ -44,9 +44,9 @@ class DomainError(ValueError):
 # A certificate of order n holds n(n-1) arcs, and the final check gathers
 # them all as integer codes.  Measured under CPython 3.11 on x86-64, solve
 # plus to_json of [n] peaks near 84 bytes per arc (95 MB at n = 1002,
-# 335 MB at n = 2002, one process each); at that rate n = 4002 (16 million
-# arcs) would need about 1.3 GB and n = 10002 about 8 GB.  Larger orders
-# are refused up front.
+# 335 MB at n = 2002, one process each).  At n = 4002 (16 million arcs)
+# solve took 12.9 s and solve plus to_json peaked at 1.24 GB, measured
+# once; larger orders are refused up front.
 MAX_ORDER = 4002
 
 
@@ -351,16 +351,10 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
 
     if set(ftype.lengths) == {2}:
         return round_robin_two_cycles(n)
-    host = HostDescriptor("CompleteSymmetric", n)
     if n == 6:
-        found = brute_force_factorization(complete_symmetric(n), ftype)
-        if isinstance(found, Nonexistent):
-            return found
-        ids = host.vertex_ids.__getitem__
-        factors = [
-            canonical_id_cycles([list(map(ids, c.vertices)) for c in f.cycles])
-            for f in found
-        ]
+        factors = brute_force_factorization(n, ftype)
+        if isinstance(factors, Nonexistent):
+            return factors
     else:
         m = n // 2
         wh = wh_decompose(m)
@@ -376,4 +370,4 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
                 image = [number[b] for b in block_cycle]
                 image += [number[m + b] for b in block_cycle]
                 factors.extend(_relabel(f, image) for f in hids)
-    return _verified(host, factors, ftype, "solve")
+    return _verified(HostDescriptor("CompleteSymmetric", n), factors, ftype, "solve")

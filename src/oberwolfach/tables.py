@@ -33,8 +33,8 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .core import CycleType, DirectedCycle, TwoRegularDigraph, parse_vertex
-from .hosts import BOUNDARY, admissible_ids, strip_id, strip_vertex
+from .core import CycleType, parse_vertex
+from .hosts import BOUNDARY, admissible_ids, strip_id
 
 
 def _strip_ids(tokens: list, least: int, what: str) -> tuple:
@@ -154,14 +154,6 @@ class AdmissibleDecomposition:
 
     m: int
     id_factors: tuple  # 9 tuples of id tuples
-
-    @cached_property
-    def factors(self) -> tuple:
-        """The factors as ``TwoRegularDigraph``s, built on first access."""
-        return tuple(
-            TwoRegularDigraph(DirectedCycle(map(strip_vertex, c)) for c in f)
-            for f in self.id_factors
-        )
 
     def patterns(self) -> tuple:
         """The boundary ids each factor meets."""

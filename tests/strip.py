@@ -15,8 +15,9 @@ from oberwolfach.core import (
     TwoRegularDigraph,
     Vertex,
     parse_vertex,
+    two_regular_from_ids,
 )
-from oberwolfach.hosts import strip_id
+from oberwolfach.hosts import strip_id, strip_vertex
 
 
 class DirectedPath:
@@ -149,3 +150,19 @@ def ids(text: str) -> tuple:
 def strip_ids(d: TwoRegularDigraph) -> tuple:
     """The cycles of a 2-regular digraph on the strip as tuples of J* ids."""
     return tuple(tuple(map(strip_id, c.vertices)) for c in d.cycles)
+
+
+def strip_factors(dec) -> tuple:
+    """A decomposition's factors, cycles of J* ids, as 2-regular digraphs
+    of strip vertices."""
+    return tuple(
+        TwoRegularDigraph(DirectedCycle(map(strip_vertex, c)) for c in f)
+        for f in dec.id_factors
+    )
+
+
+def factor_objects(factors, vertices) -> tuple:
+    """Factors given as cycles of ids as 2-regular digraphs, id i naming
+    ``vertices[i]`` (a host's ``vertex_table``, or a document's
+    ``vertices``)."""
+    return tuple(two_regular_from_ids(f, vertices) for f in factors)

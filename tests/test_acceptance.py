@@ -31,16 +31,18 @@ from oberwolfach.core import (
     cycle_type_of,
     parse_cycle_type,
 )
-from oberwolfach.hosts import admissible_ids, complete_symmetric, w_star
+from oberwolfach.hosts import HostDescriptor, admissible_ids
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.solver import solve
 from oberwolfach.tables import AdmissibleDecomposition
 from strip import (
     concat,
     cycle_from_text,
+    factor_objects,
     ids,
     path_from_text,
     shift,
+    strip_factors,
     two_regular_from_arcs,
 )
 
@@ -116,13 +118,12 @@ def test_criterion_3_h_star_suite():
     t0 = time.monotonic()
     count = 0
     for m in range(3, 11):
-        from oberwolfach.hosts import h_star
-
-        host = h_star(m)
+        host = HostDescriptor("HStar", m)
         for ftype in even_types(2 * m):
             hf = factorize_h_star(ftype, m)
-            assert len(hf.factors) == 4
-            report = verify_factorization(host, hf.factors, ftype)
+            assert len(hf.id_factors) == 4
+            factors = factor_objects(hf.id_factors, host.vertex_table)
+            report = verify_factorization(host, factors, ftype)
             assert report.passed, (m, ftype, report.failures())
             count += 1
     # m = 2: the host degenerates (4 factors x 4 arcs > 8 available arcs
@@ -154,7 +155,7 @@ def test_criterion_4_opened_host_suite():
             count += 1
             if m >= 5:
                 factors = w_star_id_factors(ftype)
-                wreport = verify_id_factorization(w_star(m), factors, ftype)
+                wreport = verify_id_factorization(HostDescriptor("WStar", m), factors, ftype)
                 assert wreport.passed, (m, ftype, wreport.failures())
                 folds += 1
     # m = 4: the opened host has 72 arcs but the folded host only 56, so the
@@ -180,7 +181,7 @@ def test_criterion_5_micro_examples():
     a = AdmissibleDecomposition(4, ((ids("(x0,x1)"), ids("(y1,y2,x2,x3,y4,y3)")),) * 9)
     b = AdmissibleDecomposition(3, ((ids("(x0,x2,y3,x1,y2,y1)"),),) * 9)
     spliced = _splice_all([a, b])
-    assert cycle_type_of(spliced.factors[0]).lengths == (2, 6, 6)
+    assert cycle_type_of(strip_factors(spliced)[0]).lengths == (2, 6, 6)
     assert admissible_ids(spliced.id_factors[0], 7)
     assert spliced.patterns()[0] == frozenset(ids("x0 x1 y1"))
     # the length-10 joined cycle
@@ -203,14 +204,14 @@ def test_criterion_5_micro_examples():
 
 def test_criterion_6_oracle_cross_checks():
     t0 = time.monotonic()
-    host = complete_symmetric(6)
+    host = HostDescriptor("CompleteSymmetric", 6)
     for ftype in even_types(6):
-        oracle = brute_force_factorization(host, ftype)
+        oracle = brute_force_factorization(6, ftype)
         solved = solve(6, ftype)
         assert isinstance(oracle, Nonexistent) == isinstance(solved, Nonexistent), ftype
         if not isinstance(oracle, Nonexistent):
-            assert verify_factorization(host, oracle, ftype).passed
-    confirmation = brute_force_factorization(host, parse_cycle_type("[6]"))
+            assert verify_id_factorization(host, oracle, ftype).passed
+    confirmation = brute_force_factorization(6, parse_cycle_type("[6]"))
     assert isinstance(confirmation, Nonexistent)
     elapsed = time.monotonic() - t0
     assert elapsed < 120, f"budget exceeded: {elapsed:.1f}s"
@@ -245,7 +246,7 @@ def test_criterion_7_mutation_robustness():
     for n, spec in [(6, "[2,4]"), (10, "[4,6]"), (14, "[2,4,8]"), (14, "[14]")]:
         result = solve(n, parse_cycle_type(spec))
         certificates.append(
-            (complete_symmetric(n), parse_cycle_type(spec), result.factors)
+            (HostDescriptor("CompleteSymmetric", n), parse_cycle_type(spec), result.factors)
         )
     detected = 0
     for trial in range(1000):

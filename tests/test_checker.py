@@ -18,8 +18,10 @@ from oberwolfach.checker import (
     Nonexistent,
     VerificationReport,
     brute_force_factorization,
+    factors_through_arc,
     verify_admissible_decomposition,
     verify_factorization,
+    verify_id_factorization,
 )
 from oberwolfach.cli import main
 from oberwolfach.core import (
@@ -28,7 +30,9 @@ from oberwolfach.core import (
     DirectedCycle,
     TwoRegularDigraph,
     Vertex,
+    canonical_id_cycles,
     cycle_type_of,
+    id_arcs,
     parse_cycle_type,
     parse_vertex,
     two_regular_from_ids,
@@ -37,14 +41,14 @@ from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import from_json
 from oberwolfach.solver import round_robin_two_cycles, solve
-from strip import two_regular_from_arcs
+from strip import factor_objects, two_regular_from_arcs
+
+K6 = HostDescriptor("CompleteSymmetric", 6)
 
 
 def test_round_robin_passes_verification():
     result = round_robin_two_cycles(6)
-    report = verify_factorization(
-        complete_symmetric(6), result.factors, parse_cycle_type("[2^3]")
-    )
+    report = verify_factorization(K6, result.factors, parse_cycle_type("[2^3]"))
     assert report.passed
 
 
@@ -52,9 +56,7 @@ def test_missing_factor_fails_coverage():
     result = round_robin_two_cycles(6)
     factors = list(result.factors)
     report = verify_factorization(
-        complete_symmetric(6),
-        factors[:2] + factors[3:],
-        parse_cycle_type("[2^3]"),
+        K6, factors[:2] + factors[3:], parse_cycle_type("[2^3]")
     )
     assert not report.passed
     assert any(name == "coverage" for name, _ in report.failures())
@@ -75,78 +77,70 @@ def test_admissible_decomposition_named_failure():
 
 def test_report_determinism():
     result = round_robin_two_cycles(6)
-    r1 = verify_factorization(
-        complete_symmetric(6), result.factors, parse_cycle_type("[2^3]")
-    )
-    r2 = verify_factorization(
-        complete_symmetric(6), result.factors, parse_cycle_type("[2^3]")
-    )
+    r1 = verify_factorization(K6, result.factors, parse_cycle_type("[2^3]"))
+    r2 = verify_factorization(K6, result.factors, parse_cycle_type("[2^3]"))
     assert r1.to_json() == r2.to_json()
 
 
 def test_brute_force_tiny():
-    host = complete_symmetric(2)
-    result = brute_force_factorization(host, parse_cycle_type("[2]"))
-    assert not isinstance(result, Nonexistent)
-    assert len(result) == 1
+    result = brute_force_factorization(2, parse_cycle_type("[2]"))
+    assert result == [((0, 1),)]
 
 
 def test_brute_force_all_two_cycles_at_six():
-    result = brute_force_factorization(
-        complete_symmetric(6), parse_cycle_type("[2^3]")
-    )
+    result = brute_force_factorization(6, parse_cycle_type("[2^3]"))
     assert not isinstance(result, Nonexistent)
     assert len(result) == 5
-    report = verify_factorization(
-        complete_symmetric(6), result, parse_cycle_type("[2^3]")
-    )
+    assert all(f == canonical_id_cycles(f) for f in result)
+    report = verify_id_factorization(K6, result, parse_cycle_type("[2^3]"))
     assert report.passed
 
 
 def test_brute_force_confirms_six_cycle_nonexistence():
-    result = brute_force_factorization(complete_symmetric(6), parse_cycle_type("[6]"))
+    result = brute_force_factorization(6, parse_cycle_type("[6]"))
     assert isinstance(result, Nonexistent)
 
 
 def test_brute_force_matches_other_known_nonexistence_results():
     # two further classical impossible instances, independent of this domain
+    assert isinstance(brute_force_factorization(4, parse_cycle_type("[4]")), Nonexistent)
     assert isinstance(
-        brute_force_factorization(complete_symmetric(4), parse_cycle_type("[4]")),
-        Nonexistent,
-    )
-    assert isinstance(
-        brute_force_factorization(complete_symmetric(6), parse_cycle_type("[3,3]")),
-        Nonexistent,
+        brute_force_factorization(6, parse_cycle_type("[3,3]")), Nonexistent
     )
     # while the neighbouring solvable ones are found
     assert not isinstance(
-        brute_force_factorization(complete_symmetric(4), parse_cycle_type("[2,2]")),
-        Nonexistent,
+        brute_force_factorization(4, parse_cycle_type("[2,2]")), Nonexistent
     )
     assert not isinstance(
-        brute_force_factorization(complete_symmetric(7), parse_cycle_type("[3,4]")),
-        Nonexistent,
+        brute_force_factorization(7, parse_cycle_type("[3,4]")), Nonexistent
     )
+
+
+def _complete_codes(n):
+    """The arcs of the complete host of order n as codes a*n + b of ids."""
+    return frozenset(a * n + b for a in range(n) for b in range(n) if a != b)
 
 
 def test_factor_enumerator_complete_against_permutations():
-    """Cross-check the oracle's factor enumerator against a naive count over
-    all vertex permutations with the requested cycle structure."""
+    """Cross-check the oracle's factor enumerator, on ids, against a naive
+    count over all permutations of the built host's vertices with the
+    requested cycle structure."""
     import itertools
-
-    from oberwolfach.checker import factors_through_arc
 
     host = complete_symmetric(6)
     vertices = sorted(host.vertices)
+    assert vertices == list(K6.vertex_table)
     for spec in ("[2,4]", "[6]", "[2,2,2]", "[3,3]"):
         ftype = parse_cycle_type(spec)
         first = min(host.arcs)
-        found = {
-            frozenset(TwoRegularDigraph(cycles).arcs())
-            for cycles in factors_through_arc(
-                host.arcs, host.vertices, ftype.lengths, first
-            )
-        }
+        code = K6.vertex_ids[first.tail] * 6 + K6.vertex_ids[first.head]
+        assert code == min(_complete_codes(6))
+        found = [
+            frozenset(two_regular_from_ids(cycles, vertices).arcs())
+            for cycles in factors_through_arc(_complete_codes(6), 6, ftype.lengths, code)
+        ]
+        assert len(found) == len(set(found)), spec  # each factor once
+        found = set(found)
         naive = set()
         for perm in itertools.permutations(vertices):
             succ = dict(zip(vertices, perm))
@@ -164,25 +158,22 @@ def test_factor_enumerator_complete_against_permutations():
         assert all(first in arcs for arcs in found)
 
 
-def _plain_brute_force(host, ftype):
+def _plain_brute_force(n, ftype):
     """The oracle's search without the symmetry reduction at its root: at
     every node, every factor through the least arc left is tried."""
-    from oberwolfach.checker import factors_through_arc
 
     def search(remaining, acc):
         if not remaining:
             return list(acc)
-        first = min(remaining)
-        for cycles in factors_through_arc(
-            remaining, host.vertices, ftype.lengths, first
-        ):
-            factor = TwoRegularDigraph(cycles)
-            result = search(remaining - factor.arcs(), acc + [factor])
+        for cycles in factors_through_arc(remaining, n, ftype.lengths, min(remaining)):
+            tails, heads = id_arcs(cycles)
+            used = {a * n + b for a, b in zip(tails, heads)}
+            result = search(remaining - used, acc + [canonical_id_cycles(cycles)])
             if result is not None:
                 return result
         return None
 
-    result = search(frozenset(host.arcs), [])
+    result = search(_complete_codes(n), [])
     return Nonexistent("plain search") if result is None else result
 
 
@@ -203,35 +194,34 @@ def test_symmetry_reduced_oracle_matches_the_plain_search(n):
     """For every cycle type of order 4 and 6 the reduced search returns
     what the plain search returns: the same factors in the same order, or
     nonexistence, after fewer nodes."""
-    host = complete_symmetric(n)
     types = _cycle_types(n)
     assert len(types) == {4: 2, 6: 4}[n]
     for ftype in types:
-        got = brute_force_factorization(host, ftype)
-        want = _plain_brute_force(host, ftype)
+        got = brute_force_factorization(n, ftype)
+        want = _plain_brute_force(n, ftype)
         assert isinstance(got, Nonexistent) == isinstance(want, Nonexistent), ftype
         if not isinstance(want, Nonexistent):
             assert got == want, ftype
-    nodes = brute_force_factorization(host, CycleType([n])).reason
+    nodes = brute_force_factorization(n, CycleType([n])).reason
     assert nodes == {4: "exhaustive search over 2 nodes", 6: "exhaustive search over 37 nodes"}[n]
 
 
 def test_brute_force_budget():
     with pytest.raises(BudgetExceeded):
-        brute_force_factorization(
-            complete_symmetric(6), parse_cycle_type("[2,4]"), budget=2
-        )
+        brute_force_factorization(6, parse_cycle_type("[2,4]"), budget=2)
 
 
 def test_brute_force_size_cap():
     with pytest.raises(ValueError):
-        brute_force_factorization(complete_symmetric(14), parse_cycle_type("[14]"))
+        brute_force_factorization(14, parse_cycle_type("[14]"))
+    with pytest.raises(ValueError, match="needs n >= 2, got 0"):
+        brute_force_factorization(0, CycleType([]))
 
 
 def test_oracle_solver_agreement_order_six():
     for spec in ("[6]", "[2,4]", "[2^3]"):
         ftype = parse_cycle_type(spec)
-        oracle = brute_force_factorization(complete_symmetric(6), ftype)
+        oracle = brute_force_factorization(6, ftype)
         solved = solve(6, ftype)
         assert isinstance(oracle, Nonexistent) == isinstance(solved, Nonexistent)
 
@@ -257,7 +247,6 @@ def _mutate(factors, rng):
 
 def test_mutations_always_detected():
     result = round_robin_two_cycles(6)
-    host = complete_symmetric(6)
     ftype = parse_cycle_type("[2^3]")
     rng = random.Random(7)
     for _ in range(100):
@@ -266,7 +255,7 @@ def test_mutations_always_detected():
             rebuilt = [two_regular_from_arcs(arcs) for arcs in mutated]
         except ValueError:
             continue  # degree structure broken: detected at parse time
-        report = verify_factorization(host, rebuilt, ftype)
+        report = verify_factorization(K6, rebuilt, ftype)
         assert not report.passed
 
 
@@ -276,14 +265,14 @@ def _real_factorization(kind, spec):
     ftype = parse_cycle_type(spec)
     if kind == "CompleteSymmetric":
         size = ftype.order
-        factors = solve(size, ftype).factors
+        id_factors = solve(size, ftype).id_factors
     elif kind == "HStar":
         size = ftype.order // 2
-        factors = factorize_h_star(ftype, size).factors
+        id_factors = factorize_h_star(ftype, size).id_factors
     else:
         size = ftype.order // 2
-        table = HostDescriptor("WStar", size).vertex_table
-        factors = [two_regular_from_ids(f, table) for f in w_star_id_factors(ftype)]
+        id_factors = w_star_id_factors(ftype)
+    factors = factor_objects(id_factors, HostDescriptor(kind, size).vertex_table)
     return size, tuple(tuple(tuple(c.vertices) for c in f.cycles) for f in factors)
 
 
@@ -359,8 +348,8 @@ def _reference_report(host, factors, ftype):
 @given(data=st.data())
 def test_descriptor_and_built_host_give_identical_reports(data):
     """The checker's report against a host description equals, detail
-    strings included, its report against the built host and the report of
-    a plain set comparison, on real factorizations with random corruptions."""
+    strings included, the report of a plain set comparison with the built
+    host, on real factorizations with random corruptions."""
     kind, spec = data.draw(st.sampled_from(_INSTANCES))
     size, clean = _real_factorization(kind, spec)
     factors = [[list(c) for c in f] for f in clean]
@@ -376,7 +365,6 @@ def test_descriptor_and_built_host_give_identical_reports(data):
     expected = _reference_report(host, fs, ftype).to_json()
     described = verify_factorization(HostDescriptor(kind, size), fs, ftype)
     assert described.to_json() == expected
-    assert verify_factorization(host, fs, ftype).to_json() == expected
 
 
 _LENIENT_TOKEN = re.compile(r"^([xy])(\d+)$")
@@ -546,7 +534,7 @@ def test_from_json_and_checker_match_a_regex_parse(data):
         assert str(exc) == reference
         doc = None
     else:
-        assert doc.factor_objects() == reference
+        assert factor_objects(doc.factors, doc.vertices) == reference
     try:
         expected = _regex_parse(json.loads(text))
     except (ValueError, TypeError, AttributeError):
@@ -554,9 +542,9 @@ def test_from_json_and_checker_match_a_regex_parse(data):
     assert (doc is None) == (expected is None or non_canonical)
     if doc is None:
         return
-    assert doc.factor_objects() == expected
+    assert factor_objects(doc.factors, doc.vertices) == expected
     reference = _reference_report(_BUILDERS[kind](size), expected, ftype).to_json()
-    report = verify_factorization(doc.host, doc.factor_objects(), doc.ftype)
+    report = verify_factorization(doc.host, factor_objects(doc.factors, doc.vertices), doc.ftype)
     assert report.to_json() == reference
 
 
@@ -588,7 +576,6 @@ def test_spanning_does_not_rest_on_the_constructors():
         [_unchecked_cycle(c) for c in ((x0, x1), (x2, x2), (y0, y1))]
     )
     for bad in (shared, repeated):
-        for host in (complete_symmetric(6), HostDescriptor("CompleteSymmetric", 6)):
-            report = verify_factorization(host, [bad] + factors[1:], ftype)
-            checks = {name: (ok, detail) for name, ok, detail in report.checks}
-            assert checks["spanning"] == (False, "non-spanning factors: [0]")
+        report = verify_factorization(K6, [bad] + factors[1:], ftype)
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert checks["spanning"] == (False, "non-spanning factors: [0]")

@@ -117,6 +117,23 @@ def test_selftest_small():
     assert "3 types, 2 solved, 1 nonexistent, 0 failed" in proc.stdout
 
 
+@pytest.mark.parametrize("max_n", ["-6", "2", "5", "63", "202"])
+def test_selftest_refuses_orders_outside_6_to_62(capsys, monkeypatch, max_n):
+    """Below 6 there is nothing to check; above 62 the types number more
+    than 19,597 and grow as the partition numbers.  The bound is refused
+    before any type is enumerated or solved."""
+    from oberwolfach import cli
+
+    def refuse(*args):
+        raise AssertionError("selftest started")
+
+    monkeypatch.setattr(cli, "_even_types", refuse)
+    monkeypatch.setattr(cli, "solve", refuse)
+    assert main(["selftest", "--max-n", max_n]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --max-n must be in 6..62\n")
+
+
 def test_main_callable_directly(capsys, tmp_path):
     out = tmp_path / "x.json"
     assert main(["solve", "--n", "6", "--factor", "[2,4]", "--out", str(out)]) == 0
@@ -136,10 +153,7 @@ def test_verify_other_host_kinds(capsys, tmp_path):
         n=10,
         ftype=ftype,
         host=host,
-        factors=[
-            [[host.vertex_ids[v] for v in c.vertices] for c in f.cycles]
-            for f in hf.factors
-        ],
+        factors=hf.id_factors,
         vertices=host.vertex_table,
         named=10,
         verified=True,
@@ -243,7 +257,7 @@ def test_verify_declared_n_must_match_host_and_type(capsys, tmp_path):
 
 def test_verify_vertex_tokens_canonical_or_malformed(capsys, tmp_path):
     from oberwolfach.core import DirectedCycle, TwoRegularDigraph, parse_vertex
-    from oberwolfach.hosts import complete_symmetric
+    from oberwolfach.hosts import HostDescriptor
 
     clean = _solved_certificate(tmp_path)
     token = clean["factors"][0][0][0]
@@ -263,7 +277,7 @@ def test_verify_vertex_tokens_canonical_or_malformed(capsys, tmp_path):
         for f in data["factors"]
     ]
     expected = verify_factorization(
-        complete_symmetric(14), factors, parse_cycle_type("[4,10]")
+        HostDescriptor("CompleteSymmetric", 14), factors, parse_cycle_type("[4,10]")
     )
     assert printed == json.dumps(expected.to_json(), indent=2) + "\n"
     details = {c["name"]: c["detail"] for c in json.loads(printed)["checks"]}

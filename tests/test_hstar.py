@@ -7,14 +7,14 @@ from oberwolfach.core import (
     cycle_type_of,
     parse_cycle_type,
 )
-from oberwolfach.hosts import HostDescriptor, h_star
+from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import (
     _chain_walks,
     _gadget_walks,
     _haggkvist,
     factorize_h_star,
 )
-from strip import cycle_from_text
+from strip import cycle_from_text, factor_objects
 
 
 def hids(text, m):
@@ -81,19 +81,22 @@ def test_factorize_2_4_explicit_factor():
     expected = TwoRegularDigraph(
         [cycle_from_text("(x0,x2)"), cycle_from_text("(y0,y1,y2,x1)")]
     )
-    assert hf.factors[0] == expected
+    table = HostDescriptor("HStar", 3).vertex_table
+    assert factor_objects(hf.id_factors, table)[0] == expected
 
 
 def test_factorize_single_long_cycle():
     hf = factorize_h_star(parse_cycle_type("[10]"), 5)
-    assert len(hf.factors) == 4
-    assert all(cycle_type_of(f).lengths == (10,) for f in hf.factors)
+    factors = factor_objects(hf.id_factors, HostDescriptor("HStar", 5).vertex_table)
+    assert len(factors) == 4
+    assert all(cycle_type_of(f).lengths == (10,) for f in factors)
 
 
 def test_factorize_all_two_cycles():
     hf = factorize_h_star(parse_cycle_type("[2^4]"), 4)
-    assert all(len(f.cycles) == 4 for f in hf.factors)
-    assert all(cycle_type_of(f).lengths == (2, 2, 2, 2) for f in hf.factors)
+    factors = factor_objects(hf.id_factors, HostDescriptor("HStar", 4).vertex_table)
+    assert all(len(f.cycles) == 4 for f in factors)
+    assert all(cycle_type_of(f).lengths == (2, 2, 2, 2) for f in factors)
 
 
 def test_haggkvist_examples():
@@ -158,11 +161,12 @@ def test_zig_zag_complement_has_the_type_for_every_type():
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_factorize_h_star_sweep(m):
-    host = h_star(m)
+    host = HostDescriptor("HStar", m)
     for ftype in even_types(2 * m):
         hf = factorize_h_star(ftype, m)
-        assert len(hf.factors) == 4
-        report = verify_factorization(host, hf.factors, ftype)
+        assert len(hf.id_factors) == 4
+        factors = factor_objects(hf.id_factors, host.vertex_table)
+        report = verify_factorization(host, factors, ftype)
         assert report.passed, (m, ftype, report.failures())
 
 

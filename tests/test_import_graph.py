@@ -3,7 +3,7 @@ public names.
 
 The checker and the host rules it judges by must not depend on the
 constructions they judge, so ``checker`` and ``hosts`` import none of the
-building modules.  No module imports a sibling inside a function: an import
+building modules; and the pipeline's modules import no object class.  No module imports a sibling inside a function: an import
 that has to be hidden there marks an import cycle.  The package
 ``__init__`` imports everything, so ``sys.modules`` cannot show either.
 """
@@ -49,6 +49,22 @@ def _tree(name):
 def test_checker_and_hosts_import_no_builder(name):
     imported = set().union(*(names for _, names in _package_imports(_tree(name))))
     assert not imported & BUILDERS, sorted(imported & BUILDERS)
+
+
+OBJECT_CLASSES = {"Arc", "Digraph", "DirectedCycle", "TwoRegularDigraph"}
+
+
+@pytest.mark.parametrize("name", ["checker", "solver", "caps", "hstar", "tables"])
+def test_id_modules_import_no_object_class(name):
+    """Below the library edge the pipeline runs on vertex ids: these modules
+    import none of the object classes, so they cannot build one."""
+    imported = {
+        alias.name
+        for node, _ in _package_imports(_tree(name))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & OBJECT_CLASSES, sorted(imported & OBJECT_CLASSES)
 
 
 def test_no_module_imports_a_sibling_inside_a_function():

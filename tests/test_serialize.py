@@ -1,13 +1,69 @@
 import dataclasses
+import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oberwolfach.cli import main
 from oberwolfach.core import Vertex, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
-from oberwolfach.serialize import document_for_solution, to_json, to_json_dict
+from oberwolfach.serialize import (
+    document_for_solution,
+    from_json,
+    to_dot,
+    to_edges,
+    to_json,
+    to_text,
+)
 from oberwolfach.solver import solve
+from strip import factor_objects
+
+
+def to_json_dict(doc):
+    """The document as the JSON object ``to_json`` writes: the reference
+    ``to_json`` is checked against."""
+    text = [v.text() for v in doc.vertices]
+    return {
+        "n": doc.n,
+        "factor_type": list(doc.ftype.lengths),
+        "host": doc.host.to_json(),
+        "factors": [[[text[i] for i in c] for c in f] for f in doc.factors],
+        "verified": doc.verified,
+        "seed": doc.seed,
+    }
+
+
+def _ref_text(doc):
+    """``to_text`` written from the factor objects."""
+    lines = [
+        f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
+        f"verified={doc.verified} seed={doc.seed}"
+    ]
+    for i, f in enumerate(factor_objects(doc.factors, doc.vertices), 1):
+        lines.append(f"F{i}: " + " ".join(c.text() for c in f.cycles))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_edges(doc):
+    """``to_edges`` written from the factor objects' sorted arcs."""
+    lines = []
+    for i, f in enumerate(factor_objects(doc.factors, doc.vertices), 1):
+        for a in sorted(f.arcs()):
+            lines.append(f"{i} {a.tail.text()} {a.head.text()}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_dot(doc):
+    """``to_dot`` written from the factor objects' sorted arcs."""
+    lines = [f"digraph factorization_{doc.n} {{"]
+    for i, f in enumerate(factor_objects(doc.factors, doc.vertices), 1):
+        for a in sorted(f.arcs()):
+            lines.append(f'  "{a.tail.text()}" -> "{a.head.text()}" [factor={i}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
 
 _DOCS = [
     document_for_solution(solve(n, parse_cycle_type(spec)))
@@ -65,3 +121,71 @@ def test_to_json_equals_the_encoder(doc):
     """The joined text is exactly what the json encoder writes, for empty
     factor lists, empty factors, empty cycles and foreign vertices too."""
     assert to_json(doc) == json.dumps(to_json_dict(doc), indent=2) + "\n"
+
+
+# SHA-256 of ``solve --format text|edges|dot`` on stdout, fixed when the
+# renderers wrote from factor objects; the id renderers must match them.
+_PINNED = {
+    (6, "[2,4]", "text"): "efd6889d076810569cea0296ebe77a0b517f806ba3d022124b1846a015e2a0a6",
+    (6, "[2,4]", "edges"): "433eab643511e47d27c268fb8374c5702f5523b9e72f854e3b305b1725b2c5cb",
+    (6, "[2,4]", "dot"): "71cb69770302bb8e1987dcb74e45af0faeb47f03c007fb01af8dbef2a150b8dc",
+    (6, "[2^3]", "text"): "608fc1399cea804601d935b1b0d08baffb33a09331cc6e893ee66bb48443111b",
+    (6, "[2^3]", "edges"): "ebdc2b2a61fb3d6429b17cea4d0f9258dcaed98041570055d36b7754fd4412dd",
+    (6, "[2^3]", "dot"): "e8a95175d5a38bf1d86e9ab1adc47e6ca27183169654fd51b36203b9335ad62a",
+    (14, "[2,4,8]", "text"): "28b6fe30e2bcceacd2b1490749265219b5cfdef67dcc743aa5e19a35e56c8cbe",
+    (14, "[2,4,8]", "edges"): "67b39b65ea3b2fd1f9ba21f67dcdde250872744f06429101819fa70c54be71e4",
+    (14, "[2,4,8]", "dot"): "4427064b83cd91b47ec6f2cf19e4c3ec645c859a4cb5ce6e31e40a807f32c42b",
+    (22, "[2^3,4^2,8]", "text"): "cc9084286997088c9a785011a27d83a7137803c09e9e4a2467a9cd7b2ff9393f",
+    (22, "[2^3,4^2,8]", "edges"): "fc2e74e799fb7f6e78b000f837c6f9ae48c3a643187ff3fbc8ad2f3d3846798b",
+    (22, "[2^3,4^2,8]", "dot"): "31bbc11da4137404b23f37bc27a943a19c2d34b92b473aa4fa6934785b13b754",
+}
+
+
+@pytest.mark.parametrize("n, spec, fmt", sorted(_PINNED))
+def test_solve_renderings_are_pinned(capsys, n, spec, fmt):
+    assert main(["solve", "--n", str(n), "--factor", spec, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[n, spec, fmt]
+
+
+_SOLVED_TEXTS = [to_json(doc) for doc in _DOCS]
+
+
+@st.composite
+def _read_documents(draw):
+    """A certificate read back by ``from_json`` after its cycles were
+    rotated and reordered and some tokens were replaced by vertices outside
+    the host (in either row, at indices sorting between or after its own),
+    or after all but one cycle was dropped, so that the host's table is not
+    used and ids follow the order in which vertices are first named."""
+    data = json.loads(draw(st.sampled_from(_SOLVED_TEXTS)))
+    factors = data["factors"]
+    if draw(st.booleans()):  # fewer tokens than host vertices: all foreign
+        del factors[1:]
+        del factors[0][1:]
+    for f in factors:
+        for k, c in enumerate(f):
+            r = draw(st.integers(0, len(c) - 1))
+            f[k] = c[r:] + c[:r]
+        if draw(st.booleans()):
+            f.reverse()
+    spots = [(c, k) for f in factors for c in f for k in range(len(c))]
+    for _ in range(draw(st.integers(0, 4)) if spots else 0):
+        c, k = draw(st.sampled_from(spots))
+        c[k] = draw(st.sampled_from("xy")) + str(draw(st.integers(0, 40)))
+    try:
+        return from_json(json.dumps(data))
+    except ValueError:
+        return None  # a token now repeats in its factor
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(doc=_read_documents())
+def test_renderers_equal_the_object_reference(doc):
+    """On read documents with foreign vertices and cycles out of canonical
+    rotation, text, edges and dot equal their object-built references."""
+    if doc is None:
+        return
+    assert to_text(doc) == _ref_text(doc)
+    assert to_edges(doc) == _ref_edges(doc)
+    assert to_dot(doc) == _ref_dot(doc)

@@ -16,6 +16,7 @@ from oberwolfach.solver import (
     solve,
     wh_decompose,
 )
+from strip import factor_objects
 
 
 def test_wh_decompose_m7():
@@ -198,37 +199,46 @@ def test_solve_interns_vertices(n, spec):
     assert len(objects) == n
 
 
-@pytest.mark.parametrize("lengths", [lambda n: [n], lambda n: [2, 4, 8, n - 14]])
+@pytest.mark.parametrize(
+    "lengths", [lambda n: [n], lambda n: [2, 4, 8, n - 14] if n > 6 else [2, 4]]
+)
 def test_solve_and_export_build_no_objects_per_block_cycle(monkeypatch, lengths):
-    """The folded W* factors and the relabelled H* copies stay vertex ids
-    to the certificate: a warm solve builds the same number of factor
-    objects at n = 30 and n = 62 (only the spliced J* factors and the four
-    H* factors), the export builds none, and ``factors`` builds the same
-    objects as reading the certificate back."""
+    """A warm solve stays on vertex ids to the certificate at n = 6 (the
+    oracle, which also proves [6] nonexistent on ids), 30 and 62: it builds
+    no ``Arc``, ``DirectedCycle``, ``TwoRegularDigraph`` or ``Digraph``, nor
+    does writing the result as json, text, edges or dot.  ``factors`` then
+    builds the same objects as reading the certificate back."""
     from oberwolfach import core
-    from oberwolfach.serialize import from_json
+    from oberwolfach.serialize import from_json, render
 
     built = []
-    real_init = core.TwoRegularDigraph.__init__
 
-    def counting_init(self, cycles):
-        built.append(1)
-        real_init(self, cycles)
+    def counting(cls, name):
+        real = getattr(cls, name)
 
-    counts, exports = [], []
-    for n in (30, 62):
+        def count(*args, **kwargs):
+            built.append(cls.__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, count)
+
+    for n in (6, 30, 62):
         ftype = CycleType(lengths(n))
         solve(n, ftype)  # warm: tables and cap-family pieces loaded
-        monkeypatch.setattr(core.TwoRegularDigraph, "__init__", counting_init)
+        counting(core.Arc, "__new__")
+        for cls in (core.DirectedCycle, core.TwoRegularDigraph, core.Digraph):
+            counting(cls, "__init__")
         result = solve(n, ftype)
-        counts.append(len(built))
-        exports.append((result, to_json(document_for_solution(result))))
-        assert len(built) == counts[-1]
+        if isinstance(result, Nonexistent):
+            assert result.reason == "exhaustive search over 37 nodes"
+        else:
+            doc = document_for_solution(result)
+            texts = [render(doc, fmt) for fmt in ("json", "text", "edges", "dot")]
+        assert built == [], (n, sorted(set(built)))
         monkeypatch.undo()
-        built.clear()
-    assert counts[0] == counts[1], counts
-    for result, text in exports:
-        assert result.factors == from_json(text).factor_objects()
+        if not isinstance(result, Nonexistent):
+            back = from_json(texts[0])
+            assert result.factors == factor_objects(back.factors, back.vertices)
 
 
 def test_solve_refuses_orders_above_the_cap():
