@@ -137,13 +137,14 @@ def canonical_id_cycles(cycles: Iterable) -> tuple:
     """Cycles given as sequences of vertex ids, in the canonical form of
     ``TwoRegularDigraph``: each rotated to start at its least id, then the
     cycles sorted.  Where ids number vertices in sort order (as
-    ``hosts.HostDescriptor`` does) this is the order of the objects.  A
-    cycle that starts at its least id is copied once, into its tuple (a
-    tuple not at all)."""
+    ``hosts.HostDescriptor`` does) this is the order of the objects.  Each
+    cycle is made a tuple once (a tuple is kept as it is) and rotated by
+    joining two of its slices."""
     out = []
     for c in cycles:
+        c = tuple(c)
         k = c.index(min(c))
-        out.append(tuple(c[k:]) + tuple(c[:k]) if k else tuple(c))
+        out.append(c[k:] + c[:k] if k else c)
     out.sort()
     return tuple(out)
 

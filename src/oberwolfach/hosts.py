@@ -54,8 +54,8 @@ it lacks.  ``count_outside_codes``, run once per check, is one set
 difference with the rule's ranges themselves, so no W* or H* set is kept.
 ``out_neighbour_bytes(kind, size)`` writes a host of order at most 256 as
 one ``bytes`` per id, its out-neighbours, a byte holding one id: every
-other id for the complete host, the rule's ranges decoded once for W* and
-H*, so each rule is still written once.  The checker's column kernel
+other id for the complete host, and for W* and H* one slice per range of
+the rule, so each rule is still written once.  The checker's column kernel
 counts each vertex's missing heads against these bytes; one order's three
 hosts (the complete host, W* and H* on the same 2m ids) are kept.
 ``admissible_ids`` decides whether cycles of J* ids are an admissible
@@ -90,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, permutations, repeat, starmap
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .core import Arc, Digraph, Vertex, id_arcs
 
@@ -326,16 +326,32 @@ def out_neighbour_bytes(kind: str, size: int) -> tuple:
     """Each host id's out-neighbours, as one ``bytes`` per id in id order,
     for a described host (``"CompleteSymmetric"`` n, ``"WStar"`` or
     ``"HStar"`` m) of order at most 256: every other id for the complete
-    host, and for a blow-up the heads of its rule's ranges, decoded once.
-    One order's three hosts are kept; the result must not be mutated."""
+    host, one slice of the ids written twice, and for a blow-up the heads
+    of its rule's ranges.
+
+    A blow-up is out-regular, k = 9 (W*) or 4 (H*) heads per id, and both
+    ids of a range's codes step by one, so a range is a run of tails
+    a..a+L-1 with heads b..b+L-1.  The runs, taken in order of their first
+    code, fill k rows of n heads indexed by tail: each run is one slice of
+    ``ids`` written into the first row filled up to the run's first tail,
+    and since every id has k heads, such a row always exists.  Column a of
+    the joined rows, ``grid[a::n]``, is then a's k heads.  One order's
+    three hosts are kept; the result must not be mutated."""
     if kind == "CompleteSymmetric":
-        ids = bytes(range(size))
-        return tuple(ids[:v] + ids[v + 1 :] for v in range(size))
+        twice = bytes(range(size)) * 2  # the size - 1 ids after v, mod size
+        return tuple(twice[v + 1 : v + size] for v in range(size))
     n = _width(kind, size)
-    heads = [bytearray() for _ in range(n)]
-    for a, b in map(divmod, chain.from_iterable(_ranges(kind, size)), repeat(n)):
-        heads[a].append(b)
-    return tuple(map(bytes, heads))
+    ids = bytes(range(n))
+    runs = sorted(_ranges(kind, size), key=attrgetter("start"))
+    ends = [0] * (sum(map(len, runs)) // n)  # each row's first tail not yet filled
+    grid = bytearray(len(ends) * n)
+    for run in runs:
+        a, b = divmod(run.start, n)
+        row = ends.index(a)
+        grid[row * n + a : row * n + a + len(run)] = ids[b : b + len(run)]
+        ends[row] += len(run)
+    grid = bytes(grid)
+    return tuple(grid[a::n] for a in range(n))
 
 
 def _width(kind: str, m: int) -> int:

@@ -20,10 +20,11 @@ returned factorization carries the report of one final check on those ids.
 from __future__ import annotations
 
 import math
-from operator import sub
+from itertools import starmap
+from operator import itemgetter, sub
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .caps import w_star_id_factors
 from .checker import (
@@ -51,7 +52,11 @@ MAX_ORDER = 4002
 
 
 def check_order(n: int) -> None:
-    """Raise DomainError when order ``n`` is above ``MAX_ORDER``."""
+    """Raise DomainError when order ``n`` is below 2 or above ``MAX_ORDER``.
+    The least order is tested here, not left to ``n % 4``, which is 2 for
+    n = -6 as well."""
+    if n < 2:
+        raise DomainError(f"n = {n} is below the least order 2")
     if n > MAX_ORDER:
         raise DomainError(
             f"n = {n} is above the largest supported order {MAX_ORDER} "
@@ -333,9 +338,18 @@ def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str)
     return Factorization(host.m_or_n, ftype, tuple(factors), report)
 
 
-def _relabel(factor: list, image: list) -> tuple:
-    """An H* factor's id cycles through the permutation ``image`` of ids."""
-    return canonical_id_cycles([list(map(image.__getitem__, c)) for c in factor])
+def _relabelled(hids: tuple, images: Iterable) -> Iterator[tuple]:
+    """The H* factors ``hids`` (cycles of host ids) relabelled through each
+    permutation of ids in ``images`` in turn, each in canonical form.
+
+    Each cycle is compiled once into an ``itemgetter`` of its ids, which
+    gathers the cycle's image out of any image in one C-level call.  An
+    itemgetter of one id would return a bare int, but every H* cycle has
+    at least two ids."""
+    gathers = [[itemgetter(*c) for c in f] for f in hids]
+    for image in images:
+        for f in gathers:
+            yield canonical_id_cycles([g(image) for g in f])
 
 
 def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
@@ -360,14 +374,15 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         wh = wh_decompose(m)
         # W*, H* and the complete host of order 2m share one numbering
         # (x_i -> i, y_i -> m + i): the W* factors need no relabelling, and
-        # the H* copy on block cycle b maps id i to image[i]
+        # the H* copy on block cycle b maps id i to image[i], gathered in
+        # one C-level call per side (a block cycle has m >= 7 blocks, so
+        # the gather returns a tuple)
         factors = w_star_id_factors(ftype)
         if wh.h_block_cycles:
             hids = factorize_h_star(ftype, m).id_factors
             # one int object per id, shared by every copy's tuples
             number = list(range(n))
-            for block_cycle in wh.h_block_cycles:
-                image = [number[b] for b in block_cycle]
-                image += [number[m + b] for b in block_cycle]
-                factors.extend(_relabel(f, image) for f in hids)
+            xs, ys = number[:m], number[m:]
+            picks = starmap(itemgetter, wh.h_block_cycles)
+            factors.extend(_relabelled(hids, (p(xs) + p(ys) for p in picks)))
     return _verified(HostDescriptor("CompleteSymmetric", n), factors, ftype, "solve")

@@ -298,6 +298,14 @@ def test_solve_refuses_orders_above_the_cap(capsys):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("n", ["-6", "-2", "0"])
+def test_solve_refuses_orders_below_2(capsys, n):
+    """The CLI refuses the order with the library's one line, before the
+    factor spec's sum is compared with it."""
+    assert main(["solve", "--n", n, "--factor", "[2]"]) == 1
+    assert capsys.readouterr().err == f"error: n = {n} is below the least order 2\n"
+
+
 # one edit per schema rule: a value of the wrong JSON type, which int() or
 # bool() would once have coerced into a passing certificate
 _SCHEMA_EDITS = (

@@ -1,5 +1,8 @@
+from itertools import chain
+
 import pytest
 
+from oberwolfach import hosts
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.core import Arc, Vertex, parse_cycle_type, parse_vertex
 from oberwolfach.hosts import (
@@ -9,6 +12,7 @@ from oberwolfach.hosts import (
     fold_ids,
     h_star,
     j_star,
+    out_neighbour_bytes,
     strip_id,
     w_star,
 )
@@ -266,3 +270,37 @@ def test_descriptor_refuses_the_sizes_builders_refuse():
     assert opened.to_json() == {"kind": "JStar", "m": 1}
     with pytest.raises(ValueError):
         opened.vertices
+
+
+def _per_arc_out_neighbours(kind, m):
+    """The reference for ``out_neighbour_bytes`` on a blow-up: every code
+    of the rule's ranges decoded into its tail and head, one arc at a
+    time."""
+    n = 2 * m
+    heads = [bytearray() for _ in range(n)]
+    for code in chain.from_iterable(hosts._ranges(kind, m)):
+        a, b = divmod(code, n)
+        heads[a].append(b)
+    return [bytes(h) for h in heads]
+
+
+@pytest.mark.parametrize("kind, least, k", [("WStar", 5, 9), ("HStar", 3, 4)])
+def test_out_neighbour_bytes_match_the_per_arc_reference(kind, least, k):
+    """Built by runs, each id's out-neighbours are the reference's head
+    set, k distinct heads, for every order 2m up to 256."""
+    for m in range(least, 129):
+        got = out_neighbour_bytes(kind, m)
+        want = _per_arc_out_neighbours(kind, m)
+        assert len(got) == len(want) == 2 * m, (kind, m)
+        for a, (heads, expected) in enumerate(zip(got, want)):
+            assert len(heads) == len(set(heads)) == k, (kind, m, a)
+            assert set(heads) == set(expected), (kind, m, a)
+
+
+def test_out_neighbour_bytes_of_the_complete_host():
+    """Every other id, each once, for every order up to 256."""
+    for n in range(2, 257):
+        got = out_neighbour_bytes("CompleteSymmetric", n)
+        assert len(got) == n
+        for v, heads in enumerate(got):
+            assert len(heads) == n - 1 and set(heads) == set(range(n)) - {v}, (n, v)

@@ -1,12 +1,21 @@
 
+from itertools import chain
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relabel_split
 from oberwolfach import solver
 from oberwolfach.checker import Nonexistent
-from oberwolfach.core import CycleType, cycle_type_of, parse_cycle_type
+from oberwolfach.core import (
+    CycleType,
+    canonical_id_cycles,
+    cycle_type_of,
+    parse_cycle_type,
+)
+from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import document_for_solution, to_json
 from oberwolfach.solver import (
     DomainError,
@@ -251,6 +260,50 @@ def test_solve_refuses_orders_above_the_cap():
         with pytest.raises(DomainError, match="above the largest supported order"):
             solve(n, CycleType([n]))
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [-6, -2, 0])
+def test_solve_refuses_orders_below_2(n):
+    """n % 4 is 2 for n = -6 too, so the least order is tested first."""
+    with pytest.raises(DomainError, match=f"^n = {n} is below the least order 2$"):
+        solve(n, CycleType([2]))
+
+
+def _per_id_relabel(hids, image):
+    """The reference for ``solver._relabelled``: each H* cycle mapped
+    through ``image`` one id at a time, then put in canonical form."""
+    return [
+        canonical_id_cycles([list(map(image.__getitem__, c)) for c in f]) for f in hids
+    ]
+
+
+@st.composite
+def _even_type(draw, order):
+    """An even cycle type of the given order, 2-cycles drawn often."""
+    parts = []
+    while order:
+        half = draw(st.one_of(st.just(1), st.integers(1, order // 2)))
+        parts.append(2 * half)
+        order -= 2 * half
+    return CycleType(parts)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_gather_relabel_matches_the_per_id_reference(data):
+    """The compiled gathers relabel the H* factors of random even types
+    through random permutations as the per-id map does.  Every H* cycle
+    has at least two ids, so each gather returns a tuple, not a bare int."""
+    m = data.draw(st.integers(5, 63))
+    ftype = data.draw(_even_type(2 * m))
+    hids = factorize_h_star(ftype, m).id_factors
+    assert min(map(len, chain.from_iterable(hids))) >= 2
+    images = data.draw(
+        st.lists(st.permutations(range(2 * m)).map(tuple), min_size=1, max_size=3)
+    )
+    got = list(solver._relabelled(hids, images))
+    assert got == [f for image in images for f in _per_id_relabel(hids, image)]
+    assert all(type(c) is tuple for f in got for c in f)
 
 
 def test_pair_jumps_validity():
