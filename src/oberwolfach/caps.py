@@ -16,7 +16,7 @@ whose boundary patterns agree entrywise.
 The build runs on J* ids (``hosts.strip_id``: block b, side s -> 2b + s),
 so shifting by k blocks adds 2k.  The table pieces hold ids, and an
 ``AdmissibleDecomposition`` holds its factors as tuples of id cycles
-(``id_factors``); objects are built only when ``factors`` is read.
+(``id_factors``) and builds no vertex objects.
 
 Check contract: every piece is checked once, where it is made, on ids.
 
@@ -173,16 +173,6 @@ def assemble(
     return AdmissibleDecomposition(m, tuple(factors))
 
 
-# Cap-family dispatch: family key, anchors present in the tables, and the
-# strip length consumed by the right cap as a function of the anchor.
-_FAMILIES = {
-    "L": (4, 5, 6, 7),
-    "L2": (4, 5, 6, 7),
-    "L22": (4, 5, 6, 7),
-    "L4": (5, 6, 7, 8),
-}
-
-
 def _family_of(lengths: tuple):
     """Return (family, s) if the sorted length tuple fits a cap family."""
     if len(lengths) == 1 and lengths[0] >= 8:
@@ -213,8 +203,8 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     if fit is None:
         raise ValueError(f"{ftype} is not a cap-family shape")
     family, s = fit
-    anchors = _FAMILIES[family]
-    anchor = next(a for a in anchors if a % 4 == s % 4)
+    # the family's right caps are keyed by the least s of each class mod 4
+    anchor = next(a for f, a in tables.RIGHT_CAPS if f == family and a % 4 == s % 4)
     if s < anchor:
         raise ValueError(f"{ftype} is below the smallest table in its family")
     k = (s - anchor) // 4
@@ -238,12 +228,6 @@ def small_factor(ftype: CycleType) -> AdmissibleDecomposition:
     if key == (2, 4, 4):
         return tables.supplemental_2_4_4()
     raise ValueError(f"no small decomposition for {ftype}")
-
-
-def _single(length: int) -> AdmissibleDecomposition:
-    if length == 6:
-        return small_factor(CycleType([6]))
-    return general_factor(CycleType([length]))
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
@@ -299,9 +283,18 @@ def j_decompose(ftype: CycleType) -> AdmissibleDecomposition:
 
 def _decompose(lengths: tuple) -> list:
     """The admissible pieces, in splice order, of a decomposition of type
-    ``lengths``: one table or cap-family piece, or a flat list that
-    ``j_decompose`` splices once."""
+    ``lengths``, as a flat list that ``j_decompose`` splices once.
+
+    A type with a table or cap-family piece is that one piece.  Otherwise
+    the smallest lengths are peeled off in heads, and each head goes back
+    through here, where it is always one such piece: a lone length, [4, x],
+    [2, x] or [2, 2, x] with x the next length, [2, 4, 4], [2, 2, 4, 4] or
+    [2^3, 4].  Repeated [4, 4], [4^3] and [2^3] pieces are taken from the
+    tables directly.  The empty type has no pieces, and the all-2s types,
+    which ``j_decompose`` refuses, have no plan."""
     key = tuple(sorted(lengths))
+    if not key:
+        return []
     if key in tables.SMALL_DECOMPS or key == (2, 4, 4):
         return [small_factor(CycleType(key))]
     if _family_of(key) is not None:
@@ -312,60 +305,29 @@ def _decompose(lengths: tuple) -> list:
     rest = key[mult:]
 
     if smallest >= 6:
-        return [_single(x) for x in key]
+        return [piece for x in key for piece in _decompose((x,))]
 
     if smallest == 4:
         if mult == 1:
             # one 4-cycle: peel a [4, next] brick
-            nxt = rest[0]
-            if nxt in (6, 8):
-                head = small_factor(CycleType([4, nxt]))
-            else:
-                head = general_factor(CycleType([4, nxt]))
-            return [head] + (_decompose(rest[1:]) if rest[1:] else [])
+            return _decompose(key[:2]) + _decompose(key[2:])
         # two or more 4-cycles: 2*beta + 3*gamma copies
         gamma, beta = (1, (mult - 3) // 2) if mult % 2 else (0, mult // 2)
         decs = [small_factor(CycleType([4, 4]))] * beta
         decs += [small_factor(CycleType([4, 4, 4]))] * gamma
-        if rest:
-            decs += _decompose(rest)
-        return decs
+        return decs + _decompose(rest)
 
-    # smallest == 2
-    nxt = rest[0]
-    residue = mult % 3
-    if residue == 0:
+    # smallest == 2: [2^3] pieces, and the mult % 3 other 2-cycles peeled
+    # with the next length, or with a bare [4] or [4, 4] rest whole, since
+    # a lone [4] has no piece
+    triples = [small_factor(CycleType([2, 2, 2]))] * (mult // 3)
+    twos = key[: mult % 3]
+    if not twos:
         if rest == (4,):
-            decs = [small_factor(CycleType([2, 2, 2, 4]))]
-            decs += [small_factor(CycleType([2, 2, 2]))] * (mult // 3 - 1)
-        else:
-            decs = [small_factor(CycleType([2, 2, 2]))] * (mult // 3)
-            decs += _decompose(rest)
-        return decs
-    if residue == 1:
-        if rest == (4, 4):
-            decs = [small_factor(CycleType([2, 4, 4]))]
-        else:
-            head = (
-                small_factor(CycleType([2, nxt]))
-                if nxt in (4, 6)
-                else general_factor(CycleType([2, nxt]))
-            )
-            decs = [head] + (_decompose(rest[1:]) if rest[1:] else [])
-        decs += [small_factor(CycleType([2, 2, 2]))] * ((mult - 1) // 3)
-        return decs
-    # residue == 2
-    if rest == (4, 4):
-        decs = [small_factor(CycleType([2, 2, 4, 4]))]
-    else:
-        head = (
-            small_factor(CycleType([2, 2, nxt]))
-            if nxt in (4, 6)
-            else general_factor(CycleType([2, 2, nxt]))
-        )
-        decs = [head] + (_decompose(rest[1:]) if rest[1:] else [])
-    decs += [small_factor(CycleType([2, 2, 2]))] * ((mult - 2) // 3)
-    return decs
+            return _decompose((2, 2, 2, 4)) + triples[1:]
+        return triples + _decompose(rest)
+    head = 2 if rest == (4, 4) else 1
+    return _decompose(twos + rest[:head]) + _decompose(rest[head:]) + triples
 
 
 def w_star_id_factors(ftype: CycleType) -> list:

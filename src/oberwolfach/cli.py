@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -35,14 +36,6 @@ EXIT_ERROR = 1
 EXIT_NONEXISTENT = 2
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         check_order(args.n)
@@ -58,9 +51,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_NONEXISTENT
-    doc = serialize.document_for_solution(result)
+    text = serialize.render(serialize.document_for_solution(result), args.format)
+    if args.out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
     try:
-        _write(serialize.render(doc, args.format), args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         reason = exc.strerror or exc
         print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
@@ -180,45 +177,37 @@ def cmd_tables(args: argparse.Namespace) -> int:
     if args.dump:
         print(json.dumps(tables_dump(), indent=2))
         return EXIT_OK
-    failures = 0
     left = tables.left_cap()
     centre = tables.centre_piece()
     pattern_ok = left.patterns() == tables.X_PATTERN
-    if not pattern_ok:
-        failures += 1
     print(f"left cap pattern: {'ok' if pattern_ok else 'FAIL'}")
-    cap_rows = 0
-    for family, anchor in sorted(tables.RIGHT_CAPS):
-        report = verify_cap_complementarity(
-            left, tables.right_cap(family, anchor), centre
+    rows = [
+        (
+            f"cap {family} anchor {anchor}",
+            verify_cap_complementarity(left, tables.right_cap(family, anchor), centre),
         )
-        cap_rows += 1
-        status = "ok" if report.passed else "FAIL"
-        print(f"cap {family} anchor {anchor}: {status}")
-        if not report.passed:
-            failures += 1
-            for name, detail in report.failures():
-                print(f"    {name}: {detail}")
-    dec_rows = 0
-    named = [(key, tables.small_decomposition(key)) for key in tables.small_types()]
-    named.append(("figure [4,8]", tables.figure_4_8_decomposition()))
-    for key, dec in named:
-        report = verify_admissible_decomposition(dec.m, dec, tables.X_PATTERN)
-        dec_rows += 1
-        label = CycleType(key).text() if isinstance(key, tuple) else key
-        status = "ok" if report.passed else "FAIL"
-        print(f"decomposition {label}: {status}")
-        if not report.passed:
-            failures += 1
-            for name, detail in report.failures():
-                print(f"    {name}: {detail}")
-    supp = tables.supplemental_2_4_4()
-    report = verify_admissible_decomposition(supp.m, supp, tables.X_PATTERN)
-    print(f"supplemental [2,4^2]: {'ok' if report.passed else 'FAIL'}")
-    if not report.passed:
-        failures += 1
-    print(f"{cap_rows} cap rows + {dec_rows} decomposition rows + 1 supplemental")
-    return EXIT_OK if failures == 0 else EXIT_ERROR
+        for family, anchor in sorted(tables.RIGHT_CAPS)
+    ]
+    decs = [
+        (f"decomposition {CycleType(key).text()}", tables.small_decomposition(key))
+        for key in tables.small_types()
+    ]
+    decs.append(("decomposition figure [4,8]", tables.figure_4_8_decomposition()))
+    decs.append(("supplemental [2,4^2]", tables.supplemental_2_4_4()))
+    rows += [
+        (label, verify_admissible_decomposition(dec.m, dec, tables.X_PATTERN))
+        for label, dec in decs
+    ]
+    for label, report in rows:
+        print(f"{label}: {'ok' if report.passed else 'FAIL'}")
+        for name, detail in report.failures():
+            print(f"    {name}: {detail}")
+    print(
+        f"{len(tables.RIGHT_CAPS)} cap rows + {len(decs) - 1} decomposition rows "
+        "+ 1 supplemental"
+    )
+    passed = pattern_ok and all(report.passed for _, report in rows)
+    return EXIT_OK if passed else EXIT_ERROR
 
 
 def tables_dump() -> dict:
@@ -321,7 +310,16 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # -h, or a usage error already reported
         return exc.code
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # the commands catch every other I/O error
+        reason = exc.strerror or exc
+        print(f"error: cannot write standard output: {reason}", file=sys.stderr)
+        # the exit flush would fail again on the unwritten buffer
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -49,24 +49,18 @@ def _gadget_walks(m: int) -> list:
     return [[0, last], [m, last], [m, m + last], [0, m + last]]
 
 
-def _chain_walks(position: str, a: int, k: int, congruence: str, m: int) -> list:
+def _chain_walks(a: int, k: int, m: int) -> list:
     """Four parallel length-2k cycles spanning blocks a..a+k, as ids: x_j is
     j and y_j is m + j.
 
-    ``position`` is "second" (the piece adjacent to the wrap gadgets, always
-    at offset 0) or "later"; ``congruence`` ("0mod4"/"2mod4") must match the
-    parity of k and selects the zig-zag shapes.
+    The piece at offset 0 sits next to the wrap gadgets and takes its own
+    shapes; a piece further on is two cycles, each walked both ways.  The
+    parity of k picks the zig-zag shapes in both.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    if congruence not in ("0mod4", "2mod4"):
-        raise ValueError(f"bad congruence {congruence!r}")
-    if (congruence == "0mod4") != (k % 2 == 0):
-        raise ValueError(f"congruence {congruence} inconsistent with k={k}")
     y = m.__add__
-    if position == "second":
-        if a != 0:
-            raise ValueError("the second piece sits at offset 0")
+    if a == 0:
         c0 = [y(j) for j in range(k + 1)] + list(range(k - 1, 0, -1))
         if k % 2 == 0:
             c1 = (
@@ -96,8 +90,6 @@ def _chain_walks(position: str, a: int, k: int, congruence: str, m: int) -> list
                 + [j if j % 2 == 0 else y(j) for j in range(k - 1, 0, -1)]
             )
         return [c0, c1, c2, c3]
-    if position != "later":
-        raise ValueError(f"bad position {position!r}")
     if k % 2 == 0:
         c0 = list(range(a, a + k)) + [y(a + d) for d in range(k, 0, -1)]
         c2 = (
@@ -119,10 +111,6 @@ def _chain_walks(position: str, a: int, k: int, congruence: str, m: int) -> list
             + [y(a + d) for d in range(k - 1, 0, -1)]
         )
     return [c0, c0[::-1], c2, c2[::-1]]
-
-
-def _congruence(length: int) -> str:
-    return "0mod4" if length % 4 == 0 else "2mod4"
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +213,12 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
         a_cycles, b_cycles = _haggkvist(ftype, m)
         factors = _direct_both_ways(a_cycles) + _direct_both_ways(b_cycles)
     elif s == 1:
-        families = [[g] for g in _gadget_walks(m)]
-        second, later = rest[0], rest[1:]
-        k2 = second // 2
-        walks = _chain_walks("second", 0, k2, _congruence(second), m)
-        for fam, cyc in zip(families, walks):
-            fam.append(cyc)
-        a = k2
-        for length in later:
-            k = length // 2
-            walks = _chain_walks("later", a, k, _congruence(length), m)
-            for fam, cyc in zip(families, walks):
+        factors = [[g] for g in _gadget_walks(m)]
+        a = 0
+        for length in rest:
+            for fam, cyc in zip(factors, _chain_walks(a, length // 2, m)):
                 fam.append(cyc)
-            a += k
-        factors = families
+            a += length // 2
     else:
         merged = CycleType([2 * s, *rest])
         factors = []

@@ -94,8 +94,9 @@ class Factorization:
         return tuple(two_regular_from_ids(f, table) for f in self.id_factors)
 
 
-def _pair_jumps(m: int, distances: list):
-    """Split the jump set into coprime singles and connected pairs.
+def _pair_jumps(m: int):
+    """Split the jumps 3..(m-1)/2 of odd m into coprime singles and
+    connected pairs.
 
     Jumps d with gcd(d, m) > 1 have no single-jump Hamiltonian cycle, so
     each is paired with a partner e such that gcd(d, e, m) = 1 (the pair
@@ -103,24 +104,24 @@ def _pair_jumps(m: int, distances: list):
     One pass in ascending order pairs each awkward jump d with d-1 if that
     is still free, else with d+1; gcd(d, d±1) = 1, so either qualifies.
 
-    ``distances`` is a run of consecutive jumps whose top one is coprime to
-    m, as wh_decompose's 3..(m-1)/2 are (gcd((m-1)/2, m) divides
-    gcd(m-1, m) = 1).  Then d+1 is always free when d is reached: d+1 is in
-    the run, since d is awkward and so below the top; d+1 was not paired as
+    The top jump (m-1)/2 is coprime to m, since gcd((m-1)/2, m) divides
+    gcd(m-1, m) = 1.  So d+1 is always free when d is reached: d+1 is a
+    jump, since d is awkward and so below the top; d+1 was not paired as
     an awkward jump, since those are taken in ascending order; and it was
     not taken as the partner d'-1 or d'+1 of an earlier awkward d' < d,
     since d'-1 < d + 1 and d'+1 = d+1 only for d' = d.
     """
-    free = set(distances)
+    jumps = range(3, (m - 1) // 2 + 1)
+    free = set(jumps)
     pairs = []
-    for d in sorted(distances):
+    for d in jumps:
         if d not in free or math.gcd(d, m) == 1:
             continue
         free.remove(d)
         e = d - 1 if d - 1 in free else d + 1
         free.remove(e)
         pairs.append((d, e))
-    return [d for d in distances if d in free], pairs
+    return [d for d in jumps if d in free], pairs
 
 
 def _retag(nxt: list, prv: list, cid: list, v: int, tag: int, flip: bool) -> None:
@@ -275,19 +276,6 @@ def _decompose_pair_circulant(m: int, d: int, e: int):
     return tuple(out)
 
 
-def _hamilton_cycles_decomposition(m: int, distances: list) -> list:
-    """Split the block circulant on the given jump set into Hamiltonian
-    cycles, one per jump.  All cycles share one int object per block, so a
-    kept split holds a reference, not an int, per entry."""
-    singles, pairs = _pair_jumps(m, distances)
-    number = list(range(m))
-    cycles = [tuple([number[(i * d) % m] for i in range(m)]) for d in sorted(singles)]
-    for d, e in pairs:
-        for cycle in _decompose_pair_circulant(m, d, e):
-            cycles.append(tuple(map(number.__getitem__, cycle)))
-    return cycles
-
-
 @lru_cache(maxsize=1)
 def wh_decompose(m: int) -> WHDecomposition:
     """Reserve rungs and jumps 1, 2 for the circulant blow-up; split the
@@ -301,8 +289,14 @@ def wh_decompose(m: int) -> WHDecomposition:
     """
     if m < 5 or m % 2 == 0:
         raise DomainError(f"need odd m >= 5, got {m}")
-    distances = list(range(3, (m - 1) // 2 + 1))
-    cycles = _hamilton_cycles_decomposition(m, distances)
+    singles, pairs = _pair_jumps(m)
+    # all cycles share one int object per block, so a kept split holds a
+    # reference, not an int, per entry
+    number = list(range(m))
+    cycles = [tuple([number[(i * d) % m] for i in range(m)]) for d in singles]
+    for d, e in pairs:
+        for cycle in _decompose_pair_circulant(m, d, e):
+            cycles.append(tuple(map(number.__getitem__, cycle)))
     reserved = {0, 1, 2, m - 2, m - 1}
     for cyc in cycles:
         if len(set(cyc)) != m:

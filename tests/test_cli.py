@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +104,63 @@ def test_tables_check():
     proc = run_cli("tables", "--check")
     assert proc.returncode == 0
     assert "16 cap rows + 13 decomposition rows" in proc.stdout
+
+
+def test_tables_check_output_is_pinned():
+    """One loop prints every row; the passing report is the same bytes as
+    when the cap, decomposition and supplemental rows had a loop each."""
+    proc = run_cli("tables", "--check")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "35e6659e64a469622894ac00bb7ab9f76612752d351267db73fd167a7a111496"
+    )
+
+
+def test_a_failing_supplemental_row_prints_its_checks(capsys, monkeypatch):
+    from oberwolfach import cli, tables
+
+    real = tables.supplemental_2_4_4()
+    # factor 1 twice and factor 9 missing: the arcs no longer partition
+    factors = real.id_factors[:8] + real.id_factors[:1]
+    broken = tables.AdmissibleDecomposition(real.m, factors)
+    monkeypatch.setattr(cli.tables, "supplemental_2_4_4", lambda: broken)
+    assert main(["tables", "--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("supplemental [2,4^2]: FAIL")
+    details = lines[at + 1 : -1]
+    assert details and all(line.startswith("    ") and ": " in line for line in details)
+    assert lines[-1] == "16 cap rows + 13 decomposition rows + 1 supplemental"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "10", "--factor", "[10]"],
+        ["verify", str(FIXTURE)],
+        ["selftest", "--max-n", "6"],
+        ["tables", "--dump"],
+    ],
+    ids=["solve", "verify", "selftest", "tables"],
+)
+def test_a_closed_stdout_is_one_error_line(argv):
+    """With stdout a pipe whose read end is closed, every subcommand writes
+    one ``error:`` line naming standard output and exits 1, with no
+    traceback from the write or from the flush at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oberwolfach.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert "Traceback" not in proc.stderr and "None" not in proc.stderr
 
 
 def test_tables_dump_parses():

@@ -1,5 +1,6 @@
 import pytest
 
+import construction_reference
 from oberwolfach.checker import verify_factorization
 from oberwolfach.core import (
     CycleType,
@@ -47,15 +48,14 @@ def test_two_cycle_gadgets():
 
 
 def test_chain_second_small():
-    c = _chain_walks("second", 0, 2, "0mod4", 9)
+    c = _chain_walks(0, 2, 9)
     assert c[0] == hids("(y0,y1,y2,x1)", 9)
     assert all(len(x) == 4 for x in c)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_chain_later_disjoint_and_reversed(k):
-    congruence = "0mod4" if k % 2 == 0 else "2mod4"
-    cycles = _chain_walks("later", 3, k, congruence, 9)
+    cycles = _chain_walks(3, k, 9)
     assert cycles[1] == cycles[0][::-1]
     assert cycles[3] == cycles[2][::-1]
     used = arcs(cycles)
@@ -64,16 +64,28 @@ def test_chain_later_disjoint_and_reversed(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_chain_second_disjoint(k):
-    congruence = "0mod4" if k % 2 == 0 else "2mod4"
-    used = arcs(_chain_walks("second", 0, k, congruence, 9))
+    used = arcs(_chain_walks(0, k, 9))
     assert len(used) == len(set(used)) == 8 * k
 
 
 def test_chain_validation():
-    with pytest.raises(ValueError):
-        _chain_walks("second", 1, 2, "0mod4", 9)
-    with pytest.raises(ValueError):
-        _chain_walks("later", 0, 2, "2mod4", 9)  # parity mismatch
+    for a in (0, 3):  # the piece next to the gadgets and a later one
+        with pytest.raises(ValueError):
+            _chain_walks(a, 1, 9)
+
+
+def test_one_two_cycle_route_matches_the_placed_chains():
+    """The s = 1 route places each chain by its offset alone and gives the
+    same walks as the route that was told each chain's position and residue
+    mod 4, for every type with exactly one 2-cycle, m = 3..24."""
+    count = 0
+    for m in range(3, 25):
+        for ftype in even_types(2 * m):
+            if ftype.lengths.count(2) == 1:
+                got = factorize_h_star(ftype, m).id_factors
+                assert got == construction_reference.one_two_cycle_factors(ftype, m), ftype
+                count += 1
+    assert count == 1254
 
 
 def test_factorize_2_4_explicit_factor():

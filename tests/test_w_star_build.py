@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import construction_reference
 from oberwolfach import caps, tables
 from oberwolfach.caps import (
     _chain_centre,
@@ -511,3 +512,44 @@ def test_a_nested_type_is_spliced_once(monkeypatch, spec):
     monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
     caps.j_decompose(ftype)
     assert checked == [ftype.order // 2] * 9
+
+
+def _ascending_even_types(order: int):
+    """Every type of ``order`` with even lengths, as ascending tuples."""
+    def parts(total, least):
+        if total == 0:
+            yield ()
+            return
+        for p in range(least, total + 1, 2):
+            for rest in parts(total - p, p):
+                yield (p,) + rest
+
+    return parts(order, 2)
+
+
+def test_piece_plans_match_the_hand_picked_planner(monkeypatch):
+    """``_decompose`` passes each head it peels back to itself and lets its
+    first two tests pick table or cap family; it plans the same pieces, in
+    the same order, as the planner that picked them by hand, for every even
+    type of order 8..62 but the all-2s ones."""
+    monkeypatch.setattr(caps, "small_factor", lambda ft: ("table", ft.lengths))
+    monkeypatch.setattr(caps, "general_factor", lambda ft: ("family", ft.lengths))
+    count = 0
+    for order in range(8, 63, 2):
+        for key in _ascending_even_types(order):
+            if key[-1] == 2:
+                continue
+            assert caps._decompose(key) == construction_reference.decompose(key), key
+            count += 1
+    assert count == 35436
+    assert caps._decompose(()) == []
+
+
+def test_general_factor_takes_each_anchor_from_the_right_cap_table():
+    """At s equal to a right cap's anchor the family piece is that cap on
+    the left cap, with no centre blocks."""
+    shapes = {"L": [], "L2": [2], "L22": [2, 2], "L4": [4]}
+    for family, anchor in tables.RIGHT_CAPS:
+        dec = general_factor(CycleType([2 * anchor, *shapes[family]]))
+        bare = caps.assemble(tables.left_cap(), None, 0, tables.right_cap(family, anchor))
+        assert dec == bare, (family, anchor)
