@@ -223,11 +223,9 @@ def small_factor(ftype: CycleType) -> AdmissibleDecomposition:
     """One of the embedded small decompositions (including the supplemental
     [2,4,4] brick)."""
     key = tuple(ftype.lengths)
-    if key in tables.SMALL_DECOMPS:
-        return tables.small_decomposition(key)
-    if key == (2, 4, 4):
-        return tables.supplemental_2_4_4()
-    raise ValueError(f"no small decomposition for {ftype}")
+    if key not in tables.PIECES:
+        raise ValueError(f"no small decomposition for {ftype}")
+    return tables.small_decomposition(key)
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
@@ -295,7 +293,7 @@ def _decompose(lengths: tuple) -> list:
     key = tuple(sorted(lengths))
     if not key:
         return []
-    if key in tables.SMALL_DECOMPS or key == (2, 4, 4):
+    if key in tables.PIECES:
         return [small_factor(CycleType(key))]
     if _family_of(key) is not None:
         return [general_factor(CycleType(key))]

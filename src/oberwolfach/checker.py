@@ -6,16 +6,29 @@ admissibility, boundary patterns, and the defining clauses of the cap and
 centre-piece tables.
 
 A factorization is checked by ``verify_id_factorization``, which sees only
-vertex ids: each factor is a list of cycles, each cycle a list of ints, id i
-in 0..N-1 naming the host's vertex i (``hosts.HostDescriptor`` numbering, N
+vertex ids: each factor is a list of cycles, each cycle a sequence of ints
+(a list, a tuple or ``bytes``), id i in 0..N-1 naming the host's vertex i (``hosts.HostDescriptor`` numbering, N
 the order) and every other id, negative ones too, a vertex outside the
 host.  It trusts nothing about how the lists were made.  It reports four
 checks from four counts over all factors: ``used`` arcs and ``distinct``
 ones (disjoint when equal), host arcs ``missing`` and ``extra`` arcs
 outside the host (coverage when both are 0), plus the factors that do not
-span and those of the wrong cycle type.  Two kernels count them.
+span and those of the wrong cycle type.  Two kernels count them; which one
+runs depends on the host alone.
 
-* **The set kernel** takes any ids and any host.  Every arc between host
+* **The column kernel** decides every check on a ``HostDescriptor`` of
+  order N <= 256, so that a host id fits in a byte; it counts with C-level
+  ``bytes`` operations and boxes no int per arc of a permutation.  A
+  factor that is a permutation of 0..N-1 becomes its successor table, the
+  heads of ids 0..N-1 in order; column v of the joined tables holds v's
+  heads in all those factors.  Any other factor (a foreign, negative or
+  repeated id, a short or empty factor, a 1-cycle) is walked arc by arc,
+  once: an arc between host ids adds its head to column v of its tail v,
+  and every other arc goes into a set of (tail, head) pairs.  This kernel
+  decides every check of a solve up to n = 254 -- the W* check, the H*
+  self-check (order 2m <= 254) and the final check -- and every ``verify``
+  of a described host up to 256 vertices.
+* **The set kernel** decides hosts of order N > 256.  Every arc between host
   ids is encoded as one integer a*N + b, so the arcs of all factors are
   gathered into one set of ints; an arc touching another id goes into a
   small separate set of pairs.  Coverage is arc arithmetic -- the factors'
@@ -24,34 +37,31 @@ span and those of the wrong cycle type.  Two kernels count them.
   is N, every id is in 0..N-1, and its ids are distinct, counted by one
   set per factor; so spanning does not rest on the cycle and factor
   constructors having refused repeated or shared vertices.
-* **The column kernel** runs when the host is a ``HostDescriptor`` of
-  order N <= 256, so that an id fits in a byte, and every factor is a
-  permutation of 0..N-1; it counts with C-level ``bytes`` operations and
-  boxes no int per arc.  Each factor becomes its successor table, the
-  heads of ids 0..N-1 in order; column v of the joined tables holds v's
-  heads in all k factors.  It decides every check of a solve up to
-  n = 254: the W* check and the H* self-check (order 2m <= 254) and the
-  final check.  Any other input (a foreign, negative or repeated id, a
-  short factor, JStar, N > 256) goes to the set kernel, which stays the
-  one exact path there.
 
-The two give the same report whenever every factor is a permutation of
-0..N-1.  Then each factor has exactly one arc out of each vertex v, to
-v's entry in its table, and no arc touches an id outside the host, so the
-set kernel's pairs are empty and every factor spans.  Its ``used`` is kN,
-the column kernel's.  Its ``distinct`` counts the distinct pairs (v, w) of
-all arcs, which grouped by tail is, for each v, the number of distinct
-bytes in column v: N less the ids that deleting the column leaves.  A
-code is inside the host exactly when its head is in v's out-neighbours
+The two give the same report on any input.  A permutation factor has
+exactly one arc out of each vertex v, to v's entry in its table, so its
+arcs, grouped by tail, are its table's entries, and a loose factor's arcs
+between host ids are the heads it adds to the columns; either way column v
+holds the head of every arc out of v between host ids, with repeats.  The
+set kernel's codes are these arcs, and its pairs are the column kernel's
+pairs.  ``used`` counts every arc in both: N per permutation, a loose
+factor's length.  The distinct codes grouped by tail are, for each v, the
+number of distinct bytes in column v: N less the ids that deleting the
+column leaves; ``distinct`` adds the pairs to both.  A code is inside the
+host exactly when its head is in v's out-neighbours
 (``hosts.out_neighbour_bytes``, the same rule as ``arc_count`` and
-``count_outside_codes``), so the distinct arcs inside number
-``host.arc_count`` less the out-neighbours that no column entry hits, which
-is ``missing`` in both; ``extra`` is the distinct arcs outside, ``distinct``
-less those inside.  The cycle-type check reads the same lengths in both.
+``count_outside_codes``), so the distinct codes inside number
+``host.arc_count`` less the out-neighbours that no column entry hits,
+which is ``missing`` in both; ``extra`` is the distinct codes outside,
+``distinct`` less those inside, plus the pairs.  A permutation spans in
+the set kernel too, and a loose factor does not: had it N distinct ids,
+all in 0..N-1, it would be a permutation.  The cycle-type check reads the
+same lengths in both.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or
 asked for.  ``solve``, the W* check and the H* self-check build their
-factors as such lists and ``verify`` reads certificates straight into them
+factors as such lists, and ``verify`` reads certificates straight into
+them, into ``bytes`` cycles up to 256 vertices
 (``serialize.read_certificate``); ``verify_factorization`` is the adapter
 for library callers holding ``TwoRegularDigraph`` objects, so all of them
 run the same core.  ``verify_admissible_decomposition`` likewise checks a
@@ -157,24 +167,20 @@ def verify_factorization(
 def verify_id_factorization(
     host: HostDescriptor, factors: Iterable[list], ftype: CycleType
 ) -> VerificationReport:
-    """Check that ``factors``, each a list of cycles given as lists (or
-    tuples) of vertex ids, is an ftype-factorization of the described
-    ``host``.
+    """Check that ``factors``, each a list of cycles given as sequences
+    (lists, tuples or ``bytes``) of vertex ids, is an ftype-factorization of
+    the described ``host``.
 
     Ids are integers; id i in 0..N-1 is the host's vertex i (N the order),
     and any other id, negative ones too, is a vertex outside it.  The arcs are
     counted by the column kernel when the host is described with N <= 256
-    and every factor is a permutation of 0..N-1 (``_column_counts``), and by
-    the set kernel otherwise (``_set_counts``); the module docstring says
-    why the two give the same report.
+    (``_column_counts``), and by the set kernel otherwise (``_set_counts``);
+    the module docstring says why the two give the same report.
     """
     order = host.order
     want = list(ftype.lengths)
     if host.kind in DESCRIBED_KINDS and order <= 256:
-        factors = list(factors)
-        counts = _column_counts(host, factors, want)
-        if counts is not None:
-            return _report(*counts)
+        return _report(*_column_counts(host, factors, want))
     return _report(*_set_counts(host, order, factors, want))
 
 
@@ -195,54 +201,71 @@ def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationRepo
     return report
 
 
-def _column_counts(host: HostDescriptor, factors: list, want: list) -> Optional[tuple]:
+def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple:
     """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
     described host of order N <= 256, by bytes, the cycle lengths compared
-    with the sorted ``want``; None when a factor is not a permutation of
-    0..N-1.
+    with the sorted ``want``.
 
     A factor's ids as one ``bytes``, ``tails``, are a permutation when
     there are N of them and deleting them from ``ids`` leaves nothing.  Its
     successor table in id order is then ``bytes.maketrans`` of ``tails``
     onto ``tails`` shifted by one, with the last id of each cycle sent back
-    to its first.  The tables are joined into one grid whose column v,
-    ``grid[v::N]``, holds v's heads in every factor: deleting the column
-    from ``ids`` counts v's distinct heads, and deleting it from v's
+    to its first.  Any other factor does not span; its arcs between host
+    ids add their heads to ``loose[tail]``, the others go into ``pairs``.
+    The tables are joined into one grid whose column v, ``grid[v::N]`` and
+    ``loose[v]``, holds v's heads in every factor: deleting the column from
+    ``ids`` counts v's distinct heads, and deleting it from v's
     out-neighbours (``hosts.out_neighbour_bytes``) counts the ones it
     misses."""
     n = host.order
     ids = bytes(range(n))
     tables = []
+    loose = None  # the heads of loose arcs by tail, once a loose factor is met
+    pairs: set = set()
+    used = 0
+    spanning = []
     wrong = []
     for i, cycles in enumerate(factors):
-        try:
-            tails = b"".join(map(bytes, cycles))
-        except (ValueError, TypeError):
-            return None
-        if len(tails) != n or ids.translate(None, tails):
-            return None
-        table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
-        for c in cycles:
-            if c:
-                table[c[-1]] = c[0]
-        tables.append(table[:n])
         lengths = sorted(map(len, cycles))
         if lengths != want:
             wrong.append((i, cycle_type_text(lengths)))
+        try:
+            tails = b"".join(map(bytes, cycles))
+        except (ValueError, TypeError):  # an id outside 0..255
+            tails = b""
+        if len(tails) == n and not ids.translate(None, tails):
+            table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
+            for c in cycles:
+                if c:
+                    table[c[-1]] = c[0]
+            tables.append(table[:n])
+            used += n
+            continue
+        spanning.append(i)
+        if loose is None:
+            loose = [bytearray() for _ in ids]
+        tails, heads = id_arcs(cycles)
+        used += len(tails)
+        for a, b in zip(tails, heads):
+            if 0 <= a < n and 0 <= b < n:
+                loose[a].append(b)
+            else:
+                pairs.add((a, b))
     grid = b"".join(tables)
     distinct = missing = 0
     for v, nbr in enumerate(out_neighbour_bytes(host.kind, host.m_or_n)):
-        col = grid[v::n]
+        col = grid[v::n] if loose is None else grid[v::n] + loose[v]
         distinct += n - len(ids.translate(None, col))
         missing += len(nbr.translate(None, col))
     # the distinct arcs inside the host number its arcs less the missing ones
-    extra = distinct - (host.arc_count - missing)
-    return n * len(tables), distinct, missing, extra, [], wrong
+    extra = distinct - (host.arc_count - missing) + len(pairs)
+    return used, distinct + len(pairs), missing, extra, spanning, wrong
 
 
 def _set_counts(host: HostDescriptor, order: int, factors: Iterable, want: list) -> tuple:
-    """(used, distinct, missing, extra, spanning, wrong) of ``factors``,
-    any ids, the cycle lengths compared with the sorted ``want``.  Each
+    """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
+    host of order N > 256, any ids, the cycle lengths compared with the
+    sorted ``want``.  Each
     factor is flattened once into its tails and heads (``core.id_arcs``);
     each arc (a, b) between host ids is gathered as the code a*N + b, by
     one set update per factor, and each arc touching another id as an

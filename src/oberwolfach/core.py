@@ -29,6 +29,10 @@ class Vertex(NamedTuple):
 
 
 _VERTEX_RE = re.compile(r"[xy](?:0|[1-9][0-9]*)")
+# a block number, length or exponent written with more digits is refused
+# before ``int()`` sees it (far below the interpreter's own 4300-digit
+# conversion limit)
+_MAX_SPEC_DIGITS = 300
 
 
 def clip(text: str, limit: int = 60) -> str:
@@ -41,8 +45,13 @@ def clip(text: str, limit: int = 60) -> str:
 
 def parse_vertex(token: str) -> Vertex:
     """The vertex a token names, accepting only the form ``Vertex.text``
-    writes: no whitespace, no leading zeros, ASCII digits."""
-    if not isinstance(token, str) or not _VERTEX_RE.fullmatch(token):
+    writes: no whitespace, no leading zeros, ASCII digits, and a block
+    number of at most ``_MAX_SPEC_DIGITS`` digits."""
+    if (
+        not isinstance(token, str)
+        or len(token) > _MAX_SPEC_DIGITS + 1
+        or not _VERTEX_RE.fullmatch(token)
+    ):
         raise ValueError(f"bad vertex token: {clip(repr(token))}")
     return Vertex(token[0], int(token[1:]))
 
@@ -209,9 +218,6 @@ def cycle_type_text(lengths: Iterable[int]) -> str:
 
 
 _SPEC_PART_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
-# a length or exponent written with more digits is refused before ``int()``
-# sees it (far below the interpreter's own 4300-digit conversion limit)
-_MAX_SPEC_DIGITS = 300
 
 
 def _parse_counts(text: str) -> list:

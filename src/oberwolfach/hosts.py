@@ -418,7 +418,10 @@ class _FoldTable(dict):
     def __init__(self, m: int):
         super().__init__()
         self.m = m
-        self.update(zip(range(2 * m + 4), map(self.__missing__, range(2 * m + 4))))
+        folded = [0] * (2 * m + 4)  # blocks b = 0..m+1 to b mod m
+        folded[0::2] = [*range(m), 0, 1 % m]  # x_b, J* id 2b
+        folded[1::2] = [*range(m, 2 * m), m, m + 1 % m]  # y_b, J* id 2b + 1
+        self.update(enumerate(folded))
 
     def __missing__(self, v: int) -> int:
         return (v >> 1) % self.m + (v & 1) * self.m

@@ -18,7 +18,7 @@ as the ``DirectedCycle`` and ``TwoRegularDigraph`` constructors order them,
 whatever order a read document's ids are in.
 
 Certificates are read by one reader, ``read_certificate`` (``from_json``
-is it applied to text), and ``verify`` hands its lists to the checker.
+is it applied to text), and ``verify`` hands its cycles to the checker.
 
 * **Schema first.**  Before anything is built, the field types are checked:
   ``n``, ``host.m``, ``seed`` (optional, default 0) and every
@@ -36,13 +36,21 @@ is it applied to text), and ``verify`` hands its lists to the checker.
   vertices, so a huge declared size allocates nothing; without it every
   token is outside, and ``verify`` refuses the document for naming too few
   vertices.
-* **One set per factor.**  A factor's ids are distinct when its id set is
-  as large as its total length.  A factor that fails this, has a cycle of
-  fewer than 2 vertices, or has a token that does not resolve, is read
-  again through the cycle and factor constructors, which raise the
-  error message for it (``repeated vertex in cycle ...``, ``cycles share
-  vertex ...``, ``cycle needs at least 2 vertices``, ``bad vertex token:
-  ...``), in the order the constructors meet them.
+* **Bytes up to 256 vertices.**  On the table path of a host of order
+  N <= 256 each cycle is read as one ``bytes``, an id per byte, and a
+  factor is a permutation of the host's ids when its joined bytes number N
+  and deleting them from ``bytes(range(N))`` leaves nothing: the test the
+  checker's column kernel makes.  Above 256, and for a factor with a token
+  outside the table, the cycles are lists of ids.
+* **One set per other factor.**  A factor that is not such a permutation is
+  distinct when its id set is as large as its total length.  A factor that
+  fails this, has a cycle of fewer than 2 vertices, or has a token that
+  does not resolve, is read again through the cycle and factor
+  constructors, which raise the error message for it (``repeated vertex in
+  cycle ...``, ``cycles share vertex ...``, ``cycle needs at least 2
+  vertices``, ``bad vertex token: ...``), in the order the constructors
+  meet them.  A permutation names all N ids, so only the other factors'
+  sets are joined to count the vertices the factors name.
 """
 
 from __future__ import annotations
@@ -52,11 +60,13 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .core import (
     CycleType,
     DirectedCycle,
+    Vertex,
     canonical_id_cycles,
     id_arcs,
     parse_vertex,
@@ -116,10 +126,16 @@ _SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
 
 @lru_cache(maxsize=1)
 def _quoted_tokens(host: HostDescriptor):
-    """The lookup of each vertex's JSON string by its id in ``host``'s
-    table: a list's ``__getitem__``, which ``map`` calls faster than a
-    tuple's."""
-    return [json.dumps(v.text()) for v in host.vertex_table].__getitem__
+    """``_quoted`` of ``host``'s vertex table."""
+    return _quoted(host.vertex_table)
+
+
+def _quoted(vertices):
+    """The lookup of each vertex's JSON string by its place in
+    ``vertices``, its text quoted by the function ``json.dumps`` calls on a
+    lone string: a list's ``__getitem__``, which ``map`` calls faster than
+    a tuple's."""
+    return list(map(encode_basestring_ascii, map(Vertex.text, vertices))).__getitem__
 
 
 def to_json(doc: FactorizationDocument) -> str:
@@ -133,8 +149,8 @@ def to_json(doc: FactorizationDocument) -> str:
     C encoder takes a lone scalar, and the cycle lengths, ints, through
     ``str``.  The factors, nearly all of the text, are written from their
     ids by nested ``str.join`` calls, one ``map`` over each factor's
-    cycles.  Each vertex is quoted by ``json.dumps(v.text())``, so the
-    escaping is the encoder's own; a document on its host's own vertex
+    cycles.  Each vertex is quoted by the encoder's own string quoting, as
+    ``json.dumps(v.text())`` quotes it; a document on its host's own vertex
     table (every solution) takes the quoted tokens kept for that host, one
     that names other vertices quotes its own."""
     dumps = json.dumps
@@ -145,7 +161,7 @@ def to_json(doc: FactorizationDocument) -> str:
     if host.kind in DESCRIBED_KINDS and doc.vertices is host.vertex_table:
         quoted = _quoted_tokens(host)
     else:
-        quoted = [dumps(v.text()) for v in doc.vertices].__getitem__
+        quoted = _quoted(doc.vertices)
     tokens = partial(map, quoted)  # a cycle's quoted vertices
     between = c3 + s2 + o3  # closes a cycle and opens the next
 
@@ -223,8 +239,9 @@ def _check_schema(data) -> None:
 
 
 def read_certificate(data) -> FactorizationDocument:
-    """Read a certificate's parsed JSON into vertex-id lists (see the module
-    docstring); raise ``ValueError`` or ``TypeError`` on malformed input."""
+    """Read a certificate's parsed JSON into vertex-id cycles, ``bytes`` or
+    lists (see the module docstring); raise ``ValueError`` or ``TypeError``
+    on malformed input."""
     _check_schema(data)
     spec = data["host"]
     host = HostDescriptor(spec["kind"], spec["m"])
@@ -264,13 +281,28 @@ def read_certificate(data) -> FactorizationDocument:
             raise
         return cycles
 
+    # an id of a host of order <= 256 fits in a byte
+    pack = bytes if table and host.order <= 256 else list
+    every = bytes(range(host.order)) if pack is bytes else b""
+    spans = False  # some factor is a permutation of the host's ids
     factors = []
     named: set = set()
     for factor in raw:
         try:
-            cycles = [list(map(lookup, tokens)) for tokens in factor]
+            cycles = [pack(map(lookup, tokens)) for tokens in factor]
         except (KeyError, TypeError):
             cycles = resolve(factor)
+        else:
+            if pack is bytes:
+                flat = b"".join(cycles)
+                if (
+                    len(flat) == len(every)
+                    and not every.translate(None, flat)
+                    and min(map(len, cycles)) >= 2
+                ):
+                    spans = True
+                    factors.append(cycles)
+                    continue
         ids: set = set()
         for c in cycles:
             ids.update(c)
@@ -278,6 +310,8 @@ def read_certificate(data) -> FactorizationDocument:
             two_regular_from_ids(cycles, vertices)  # raises
         named |= ids
         factors.append(cycles)
+    if spans:
+        named.update(every)
     return FactorizationDocument(
         n=data["n"],
         ftype=CycleType(data["factor_type"]),

@@ -615,6 +615,10 @@ SUPPLEMENTAL_2_4_4 = (
     ("(x0 y1 y0 x1)", "(x2 x3)", "(x4 y4 y2 y3)"),
 )
 
+# Every embedded piece's rows by its cycle type: the small decompositions
+# and the supplemental brick.
+PIECES = {**SMALL_DECOMPS, (2, 4, 4): SUPPLEMENTAL_2_4_4}
+
 
 @lru_cache(maxsize=None)
 def left_cap() -> LeftCap:
@@ -646,8 +650,10 @@ def _decomposition_from_rows(rows: tuple, m: int) -> AdmissibleDecomposition:
 
 @lru_cache(maxsize=None)
 def small_decomposition(lengths: tuple) -> AdmissibleDecomposition:
+    """The embedded piece of type ``lengths``: a small table or the
+    supplemental [2,4,4] brick (``PIECES``)."""
     key = tuple(sorted(lengths))
-    return _decomposition_from_rows(SMALL_DECOMPS[key], sum(key) // 2)
+    return _decomposition_from_rows(PIECES[key], sum(key) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -655,9 +661,8 @@ def figure_4_8_decomposition() -> AdmissibleDecomposition:
     return _decomposition_from_rows(FIGURE_4_8, 6)
 
 
-@lru_cache(maxsize=None)
 def supplemental_2_4_4() -> AdmissibleDecomposition:
-    return _decomposition_from_rows(SUPPLEMENTAL_2_4_4, 5)
+    return small_decomposition((2, 4, 4))
 
 
 def small_types():

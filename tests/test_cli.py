@@ -564,3 +564,29 @@ def test_verify_integer_of_thousands_of_digits_is_one_plain_line(capsys, tmp_pat
     code, err = _verify_text(capsys, tmp_path, text)
     _assert_malformed(code, err)
     assert err == "error: malformed input: an integer literal has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("digits", [300, 301, 5000])
+def test_verify_vertex_block_numbers_of_over_300_digits_are_bad_tokens(
+    capsys, tmp_path, digits
+):
+    """A block number of at most 300 digits names a foreign vertex, whose
+    arcs the report counts as extra; a longer one is a bad vertex token,
+    refused before ``int()`` meets the interpreter's digit limit."""
+    data = _solved_certificate(tmp_path)
+    token = "y" + "9" * digits
+    data["factors"][0][0][0] = token
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    if digits <= 300:
+        assert err == ""
+        details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+        assert details["coverage"] == "missing 2, extra 2"
+        assert details["spanning"] == "non-spanning factors: [0]"
+    else:
+        _assert_malformed(code, err)
+        assert err.startswith(f"error: malformed input: bad vertex token: '{token[:59]}")
+        assert f"({digits + 3} characters)" in err

@@ -172,14 +172,9 @@ _BOUNDARY = [("CompleteSymmetric", n) for n in (255, 256, 257)] + [
     (kind, m) for kind in ("WStar", "HStar") for m in (127, 128, 129)
 ]
 # corruptions after which every factor is still a permutation of the host
-# ids, and ones that send the check to the set kernel
+# ids, and ones after which some factor is not
 _PERMUTING = ("swap", "duplicate", "drop", "reorder", "split")
-_FALLING_BACK = ("repeated_id", "foreign_id", "one_cycle", "empty_factor")
-
-
-def _set_kernel_only():
-    """Within it, the column kernel declines every input."""
-    return mock.patch.object(checker, "_column_counts", lambda *args: None)
+_LOOSE = ("repeated_id", "foreign_id", "one_cycle", "empty_factor")
 
 
 def _column_kernel_only():
@@ -194,15 +189,16 @@ def _column_kernel_only():
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_column_and_set_kernels_agree_across_256(data):
-    """On hosts of order 254 to 258, the column kernel, the set kernel and
-    the reference give the same checks under corruptions that keep every
-    factor a permutation and under ones that force the fallback."""
+    """On hosts of order 254 to 258, the dispatched check equals the
+    reference, and up to 256 vertices the column kernel and the set kernel,
+    called on the same factors, count the same, under corruptions that keep
+    every factor a permutation and under ones that do not."""
     kind, size = data.draw(st.sampled_from(_BOUNDARY))
     host = HostDescriptor(kind, size)
     clean = _boundary(kind, size)
     ftype = CycleType(map(len, clean[0]))
     factors = [[list(c) for c in f] for f in clean]
-    ops = data.draw(st.lists(st.sampled_from(_PERMUTING + _FALLING_BACK), max_size=3))
+    ops = data.draw(st.lists(st.sampled_from(_PERMUTING + _LOOSE), max_size=3))
     for op in ops:
         if not factors:
             break
@@ -219,12 +215,49 @@ def test_column_and_set_kernels_agree_across_256(data):
         else:
             _corrupt(factors, op, data, host.order)
     expected = ref.verify_id_factorization(kind, size, factors, ftype).checks
-    if host.order <= 256 and set(ops) <= set(_PERMUTING):
-        with _column_kernel_only():
-            assert verify_id_factorization(host, factors, ftype).checks == expected
+    assert verify_id_factorization(host, factors, ftype).checks == expected
+    if host.order <= 256:
+        want = list(ftype.lengths)
+        column = checker._column_counts(host, factors, want)
+        assert column == checker._set_counts(host, host.order, factors, want)
+        assert checker._report(*column).checks == expected
+
+
+# hosts of at most 256 vertices, by a type to build or a boundary size:
+# solves of the complete host, its shifts at 256, small and boundary W* and
+# H* builds
+_COLUMN_HOSTS = (
+    ("CompleteSymmetric", "[4,6]"),
+    ("CompleteSymmetric", "[2,4,6,94]"),
+    ("CompleteSymmetric", "[4,250]"),
+    ("CompleteSymmetric", 256),
+    ("WStar", "[2,4,8]"),
+    ("HStar", "[4,6,8]"),
+    ("WStar", 127),
+    ("HStar", 128),
+)
+
+
+@pytest.mark.parametrize("op", _CORRUPTIONS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_the_column_kernel_decides_every_corruption(op, data):
+    """Up to 256 vertices the column kernel alone decides every check, also
+    of factors with foreign, negative or repeated ids, 1-cycles and empty
+    factors, and its report equals the reference's."""
+    kind, spec = data.draw(st.sampled_from(_COLUMN_HOSTS))
+    if isinstance(spec, int):
+        size, clean = spec, _boundary(kind, spec)
     else:
-        assert verify_id_factorization(host, factors, ftype).checks == expected
-    with _set_kernel_only():
+        size, clean = _real(kind, spec)
+    host = HostDescriptor(kind, size)
+    ftype = CycleType(map(len, clean[0]))
+    factors = [[list(c) for c in f] for f in clean]
+    for extra in [op] + data.draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=2)):
+        if factors:
+            _corrupt(factors, extra, data, host.order)
+    expected = ref.verify_id_factorization(kind, size, factors, ftype).checks
+    with _column_kernel_only():
         assert verify_id_factorization(host, factors, ftype).checks == expected
 
 
