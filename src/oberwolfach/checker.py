@@ -7,56 +7,49 @@ centre-piece tables.
 
 A factorization is checked by ``verify_id_factorization``, which sees only
 vertex ids: each factor is a list of cycles, each cycle a sequence of ints
-(a list, a tuple or ``bytes``), id i in 0..N-1 naming the host's vertex i (``hosts.HostDescriptor`` numbering, N
-the order) and every other id, negative ones too, a vertex outside the
-host.  It trusts nothing about how the lists were made.  It reports four
-checks from four counts over all factors: ``used`` arcs and ``distinct``
-ones (disjoint when equal), host arcs ``missing`` and ``extra`` arcs
-outside the host (coverage when both are 0), plus the factors that do not
-span and those of the wrong cycle type.  Two kernels count them; which one
-runs depends on the host alone.
+(a list, a tuple or ``bytes``), id i in 0..N-1 naming the host's vertex i
+(``hosts.HostDescriptor`` numbering, N the order) and every other id,
+negative ones too, a vertex outside the host.  It trusts nothing about
+how the lists were made.  It reports four checks from four counts over
+all factors: ``used`` arcs and ``distinct`` ones (disjoint when equal),
+host arcs ``missing`` and ``extra`` arcs outside the host (coverage when
+both are 0), plus the factors that do not span and those of the wrong
+cycle type.  One kernel, ``_column_counts``, counts them at every order;
+the order N picks only its table width.
 
-* **The column kernel** decides every check on a ``HostDescriptor`` of
-  order N <= 256, so that a host id fits in a byte; it counts with C-level
-  ``bytes`` operations and boxes no int per arc of a permutation.  A
-  factor that is a permutation of 0..N-1 becomes its successor table, the
-  heads of ids 0..N-1 in order; column v of the joined tables holds v's
-  heads in all those factors.  Any other factor (a foreign, negative or
-  repeated id, a short or empty factor, a 1-cycle) is walked arc by arc,
-  once: an arc between host ids adds its head to column v of its tail v,
-  and every other arc goes into a set of (tail, head) pairs.  This kernel
-  decides every check of a solve up to n = 254 -- the W* check, the H*
-  self-check (order 2m <= 254) and the final check -- and every ``verify``
-  of a described host up to 256 vertices.
-* **The set kernel** decides hosts of order N > 256.  Every arc between host
-  ids is encoded as one integer a*N + b, so the arcs of all factors are
-  gathered into one set of ints; an arc touching another id goes into a
-  small separate set of pairs.  Coverage is arc arithmetic -- the factors'
-  distinct arcs, less those outside the host, must number the host's arcs
-  -- so no host arc set is materialised.  A factor spans when its length
-  is N, every id is in 0..N-1, and its ids are distinct, counted by one
-  set per factor; so spanning does not rest on the cycle and factor
-  constructors having refused repeated or shared vertices.
+A factor that is a permutation of 0..N-1 becomes its successor table, the
+heads of ids 0..N-1 in order: ``bytes`` when N <= 256, so that an id fits
+in a byte, and an unsigned ``array('I')`` above.  Any other factor (a
+foreign, negative or repeated id, a short or empty factor) is walked arc
+by arc, once: an arc between host ids adds its head to column v of its
+tail v, and every other arc goes into a set of (tail, head) pairs.  A
+permutation has exactly one arc out of each v, to v's entry in its table,
+so column v of the joined tables, with the loose heads, holds the head of
+every arc out of v between host ids, with repeats.
 
-The two give the same report on any input.  A permutation factor has
-exactly one arc out of each vertex v, to v's entry in its table, so its
-arcs, grouped by tail, are its table's entries, and a loose factor's arcs
-between host ids are the heads it adds to the columns; either way column v
-holds the head of every arc out of v between host ids, with repeats.  The
-set kernel's codes are these arcs, and its pairs are the column kernel's
-pairs.  ``used`` counts every arc in both: N per permutation, a loose
-factor's length.  The distinct codes grouped by tail are, for each v, the
-number of distinct bytes in column v: N less the ids that deleting the
-column leaves; ``distinct`` adds the pairs to both.  A code is inside the
-host exactly when its head is in v's out-neighbours
-(``hosts.out_neighbour_bytes``, the same rule as ``arc_count`` and
-``count_outside_codes``), so the distinct codes inside number
-``host.arc_count`` less the out-neighbours that no column entry hits,
-which is ``missing`` in both; ``extra`` is the distinct codes outside,
-``distinct`` less those inside, plus the pairs.  A permutation spans in
-the set kernel too, and a loose factor does not: had it N distinct ids,
-all in 0..N-1, it would be a permutation.  The cycle-type check reads the
-same lengths in both.
+The counts follow.  ``used`` counts every arc: N per permutation, a loose
+factor's length.  v's distinct heads are the ids that deleting its column
+from ``bytes(range(N))`` removes, or the size of the wide column's
+``set``; ``distinct`` adds them up, and the pairs.  An arc out of v is
+inside the host exactly when its head is one of v's out-neighbours: every
+other id on the complete host, and on W* and H* the 9 or 4 heads of
+``hosts.out_neighbour_bytes``, written from the same rule as
+``arc_count``.  The column misses N - 1 - distinct + (v in column) of the
+complete host's arcs out of v, and the out-neighbours it lacks of a
+blow-up's; those add up to ``missing``.  The distinct arcs inside then
+number ``host.arc_count`` less ``missing``, and ``extra``, the distinct
+arcs outside, is ``distinct`` less those.  A permutation spans, and a
+loose factor does not: had it N distinct ids, all in 0..N-1, it would be
+a permutation.  The cycle-type check compares each factor's sorted cycle
+lengths with the type's.
+
+A wide table is unsigned on purpose: an id >= N fails as a tail, outside
+the table, and a negative one, which as a tail would index the table from
+its end, is refused as a head, since every id of a cycle is both.  Wide
+columns are read as ``set``s of ints; read as UTF-16 text, the heads
+0xD800 and 0xDC00 would join into one character.  The kernel decides
+every check of a solve -- the W* check, the H* self-check and the final
+check -- and of ``verify`` on a described host.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or
 asked for.  ``solve``, the W* check and the H* self-check build their
@@ -82,15 +75,16 @@ nonexistence claims and to cross-check the solver at order 6.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add
+from operator import setitem
 from typing import Iterable, Optional
 
 from .core import CycleType, canonical_id_cycles, cycle_type_text, id_arcs
 from .hosts import (
     BOUNDARY,
-    DESCRIBED_KINDS,
     HostDescriptor,
     _outside,
     admissible_ids,
@@ -173,15 +167,11 @@ def verify_id_factorization(
 
     Ids are integers; id i in 0..N-1 is the host's vertex i (N the order),
     and any other id, negative ones too, is a vertex outside it.  The arcs are
-    counted by the column kernel when the host is described with N <= 256
-    (``_column_counts``), and by the set kernel otherwise (``_set_counts``);
-    the module docstring says why the two give the same report.
+    counted by the column kernel (``_column_counts``); the module docstring
+    says why its counts are the per-arc ones.  A host with no arc rule
+    (``JStar``, an unknown kind) raises ``ValueError``.
     """
-    order = host.order
-    want = list(ftype.lengths)
-    if host.kind in DESCRIBED_KINDS and order <= 256:
-        return _report(*_column_counts(host, factors, want))
-    return _report(*_set_counts(host, order, factors, want))
+    return _report(*_column_counts(host, factors, list(ftype.lengths)))
 
 
 def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationReport:
@@ -201,25 +191,58 @@ def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationRepo
     return report
 
 
+# an unsigned slot's largest value: no host id, so it marks an empty slot
+_FILL = (1 << 8 * array("I").itemsize) - 1
+
+
+def _byte_table(cycles, ids: bytes):
+    """The successor table of a factor whose ids, joined as one ``bytes``,
+    are a permutation of ``ids``, 0..n-1 with n <= 256: ``bytes.maketrans``
+    of the factor's ids onto them shifted by one, with the last id of each
+    cycle sent back to its first; None for any other factor."""
+    try:
+        tails = b"".join(map(bytes, cycles))
+    except (ValueError, TypeError):  # an id outside 0..255
+        return None
+    n = len(ids)
+    if len(tails) != n or ids.translate(None, tails):
+        return None
+    table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
+    for c in cycles:
+        if c:
+            table[c[-1]] = c[0]
+    return table[:n]
+
+
+def _wide_table(cycles, n: int):
+    """The successor table of a factor whose n arcs have their tails in
+    0..n-1 and leave no slot of an ``array('I')`` of ``_FILL`` empty, which
+    makes the tails a permutation; None for any other factor.  An id >= n
+    is refused as a tail index, a negative one as an unsigned head: every
+    id of a cycle is both."""
+    tails, heads = id_arcs(cycles)
+    if len(tails) != n:
+        return None
+    table = array("I", [_FILL]) * n
+    try:
+        deque(map(setitem, repeat(table), tails, heads), maxlen=0)
+    except (IndexError, OverflowError):
+        return None
+    return None if _FILL in table else table
+
+
 def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple:
     """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
-    described host of order N <= 256, by bytes, the cycle lengths compared
-    with the sorted ``want``.
-
-    A factor's ids as one ``bytes``, ``tails``, are a permutation when
-    there are N of them and deleting them from ``ids`` leaves nothing.  Its
-    successor table in id order is then ``bytes.maketrans`` of ``tails``
-    onto ``tails`` shifted by one, with the last id of each cycle sent back
-    to its first.  Any other factor does not span; its arcs between host
-    ids add their heads to ``loose[tail]``, the others go into ``pairs``.
-    The tables are joined into one grid whose column v, ``grid[v::N]`` and
-    ``loose[v]``, holds v's heads in every factor: deleting the column from
-    ``ids`` counts v's distinct heads, and deleting it from v's
-    out-neighbours (``hosts.out_neighbour_bytes``) counts the ones it
-    misses."""
+    described host of order N, the cycle lengths compared with the sorted
+    ``want``, counted as the module docstring says: each permutation's
+    successor table (``_byte_table`` up to 256 ids, ``_wide_table``
+    above) is appended to ``grid``, whose column v, ``grid[v::N]``, gets
+    ``loose[v]``, the heads of v's arcs in the other factors."""
     n = host.order
-    ids = bytes(range(n))
-    tables = []
+    arc_count = host.arc_count  # refuses a kind with no arc rule
+    narrow = n <= 256
+    ids = bytes(range(n)) if narrow else None
+    grid = bytearray() if narrow else array("I")
     loose = None  # the heads of loose arcs by tail, once a loose factor is met
     pairs: set = set()
     used = 0
@@ -229,21 +252,14 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
         lengths = sorted(map(len, cycles))
         if lengths != want:
             wrong.append((i, cycle_type_text(lengths)))
-        try:
-            tails = b"".join(map(bytes, cycles))
-        except (ValueError, TypeError):  # an id outside 0..255
-            tails = b""
-        if len(tails) == n and not ids.translate(None, tails):
-            table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
-            for c in cycles:
-                if c:
-                    table[c[-1]] = c[0]
-            tables.append(table[:n])
+        table = _byte_table(cycles, ids) if narrow else _wide_table(cycles, n)
+        if table is not None:
+            grid += table
             used += n
             continue
         spanning.append(i)
         if loose is None:
-            loose = [bytearray() for _ in ids]
+            loose = [[] for _ in range(n)]
         tails, heads = id_arcs(cycles)
         used += len(tails)
         for a, b in zip(tails, heads):
@@ -251,63 +267,29 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
                 loose[a].append(b)
             else:
                 pairs.add((a, b))
-    grid = b"".join(tables)
+    rows = None
+    if host.kind != "CompleteSymmetric":
+        rows = out_neighbour_bytes(host.kind, host.m_or_n)
     distinct = missing = 0
-    for v, nbr in enumerate(out_neighbour_bytes(host.kind, host.m_or_n)):
-        col = grid[v::n] if loose is None else grid[v::n] + loose[v]
-        distinct += n - len(ids.translate(None, col))
-        missing += len(nbr.translate(None, col))
+    for v in range(n):
+        col = grid[v::n]
+        if loose is not None:
+            col.extend(loose[v])
+        if narrow:  # the ids that deleting the column removes
+            found = n - len(ids.translate(None, col))
+        else:
+            col = set(col)
+            found = len(col)
+        distinct += found
+        if rows is None:  # every other id is an out-neighbour
+            missing += n - 1 - found + (v in col)
+        elif narrow:
+            missing += len(rows[v].translate(None, col))
+        else:
+            missing += len(rows[v]) - len(col.intersection(rows[v]))
     # the distinct arcs inside the host number its arcs less the missing ones
-    extra = distinct - (host.arc_count - missing) + len(pairs)
+    extra = distinct - (arc_count - missing) + len(pairs)
     return used, distinct + len(pairs), missing, extra, spanning, wrong
-
-
-def _set_counts(host: HostDescriptor, order: int, factors: Iterable, want: list) -> tuple:
-    """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
-    host of order N > 256, any ids, the cycle lengths compared with the
-    sorted ``want``.  Each
-    factor is flattened once into its tails and heads (``core.id_arcs``);
-    each arc (a, b) between host ids is gathered as the code a*N + b, by
-    one set update per factor, and each arc touching another id as an
-    (a, b) pair.  Only ``host.arc_count`` and ``host.count_outside_codes``
-    are asked of the host, so its arc set is never built or copied here.  A
-    factor spans when its length and its count of distinct ids are both N
-    and every id is in 0..N-1."""
-    row = [a * order for a in range(order)].__getitem__
-    codes: set = set()
-    pairs: set = set()
-    used = 0
-    spanning = []
-    wrong = []
-    for i, cycles in enumerate(factors):
-        lengths = sorted(map(len, cycles))
-        tails, heads = id_arcs(cycles)
-        size = len(tails)
-        used += size
-        named = set(tails)
-        inside = not named or (min(named) >= 0 and max(named) < order)
-        if inside:
-            codes.update(map(add, map(row, tails), heads))
-        else:
-            _gather_foreign(tails, heads, order, codes, pairs)
-        if size != order or len(named) != size or not inside:
-            spanning.append(i)
-        if lengths != want:
-            wrong.append((i, cycle_type_text(lengths)))
-    outside = host.count_outside_codes(codes)
-    missing = host.arc_count - (len(codes) - outside)
-    return used, len(codes) + len(pairs), missing, outside + len(pairs), spanning, wrong
-
-
-def _gather_foreign(tails: list, heads: list, order: int, codes: set, pairs: set) -> None:
-    """Add the arcs ``zip(tails, heads)`` of a factor that names an id
-    outside 0..``order``-1: arcs between host ids as codes, the others as
-    (tail, head) pairs."""
-    for a, b in zip(tails, heads):
-        if 0 <= a < order and 0 <= b < order:
-            codes.add(a * order + b)
-        else:
-            pairs.add((a, b))
 
 
 def verify_admissible_decomposition(

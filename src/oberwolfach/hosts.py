@@ -50,35 +50,23 @@ in O(1):
 ``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
 by C-level set calls, and keeps the last one: ``admissible_ids`` tests one
 superset of it per factor, and ``_outside`` returns the id pairs whose code
-it lacks.  ``count_outside_codes``, run once per check, is one set
-difference with the rule's ranges themselves, so no W* or H* set is kept.
-``out_neighbour_bytes(kind, size)`` writes a host of order at most 256 as
-one ``bytes`` per id, its out-neighbours, a byte holding one id: every
-other id for the complete host, and for W* and H* one slice per range of
-the rule, so each rule is still written once.  The checker's column kernel
-counts each vertex's missing heads against these bytes; one order's three
-hosts (the complete host, W* and H* on the same 2m ids) are kept.
-``admissible_ids`` decides whether cycles of J* ids are an admissible
-factor of the opened host: 2m distinct ids, one of each boundary pair
-{b, b + 2m}, every arc inside.
+it lacks.  ``out_neighbour_bytes(kind, m)`` writes W* or H* as one row of
+out-neighbours per id, by one slice per range of the rule, so each rule is
+still written once: a byte per id up to 256 ids, an unsigned
+``array('I')`` above.  The checker's column kernel counts each vertex's
+missing heads against these rows; the complete host needs none, since
+every other id is an out-neighbour.  ``admissible_ids`` decides whether
+cycles of J* ids are an admissible factor of the opened host: 2m distinct
+ids, one of each boundary pair {b, b + 2m}, every arc inside.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
 certificate.  ``vertex_table`` holds one interned ``Vertex`` per host id,
 ``vertex_ids`` is the inverse and ``id_by_text`` maps ``"x3"`` to the id;
-descriptors with the same x and y counts share them.  The checker's set
-kernel encodes an arc (a, b) of ids as the integer a*N + b, N the order;
-its column kernel reads ``out_neighbour_bytes`` instead.
-
-Besides the numbering the descriptor gives ``arc_count`` (n(n-1), 8m or
-18m, by arithmetic) and ``count_outside_codes``, the number of given arc
-codes that are not host arcs.  For the complete host that is the number of
-loops, found by one set intersection; for a blow-up it is one set
-difference with the ranges of its rule, which walks its 8m or 18m codes, as
-many as the host has arcs (``verify`` refuses a host larger than its
-document before the checker sees it).  These two, the numbering and
-``out_neighbour_bytes`` are all that the checker asks of a host.  The descriptor
-refuses the sizes the builders refuse, with their messages.
+descriptors with the same x and y counts share them.  Besides the
+numbering it gives ``arc_count`` (n(n-1), 8m or 18m, by arithmetic); these
+two and ``out_neighbour_bytes`` are all that the checker asks of a host.
+The descriptor refuses the sizes the builders refuse, with their messages.
 
 The builders (``complete_symmetric``, ``h_star``, ``w_star``, ``j_star``)
 make ``Digraph``s of vertex objects for library callers; the tests compare
@@ -87,6 +75,7 @@ the rules above with them.  Nothing in the package builds them.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, permutations, repeat, starmap
@@ -106,8 +95,8 @@ DESCRIBED_KINDS = frozenset(_LEAST_SIZE)
 
 @dataclass(frozen=True)
 class HostDescriptor:
-    """A host by kind and size: its vertex numbering, ``arc_count`` and
-    ``count_outside_codes``, without building its arc set.
+    """A host by kind and size: its vertex numbering and ``arc_count``,
+    without building its arc set.
     JStar, checked by ``verify_admissible_decomposition``, is only named
     (and has an ``order``), not described."""
 
@@ -179,16 +168,6 @@ class HostDescriptor:
         if self.kind == "WStar":
             return 18 * size
         return size * (size - 1)
-
-    def count_outside_codes(self, codes: set) -> int:
-        """How many arc codes a*N + b in ``codes`` (a, b vertex ids, N the
-        order) are not host arcs."""
-        n = self.order
-        if self.kind == "CompleteSymmetric":
-            # distinct host vertices are always joined, so only loops are outside
-            return len(codes.intersection(range(0, n * n, n + 1)))
-        self._described()
-        return len(codes.difference(*_ranges(self.kind, self.m_or_n)))
 
 
 @lru_cache(maxsize=4)
@@ -321,13 +300,12 @@ def arc_codes(kind: str, m: int) -> frozenset:
     return frozenset(chain.from_iterable(_ranges(kind, m)))
 
 
-@lru_cache(maxsize=3)
-def out_neighbour_bytes(kind: str, size: int) -> tuple:
-    """Each host id's out-neighbours, as one ``bytes`` per id in id order,
-    for a described host (``"CompleteSymmetric"`` n, ``"WStar"`` or
-    ``"HStar"`` m) of order at most 256: every other id for the complete
-    host, one slice of the ids written twice, and for a blow-up the heads
-    of its rule's ranges.
+@lru_cache(maxsize=2)
+def out_neighbour_bytes(kind: str, m: int) -> tuple:
+    """Each host id's out-neighbours on the blow-up ``kind`` (``"WStar"``
+    or ``"HStar"``) on m blocks, one row per id in id order: a
+    ``bytearray`` when the 2m ids fit in a byte, an unsigned ``array('I')``
+    otherwise.
 
     A blow-up is out-regular, k = 9 (W*) or 4 (H*) heads per id, and both
     ids of a range's codes step by one, so a range is a run of tails
@@ -335,22 +313,20 @@ def out_neighbour_bytes(kind: str, size: int) -> tuple:
     code, fill k rows of n heads indexed by tail: each run is one slice of
     ``ids`` written into the first row filled up to the run's first tail,
     and since every id has k heads, such a row always exists.  Column a of
-    the joined rows, ``grid[a::n]``, is then a's k heads.  One order's
-    three hosts are kept; the result must not be mutated."""
-    if kind == "CompleteSymmetric":
-        twice = bytes(range(size)) * 2  # the size - 1 ids after v, mod size
-        return tuple(twice[v + 1 : v + size] for v in range(size))
-    n = _width(kind, size)
-    ids = bytes(range(n))
-    runs = sorted(_ranges(kind, size), key=attrgetter("start"))
+    the joined rows, ``grid[a::n]``, is then a's k heads.  One order's two
+    hosts are kept; the result must not be mutated."""
+    n = _width(kind, m)
+    runs = sorted(_ranges(kind, m), key=attrgetter("start"))
     ends = [0] * (sum(map(len, runs)) // n)  # each row's first tail not yet filled
-    grid = bytearray(len(ends) * n)
+    if n <= 256:
+        ids, grid = bytes(range(n)), bytearray(len(ends) * n)
+    else:
+        ids, grid = array("I", range(n)), array("I", [0]) * (len(ends) * n)
     for run in runs:
         a, b = divmod(run.start, n)
         row = ends.index(a)
         grid[row * n + a : row * n + a + len(run)] = ids[b : b + len(run)]
         ends[row] += len(run)
-    grid = bytes(grid)
     return tuple(grid[a::n] for a in range(n))
 
 

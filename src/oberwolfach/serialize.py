@@ -31,7 +31,9 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
   the table must still be written as ``Vertex.text`` writes it (``x0``,
   ``y12``: no whitespace, no leading zeros) or the document is malformed;
   such a token names a vertex outside the host, which gets the id N + k,
-  one per distinct vertex, and the checker then reports it.  The table is
+  one per distinct vertex, and the checker then reports it.  The document
+  keeps the host's own vertex table until the first such token, so that
+  ``to_json`` writes it with the host's quoted tokens.  The table is
   used only when the document has at least as many tokens as the host has
   vertices, so a huge declared size allocates nothing; without it every
   token is outside, and ``verify`` refuses the document for naming too few
@@ -40,8 +42,9 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
   N <= 256 each cycle is read as one ``bytes``, an id per byte, and a
   factor is a permutation of the host's ids when its joined bytes number N
   and deleting them from ``bytes(range(N))`` leaves nothing: the test the
-  checker's column kernel makes.  Above 256, and for a factor with a token
-  outside the table, the cycles are lists of ids.
+  checker's column kernel makes on its byte tables.  Above 256, and for a
+  factor with a token outside the table, the cycles are lists of ids, which
+  the kernel scatters into its wide tables.
 * **One set per other factor.**  A factor that is not such a permutation is
   distinct when its id set is as large as its total length.  A factor that
   fails this, has a cycle of fewer than 2 vertices, or has a token that
@@ -252,14 +255,18 @@ def read_certificate(data) -> FactorizationDocument:
         map(len, chain.from_iterable(raw))
     ):
         table = host.id_by_text
-        vertices = list(host.vertex_table)
+        vertices = host.vertex_table  # copied at the first foreign token
     lookup = table.__getitem__
     foreign_ids = {}
 
     def foreign_id(token) -> int:
+        nonlocal vertices
         i = foreign_ids.get(token)
         if i is None:
-            vertices.append(parse_vertex(token))
+            vertex = parse_vertex(token)
+            if isinstance(vertices, tuple):  # the host's table, shared
+                vertices = list(vertices)
+            vertices.append(vertex)
             i = foreign_ids[token] = len(vertices) - 1
         return i
 

@@ -42,12 +42,12 @@ class DomainError(ValueError):
     """Input outside the solvable domain (not a nonexistence result)."""
 
 
-# A certificate of order n holds n(n-1) arcs, and the final check gathers
-# them all as integer codes.  Measured under CPython 3.11 on x86-64, solve
-# plus to_json of [n] peaks near 84 bytes per arc (95 MB at n = 1002,
-# 335 MB at n = 2002, one process each).  At n = 4002 (16 million arcs)
-# solve took 12.9 s and solve plus to_json peaked at 1.24 GB, measured
-# once; larger orders are refused up front.
+# A certificate of order n holds n(n-1) arcs.  Measured under CPython 3.11
+# on x86-64, one process each: at n = 4002 (16 million arcs) solve of [n]
+# took 4.0-4.4 s and peaked at 221 MB, its final check holding one 32-bit
+# successor table per factor, and solve plus to_json peaked at 664 MB, most
+# of it the certificate text of over 260 MB; larger orders are refused up
+# front.
 MAX_ORDER = 4002
 
 

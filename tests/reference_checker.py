@@ -4,8 +4,9 @@ code sets: one set update per cycle, and one Python loop per arc that
 decodes each code and tests the rule.
 
 The package no longer runs these; the tests keep them as the reference
-that both kernels of ``checker.verify_id_factorization`` must match check
-for check, and that ``hosts.arc_codes`` must match pair for pair.  An id
+that ``checker.verify_id_factorization`` must match check for check, with
+byte and with wide tables, and that ``hosts.arc_codes`` must match pair
+for pair.  An id
 outside 0..N-1, a negative one too, names a vertex outside the host.
 """
 

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oberwolfach.checker import verify_factorization
-from oberwolfach.cli import build_parser, main
+from oberwolfach.checker import VerificationReport, verify_factorization
+from oberwolfach.cli import _report_json, build_parser, main
 from oberwolfach.core import parse_cycle_type, parse_vertex
 from oberwolfach.serialize import from_json, to_json
 
@@ -197,6 +199,24 @@ def test_main_callable_directly(capsys, tmp_path):
     out = tmp_path / "x.json"
     assert main(["solve", "--n", "6", "--factor", "[2,4]", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["verified"] is True
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    checks=st.lists(
+        st.tuples(st.text(max_size=6), st.booleans(), st.text(max_size=12)),
+        max_size=5,
+    )
+)
+def test_the_verify_report_is_json_dumps_with_indent_2(checks):
+    """``verify`` writes its report in a fixed layout, byte for byte as
+    ``json.dumps(report.to_json(), indent=2)`` writes it: any names and
+    details, non-ASCII, quotes and control characters included, and no
+    checks at all."""
+    report = VerificationReport()
+    for name, ok, detail in checks:
+        report.add(name, ok, detail)
+    assert _report_json(report) == json.dumps(report.to_json(), indent=2)
 
 
 def test_verify_other_host_kinds(capsys, tmp_path):

@@ -1,3 +1,4 @@
+from array import array
 from itertools import chain
 
 import pytest
@@ -231,9 +232,7 @@ def _described_and_built():
 def test_descriptor_matches_built_host():
     """Vertex set and arc count agree with the built host.  The numbering
     is the sort order (x_i -> i, then y_i), onto one interned object per
-    vertex, each text names its vertex's id, and the outside count over arc
-    codes a*N + b, loops included, agrees with the built host's arcs on
-    every code."""
+    vertex, and each text names its vertex's id."""
     for desc, host in _described_and_built():
         assert desc.vertices == host.vertices, desc
         assert desc.arc_count == len(host.arcs), desc
@@ -241,13 +240,6 @@ def test_descriptor_matches_built_host():
         assert list(table) == sorted(host.vertices), desc
         assert desc.vertex_ids == {v: i for i, v in enumerate(table)}, desc
         assert desc.id_by_text == {v.text(): i for i, v in enumerate(table)}, desc
-        n = len(table)
-        codes = set(range(n * n))
-        outside = n * n - len(host.arcs)
-        assert desc.count_outside_codes(codes) == outside, desc
-        for c in codes:
-            expected = Arc(table[c // n], table[c % n]) not in host.arcs
-            assert desc.count_outside_codes({c}) == expected, (desc, c)
     assert HostDescriptor("HStar", 7).vertex_table is HostDescriptor(
         "CompleteSymmetric", 14
     ).vertex_table
@@ -277,30 +269,23 @@ def _per_arc_out_neighbours(kind, m):
     of the rule's ranges decoded into its tail and head, one arc at a
     time."""
     n = 2 * m
-    heads = [bytearray() for _ in range(n)]
+    heads = [[] for _ in range(n)]
     for code in chain.from_iterable(hosts._ranges(kind, m)):
         a, b = divmod(code, n)
         heads[a].append(b)
-    return [bytes(h) for h in heads]
+    return heads
 
 
 @pytest.mark.parametrize("kind, least, k", [("WStar", 5, 9), ("HStar", 3, 4)])
 def test_out_neighbour_bytes_match_the_per_arc_reference(kind, least, k):
     """Built by runs, each id's out-neighbours are the reference's head
-    set, k distinct heads, for every order 2m up to 256."""
-    for m in range(least, 129):
+    set, k distinct heads, for every order 2m up to 256 as bytes and for
+    some larger orders as an unsigned ``array('I')``."""
+    for m in [*range(least, 129), 129, 130, 257, 1001]:
         got = out_neighbour_bytes(kind, m)
         want = _per_arc_out_neighbours(kind, m)
         assert len(got) == len(want) == 2 * m, (kind, m)
+        assert isinstance(got[0], array) == (m > 128), (kind, m)
         for a, (heads, expected) in enumerate(zip(got, want)):
             assert len(heads) == len(set(heads)) == k, (kind, m, a)
             assert set(heads) == set(expected), (kind, m, a)
-
-
-def test_out_neighbour_bytes_of_the_complete_host():
-    """Every other id, each once, for every order up to 256."""
-    for n in range(2, 257):
-        got = out_neighbour_bytes("CompleteSymmetric", n)
-        assert len(got) == n
-        for v, heads in enumerate(got):
-            assert len(heads) == n - 1 and set(heads) == set(range(n)) - {v}, (n, v)

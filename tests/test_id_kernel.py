@@ -1,16 +1,14 @@
-"""The checker's column and set kernels and the host rules' code sets
-against the per-cycle, per-arc reference in ``reference_checker.py``."""
+"""The checker's column kernel, at both widths, and the host rules' code
+sets against the per-cycle, per-arc reference in ``reference_checker.py``."""
 
 import functools
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checker as ref
-from oberwolfach import checker
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.checker import verify_id_factorization
 from oberwolfach.core import CycleType, parse_cycle_type
@@ -134,16 +132,42 @@ def test_code_sets_equal_the_rules_to_41():
 def test_a_negative_id_is_foreign():
     """A negative id is a vertex outside the host, like an id above it: its
     arcs are extra and the host arcs it stands for are missing, in the
-    kernel and in the reference alike."""
-    host = HostDescriptor("CompleteSymmetric", 4)
+    kernel and in the reference alike, with byte and with wide tables.  A
+    factor naming -1 in place of N - 1 has N tails that would fill every
+    slot of a table indexed from its end; the unsigned wide table refuses
+    -1 as a head, so the factor does not span."""
     ftype = parse_cycle_type("[2,2]")
-    for foreign in (-1, 5):
-        factors = [[[0, foreign]], [[1, 2]]]
+    for n in (4, 258):
+        host = HostDescriptor("CompleteSymmetric", n)
+        for foreign in (-1, n + 1):
+            factors = [[[0, foreign]], [[1, 2]]]
+            report = verify_id_factorization(host, factors, ftype)
+            detail = f"missing {n * (n - 1) - 2}, extra 2"
+            assert report.checks[1] == ("coverage", False, detail)
+            assert report.checks == ref.verify_id_factorization(
+                "CompleteSymmetric", n, factors, ftype
+            ).checks
+    for n in (10, 258):
+        host = HostDescriptor("CompleteSymmetric", n)
+        factors = _shift_factors(n)
+        factors[0] = [[*range(n - 1), -1]]
+        ftype = CycleType([n])
         report = verify_id_factorization(host, factors, ftype)
-        assert report.checks[1] == ("coverage", False, "missing 10, extra 2")
+        assert report.checks[2] == ("spanning", False, "non-spanning factors: [0]")
         assert report.checks == ref.verify_id_factorization(
-            "CompleteSymmetric", 4, factors, ftype
+            "CompleteSymmetric", n, factors, ftype
         ).checks
+
+
+def test_a_host_with_no_arc_rule_is_refused():
+    """The opened host and an unknown kind have no rule to count against:
+    the check raises, as it always has, whatever the factors."""
+    ftype = parse_cycle_type("[10]")
+    for kind in ("JStar", "Nowhere"):
+        host = HostDescriptor(kind, 3)
+        for factors in ([], [[list(range(10))]]):
+            with pytest.raises(ValueError, match=f"no arc rule for host kind '{kind}'"):
+                verify_id_factorization(host, factors, ftype)
 
 
 def _shift_factors(n):
@@ -158,8 +182,9 @@ def _shift_factors(n):
 
 @functools.lru_cache(maxsize=None)
 def _boundary(kind, size):
-    """A factorization of a host of order near 256, the column kernel's
-    largest: the shifts on the complete host, the real W* and H* builds."""
+    """A factorization of a host of order near 256, where the kernel's
+    tables change from bytes to ``array('I')``: the shifts on the complete
+    host, the real W* and H* builds."""
     if kind == "CompleteSymmetric":
         return _shift_factors(size)
     ftype = parse_cycle_type(f"[4,{2 * size - 4}]")
@@ -177,22 +202,12 @@ _PERMUTING = ("swap", "duplicate", "drop", "reorder", "split")
 _LOOSE = ("repeated_id", "foreign_id", "one_cycle", "empty_factor")
 
 
-def _column_kernel_only():
-    """Within it, reaching the set kernel fails the test."""
-
-    def refuse(*args):
-        raise AssertionError("the set kernel decided")
-
-    return mock.patch.object(checker, "_set_counts", refuse)
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
-def test_column_and_set_kernels_agree_across_256(data):
-    """On hosts of order 254 to 258, the dispatched check equals the
-    reference, and up to 256 vertices the column kernel and the set kernel,
-    called on the same factors, count the same, under corruptions that keep
-    every factor a permutation and under ones that do not."""
+def test_the_kernel_matches_the_reference_across_widths(data):
+    """On hosts of order 254 to 258, on both sides of the change from byte
+    to wide tables, the check equals the reference, under corruptions that
+    keep every factor a permutation and under ones that do not."""
     kind, size = data.draw(st.sampled_from(_BOUNDARY))
     host = HostDescriptor(kind, size)
     clean = _boundary(kind, size)
@@ -216,11 +231,89 @@ def test_column_and_set_kernels_agree_across_256(data):
             _corrupt(factors, op, data, host.order)
     expected = ref.verify_id_factorization(kind, size, factors, ftype).checks
     assert verify_id_factorization(host, factors, ftype).checks == expected
-    if host.order <= 256:
-        want = list(ftype.lengths)
-        column = checker._column_counts(host, factors, want)
-        assert column == checker._set_counts(host, host.order, factors, want)
-        assert checker._report(*column).checks == expected
+
+
+def _corrupted_copies(clean, order):
+    """``clean`` itself, then one copy per kind of corruption, each made
+    the same way every run: a swap, a dropped and a repeated factor, the
+    factors reordered and rotated, a 1-cycle split off a cycle, a repeated
+    id, an id above the host and a negative one, an empty factor."""
+    copy = [[list(c) for c in f] for f in clean]
+    yield copy
+    swap = [[list(c) for c in f] for f in clean]
+    c = max(swap[1], key=len)
+    c[0], c[1] = c[1], c[0]
+    yield swap
+    yield copy[1:]
+    yield [copy[0], *copy[:-1]]
+    yield [[c[1:] + c[:1] for c in f] for f in reversed(copy)]
+    split = [[list(c) for c in f] for f in clean]
+    c = split[2].pop()
+    split[2] += [c[:1], c[1:]]
+    yield split
+    for old, new in ((1, 0), (order - 1, order + 2), (order - 1, -1)):
+        bad = [[list(c) for c in f] for f in clean]
+        bad[-1] = [[new if v == old else v for v in c] for c in bad[-1]]
+        yield bad
+    yield [*copy, []]
+
+
+@pytest.mark.parametrize(
+    "kind, size, spec",
+    [
+        ("CompleteSymmetric", 1002, None),
+        ("WStar", 1001, "[4,6,1992]"),
+        ("HStar", 1001, "[2002]"),
+    ],
+)
+def test_the_kernel_matches_the_reference_at_n_1002_and_2002(kind, size, spec):
+    """Far above 256 ids, on the shifts of the complete host of order 1002
+    and on W* and H* of order 2002, every kind of corruption gives the
+    reference's report."""
+    if kind == "CompleteSymmetric":
+        clean = _shift_factors(size)
+    elif kind == "WStar":
+        clean = w_star_id_factors(parse_cycle_type(spec))
+    else:
+        clean = factorize_h_star(parse_cycle_type(spec), size).id_factors
+    host = HostDescriptor(kind, size)
+    ftype = CycleType(map(len, clean[0]))
+    for factors in _corrupted_copies(clean, host.order):
+        expected = ref.verify_id_factorization(kind, size, factors, ftype).checks
+        assert verify_id_factorization(host, factors, ftype).checks == expected
+
+
+def _redirect(cycles, v, w):
+    """The permutation ``cycles`` with v sent to w: v and w's old tail swap
+    heads, so the factor stays a permutation of the same ids."""
+    succ = {a: b for c in cycles for a, b in zip(c, c[1:] + c[:1])}
+    u = next(a for a, b in succ.items() if b == w)
+    succ[v], succ[u] = w, succ[v]
+    out = []
+    while succ:
+        c = [next(iter(succ))]
+        while succ[c[-1]] != c[0]:
+            c.append(succ.pop(c[-1]))
+        succ.pop(c[-1])
+        out.append(c)
+    return out
+
+
+def test_heads_in_the_utf16_surrogate_range_stay_distinct():
+    """On H* of order 57,400, whose ids cover 0xD800..0xDFFF, one column
+    holds the heads 0xD800 and 0xDC00 from two factors that are still
+    permutations.  They are two vertices; a column read as UTF-16 text
+    would pair them into one character and count one head."""
+    m = 28700
+    clean = factorize_h_star(parse_cycle_type(f"[4,{2 * m - 4}]"), m).id_factors
+    ftype = CycleType(map(len, clean[0]))
+    factors = [[list(c) for c in f] for f in clean]
+    factors[0] = _redirect(factors[0], 7, 0xD800)
+    factors[1] = _redirect(factors[1], 7, 0xDC00)
+    expected = ref.verify_id_factorization("HStar", m, factors, ftype).checks
+    report = verify_id_factorization(HostDescriptor("HStar", m), factors, ftype)
+    assert report.checks == expected
+    assert not report.passed and "spanning" not in dict(report.failures())
 
 
 # hosts of at most 256 vertices, by a type to build or a boundary size:
@@ -242,9 +335,9 @@ _COLUMN_HOSTS = (
 @settings(max_examples=25, deadline=None, database=None)
 @given(data=st.data())
 def test_the_column_kernel_decides_every_corruption(op, data):
-    """Up to 256 vertices the column kernel alone decides every check, also
-    of factors with foreign, negative or repeated ids, 1-cycles and empty
-    factors, and its report equals the reference's."""
+    """Up to 256 vertices, on byte tables, the report equals the
+    reference's, also for factors with foreign, negative or repeated ids,
+    1-cycles and empty factors."""
     kind, spec = data.draw(st.sampled_from(_COLUMN_HOSTS))
     if isinstance(spec, int):
         size, clean = spec, _boundary(kind, spec)
@@ -257,24 +350,22 @@ def test_the_column_kernel_decides_every_corruption(op, data):
         if factors:
             _corrupt(factors, extra, data, host.order)
     expected = ref.verify_id_factorization(kind, size, factors, ftype).checks
-    with _column_kernel_only():
-        assert verify_id_factorization(host, factors, ftype).checks == expected
+    assert verify_id_factorization(host, factors, ftype).checks == expected
 
 
 @pytest.mark.parametrize(
     "n, spec", [(10, "[4,6]"), (38, "[38]"), (106, "[2,4,6,94]"), (254, "[4,250]")]
 )
 def test_the_column_kernel_decides_clean_solves_and_permuting_corruptions(n, spec):
-    """Every check of a solve up to n = 254 -- the W* check, the H*
-    self-check and the final check -- and of its swap, drop and duplicate
-    corruptions runs in the column kernel, and the corruptions fail it."""
+    """A solve up to n = 254 passes all its checks -- the W* check, the H*
+    self-check and the final check -- on byte tables, and its swap, drop
+    and duplicate corruptions fail the final one."""
     ftype = parse_cycle_type(spec)
-    with _column_kernel_only():
-        factors = solve(n, ftype).id_factors
-        host = HostDescriptor("CompleteSymmetric", n)
-        assert verify_id_factorization(host, factors, ftype).passed
-        swapped = [[list(c) for c in f] for f in factors]
-        cycle = max(swapped[0], key=len)
-        cycle[0], cycle[1] = cycle[1], cycle[0]
-        for corrupted in (swapped, factors[1:], [factors[0], *factors[:-1]]):
-            assert not verify_id_factorization(host, corrupted, ftype).passed
+    factors = solve(n, ftype).id_factors
+    host = HostDescriptor("CompleteSymmetric", n)
+    assert verify_id_factorization(host, factors, ftype).passed
+    swapped = [[list(c) for c in f] for f in factors]
+    cycle = max(swapped[0], key=len)
+    cycle[0], cycle[1] = cycle[1], cycle[0]
+    for corrupted in (swapped, factors[1:], [factors[0], *factors[:-1]]):
+        assert not verify_id_factorization(host, corrupted, ftype).passed

@@ -187,24 +187,6 @@ def test_id_host_rules_match_the_object_references(data):
             assert ((a, b) not in w_out) == _ref_in_w_star(arc, m), (m, a, b)
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(m=st.integers(5, 13), size=st.integers(1, 60))
-def test_descriptor_counts_outside_codes_by_the_rules(m, size):
-    """``count_outside_codes`` of the blow-ups, a difference with the rule's
-    code set, agrees with the object references on codes spread over the
-    order-2m square, every loop and rung included."""
-    n = 2 * m
-    codes = set(range(0, n * n, max(1, n * n // size)))
-    codes |= {a * n + a for a in range(n)}  # loops
-    codes |= {a * n + (a + m) % n for a in range(n)}  # rungs
-    for kind, ref in (("WStar", _ref_in_w_star), ("HStar", _ref_in_h_star)):
-        want = sum(
-            not ref((_host_vertex(c // n, m), _host_vertex(c % n, m)), m)
-            for c in codes
-        )
-        assert HostDescriptor(kind, m).count_outside_codes(codes) == want
-
-
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_admissible_ids_matches_the_object_reference(data):
