@@ -1,17 +1,8 @@
 """Constructive solver and certifier for the directed Oberwolfach problem
 with bipartite factors, orders congruent to 2 mod 4."""
 
-from .core import (
-    Arc,
-    CycleType,
-    Digraph,
-    DirectedCycle,
-    TwoRegularDigraph,
-    Vertex,
-    cycle_type_of,
-    parse_cycle_type,
-)
-from .hosts import HostDescriptor, complete_symmetric, h_star, j_star, w_star
+from .core import CycleType, Vertex, parse_cycle_type
+from .hosts import HostDescriptor
 from .tables import AdmissibleDecomposition
 from .caps import j_decompose
 from .checker import (
@@ -20,7 +11,7 @@ from .checker import (
     brute_force_factorization,
     verify_admissible_decomposition,
     verify_cap_complementarity,
-    verify_factorization,
+    verify_id_factorization,
 )
 from .hstar import HStarFactorization, factorize_h_star
 from .solver import (
@@ -32,19 +23,10 @@ from .solver import (
 )
 
 __all__ = [
-    "Arc",
     "CycleType",
-    "Digraph",
-    "DirectedCycle",
-    "TwoRegularDigraph",
     "Vertex",
-    "cycle_type_of",
     "parse_cycle_type",
     "HostDescriptor",
-    "complete_symmetric",
-    "h_star",
-    "j_star",
-    "w_star",
     "AdmissibleDecomposition",
     "j_decompose",
     "Nonexistent",
@@ -52,7 +34,7 @@ __all__ = [
     "brute_force_factorization",
     "verify_admissible_decomposition",
     "verify_cap_complementarity",
-    "verify_factorization",
+    "verify_id_factorization",
     "HStarFactorization",
     "factorize_h_star",
     "DomainError",
@@ -62,4 +44,4 @@ __all__ = [
     "wh_decompose",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

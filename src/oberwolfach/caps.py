@@ -332,7 +332,7 @@ def w_star_id_factors(ftype: CycleType) -> list:
     """The 9 factors of an opened-host decomposition folded onto the
     circulant blow-up host of the same order, as vertex ids: each a tuple of
     cycles in canonical form (``core.canonical_id_cycles``) over the
-    ``w_star(m)`` numbering, which the order-2m complete host shares.
+    ``WStar`` m numbering, which the order-2m complete host shares.
 
     One ``verify_id_factorization`` against ``WStar`` m checks the folded
     factors together: every arc in the host, arc-disjoint, covering its 18m

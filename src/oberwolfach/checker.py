@@ -55,10 +55,9 @@ Every host is a ``hosts.HostDescriptor``; no host arc set is built or
 asked for.  ``solve``, the W* check and the H* self-check build their
 factors as such lists, and ``verify`` reads certificates straight into
 them, into ``bytes`` cycles up to 256 vertices
-(``serialize.read_certificate``); ``verify_factorization`` is the adapter
-for library callers holding ``TwoRegularDigraph`` objects, so all of them
-run the same core.  ``verify_admissible_decomposition`` likewise checks a
-decomposition's J* id cycles against the opened host's rule on ids, and
+(``serialize.read_certificate``), so all of them run the same core.
+``verify_admissible_decomposition`` likewise checks a decomposition's J*
+id cycles against the opened host's rule on ids, and
 ``verify_cap_complementarity`` checks the cap and centre tables' id paths
 clause by clause, comparing their arc unions with the same rule by
 counting.
@@ -128,34 +127,6 @@ class VerificationReport:
         for n, ok, d in self.checks:
             lines.append(f"  [{'ok' if ok else 'FAIL'}] {n}" + (f": {d}" if d else ""))
         return "\n".join(lines)
-
-
-def verify_factorization(
-    host: HostDescriptor, factors: Iterable, ftype: CycleType
-) -> VerificationReport:
-    """Check that ``factors``, ``TwoRegularDigraph``s, are an
-    ftype-factorization of the described ``host``: each
-    factor's cycles are mapped through ``host.vertex_ids`` (a vertex outside
-    the host to an id >= N, one per distinct vertex) and judged by
-    :func:`verify_id_factorization`."""
-    ids = host.vertex_ids
-    foreign: dict = {}
-
-    def vid(v) -> int:
-        i = ids.get(v)
-        return foreign.setdefault(v, len(ids) + len(foreign)) if i is None else i
-
-    def id_cycles(f) -> list:
-        out = []
-        for c in f.cycles:
-            vs = c.vertices
-            try:
-                out.append(list(map(ids.__getitem__, vs)))
-            except KeyError:
-                out.append(list(map(vid, vs)))
-        return out
-
-    return verify_id_factorization(host, map(id_cycles, factors), ftype)
 
 
 def verify_id_factorization(

@@ -1,17 +1,18 @@
-"""Graph kernel: vertices, arcs, directed cycles, 2-regular digraphs.
+"""Graph kernel: vertices, cycle types, and cycles of vertex ids.
 
 Vertices live on a two-row strip: row ``x`` and row ``y``, each indexed by a
-non-negative block number.  All structures are immutable and hashable, so
-they can be shared freely between threads and used as dict keys.  The text
-forms used everywhere (serialisation, CLI, tables) are ``x3`` / ``y11`` for
-vertices and ``(x0,x1,y2)`` for cycles.
+non-negative block number.  A ``Vertex`` and a ``CycleType`` are immutable
+and hashable.  Everything else is vertex ids: a cycle is a sequence of
+ints, a factor a list of cycles, and a host's numbering
+(``hosts.HostDescriptor``) or a document's vertex list says which vertex an
+id names.  The text forms used everywhere (serialisation, CLI, tables) are
+``x3`` / ``y11`` for vertices and ``(x0,x1,y2)`` for cycles.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import groupby
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -56,97 +57,11 @@ def parse_vertex(token: str) -> Vertex:
     return Vertex(token[0], int(token[1:]))
 
 
-class Arc(NamedTuple):
-    tail: Vertex
-    head: Vertex
-
-    def __repr__(self) -> str:
-        return f"{self.tail.text()}->{self.head.text()}"
-
-
-class DirectedCycle:
-    """A directed cycle, stored in canonical rotation (least vertex first)."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: Iterable[Vertex]):
-        vs = tuple(vertices)
-        if len(vs) < 2:
-            raise ValueError("cycle needs at least 2 vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in cycle {vs}")
-        k = vs.index(min(vs))
-        self.vertices = vs[k:] + vs[:k]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def arcs(self) -> tuple:
-        vs = self.vertices
-        n = len(vs)
-        return tuple(Arc(vs[i], vs[(i + 1) % n]) for i in range(n))
-
-    def text(self) -> str:
-        return "(" + ",".join(v.text() for v in self.vertices) + ")"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DirectedCycle) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(("C", self.vertices))
-
-    def __repr__(self) -> str:
-        return self.text()
-
-
-_CYCLE_VERTICES = attrgetter("vertices")
-
-
-class TwoRegularDigraph:
-    """A vertex-disjoint union of directed cycles."""
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: Iterable[DirectedCycle]):
-        cs = tuple(sorted(cycles, key=_CYCLE_VERTICES))
-        named = list(chain.from_iterable(map(_CYCLE_VERTICES, cs)))
-        if len(set(named)) != len(named):
-            seen: set = set()
-            for v in named:
-                if v in seen:
-                    raise ValueError(f"cycles share vertex {v}")
-                seen.add(v)
-        self.cycles = cs
-
-    def vertices(self) -> frozenset:
-        return frozenset(chain.from_iterable(map(_CYCLE_VERTICES, self.cycles)))
-
-    def arcs(self) -> frozenset:
-        return frozenset(a for c in self.cycles for a in c.arcs())
-
-    @property
-    def order(self) -> int:
-        return sum(c.length for c in self.cycles)
-
-    def text(self) -> str:
-        return "{" + ", ".join(c.text() for c in self.cycles) + "}"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoRegularDigraph) and self.cycles == other.cycles
-
-    def __hash__(self) -> int:
-        return hash(("T", self.cycles))
-
-    def __repr__(self) -> str:
-        return self.text()
-
-
 def canonical_id_cycles(cycles: Iterable) -> tuple:
-    """Cycles given as sequences of vertex ids, in the canonical form of
-    ``TwoRegularDigraph``: each rotated to start at its least id, then the
-    cycles sorted.  Where ids number vertices in sort order (as
-    ``hosts.HostDescriptor`` does) this is the order of the objects.  Each
+    """Cycles given as sequences of vertex ids in canonical form: each
+    rotated to start at its least id, then the cycles sorted.  Where ids
+    number vertices in sort order (as ``hosts.HostDescriptor`` does) this
+    is the order of the vertices too.  Each
     cycle is made a tuple once (a tuple is kept as it is) and rotated by
     joining two of its slices."""
     out = []
@@ -255,41 +170,3 @@ def parse_cycle_type(text: str, n: Optional[int] = None) -> CycleType:
         if order != n:
             raise ValueError(f"cycle lengths sum to {clip(str(order))}, not {n}")
     return CycleType(length for length, mult in counts for _ in range(mult))
-
-
-class Digraph:
-    """A plain digraph: a vertex set plus an arc set (no multiplicities)."""
-
-    __slots__ = ("vertices", "arcs")
-
-    def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc]):
-        self.vertices = frozenset(vertices)
-        self.arcs = frozenset(arcs)
-        for a in self.arcs:
-            if a.tail == a.head:
-                raise ValueError(f"loop arc at {a.tail}")
-            if a.tail not in self.vertices or a.head not in self.vertices:
-                raise ValueError(f"arc endpoint outside vertex set: {a}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.vertices == other.vertices
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("D", self.vertices, self.arcs))
-
-
-def cycle_type_of(d: TwoRegularDigraph) -> CycleType:
-    """The multiset of cycle lengths of ``d`` in canonical order."""
-    return CycleType(c.length for c in d.cycles)
-
-
-def two_regular_from_ids(cycles: Iterable, vertices) -> TwoRegularDigraph:
-    """The factor whose cycles are the id sequences ``cycles``, id i naming
-    ``vertices[i]``, built by the ordinary constructors."""
-    return TwoRegularDigraph(
-        [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
-    )

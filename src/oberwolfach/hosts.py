@@ -3,19 +3,20 @@ numberings, their membership rules, admissibility and the fold.
 
 This module is the one the checker judges by; it imports nothing but
 ``core``.  All hosts are symmetric digraphs (both arcs on every edge of an
-underlying graph) over strip-labelled vertices:
+underlying graph) over strip-labelled vertices, and each is known by its
+kind and size only: no host's arcs are ever built as objects.
 
-* ``complete_symmetric(n)``  -- every ordered pair of distinct vertices.
-* ``h_star(m)``    -- blow each vertex of an m-cycle into a pair {x_i, y_i};
-  consecutive blocks are joined completely, there are no within-block arcs.
-* ``w_star(m)``    -- same blow-up of the circulant with jumps {1, 2} mod m,
-  plus both within-block (rung) arcs x_i <-> y_i.
-* ``j_star(m)``    -- the opened, non-wrapping variant of ``w_star`` on
-  blocks 0..m+1: jump-1 and jump-2 junctions for 0 <= i <= m-1 only, rungs
-  only for 1 <= i <= m.
+* ``CompleteSymmetric`` n -- every ordered pair of distinct vertices.
+* ``HStar`` m (H*) -- blow each vertex of an m-cycle into a pair
+  {x_i, y_i}; consecutive blocks are joined completely, there are no
+  within-block arcs.
+* ``WStar`` m (W*) -- same blow-up of the circulant with jumps {1, 2}
+  mod m, plus both within-block (rung) arcs x_i <-> y_i.
+* ``JStar`` m (J*) -- the opened, non-wrapping variant of W* on blocks
+  0..m+1: jump-1 and jump-2 junctions for 0 <= i <= m-1 only, rungs only
+  for 1 <= i <= m.
 
-Two vertex numberings are used, and everything below the library edge
-works on their ids:
+Two vertex numberings are used, and the package works on their ids:
 
 * **The host numbering**, owned by ``HostDescriptor``: x_i -> i and
   y_i -> a + i, with a = ceil(n/2) for the complete host and a = m for the
@@ -28,7 +29,7 @@ works on their ids:
   a piece by k blocks adds 2k to each id.  ``BOUNDARY`` holds the ids of
   blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
 
-``fold_ids`` closes ``j_star(m)`` onto ``w_star(m)`` by reducing block
+``fold_ids`` closes J* onto W* on the same m by reducing block
 indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
 id.  It is an arc bijection for m >= 5.
 
@@ -61,16 +62,12 @@ ids, one of each boundary pair {b, b + 2m}, every arc inside.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
-certificate.  ``vertex_table`` holds one interned ``Vertex`` per host id,
-``vertex_ids`` is the inverse and ``id_by_text`` maps ``"x3"`` to the id;
-descriptors with the same x and y counts share them.  Besides the
-numbering it gives ``arc_count`` (n(n-1), 8m or 18m, by arithmetic); these
-two and ``out_neighbour_bytes`` are all that the checker asks of a host.
-The descriptor refuses the sizes the builders refuse, with their messages.
-
-The builders (``complete_symmetric``, ``h_star``, ``w_star``, ``j_star``)
-make ``Digraph``s of vertex objects for library callers; the tests compare
-the rules above with them.  Nothing in the package builds them.
+certificate.  ``vertex_table`` holds one interned ``Vertex`` per host id
+and ``id_by_text`` maps ``"x3"`` to the id; descriptors with the same x
+and y counts share them.  Besides the numbering it gives ``arc_count``
+(n(n-1), 8m or 18m, by arithmetic); these two and ``out_neighbour_bytes``
+are all that the checker asks of a host.  The descriptor refuses a size
+below the host's least (n >= 2, H* m >= 3, W* m >= 5).
 """
 
 from __future__ import annotations
@@ -78,13 +75,14 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, permutations, repeat, starmap
+from itertools import chain, repeat
 from operator import add, attrgetter, mul
 
-from .core import Arc, Digraph, Vertex, id_arcs
+from .core import Vertex, id_arcs
 
-# kind -> (builder, size letter, least size) for the hosts a factorization
-# is checked against; JStar decompositions have their own checker.
+# kind -> (name in the size error, size letter, least size) for the hosts a
+# factorization is checked against; JStar decompositions have their own
+# checker.  The names are the hosts' names in ``verify`` error text.
 _LEAST_SIZE = {
     "CompleteSymmetric": ("complete_symmetric", "n", 2),
     "HStar": ("h_star", "m", 3),
@@ -105,10 +103,10 @@ class HostDescriptor:
 
     def __post_init__(self) -> None:
         if self.kind in _LEAST_SIZE:
-            builder, letter, least = _LEAST_SIZE[self.kind]
+            name, letter, least = _LEAST_SIZE[self.kind]
             if self.m_or_n < least:
                 raise ValueError(
-                    f"{builder} needs {letter} >= {least}, got {self.m_or_n}"
+                    f"{name} needs {letter} >= {least}, got {self.m_or_n}"
                 )
 
     def to_json(self) -> dict:
@@ -145,18 +143,9 @@ class HostDescriptor:
         return self._numbering[0]
 
     @property
-    def vertex_ids(self) -> dict:
-        """``Vertex -> id``, the inverse of ``vertex_table``."""
-        return self._numbering[1]
-
-    @property
     def id_by_text(self) -> dict:
         """``"x3" -> id``: each vertex's written form to its id."""
-        return self._numbering[2]
-
-    @cached_property
-    def vertices(self) -> frozenset:
-        return frozenset(self.vertex_table)
+        return self._numbering[1]
 
     @property
     def arc_count(self) -> int:
@@ -173,59 +162,12 @@ class HostDescriptor:
 @lru_cache(maxsize=4)
 def _vertex_numbering(xs: int, ys: int) -> tuple:
     """Interned vertices x_0..x_{xs-1}, y_0..y_{ys-1} in id order, with the
-    ``Vertex -> id`` and ``text -> id`` maps.  The result is shared by every
-    caller with the same counts and must not be mutated."""
+    ``text -> id`` map.  The result is shared by every caller with the same
+    counts and must not be mutated."""
     table = tuple(
         [Vertex("x", i) for i in range(xs)] + [Vertex("y", i) for i in range(ys)]
     )
-    ids = {v: i for i, v in enumerate(table)}
-    by_text = {v.text(): i for i, v in enumerate(table)}
-    return table, ids, by_text
-
-
-def _both(u: Vertex, v: Vertex) -> list:
-    return [Arc(u, v), Arc(v, u)]
-
-
-def complete_symmetric(n: int) -> Digraph:
-    """K*_n: both arcs on every pair.  Even n uses blocks x_i, y_i, i < n/2."""
-    vertices = HostDescriptor("CompleteSymmetric", n).vertices
-    return Digraph(vertices, starmap(Arc, permutations(vertices, 2)))
-
-
-def h_star(m: int) -> Digraph:
-    """Doubled blow-up of the m-cycle: 4-in/out-regular, no rung arcs."""
-    vertices = HostDescriptor("HStar", m).vertices
-    arcs = []
-    for i in range(m):
-        j = (i + 1) % m
-        for s in ("x", "y"):
-            for t in ("x", "y"):
-                arcs += _both(Vertex(s, i), Vertex(t, j))
-    return Digraph(vertices, arcs)
-
-
-def w_star(m: int) -> Digraph:
-    """Doubled blow-up of the circulant with jumps {1,2} mod m, plus rungs."""
-    vertices = HostDescriptor("WStar", m).vertices
-    arcs = []
-    for i in range(m):
-        arcs += _both(Vertex("x", i), Vertex("y", i))
-        for d in (1, 2):
-            j = (i + d) % m
-            for s in ("x", "y"):
-                for t in ("x", "y"):
-                    arcs += _both(Vertex(s, i), Vertex(t, j))
-    return Digraph(vertices, arcs)
-
-
-def _j_arcs(m: int) -> frozenset:
-    """Arc set of the opened host on blocks 0..m+1 (any m >= 1), as vertex
-    objects: the J* rule's codes decoded."""
-    top = _width("JStar", m)
-    return frozenset(
-        Arc(strip_vertex(c // top), strip_vertex(c % top)) for c in arc_codes("JStar", m)
-    )
+    return table, {v.text(): i for i, v in enumerate(table)}
 
 
 def strip_id(v: Vertex) -> int:
@@ -291,12 +233,12 @@ def _ranges(kind: str, m: int) -> list:
 
 @lru_cache(maxsize=1)
 def arc_codes(kind: str, m: int) -> frozenset:
-    """The arc codes of ``j_star(m)`` (``"JStar"``, J* ids, width 2m + 4),
-    ``w_star(m)`` (``"WStar"``) or ``h_star(m)`` (``"HStar"``, host ids,
-    width 2m): every a * width + b with (a, b) an arc, the union of the
-    rule's ranges, gathered in O(m) by C-level set calls.  The last one is
-    kept for the tests that follow (nine or more per solve on J*); it must
-    not be mutated."""
+    """The arc codes of J* (``"JStar"``, J* ids, width 2m + 4), W*
+    (``"WStar"``) or H* (``"HStar"``, host ids, width 2m) on m blocks:
+    every a * width + b with (a, b) an arc, the union of the rule's ranges,
+    gathered in O(m) by C-level set calls.  The last one is kept for the
+    tests that follow (nine or more per solve on J*); it must not be
+    mutated."""
     return frozenset(chain.from_iterable(_ranges(kind, m)))
 
 
@@ -376,16 +318,8 @@ def admissible_ids(cycles, m: int) -> bool:
     return arc_codes("JStar", m).issuperset(codes)
 
 
-def j_star(m: int) -> Digraph:
-    """Opened strip host on 2(m+2) vertices with 18m arcs."""
-    if m < 3:
-        raise ValueError(f"j_star needs m >= 3, got {m}")
-    vertices = [Vertex(s, i) for i in range(m + 2) for s in ("x", "y")]
-    return Digraph(vertices, _j_arcs(m))
-
-
 class _FoldTable(dict):
-    """J* id -> host id of ``w_star(m)``, (v >> 1) % m + (v & 1) * m,
+    """J* id -> host id of W* on m blocks, (v >> 1) % m + (v & 1) * m,
     stored for the opened host's ids 0..2m+3; any other id is folded by the
     same arithmetic when looked up, and not stored."""
 
@@ -407,11 +341,11 @@ _fold_table = lru_cache(maxsize=1)(_FoldTable)  # one order's table is kept
 
 
 def fold_ids(factors, m: int) -> list:
-    """Fold factors given as cycles of J* ids onto ``w_star(m)`` by reducing
+    """Fold factors given as cycles of J* ids onto W* on m blocks by reducing
     block indices mod m: J* id v becomes host id (v >> 1) % m + (v & 1) * m
     (x_i -> i mod m, y_i -> m + (i mod m), the numbering the order-2m
     complete host shares), looked up in one table per m.  Each factor's
     cycles keep their order.  Nothing is checked here: a folded cycle may
-    repeat an id or use arcs outside ``w_star(m)``."""
+    repeat an id or use arcs outside W*."""
     fold = _fold_table(m).__getitem__
     return [[list(map(fold, c)) for c in f] for f in factors]

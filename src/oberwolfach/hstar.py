@@ -1,7 +1,8 @@
 """Four-factor decompositions of the doubled cycle blow-up host.
 
 ``factorize_h_star(F, m)`` produces four arc-disjoint directed 2-factors of
-``hosts.h_star(m)``, each of cycle type F, for any bipartite F of order 2m.
+the H* host on m blocks (``HStar`` m), each of cycle type F, for any
+bipartite F of order 2m.
 Three routes, by the number s of 2-cycles in F:
 
 * s = 0: an undirected F-factorization of the underlying graph into two
@@ -34,8 +35,8 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class HStarFactorization:
-    """Four factors of ``h_star(m)``: ``id_factors`` holds each as a tuple of
-    id cycles in the ``HStar`` m numbering."""
+    """Four factors of H* on m blocks: ``id_factors`` holds each as a tuple
+    of id cycles in the ``HStar`` m numbering."""
 
     m: int
     ftype: CycleType
@@ -197,7 +198,7 @@ def _split_two_s_cycle(cycles: list, s: int):
 
 
 def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
-    """Four verified directed 2-factors of ``h_star(m)``, each of type F."""
+    """Four verified directed 2-factors of H* on m blocks, each of type F."""
     if not ftype.is_bipartite():
         raise ValueError(f"{ftype} has odd cycle lengths")
     if ftype.order != 2 * m:

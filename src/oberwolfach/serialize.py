@@ -13,9 +13,9 @@ least vertex, cycles sorted), so serialisation is deterministic; the one
 JSON writer, ``to_json``, writes a document's ids as read, so
 re-serialising a parsed file reproduces it byte for byte.  The text,
 edge-list and DOT forms are written from the ids and each vertex's text,
-with cycles rotated and sorted and arcs sorted by the vertices' sort order,
-as the ``DirectedCycle`` and ``TwoRegularDigraph`` constructors order them,
-whatever order a read document's ids are in.
+with each cycle rotated to its least vertex, the cycles sorted and the arcs
+sorted by the vertices' sort order, whatever order a read document's ids
+are in.
 
 Certificates are read by one reader, ``read_certificate`` (``from_json``
 is it applied to text), and ``verify`` hands its cycles to the checker.
@@ -47,13 +47,16 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
   the kernel scatters into its wide tables.
 * **One set per other factor.**  A factor that is not such a permutation is
   distinct when its id set is as large as its total length.  A factor that
-  fails this, has a cycle of fewer than 2 vertices, or has a token that
-  does not resolve, is read again through the cycle and factor
-  constructors, which raise the error message for it (``repeated vertex in
-  cycle ...``, ``cycles share vertex ...``, ``cycle needs at least 2
-  vertices``, ``bad vertex token: ...``), in the order the constructors
-  meet them.  A permutation names all N ids, so only the other factors'
-  sets are joined to count the vertices the factors name.
+  fails this or has a cycle of fewer than 2 vertices is refused on its
+  vertices (``_refuse_factor``): the first cycle in read order with fewer
+  than 2 vertices (``cycle needs at least 2 vertices``) or a repeated one
+  (``repeated vertex in cycle ...``), and only then the first vertex that
+  two cycles share (``cycles share vertex ...``), met along the cycles
+  rotated and sorted by vertex.  A token that does not resolve raises
+  ``bad vertex token: ...`` unless an earlier cycle of its factor is bad.
+  A distinct factor of N ids, all resolved through the table, names all N
+  ids at any width, as a permutation does, so only the other factors' sets
+  are joined to count the vertices the factors name.
 """
 
 from __future__ import annotations
@@ -66,15 +69,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
-from .core import (
-    CycleType,
-    DirectedCycle,
-    Vertex,
-    canonical_id_cycles,
-    id_arcs,
-    parse_vertex,
-    two_regular_from_ids,
-)
+from .core import CycleType, Vertex, canonical_id_cycles, id_arcs, parse_vertex
 from .hosts import DESCRIBED_KINDS, HostDescriptor
 
 
@@ -97,14 +92,41 @@ class FactorizationDocument:
     seed: int
 
 
-def _cycle_objects(cycles, vertices) -> list:
-    """``DirectedCycle``s of id lists, in order, so the first bad one raises."""
-    return [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
+def _cycle_vertices(cycles, vertices) -> list:
+    """Each cycle's vertices as a tuple, id i naming ``vertices[i]``, in
+    order; the first cycle of fewer than 2 vertices or with a repeated
+    vertex raises its error."""
+    out = []
+    for c in cycles:
+        vs = tuple(map(vertices.__getitem__, c))
+        if len(vs) < 2:
+            raise ValueError("cycle needs at least 2 vertices")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated vertex in cycle {vs}")
+        out.append(vs)
+    return out
+
+
+def _refuse_factor(cycles, vertices) -> None:
+    """Raise the error of a factor whose cycles are not vertex-disjoint
+    cycles: a bad cycle's (``_cycle_vertices``), and only then the first
+    vertex repeated along the cycles, each rotated to its least vertex and
+    sorted by vertex, never by id (a foreign vertex's id follows the
+    host's, wherever the vertex sorts)."""
+    rotated = []
+    for vs in _cycle_vertices(cycles, vertices):
+        k = vs.index(min(vs))
+        rotated.append(vs[k:] + vs[:k])
+    seen: set = set()
+    for v in chain.from_iterable(sorted(rotated)):
+        if v in seen:
+            raise ValueError(f"cycles share vertex {v}")
+        seen.add(v)
 
 
 def document_for_solution(solution) -> FactorizationDocument:
     """Wrap a solver result (over the complete host) for export, on its
-    vertex ids: no cycle or factor object is built."""
+    vertex ids and the host's vertex table."""
     host = HostDescriptor("CompleteSymmetric", solution.n)
     return FactorizationDocument(
         n=solution.n,
@@ -284,7 +306,7 @@ def read_certificate(data) -> FactorizationDocument:
                     ]
                 cycles.append(ids)
         except (ValueError, TypeError):
-            _cycle_objects(cycles, vertices)  # an earlier cycle's error is first
+            _cycle_vertices(cycles, vertices)  # an earlier cycle's error is first
             raise
         return cycles
 
@@ -295,10 +317,12 @@ def read_certificate(data) -> FactorizationDocument:
     factors = []
     named: set = set()
     for factor in raw:
+        on_host = True  # every token resolved through the table
         try:
             cycles = [pack(map(lookup, tokens)) for tokens in factor]
         except (KeyError, TypeError):
             cycles = resolve(factor)
+            on_host = False
         else:
             if pack is bytes:
                 flat = b"".join(cycles)
@@ -313,12 +337,16 @@ def read_certificate(data) -> FactorizationDocument:
         ids: set = set()
         for c in cycles:
             ids.update(c)
-        if len(ids) != sum(map(len, cycles)) or min(map(len, cycles), default=2) < 2:
-            two_regular_from_ids(cycles, vertices)  # raises
-        named |= ids
+        total = sum(map(len, cycles))
+        if len(ids) != total or min(map(len, cycles), default=2) < 2:
+            _refuse_factor(cycles, vertices)  # raises
+        if on_host and total == host.order:
+            spans = True  # N distinct ids of the host: all of them
+        else:
+            named |= ids
         factors.append(cycles)
     if spans:
-        named.update(every)
+        named.update(range(host.order))
     return FactorizationDocument(
         n=data["n"],
         ftype=CycleType(data["factor_type"]),

@@ -23,7 +23,7 @@ import math
 from itertools import starmap
 from operator import itemgetter, sub
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .caps import w_star_id_factors
@@ -33,7 +33,7 @@ from .checker import (
     brute_force_factorization,
     verify_id_factorization,
 )
-from .core import CycleType, canonical_id_cycles, two_regular_from_ids
+from .core import CycleType, canonical_id_cycles
 from .hosts import HostDescriptor
 from .hstar import factorize_h_star
 
@@ -80,18 +80,13 @@ class Factorization:
 
     ``id_factors`` holds the n-1 factors as tuples of cycles, each a tuple
     of the complete host's vertex ids (``hosts.HostDescriptor`` numbering)
-    in canonical form; ``factors`` builds them as ``TwoRegularDigraph``s on
-    the host's interned vertices on first access."""
+    in canonical form; id i names the vertex
+    ``HostDescriptor("CompleteSymmetric", n).vertex_table[i]``."""
 
     n: int
     ftype: CycleType
     id_factors: tuple
     report: VerificationReport
-
-    @cached_property
-    def factors(self) -> tuple:
-        table = HostDescriptor("CompleteSymmetric", self.n).vertex_table
-        return tuple(two_regular_from_ids(f, table) for f in self.id_factors)
 
 
 def _pair_jumps(m: int):

@@ -17,8 +17,8 @@ from oberwolfach.core import cycle_type_text
 
 
 def outside_j_star(pairs, m):
-    """The J* id pairs (a, b) in ``pairs`` that are not arcs of
-    ``j_star(m)``: both ids in 0..2m+3, and a rung (same block i, other
+    """The J* id pairs (a, b) in ``pairs`` that are not arcs of J* on m
+    blocks: both ids in 0..2m+3, and a rung (same block i, other
     side) with 1 <= i <= m, or a junction between blocks i and i+d,
     d in {1, 2}, with 0 <= i <= m-1 (any m >= 1)."""
     top = 2 * m + 4
@@ -37,8 +37,8 @@ def outside_j_star(pairs, m):
 
 
 def outside_w_star(pairs, m):
-    """The host id pairs (a, b) in ``pairs`` that are not arcs of
-    ``w_star(m)`` (m >= 5): both ids below 2m, and a rung (same block, other
+    """The host id pairs (a, b) in ``pairs`` that are not arcs of W* on m
+    blocks (m >= 5): both ids below 2m, and a rung (same block, other
     side), or blocks differing by +-1 or +-2 mod m."""
     n = 2 * m
     steps = (1, 2, m - 2, m - 1)
@@ -56,8 +56,8 @@ def outside_w_star(pairs, m):
 
 
 def outside_h_star(pairs, m):
-    """The host id pairs (a, b) in ``pairs`` that are not arcs of
-    ``h_star(m)`` (m >= 3): both ids below 2m, blocks differing by +-1 mod m."""
+    """The host id pairs (a, b) in ``pairs`` that are not arcs of H* on m
+    blocks (m >= 3): both ids below 2m, blocks differing by +-1 mod m."""
     n = 2 * m
     steps = (1, m - 1)
     out = []

@@ -4,16 +4,18 @@ whether the factor's ids are distinct.
 
 The package no longer runs it; the tests keep it as the reference that
 ``serialize.read_certificate`` must match, message for message and id for
-id.  The schema check, the host descriptor, the token parser and the
-cycle and factor constructors are the package's own, which both readers
-share.
+id.  The schema check, the host descriptor and the token parser are the
+package's own, which both readers share.  A bad cycle or factor is refused
+by the cycle and factor constructors of ``strip``, which the package does
+not have: they judge the package's own refusal on ids.
 """
 
 from itertools import chain
 
-from oberwolfach.core import CycleType, parse_vertex, two_regular_from_ids
+from oberwolfach.core import CycleType, parse_vertex
 from oberwolfach.hosts import DESCRIBED_KINDS, HostDescriptor
-from oberwolfach.serialize import FactorizationDocument, _check_schema, _cycle_objects
+from oberwolfach.serialize import FactorizationDocument, _check_schema
+from strip import DirectedCycle, two_regular_from_ids
 
 
 def read_certificate(data) -> FactorizationDocument:
@@ -51,7 +53,8 @@ def read_certificate(data) -> FactorizationDocument:
                     ]
                 cycles.append(ids)
         except (ValueError, TypeError):
-            _cycle_objects(cycles, vertices)
+            for c in cycles:  # an earlier cycle's error is first
+                DirectedCycle(map(vertices.__getitem__, c))
             raise
         return cycles
 

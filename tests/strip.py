@@ -1,23 +1,120 @@
-"""Text forms and object helpers the tests use as references.
+"""Vertex-object forms of cycles and factors, the tests' references.
 
-The package builds on vertex ids and no longer needs these; the tests keep
-them to write examples readably and to state properties of the objects.
-``ids`` and ``strip_ids`` write such examples as the J* ids the package
-works on.
+The package works on vertex ids only.  The tests keep arcs, cycles and
+2-regular digraphs of ``Vertex`` objects to write examples readably, to
+state properties of the objects, and to hold constructors that are
+independent of the package's id code: ``DirectedCycle`` and
+``TwoRegularDigraph`` refuse a bad cycle or factor with the messages the
+certificate reader must match.  ``ids`` and ``strip_ids`` write such
+examples as the J* ids the package works on; ``factor_objects`` and
+``verify_objects`` go between the objects and a host's ids.
 """
 
 import re
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
-from typing import Iterable
-
-from oberwolfach.core import (
-    DirectedCycle,
-    TwoRegularDigraph,
-    Vertex,
-    parse_vertex,
-    two_regular_from_ids,
-)
+from oberwolfach.checker import verify_id_factorization
+from oberwolfach.core import CycleType, Vertex, parse_vertex
 from oberwolfach.hosts import strip_id, strip_vertex
+
+
+class Arc(NamedTuple):
+    tail: Vertex
+    head: Vertex
+
+    def __repr__(self) -> str:
+        return f"{self.tail.text()}->{self.head.text()}"
+
+
+class DirectedCycle:
+    """A directed cycle, stored in canonical rotation (least vertex first)."""
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: Iterable[Vertex]):
+        vs = tuple(vertices)
+        if len(vs) < 2:
+            raise ValueError("cycle needs at least 2 vertices")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated vertex in cycle {vs}")
+        k = vs.index(min(vs))
+        self.vertices = vs[k:] + vs[:k]
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices)
+
+    def arcs(self) -> tuple:
+        vs = self.vertices
+        n = len(vs)
+        return tuple(Arc(vs[i], vs[(i + 1) % n]) for i in range(n))
+
+    def text(self) -> str:
+        return "(" + ",".join(v.text() for v in self.vertices) + ")"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DirectedCycle) and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(("C", self.vertices))
+
+    def __repr__(self) -> str:
+        return self.text()
+
+
+_CYCLE_VERTICES = attrgetter("vertices")
+
+
+class TwoRegularDigraph:
+    """A vertex-disjoint union of directed cycles, sorted."""
+
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: Iterable[DirectedCycle]):
+        cs = tuple(sorted(cycles, key=_CYCLE_VERTICES))
+        seen: set = set()
+        for v in chain.from_iterable(map(_CYCLE_VERTICES, cs)):
+            if v in seen:
+                raise ValueError(f"cycles share vertex {v}")
+            seen.add(v)
+        self.cycles = cs
+
+    def vertices(self) -> frozenset:
+        return frozenset(chain.from_iterable(map(_CYCLE_VERTICES, self.cycles)))
+
+    def arcs(self) -> frozenset:
+        return frozenset(a for c in self.cycles for a in c.arcs())
+
+    @property
+    def order(self) -> int:
+        return sum(c.length for c in self.cycles)
+
+    def text(self) -> str:
+        return "{" + ", ".join(c.text() for c in self.cycles) + "}"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TwoRegularDigraph) and self.cycles == other.cycles
+
+    def __hash__(self) -> int:
+        return hash(("T", self.cycles))
+
+    def __repr__(self) -> str:
+        return self.text()
+
+
+def cycle_type_of(d: TwoRegularDigraph) -> CycleType:
+    """The multiset of cycle lengths of ``d`` in canonical order."""
+    return CycleType(c.length for c in d.cycles)
+
+
+def two_regular_from_ids(cycles: Iterable, vertices) -> TwoRegularDigraph:
+    """The factor whose cycles are the id sequences ``cycles``, id i naming
+    ``vertices[i]``, built by the constructors above."""
+    return TwoRegularDigraph(
+        [DirectedCycle(map(vertices.__getitem__, c)) for c in cycles]
+    )
 
 
 class DirectedPath:
@@ -166,3 +263,18 @@ def factor_objects(factors, vertices) -> tuple:
     ``vertices[i]`` (a host's ``vertex_table``, or a document's
     ``vertices``)."""
     return tuple(two_regular_from_ids(f, vertices) for f in factors)
+
+
+def verify_objects(host, factors, ftype):
+    """``verify_id_factorization`` of ``TwoRegularDigraph`` factors: each
+    vertex goes to its id in ``host.vertex_table``, a vertex outside the
+    host to an id >= N, one per distinct vertex."""
+    ids = {v: i for i, v in enumerate(host.vertex_table)}
+    foreign: dict = {}
+
+    def vid(v) -> int:
+        i = ids.get(v)
+        return foreign.setdefault(v, len(ids) + len(foreign)) if i is None else i
+
+    id_factors = [[list(map(vid, c.vertices)) for c in f.cycles] for f in factors]
+    return verify_id_factorization(host, id_factors, ftype)

@@ -22,28 +22,25 @@ from oberwolfach.checker import (
     brute_force_factorization,
     verify_admissible_decomposition,
     verify_cap_complementarity,
-    verify_factorization,
     verify_id_factorization,
 )
-from oberwolfach.core import (
-    Arc,
-    CycleType,
-    cycle_type_of,
-    parse_cycle_type,
-)
+from oberwolfach.core import CycleType, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor, admissible_ids
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.solver import solve
 from oberwolfach.tables import AdmissibleDecomposition
 from strip import (
+    Arc,
     concat,
     cycle_from_text,
+    cycle_type_of,
     factor_objects,
     ids,
     path_from_text,
     shift,
     strip_factors,
     two_regular_from_arcs,
+    verify_objects,
 )
 
 
@@ -73,7 +70,7 @@ def test_criterion_1_full_desk_scale_sweep():
                 assert isinstance(result, Nonexistent), "(6,[6]) must be nonexistent"
                 continue
             assert not isinstance(result, Nonexistent), (n, ftype)
-            assert len(result.factors) == n - 1, (n, ftype)
+            assert len(result.id_factors) == n - 1, (n, ftype)
             assert result.report.passed, (n, ftype, result.report.failures())
             solved += 1
     elapsed = time.monotonic() - t0
@@ -123,7 +120,7 @@ def test_criterion_3_h_star_suite():
             hf = factorize_h_star(ftype, m)
             assert len(hf.id_factors) == 4
             factors = factor_objects(hf.id_factors, host.vertex_table)
-            report = verify_factorization(host, factors, ftype)
+            report = verify_objects(host, factors, ftype)
             assert report.passed, (m, ftype, report.failures())
             count += 1
     # m = 2: the host degenerates (4 factors x 4 arcs > 8 available arcs
@@ -222,7 +219,7 @@ def test_criterion_6_oracle_cross_checks():
 
 
 def verify_arc_partition(host, arc_sets, ftype):
-    """``verify_factorization`` from raw arc sets, so damaged certificates
+    """``verify_objects`` from raw arc sets, so damaged certificates
     that are no longer 2-regular still yield a report."""
     report = VerificationReport()
     factors = []
@@ -235,7 +232,7 @@ def verify_arc_partition(host, arc_sets, ftype):
     report.add("factor_wellformed", not broken, f"broken factors: {broken[:3]}")
     if broken:
         return report
-    report.checks.extend(verify_factorization(host, factors, ftype).checks)
+    report.checks.extend(verify_objects(host, factors, ftype).checks)
     return report
 
 
@@ -244,10 +241,9 @@ def test_criterion_7_mutation_robustness():
     rng = random.Random(2026)
     certificates = []
     for n, spec in [(6, "[2,4]"), (10, "[4,6]"), (14, "[2,4,8]"), (14, "[14]")]:
-        result = solve(n, parse_cycle_type(spec))
-        certificates.append(
-            (HostDescriptor("CompleteSymmetric", n), parse_cycle_type(spec), result.factors)
-        )
+        host, ftype = HostDescriptor("CompleteSymmetric", n), parse_cycle_type(spec)
+        factors = factor_objects(solve(n, ftype).id_factors, host.vertex_table)
+        certificates.append((host, ftype, factors))
     detected = 0
     for trial in range(1000):
         host, ftype, factors = certificates[trial % len(certificates)]
@@ -261,7 +257,7 @@ def test_criterion_7_mutation_robustness():
             j = (i + 1 + rng.randrange(len(arc_sets) - 1)) % len(arc_sets)
             arc_sets[j].add(victim)
         else:
-            heads = sorted(host.vertices - {victim.head, victim.tail})
+            heads = sorted(set(host.vertex_table) - {victim.head, victim.tail})
             arc_sets[i].discard(victim)
             arc_sets[i].add(Arc(victim.tail, rng.choice(heads)))
         report = verify_arc_partition(host, arc_sets, ftype)

@@ -6,11 +6,13 @@ import os
 import random
 import re
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_checker
 from oberwolfach import tables
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.checker import (
@@ -20,42 +22,45 @@ from oberwolfach.checker import (
     brute_force_factorization,
     factors_through_arc,
     verify_admissible_decomposition,
-    verify_factorization,
     verify_id_factorization,
 )
 from oberwolfach.cli import main
 from oberwolfach.core import (
-    Arc,
     CycleType,
-    DirectedCycle,
-    TwoRegularDigraph,
     Vertex,
     canonical_id_cycles,
-    cycle_type_of,
     id_arcs,
     parse_cycle_type,
     parse_vertex,
-    two_regular_from_ids,
 )
-from oberwolfach.hosts import HostDescriptor, complete_symmetric, h_star, w_star
+from oberwolfach.hosts import DESCRIBED_KINDS, HostDescriptor
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import from_json
 from oberwolfach.solver import round_robin_two_cycles, solve
-from strip import factor_objects, two_regular_from_arcs
+from strip import (
+    Arc,
+    DirectedCycle,
+    TwoRegularDigraph,
+    cycle_type_of,
+    factor_objects,
+    two_regular_from_arcs,
+    two_regular_from_ids,
+    verify_objects,
+)
 
 K6 = HostDescriptor("CompleteSymmetric", 6)
 
 
 def test_round_robin_passes_verification():
     result = round_robin_two_cycles(6)
-    report = verify_factorization(K6, result.factors, parse_cycle_type("[2^3]"))
+    report = verify_id_factorization(K6, result.id_factors, parse_cycle_type("[2^3]"))
     assert report.passed
 
 
 def test_missing_factor_fails_coverage():
     result = round_robin_two_cycles(6)
-    factors = list(result.factors)
-    report = verify_factorization(
+    factors = list(result.id_factors)
+    report = verify_id_factorization(
         K6, factors[:2] + factors[3:], parse_cycle_type("[2^3]")
     )
     assert not report.passed
@@ -77,8 +82,9 @@ def test_admissible_decomposition_named_failure():
 
 def test_report_determinism():
     result = round_robin_two_cycles(6)
-    r1 = verify_factorization(K6, result.factors, parse_cycle_type("[2^3]"))
-    r2 = verify_factorization(K6, result.factors, parse_cycle_type("[2^3]"))
+    factors = factor_objects(result.id_factors, K6.vertex_table)
+    r1 = verify_objects(K6, factors, parse_cycle_type("[2^3]"))
+    r2 = verify_objects(K6, factors, parse_cycle_type("[2^3]"))
     assert r1.to_json() == r2.to_json()
 
 
@@ -123,18 +129,17 @@ def _complete_codes(n):
 
 def test_factor_enumerator_complete_against_permutations():
     """Cross-check the oracle's factor enumerator, on ids, against a naive
-    count over all permutations of the built host's vertices with the
-    requested cycle structure."""
+    count over all permutations of the host's vertices with the requested
+    cycle structure."""
     import itertools
 
-    host = complete_symmetric(6)
-    vertices = sorted(host.vertices)
-    assert vertices == list(K6.vertex_table)
+    vertices = list(K6.vertex_table)
+    assert vertices == sorted(vertices)
+    first = min(Arc(u, v) for u, v in itertools.permutations(vertices, 2))
+    code = vertices.index(first.tail) * 6 + vertices.index(first.head)
+    assert code == min(_complete_codes(6))
     for spec in ("[2,4]", "[6]", "[2,2,2]", "[3,3]"):
         ftype = parse_cycle_type(spec)
-        first = min(host.arcs)
-        code = K6.vertex_ids[first.tail] * 6 + K6.vertex_ids[first.head]
-        assert code == min(_complete_codes(6))
         found = [
             frozenset(two_regular_from_ids(cycles, vertices).arcs())
             for cycles in factors_through_arc(_complete_codes(6), 6, ftype.lengths, code)
@@ -149,10 +154,7 @@ def test_factor_enumerator_complete_against_permutations():
             arcs = frozenset(Arc(u, v) for u, v in succ.items())
             if first not in arcs:
                 continue
-            factor = two_regular_from_arcs(arcs)
-            from oberwolfach.core import cycle_type_of
-
-            if cycle_type_of(factor) == ftype:
+            if cycle_type_of(two_regular_from_arcs(arcs)) == ftype:
                 naive.add(arcs)
         assert found == naive, spec
         assert all(first in arcs for arcs in found)
@@ -249,13 +251,14 @@ def test_mutations_always_detected():
     result = round_robin_two_cycles(6)
     ftype = parse_cycle_type("[2^3]")
     rng = random.Random(7)
+    factors = factor_objects(result.id_factors, K6.vertex_table)
     for _ in range(100):
-        mutated = _mutate(result.factors, rng)
+        mutated = _mutate(factors, rng)
         try:
             rebuilt = [two_regular_from_arcs(arcs) for arcs in mutated]
         except ValueError:
             continue  # degree structure broken: detected at parse time
-        report = verify_factorization(K6, rebuilt, ftype)
+        report = verify_objects(K6, rebuilt, ftype)
         assert not report.passed
 
 
@@ -286,7 +289,6 @@ _INSTANCES = (
     + [("WStar", f"[{2 * m}]") for m in range(5, 13)]
     + [("WStar", f"[2,4,{2 * m - 6}]") for m in range(5, 13)]
 )
-_BUILDERS = {"CompleteSymmetric": complete_symmetric, "HStar": h_star, "WStar": w_star}
 _CORRUPTIONS = ("swap", "drop", "duplicate", "retarget", "outside_vertex", "stray_arc")
 
 
@@ -318,8 +320,24 @@ def _corrupt(factors, op, data, size):
             c[k], d[j] = d[j], c[k]
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_host(kind, size):
+    """The host's vertex set and arc set, each arc a pair of distinct host
+    vertices that ``reference_checker``'s rule for ``kind`` keeps."""
+    table = HostDescriptor(kind, size).vertex_table
+    pairs = [(a, b) for a in range(len(table)) for b in range(len(table)) if a != b]
+    if kind != "CompleteSymmetric":
+        ref = reference_checker
+        rule = ref.outside_h_star if kind == "HStar" else ref.outside_w_star
+        outside = set(rule(pairs, size))
+        pairs = [p for p in pairs if p not in outside]
+    arcs = frozenset(Arc(table[a], table[b]) for a, b in pairs)
+    return SimpleNamespace(vertices=frozenset(table), arcs=arcs)
+
+
 def _reference_report(host, factors, ftype):
-    """The report by plain set comparison with the built host's arc set."""
+    """The report by plain set comparison with the reference host's arc
+    set."""
     report = VerificationReport()
     all_arcs = [a for f in factors for a in f.arcs()]
     union = set(all_arcs)
@@ -348,8 +366,9 @@ def _reference_report(host, factors, ftype):
 @given(data=st.data())
 def test_descriptor_and_built_host_give_identical_reports(data):
     """The checker's report against a host description equals, detail
-    strings included, the report of a plain set comparison with the built
-    host, on real factorizations with random corruptions."""
+    strings included, the report of a plain set comparison with the host's
+    arc set as the reference rules build it, on real factorizations with
+    random corruptions."""
     kind, spec = data.draw(st.sampled_from(_INSTANCES))
     size, clean = _real_factorization(kind, spec)
     factors = [[list(c) for c in f] for f in clean]
@@ -361,9 +380,8 @@ def test_descriptor_and_built_host_give_identical_reports(data):
     except ValueError:
         return  # no longer a set of vertex-disjoint cycles
     ftype = parse_cycle_type(spec)
-    host = _BUILDERS[kind](size)
-    expected = _reference_report(host, fs, ftype).to_json()
-    described = verify_factorization(HostDescriptor(kind, size), fs, ftype)
+    expected = _reference_report(_reference_host(kind, size), fs, ftype).to_json()
+    described = verify_objects(HostDescriptor(kind, size), fs, ftype)
     assert described.to_json() == expected
 
 
@@ -401,7 +419,7 @@ def _object_path_factors(data):
     spec = data["host"]
     host = HostDescriptor(spec["kind"], spec["m"])
     table = {}
-    if host.kind in _BUILDERS and host.order <= sum(
+    if host.kind in DESCRIBED_KINDS and host.order <= sum(
         len(c) for f in data["factors"] for c in f
     ):
         table = {v.text(): v for v in host.vertex_table}
@@ -440,7 +458,7 @@ def _object_path_verify(text):
             f"{kind} host of size {size} (order {order}) and factor_type "
             f"{ftype.text()} (order {ftype.order})\n"
         )
-    report = _reference_report(_BUILDERS[kind](size), factors, ftype)
+    report = _reference_report(_reference_host(kind, size), factors, ftype)
     out = json.dumps(report.to_json(), indent=2) + "\n"
     return (0 if report.passed else 1), out, ""
 
@@ -543,39 +561,21 @@ def test_from_json_and_checker_match_a_regex_parse(data):
     if doc is None:
         return
     assert factor_objects(doc.factors, doc.vertices) == expected
-    reference = _reference_report(_BUILDERS[kind](size), expected, ftype).to_json()
-    report = verify_factorization(doc.host, factor_objects(doc.factors, doc.vertices), doc.ftype)
+    reference = _reference_report(_reference_host(kind, size), expected, ftype).to_json()
+    report = verify_id_factorization(doc.host, doc.factors, doc.ftype)
     assert report.to_json() == reference
-
-
-def _unchecked_cycle(vertices):
-    """A ``DirectedCycle`` made without its constructor's checks."""
-    c = object.__new__(DirectedCycle)
-    c.vertices = tuple(vertices)
-    return c
-
-
-def _unchecked_factor(cycles):
-    """A ``TwoRegularDigraph`` made without its constructor's checks."""
-    f = object.__new__(TwoRegularDigraph)
-    f.cycles = tuple(cycles)
-    return f
 
 
 def test_spanning_does_not_rest_on_the_constructors():
     """A factor of total length N whose cycles share a vertex, or whose
     cycle repeats one, does not span, though it names only host vertices:
     the checker counts each factor's distinct vertices itself."""
-    factors = list(round_robin_two_cycles(6).factors)
+    factors = list(round_robin_two_cycles(6).id_factors)
     ftype = parse_cycle_type("[2^3]")
-    x0, x1, x2, y0, y1 = map(parse_vertex, ("x0", "x1", "x2", "y0", "y1"))
-    shared = _unchecked_factor(
-        [_unchecked_cycle(c) for c in ((x0, x1), (x1, x2), (y0, y1))]
-    )
-    repeated = _unchecked_factor(
-        [_unchecked_cycle(c) for c in ((x0, x1), (x2, x2), (y0, y1))]
-    )
+    x0, x1, x2, y0, y1 = map(K6.id_by_text.__getitem__, ("x0", "x1", "x2", "y0", "y1"))
+    shared = [[x0, x1], [x1, x2], [y0, y1]]
+    repeated = [[x0, x1], [x2, x2], [y0, y1]]
     for bad in (shared, repeated):
-        report = verify_factorization(K6, [bad] + factors[1:], ftype)
+        report = verify_id_factorization(K6, [bad] + factors[1:], ftype)
         checks = {name: (ok, detail) for name, ok, detail in report.checks}
         assert checks["spanning"] == (False, "non-spanning factors: [0]")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oberwolfach.checker import VerificationReport, verify_factorization
+from oberwolfach.checker import VerificationReport
 from oberwolfach.cli import _report_json, build_parser, main
 from oberwolfach.core import parse_cycle_type, parse_vertex
 from oberwolfach.serialize import from_json, to_json
@@ -335,8 +335,8 @@ def test_verify_declared_n_must_match_host_and_type(capsys, tmp_path):
 
 
 def test_verify_vertex_tokens_canonical_or_malformed(capsys, tmp_path):
-    from oberwolfach.core import DirectedCycle, TwoRegularDigraph, parse_vertex
     from oberwolfach.hosts import HostDescriptor
+    from strip import DirectedCycle, TwoRegularDigraph, verify_objects
 
     clean = _solved_certificate(tmp_path)
     token = clean["factors"][0][0][0]
@@ -355,7 +355,7 @@ def test_verify_vertex_tokens_canonical_or_malformed(capsys, tmp_path):
         TwoRegularDigraph(DirectedCycle(map(parse_vertex, c)) for c in f)
         for f in data["factors"]
     ]
-    expected = verify_factorization(
+    expected = verify_objects(
         HostDescriptor("CompleteSymmetric", 14), factors, parse_cycle_type("[4,10]")
     )
     assert printed == json.dumps(expected.to_json(), indent=2) + "\n"

@@ -1,19 +1,14 @@
 import pytest
 
-from oberwolfach.core import (
-    Arc,
-    CycleType,
-    DirectedCycle,
-    TwoRegularDigraph,
-    Vertex,
-    cycle_type_of,
-    parse_cycle_type,
-    parse_vertex,
-)
+from oberwolfach.core import CycleType, Vertex, parse_cycle_type, parse_vertex
 from strip import (
+    Arc,
+    DirectedCycle,
     DirectedPath,
+    TwoRegularDigraph,
     concat,
     cycle_from_text,
+    cycle_type_of,
     path_from_text,
     shift,
     two_regular_from_arcs,

@@ -1,72 +1,77 @@
 from array import array
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 
 from oberwolfach import hosts
 from oberwolfach.caps import w_star_id_factors
-from oberwolfach.core import Arc, Vertex, parse_cycle_type, parse_vertex
+from oberwolfach.core import Vertex, parse_cycle_type, parse_vertex
 from oberwolfach.hosts import (
     HostDescriptor,
     _outside,
-    complete_symmetric,
+    arc_codes,
     fold_ids,
-    h_star,
-    j_star,
     out_neighbour_bytes,
     strip_id,
-    w_star,
+    strip_vertex,
 )
-from strip import ids
+from strip import Arc, ids
+
+# each rule's kind and the letter ``_undirected_edges_reference`` names it by
+LETTER = {"HStar": "h", "WStar": "w", "JStar": "j"}
 
 
 def V(t):
     return parse_vertex(t)
 
 
-def A(t, h):
-    return Arc(V(t), V(h))
+def _host_ids(kind, m, vertices):
+    """Each vertex's id on host ``kind`` on m blocks: its J* id on JStar,
+    else its id in the host's numbering, or -1 for a vertex outside it."""
+    if kind == "JStar":
+        return [strip_id(v) for v in vertices]
+    table = HostDescriptor(kind, m).id_by_text
+    return [table.get(v.text(), -1) for v in vertices]
+
+
+def _inside(kind, m, tail, head):
+    """Whether the rule of ``kind`` on m blocks has the arc tail -> head."""
+    return not _outside(kind, [tuple(_host_ids(kind, m, (V(tail), V(head))))], m)
 
 
 def test_complete_symmetric_counts():
-    assert len(complete_symmetric(2).arcs) == 2
-    assert len(complete_symmetric(6).arcs) == 30
-    k = complete_symmetric(6)
-    assert A("x0", "y0") in k.arcs and A("y0", "x0") in k.arcs
+    assert HostDescriptor("CompleteSymmetric", 2).arc_count == 2
+    assert HostDescriptor("CompleteSymmetric", 6).arc_count == 30
     with pytest.raises(ValueError):
-        complete_symmetric(1)
+        HostDescriptor("CompleteSymmetric", 1)
 
 
 def test_h_star_shape():
-    h = h_star(7)
-    assert len(h.arcs) == 56
-    assert A("x0", "y0") not in h.arcs  # no rungs
-    assert A("x0", "y1") in h.arcs and A("y1", "x0") in h.arcs
+    assert HostDescriptor("HStar", 7).arc_count == len(arc_codes("HStar", 7)) == 56
+    assert not _inside("HStar", 7, "x0", "y0")  # no rungs
+    assert _inside("HStar", 7, "x0", "y1") and _inside("HStar", 7, "y1", "x0")
     with pytest.raises(ValueError):
-        h_star(2)
+        HostDescriptor("HStar", 2)
 
 
 def test_w_star_shape():
-    w = w_star(7)
-    assert len(w.arcs) == 126
+    assert HostDescriptor("WStar", 7).arc_count == len(arc_codes("WStar", 7)) == 126
     for i in range(7):
-        assert A(f"x{i}", f"y{i}") in w.arcs and A(f"y{i}", f"x{i}") in w.arcs
-    assert A("x0", "y2") in w.arcs
-    assert A("x0", "y3") not in w.arcs
+        assert _inside("WStar", 7, f"x{i}", f"y{i}")
+        assert _inside("WStar", 7, f"y{i}", f"x{i}")
+    assert _inside("WStar", 7, "x0", "y2")
+    assert not _inside("WStar", 7, "x0", "y3")
     with pytest.raises(ValueError):
-        w_star(4)
+        HostDescriptor("WStar", 4)
 
 
 def test_j_star_shape():
-    j = j_star(7)
-    assert len(j.arcs) == 126
-    assert len(j.vertices) == 18
-    assert A("x0", "y0") not in j.arcs  # no rung at block 0
-    assert A("x7", "y7") in j.arcs  # rung at block m
-    assert A("x8", "y8") not in j.arcs  # none at block m+1
-    assert A("x6", "x8") in j.arcs  # jump 2 from i = m-1
-    with pytest.raises(ValueError):
-        j_star(2)
+    assert len(arc_codes("JStar", 7)) == 126
+    assert HostDescriptor("JStar", 7).order == 18
+    assert not _inside("JStar", 7, "x0", "y0")  # no rung at block 0
+    assert _inside("JStar", 7, "x7", "y7")  # rung at block m
+    assert not _inside("JStar", 7, "x8", "y8")  # none at block m+1
+    assert _inside("JStar", 7, "x6", "x8")  # jump 2 from i = m-1
 
 
 def _undirected_edges_reference(kind, m):
@@ -97,48 +102,55 @@ def _undirected_edges_reference(kind, m):
     return edges
 
 
+def _reference_arcs(kind, m):
+    """Both arcs on every edge of ``_undirected_edges_reference``."""
+    edges = _undirected_edges_reference(kind, m)
+    return {Arc(*pair) for e in edges for pair in permutations(e)}
+
+
+def _rule_arcs(kind, m):
+    """The arcs of ``arc_codes`` decoded into vertices: J* ids on JStar, the
+    host's numbering on a blow-up."""
+    if kind == "JStar":
+        width, vertex = 2 * m + 4, strip_vertex
+    else:
+        width, vertex = 2 * m, HostDescriptor(kind, m).vertex_table.__getitem__
+    return [Arc(vertex(c // width), vertex(c % width)) for c in arc_codes(kind, m)]
+
+
 @pytest.mark.parametrize("m", [3, 5, 8])
 def test_h_star_matches_reference(m):
-    expected = set()
-    for e in _undirected_edges_reference("h", m):
-        u, v = tuple(e)
-        expected.update({Arc(u, v), Arc(v, u)})
-    assert h_star(m).arcs == expected
+    arcs = _rule_arcs("HStar", m)
+    assert len(arcs) == len(set(arcs)) and set(arcs) == _reference_arcs("h", m)
 
 
 @pytest.mark.parametrize("m", [5, 7, 10])
 def test_w_star_matches_reference(m):
-    expected = set()
-    for e in _undirected_edges_reference("w", m):
-        u, v = tuple(e)
-        expected.update({Arc(u, v), Arc(v, u)})
-    assert w_star(m).arcs == expected
+    arcs = _rule_arcs("WStar", m)
+    assert len(arcs) == len(set(arcs)) and set(arcs) == _reference_arcs("w", m)
 
 
 @pytest.mark.parametrize("m", [3, 4, 7])
 def test_j_star_matches_reference(m):
-    expected = set()
-    for e in _undirected_edges_reference("j", m):
-        u, v = tuple(e)
-        expected.update({Arc(u, v), Arc(v, u)})
-    assert j_star(m).arcs == expected
+    arcs = _rule_arcs("JStar", m)
+    assert len(arcs) == len(set(arcs)) and set(arcs) == _reference_arcs("j", m)
 
 
-def _degrees(g, v):
-    """(out-degree, in-degree) of ``v`` in the digraph ``g``."""
+def _degrees(arcs, v):
+    """(out-degree, in-degree) of ``v`` among ``arcs``."""
     return (
-        sum(1 for a in g.arcs if a.tail == v),
-        sum(1 for a in g.arcs if a.head == v),
+        sum(1 for a in arcs if a.tail == v),
+        sum(1 for a in arcs if a.head == v),
     )
 
 
 def test_degree_profiles():
-    h = h_star(6)
-    assert all(_degrees(h, v) == (4, 4) for v in h.vertices)
-    w = w_star(6)
-    assert all(_degrees(w, v) == (9, 9) for v in w.vertices)
-    j = j_star(6)
-    for v in j.vertices:
+    for kind, k in (("HStar", 4), ("WStar", 9)):
+        arcs = _rule_arcs(kind, 6)
+        for v in HostDescriptor(kind, 6).vertex_table:
+            assert _degrees(arcs, v) == (k, k)
+    j = _rule_arcs("JStar", 6)
+    for v in map(strip_vertex, range(HostDescriptor("JStar", 6).order)):
         if 2 <= v.index <= 4:
             assert _degrees(j, v) == (9, 9)
 
@@ -146,17 +158,16 @@ def test_degree_profiles():
 @pytest.mark.parametrize("m", [5, 7])
 def test_fold_is_arc_bijection(m):
     """The arithmetic fold maps the opened host's arcs one to one onto the
-    circulant blow-up's."""
-    j = j_star(m)
-    w = w_star(m)
-    (folded,) = fold_ids([[(strip_id(a.tail), strip_id(a.head)) for a in j.arcs]], m)
+    circulant blow-up's, both as the reference draws them."""
+    opened = _reference_arcs("j", m)
+    (folded,) = fold_ids([[(strip_id(a.tail), strip_id(a.head)) for a in opened]], m)
     table = HostDescriptor("WStar", m).vertex_table
-    assert {Arc(table[a], table[b]) for a, b in folded} == w.arcs
-    assert len(set(map(tuple, folded))) == len(j.arcs) == len(w.arcs) == 18 * m
+    assert {Arc(table[a], table[b]) for a, b in folded} == _reference_arcs("w", m)
+    assert len(set(map(tuple, folded))) == len(opened) == 18 * m
 
 
 def _folded_arcs(factor, m):
-    """The arcs of a factor of J* id cycles folded onto w_star(m)."""
+    """The arcs of a factor of J* id cycles folded onto W* on m blocks."""
     ((*cycles,),) = fold_ids([factor], m)
     return [a for c in cycles for a in zip(c, c[1:] + c[:1])]
 
@@ -165,13 +176,13 @@ def test_fold_of_admissible_factor():
     # [2,6,6] subdigraph assembled from the two compatible pieces
     factor = [ids("(x0,x1)"), ids("(y1,y2,x2,x3,y4,y3)"), ids("(x4,x6,y7,x5,y6,y5)")]
     ((*folded,),) = fold_ids([factor], 7)
-    assert sorted(v for c in folded for v in c) == list(range(14))  # w_star(7)'s ids
+    assert sorted(v for c in folded for v in c) == list(range(14))  # W*'s ids, m = 7
     assert HostDescriptor("WStar", 7).id_by_text["x3"] in folded[1]  # middle unchanged
     assert not _outside("WStar", _folded_arcs(factor, 7), 7)
 
 
 def test_fold_rejects_garbage():
-    # x0 -> x3 folds onto blocks three apart, which w_star(7) does not join
+    # x0 -> x3 folds onto blocks three apart, which W* on 7 blocks does not join
     assert _outside("WStar", _folded_arcs([ids("(x0,x3)")], 7), 7)
 
 
@@ -182,33 +193,29 @@ def _strip_arcs(m):
     return [Arc(u, v) for u in vs for v in vs if u != v]
 
 
+def _rule_matches_reference(kind, m):
+    """The rule of ``kind`` on m blocks, asked by ``_outside`` on ids,
+    against the reference on every pair of strip vertices; a vertex with no
+    id in a blow-up's numbering is outside it."""
+    arcs = _reference_arcs(LETTER[kind], m)
+    pairs = [(tuple(_host_ids(kind, m, a)), a) for a in _strip_arcs(m)]
+    outside = set(_outside(kind, [p for p, _ in pairs], m))
+    for pair, a in pairs:
+        assert (pair not in outside) == (a in arcs), (m, a)
+
+
 def test_in_j_star_matches_host():
     for m in range(3, 31):
-        arcs = j_star(m).arcs
-        pairs = {(strip_id(a.tail), strip_id(a.head)): a for a in _strip_arcs(m)}
-        outside = set(_outside("JStar", pairs, m))
-        for pair, a in pairs.items():
-            assert (pair not in outside) == (a in arcs), (m, a)
-
-
-def _rule_matches_host(kind, host, m):
-    """The blow-up rule of ``kind`` on host ids, asked by ``_outside``,
-    against the built host on every pair of strip vertices; a vertex with no
-    id in the host's numbering is outside it."""
-    ids = HostDescriptor(kind, m).vertex_ids
-    arcs = host.arcs
-    for a in _strip_arcs(m):
-        pair = (ids.get(a.tail, -1), ids.get(a.head, -1))
-        assert (not _outside(kind, [pair], m)) == (a in arcs), (m, a)
+        _rule_matches_reference("JStar", m)
 
 
 def test_in_w_star_matches_host():
     for m in range(5, 31):
-        _rule_matches_host("WStar", w_star(m), m)
+        _rule_matches_reference("WStar", m)
 
 
 def test_fold_below_m5_raises():
-    # 72 opened-host arcs cannot fold one to one onto w_star(4)'s 56
+    # 72 opened-host arcs cannot fold one to one onto W*'s 56 at m = 4
     with pytest.raises(ValueError, match="folding needs m >= 5"):
         w_star_id_factors(parse_cycle_type("[8]"))
     with pytest.raises(ValueError, match="folding needs m >= 5"):
@@ -217,28 +224,29 @@ def test_fold_below_m5_raises():
 
 def test_in_h_star_matches_host():
     for m in range(3, 31):
-        _rule_matches_host("HStar", h_star(m), m)
+        _rule_matches_reference("HStar", m)
 
 
-def _described_and_built():
+def _described_and_reference():
+    """Each described host with its reference vertices and arc count."""
     for n in range(2, 41):
-        yield HostDescriptor("CompleteSymmetric", n), complete_symmetric(n)
-    for m in range(3, 31):
-        yield HostDescriptor("HStar", m), h_star(m)
-    for m in range(5, 31):
-        yield HostDescriptor("WStar", m), w_star(m)
+        xs = {Vertex("x", i) for i in range((n + 1) // 2)}
+        vertices = xs | {Vertex("y", i) for i in range(n // 2)}
+        yield HostDescriptor("CompleteSymmetric", n), vertices, n * (n - 1)
+    for kind, least in (("HStar", 3), ("WStar", 5)):
+        for m in range(least, 31):
+            arcs = _reference_arcs(LETTER[kind], m)
+            yield HostDescriptor(kind, m), {a.tail for a in arcs}, len(arcs)
 
 
 def test_descriptor_matches_built_host():
-    """Vertex set and arc count agree with the built host.  The numbering
-    is the sort order (x_i -> i, then y_i), onto one interned object per
-    vertex, and each text names its vertex's id."""
-    for desc, host in _described_and_built():
-        assert desc.vertices == host.vertices, desc
-        assert desc.arc_count == len(host.arcs), desc
+    """Vertex set and arc count agree with the reference host.  The
+    numbering is the sort order (x_i -> i, then y_i), onto one interned
+    object per vertex, and each text names its vertex's id."""
+    for desc, vertices, arc_count in _described_and_reference():
+        assert desc.arc_count == arc_count, desc
         table = desc.vertex_table
-        assert list(table) == sorted(host.vertices), desc
-        assert desc.vertex_ids == {v: i for i, v in enumerate(table)}, desc
+        assert list(table) == sorted(vertices), desc
         assert desc.id_by_text == {v.text(): i for i, v in enumerate(table)}, desc
     assert HostDescriptor("HStar", 7).vertex_table is HostDescriptor(
         "CompleteSymmetric", 14
@@ -246,22 +254,22 @@ def test_descriptor_matches_built_host():
 
 
 def test_descriptor_refuses_the_sizes_builders_refuse():
-    for kind, least, builder, letter in (
-        ("CompleteSymmetric", 2, complete_symmetric, "n"),
-        ("HStar", 3, h_star, "m"),
-        ("WStar", 5, w_star, "m"),
+    """A size below a host's least is refused with the message ``verify``
+    prints for it."""
+    for kind, least, message in (
+        ("CompleteSymmetric", 2, "complete_symmetric needs n >= 2, got 1"),
+        ("HStar", 3, "h_star needs m >= 3, got 2"),
+        ("WStar", 5, "w_star needs m >= 5, got 4"),
     ):
-        message = f"{builder.__name__} needs {letter} >= {least}, got {least - 1}"
         with pytest.raises(ValueError) as described:
             HostDescriptor(kind, least - 1)
-        with pytest.raises(ValueError) as built:
-            builder(least - 1)
-        assert str(described.value) == str(built.value) == message
-        assert HostDescriptor(kind, least).vertices == builder(least).vertices
+        assert str(described.value) == message
+        host = HostDescriptor(kind, least)
+        assert len(host.vertex_table) == host.order
     opened = HostDescriptor("JStar", 1)  # opened decompositions have their own checks
     assert opened.to_json() == {"kind": "JStar", "m": 1}
     with pytest.raises(ValueError):
-        opened.vertices
+        opened.vertex_table
 
 
 def _per_arc_out_neighbours(kind, m):

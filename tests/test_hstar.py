@@ -1,13 +1,7 @@
 import pytest
 
 import construction_reference
-from oberwolfach.checker import verify_factorization
-from oberwolfach.core import (
-    CycleType,
-    TwoRegularDigraph,
-    cycle_type_of,
-    parse_cycle_type,
-)
+from oberwolfach.core import CycleType, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import (
     _chain_walks,
@@ -15,7 +9,13 @@ from oberwolfach.hstar import (
     _haggkvist,
     factorize_h_star,
 )
-from strip import cycle_from_text, factor_objects
+from strip import (
+    TwoRegularDigraph,
+    cycle_from_text,
+    cycle_type_of,
+    factor_objects,
+    verify_objects,
+)
 
 
 def hids(text, m):
@@ -178,7 +178,7 @@ def test_factorize_h_star_sweep(m):
         hf = factorize_h_star(ftype, m)
         assert len(hf.id_factors) == 4
         factors = factor_objects(hf.id_factors, host.vertex_table)
-        report = verify_factorization(host, factors, ftype)
+        report = verify_objects(host, factors, ftype)
         assert report.passed, (m, ftype, report.failures())
 
 

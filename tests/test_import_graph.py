@@ -3,7 +3,9 @@ public names.
 
 The checker and the host rules it judges by must not depend on the
 constructions they judge, so ``checker`` and ``hosts`` import none of the
-building modules; and the pipeline's modules import no object class.  No module imports a sibling inside a function: an import
+building modules.  The package works on vertex ids and each vertex's text
+only: no module defines, imports or exports an arc, cycle, factor or host
+object class.  No module imports a sibling inside a function: an import
 that has to be hidden there marks an import cycle.  The package
 ``__init__`` imports everything, so ``sys.modules`` cannot show either.
 """
@@ -52,19 +54,39 @@ def test_checker_and_hosts_import_no_builder(name):
 
 
 OBJECT_CLASSES = {"Arc", "Digraph", "DirectedCycle", "TwoRegularDigraph"}
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
-@pytest.mark.parametrize("name", ["checker", "solver", "caps", "hstar", "tables"])
+@pytest.mark.parametrize("name", MODULES)
 def test_id_modules_import_no_object_class(name):
-    """Below the library edge the pipeline runs on vertex ids: these modules
-    import none of the object classes, so they cannot build one."""
+    """The package runs on vertex ids: no module, ``__init__`` included,
+    imports an object class from anywhere, so none can build one."""
     imported = {
-        alias.name
-        for node, _ in _package_imports(_tree(name))
+        alias.asname or alias.name
+        for node in ast.walk(_tree(name))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
     assert not imported & OBJECT_CLASSES, sorted(imported & OBJECT_CLASSES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_defines_an_object_class(name):
+    """No module defines a class, function or global named as an object
+    class."""
+    defined = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert not defined & OBJECT_CLASSES, sorted(defined & OBJECT_CLASSES)
+
+
+def test_all_names_no_object_class():
+    assert not set(oberwolfach.__all__) & OBJECT_CLASSES
+    assert "verify_id_factorization" in oberwolfach.__all__
+    assert not hasattr(oberwolfach, "verify_factorization")
 
 
 def test_no_module_imports_a_sibling_inside_a_function():

@@ -27,7 +27,12 @@ from oberwolfach.caps import w_star_id_factors
 from oberwolfach.core import parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import factorize_h_star
-from oberwolfach.serialize import FactorizationDocument, read_certificate, to_json
+from oberwolfach.serialize import (
+    FactorizationDocument,
+    document_for_solution,
+    read_certificate,
+    to_json,
+)
 from oberwolfach.solver import solve
 
 # (kind, size, type): complete hosts of order 254 and 258, H* and W* hosts
@@ -191,3 +196,16 @@ def test_a_clean_certificate_is_read_into_bytes_up_to_256_vertices():
         assert _read(read_certificate, data) == _read(
             reference_reader.read_certificate, data
         )
+
+
+def test_shared_vertex_is_found_in_vertex_order_not_id_order(tmp_path):
+    """The foreign x7 gets id 10 on the order-10 host but sorts before y0,
+    so the cycles, sorted by vertex, meet y4 again before y3; sorted by id
+    they would meet y3 first."""
+    result = solve(10, parse_cycle_type("[4,6]"))
+    data = json.loads(to_json(document_for_solution(result)))
+    data["factors"][0] = [["y1", "y3"], ["y4", "y0", "y2"], ["x7", "y3", "y4"]]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    error = "error: malformed input: cycles share vertex y4\n"
+    assert _verify(str(path)) == (1, "", error)

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 import relabel_split
 from oberwolfach import solver
 from oberwolfach.checker import Nonexistent
-from oberwolfach.core import (
-    CycleType,
-    canonical_id_cycles,
-    cycle_type_of,
-    parse_cycle_type,
-)
+from oberwolfach.core import CycleType, canonical_id_cycles, parse_cycle_type
+from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import document_for_solution, to_json
 from oberwolfach.solver import (
@@ -25,7 +21,13 @@ from oberwolfach.solver import (
     solve,
     wh_decompose,
 )
-from strip import factor_objects
+from strip import cycle_type_of, factor_objects
+
+
+def _factors(result):
+    """A solution's factors as 2-regular digraphs of the host's vertices."""
+    table = HostDescriptor("CompleteSymmetric", result.n).vertex_table
+    return factor_objects(result.id_factors, table)
 
 
 def test_wh_decompose_m7():
@@ -195,17 +197,8 @@ def test_solve_single_cycle_needs_paired_jumps(n):
     ftype = parse_cycle_type(f"[{n}]")
     result = solve(n, ftype)
     assert result.report.passed
-    assert len(result.factors) == n - 1
-    assert all(cycle_type_of(f) == ftype for f in result.factors)
-
-
-@pytest.mark.parametrize("n, spec", [(14, "[4,10]"), (102, "[102]")])
-def test_solve_interns_vertices(n, spec):
-    """Every factor is relabelled onto the host's interned vertex table, so
-    a solve holds n vertex objects, not one per cycle position."""
-    result = solve(n, parse_cycle_type(spec))
-    objects = {id(v) for f in result.factors for c in f.cycles for v in c.vertices}
-    assert len(objects) == n
+    assert len(result.id_factors) == n - 1
+    assert all(cycle_type_of(f) == ftype for f in _factors(result))
 
 
 @pytest.mark.parametrize(
@@ -214,9 +207,8 @@ def test_solve_interns_vertices(n, spec):
 def test_solve_and_export_build_no_objects_per_block_cycle(monkeypatch, lengths):
     """A warm solve stays on vertex ids to the certificate at n = 6 (the
     oracle, which also proves [6] nonexistent on ids), 30 and 62: it builds
-    no ``Arc``, ``DirectedCycle``, ``TwoRegularDigraph`` or ``Digraph``, nor
-    does writing the result as json, text, edges or dot.  ``factors`` then
-    builds the same objects as reading the certificate back."""
+    no ``Vertex``, nor does writing the result as json, text, edges or dot.
+    Its factors are those of the certificate read back."""
     from oberwolfach import core
     from oberwolfach.serialize import from_json, render
 
@@ -234,9 +226,8 @@ def test_solve_and_export_build_no_objects_per_block_cycle(monkeypatch, lengths)
     for n in (6, 30, 62):
         ftype = CycleType(lengths(n))
         solve(n, ftype)  # warm: tables and cap-family pieces loaded
-        counting(core.Arc, "__new__")
-        for cls in (core.DirectedCycle, core.TwoRegularDigraph, core.Digraph):
-            counting(cls, "__init__")
+        HostDescriptor("CompleteSymmetric", n).vertex_table  # and the numbering
+        counting(core.Vertex, "__new__")
         result = solve(n, ftype)
         if isinstance(result, Nonexistent):
             assert result.reason == "exhaustive search over 37 nodes"
@@ -247,7 +238,7 @@ def test_solve_and_export_build_no_objects_per_block_cycle(monkeypatch, lengths)
         monkeypatch.undo()
         if not isinstance(result, Nonexistent):
             back = from_json(texts[0])
-            assert result.factors == factor_objects(back.factors, back.vertices)
+            assert _factors(result) == factor_objects(back.factors, back.vertices)
 
 
 def test_solve_refuses_orders_above_the_cap():
@@ -338,15 +329,16 @@ def test_wh_domain():
 
 def test_round_robin_n2():
     result = round_robin_two_cycles(2)
-    assert len(result.factors) == 1
-    assert result.factors[0].text() == "{(x0,y0)}"
+    assert len(result.id_factors) == 1
+    assert _factors(result)[0].text() == "{(x0,y0)}"
 
 
 def test_round_robin_n6():
     result = round_robin_two_cycles(6)
-    assert len(result.factors) == 5
-    assert all(len(f.cycles) == 3 for f in result.factors)
-    assert sum(len(f.arcs()) for f in result.factors) == 30
+    factors = _factors(result)
+    assert len(factors) == 5
+    assert all(len(f.cycles) == 3 for f in factors)
+    assert sum(len(f.arcs()) for f in factors) == 30
 
 
 def test_small_order_nonexistent():
@@ -356,10 +348,10 @@ def test_small_order_nonexistent():
 
 def test_small_order_solves():
     result = solve(6, parse_cycle_type("[2,4]"))
-    assert len(result.factors) == 5
+    assert len(result.id_factors) == 5
     assert result.report.passed
     result = solve(10, parse_cycle_type("[4,6]"))
-    assert len(result.factors) == 9
+    assert len(result.id_factors) == 9
     assert result.report.passed
 
 
@@ -368,7 +360,7 @@ def test_solve_dispatch():
     for n, spec in cases:
         result = solve(n, parse_cycle_type(spec))
         assert not isinstance(result, Nonexistent)
-        assert len(result.factors) == n - 1
+        assert len(result.id_factors) == n - 1
         assert result.report.passed
 
 
@@ -389,8 +381,7 @@ def test_solve_domain_errors():
 @pytest.mark.parametrize("lengths", [lambda n: [n], lambda n: [2, 4, 8, n - 14]])
 def test_warm_solve_constructs_no_vertex_or_cycle_objects(monkeypatch, n, lengths):
     """From the split to the final check, a warm solve of order >= 10 runs
-    on vertex ids: no ``Vertex``, ``DirectedCycle`` or ``TwoRegularDigraph``
-    is constructed (the W* and H* builders included)."""
+    on vertex ids: no ``Vertex`` is constructed."""
     from oberwolfach import core
 
     ftype = CycleType(lengths(n))
@@ -407,37 +398,25 @@ def test_warm_solve_constructs_no_vertex_or_cycle_objects(monkeypatch, n, length
         monkeypatch.setattr(cls, name, count)
 
     counting(core.Vertex, "__new__")
-    for cls in (core.DirectedCycle, core.TwoRegularDigraph):
-        counting(cls, "__init__")
     result = solve(n, ftype)
     assert result.report.passed
     assert built == []
-    result.factors  # the library edge builds them on request
-    assert "TwoRegularDigraph" in built
 
 
 def test_build_path_never_builds_a_blow_up_host(monkeypatch):
     """The W* route tests host membership by index arithmetic and the final
-    checks run against host descriptions: building w_star(m), h_star(m),
-    the complete host or the opened host's arc set in the build path fails
-    here."""
-    from oberwolfach import caps, checker, hosts, hstar, solver
+    checks run against host descriptions: building the arc set of W* or H*
+    (their ``arc_codes``) in the build path fails here; only the opened
+    host's codes are built, for admissibility."""
+    from oberwolfach import caps, hosts
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("host arc set built in the build path")
+    real_arc_codes = hosts.arc_codes
 
-    for module, name in (
-        (hosts, "w_star"),
-        (caps, "w_star"),
-        (hosts, "_j_arcs"),
-        (caps, "_j_arcs"),
-        (checker, "_j_arcs"),
-        (hosts, "complete_symmetric"),
-        (solver, "complete_symmetric"),
-        (hosts, "h_star"),
-        (hstar, "h_star"),
-    ):
-        monkeypatch.setattr(module, name, refuse, raising=False)
+    def opened_only(kind, m):
+        assert kind == "JStar", f"{kind} arc set built in the build path"
+        return real_arc_codes(kind, m)
+
+    monkeypatch.setattr(hosts, "arc_codes", opened_only)
     folds = []
     real_fold_ids = caps.fold_ids
 
@@ -451,15 +430,15 @@ def test_build_path_never_builds_a_blow_up_host(monkeypatch):
         result = solve(n, ftype)
         assert not isinstance(result, Nonexistent)
         assert result.report.passed
-        assert len(result.factors) == n - 1
-        assert all(cycle_type_of(f) == ftype for f in result.factors)
+        assert len(result.id_factors) == n - 1
+        assert all(cycle_type_of(f) == ftype for f in _factors(result))
     assert folds  # the W* route was taken
 
 
 def test_solve_h_embeddings_keep_type():
     ftype = parse_cycle_type("[4,10]")
     result = solve(14, ftype)
-    assert all(cycle_type_of(f) == ftype for f in result.factors)
+    assert all(cycle_type_of(f) == ftype for f in _factors(result))
 
 
 def test_determinism_bytes():

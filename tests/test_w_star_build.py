@@ -21,15 +21,7 @@ from oberwolfach.caps import (
     general_factor,
     w_star_id_factors,
 )
-from oberwolfach.core import (
-    CycleType,
-    DirectedCycle,
-    TwoRegularDigraph,
-    Vertex,
-    canonical_id_cycles,
-    parse_cycle_type,
-    two_regular_from_ids,
-)
+from oberwolfach.core import CycleType, Vertex, canonical_id_cycles, parse_cycle_type
 from oberwolfach.hosts import (
     HostDescriptor,
     _outside,
@@ -39,7 +31,17 @@ from oberwolfach.hosts import (
     strip_vertex,
 )
 from oberwolfach.tables import AdmissibleDecomposition, CentrePiece
-from strip import DirectedPath, concat, ids, shift, strip_factors, strip_ids
+from strip import (
+    DirectedCycle,
+    DirectedPath,
+    TwoRegularDigraph,
+    concat,
+    ids,
+    shift,
+    strip_factors,
+    strip_ids,
+    two_regular_from_ids,
+)
 
 
 def _ref_in_j_star(arc, m):
