@@ -4,14 +4,15 @@ and a plain text form.
 JSON schema::
 
     {"n": int, "factor_type": [int, ...], "host": {"kind": str, "m": int},
-     "factors": [[["x0", "x1", ...], ...], ...], "verified": bool, "seed": int}
+     "factors": [[["x0", "x1", ...], ...], ...], "verified": bool}
 
 A certificate is one document type, ``FactorizationDocument``, on vertex
 ids: the factors are lists of cycles of ids, and ``vertices`` maps each id
 to its vertex.  The solver's ids are in canonical form (each cycle from its
 least vertex, cycles sorted), so serialisation is deterministic; the one
-JSON writer, ``to_json``, writes a document's ids as read, so
-re-serialising a parsed file reproduces it byte for byte.  The text,
+JSON writer, ``json_chunks``, writes a document's ids as read, factor by
+factor (``to_json`` joins its text), so re-serialising a parsed file
+reproduces it byte for byte.  The text,
 edge-list and DOT forms are written from the ids and each vertex's text,
 with each cycle rotated to its least vertex, the cycles sorted and the arcs
 sorted by the vertices' sort order, whatever order a read document's ids
@@ -21,10 +22,11 @@ Certificates are read by one reader, ``read_certificate`` (``from_json``
 is it applied to text), and ``verify`` hands its cycles to the checker.
 
 * **Schema first.**  Before anything is built, the field types are checked:
-  ``n``, ``host.m``, ``seed`` (optional, default 0) and every
-  ``factor_type`` entry are JSON integers (not booleans), ``verified`` is a
-  boolean, ``host.kind`` a string and ``factors`` a list of lists of lists.
-  A violation raises ``ValueError`` naming the field and the JSON type found.
+  ``n``, ``host.m`` and every ``factor_type`` entry are JSON integers (not
+  booleans), ``verified`` is a boolean, ``host.kind`` a string and
+  ``factors`` a list of lists of lists.  A violation raises ``ValueError``
+  naming the field and the JSON type found.  Keys the schema does not name
+  are ignored, as is the ``seed`` key of certificates before 0.3.0.
 * **Tokens to ids.**  Each vertex token is resolved through the declared
   host's ``id_by_text`` table (``hosts.HostDescriptor``) to the vertex's id,
   so the common path runs no regex and builds no object.  A token outside
@@ -89,7 +91,6 @@ class FactorizationDocument:
     vertices: Sequence  # Vertex by id
     named: int
     verified: bool
-    seed: int
 
 
 def _cycle_vertices(cycles, vertices) -> list:
@@ -136,7 +137,6 @@ def document_for_solution(solution) -> FactorizationDocument:
         vertices=host.vertex_table,
         named=solution.n,  # the solution's report checked that every factor spans
         verified=solution.report.passed,
-        seed=0,  # kept in the schema; solve has no seed
     )
 
 
@@ -163,18 +163,18 @@ def _quoted(vertices):
     return list(map(encode_basestring_ascii, map(Vertex.text, vertices))).__getitem__
 
 
-def to_json(doc: FactorizationDocument) -> str:
-    """The document as ``json.dumps(obj, indent=2) + "\\n"`` writes the
-    schema's object ``obj`` (each vertex by its text), byte for byte.
+def json_chunks(doc: FactorizationDocument):
+    """The text of ``to_json`` as strings in turn: the fields before the
+    factors, each factor with the separator before it, then the rest.
 
     The text is joined with the fixed separators of ``_SEP``; only
     ``indent`` makes the encoder run in Python, so it is handed no
     container.  Each scalar of the other fields (``n``, the host's keys
-    and values, ``verified``, ``seed``) goes through ``json.dumps``, whose
-    C encoder takes a lone scalar, and the cycle lengths, ints, through
-    ``str``.  The factors, nearly all of the text, are written from their
-    ids by nested ``str.join`` calls, one ``map`` over each factor's
-    cycles.  Each vertex is quoted by the encoder's own string quoting, as
+    and values, ``verified``) goes through ``json.dumps``, whose C encoder
+    takes a lone scalar, and the cycle lengths, ints, through ``str``.  The
+    factors, nearly all of the text, are written from their ids by nested
+    ``str.join`` calls, one ``map`` over each factor's cycles.  Each vertex
+    is quoted by the encoder's own string quoting, as
     ``json.dumps(v.text())`` quotes it; a document on its host's own vertex
     table (every solution) takes the quoted tokens kept for that host, one
     that names other vertices quotes its own."""
@@ -183,30 +183,39 @@ def to_json(doc: FactorizationDocument) -> str:
     o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
     c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
     host = doc.host
+    lengths = doc.ftype.lengths
+    ftype = o1 + s1.join(map(str, lengths)) + c1 if lengths else "[]"
+    members = s1.join([f"{dumps(k)}: {dumps(v)}" for k, v in host.to_json().items()])
+    head = (
+        f'{{\n  "n": {dumps(doc.n)},\n  "factor_type": {ftype},\n'
+        f'  "host": {{{s1[1:]}{members}{s0[1:]}}},\n  "factors": '
+    )
+    tail = f',\n  "verified": {dumps(doc.verified)}\n}}\n'
     if host.kind in DESCRIBED_KINDS and doc.vertices is host.vertex_table:
         quoted = _quoted_tokens(host)
     else:
         quoted = _quoted(doc.vertices)
     tokens = partial(map, quoted)  # a cycle's quoted vertices
     between = c3 + s2 + o3  # closes a cycle and opens the next
-
-    def factor(f) -> str:
+    yield head
+    lead = o1
+    for f in doc.factors:
         if not f:
-            return "[]"
-        text = o2 + o3 + between.join(map(s3.join, map(tokens, f))) + c3 + c2
-        # an empty cycle comes out opened and closed; the separators hold
-        # line breaks, which no quoted token does, so nothing else matches
-        return text if all(f) else text.replace(o3 + c3, "[]")
+            yield lead + "[]"
+        else:
+            text = f"{lead}{o2}{o3}{between.join(map(s3.join, map(tokens, f)))}{c3}{c2}"
+            # an empty cycle comes out opened and closed; the separators hold
+            # line breaks, which no quoted token does, so nothing else matches
+            yield text if all(f) else text.replace(o3 + c3, "[]")
+        lead = s1
+    yield (c1 if doc.factors else "[]") + tail
 
-    block = o1 + s1.join(map(factor, doc.factors)) + c1 if doc.factors else "[]"
-    lengths = doc.ftype.lengths
-    ftype = o1 + s1.join(map(str, lengths)) + c1 if lengths else "[]"
-    members = s1.join([f"{dumps(k)}: {dumps(v)}" for k, v in host.to_json().items()])
-    return (
-        f'{{\n  "n": {dumps(doc.n)},\n  "factor_type": {ftype},\n'
-        f'  "host": {{{s1[1:]}{members}{s0[1:]}}},\n  "factors": {block},\n'
-        f'  "verified": {dumps(doc.verified)},\n  "seed": {dumps(doc.seed)}\n}}\n'
-    )
+
+def to_json(doc: FactorizationDocument) -> str:
+    """The document as ``json.dumps(obj, indent=2) + "\\n"`` writes the
+    schema's object ``obj`` (each vertex by its text), byte for byte: the
+    join of ``json_chunks``."""
+    return "".join(json_chunks(doc))
 
 
 _JSON_TYPES = {
@@ -259,8 +268,6 @@ def _check_schema(data) -> None:
         for i, factor in enumerate(factors):
             _expect_items(factor, list, f"factors[{i}]")
     _field(data, "verified", bool, "verified")
-    if "seed" in data:
-        _expect(data["seed"], int, "seed")
 
 
 def read_certificate(data) -> FactorizationDocument:
@@ -355,7 +362,6 @@ def read_certificate(data) -> FactorizationDocument:
         vertices=vertices,
         named=len(named),
         verified=data["verified"],
-        seed=data.get("seed", 0),
     )
 
 
@@ -399,7 +405,7 @@ def to_text(doc: FactorizationDocument) -> str:
     text = texts.__getitem__
     lines = [
         f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
-        f"verified={doc.verified} seed={doc.seed}"
+        f"verified={doc.verified}"
     ]
     for i, f in enumerate(factors, 1):
         cycles = ("(" + ",".join(map(text, c)) + ")" for c in canonical_id_cycles(f))

@@ -44,10 +44,11 @@ class DomainError(ValueError):
 
 # A certificate of order n holds n(n-1) arcs.  Measured under CPython 3.11
 # on x86-64, one process each: at n = 4002 (16 million arcs) solve of [n]
-# took 4.0-4.4 s and peaked at 221 MB, its final check holding one 32-bit
-# successor table per factor, and solve plus to_json peaked at 664 MB, most
-# of it the certificate text of over 260 MB; larger orders are refused up
-# front.
+# took 4.2-4.8 s and peaked at 222 MB, its final check holding one 32-bit
+# successor table per factor.  ``solve --out``, writing the 263 MB
+# certificate factor by factor, peaked there too; solve plus to_json, which
+# holds the factors' texts and the joined text at once, peaked at 664 MB.
+# Larger orders are refused up front.
 MAX_ORDER = 4002
 
 

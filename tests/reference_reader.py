@@ -80,5 +80,4 @@ def read_certificate(data) -> FactorizationDocument:
         vertices=vertices,
         named=len(named),
         verified=data["verified"],
-        seed=data.get("seed", 0),
     )

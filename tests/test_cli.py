@@ -236,7 +236,6 @@ def test_verify_other_host_kinds(capsys, tmp_path):
         vertices=host.vertex_table,
         named=10,
         verified=True,
-        seed=0,
     )
     path = tmp_path / "hstar.json"
     path.write_text(to_json(doc))
@@ -262,11 +261,17 @@ def test_solve_out_empty_is_a_usage_error(capsys, argv):
     assert err == "error: argument --out: empty path\n"
 
 
-def _verify_text(capsys, tmp_path, text):
+def _verify_all(capsys, tmp_path, text):
+    """``verify`` of ``text``: exit code, stdout and stderr."""
     path = tmp_path / "input.json"
     path.write_text(text)
     code = main(["verify", str(path)])
-    return code, capsys.readouterr().err
+    return (code, *capsys.readouterr())
+
+
+def _verify_text(capsys, tmp_path, text):
+    code, _, err = _verify_all(capsys, tmp_path, text)
+    return code, err
 
 
 def _assert_malformed(code, err):
@@ -401,8 +406,6 @@ _SCHEMA_EDITS = (
     (("host",), ["CompleteSymmetric", 14], "host must be an object, not an array"),
     (("verified",), "no", "verified must be a boolean, not a string"),
     (("verified",), 1, "verified must be a boolean, not an integer"),
-    (("seed",), 1.5, "seed must be an integer, not a number"),
-    (("seed",), False, "seed must be an integer, not a boolean"),
     (("factors",), {"0": []}, "factors must be an array, not an object"),
     (("factors", 3), "x0", "factors[3] must be an array, not a string"),
     (("factors", 3, 1), {"x0": "x1"}, "factors[3][1] must be an array, not an object"),
@@ -425,8 +428,47 @@ def test_verify_checks_field_types_before_anything_else(capsys, tmp_path):
         data = {k: v for k, v in clean.items() if k != key}
         code, err = _verify_text(capsys, tmp_path, json.dumps(data))
         assert (code, err) == (1, f"error: malformed input: missing field {key}\n")
-    data = {k: v for k, v in clean.items() if k != "seed"}  # optional, default 0
-    assert _verify_text(capsys, tmp_path, json.dumps(data))[0] == 0
+
+
+# a certificate written before 0.3.0 ends with a seed, always 0
+_LEGACY_TAIL = ',\n  "seed": 0\n}\n'
+
+
+def test_verify_reads_a_certificate_with_a_seed_as_one_without(capsys, tmp_path):
+    """A certificate in the format before 0.3.0, the same text with
+    ``"seed": 0`` after ``verified``, gets the same exit code, stdout and
+    stderr as the text without it: clean, with a factor dropped, with a
+    foreign vertex and with a shared vertex."""
+    path = tmp_path / "cert.json"
+    assert main(["solve", "--n", "14", "--factor", "[4,10]", "--out", str(path)]) == 0
+    clean = path.read_text()
+    dropped = json.loads(clean)
+    del dropped["factors"][5]
+    foreign = json.loads(clean)
+    foreign["factors"][2][0][1] = "x9"
+    shared = json.loads(clean)
+    shared["factors"][0][1][0] = shared["factors"][0][0][0]
+    texts = [clean] + [json.dumps(d, indent=2) + "\n" for d in (dropped, foreign, shared)]
+    codes = []
+    for text in texts:
+        assert text.endswith("\n}\n") and '"seed"' not in text
+        legacy = text[: -len("\n}\n")] + _LEGACY_TAIL
+        result = _verify_all(capsys, tmp_path, text)
+        assert _verify_all(capsys, tmp_path, legacy) == result
+        codes.append(result[0])
+    assert codes == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "seed", [0, -7, 1.5, False, "3", None, [1], {"seed": 0}], ids=repr
+)
+def test_verify_ignores_a_seed_of_any_json_type(capsys, tmp_path, seed):
+    """``seed`` is no field of the schema, so a value of any JSON type is
+    read as if the key were absent, as any other unnamed key is."""
+    clean = _solved_certificate(tmp_path)
+    result = _verify_all(capsys, tmp_path, json.dumps(clean))
+    assert result[0] == 0
+    assert _verify_all(capsys, tmp_path, json.dumps(dict(clean, seed=seed))) == result
 
 
 def test_verify_error_lines_stay_short(capsys, tmp_path):

@@ -59,7 +59,7 @@ def _clean(kind, size, spec):
         factors = w_star_id_factors(ftype)
     host = HostDescriptor(kind, size)
     doc = FactorizationDocument(
-        ftype.order, ftype, host, factors, host.vertex_table, host.order, True, 0
+        ftype.order, ftype, host, factors, host.vertex_table, host.order, True
     )
     return to_json(doc)
 
@@ -90,6 +90,7 @@ _OPS = (
     "empty_cycle",
     "empty_factor",
     "drop_token",
+    "shared_foreign",
 )
 
 
@@ -132,6 +133,17 @@ def _corrupt(data, factors, op, order):
             f.append([c[k]])
     elif op == "empty_cycle":
         f.insert(data.draw(st.integers(0, len(f))), [])
+    elif op == "shared_foreign":
+        # a new cycle: a foreign x, which sorts after the host's x and
+        # before its y but gets an id after all of them, then two y of the
+        # factor's other cycles, the greater first.  In vertex order the
+        # cycle starts at the x and meets the greater y again first; in id
+        # order it would start at the lesser y and meet that one first.
+        ys = sorted({t for d in f for t in d if isinstance(t, str) and t[:1] == "y"})
+        if len(ys) >= 2:
+            two = st.lists(st.sampled_from(ys), min_size=2, max_size=2, unique=True)
+            pair = sorted(data.draw(two), key=lambda t: int(t[1:]), reverse=True)
+            f.append(["x" + str(order + data.draw(st.integers(0, 2))), *pair])
     else:  # drop_token
         del c[k]
 

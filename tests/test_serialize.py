@@ -31,7 +31,6 @@ def to_json_dict(doc):
         "host": doc.host.to_json(),
         "factors": [[[text[i] for i in c] for c in f] for f in doc.factors],
         "verified": doc.verified,
-        "seed": doc.seed,
     }
 
 
@@ -39,7 +38,7 @@ def _ref_text(doc):
     """``to_text`` written from the factor objects."""
     lines = [
         f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
-        f"verified={doc.verified} seed={doc.seed}"
+        f"verified={doc.verified}"
     ]
     for i, f in enumerate(factor_objects(doc.factors, doc.vertices), 1):
         lines.append(f"F{i}: " + " ".join(c.text() for c in f.cycles))
@@ -111,7 +110,6 @@ def _documents(draw):
         factors=factors,
         vertices=vertices,
         verified=draw(st.booleans()),
-        seed=draw(st.integers(-5, 10**9)),
     )
 
 
@@ -125,17 +123,18 @@ def test_to_json_equals_the_encoder(doc):
 
 # SHA-256 of ``solve --format text|edges|dot`` on stdout, fixed when the
 # renderers wrote from factor objects; the id renderers must match them.
+# The text hashes were fixed again in 0.3.0, whose header line has no seed.
 _PINNED = {
-    (6, "[2,4]", "text"): "efd6889d076810569cea0296ebe77a0b517f806ba3d022124b1846a015e2a0a6",
+    (6, "[2,4]", "text"): "8baba56b89a2eb1255f6e807883b47521f8aaeab8e141ea87693451f1cd76d15",
     (6, "[2,4]", "edges"): "433eab643511e47d27c268fb8374c5702f5523b9e72f854e3b305b1725b2c5cb",
     (6, "[2,4]", "dot"): "71cb69770302bb8e1987dcb74e45af0faeb47f03c007fb01af8dbef2a150b8dc",
-    (6, "[2^3]", "text"): "608fc1399cea804601d935b1b0d08baffb33a09331cc6e893ee66bb48443111b",
+    (6, "[2^3]", "text"): "3c1e45ee6389312063d6d8c2afb8387b6f0b1633df87d0de0d68a92a838f84f9",
     (6, "[2^3]", "edges"): "ebdc2b2a61fb3d6429b17cea4d0f9258dcaed98041570055d36b7754fd4412dd",
     (6, "[2^3]", "dot"): "e8a95175d5a38bf1d86e9ab1adc47e6ca27183169654fd51b36203b9335ad62a",
-    (14, "[2,4,8]", "text"): "28b6fe30e2bcceacd2b1490749265219b5cfdef67dcc743aa5e19a35e56c8cbe",
+    (14, "[2,4,8]", "text"): "cab85284fd534f0d023e0f29702a5fe163e81906ec2bfefd4fdf7b494af09494",
     (14, "[2,4,8]", "edges"): "67b39b65ea3b2fd1f9ba21f67dcdde250872744f06429101819fa70c54be71e4",
     (14, "[2,4,8]", "dot"): "4427064b83cd91b47ec6f2cf19e4c3ec645c859a4cb5ce6e31e40a807f32c42b",
-    (22, "[2^3,4^2,8]", "text"): "cc9084286997088c9a785011a27d83a7137803c09e9e4a2467a9cd7b2ff9393f",
+    (22, "[2^3,4^2,8]", "text"): "1fe3f97950260a629e80aae0cac0c49e0f08bf51692e526e0223539ce2cde42b",
     (22, "[2^3,4^2,8]", "edges"): "fc2e74e799fb7f6e78b000f837c6f9ae48c3a643187ff3fbc8ad2f3d3846798b",
     (22, "[2^3,4^2,8]", "dot"): "31bbc11da4137404b23f37bc27a943a19c2d34b92b473aa4fa6934785b13b754",
 }

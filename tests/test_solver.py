@@ -377,32 +377,6 @@ def test_solve_domain_errors():
         solve(14, parse_cycle_type("[2,4]"))
 
 
-@pytest.mark.parametrize("n", [30, 62])
-@pytest.mark.parametrize("lengths", [lambda n: [n], lambda n: [2, 4, 8, n - 14]])
-def test_warm_solve_constructs_no_vertex_or_cycle_objects(monkeypatch, n, lengths):
-    """From the split to the final check, a warm solve of order >= 10 runs
-    on vertex ids: no ``Vertex`` is constructed."""
-    from oberwolfach import core
-
-    ftype = CycleType(lengths(n))
-    solve(n, ftype)  # warm: tables, cap-family pieces and numbering loaded
-    built = []
-
-    def counting(cls, name):
-        real = getattr(cls, name)
-
-        def count(*args, **kwargs):
-            built.append(cls.__name__)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, count)
-
-    counting(core.Vertex, "__new__")
-    result = solve(n, ftype)
-    assert result.report.passed
-    assert built == []
-
-
 def test_build_path_never_builds_a_blow_up_host(monkeypatch):
     """The W* route tests host membership by index arithmetic and the final
     checks run against host descriptions: building the arc set of W* or H*
