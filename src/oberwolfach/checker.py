@@ -279,20 +279,13 @@ def verify_admissible_decomposition(
     report.add("width", dec.m == m, f"declared {dec.m}, expected {m}")
     bad = [i for i, f in enumerate(factors) if not admissible_ids(f, m)]
     report.add("admissible", not bad, f"inadmissible factors: {bad}")
-    all_arcs = [a for f in factors for c in f for a in zip(c, c[1:] + c[:1])]
-    union = set(all_arcs)
-    extra = len(_outside("JStar", union, m))
-    missing = 18 * max(m, 0) - (len(union) - extra)
-    report.add(
-        "arc_disjoint",
-        len(all_arcs) == len(union),
-        f"{len(all_arcs)} arcs used, {len(union)} distinct",
+    used, distinct, missing, extra = _opened_host_counts(
+        [a for f in factors for c in f for a in zip(c, c[1:] + c[:1])], m
     )
     report.add(
-        "coverage",
-        missing == 0 and extra == 0,
-        f"missing {missing}, extra {extra}",
+        "arc_disjoint", used == distinct, f"{used} arcs used, {distinct} distinct"
     )
+    report.add("coverage", missing == extra == 0, f"missing {missing}, extra {extra}")
     if expected_patterns is not None:
         got = dec.patterns()
         diff = [
@@ -304,17 +297,22 @@ def verify_admissible_decomposition(
     return report
 
 
-def _is_opened_host(arcs: list, m: int, plus: set, minus: set) -> bool:
-    """Whether the J* id pairs ``arcs`` are distinct and make up the opened
-    host on ``m`` blocks with the arcs ``plus`` (outside it) added and the
-    arcs ``minus`` (inside it) taken away: none of them is outside that
-    union, and they number its 18m + |plus| - |minus| arcs."""
+def _opened_host_counts(arcs: list, m: int, plus=frozenset(), minus=frozenset()):
+    """(used, distinct, missing, extra) of the J* id pairs ``arcs`` against
+    the opened host on ``m`` blocks with the arcs ``plus`` (outside it)
+    added and the arcs ``minus`` (inside it) taken away: an arc is extra
+    when it is outside that host, and the distinct arcs less the extra ones
+    number its 18m + |plus| - |minus| arcs less the missing ones."""
     union = set(arcs)
-    return (
-        len(arcs) == len(union) == 18 * m + len(plus) - len(minus)
-        and not union & minus
-        and not _outside("JStar", union - plus, m)
-    )
+    extra = len(_outside("JStar", union - plus, m)) + len(union & minus)
+    missing = 18 * max(m, 0) + len(plus) - len(minus) - (len(union) - extra)
+    return len(arcs), len(union), missing, extra
+
+
+def _is_opened_host(arcs: list, m: int, plus: set, minus: set) -> bool:
+    """Whether the distinct J* id pairs ``arcs`` make up that host exactly."""
+    used, distinct, missing, extra = _opened_host_counts(arcs, m, plus, minus)
+    return used == distinct and missing == extra == 0
 
 
 def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:

@@ -52,13 +52,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_NONEXISTENT
-    doc = serialize.document_for_solution(result)
-    # a JSON certificate is written factor by factor, as it is made
-    chunks = (
-        serialize.json_chunks(doc)
-        if args.format == "json"
-        else [serialize.render(doc, args.format)]
-    )
+    # every format is written factor by factor, as it is made
+    chunks = serialize.FORMATS[args.format](serialize.document_for_solution(result))
     if args.out is None:
         sys.stdout.writelines(chunks)
         return EXIT_OK

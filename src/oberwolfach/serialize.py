@@ -9,14 +9,14 @@ JSON schema::
 A certificate is one document type, ``FactorizationDocument``, on vertex
 ids: the factors are lists of cycles of ids, and ``vertices`` maps each id
 to its vertex.  The solver's ids are in canonical form (each cycle from its
-least vertex, cycles sorted), so serialisation is deterministic; the one
-JSON writer, ``json_chunks``, writes a document's ids as read, factor by
-factor (``to_json`` joins its text), so re-serialising a parsed file
-reproduces it byte for byte.  The text,
-edge-list and DOT forms are written from the ids and each vertex's text,
-with each cycle rotated to its least vertex, the cycles sorted and the arcs
-sorted by the vertices' sort order, whatever order a read document's ids
-are in.
+least vertex, cycles sorted), so serialisation is deterministic.  Each
+format's writer in ``FORMATS`` yields a head, one chunk per factor, then a
+tail, so a certificate is written one factor's text at a time; ``render``
+joins them.  ``json_chunks`` writes a document's ids as read (``to_json``
+joins its text), so re-serialising a parsed file reproduces it byte for
+byte.  The text, edge-list and DOT writers rank each factor's ids by vertex
+as they write it, with each cycle rotated to its least vertex, the cycles
+sorted and the arcs sorted, whatever order a read document's ids are in.
 
 Certificates are read by one reader, ``read_certificate`` (``from_json``
 is it applied to text), and ``verify`` hands its cycles to the checker.
@@ -384,68 +384,73 @@ def from_json(text: str) -> FactorizationDocument:
 
 
 def _ranked(doc: FactorizationDocument) -> tuple:
-    """The factors with each id replaced by its vertex's place in the sort
-    order of ``doc.vertices``, and the vertices' texts in that order.  On
-    these ranks, id order is vertex order, also for a read document whose
-    foreign vertices got ids after the host's."""
+    """The factors, each made when it is taken, with each id replaced by its
+    vertex's place in the sort order of ``doc.vertices``, and the vertices'
+    texts in that order.  On these ranks, id order is vertex order, also for
+    a read document whose foreign vertices got ids after the host's."""
     vertices = doc.vertices
     order = sorted(range(len(vertices)), key=vertices.__getitem__)
     rank = [0] * len(order)
     for k, i in enumerate(order):
         rank[i] = k
     rank = rank.__getitem__
-    factors = [[list(map(rank, c)) for c in f] for f in doc.factors]
+    factors = ([list(map(rank, c)) for c in f] for f in doc.factors)
     return factors, [vertices[i].text() for i in order]
 
 
-def to_text(doc: FactorizationDocument) -> str:
+def text_chunks(doc: FactorizationDocument):
     """A header line, then one line per factor: its cycles, each from its
-    least vertex, in sorted order."""
+    least vertex, in sorted order; the tail is empty."""
     factors, texts = _ranked(doc)
     text = texts.__getitem__
-    lines = [
+    yield (
         f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
-        f"verified={doc.verified}"
-    ]
+        f"verified={doc.verified}\n"
+    )
     for i, f in enumerate(factors, 1):
         cycles = ("(" + ",".join(map(text, c)) + ")" for c in canonical_id_cycles(f))
-        lines.append(f"F{i}: " + " ".join(cycles))
-    return "\n".join(lines) + "\n"
+        yield f"F{i}: " + " ".join(cycles) + "\n"
+    yield ""
 
 
 def _sorted_arcs(doc: FactorizationDocument):
-    """(factor index from 1, tail text, head text) of every arc, each
-    factor's arcs sorted by vertex."""
+    """(factor index from 1, its arcs sorted by vertex as (tail text, head
+    text) pairs) of each factor in turn."""
     factors, texts = _ranked(doc)
     for i, f in enumerate(factors, 1):
-        for a, b in sorted(zip(*id_arcs(f))):
-            yield i, texts[a], texts[b]
+        yield i, [(texts[a], texts[b]) for a, b in sorted(zip(*id_arcs(f)))]
 
 
-def to_edges(doc: FactorizationDocument) -> str:
-    """One line per arc: ``<factor-index> <tail> <head>``."""
-    lines = [f"{i} {a} {b}" for i, a, b in _sorted_arcs(doc)]
-    return "\n".join(lines) + "\n"
+def edges_chunks(doc: FactorizationDocument):
+    """One line per arc, ``<factor-index> <tail> <head>``, after an empty
+    head; the tail is a lone line break when no factor has an arc."""
+    yield ""
+    empty = True
+    for i, arcs in _sorted_arcs(doc):
+        empty = empty and not arcs
+        yield "".join([f"{i} {a} {b}\n" for a, b in arcs])
+    yield "\n" if empty else ""
 
 
-def to_dot(doc: FactorizationDocument) -> str:
+def dot_chunks(doc: FactorizationDocument):
     """A digraph with exactly one edge statement per arc, tagged by factor."""
-    lines = [f'digraph factorization_{doc.n} {{']
-    lines += [f'  "{a}" -> "{b}" [factor={i}];' for i, a, b in _sorted_arcs(doc)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield f"digraph factorization_{doc.n} {{\n"
+    for i, arcs in _sorted_arcs(doc):
+        yield "".join([f'  "{a}" -> "{b}" [factor={i}];\n' for a, b in arcs])
+    yield "}\n"
 
 
+# each format's writer: the head, one chunk per factor, then the tail
 FORMATS = {
-    "json": to_json,
-    "text": to_text,
-    "edges": to_edges,
-    "dot": to_dot,
+    "json": json_chunks,
+    "text": text_chunks,
+    "edges": edges_chunks,
+    "dot": dot_chunks,
 }
 
 
 def render(doc: FactorizationDocument, fmt: str) -> str:
-    try:
-        return FORMATS[fmt](doc)
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}") from None
+    """The document in format ``fmt``: the join of its chunks."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return "".join(FORMATS[fmt](doc))

@@ -45,8 +45,9 @@ class DomainError(ValueError):
 # A certificate of order n holds n(n-1) arcs.  Measured under CPython 3.11
 # on x86-64, one process each: at n = 4002 (16 million arcs) solve of [n]
 # took 4.2-4.8 s and peaked at 222 MB, its final check holding one 32-bit
-# successor table per factor.  ``solve --out``, writing the 263 MB
-# certificate factor by factor, peaked there too; solve plus to_json, which
+# successor table per factor.  ``solve --out`` writes every format factor by
+# factor and peaked there too: 222 MB for json (263 MB written), text
+# (87 MB), edges (250 MB) and dot (554 MB).  An in-process to_json, which
 # holds the factors' texts and the joined text at once, peaked at 664 MB.
 # Larger orders are refused up front.
 MAX_ORDER = 4002

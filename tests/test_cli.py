@@ -611,10 +611,11 @@ def test_factor_numbers_of_thousands_of_digits_are_refused(capsys, factor):
     assert err.count("\n") == 1 and len(err.encode()) < 200, err
 
 
-@pytest.mark.parametrize("field", ["n", "host.m", "factor_type", "seed"])
+@pytest.mark.parametrize("field", ["n", "host.m", "factor_type", "note"])
 def test_verify_integer_of_thousands_of_digits_is_one_plain_line(capsys, tmp_path, field):
     """An integer literal longer than the interpreter converts is named as
-    such, not with the interpreter's advice to change its limit."""
+    such, not with the interpreter's advice to change its limit, in a field
+    of the schema or under a key the schema ignores (``note``)."""
     data = json.loads(FIXTURE.read_text())
     if field == "host.m":
         data["host"]["m"] = "HUGE"

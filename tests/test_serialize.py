@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,11 @@ from oberwolfach.cli import main
 from oberwolfach.core import Vertex, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.serialize import (
+    FORMATS,
     document_for_solution,
     from_json,
-    to_dot,
-    to_edges,
+    render,
     to_json,
-    to_text,
 )
 from oberwolfach.solver import solve
 from strip import factor_objects
@@ -35,7 +36,7 @@ def to_json_dict(doc):
 
 
 def _ref_text(doc):
-    """``to_text`` written from the factor objects."""
+    """The text form written from the factor objects."""
     lines = [
         f"n={doc.n} type={doc.ftype.text()} host={doc.host.kind}({doc.host.m_or_n}) "
         f"verified={doc.verified}"
@@ -46,7 +47,7 @@ def _ref_text(doc):
 
 
 def _ref_edges(doc):
-    """``to_edges`` written from the factor objects' sorted arcs."""
+    """The edge list written from the factor objects' sorted arcs."""
     lines = []
     for i, f in enumerate(factor_objects(doc.factors, doc.vertices), 1):
         for a in sorted(f.arcs()):
@@ -55,7 +56,7 @@ def _ref_edges(doc):
 
 
 def _ref_dot(doc):
-    """``to_dot`` written from the factor objects' sorted arcs."""
+    """The DOT form written from the factor objects' sorted arcs."""
     lines = [f"digraph factorization_{doc.n} {{"]
     for i, f in enumerate(factor_objects(doc.factors, doc.vertices), 1):
         for a in sorted(f.arcs()):
@@ -185,6 +186,63 @@ def test_renderers_equal_the_object_reference(doc):
     rotation, text, edges and dot equal their object-built references."""
     if doc is None:
         return
-    assert to_text(doc) == _ref_text(doc)
-    assert to_edges(doc) == _ref_edges(doc)
-    assert to_dot(doc) == _ref_dot(doc)
+    assert render(doc, "text") == _ref_text(doc)
+    assert render(doc, "edges") == _ref_edges(doc)
+    assert render(doc, "dot") == _ref_dot(doc)
+
+
+_SPEC_30 = "[2^3,4^2,16]"
+_DOC_30 = document_for_solution(solve(30, parse_cycle_type(_SPEC_30)))
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_format_is_written_factor_by_factor(tmp_path, fmt):
+    """Each writer yields a head, one chunk per factor (29 at n = 30) and a
+    tail: the head, the first k factor chunks and the tail are the rendering
+    of the document cut to its first k factors.  The chunks join to
+    ``render``, and ``solve --out`` writes exactly those bytes."""
+    chunks = list(FORMATS[fmt](_DOC_30))
+    assert len(chunks) == 1 + 29 + 1
+    for k in range(1, 30):
+        cut = dataclasses.replace(_DOC_30, factors=_DOC_30.factors[:k])
+        assert "".join(chunks[: k + 1]) + chunks[-1] == render(cut, fmt)
+    assert "".join(chunks) == render(_DOC_30, fmt)
+    path = tmp_path / f"out.{fmt}"
+    argv = ["solve", "--n", "30", "--factor", _SPEC_30, "--format", fmt]
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == "".join(chunks).encode()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_solve_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
+    """``solve`` hands the writer's chunks to the output one at a time: when
+    a chunk is made, every earlier one has been written."""
+    out = io.StringIO()
+    made = []
+    writer = FORMATS[fmt]
+
+    def watched(doc):
+        for chunk in writer(doc):
+            assert out.getvalue() == "".join(made)
+            made.append(chunk)
+            yield chunk
+
+    monkeypatch.setitem(FORMATS, fmt, watched)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["solve", "--n", "30", "--factor", _SPEC_30, "--format", fmt]) == 0
+    assert len(made) == 31 and out.getvalue() == "".join(made)
+
+
+@pytest.mark.parametrize(
+    "factors, text",
+    [([], ""), ([[], []], "F1: \nF2: \n")],
+    ids=["no-factors", "empty-factors"],
+)
+def test_a_document_with_no_arcs_renders_as_before(factors, text):
+    """Without arcs, text is its header (and a line per empty factor), dot
+    an empty digraph and edges a lone line break."""
+    doc = dataclasses.replace(_DOCS[0], factors=factors)
+    header = "n=6 type=[2^3] host=CompleteSymmetric(6) verified=True\n"
+    assert render(doc, "text") == header + text
+    assert render(doc, "edges") == "\n"
+    assert render(doc, "dot") == "digraph factorization_6 {\n}\n"
