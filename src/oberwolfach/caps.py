@@ -23,7 +23,9 @@ Check contract: every piece is checked once, where it is made, on ids.
 * Table decompositions are checked factor by factor with
   ``admissible_ids`` when ``tables`` loads them (once per process, the
   loaders are cached).
-* ``assemble`` checks each factor's degrees, cycle type and
+* ``assemble`` runs the cap audit, ``checker.verify_cap_complementarity``,
+  on its caps and centre piece, so the seam-pattern and constant-m0
+  clauses are the audit's; it checks each factor's degrees, cycle type and
   admissibility, and ``general_factor`` its result's cycle types; it is
   memoised per type.
 * ``_splice_all`` checks that every piece has the first piece's boundary
@@ -51,7 +53,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import tables
-from .checker import verify_id_factorization
+from .checker import verify_cap_complementarity, verify_id_factorization
 from .core import CycleType, canonical_id_cycles
 from .hosts import HostDescriptor, admissible_ids, fold_ids, strip_vertex
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
@@ -139,15 +141,10 @@ def assemble(
         raise ValueError("k must be >= 0")
     if k > 0 and centre is None:
         raise ValueError("k > 0 requires a centre piece")
-    seams = left.internal_patterns()
-    if seams != right.internal_patterns():
-        raise ValueError("left and right caps have different seam patterns")
-    if centre is not None and seams != centre.internal_patterns():
-        raise ValueError("centre piece does not match the caps' seam patterns")
-    m0s = {len(p) + len(e[0]) - 2 for p, e in zip(left.paths, right.elements)}
-    if len(m0s) != 1:
-        raise ValueError(f"len(L_i) + len(P_i) is not constant: {sorted(m0s)}")
-    m0 = m0s.pop()
+    audit = verify_cap_complementarity(left, right, centre)
+    if not audit.passed:
+        raise ValueError(f"the pieces fail the cap audit: {audit.failures()}")
+    m0 = len(left.paths[0]) + len(right.elements[0][0]) - 2  # constant, audited
     chained = _chain_centre(centre, k, 2 * left.ell) if k > 0 else [()] * 9
     m = left.ell + 4 * k + right.r
     expected = CycleType([m0 + 8 * k, *right.side_lengths])

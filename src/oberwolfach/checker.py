@@ -84,9 +84,11 @@ from typing import Iterable, Optional
 from .core import CycleType, canonical_id_cycles, cycle_type_text, id_arcs
 from .hosts import (
     BOUNDARY,
+    BYTE_IDS,
     HostDescriptor,
     _outside,
     admissible_ids,
+    byte_permutation,
     out_neighbour_bytes,
 )
 
@@ -121,12 +123,6 @@ class VerificationReport:
                 {"name": n, "ok": ok, "detail": d} for n, ok, d in self.checks
             ],
         }
-
-    def __str__(self) -> str:
-        lines = [f"passed={self.passed}"]
-        for n, ok, d in self.checks:
-            lines.append(f"  [{'ok' if ok else 'FAIL'}] {n}" + (f": {d}" if d else ""))
-        return "\n".join(lines)
 
 
 def verify_id_factorization(
@@ -166,17 +162,13 @@ def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationRepo
 _FILL = (1 << 8 * array("I").itemsize) - 1
 
 
-def _byte_table(cycles, ids: bytes):
-    """The successor table of a factor whose ids, joined as one ``bytes``,
-    are a permutation of ``ids``, 0..n-1 with n <= 256: ``bytes.maketrans``
-    of the factor's ids onto them shifted by one, with the last id of each
-    cycle sent back to its first; None for any other factor."""
-    try:
-        tails = b"".join(map(bytes, cycles))
-    except (ValueError, TypeError):  # an id outside 0..255
-        return None
-    n = len(ids)
-    if len(tails) != n or ids.translate(None, tails):
+def _byte_table(cycles, n: int):
+    """The successor table of a factor whose ids are a permutation of
+    0..n-1 (``byte_permutation``): ``bytes.maketrans`` of its ids onto them
+    shifted by one, each cycle's last id sent back to its first; None for
+    any other factor."""
+    tails = byte_permutation(cycles, n)
+    if tails is None:
         return None
     table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
     for c in cycles:
@@ -206,12 +198,12 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
     """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
     described host of order N, the cycle lengths compared with the sorted
     ``want``, counted as the module docstring says: each permutation's
-    successor table (``_byte_table`` up to 256 ids, ``_wide_table``
+    successor table (``_byte_table`` up to ``BYTE_IDS`` ids, ``_wide_table``
     above) is appended to ``grid``, whose column v, ``grid[v::N]``, gets
     ``loose[v]``, the heads of v's arcs in the other factors."""
     n = host.order
     arc_count = host.arc_count  # refuses a kind with no arc rule
-    narrow = n <= 256
+    narrow = n <= BYTE_IDS
     ids = bytes(range(n)) if narrow else None
     grid = bytearray() if narrow else array("I")
     loose = None  # the heads of loose arcs by tail, once a loose factor is met
@@ -223,7 +215,7 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
         lengths = sorted(map(len, cycles))
         if lengths != want:
             wrong.append((i, cycle_type_text(lengths)))
-        table = _byte_table(cycles, ids) if narrow else _wide_table(cycles, n)
+        table = _byte_table(cycles, n) if narrow else _wide_table(cycles, n)
         if table is not None:
             grid += table
             used += n
@@ -462,9 +454,6 @@ def factors_through_arc(codes: frozenset, n: int, lengths: tuple, first: int):
         for w in adj[v]:
             if w in used:
                 continue
-            # anchoring: later cycles must start at the least id they use
-            if cycles and w < path[0]:
-                continue
             used.add(w)
             path.append(w)
             yield from grow(path, target_len, used, rest, cycles)
@@ -491,9 +480,11 @@ def factors_through_arc(codes: frozenset, n: int, lengths: tuple, first: int):
         yield from grow([tail, head], length, {tail, head}, tuple(remaining), [])
 
 
-def brute_force_factorization(
-    n: int, ftype: CycleType, budget: int = 2_000_000, cap: int = 10
-):
+ORACLE_BUDGET = 2_000_000  # the oracle's node budget
+ORACLE_MAX_ORDER = 10  # the largest order it searches
+
+
+def brute_force_factorization(n: int, ftype: CycleType):
     """Exhaustive search for an ftype-factorization of the complete
     symmetric digraph of a tiny order ``n``, on its vertex ids
     (``hosts.HostDescriptor`` numbering, which is the vertices' sort order)
@@ -501,8 +492,8 @@ def brute_force_factorization(
 
     Returns the factors, each a tuple of id cycles in canonical form
     (``core.canonical_id_cycles``), on success and ``Nonexistent`` only
-    after the whole search space is exhausted.  Raises BudgetExceeded if the
-    node budget runs out first.
+    after the whole search space is exhausted.  Raises BudgetExceeded if
+    ``ORACLE_BUDGET`` nodes do not suffice.
 
     Each search node takes the least arc left, ``first``, and tries every
     factor through it (``factors_through_arc``).  At the root only one
@@ -522,8 +513,8 @@ def brute_force_factorization(
     reduction, after fewer nodes.
     """
     HostDescriptor("CompleteSymmetric", n)  # refuses n < 2, as the builder does
-    if n > cap:
-        raise ValueError(f"host too large for the oracle ({n} > {cap})")
+    if n > ORACLE_MAX_ORDER:
+        raise ValueError(f"host too large for the oracle ({n} > {ORACLE_MAX_ORDER})")
     if ftype.order != n:
         raise ValueError(f"type order {ftype.order} != host order {n}")
     nodes = 0
@@ -531,8 +522,8 @@ def brute_force_factorization(
     def search(remaining: frozenset, acc: list):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"oracle budget {budget} exhausted")
+        if nodes > ORACLE_BUDGET:
+            raise BudgetExceeded(f"oracle budget {ORACLE_BUDGET} exhausted")
         if not remaining:
             return list(acc)
         tried: set = set()  # root orbits tried, by the length through first

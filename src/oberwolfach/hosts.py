@@ -53,12 +53,14 @@ by C-level set calls, and keeps the last one: ``admissible_ids`` tests one
 superset of it per factor, and ``_outside`` returns the id pairs whose code
 it lacks.  ``out_neighbour_bytes(kind, m)`` writes W* or H* as one row of
 out-neighbours per id, by one slice per range of the rule, so each rule is
-still written once: a byte per id up to 256 ids, an unsigned
-``array('I')`` above.  The checker's column kernel counts each vertex's
-missing heads against these rows; the complete host needs none, since
-every other id is an out-neighbour.  ``admissible_ids`` decides whether
-cycles of J* ids are an admissible factor of the opened host: 2m distinct
-ids, one of each boundary pair {b, b + 2m}, every arc inside.
+still written once: a byte per id up to ``BYTE_IDS`` = 256 ids, an
+unsigned ``array('I')`` above.  The checker's column kernel counts each
+vertex's missing heads against these rows; the complete host needs none,
+since every other id is an out-neighbour, and the certificate reader and
+the kernel ask ``byte_permutation`` whether cycles of up to ``BYTE_IDS``
+ids are a permutation of them.  ``admissible_ids`` decides whether cycles
+of J* ids are an admissible factor of the opened host: 2m distinct ids,
+one of each boundary pair {b, b + 2m}, every arc inside.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
@@ -242,6 +244,23 @@ def arc_codes(kind: str, m: int) -> frozenset:
     return frozenset(chain.from_iterable(_ranges(kind, m)))
 
 
+BYTE_IDS = 256  # the most ids a byte holds
+_BYTE_IDS = bytes(range(BYTE_IDS))
+
+
+def byte_permutation(cycles, n: int):
+    """``cycles`` joined as one ``bytes`` when their ids are a permutation
+    of 0..n-1, n <= ``BYTE_IDS``: n bytes whose deletion from
+    ``bytes(range(n))`` leaves nothing; None otherwise."""
+    try:
+        joined = b"".join(map(bytes, cycles))
+    except (ValueError, TypeError):  # an id outside 0..255
+        return None
+    if len(joined) == n <= BYTE_IDS and not _BYTE_IDS[:n].translate(None, joined):
+        return joined
+    return None
+
+
 @lru_cache(maxsize=2)
 def out_neighbour_bytes(kind: str, m: int) -> tuple:
     """Each host id's out-neighbours on the blow-up ``kind`` (``"WStar"``
@@ -260,7 +279,7 @@ def out_neighbour_bytes(kind: str, m: int) -> tuple:
     n = _width(kind, m)
     runs = sorted(_ranges(kind, m), key=attrgetter("start"))
     ends = [0] * (sum(map(len, runs)) // n)  # each row's first tail not yet filled
-    if n <= 256:
+    if n <= BYTE_IDS:
         ids, grid = bytes(range(n)), bytearray(len(ends) * n)
     else:
         ids, grid = array("I", range(n)), array("I", [0]) * (len(ends) * n)
@@ -319,19 +338,17 @@ def admissible_ids(cycles, m: int) -> bool:
 
 
 class _FoldTable(dict):
-    """J* id -> host id of W* on m blocks, (v >> 1) % m + (v & 1) * m,
-    stored for the opened host's ids 0..2m+3; any other id is folded by the
-    same arithmetic when looked up, and not stored."""
+    """J* id -> host id of W* on m blocks by ``__missing__``, stored for
+    the opened host's ids 0..2m+3; any other id is folded when looked up,
+    and not stored."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: int):
         super().__init__()
         self.m = m
-        folded = [0] * (2 * m + 4)  # blocks b = 0..m+1 to b mod m
-        folded[0::2] = [*range(m), 0, 1 % m]  # x_b, J* id 2b
-        folded[1::2] = [*range(m, 2 * m), m, m + 1 % m]  # y_b, J* id 2b + 1
-        self.update(enumerate(folded))
+        ids = range(2 * m + 4)
+        self.update(zip(ids, map(self.__missing__, ids)))
 
     def __missing__(self, v: int) -> int:
         return (v >> 1) % self.m + (v & 1) * self.m

@@ -168,16 +168,9 @@ def _haggkvist(ftype: CycleType, m: int):
     at junction (a+k-1, a+k).  The other two edges of those junctions form
     one cycle of length 2k: from y_a through both vertices of blocks
     a+1..a+k-1 to x_{a+k} and back to y_a (``_complement_walks``).  The
-    argument needs m >= 3, so that the m junctions are distinct.
+    argument needs m >= 3, so that the m junctions are distinct, and an
+    even type of order 2m without 2-cycles, as ``factorize_h_star`` passes.
     """
-    if not ftype.is_bipartite():
-        raise ValueError(f"{ftype} has odd lengths")
-    if ftype.order != 2 * m:
-        raise ValueError(f"{ftype} has order {ftype.order}, expected {2 * m}")
-    if 2 in ftype.lengths:
-        raise ValueError("2-cycles are handled by the directed gadget route")
-    if m < 3:
-        raise ValueError(f"host undefined for m = {m} (need m >= 3)")
     ks = [length // 2 for length in ftype.lengths]
     return _segment_walks(ks, m), _complement_walks(ks, m)
 

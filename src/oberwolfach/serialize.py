@@ -41,10 +41,10 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
   token is outside, and ``verify`` refuses the document for naming too few
   vertices.
 * **Bytes up to 256 vertices.**  On the table path of a host of order
-  N <= 256 each cycle is read as one ``bytes``, an id per byte, and a
-  factor is a permutation of the host's ids when its joined bytes number N
-  and deleting them from ``bytes(range(N))`` leaves nothing: the test the
-  checker's column kernel makes on its byte tables.  Above 256, and for a
+  N <= ``hosts.BYTE_IDS`` each cycle is read as one ``bytes``, an id per
+  byte, and a factor is a permutation of the host's ids when
+  ``hosts.byte_permutation`` says so: the test the checker's column
+  kernel makes on its byte tables.  Above 256, and for a
   factor with a token outside the table, the cycles are lists of ids, which
   the kernel scatters into its wide tables.
 * **One set per other factor.**  A factor that is not such a permutation is
@@ -65,14 +65,16 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import setitem
 from typing import Sequence
 
 from .core import CycleType, Vertex, canonical_id_cycles, id_arcs, parse_vertex
-from .hosts import DESCRIBED_KINDS, HostDescriptor
+from .hosts import BYTE_IDS, DESCRIBED_KINDS, HostDescriptor, byte_permutation
 
 
 @dataclass(frozen=True)
@@ -317,9 +319,7 @@ def read_certificate(data) -> FactorizationDocument:
             raise
         return cycles
 
-    # an id of a host of order <= 256 fits in a byte
-    pack = bytes if table and host.order <= 256 else list
-    every = bytes(range(host.order)) if pack is bytes else b""
+    pack = bytes if table and host.order <= BYTE_IDS else list
     spans = False  # some factor is a permutation of the host's ids
     factors = []
     named: set = set()
@@ -331,16 +331,14 @@ def read_certificate(data) -> FactorizationDocument:
             cycles = resolve(factor)
             on_host = False
         else:
-            if pack is bytes:
-                flat = b"".join(cycles)
-                if (
-                    len(flat) == len(every)
-                    and not every.translate(None, flat)
-                    and min(map(len, cycles)) >= 2
-                ):
-                    spans = True
-                    factors.append(cycles)
-                    continue
+            if (
+                pack is bytes
+                and byte_permutation(cycles, host.order) is not None
+                and min(map(len, cycles)) >= 2
+            ):
+                spans = True
+                factors.append(cycles)
+                continue
         ids: set = set()
         for c in cycles:
             ids.update(c)
@@ -390,11 +388,10 @@ def _ranked(doc: FactorizationDocument) -> tuple:
     a read document whose foreign vertices got ids after the host's."""
     vertices = doc.vertices
     order = sorted(range(len(vertices)), key=vertices.__getitem__)
-    rank = [0] * len(order)
-    for k, i in enumerate(order):
-        rank[i] = k
-    rank = rank.__getitem__
-    factors = ([list(map(rank, c)) for c in f] for f in doc.factors)
+    factors = doc.factors  # as they are where every id is its rank
+    if order != list(range(len(order))):
+        rank = sorted(range(len(order)), key=order.__getitem__).__getitem__
+        factors = ([list(map(rank, c)) for c in f] for f in factors)
     return factors, [vertices[i].text() for i in order]
 
 
@@ -413,12 +410,25 @@ def text_chunks(doc: FactorizationDocument):
     yield ""
 
 
-def _sorted_arcs(doc: FactorizationDocument):
-    """(factor index from 1, its arcs sorted by vertex as (tail text, head
-    text) pairs) of each factor in turn."""
+def _arc_chunks(doc: FactorizationDocument, line):
+    """Each factor's arcs, sorted by vertex, as lines ``first + tail + mid +
+    head + last``, with ``(first, mid, last) = line(i)`` for factor i from 1:
+    read from the successor table of a permutation, sorted otherwise."""
     factors, texts = _ranked(doc)
+    n = len(texts)
     for i, f in enumerate(factors, 1):
-        yield i, [(texts[a], texts[b]) for a, b in sorted(zip(*id_arcs(f)))]
+        tails, heads = id_arcs(f)
+        table = [None] * n
+        deque(map(setitem, repeat(table), tails, heads), maxlen=0)
+        if len(tails) == n and None not in table:
+            tails, heads = range(n), table
+        elif tails:
+            tails, heads = zip(*sorted(zip(tails, heads)))
+        first, mid, last = line(i)
+        lines = [first, None, mid, None, last] * len(tails)
+        lines[1::5] = map(texts.__getitem__, tails)
+        lines[3::5] = map(texts.__getitem__, heads)
+        yield "".join(lines)
 
 
 def edges_chunks(doc: FactorizationDocument):
@@ -426,17 +436,16 @@ def edges_chunks(doc: FactorizationDocument):
     head; the tail is a lone line break when no factor has an arc."""
     yield ""
     empty = True
-    for i, arcs in _sorted_arcs(doc):
-        empty = empty and not arcs
-        yield "".join([f"{i} {a} {b}\n" for a, b in arcs])
+    for chunk in _arc_chunks(doc, lambda i: (f"{i} ", " ", "\n")):
+        empty = empty and not chunk
+        yield chunk
     yield "\n" if empty else ""
 
 
 def dot_chunks(doc: FactorizationDocument):
     """A digraph with exactly one edge statement per arc, tagged by factor."""
     yield f"digraph factorization_{doc.n} {{\n"
-    for i, arcs in _sorted_arcs(doc):
-        yield "".join([f'  "{a}" -> "{b}" [factor={i}];\n' for a, b in arcs])
+    yield from _arc_chunks(doc, lambda i: ('  "', '" -> "', f'" [factor={i}];\n'))
     yield "}\n"
 
 

@@ -117,8 +117,7 @@ class RightCap:
     width-``r`` opened host plus the arc x0 -> y0."""
 
     r: int
-    t: int
-    side_lengths: tuple  # lengths of the t side cycles
+    side_lengths: tuple  # lengths of the side cycles
     elements: tuple  # 9 of (id path, tuple of id cycles)
 
     def internal_patterns(self) -> tuple:
@@ -634,7 +633,7 @@ def centre_piece() -> CentrePiece:
 def right_cap(family: str, anchor: int) -> RightCap:
     strip, side_lengths, rows = RIGHT_CAPS[(family, anchor)]
     elements = tuple((_p(row[0]), tuple(map(_c, row[1:]))) for row in rows)
-    return RightCap(strip, len(side_lengths), tuple(side_lengths), elements)
+    return RightCap(strip, tuple(side_lengths), elements)
 
 
 def _decomposition_from_rows(rows: tuple, m: int) -> AdmissibleDecomposition:

@@ -109,7 +109,7 @@ def test_internal_pattern_worked_example():
     left = LeftCap(2, (ids("<y2,x0,y1,x1,x3>"),) * 9)
     entry = left.internal_patterns()[0]
     assert entry == (Y0, X1, frozenset())
-    right = RightCap(3, 0, (), ((ids("<x1,y2,y3,y1,x0,x2,y0>"), ()),) * 9)
+    right = RightCap(3, (), ((ids("<x1,y2,y3,y1,x0,x2,y0>"), ()),) * 9)
     assert right.internal_patterns()[0] == entry
 
 
@@ -163,6 +163,29 @@ def test_assemble_k1_with_side_cycle():
     report = verify_admissible_decomposition(11, dec, tables.X_PATTERN)
     assert report.passed
     assert all(t.lengths == (4, 18) for t in dec.cycle_types())
+
+
+def _right_cap_with_row(i, row):
+    """The ("L", 4) right cap with table row ``i`` replaced by ``row``."""
+    strip, sides, rows = tables.RIGHT_CAPS[("L", 4)]
+    rows = rows[:i] + (row,) + rows[i + 1 :]
+    elements = tuple((tables._p(r[0]), tuple(map(tables._c, r[1:]))) for r in rows)
+    return RightCap(strip, tuple(sides), elements)
+
+
+@pytest.mark.parametrize(
+    "clause, i, row",
+    [
+        ("patterns_match", 3, ("x1 y1",)),  # the rung y1 x1 turned round
+        ("m0_constant", 8, ("y0 y1",)),  # one path a vertex shorter
+    ],
+)
+def test_assemble_refuses_caps_that_fail_the_audit(clause, i, row):
+    right = _right_cap_with_row(i, row)
+    with pytest.raises(ValueError, match=f"cap audit: .*'{clause}'"):
+        assemble(tables.left_cap(), None, 0, right)
+    with pytest.raises(ValueError, match=f"cap audit: .*'{clause}'"):
+        assemble(tables.left_cap(), tables.centre_piece(), 1, right)
 
 
 def test_general_factor_examples():

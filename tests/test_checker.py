@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checker
-from oberwolfach import tables
+from oberwolfach import checker, tables
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.checker import (
     BudgetExceeded,
@@ -208,9 +208,10 @@ def test_symmetry_reduced_oracle_matches_the_plain_search(n):
     assert nodes == {4: "exhaustive search over 2 nodes", 6: "exhaustive search over 37 nodes"}[n]
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
+    monkeypatch.setattr(checker, "ORACLE_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
-        brute_force_factorization(6, parse_cycle_type("[2,4]"), budget=2)
+        brute_force_factorization(6, parse_cycle_type("[2,4]"))
 
 
 def test_brute_force_size_cap():

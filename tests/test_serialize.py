@@ -191,6 +191,24 @@ def test_renderers_equal_the_object_reference(doc):
     assert render(doc, "dot") == _ref_dot(doc)
 
 
+def test_edges_and_dot_keep_every_arc_of_a_repeated_tail():
+    """Hand-built factors that repeat a tail, which neither the reader nor
+    ``solve`` makes, one of them with every vertex as a tail, and one that
+    misses vertices keep every arc, in sorted order."""
+    factors = [[(0, 1), (0, 2, 1)], [(4, 3)], [(0, 1, 2, 3, 4, 5), (0, 1)]]
+    doc = dataclasses.replace(_DOCS[0], factors=factors)
+    text = [v.text() for v in doc.vertices]
+    arcs = [(1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 0), (1, 2, 1), (2, 3, 4), (2, 4, 3)]
+    arcs += [(3, 0, 1), (3, 0, 1), (3, 1, 0), (3, 1, 2), (3, 2, 3), (3, 3, 4)]
+    arcs += [(3, 4, 5), (3, 5, 0)]
+    assert render(doc, "edges") == "".join(
+        f"{i} {text[a]} {text[b]}\n" for i, a, b in arcs
+    )
+    assert render(doc, "dot") == "digraph factorization_6 {\n" + "".join(
+        f'  "{text[a]}" -> "{text[b]}" [factor={i}];\n' for i, a, b in arcs
+    ) + "}\n"
+
+
 _SPEC_30 = "[2^3,4^2,16]"
 _DOC_30 = document_for_solution(solve(30, parse_cycle_type(_SPEC_30)))
 

@@ -110,7 +110,6 @@ def test_corrupted_table_is_caught():
     rows[3] = ("y1 x0",)  # transpose one vertex
     bad = RightCap(
         strip,
-        len(side_lengths),
         tuple(side_lengths),
         tuple((_p(row[0]), tuple(_c(c) for c in row[1:])) for row in rows),
     )
@@ -144,7 +143,6 @@ def _audit(
     left = type(tables.left_cap())(ell, tuple(map(tables._p, left_paths)))
     right = type(tables.right_cap(*cap))(
         strip,
-        len(sides),
         tuple(sides),
         tuple(
             (tables._p(row[0]), tuple(map(tables._c, row[1:])))
