@@ -44,4 +44,4 @@ __all__ = [
     "wh_decompose",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -55,7 +55,7 @@ from typing import Optional
 from . import tables
 from .checker import verify_cap_complementarity, verify_id_factorization
 from .core import CycleType, canonical_id_cycles
-from .hosts import HostDescriptor, admissible_ids, fold_ids, strip_vertex
+from .hosts import HostDescriptor, admissible_ids, fold_ids
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
@@ -70,10 +70,11 @@ def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
 
     Copy j of Q is shifted by 4j blocks (8j in ids) and starts where copy
     j-1 ends, so each Q must end four blocks after it starts,
-    t(Q) = s(Q)+4; U runs the other way, t(U) = s(U)-4.  Each chained id
-    list is built once; no id may repeat in Q and U together, which checks
-    that the copies meet only at their junctions and that Q and U are
-    disjoint.  One copy is the piece itself, unchecked."""
+    t(Q) = s(Q)+4; U runs the other way, t(U) = s(U)-4.  Those endpoints
+    are the audit's ``centre_endpoints`` clause, which ``assemble`` runs
+    first.  Each chained id list is built once; no id may repeat in Q and U
+    together, which checks that the copies meet only at their junctions and
+    that Q and U are disjoint.  One copy is the piece itself, unchecked."""
     if piece.c != 4:
         raise ValueError("only length-4 centre pieces are chained")
     if k < 1:
@@ -82,10 +83,6 @@ def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
         return [(_shifted(q, at), _shifted(u, at)) for q, u in piece.pairs]
     pairs = []
     for q, u in piece.pairs:
-        if q[-1] != q[0] + 8:
-            raise ValueError(f"cannot chain: t(Q)={strip_vertex(q[-1])} != s(Q)+4")
-        if u[0] != u[-1] + 8:
-            raise ValueError(f"cannot chain: t(U)={strip_vertex(u[-1])} != s(U)-4")
         big_q = list(_shifted(q, at))
         for step in range(1, k):
             big_q += _shifted(q[1:], at + 8 * step)

@@ -76,10 +76,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import setitem
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import CycleType, canonical_id_cycles, cycle_type_text, id_arcs
 from .hosts import (
@@ -97,14 +96,26 @@ class BudgetExceeded(RuntimeError):
     """Search stopped by its node budget; distinct from Nonexistent."""
 
 
-@dataclass(frozen=True)
-class Nonexistent:
+class Nonexistent(NamedTuple):
     reason: str = ""
 
 
-@dataclass
 class VerificationReport:
-    checks: list = field(default_factory=list)  # (name, ok, detail)
+    """The named checks of one verification, in order, as (name, ok,
+    detail) triples; reports compare equal when their checks do."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Optional[list] = None) -> None:
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(checks={self.checks!r})"
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok), detail))

@@ -75,10 +75,10 @@ below the host's least (n >= 2, H* m >= 3, W* m >= 5).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import add, attrgetter, mul
+from typing import NamedTuple
 
 from .core import Vertex, id_arcs
 
@@ -93,23 +93,28 @@ _LEAST_SIZE = {
 DESCRIBED_KINDS = frozenset(_LEAST_SIZE)
 
 
-@dataclass(frozen=True)
-class HostDescriptor:
+class _Host(NamedTuple):
+    kind: str  # CompleteSymmetric | HStar | WStar | JStar
+    m_or_n: int
+
+
+class HostDescriptor(_Host):
     """A host by kind and size: its vertex numbering and ``arc_count``,
     without building its arc set.
     JStar, checked by ``verify_admissible_decomposition``, is only named
     (and has an ``order``), not described."""
 
-    kind: str  # CompleteSymmetric | HStar | WStar | JStar
-    m_or_n: int
+    def __new__(cls, kind: str, m_or_n: int):
+        if kind in _LEAST_SIZE:
+            name, letter, least = _LEAST_SIZE[kind]
+            if m_or_n < least:
+                raise ValueError(f"{name} needs {letter} >= {least}, got {m_or_n}")
+        return super().__new__(cls, kind, m_or_n)
 
-    def __post_init__(self) -> None:
-        if self.kind in _LEAST_SIZE:
-            name, letter, least = _LEAST_SIZE[self.kind]
-            if self.m_or_n < least:
-                raise ValueError(
-                    f"{name} needs {letter} >= {least}, got {self.m_or_n}"
-                )
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here: a replaced size is refused too
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "m": self.m_or_n}

@@ -22,7 +22,7 @@ checked by ``checker.verify_id_factorization`` before they are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checker import verify_id_factorization
 from .core import CycleType
@@ -33,8 +33,7 @@ class ConstructionError(RuntimeError):
     """An internally-verified construction failed its own check."""
 
 
-@dataclass(frozen=True)
-class HStarFactorization:
+class HStarFactorization(NamedTuple):
     """Four factors of H* on m blocks: ``id_factors`` holds each as a tuple
     of id cycles in the ``HStar`` m numbering."""
 
@@ -51,15 +50,13 @@ def _gadget_walks(m: int) -> list:
 
 
 def _chain_walks(a: int, k: int, m: int) -> list:
-    """Four parallel length-2k cycles spanning blocks a..a+k, as ids: x_j is
-    j and y_j is m + j.
+    """Four parallel length-2k cycles (k >= 2) spanning blocks a..a+k, as
+    ids: x_j is j and y_j is m + j.
 
     The piece at offset 0 sits next to the wrap gadgets and takes its own
     shapes; a piece further on is two cycles, each walked both ways.  The
     parity of k picks the zig-zag shapes in both.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
     y = m.__add__
     if a == 0:
         c0 = [y(j) for j in range(k + 1)] + list(range(k - 1, 0, -1))

@@ -66,19 +66,17 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import setitem
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import CycleType, Vertex, canonical_id_cycles, id_arcs, parse_vertex
 from .hosts import BYTE_IDS, DESCRIBED_KINDS, HostDescriptor, byte_permutation
 
 
-@dataclass(frozen=True)
-class FactorizationDocument:
+class FactorizationDocument(NamedTuple):
     """A certificate on vertex ids: ``factors`` lists each factor's cycles,
     each a sequence of ids, and ``vertices[i]`` is the vertex of id i.  For
     a solution and for a document read with the host's table, ids below the

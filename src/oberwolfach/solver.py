@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from itertools import starmap
 from operator import itemgetter, sub
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .caps import w_star_id_factors
 from .checker import (
@@ -66,8 +65,7 @@ def check_order(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WHDecomposition:
+class WHDecomposition(NamedTuple):
     """Split of the order-2m complete host: the jump-{1,2} circulant blow-up
     (implicit, identity labels) plus Hamiltonian block cycles at jumps >= 3,
     each to be blown up into a copy of the cycle blow-up host."""
@@ -76,8 +74,7 @@ class WHDecomposition:
     h_block_cycles: tuple  # (m-5)/2 tuples over blocks 0..m-1
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """A verified factorization of the order-n complete symmetric digraph.
 
     ``id_factors`` holds the n-1 factors as tuples of cycles, each a tuple

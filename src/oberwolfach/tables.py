@@ -12,12 +12,13 @@ written: the decomposition loaders check every factor with
 every table, which the ``tables --check`` CLI command runs as an audit.
 
 Table encoding: paths are strings like ``"y2 y1 x2"``, cycles are strings
-like ``"(y1 x3)"``.  Each token is parsed once, straight to its J* id
-(``hosts.strip_id``: block b, side s -> 2b + s), so every piece below holds
-tuples of ids: ``LeftCap.paths``, ``RightCap.elements``,
-``CentrePiece.pairs`` and ``AdmissibleDecomposition.id_factors``.  A path
-or cycle that repeats a vertex is refused when it is parsed.  The loaders
-are cached, so each table is read once per process.
+like ``"(y1 x3)"``.  Each distinct token is parsed once per process
+(``_token_id``), straight to its J* id (``hosts.strip_id``: block b, side
+s -> 2b + s), so every piece below holds tuples of ids: ``LeftCap.paths``,
+``RightCap.elements``, ``CentrePiece.pairs`` and
+``AdmissibleDecomposition.id_factors``.  A path or cycle that repeats a
+vertex is refused when it is parsed.  The loaders are cached, so each
+table is read once per process.  The pieces are named tuples.
 
 Patterns are frozensets of boundary ids (``hosts.BOUNDARY``: x0 = 0,
 y0 = 1, x1 = 2, y1 = 3).  ``AdmissibleDecomposition.patterns`` and
@@ -28,7 +29,6 @@ its paths cross the seam with the next piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -37,9 +37,17 @@ from .core import CycleType, parse_vertex
 from .hosts import BOUNDARY, admissible_ids, strip_id
 
 
+@lru_cache(maxsize=None)
+def _token_id(token: str) -> int:
+    """The J* id of one vertex token.  The tables name only 20 vertices, so
+    each distinct token is parsed once per process; a bad token raises
+    every time, since an exception is not cached."""
+    return strip_id(parse_vertex(token))
+
+
 def _strip_ids(tokens: list, least: int, what: str) -> tuple:
     """The J* ids of vertex tokens: at least ``least`` of them, no repeats."""
-    ids = tuple(strip_id(parse_vertex(t)) for t in tokens)
+    ids = tuple(map(_token_id, tokens))
     if len(ids) < least or len(set(ids)) != len(ids):
         raise ValueError(f"bad {what}: {' '.join(tokens)!r}")
     return ids
@@ -84,8 +92,7 @@ class InternalPatternEntry(NamedTuple):
     absent: frozenset
 
 
-@dataclass(frozen=True)
-class LeftCap:
+class LeftCap(NamedTuple):
     """Nine arc-disjoint paths whose union is the width-``ell`` opened host
     minus the arc x_ell -> y_ell; path endpoints sit in blocks ell, ell+1."""
 
@@ -111,8 +118,7 @@ class LeftCap:
         )
 
 
-@dataclass(frozen=True)
-class RightCap:
+class RightCap(NamedTuple):
     """Nine arc-disjoint path-plus-cycles pieces whose union is the
     width-``r`` opened host plus the arc x0 -> y0."""
 
@@ -129,8 +135,7 @@ class RightCap:
         )
 
 
-@dataclass(frozen=True)
-class CentrePiece:
+class CentrePiece(NamedTuple):
     """Nine pairs of vertex-disjoint paths bridging ``c`` blocks; the union
     is the width-``c`` opened host plus x0 -> y0 minus x_c -> y_c."""
 
@@ -146,13 +151,14 @@ class CentrePiece:
         )
 
 
-@dataclass(frozen=True)
-class AdmissibleDecomposition:
-    """Nine admissible factors partitioning the arcs of the opened host on
-    ``m`` blocks, each a tuple of cycles of J* ids."""
-
+class _Decomposition(NamedTuple):
     m: int
     id_factors: tuple  # 9 tuples of id tuples
+
+
+class AdmissibleDecomposition(_Decomposition):
+    """Nine admissible factors partitioning the arcs of the opened host on
+    ``m`` blocks, each a tuple of cycles of J* ids."""
 
     def patterns(self) -> tuple:
         """The boundary ids each factor meets."""

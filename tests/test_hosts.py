@@ -255,7 +255,7 @@ def test_descriptor_matches_built_host():
 
 def test_descriptor_refuses_the_sizes_builders_refuse():
     """A size below a host's least is refused with the message ``verify``
-    prints for it."""
+    prints for it, also in a copy made with ``_replace``."""
     for kind, least, message in (
         ("CompleteSymmetric", 2, "complete_symmetric needs n >= 2, got 1"),
         ("HStar", 3, "h_star needs m >= 3, got 2"),
@@ -266,6 +266,9 @@ def test_descriptor_refuses_the_sizes_builders_refuse():
         assert str(described.value) == message
         host = HostDescriptor(kind, least)
         assert len(host.vertex_table) == host.order
+        with pytest.raises(ValueError) as replaced:
+            host._replace(m_or_n=least - 1)
+        assert str(replaced.value) == message
     opened = HostDescriptor("JStar", 1)  # opened decompositions have their own checks
     assert opened.to_json() == {"kind": "JStar", "m": 1}
     with pytest.raises(ValueError):

@@ -68,12 +68,6 @@ def test_chain_second_disjoint(k):
     assert len(used) == len(set(used)) == 8 * k
 
 
-def test_chain_validation():
-    for a in (0, 3):  # the piece next to the gadgets and a later one
-        with pytest.raises(ValueError):
-            _chain_walks(a, 1, 9)
-
-
 def test_one_two_cycle_route_matches_the_placed_chains():
     """The s = 1 route places each chain by its offset alone and gives the
     same walks as the route that was told each chain's position and residue

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -105,8 +104,7 @@ def _documents(draw):
     host = doc.host
     if draw(st.booleans()):
         host = HostDescriptor(draw(_KINDS), host.m_or_n)
-    return dataclasses.replace(
-        doc,
+    return doc._replace(
         host=host,
         factors=factors,
         vertices=vertices,
@@ -196,7 +194,7 @@ def test_edges_and_dot_keep_every_arc_of_a_repeated_tail():
     ``solve`` makes, one of them with every vertex as a tail, and one that
     misses vertices keep every arc, in sorted order."""
     factors = [[(0, 1), (0, 2, 1)], [(4, 3)], [(0, 1, 2, 3, 4, 5), (0, 1)]]
-    doc = dataclasses.replace(_DOCS[0], factors=factors)
+    doc = _DOCS[0]._replace(factors=factors)
     text = [v.text() for v in doc.vertices]
     arcs = [(1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 0), (1, 2, 1), (2, 3, 4), (2, 4, 3)]
     arcs += [(3, 0, 1), (3, 0, 1), (3, 1, 0), (3, 1, 2), (3, 2, 3), (3, 3, 4)]
@@ -222,7 +220,7 @@ def test_every_format_is_written_factor_by_factor(tmp_path, fmt):
     chunks = list(FORMATS[fmt](_DOC_30))
     assert len(chunks) == 1 + 29 + 1
     for k in range(1, 30):
-        cut = dataclasses.replace(_DOC_30, factors=_DOC_30.factors[:k])
+        cut = _DOC_30._replace(factors=_DOC_30.factors[:k])
         assert "".join(chunks[: k + 1]) + chunks[-1] == render(cut, fmt)
     assert "".join(chunks) == render(_DOC_30, fmt)
     path = tmp_path / f"out.{fmt}"
@@ -259,7 +257,7 @@ def test_solve_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
 def test_a_document_with_no_arcs_renders_as_before(factors, text):
     """Without arcs, text is its header (and a line per empty factor), dot
     an empty digraph and edges a lone line break."""
-    doc = dataclasses.replace(_DOCS[0], factors=factors)
+    doc = _DOCS[0]._replace(factors=factors)
     header = "n=6 type=[2^3] host=CompleteSymmetric(6) verified=True\n"
     assert render(doc, "text") == header + text
     assert render(doc, "edges") == "\n"

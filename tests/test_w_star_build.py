@@ -21,6 +21,7 @@ from oberwolfach.caps import (
     general_factor,
     w_star_id_factors,
 )
+from oberwolfach.checker import verify_cap_complementarity
 from oberwolfach.core import CycleType, Vertex, canonical_id_cycles, parse_cycle_type
 from oberwolfach.hosts import (
     HostDescriptor,
@@ -400,24 +401,36 @@ def _mutated_centre(piece, op, i):
 @pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("op", ["none", "short_q", "short_u", "swap", "touch"])
 def test_concat_centre_matches_repeated_concat(k, op):
+    """Each piece goes through ``assemble``: one that fails the cap audit
+    is refused there, before it is chained; one that passes chains as the
+    reference does, and assembles when it chains."""
+    left, right = tables.left_cap(), tables.right_cap("L", 4)
     piece = tables.centre_piece()
     for i in range(9) if op != "none" else [0]:
         try:
             mutated = _mutated_centre(piece, op, i)
         except ValueError:
             continue  # the mutation itself repeats a vertex
+        built = _outcome(caps.assemble, left, mutated, k, right)
+        if not verify_cap_complementarity(left, right, mutated).passed:
+            assert built[0] == "ValueError", (op, i, k)
+            assert built[1].startswith("the pieces fail the cap audit"), built
+            continue
         got = _outcome(_chain_centre, mutated, k)
         want = _outcome(_ref_concat_centre, mutated, k)
-        assert got[0] == want[0], (op, i, k, got, want)
+        assert got[0] == want[0] == built[0], (op, i, k, got, want, built)
         if got[0] == "ok":
             vertices = [tuple(tuple(map(strip_vertex, p)) for p in pair) for pair in got[1]]
             assert vertices == want[1]
 
 
 def test_concat_centre_refuses_a_path_that_does_not_chain():
+    """A centre Q that does not end four blocks after it starts is refused
+    by the audit's endpoint clause before ``assemble`` chains it."""
+    left, right = tables.left_cap(), tables.right_cap("L", 4)
     mutated = _mutated_centre(tables.centre_piece(), "short_q", 0)
-    with pytest.raises(ValueError, match="chain"):
-        _chain_centre(mutated, 2)
+    with pytest.raises(ValueError, match="centre_endpoints"):
+        caps.assemble(left, mutated, 2, right)
 
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
