@@ -11,7 +11,9 @@ host.
 Decompositions are built from three kinds of nine-element path systems
 (left caps, right caps, centre pieces; see :mod:`oberwolfach.tables`) glued
 end to end with the index shift, and from splicing whole decompositions
-whose boundary patterns agree entrywise.
+whose boundary patterns agree entrywise.  The shapes the caps make are
+read off ``tables.RIGHT_CAPS`` (``_family_of``), and a cycle's arcs are
+``core.id_arcs``.
 
 The build runs on J* ids (``hosts.strip_id``: block b, side s -> 2b + s),
 so shifting by k blocks adds 2k.  The table pieces hold ids, and an
@@ -54,14 +56,9 @@ from typing import Optional
 
 from . import tables
 from .checker import verify_cap_complementarity, verify_id_factorization
-from .core import CycleType, canonical_id_cycles
+from .core import CycleType, canonical_id_cycles, id_arcs
 from .hosts import HostDescriptor, admissible_ids, fold_ids
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
-
-
-def _arcs(c):
-    """The arcs of id cycle ``c`` as (tail, head) pairs."""
-    return zip(c, c[1:] + c[:1])
 
 
 def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
@@ -77,8 +74,6 @@ def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
     that Q and U are disjoint.  One copy is the piece itself, unchecked."""
     if piece.c != 4:
         raise ValueError("only length-4 centre pieces are chained")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if k == 1:
         return [(_shifted(q, at), _shifted(u, at)) for q, u in piece.pairs]
     pairs = []
@@ -155,8 +150,7 @@ def assemble(
             arcs += zip(p, p[1:])
         rpath = _shifted(rpath, right_at)
         arcs += zip(rpath, rpath[1:])
-        for c in rcycles:
-            arcs += _arcs(_shifted(c, right_at))
+        arcs += zip(*id_arcs([_shifted(c, right_at) for c in rcycles]))
         factor = _cycles_of(arcs)
         got = CycleType(map(len, factor))
         if got != expected:
@@ -168,19 +162,15 @@ def assemble(
 
 
 def _family_of(lengths: tuple):
-    """Return (family, s) if the sorted length tuple fits a cap family."""
-    if len(lengths) == 1 and lengths[0] >= 8:
-        return "L", lengths[0] // 2
-    if len(lengths) == 2 and lengths[0] == 2 and lengths[1] >= 8:
-        return "L2", lengths[1] // 2
-    if (
-        len(lengths) == 3
-        and lengths[0] == lengths[1] == 2
-        and lengths[2] >= 8
-    ):
-        return "L22", lengths[2] // 2
-    if len(lengths) == 2 and lengths[0] == 4 and lengths[1] >= 10:
-        return "L4", lengths[1] // 2
+    """(family, s) when the sorted ``lengths`` are a cap family's side
+    cycles and one longest cycle of length 2s (or 2s + 1) with s at least
+    the family's least anchor, both read from ``tables.RIGHT_CAPS``; None
+    otherwise."""
+    if lengths:
+        s = lengths[-1] // 2
+        for (family, anchor), (_, sides, _) in tables.RIGHT_CAPS.items():
+            if anchor <= s and sides == lengths[:-1]:
+                return family, s
     return None
 
 
@@ -197,10 +187,9 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     if fit is None:
         raise ValueError(f"{ftype} is not a cap-family shape")
     family, s = fit
-    # the family's right caps are keyed by the least s of each class mod 4
+    # the family's right caps are keyed by the least s of each class mod 4,
+    # so with s at least the least of them, the one of s's class is <= s
     anchor = next(a for f, a in tables.RIGHT_CAPS if f == family and a % 4 == s % 4)
-    if s < anchor:
-        raise ValueError(f"{ftype} is below the smallest table in its family")
     k = (s - anchor) // 4
     dec = assemble(
         tables.left_cap(),

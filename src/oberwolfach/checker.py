@@ -17,15 +17,15 @@ both are 0), plus the factors that do not span and those of the wrong
 cycle type.  One kernel, ``_column_counts``, counts them at every order;
 the order N picks only its table width.
 
-A factor that is a permutation of 0..N-1 becomes its successor table, the
-heads of ids 0..N-1 in order: ``bytes`` when N <= 256, so that an id fits
-in a byte, and an unsigned ``array('I')`` above.  Any other factor (a
-foreign, negative or repeated id, a short or empty factor) is walked arc
-by arc, once: an arc between host ids adds its head to column v of its
-tail v, and every other arc goes into a set of (tail, head) pairs.  A
-permutation has exactly one arc out of each v, to v's entry in its table,
-so column v of the joined tables, with the loose heads, holds the head of
-every arc out of v between host ids, with repeats.
+A factor that is a permutation of 0..N-1 becomes its successor table,
+the heads of ids 0..N-1 (``hosts.successor_table``): bytes up to N = 256,
+an unsigned ``array('I')`` above.  Any other factor (a foreign, negative
+or repeated id, a short or empty factor) is walked arc by arc, once: an
+arc between host ids adds its head to column v of its tail v, and every
+other arc goes into a set of (tail, head) pairs.  A permutation has
+exactly one arc out of each v, to v's entry in its table, so column v of
+the joined tables, with the loose heads, holds the head of every arc out
+of v between host ids, with repeats.
 
 The counts follow.  ``used`` counts every arc: N per permutation, a loose
 factor's length.  v's distinct heads are the ids that deleting its column
@@ -43,13 +43,14 @@ loose factor does not: had it N distinct ids, all in 0..N-1, it would be
 a permutation.  The cycle-type check compares each factor's sorted cycle
 lengths with the type's.
 
-A wide table is unsigned on purpose: an id >= N fails as a tail, outside
-the table, and a negative one, which as a tail would index the table from
-its end, is refused as a head, since every id of a cycle is both.  Wide
-columns are read as ``set``s of ints; read as UTF-16 text, the heads
+Wide columns are read as ``set``s of ints; read as UTF-16 text, the heads
 0xD800 and 0xDC00 would join into one character.  The kernel decides
 every check of a solve -- the W* check, the H* self-check and the final
-check -- and of ``verify`` on a described host.
+check -- and of ``verify`` on a described host.  It trusts no reader
+result: ``serialize.read_certificate`` has already tested each byte
+factor with ``hosts.byte_permutation``, and the kernel derives the test
+again from the cycles it is handed, about 3 ms of a ``certify`` benchmark
+pass, so that a fault in the reader cannot pass a certificate.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or
 asked for.  ``solve``, the W* check and the H* self-check build their
@@ -75,9 +76,7 @@ nonexistence claims and to cross-check the solver at order 6.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from itertools import repeat
-from operator import setitem
 from typing import Iterable, NamedTuple, Optional
 
 from .core import CycleType, canonical_id_cycles, cycle_type_text, id_arcs
@@ -87,8 +86,8 @@ from .hosts import (
     HostDescriptor,
     _outside,
     admissible_ids,
-    byte_permutation,
     out_neighbour_bytes,
+    successor_table,
 )
 
 
@@ -169,49 +168,13 @@ def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationRepo
     return report
 
 
-# an unsigned slot's largest value: no host id, so it marks an empty slot
-_FILL = (1 << 8 * array("I").itemsize) - 1
-
-
-def _byte_table(cycles, n: int):
-    """The successor table of a factor whose ids are a permutation of
-    0..n-1 (``byte_permutation``): ``bytes.maketrans`` of its ids onto them
-    shifted by one, each cycle's last id sent back to its first; None for
-    any other factor."""
-    tails = byte_permutation(cycles, n)
-    if tails is None:
-        return None
-    table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
-    for c in cycles:
-        if c:
-            table[c[-1]] = c[0]
-    return table[:n]
-
-
-def _wide_table(cycles, n: int):
-    """The successor table of a factor whose n arcs have their tails in
-    0..n-1 and leave no slot of an ``array('I')`` of ``_FILL`` empty, which
-    makes the tails a permutation; None for any other factor.  An id >= n
-    is refused as a tail index, a negative one as an unsigned head: every
-    id of a cycle is both."""
-    tails, heads = id_arcs(cycles)
-    if len(tails) != n:
-        return None
-    table = array("I", [_FILL]) * n
-    try:
-        deque(map(setitem, repeat(table), tails, heads), maxlen=0)
-    except (IndexError, OverflowError):
-        return None
-    return None if _FILL in table else table
-
-
 def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple:
     """(used, distinct, missing, extra, spanning, wrong) of ``factors`` on a
     described host of order N, the cycle lengths compared with the sorted
     ``want``, counted as the module docstring says: each permutation's
-    successor table (``_byte_table`` up to ``BYTE_IDS`` ids, ``_wide_table``
-    above) is appended to ``grid``, whose column v, ``grid[v::N]``, gets
-    ``loose[v]``, the heads of v's arcs in the other factors."""
+    successor table (``successor_table``) is appended to ``grid``, whose
+    column v, ``grid[v::N]``, gets ``loose[v]``, the heads of v's arcs in
+    the other factors."""
     n = host.order
     arc_count = host.arc_count  # refuses a kind with no arc rule
     narrow = n <= BYTE_IDS
@@ -226,7 +189,7 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
         lengths = sorted(map(len, cycles))
         if lengths != want:
             wrong.append((i, cycle_type_text(lengths)))
-        table = _byte_table(cycles, n) if narrow else _wide_table(cycles, n)
+        table = successor_table(cycles, n)
         if table is not None:
             grid += table
             used += n
@@ -282,9 +245,8 @@ def verify_admissible_decomposition(
     report.add("width", dec.m == m, f"declared {dec.m}, expected {m}")
     bad = [i for i, f in enumerate(factors) if not admissible_ids(f, m)]
     report.add("admissible", not bad, f"inadmissible factors: {bad}")
-    used, distinct, missing, extra = _opened_host_counts(
-        [a for f in factors for c in f for a in zip(c, c[1:] + c[:1])], m
-    )
+    arcs = [a for f in factors for a in zip(*id_arcs(f))]
+    used, distinct, missing, extra = _opened_host_counts(arcs, m)
     report.add(
         "arc_disjoint", used == distinct, f"{used} arcs used, {distinct} distinct"
     )
@@ -354,9 +316,9 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
     left_patterns = left.patterns()
     for idx, (path, cycles) in enumerate(right.elements):
         rarcs += zip(path, path[1:])
+        rarcs += zip(*id_arcs(cycles))
         seen = set(path)
         for c in cycles:
-            rarcs += zip(c, c[1:] + c[:1])
             if seen.intersection(c):
                 shapes_ok = False
             seen.update(c)

@@ -49,16 +49,17 @@ in O(1):
 * H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
 
 ``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
-by C-level set calls, and keeps the last one: ``admissible_ids`` tests one
+by C-level set calls, and keeps the last eight: ``admissible_ids`` tests one
 superset of it per factor, and ``_outside`` returns the id pairs whose code
 it lacks.  ``out_neighbour_bytes(kind, m)`` writes W* or H* as one row of
 out-neighbours per id, by one slice per range of the rule, so each rule is
 still written once: a byte per id up to ``BYTE_IDS`` = 256 ids, an
 unsigned ``array('I')`` above.  The checker's column kernel counts each
 vertex's missing heads against these rows; the complete host needs none,
-since every other id is an out-neighbour, and the certificate reader and
-the kernel ask ``byte_permutation`` whether cycles of up to ``BYTE_IDS``
-ids are a permutation of them.  ``admissible_ids`` decides whether cycles
+since every other id is an out-neighbour.  The certificate reader asks
+``byte_permutation`` whether cycles are a permutation of up to 256 ids,
+and ``successor_table``, in the same two widths, is the one builder of a
+permutation's successor table.  ``admissible_ids`` decides whether cycles
 of J* ids are an admissible factor of the opened host: 2m distinct ids,
 one of each boundary pair {b, b + 2m}, every arc inside.
 
@@ -75,9 +76,10 @@ below the host's least (n >= 2, H* m >= 3, W* m >= 5).
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, setitem
 from typing import NamedTuple
 
 from .core import Vertex, id_arcs
@@ -238,14 +240,14 @@ def _ranges(kind: str, m: int) -> list:
     return _blow_up_ranges(m, (1, m - 1), False)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def arc_codes(kind: str, m: int) -> frozenset:
     """The arc codes of J* (``"JStar"``, J* ids, width 2m + 4), W*
     (``"WStar"``) or H* (``"HStar"``, host ids, width 2m) on m blocks:
     every a * width + b with (a, b) an arc, the union of the rule's ranges,
-    gathered in O(m) by C-level set calls.  The last one is kept for the
-    tests that follow (nine or more per solve on J*); it must not be
-    mutated."""
+    gathered in O(m) by C-level set calls.  The last eight are kept, for
+    the tests that follow and the widths a table audit alternates; they
+    must not be mutated.  Each holds at most 18m codes (1.1 MB at m = 1001)."""
     return frozenset(chain.from_iterable(_ranges(kind, m)))
 
 
@@ -264,6 +266,37 @@ def byte_permutation(cycles, n: int):
     if len(joined) == n <= BYTE_IDS and not _BYTE_IDS[:n].translate(None, joined):
         return joined
     return None
+
+
+# an unsigned slot's largest value: no host id, so it marks an empty slot
+_FILL = (1 << 8 * array("I").itemsize) - 1
+
+
+def successor_table(cycles, n: int):
+    """The heads of ids 0..n-1 when the ids of ``cycles`` are a permutation
+    of them, else None: up to ``BYTE_IDS`` ids, ``bytes.maketrans`` of the
+    ids (``byte_permutation``) onto them shifted by one, each cycle's last
+    sent back to its first; above, each arc's head written at its tail in
+    an unsigned ``array('I')`` of ``_FILL``, none of which a permutation
+    leaves.  An id >= n fails as a tail, a negative one as a head."""
+    if n <= BYTE_IDS:
+        tails = byte_permutation(cycles, n)
+        if tails is None:
+            return None
+        table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
+        for c in cycles:
+            if c:
+                table[c[-1]] = c[0]
+        return table[:n]
+    tails, heads = id_arcs(cycles)
+    if len(tails) != n:
+        return None
+    table = array("I", [_FILL]) * n
+    try:
+        deque(map(setitem, repeat(table), tails, heads), maxlen=0)
+    except (IndexError, OverflowError):
+        return None
+    return None if _FILL in table else table
 
 
 @lru_cache(maxsize=2)

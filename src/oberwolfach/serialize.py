@@ -15,8 +15,9 @@ tail, so a certificate is written one factor's text at a time; ``render``
 joins them.  ``json_chunks`` writes a document's ids as read (``to_json``
 joins its text), so re-serialising a parsed file reproduces it byte for
 byte.  The text, edge-list and DOT writers rank each factor's ids by vertex
-as they write it, with each cycle rotated to its least vertex, the cycles
-sorted and the arcs sorted, whatever order a read document's ids are in.
+as they write it, the cycles in canonical form and the arcs sorted (a
+permutation's read off ``hosts.successor_table``), whatever order a read
+document's ids are in.
 
 Certificates are read by one reader, ``read_certificate`` (``from_json``
 is it applied to text), and ``verify`` hands its cycles to the checker.
@@ -43,37 +44,42 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
 * **Bytes up to 256 vertices.**  On the table path of a host of order
   N <= ``hosts.BYTE_IDS`` each cycle is read as one ``bytes``, an id per
   byte, and a factor is a permutation of the host's ids when
-  ``hosts.byte_permutation`` says so: the test the checker's column
-  kernel makes on its byte tables.  Above 256, and for a
-  factor with a token outside the table, the cycles are lists of ids, which
-  the kernel scatters into its wide tables.
+  ``hosts.byte_permutation`` says so: the test ``hosts.successor_table``
+  makes for the checker's byte tables.  Above 256, and for a factor with
+  a token outside the table, the cycles are lists of ids, which
+  ``successor_table`` scatters into the checker's wide tables.
 * **One set per other factor.**  A factor that is not such a permutation is
   distinct when its id set is as large as its total length.  A factor that
   fails this or has a cycle of fewer than 2 vertices is refused on its
   vertices (``_refuse_factor``): the first cycle in read order with fewer
   than 2 vertices (``cycle needs at least 2 vertices``) or a repeated one
   (``repeated vertex in cycle ...``), and only then the first vertex that
-  two cycles share (``cycles share vertex ...``), met along the cycles
-  rotated and sorted by vertex.  A token that does not resolve raises
-  ``bad vertex token: ...`` unless an earlier cycle of its factor is bad.
-  A distinct factor of N ids, all resolved through the table, names all N
-  ids at any width, as a permutation does, so only the other factors' sets
-  are joined to count the vertices the factors name.
+  two cycles share (``cycles share vertex ...``), met along the cycles'
+  vertices in canonical form (``core.canonical_id_cycles``).  A token
+  that does not resolve raises ``bad vertex token: ...`` unless an earlier
+  cycle of its factor is bad.  A distinct factor of N ids, all resolved
+  through the table, names all N ids at any width, as a permutation does,
+  so only the other factors' sets are joined to count the vertices the
+  factors name.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections import deque
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import setitem
 from typing import NamedTuple, Sequence
 
 from .core import CycleType, Vertex, canonical_id_cycles, id_arcs, parse_vertex
-from .hosts import BYTE_IDS, DESCRIBED_KINDS, HostDescriptor, byte_permutation
+from .hosts import (
+    BYTE_IDS,
+    DESCRIBED_KINDS,
+    HostDescriptor,
+    byte_permutation,
+    successor_table,
+)
 
 
 class FactorizationDocument(NamedTuple):
@@ -111,15 +117,12 @@ def _cycle_vertices(cycles, vertices) -> list:
 def _refuse_factor(cycles, vertices) -> None:
     """Raise the error of a factor whose cycles are not vertex-disjoint
     cycles: a bad cycle's (``_cycle_vertices``), and only then the first
-    vertex repeated along the cycles, each rotated to its least vertex and
-    sorted by vertex, never by id (a foreign vertex's id follows the
-    host's, wherever the vertex sorts)."""
-    rotated = []
-    for vs in _cycle_vertices(cycles, vertices):
-        k = vs.index(min(vs))
-        rotated.append(vs[k:] + vs[:k])
+    vertex repeated along the cycles' vertices in canonical form, sorted by
+    vertex, never by id (a foreign vertex's id follows the host's, wherever
+    the vertex sorts)."""
     seen: set = set()
-    for v in chain.from_iterable(sorted(rotated)):
+    canonical = canonical_id_cycles(_cycle_vertices(cycles, vertices))
+    for v in chain.from_iterable(canonical):
         if v in seen:
             raise ValueError(f"cycles share vertex {v}")
         seen.add(v)
@@ -411,17 +414,18 @@ def text_chunks(doc: FactorizationDocument):
 def _arc_chunks(doc: FactorizationDocument, line):
     """Each factor's arcs, sorted by vertex, as lines ``first + tail + mid +
     head + last``, with ``(first, mid, last) = line(i)`` for factor i from 1:
-    read from the successor table of a permutation, sorted otherwise."""
+    read from the successor table of a permutation (``successor_table``),
+    sorted otherwise."""
     factors, texts = _ranked(doc)
     n = len(texts)
     for i, f in enumerate(factors, 1):
-        tails, heads = id_arcs(f)
-        table = [None] * n
-        deque(map(setitem, repeat(table), tails, heads), maxlen=0)
-        if len(tails) == n and None not in table:
+        table = successor_table(f, n)
+        if table is not None:
             tails, heads = range(n), table
-        elif tails:
-            tails, heads = zip(*sorted(zip(tails, heads)))
+        else:
+            tails, heads = id_arcs(f)
+            if tails:
+                tails, heads = zip(*sorted(zip(tails, heads)))
         first, mid, last = line(i)
         lines = [first, None, mid, None, last] * len(tails)
         lines[1::5] = map(texts.__getitem__, tails)

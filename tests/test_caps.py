@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 import reference_checker
@@ -5,6 +7,7 @@ import reference_checker
 from oberwolfach import tables
 from oberwolfach.caps import (
     _chain_centre,
+    _family_of,
     _splice_all,
     assemble,
     general_factor,
@@ -194,10 +197,36 @@ def test_general_factor_examples():
     assert all(t.lengths == (2, 16) for t in dec.cycle_types())
     dec = general_factor(parse_cycle_type("[10,4]"))
     assert cycle_from_text("(x6,y7,y6,x8)") in strip_factors(dec)[0].cycles
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a cap-family shape"):
         general_factor(parse_cycle_type("[8,4]"))  # below the family threshold
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a cap-family shape"):
         general_factor(parse_cycle_type("[6]"))
+
+
+def _family_reference(lengths):
+    """The cap-family rule written out by hand, length by length."""
+    if len(lengths) == 1 and lengths[0] >= 8:
+        return "L", lengths[0] // 2
+    if len(lengths) == 2 and lengths[0] == 2 and lengths[1] >= 8:
+        return "L2", lengths[1] // 2
+    if len(lengths) == 3 and lengths[0] == lengths[1] == 2 and lengths[2] >= 8:
+        return "L22", lengths[2] // 2
+    if len(lengths) == 2 and lengths[0] == 4 and lengths[1] >= 10:
+        return "L4", lengths[1] // 2
+    return None
+
+
+def test_family_of_matches_the_hand_written_rule():
+    """Read off the right-cap table, the families are the shapes [2s]
+    (s >= 4), [2, 2s] (s >= 4), [2, 2, 2s] (s >= 4) and [4, 2s] (s >= 5),
+    on every sorted even type of at most 4 cycles of length up to 100."""
+    fits = 0
+    for parts in range(5):
+        for lengths in combinations_with_replacement(range(2, 101, 2), parts):
+            want = _family_reference(lengths)
+            assert _family_of(lengths) == want, lengths
+            fits += want is not None
+    assert fits == 47 + 47 + 47 + 46  # long lengths 8..100, and 10..100 for [4, 2s]
 
 
 def test_small_factor_examples():

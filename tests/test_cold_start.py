@@ -1,7 +1,8 @@
 """What every process pays before its first solve: importing the package
 and loading the embedded tables.  The records are named tuples, so the
-import pulls in neither ``dataclasses`` nor ``inspect``, and each distinct
-table token is parsed once per process."""
+import pulls in neither ``dataclasses`` nor ``inspect``, each distinct
+table token is parsed once per process, and the table audit builds each
+arc-code set it asks for once."""
 
 import os
 import re
@@ -87,3 +88,16 @@ def test_a_cold_table_check_parses_each_token_once():
         "print(code, tables._token_id.cache_info().misses)\n"
     )
     assert out.split() == ["0", str(len(_tokens()))] == ["0", "20"]
+
+
+def test_a_cold_table_check_builds_each_arc_code_set_once():
+    """The audit asks for the opened host's arc codes at seven widths,
+    m = 2..8, in turn; each set is built once."""
+    out = _child(
+        "import contextlib, io\n"
+        "from oberwolfach import cli, hosts\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['tables', '--check'])\n"
+        "print(code, hosts.arc_codes.cache_info().misses)\n"
+    )
+    assert out.split() == ["0", "7"]

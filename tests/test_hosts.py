@@ -1,3 +1,4 @@
+import random
 from array import array
 from itertools import chain, permutations
 
@@ -14,6 +15,7 @@ from oberwolfach.hosts import (
     out_neighbour_bytes,
     strip_id,
     strip_vertex,
+    successor_table,
 )
 from strip import Arc, ids
 
@@ -300,3 +302,53 @@ def test_out_neighbour_bytes_match_the_per_arc_reference(kind, least, k):
         for a, (heads, expected) in enumerate(zip(got, want)):
             assert len(heads) == len(set(heads)) == k, (kind, m, a)
             assert set(heads) == set(expected), (kind, m, a)
+
+
+def _successor_reference(cycles, n):
+    """The successor table by a plain dict: each id's heads along the
+    cycles, a table only when the tails are 0..n-1, each once."""
+    heads = {}
+    for c in cycles:
+        for j, v in enumerate(c):
+            heads.setdefault(v, []).append(c[(j + 1) % len(c)])
+    if sorted(heads) != list(range(n)) or any(len(h) != 1 for h in heads.values()):
+        return None
+    return [heads[v][0] for v in range(n)]
+
+
+def _factor_cases(n, rng):
+    """(name, cycles) pairs at order n: permutations, and a factor that
+    differs from one in a single way."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cut = sorted(rng.sample(range(1, n), min(n - 1, 3)))
+    split = [ids[a:b] for a, b in zip([0, *cut], [*cut, n])]
+    yield "one cycle", [ids]
+    yield "split", split
+    yield "tuples", [tuple(c) for c in split]
+    yield "repeated id", [[ids[1], *ids[1:]]]
+    yield "id = N", [[n, *ids[1:]]]
+    yield "negative id", [[-1, *ids[1:]]]
+    yield "huge id", [[2**64, *ids[1:]]]
+    yield "1-cycle", [ids[:1], ids[1:]]
+    yield "empty cycle", [ids[:1], [], ids[1:]]
+    yield "empty factor", []
+    yield "too few ids", [ids[1:]]
+    yield "too many ids", [ids, [ids[0]]]
+    if n <= 256:
+        yield "bytes", [bytes(c) for c in split]
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 1002])
+def test_successor_table_matches_a_dict_reference(n):
+    """One builder at both widths: a ``bytearray`` up to 256 ids, an
+    unsigned ``array('I')`` above, and None for exactly the factors whose
+    ids are not a permutation of 0..n-1."""
+    rng = random.Random(n)
+    for name, cycles in _factor_cases(n, rng):
+        want = _successor_reference(cycles, n)
+        got = successor_table(cycles, n)
+        assert (got is None) == (want is None), (name, n)
+        if got is not None:
+            assert list(got) == want, (name, n)
+            assert isinstance(got, bytearray if n <= 256 else array), (name, n)

@@ -100,6 +100,21 @@ def test_no_module_imports_a_sibling_inside_a_function():
     assert not found, found
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__"])
+def test_every_top_level_import_is_used(name):
+    """Each name a module imports at its top level is read somewhere in it
+    (``__future__`` aside); the package ``__init__`` imports to export."""
+    tree = _tree(name)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= read, sorted(imported - read)
+
+
 def test_all_is_what_the_readme_documents():
     """The README's "Library" section names exactly ``__all__``."""
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
