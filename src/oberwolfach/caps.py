@@ -34,8 +34,9 @@ Check contract: every piece is checked once, where it is made, on ids.
   patterns and that each final factor is admissible.  ``j_decompose``
   splices the flat list of pieces ``_decompose`` picks in one call, so no
   factor is checked twice.
-* ``w_star_id_factors`` folds each factor to host ids (``fold_ids``) and
-  checks the nine folded factors together against the circulant blow-up
+* ``w_star_id_factors`` folds each factor to host ids in canonical form
+  (``core.relabelled`` through ``hosts.fold_image``) and checks the nine
+  folded factors together against the circulant blow-up
   host: arcs inside it, arc-disjoint and covering, spanning, and type.
 
 Splice lemma: if A on a blocks and B on b blocks are admissible factors
@@ -56,8 +57,8 @@ from typing import Optional
 
 from . import tables
 from .checker import verify_cap_complementarity, verify_id_factorization
-from .core import CycleType, canonical_id_cycles, id_arcs
-from .hosts import HostDescriptor, admissible_ids, fold_ids
+from .core import CycleType, id_arcs, relabelled
+from .hosts import HostDescriptor, admissible_ids, fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
@@ -161,16 +162,23 @@ def assemble(
     return AdmissibleDecomposition(m, tuple(factors))
 
 
+# side cycles -> (family, least anchor, anchor per s mod 4), read off
+# ``tables.RIGHT_CAPS``, which keys a family's caps by the least s of each
+# class mod 4
+_CAP_FAMILIES = {
+    sides: (family, anchor, {a % 4: a for f, a in tables.RIGHT_CAPS if f == family})
+    for (family, anchor), (_, sides, _) in tables.RIGHT_CAPS.items()
+    if anchor == min(a for f, a in tables.RIGHT_CAPS if f == family)
+}
+
+
 def _family_of(lengths: tuple):
     """(family, s) when the sorted ``lengths`` are a cap family's side
     cycles and one longest cycle of length 2s (or 2s + 1) with s at least
-    the family's least anchor, both read from ``tables.RIGHT_CAPS``; None
-    otherwise."""
-    if lengths:
-        s = lengths[-1] // 2
-        for (family, anchor), (_, sides, _) in tables.RIGHT_CAPS.items():
-            if anchor <= s and sides == lengths[:-1]:
-                return family, s
+    the family's least anchor (``_CAP_FAMILIES``); None otherwise."""
+    fit = _CAP_FAMILIES.get(lengths[:-1]) if lengths else None
+    if fit and fit[1] <= lengths[-1] // 2:
+        return fit[0], lengths[-1] // 2
     return None
 
 
@@ -187,9 +195,8 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     if fit is None:
         raise ValueError(f"{ftype} is not a cap-family shape")
     family, s = fit
-    # the family's right caps are keyed by the least s of each class mod 4,
-    # so with s at least the least of them, the one of s's class is <= s
-    anchor = next(a for f, a in tables.RIGHT_CAPS if f == family and a % 4 == s % 4)
+    # with s at least the family's least anchor, the one of s's class is <= s
+    anchor = _CAP_FAMILIES[ftype.lengths[:-1]][2][s % 4]
     k = (s - anchor) // 4
     dec = assemble(
         tables.left_cap(),
@@ -200,15 +207,6 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     if dec.cycle_types() != (ftype,) * 9:
         raise ValueError(f"assembled type mismatch for {ftype}")
     return dec
-
-
-def small_factor(ftype: CycleType) -> AdmissibleDecomposition:
-    """One of the embedded small decompositions (including the supplemental
-    [2,4,4] brick)."""
-    key = tuple(ftype.lengths)
-    if key not in tables.PIECES:
-        raise ValueError(f"no small decomposition for {ftype}")
-    return tables.small_decomposition(key)
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
@@ -277,7 +275,7 @@ def _decompose(lengths: tuple) -> list:
     if not key:
         return []
     if key in tables.PIECES:
-        return [small_factor(CycleType(key))]
+        return [tables.small_decomposition(key)]
     if _family_of(key) is not None:
         return [general_factor(CycleType(key))]
 
@@ -294,14 +292,14 @@ def _decompose(lengths: tuple) -> list:
             return _decompose(key[:2]) + _decompose(key[2:])
         # two or more 4-cycles: 2*beta + 3*gamma copies
         gamma, beta = (1, (mult - 3) // 2) if mult % 2 else (0, mult // 2)
-        decs = [small_factor(CycleType([4, 4]))] * beta
-        decs += [small_factor(CycleType([4, 4, 4]))] * gamma
+        decs = [tables.small_decomposition((4, 4))] * beta
+        decs += [tables.small_decomposition((4, 4, 4))] * gamma
         return decs + _decompose(rest)
 
     # smallest == 2: [2^3] pieces, and the mult % 3 other 2-cycles peeled
     # with the next length, or with a bare [4] or [4, 4] rest whole, since
     # a lone [4] has no piece
-    triples = [small_factor(CycleType([2, 2, 2]))] * (mult // 3)
+    triples = [tables.small_decomposition((2, 2, 2))] * (mult // 3)
     twos = key[: mult % 3]
     if not twos:
         if rest == (4,):
@@ -314,7 +312,7 @@ def _decompose(lengths: tuple) -> list:
 def w_star_id_factors(ftype: CycleType) -> list:
     """The 9 factors of an opened-host decomposition folded onto the
     circulant blow-up host of the same order, as vertex ids: each a tuple of
-    cycles in canonical form (``core.canonical_id_cycles``) over the
+    cycles in canonical form (``core.relabelled``) over the
     ``WStar`` m numbering, which the order-2m complete host shares.
 
     One ``verify_id_factorization`` against ``WStar`` m checks the folded
@@ -327,7 +325,7 @@ def w_star_id_factors(ftype: CycleType) -> list:
             "than the circulant blow-up and the arc correspondence collapses"
         )
     dec = j_decompose(ftype)
-    folded = [canonical_id_cycles(f) for f in fold_ids(dec.id_factors, m)]
+    folded = list(relabelled(dec.id_factors, [fold_image(m)]))
     report = verify_id_factorization(HostDescriptor("WStar", m), folded, ftype)
     if not report.passed:
         raise ValueError(f"folded factors fail the W* check: {report.failures()}")

@@ -5,15 +5,17 @@ non-negative block number.  A ``Vertex`` and a ``CycleType`` are immutable
 and hashable.  Everything else is vertex ids: a cycle is a sequence of
 ints, a factor a list of cycles, and a host's numbering
 (``hosts.HostDescriptor``) or a document's vertex list says which vertex an
-id names.  The text forms used everywhere (serialisation, CLI, tables) are
-``x3`` / ``y11`` for vertices and ``(x0,x1,y2)`` for cycles.
+id names; ``relabelled`` maps factors through any map of ids.  The text
+forms used everywhere (serialisation, CLI, tables) are ``x3`` / ``y11`` for
+vertices and ``(x0,x1,y2)`` for cycles.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import groupby
-from typing import Iterable, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class Vertex(NamedTuple):
@@ -61,9 +63,8 @@ def canonical_id_cycles(cycles: Iterable) -> tuple:
     """Cycles given as sequences of vertex ids in canonical form: each
     rotated to start at its least id, then the cycles sorted.  Where ids
     number vertices in sort order (as ``hosts.HostDescriptor`` does) this
-    is the order of the vertices too.  Each
-    cycle is made a tuple once (a tuple is kept as it is) and rotated by
-    joining two of its slices."""
+    is the order of the vertices too.  Each cycle is made a tuple once (a
+    tuple is kept as it is) and rotated by joining two of its slices."""
     out = []
     for c in cycles:
         c = tuple(c)
@@ -71,6 +72,18 @@ def canonical_id_cycles(cycles: Iterable) -> tuple:
         out.append(c[k:] + c[:k] if k else c)
     out.sort()
     return tuple(out)
+
+
+def relabelled(factors: Iterable, images: Iterable) -> Iterator[tuple]:
+    """``factors`` (cycles of ids) relabelled through each image in
+    ``images`` in turn, id v to ``image[v]``, each in canonical form.
+    Each cycle is compiled once into an ``itemgetter``, which gathers its
+    image out of any image, list or dict, in one C-level call; a cycle
+    needs two ids or more, or the gather returns a bare int."""
+    gathers = [[itemgetter(*c) for c in f] for f in factors]
+    for image in images:
+        for f in gathers:
+            yield canonical_id_cycles([g(image) for g in f])
 
 
 def id_arcs(cycles) -> tuple:

@@ -29,9 +29,10 @@ Two vertex numberings are used, and the package works on their ids:
   a piece by k blocks adds 2k to each id.  ``BOUNDARY`` holds the ids of
   blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
 
-``fold_ids`` closes J* onto W* on the same m by reducing block
+``fold_image`` closes J* onto W* on the same m by reducing block
 indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
-id.  It is an arc bijection for m >= 5.
+id, for the opened host's ids only.  It is an arc bijection for m >= 5,
+and ``core.relabelled`` folds factors through it.
 
 The three strip hosts have closed-form arc sets.  Each rule is written
 once, as the ``range``s of its arc codes a * width + b: ``_j_star_ranges``
@@ -375,32 +376,10 @@ def admissible_ids(cycles, m: int) -> bool:
     return arc_codes("JStar", m).issuperset(codes)
 
 
-class _FoldTable(dict):
-    """J* id -> host id of W* on m blocks by ``__missing__``, stored for
-    the opened host's ids 0..2m+3; any other id is folded when looked up,
-    and not stored."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        super().__init__()
-        self.m = m
-        ids = range(2 * m + 4)
-        self.update(zip(ids, map(self.__missing__, ids)))
-
-    def __missing__(self, v: int) -> int:
-        return (v >> 1) % self.m + (v & 1) * self.m
-
-
-_fold_table = lru_cache(maxsize=1)(_FoldTable)  # one order's table is kept
-
-
-def fold_ids(factors, m: int) -> list:
-    """Fold factors given as cycles of J* ids onto W* on m blocks by reducing
-    block indices mod m: J* id v becomes host id (v >> 1) % m + (v & 1) * m
-    (x_i -> i mod m, y_i -> m + (i mod m), the numbering the order-2m
-    complete host shares), looked up in one table per m.  Each factor's
-    cycles keep their order.  Nothing is checked here: a folded cycle may
-    repeat an id or use arcs outside W*."""
-    fold = _fold_table(m).__getitem__
-    return [[list(map(fold, c)) for c in f] for f in factors]
+@lru_cache(maxsize=1)  # one order's image is kept
+def fold_image(m: int) -> dict:
+    """The fold of J* onto W* on m blocks, from the opened host's ids
+    0..2m+3 to host ids: v -> ``(v >> 1) % m + (v & 1) * m``, x_i -> i mod m
+    and y_i -> m + (i mod m).  A dict, not a list: any other id raises
+    ``KeyError``, where a list would wrap a negative id onto another block."""
+    return {v: (v >> 1) % m + (v & 1) * m for v in range(2 * m + 4)}

@@ -23,7 +23,7 @@ import math
 from itertools import starmap
 from operator import itemgetter, sub
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .caps import w_star_id_factors
 from .checker import (
@@ -32,7 +32,7 @@ from .checker import (
     brute_force_factorization,
     verify_id_factorization,
 )
-from .core import CycleType, canonical_id_cycles
+from .core import CycleType, relabelled
 from .hosts import HostDescriptor
 from .hstar import factorize_h_star
 
@@ -307,13 +307,11 @@ def round_robin_two_cycles(n: int) -> Factorization:
     if n < 2 or n % 2:
         raise DomainError(f"need even n >= 2, got {n}")
     host = HostDescriptor("CompleteSymmetric", n)
-    pivot = n - 1  # the last id; the wheel is ids 0..n-2
-    factors = []
-    for r in range(n - 1):
-        pairs = [(r, pivot)]
-        for i in range(1, (n - 1) // 2 + 1):
-            pairs.append(((r + i) % (n - 1), (r - i) % (n - 1)))
-        factors.append(canonical_id_cycles(pairs))
+    w = n - 1  # the pivot, the last id; the wheel is ids 0..n-2
+    # factor 0 pairs 0 with the pivot and i with -i; factor r turns it r steps
+    first = [(0, w), *((i, w - i) for i in range(1, n // 2))]
+    turns = ([*range(r, w), *range(r), w] for r in range(w))
+    factors = list(relabelled([first], turns))
     ftype = CycleType([2] * (n // 2))
     return _verified(host, factors, ftype, "round robin")
 
@@ -324,20 +322,6 @@ def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str)
     if not report.passed:
         raise RuntimeError(f"{route} failed verification: {report.failures()}")
     return Factorization(host.m_or_n, ftype, tuple(factors), report)
-
-
-def _relabelled(hids: tuple, images: Iterable) -> Iterator[tuple]:
-    """The H* factors ``hids`` (cycles of host ids) relabelled through each
-    permutation of ids in ``images`` in turn, each in canonical form.
-
-    Each cycle is compiled once into an ``itemgetter`` of its ids, which
-    gathers the cycle's image out of any image in one C-level call.  An
-    itemgetter of one id would return a bare int, but every H* cycle has
-    at least two ids."""
-    gathers = [[itemgetter(*c) for c in f] for f in hids]
-    for image in images:
-        for f in gathers:
-            yield canonical_id_cycles([g(image) for g in f])
 
 
 def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
@@ -362,9 +346,9 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         wh = wh_decompose(m)
         # W*, H* and the complete host of order 2m share one numbering
         # (x_i -> i, y_i -> m + i): the W* factors need no relabelling, and
-        # the H* copy on block cycle b maps id i to image[i], gathered in
-        # one C-level call per side (a block cycle has m >= 7 blocks, so
-        # the gather returns a tuple)
+        # ``relabelled`` copies the H* factors onto block cycle b by the
+        # image of its ids, gathered in one C-level call per side (a block
+        # cycle has m >= 7 blocks, so the gather returns a tuple)
         factors = w_star_id_factors(ftype)
         if wh.h_block_cycles:
             hids = factorize_h_star(ftype, m).id_factors
@@ -372,5 +356,5 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
             number = list(range(n))
             xs, ys = number[:m], number[m:]
             picks = starmap(itemgetter, wh.h_block_cycles)
-            factors.extend(_relabelled(hids, (p(xs) + p(ys) for p in picks)))
+            factors.extend(relabelled(hids, (p(xs) + p(ys) for p in picks)))
     return _verified(HostDescriptor("CompleteSymmetric", n), factors, ftype, "solve")

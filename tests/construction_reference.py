@@ -5,8 +5,8 @@ position and its length's residue mod 4.
 
 The package no longer runs this; the tests keep it as the reference that
 ``caps._decompose`` and ``hstar.factorize_h_star`` must match piece for
-piece and walk for walk.  The planner calls ``caps.small_factor`` and
-``caps.general_factor`` through the module, so a test can patch both.
+piece and walk for walk.  The planner calls ``tables.small_decomposition``
+and ``caps.general_factor`` through their modules, so a test can patch both.
 """
 
 from oberwolfach import caps, tables
@@ -16,17 +16,17 @@ from oberwolfach.hstar import _gadget_walks
 
 def _single(length: int):
     if length == 6:
-        return caps.small_factor(CycleType([6]))
+        return tables.small_decomposition((6,))
     return caps.general_factor(CycleType([length]))
 
 
 def decompose(lengths: tuple) -> list:
     """The admissible pieces, in splice order, of a decomposition of type
     ``lengths``."""
-    small_factor, general_factor = caps.small_factor, caps.general_factor
+    general_factor = caps.general_factor
     key = tuple(sorted(lengths))
     if key in tables.SMALL_DECOMPS or key == (2, 4, 4):
-        return [small_factor(CycleType(key))]
+        return [tables.small_decomposition(key)]
     if caps._family_of(key) is not None:
         return [general_factor(CycleType(key))]
 
@@ -41,13 +41,13 @@ def decompose(lengths: tuple) -> list:
         if mult == 1:
             nxt = rest[0]
             if nxt in (6, 8):
-                head = small_factor(CycleType([4, nxt]))
+                head = tables.small_decomposition((4, nxt))
             else:
                 head = general_factor(CycleType([4, nxt]))
             return [head] + (decompose(rest[1:]) if rest[1:] else [])
         gamma, beta = (1, (mult - 3) // 2) if mult % 2 else (0, mult // 2)
-        decs = [small_factor(CycleType([4, 4]))] * beta
-        decs += [small_factor(CycleType([4, 4, 4]))] * gamma
+        decs = [tables.small_decomposition((4, 4))] * beta
+        decs += [tables.small_decomposition((4, 4, 4))] * gamma
         if rest:
             decs += decompose(rest)
         return decs
@@ -56,34 +56,34 @@ def decompose(lengths: tuple) -> list:
     residue = mult % 3
     if residue == 0:
         if rest == (4,):
-            decs = [small_factor(CycleType([2, 2, 2, 4]))]
-            decs += [small_factor(CycleType([2, 2, 2]))] * (mult // 3 - 1)
+            decs = [tables.small_decomposition((2, 2, 2, 4))]
+            decs += [tables.small_decomposition((2, 2, 2))] * (mult // 3 - 1)
         else:
-            decs = [small_factor(CycleType([2, 2, 2]))] * (mult // 3)
+            decs = [tables.small_decomposition((2, 2, 2))] * (mult // 3)
             decs += decompose(rest)
         return decs
     if residue == 1:
         if rest == (4, 4):
-            decs = [small_factor(CycleType([2, 4, 4]))]
+            decs = [tables.small_decomposition((2, 4, 4))]
         else:
             head = (
-                small_factor(CycleType([2, nxt]))
+                tables.small_decomposition((2, nxt))
                 if nxt in (4, 6)
                 else general_factor(CycleType([2, nxt]))
             )
             decs = [head] + (decompose(rest[1:]) if rest[1:] else [])
-        decs += [small_factor(CycleType([2, 2, 2]))] * ((mult - 1) // 3)
+        decs += [tables.small_decomposition((2, 2, 2))] * ((mult - 1) // 3)
         return decs
     if rest == (4, 4):
-        decs = [small_factor(CycleType([2, 2, 4, 4]))]
+        decs = [tables.small_decomposition((2, 2, 4, 4))]
     else:
         head = (
-            small_factor(CycleType([2, 2, nxt]))
+            tables.small_decomposition((2, 2, nxt))
             if nxt in (4, 6)
             else general_factor(CycleType([2, 2, nxt]))
         )
         decs = [head] + (decompose(rest[1:]) if rest[1:] else [])
-    decs += [small_factor(CycleType([2, 2, 2]))] * ((mult - 2) // 3)
+    decs += [tables.small_decomposition((2, 2, 2))] * ((mult - 2) // 3)
     return decs
 
 

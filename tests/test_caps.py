@@ -12,7 +12,6 @@ from oberwolfach.caps import (
     assemble,
     general_factor,
     j_decompose,
-    small_factor,
     w_star_id_factors,
 )
 from oberwolfach.checker import (
@@ -80,7 +79,7 @@ def test_splice_worked_example():
 
 
 def test_splice_all_two_cycles_with_itself():
-    small = small_factor(parse_cycle_type("[2^3]"))
+    small = tables.small_decomposition((2, 2, 2))
     doubled = _splice_all([small, small])
     report = verify_admissible_decomposition(6, doubled, tables.X_PATTERN)
     assert report.passed
@@ -88,9 +87,9 @@ def test_splice_all_two_cycles_with_itself():
 
 
 def test_splice_order_additivity_and_associativity():
-    a = small_factor(parse_cycle_type("[2,4]"))
-    b = small_factor(parse_cycle_type("[6]"))
-    c = small_factor(parse_cycle_type("[4^2]"))
+    a = tables.small_decomposition((2, 4))
+    b = tables.small_decomposition((6,))
+    c = tables.small_decomposition((4, 4))
     left = _splice_all([_splice_all([a, b]), c])
     right = _splice_all([a, _splice_all([b, c])])
     flat = _splice_all([a, b, c])
@@ -230,18 +229,20 @@ def test_family_of_matches_the_hand_written_rule():
 
 
 def test_small_factor_examples():
-    dec = small_factor(parse_cycle_type("[6]"))
+    """The embedded small decompositions, read by their sorted types; a
+    type with no table has none."""
+    dec = tables.small_decomposition((6,))
     assert strip_factors(dec)[0] == TwoRegularDigraph([cycle_from_text("(y1,x2,x4,y2,x3,y3)")])
-    dec = small_factor(parse_cycle_type("[4,8]"))
+    dec = tables.small_decomposition((4, 8))
     assert strip_factors(dec)[0] == TwoRegularDigraph(
         [cycle_from_text("(y1,x2,y2,x3)"), cycle_from_text("(y3,x4,y4,x6,y6,x5,x7,y5)")]
     )
-    dec = small_factor(parse_cycle_type("[2^3]"))
+    dec = tables.small_decomposition((2, 2, 2))
     assert all(
         t.lengths == (2, 2, 2) for t in dec.cycle_types()
     )
-    with pytest.raises(ValueError):
-        small_factor(parse_cycle_type("[2,8]"))
+    with pytest.raises(KeyError):
+        tables.small_decomposition((2, 8))
 
 
 def test_j_decompose_examples():

@@ -11,7 +11,7 @@ from oberwolfach.hosts import (
     HostDescriptor,
     _outside,
     arc_codes,
-    fold_ids,
+    fold_image,
     out_neighbour_bytes,
     strip_id,
     strip_vertex,
@@ -162,22 +162,30 @@ def test_fold_is_arc_bijection(m):
     """The arithmetic fold maps the opened host's arcs one to one onto the
     circulant blow-up's, both as the reference draws them."""
     opened = _reference_arcs("j", m)
-    (folded,) = fold_ids([[(strip_id(a.tail), strip_id(a.head)) for a in opened]], m)
+    fold = fold_image(m)
+    folded = [(fold[strip_id(a.tail)], fold[strip_id(a.head)]) for a in opened]
     table = HostDescriptor("WStar", m).vertex_table
     assert {Arc(table[a], table[b]) for a, b in folded} == _reference_arcs("w", m)
-    assert len(set(map(tuple, folded))) == len(opened) == 18 * m
+    assert len(set(folded)) == len(opened) == 18 * m
+
+
+def _folded(factor, m):
+    """A factor of J* id cycles folded onto W* on m blocks, id by id, each
+    cycle in its order."""
+    fold = fold_image(m)
+    return [[fold[v] for v in c] for c in factor]
 
 
 def _folded_arcs(factor, m):
     """The arcs of a factor of J* id cycles folded onto W* on m blocks."""
-    ((*cycles,),) = fold_ids([factor], m)
+    cycles = _folded(factor, m)
     return [a for c in cycles for a in zip(c, c[1:] + c[:1])]
 
 
 def test_fold_of_admissible_factor():
     # [2,6,6] subdigraph assembled from the two compatible pieces
     factor = [ids("(x0,x1)"), ids("(y1,y2,x2,x3,y4,y3)"), ids("(x4,x6,y7,x5,y6,y5)")]
-    ((*folded,),) = fold_ids([factor], 7)
+    folded = _folded(factor, 7)
     assert sorted(v for c in folded for v in c) == list(range(14))  # W*'s ids, m = 7
     assert HostDescriptor("WStar", 7).id_by_text["x3"] in folded[1]  # middle unchanged
     assert not _outside("WStar", _folded_arcs(factor, 7), 7)

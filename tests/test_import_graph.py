@@ -12,6 +12,8 @@ that has to be hidden there marks an import cycle.  The package
 
 import ast
 import re
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,45 @@ def test_all_is_what_the_readme_documents():
     listed = library.split("exports exactly these names", 1)[1].split("Module map", 1)[0]
     named = set(re.findall(r"`([A-Za-z_]+)(?:\(|`)", listed))
     assert named == set(oberwolfach.__all__)
+
+
+def _private_definitions(tree):
+    """(statement, name) for each private name (leading ``_``) a module
+    defines at its top level: a function, a class or an assigned constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def _referenced(node):
+    """Every name read, attribute taken or name imported under ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (a.name for a in n.names)
+
+
+def test_every_private_top_level_name_is_used():
+    """Each private function, class or constant a module defines at its top
+    level is referenced somewhere in the package outside its own
+    definition, so a helper that a change left without callers is found."""
+    trees = [_tree(name) for name in MODULES]
+    everywhere = Counter(chain.from_iterable(map(_referenced, trees)))
+    orphans = [
+        private
+        for tree in trees
+        for node, private in _private_definitions(tree)
+        if everywhere[private] == list(_referenced(node)).count(private)
+    ]
+    assert not orphans, orphans

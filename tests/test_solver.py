@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import relabel_split
 from oberwolfach import solver
 from oberwolfach.checker import Nonexistent
-from oberwolfach.core import CycleType, canonical_id_cycles, parse_cycle_type
+from oberwolfach.core import CycleType, canonical_id_cycles, parse_cycle_type, relabelled
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import document_for_solution, to_json
@@ -261,7 +261,7 @@ def test_solve_refuses_orders_below_2(n):
 
 
 def _per_id_relabel(hids, image):
-    """The reference for ``solver._relabelled``: each H* cycle mapped
+    """The reference for ``core.relabelled``: each H* cycle mapped
     through ``image`` one id at a time, then put in canonical form."""
     return [
         canonical_id_cycles([list(map(image.__getitem__, c)) for c in f]) for f in hids
@@ -292,7 +292,7 @@ def test_gather_relabel_matches_the_per_id_reference(data):
     images = data.draw(
         st.lists(st.permutations(range(2 * m)).map(tuple), min_size=1, max_size=3)
     )
-    got = list(solver._relabelled(hids, images))
+    got = list(relabelled(hids, images))
     assert got == [f for image in images for f in _per_id_relabel(hids, image)]
     assert all(type(c) is tuple for f in got for c in f)
 
@@ -339,6 +339,27 @@ def test_round_robin_n6():
     assert len(factors) == 5
     assert all(len(f.cycles) == 3 for f in factors)
     assert sum(len(f.arcs()) for f in factors) == 30
+
+
+def _circle_method(n):
+    """The round robin as the circle method writes each factor: the pivot
+    n - 1 with r, and r + i with r - i around the wheel of ids 0..n-2."""
+    factors = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)]
+        for i in range(1, (n - 1) // 2 + 1):
+            pairs.append(((r + i) % (n - 1), (r - i) % (n - 1)))
+        factors.append(canonical_id_cycles(pairs))
+    return factors
+
+
+def test_round_robin_turns_factor_0_as_the_circle_method_writes_each(monkeypatch):
+    """Factor 0 relabelled through the wheel's turns is, factor for factor,
+    the circle method's factor r, for every even n up to 398.  The final
+    check is skipped here (the round robin tests above run it)."""
+    monkeypatch.setattr(solver, "_verified", lambda host, factors, ftype, route: factors)
+    for n in range(2, 399, 2):
+        assert round_robin_two_cycles(n) == _circle_method(n), n
 
 
 def test_small_order_nonexistent():
@@ -392,13 +413,13 @@ def test_build_path_never_builds_a_blow_up_host(monkeypatch):
 
     monkeypatch.setattr(hosts, "arc_codes", opened_only)
     folds = []
-    real_fold_ids = caps.fold_ids
+    real_fold_image = caps.fold_image
 
-    def counting_fold_ids(factors, m):
+    def counting_fold_image(m):
         folds.append(m)
-        return real_fold_ids(factors, m)
+        return real_fold_image(m)
 
-    monkeypatch.setattr(caps, "fold_ids", counting_fold_ids)
+    monkeypatch.setattr(caps, "fold_image", counting_fold_image)
     for n, spec in ((14, "[14]"), (30, "[2,4,8,16]"), (38, "[2,2,2,4,28]")):
         ftype = parse_cycle_type(spec)
         result = solve(n, ftype)

@@ -9,6 +9,8 @@ blocks outside the host and ids of no host vertex, and the whole build
 must do work linear in the order.
 """
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,12 +24,18 @@ from oberwolfach.caps import (
     w_star_id_factors,
 )
 from oberwolfach.checker import verify_cap_complementarity
-from oberwolfach.core import CycleType, Vertex, canonical_id_cycles, parse_cycle_type
+from oberwolfach.core import (
+    CycleType,
+    Vertex,
+    canonical_id_cycles,
+    parse_cycle_type,
+    relabelled,
+)
 from oberwolfach.hosts import (
     HostDescriptor,
     _outside,
     admissible_ids,
-    fold_ids,
+    fold_image,
     strip_id,
     strip_vertex,
 )
@@ -214,12 +222,17 @@ def test_admissible_ids_matches_the_object_reference(data):
 @settings(max_examples=200, deadline=None, database=None)
 @given(m=st.integers(5, 40), v=st.integers(-200, 200))
 def test_arithmetic_fold_reduces_the_block_mod_m(m, v):
-    """``fold_ids`` sends J* id v (any integer: negative blocks and blocks
-    past m+1 too) to the host id of its vertex with block index mod m."""
-    side, index = strip_vertex(v)
-    image = Vertex(side, index % m)
-    (((folded,),),) = fold_ids([[[v]]], m)
-    assert _host_vertex(folded, m) == image
+    """``fold_image`` sends each id v of the opened host, 0..2m+3, to the
+    host id of its vertex with block index mod m, and has no image for any
+    other id, negative ones included, which a list would have wrapped."""
+    fold = fold_image(m)
+    assert list(fold) == list(range(2 * m + 4))
+    for u in fold:
+        side, index = strip_vertex(u)
+        assert _host_vertex(fold[u], m) == Vertex(side, index % m)
+    if v not in fold:
+        with pytest.raises(KeyError):
+            fold[v]
     assert strip_id(strip_vertex(v)) == v
 
 
@@ -233,6 +246,35 @@ _PIECES = (
         for spec in ("[8]", "[10]", "[2,8]", "[2,2,12]", "[4,10]", "[18]", "[26,2]")
     ]
 )
+
+
+def _per_id_fold(factors, m):
+    """The reference fold: each J* id v mapped to (v >> 1) % m + (v & 1) * m
+    one id at a time, each factor then put in canonical form."""
+    return [
+        canonical_id_cycles([[(v >> 1) % m + (v & 1) * m for v in c] for c in f])
+        for f in factors
+    ]
+
+
+def _seeded_type(order, seed):
+    """An even cycle type of the given order with a cycle longer than 2."""
+    rng = random.Random(seed)
+    parts = [2 * rng.randint(2, order // 2)]
+    while sum(parts) < order:
+        parts.append(2 * rng.randint(1, (order - sum(parts)) // 2))
+    return CycleType(parts)
+
+
+def test_fold_through_relabelled_matches_the_per_id_reference():
+    """``core.relabelled`` through ``fold_image`` folds every table and
+    cap-family piece of at least five blocks, at its own m, and one seeded
+    type's decomposition at every m in 5..41, as the per-id reference does."""
+    decs = [dec for dec in _PIECES if dec.m >= 5]
+    decs += [caps.j_decompose(_seeded_type(2 * m, m)) for m in range(5, 42)]
+    for dec in decs:
+        got = list(relabelled(dec.id_factors, [fold_image(dec.m)]))
+        assert got == _per_id_fold(dec.id_factors, dec.m), dec.m
 
 
 def _real_factors():
@@ -310,9 +352,11 @@ def test_is_admissible_reference_sees_both_answers():
 @settings(max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_fold_matches_reference(data):
-    """``fold_ids`` followed by the W* rule and a repeated-id count accepts
-    exactly what the former object fold accepted, with the same folded
-    factor.  A vertex of side z has no J* id; the reference refuses it."""
+    """``fold_image`` through ``core.relabelled``, followed by the W* rule
+    and a repeated-id count, accepts exactly what the former object fold
+    accepted, with the same folded factor.  A vertex of side z has no J*
+    id; the reference refuses it.  An id outside the opened host's 0..2m+3
+    has no image, and the fold raises ``KeyError``."""
     m = data.draw(st.integers(5, 12))
     d = data.draw(_two_regular(m))
     assume(d is not None)
@@ -323,7 +367,11 @@ def test_fold_matches_reference(data):
         except ValueError:
             assert want[0] == "ValueError", (d, size)
             continue
-        ((*folded,),) = fold_ids([cycles], size)
+        if not all(0 <= v <= 2 * size + 3 for c in cycles for v in c):
+            with pytest.raises(KeyError):
+                list(relabelled([cycles], [fold_image(size)]))
+            continue
+        (folded,) = relabelled([cycles], [fold_image(size)])
         named = [v for c in folded for v in c]
         arcs = [a for c in folded for a in zip(c, c[1:] + c[:1])]
         ok = len(set(named)) == len(named) and not _outside("WStar", arcs, size)
@@ -529,7 +577,7 @@ def test_piece_plans_match_the_hand_picked_planner(monkeypatch):
     first two tests pick table or cap family; it plans the same pieces, in
     the same order, as the planner that picked them by hand, for every even
     type of order 8..62 but the all-2s ones."""
-    monkeypatch.setattr(caps, "small_factor", lambda ft: ("table", ft.lengths))
+    monkeypatch.setattr(tables, "small_decomposition", lambda key: ("table", key))
     monkeypatch.setattr(caps, "general_factor", lambda ft: ("family", ft.lengths))
     count = 0
     for order in range(8, 63, 2):
