@@ -12,8 +12,7 @@ Decompositions are built from three kinds of nine-element path systems
 (left caps, right caps, centre pieces; see :mod:`oberwolfach.tables`) glued
 end to end with the index shift, and from splicing whole decompositions
 whose boundary patterns agree entrywise.  The shapes the caps make are
-read off ``tables.RIGHT_CAPS`` (``_family_of``), and a cycle's arcs are
-``core.id_arcs``.
+read off ``tables.RIGHT_CAPS`` (``_family_of``).
 
 The build runs on J* ids (``hosts.strip_id``: block b, side s -> 2b + s),
 so shifting by k blocks adds 2k.  The table pieces hold ids, and an
@@ -26,10 +25,10 @@ Check contract: every piece is checked once, where it is made, on ids.
   ``admissible_ids`` when ``tables`` loads them (once per process, the
   loaders are cached).
 * ``assemble`` runs the cap audit, ``checker.verify_cap_complementarity``,
-  on its caps and centre piece, so the seam-pattern and constant-m0
-  clauses are the audit's; it checks each factor's degrees, cycle type and
-  admissibility, and ``general_factor`` its result's cycle types; it is
-  memoised per type.
+  on its caps and centre piece, so the seam-pattern, endpoint and length
+  clauses are the audit's, and it writes each factor down as one cycle
+  plus side cycles; it checks each factor's admissibility, and
+  ``general_factor`` its result's cycle types; it is memoised per type.
 * ``_splice_all`` checks that every piece has the first piece's boundary
   patterns and that each final factor is admissible.  ``j_decompose``
   splices the flat list of pieces ``_decompose`` picks in one call, so no
@@ -57,62 +56,15 @@ from typing import Optional
 
 from . import tables
 from .checker import verify_cap_complementarity, verify_id_factorization
-from .core import CycleType, id_arcs, relabelled
+from .core import CycleType, relabelled
 from .hosts import HostDescriptor, admissible_ids, fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
-def _chain_centre(piece: CentrePiece, k: int, at: int = 0) -> list:
-    """The id paths (Q, U) of ``k`` >= 1 chained copies of a length-4 centre
-    piece, placed ``at`` ids along the strip.
-
-    Copy j of Q is shifted by 4j blocks (8j in ids) and starts where copy
-    j-1 ends, so each Q must end four blocks after it starts,
-    t(Q) = s(Q)+4; U runs the other way, t(U) = s(U)-4.  Those endpoints
-    are the audit's ``centre_endpoints`` clause, which ``assemble`` runs
-    first.  Each chained id list is built once; no id may repeat in Q and U
-    together, which checks that the copies meet only at their junctions and
-    that Q and U are disjoint.  One copy is the piece itself, unchecked."""
-    if piece.c != 4:
-        raise ValueError("only length-4 centre pieces are chained")
-    if k == 1:
-        return [(_shifted(q, at), _shifted(u, at)) for q, u in piece.pairs]
-    pairs = []
-    for q, u in piece.pairs:
-        big_q = list(_shifted(q, at))
-        for step in range(1, k):
-            big_q += _shifted(q[1:], at + 8 * step)
-        big_u = list(_shifted(u, at + 8 * (k - 1)))
-        for step in range(k - 2, -1, -1):
-            big_u += _shifted(u[1:], at + 8 * step)
-        if len({*big_q, *big_u}) != len(big_q) + len(big_u):
-            raise ValueError("chained centre paths repeat or share a vertex")
-        pairs.append((big_q, big_u))
-    return pairs
-
-
 def _shifted(ids, by: int) -> tuple:
     """The J* ids ``ids`` moved ``by`` ids along the strip (2 per block);
-    every shift made while chaining and splicing goes through here."""
+    every shift made while assembling and splicing goes through here."""
     return tuple([v + by for v in ids])
-
-
-def _cycles_of(arcs: list) -> tuple:
-    """The cycles, as id tuples, of the (tail, head) id pairs ``arcs``,
-    which must give every vertex they name one out-arc and one in-arc."""
-    succ = dict(arcs)
-    if len(succ) != len(arcs) or set(succ.values()) != succ.keys():
-        raise ValueError("the arcs are not a union of vertex-disjoint cycles")
-    cycles = []
-    seen: set = set()
-    for start in succ:
-        if start not in seen:
-            walk = [start]
-            while succ[walk[-1]] != start:
-                walk.append(succ[walk[-1]])
-            seen.update(walk)
-            cycles.append(tuple(walk))
-    return tuple(cycles)
 
 
 def assemble(
@@ -123,12 +75,18 @@ def assemble(
 ) -> AdmissibleDecomposition:
     """Glue left cap + k centre blocks + right cap into a decomposition.
 
-    Factor i is the arc union of the left path, the chained centre pair
-    shifted by ell blocks, and the right element shifted by ell + 4k
-    blocks, all in J* ids; the result is an admissible decomposition of the
-    opened host on ell + 4k + r blocks whose factor i is one cycle of length
-    m0 + 8k (m0 = len(L_i) + len(P_i)) together with the right cap's side
-    cycles.
+    The cap audit's seam-pattern and ``centre_endpoints`` clauses make each
+    path start where the one before it ends, so factor i is written
+    straight down as one cycle: L_i, copies j = 0..k-1 of Q_i, the right
+    path P_i and copies j = k-1..0 of U_i, each less its last id, followed
+    by the right cap's side cycles.  Copy j sits ell + c*j blocks along the
+    strip (c = ``centre.c``) and the right element ell + c*k blocks along,
+    in J* ids.  The audit's ``m0_constant``, ``centre_lengths`` and
+    ``right_shapes`` clauses give factor i the type [m0 + 2ck, side
+    lengths] (m0 = len(L_i) + len(P_i) - 2), and ``admissible_ids`` counts
+    its distinct ids, so copies that meet off their seams are refused.  The
+    result is an admissible decomposition of the opened host on
+    ell + c*k + r blocks.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -137,25 +95,22 @@ def assemble(
     audit = verify_cap_complementarity(left, right, centre)
     if not audit.passed:
         raise ValueError(f"the pieces fail the cap audit: {audit.failures()}")
-    m0 = len(left.paths[0]) + len(right.elements[0][0]) - 2  # constant, audited
-    chained = _chain_centre(centre, k, 2 * left.ell) if k > 0 else [()] * 9
-    m = left.ell + 4 * k + right.r
-    expected = CycleType([m0 + 8 * k, *right.side_lengths])
-    right_at = 2 * (left.ell + 4 * k)
+    at = 2 * left.ell
+    step = 2 * centre.c if k else 0
+    right_at = at + step * k
+    m = right_at // 2 + right.r
+    pairs = centre.pairs if k else [((), ())] * 9
     factors = []
-    for i, (path, (rpath, rcycles)) in enumerate(
-        zip(left.paths, right.elements), 1
+    for i, (path, (q, u), (rpath, rcycles)) in enumerate(
+        zip(left.paths, pairs, right.elements), 1
     ):
-        arcs = list(zip(path, path[1:]))
-        for p in chained[i - 1]:
-            arcs += zip(p, p[1:])
-        rpath = _shifted(rpath, right_at)
-        arcs += zip(rpath, rpath[1:])
-        arcs += zip(*id_arcs([_shifted(c, right_at) for c in rcycles]))
-        factor = _cycles_of(arcs)
-        got = CycleType(map(len, factor))
-        if got != expected:
-            raise ValueError(f"factor {i} has type {got}, wanted {expected}")
+        cycle = list(path[:-1])
+        for j in range(k):
+            cycle += _shifted(q[:-1], at + step * j)
+        cycle += _shifted(rpath[:-1], right_at)
+        for j in range(k - 1, -1, -1):
+            cycle += _shifted(u[:-1], at + step * j)
+        factor = (tuple(cycle), *[_shifted(c, right_at) for c in rcycles])
         if not admissible_ids(factor, m):
             raise ValueError(f"factor {i} is not admissible")
         factors.append(factor)
@@ -264,13 +219,31 @@ def _decompose(lengths: tuple) -> list:
     """The admissible pieces, in splice order, of a decomposition of type
     ``lengths``, as a flat list that ``j_decompose`` splices once.
 
-    A type with a table or cap-family piece is that one piece.  Otherwise
-    the smallest lengths are peeled off in heads, and each head goes back
-    through here, where it is always one such piece: a lone length, [4, x],
-    [2, x] or [2, 2, x] with x the next length, [2, 4, 4], [2, 2, 4, 4] or
-    [2^3, 4].  Repeated [4, 4], [4^3] and [2^3] pieces are taken from the
-    tables directly.  The empty type has no pieces, and the all-2s types,
-    which ``j_decompose`` refuses, have no plan."""
+    Lemma: every even type of order >= 6 but the all-2s ones has a plan,
+    each piece a table piece or a cap-family one ([2s], [2s, 2] and
+    [2s, 2, 2] for s >= 4, [2s, 4] for s >= 5: one anchor per residue of
+    s mod 4, and each centre copy adds 4 to s), all with the boundary
+    patterns ``tables.X_PATTERN``, so the splice lemma applies.  By cases
+    on the sorted type, with t 2-cycles followed by ``rest``:
+
+    * a table or cap-family type is that one piece;
+    * every length >= 6: each alone, [6] or [2s] with s >= 4;
+    * one 4-cycle: [4, x] with x >= 6 ([4, 6], [4, 8] or [2s, 4]), then
+      lengths >= 6;
+    * f >= 2 4-cycles: f = 2*beta + 3*gamma copies of [4, 4] and [4^3],
+      then lengths >= 6;
+    * t >= 3, t = 0 mod 3: t/3 [2^3] pieces, then ``rest``, a case above
+      unless it is (4,), which has no piece: then [2^3, 4] replaces one
+      [2^3];
+    * t = 1 or 2 mod 3: those 2-cycles with ``rest`` whole when it is
+      (4, 4) ([2, 4, 4], [2^2, 4^2]) and with its first length x otherwise
+      ([2, x] or [2^2, x]: a table piece for x <= 6, a family for x >= 8),
+      then the lengths left, never (4,), and the [2^3] pieces.
+
+    Each head goes back through here and meets the first case; every other
+    call has fewer lengths, so the plan ends.  The empty type has no
+    pieces, and the all-2s types, which ``j_decompose`` refuses, have no
+    plan."""
     key = tuple(sorted(lengths))
     if not key:
         return []
@@ -288,17 +261,12 @@ def _decompose(lengths: tuple) -> list:
 
     if smallest == 4:
         if mult == 1:
-            # one 4-cycle: peel a [4, next] brick
             return _decompose(key[:2]) + _decompose(key[2:])
-        # two or more 4-cycles: 2*beta + 3*gamma copies
         gamma, beta = (1, (mult - 3) // 2) if mult % 2 else (0, mult // 2)
         decs = [tables.small_decomposition((4, 4))] * beta
         decs += [tables.small_decomposition((4, 4, 4))] * gamma
         return decs + _decompose(rest)
 
-    # smallest == 2: [2^3] pieces, and the mult % 3 other 2-cycles peeled
-    # with the next length, or with a bare [4] or [4, 4] rest whole, since
-    # a lone [4] has no piece
     triples = [tables.small_decomposition((2, 2, 2))] * (mult // 3)
     twos = key[: mult % 3]
     if not twos:

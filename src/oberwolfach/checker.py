@@ -151,18 +151,17 @@ def verify_id_factorization(
     return _report(*_column_counts(host, factors, list(ftype.lengths)))
 
 
+def _add_arc_checks(report, used, distinct, missing, extra) -> None:
+    """The ``arc_disjoint`` and ``coverage`` checks of four arc counts."""
+    report.add(
+        "arc_disjoint", used == distinct, f"{used} arcs used, {distinct} distinct"
+    )
+    report.add("coverage", missing == extra == 0, f"missing {missing}, extra {extra}")
+
+
 def _report(used, distinct, missing, extra, spanning, wrong) -> VerificationReport:
     report = VerificationReport()
-    report.add(
-        "arc_disjoint",
-        used == distinct,
-        f"{used} arcs used, {distinct} distinct",
-    )
-    report.add(
-        "coverage",
-        missing == 0 and extra == 0,
-        f"missing {missing}, extra {extra}",
-    )
+    _add_arc_checks(report, used, distinct, missing, extra)
     report.add("spanning", not spanning, f"non-spanning factors: {spanning}")
     report.add("cycle_type", not wrong, f"mismatches: {wrong}")
     return report
@@ -246,11 +245,7 @@ def verify_admissible_decomposition(
     bad = [i for i, f in enumerate(factors) if not admissible_ids(f, m)]
     report.add("admissible", not bad, f"inadmissible factors: {bad}")
     arcs = [a for f in factors for a in zip(*id_arcs(f))]
-    used, distinct, missing, extra = _opened_host_counts(arcs, m)
-    report.add(
-        "arc_disjoint", used == distinct, f"{used} arcs used, {distinct} distinct"
-    )
-    report.add("coverage", missing == extra == 0, f"missing {missing}, extra {extra}")
+    _add_arc_checks(report, *_opened_host_counts(arcs, m))
     if expected_patterns is not None:
         got = dec.patterns()
         diff = [

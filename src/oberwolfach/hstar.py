@@ -3,17 +3,16 @@
 ``factorize_h_star(F, m)`` produces four arc-disjoint directed 2-factors of
 the H* host on m blocks (``HStar`` m), each of cycle type F, for any
 bipartite F of order 2m.
-Three routes, by the number s of 2-cycles in F:
+Two routes, by the number s of 2-cycles in F:
 
-* s = 0: an undirected F-factorization of the underlying graph into two
-  2-factors, the zig-zag factor and its complement (``_haggkvist`` proves
-  the complement has type F), each then directed both ways.
 * s = 1: an explicit four-family gadget construction: four directed
   2-cycles across the wrap junction plus four parallel chain cycles per
   remaining length.
-* s >= 2: the undirected route for [2s, rest]; the 2s-cycle of each
-  undirected factor is split into two alternating matchings whose edges
-  become directed 2-cycles.
+* s != 1: the zig-zag two-factorization of the underlying graph
+  (``_haggkvist``) for F with its s 2-cycles merged into one 2s-cycle;
+  each undirected factor is directed both ways, and its 2s-cycle is split
+  into two alternating matchings whose edges become directed 2-cycles.
+  With s = 0 there is nothing to merge or split.
 
 Every walk is written on ids of the ``HStar`` m numbering (x_i -> i,
 y_i -> m + i, shared by the order-2m complete host), and the factors are
@@ -172,23 +171,20 @@ def _haggkvist(ftype: CycleType, m: int):
     return _segment_walks(ks, m), _complement_walks(ks, m)
 
 
-def _direct_both_ways(cycles: list) -> tuple:
-    return [tuple(c) for c in cycles], [tuple(reversed(c)) for c in cycles]
-
-
-def _split_two_s_cycle(cycles: list, s: int):
-    """Pick one cycle of length 2s, return (its two alternating matchings,
-    the remaining cycles)."""
-    for idx, cyc in enumerate(cycles):
-        if len(cyc) == 2 * s:
-            rest = cycles[:idx] + cycles[idx + 1 :]
-            edges = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-            return edges[0::2], edges[1::2], rest
-    raise ConstructionError(f"no cycle of length {2 * s} to split")
-
-
 def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
-    """Four verified directed 2-factors of H* on m blocks, each of type F."""
+    """Four verified directed 2-factors of H* on m blocks, each of type F.
+
+    s = 1: each length 2k but the 2-cycle gets four parallel chain cycles,
+    whose zig-zag shapes (``_chain_walks``) need k >= 2; F is even with one
+    2-cycle, so every other length is at least 4.  s != 1: the zig-zag
+    factorization (``_haggkvist``) needs a type without 2-cycles, so it is
+    taken of [2s, rest] with 2s >= 4 (s = 1 would merge into a 2-cycle,
+    which the simple graph lacks).  Each of its undirected factors gives
+    two directed ones, its other cycles forward plus one alternating
+    matching of its 2s-cycle and those cycles reversed plus the other, each
+    matching edge a directed 2-cycle: each arc of the factor once, both of
+    type F.  With s = 0 both matchings are empty.
+    """
     if not ftype.is_bipartite():
         raise ValueError(f"{ftype} has odd cycle lengths")
     if ftype.order != 2 * m:
@@ -199,11 +195,7 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
         raise ValueError(f"host undefined for m = {m} (need m >= 3)")
     s = ftype.lengths.count(2)
     rest = [length for length in ftype.lengths if length != 2]
-
-    if s == 0:
-        a_cycles, b_cycles = _haggkvist(ftype, m)
-        factors = _direct_both_ways(a_cycles) + _direct_both_ways(b_cycles)
-    elif s == 1:
+    if s == 1:
         factors = [[g] for g in _gadget_walks(m)]
         a = 0
         for length in rest:
@@ -211,13 +203,13 @@ def factorize_h_star(ftype: CycleType, m: int) -> HStarFactorization:
                 fam.append(cyc)
             a += length // 2
     else:
-        merged = CycleType([2 * s, *rest])
         factors = []
-        for und in _haggkvist(merged, m):
-            match1, match2, others = _split_two_s_cycle(und, s)
-            fwd, bwd = _direct_both_ways(others)
-            factors.append(fwd + match1)
-            factors.append(bwd + match2)
+        for und in _haggkvist(CycleType([2 * s, *rest]) if s else ftype, m):
+            # split the first 2s-cycle (none when s = 0) into its matchings
+            cyc = und.pop([len(c) for c in und].index(2 * s)) if s else ()
+            edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+            factors.append([*und, *edges[0::2]])
+            factors.append([c[::-1] for c in und] + edges[1::2])
 
     factors = tuple(tuple(map(tuple, f)) for f in factors)
     report = verify_id_factorization(HostDescriptor("HStar", m), factors, ftype)

@@ -1,17 +1,21 @@
-"""The W* piece planner and the H* one-2-cycle route as they were written
-before they worked out their own cases: ``_decompose`` chose table or cap
-family by hand for every head it peeled, and ``_chain_walks`` was told its
-position and its length's residue mod 4.
+"""The W* piece planner, the centre chaining and the H* one-2-cycle route
+as they were written before they worked out their own cases: ``_decompose``
+chose table or cap family by hand for every head it peeled, centre copies
+were chained by repeated ``concat`` of growing object paths, and
+``_chain_walks`` was told its position and its length's residue mod 4.
 
 The package no longer runs this; the tests keep it as the reference that
-``caps._decompose`` and ``hstar.factorize_h_star`` must match piece for
-piece and walk for walk.  The planner calls ``tables.small_decomposition``
-and ``caps.general_factor`` through their modules, so a test can patch both.
+``caps._decompose``, ``caps.assemble`` and ``hstar.factorize_h_star`` must
+match piece for piece and walk for walk.  The planner calls
+``tables.small_decomposition`` and ``caps.general_factor`` through their
+modules, so a test can patch both.
 """
 
 from oberwolfach import caps, tables
 from oberwolfach.core import CycleType
+from oberwolfach.hosts import strip_vertex
 from oberwolfach.hstar import _gadget_walks
+from strip import DirectedPath, concat, shift
 
 
 def _single(length: int):
@@ -85,6 +89,29 @@ def decompose(lengths: tuple) -> list:
         decs = [head] + (decompose(rest[1:]) if rest[1:] else [])
     decs += [tables.small_decomposition((2, 2, 2))] * ((mult - 2) // 3)
     return decs
+
+
+def concat_centre(piece, k: int) -> list:
+    """The vertex sequences of ``k`` >= 1 chained copies of each (Q, U) of a
+    centre piece of ``c`` blocks, by repeated ``concat``: copy j is shifted
+    by c*j blocks, Q's copies joined in ascending order and U's in
+    descending order; Q and U must not meet."""
+    pairs = []
+    for q, u in piece.pairs:
+        q, u = (DirectedPath(map(strip_vertex, p)) for p in (q, u))
+        if k == 1:
+            pairs.append((q.vertices, u.vertices))
+            continue
+        big_q = q
+        for step in range(1, k):
+            big_q = concat(big_q, shift(q, piece.c * step))
+        big_u = shift(u, piece.c * (k - 1))
+        for step in range(k - 2, -1, -1):
+            big_u = concat(big_u, shift(u, piece.c * step))
+        if set(big_q.vertices) & set(big_u.vertices):
+            raise ValueError("chained centre paths are not vertex-disjoint")
+        pairs.append((big_q.vertices, big_u.vertices))
+    return pairs
 
 
 def _congruence(length: int) -> str:

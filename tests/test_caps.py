@@ -2,11 +2,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import construction_reference
 import reference_checker
 
 from oberwolfach import tables
 from oberwolfach.caps import (
-    _chain_centre,
     _family_of,
     _splice_all,
     assemble,
@@ -19,8 +19,8 @@ from oberwolfach.checker import (
     verify_cap_complementarity,
     verify_id_factorization,
 )
-from oberwolfach.core import parse_cycle_type
-from oberwolfach.hosts import BOUNDARY, HostDescriptor, admissible_ids
+from oberwolfach.core import CycleType, parse_cycle_type
+from oberwolfach.hosts import BOUNDARY, HostDescriptor, admissible_ids, strip_id
 from oberwolfach.tables import (
     AdmissibleDecomposition,
     CentrePiece,
@@ -125,12 +125,15 @@ def test_worked_example_ten_cycle():
 
 def _chained(piece, k):
     """``k`` chained copies of a length-4 centre piece, as a piece."""
-    return CentrePiece(4 * k, tuple(map(tuple, _chain_centre(piece, k))))
+    pairs = construction_reference.concat_centre(piece, k)
+    return CentrePiece(
+        4 * k, tuple(tuple(tuple(map(strip_id, p)) for p in pair) for pair in pairs)
+    )
 
 
 def test_concat_centre():
     centre = tables.centre_piece()
-    assert _chain_centre(centre, 1) == list(centre.pairs)
+    assert _chained(centre, 1) == centre
     doubled = _chained(centre, 2)
     assert doubled.c == 8
     assert all(len(q) + len(u) - 2 == 16 for q, u in doubled.pairs)
@@ -283,3 +286,38 @@ def test_w_star_factorization():
 def test_w_star_factorization_m4_collapses():
     with pytest.raises(ValueError, match="folding needs m >= 5"):
         w_star_id_factors(parse_cycle_type("[4,4]"))
+
+
+def _planner_shapes():
+    """One type per shape ``_decompose`` reads (see its lemma): 0..6
+    2-cycles (none, each residue mod 3 with and without a [2^3] piece, and
+    two [2^3] pieces), 0..5 4-cycles (each parity, below and from 2), then
+    none, one or two long lengths, each 6 or 2s for s = 4..12: every
+    residue of s mod 4 of every family at its anchor and one centre copy
+    above.  The all-2s types and those of order below 8 are left out, as
+    ``j_decompose`` refuses them."""
+    longs = [()]
+    for size in (1, 2):
+        longs += combinations_with_replacement(range(6, 25, 2), size)
+    for twos in range(7):
+        for fours in range(6):
+            for tail in longs:
+                lengths = (2,) * twos + (4,) * fours + tail
+                if sum(lengths) >= 8 and (fours or tail):
+                    yield lengths
+
+
+def test_the_planner_decomposes_every_shape_it_reads():
+    """The lemma in ``_decompose``'s docstring, checked on one type per
+    shape: each type's planned pieces splice into a decomposition of the
+    opened host that passes the independent check, with its pattern."""
+    count = 0
+    for lengths in _planner_shapes():
+        ftype = CycleType(lengths)
+        dec = j_decompose(ftype)
+        report = verify_admissible_decomposition(
+            ftype.order // 2, dec, tables.X_PATTERN
+        )
+        assert report.passed, (lengths, report.failures())
+        count += 1
+    assert count == 2762

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import construction_reference
+import reference_checker
 from oberwolfach.core import CycleType, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import (
@@ -181,3 +184,23 @@ def test_domain_errors():
         factorize_h_star(parse_cycle_type("[4]"), 3)
     with pytest.raises(ValueError):
         factorize_h_star(parse_cycle_type("[2,2]"), 2)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 5])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_types_to_m_2001_pass_the_reference_checker(s, data):
+    """Random even types with s 2-cycles, m up to 2001, through both
+    routes; each factorization passes the per-cycle reference checker."""
+    m = data.draw(st.integers(max(3, s + 2), 2001))
+    lengths = [2] * s
+    left = 2 * m - 2 * s  # at least 4
+    while left:
+        half = data.draw(st.one_of(st.integers(2, 4), st.integers(2, left // 2)))
+        k = left // 2 if left - 2 * half < 4 else half
+        lengths.append(2 * k)
+        left -= 2 * k
+    ftype = CycleType(lengths)
+    hf = factorize_h_star(ftype, m)
+    report = reference_checker.verify_id_factorization("HStar", m, hf.id_factors, ftype)
+    assert report.passed, (m, ftype, report.failures())

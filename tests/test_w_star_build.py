@@ -2,11 +2,12 @@
 replaced.
 
 The former object membership rules, ``is_admissible``, ``fold``, pairwise
-splice and ``concat``-based centre chaining are kept here as references;
-the id rules, ``admissible_ids``, the arithmetic fold, the one-pass splice
-and the centre chaining must agree with them on random inputs, including
-blocks outside the host and ids of no host vertex, and the whole build
-must do work linear in the order.
+splice and arc-union ``assemble`` over ``concat``-based centre chaining are
+kept here as references; the id rules, ``admissible_ids``, the arithmetic
+fold, the one-pass splice and ``assemble``'s direct concatenation must
+agree with them on random inputs, including blocks outside the host and
+ids of no host vertex, and the whole build must do work linear in the
+order.
 """
 
 import random
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 import construction_reference
 from oberwolfach import caps, tables
 from oberwolfach.caps import (
-    _chain_centre,
     _splice_all,
     general_factor,
     w_star_id_factors,
@@ -41,14 +41,16 @@ from oberwolfach.hosts import (
 )
 from oberwolfach.tables import AdmissibleDecomposition, CentrePiece
 from strip import (
+    Arc,
     DirectedCycle,
     DirectedPath,
     TwoRegularDigraph,
-    concat,
     ids,
     shift,
+    shift_vertex,
     strip_factors,
     strip_ids,
+    two_regular_from_arcs,
     two_regular_from_ids,
 )
 
@@ -133,25 +135,33 @@ def _ref_splice_all(decs):
     return out
 
 
-def _ref_concat_centre(piece, k):
-    """The former chaining by repeated ``concat`` of growing object paths:
-    the vertex sequences of the k chained copies of each (Q, U)."""
-    pairs = []
-    for q, u in piece.pairs:
-        q, u = (DirectedPath(map(strip_vertex, p)) for p in (q, u))
-        if k == 1:
-            pairs.append((q.vertices, u.vertices))
-            continue
-        big_q = q
-        for step in range(1, k):
-            big_q = concat(big_q, shift(q, 4 * step))
-        big_u = shift(u, 4 * (k - 1))
-        for step in range(k - 2, -1, -1):
-            big_u = concat(big_u, shift(u, 4 * step))
-        if set(big_q.vertices) & set(big_u.vertices):
-            raise ValueError("chained centre paths are not vertex-disjoint")
-        pairs.append((big_q.vertices, big_u.vertices))
-    return pairs
+def _ref_assemble(left, centre, k, right):
+    """The former ``assemble``: factor i is the arc union of the left path,
+    the centre pair chained by repeated ``concat`` and shifted by ell
+    blocks, and the right element shifted by ell + c*k blocks, walked back
+    into cycles by ``two_regular_from_arcs``; each cycle starts at the tail
+    of its first arc in that union, and the cycles come in that order."""
+    chained = construction_reference.concat_centre(centre, k) if k else [()] * 9
+    at = left.ell + (centre.c * k if k else 0)
+    factors = []
+    for path, pair, (rpath, rcycles) in zip(left.paths, chained, right.elements):
+        walks = [tuple(map(strip_vertex, path))]
+        walks += [shift(DirectedPath(p), left.ell).vertices for p in pair]
+        walks.append(shift(DirectedPath(map(strip_vertex, rpath)), at).vertices)
+        arcs = [Arc(*a) for w in walks for a in zip(w, w[1:])]
+        for c in rcycles:
+            c = [shift_vertex(strip_vertex(v), at) for v in c]
+            arcs += map(Arc, c, c[1:] + c[:1])
+        recovered = two_regular_from_arcs(arcs).cycles
+        cycle_of = {v: c.vertices for c in recovered for v in c.vertices}
+        ordered = {}
+        for arc in arcs:
+            c = cycle_of[arc.tail]
+            if c not in ordered:
+                i = c.index(arc.tail)
+                ordered[c] = tuple(map(strip_id, c[i:] + c[:i]))
+        factors.append(tuple(ordered.values()))
+    return tuple(factors)
 
 
 def _outcome(fn, *args):
@@ -450,8 +460,8 @@ def _mutated_centre(piece, op, i):
 @pytest.mark.parametrize("op", ["none", "short_q", "short_u", "swap", "touch"])
 def test_concat_centre_matches_repeated_concat(k, op):
     """Each piece goes through ``assemble``: one that fails the cap audit
-    is refused there, before it is chained; one that passes chains as the
-    reference does, and assembles when it chains."""
+    is refused there, before it is chained; one that passes assembles as
+    the reference chaining by repeated ``concat`` does."""
     left, right = tables.left_cap(), tables.right_cap("L", 4)
     piece = tables.centre_piece()
     for i in range(9) if op != "none" else [0]:
@@ -464,12 +474,43 @@ def test_concat_centre_matches_repeated_concat(k, op):
             assert built[0] == "ValueError", (op, i, k)
             assert built[1].startswith("the pieces fail the cap audit"), built
             continue
-        got = _outcome(_chain_centre, mutated, k)
-        want = _outcome(_ref_concat_centre, mutated, k)
-        assert got[0] == want[0] == built[0], (op, i, k, got, want, built)
-        if got[0] == "ok":
-            vertices = [tuple(tuple(map(strip_vertex, p)) for p in pair) for pair in got[1]]
-            assert vertices == want[1]
+        want = _outcome(_ref_assemble, left, mutated, k, right)
+        assert built[0] == want[0] == "ok", (op, i, k, built, want)
+        assert built[1].id_factors == want[1]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_assemble_matches_the_arc_union_reference(k):
+    """For every right cap and k centre copies, ``assemble`` writes each
+    factor down as the cycles, in the same order and from the same first
+    id, that the former arc-union walk recovers."""
+    left, centre = tables.left_cap(), tables.centre_piece()
+    for family, anchor in tables.RIGHT_CAPS:
+        right = tables.right_cap(family, anchor)
+        got = caps.assemble(left, centre if k else None, k, right)
+        assert got.id_factors == _ref_assemble(left, centre, k, right), (family, anchor)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_a_doubled_centre_piece_chains_as_two_copies(k):
+    """Two chained copies of the table centre piece make a piece of c = 8
+    blocks; k copies of it are 2k copies of the table piece, in the
+    reference chaining and in ``assemble``, which shifts copy j by c*j."""
+    piece = tables.centre_piece()
+    doubled = CentrePiece(
+        8,
+        tuple(
+            tuple(tuple(map(strip_id, p)) for p in pair)
+            for pair in construction_reference.concat_centre(piece, 2)
+        ),
+    )
+    assert construction_reference.concat_centre(
+        doubled, k
+    ) == construction_reference.concat_centre(piece, 2 * k)
+    left, right = tables.left_cap(), tables.right_cap("L2", 6)
+    assert caps.assemble(left, doubled, k, right) == caps.assemble(
+        left, piece, 2 * k, right
+    )
 
 
 def test_concat_centre_refuses_a_path_that_does_not_chain():
@@ -484,14 +525,12 @@ def test_concat_centre_refuses_a_path_that_does_not_chain():
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
 def test_w_star_build_is_linear(monkeypatch, spec, n):
     """Admissibility is checked on O(n) ids in all and O(n) ids are shifted
-    while chaining and splicing: no prefix is re-checked or re-shifted and
-    no chain is rebuilt."""
+    while assembling and splicing, the centre copies included: no prefix
+    is re-checked or re-shifted and no chain is rebuilt."""
     checked = []
     shifted = []
-    chained = []
     real_admissible_ids = caps.admissible_ids
     real_shifted = caps._shifted
-    real_chain_centre = caps._chain_centre
 
     def counting_admissible_ids(cycles, m):
         checked.append(sum(map(len, cycles)))
@@ -502,21 +541,17 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
         shifted.append(len(out))
         return out
 
-    def counting_chain_centre(piece, k, at=0):
-        pairs = real_chain_centre(piece, k, at)
-        chained.extend(len(p) for pair in pairs for p in pair)
-        return pairs
-
     monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
     monkeypatch.setattr(caps, "_shifted", counting_shifted)
-    monkeypatch.setattr(caps, "_chain_centre", counting_chain_centre)
     general_factor.cache_clear()
     factors = w_star_id_factors(parse_cycle_type(spec, n))
     assert len(factors) == 9
     assert checked and sum(checked) <= 20 * n, sum(checked)
     assert shifted and sum(shifted) <= 20 * n, sum(shifted)
     if spec == "[1002]":
-        assert chained and sum(chained) <= 20 * n, sum(chained)
+        # s = 501 is 124 centre copies above its anchor 5, each copy of
+        # each Q and U shifted once
+        assert len(shifted) >= 9 * 2 * 124, len(shifted)
 
 
 @pytest.mark.parametrize(
