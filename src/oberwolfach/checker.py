@@ -33,10 +33,11 @@ from ``bytes(range(N))`` removes, or the size of the wide column's
 ``set``; ``distinct`` adds them up, and the pairs.  An arc out of v is
 inside the host exactly when its head is one of v's out-neighbours: every
 other id on the complete host, and on W* and H* the 9 or 4 heads of
-``hosts.out_neighbour_bytes``, written from the same rule as
-``arc_count``.  The column misses N - 1 - distinct + (v in column) of the
-complete host's arcs out of v, and the out-neighbours it lacks of a
-blow-up's; those add up to ``missing``.  The distinct arcs inside then
+``hosts.out_neighbour_bytes``, whose rows join that many successor
+tables of 2m arcs each: the host's 18m or 8m arcs, its ``arc_count``.
+The column misses N - 1 - distinct + (v in column) of the complete
+host's arcs out of v, and the out-neighbours it lacks of a blow-up's;
+those add up to ``missing``.  The distinct arcs inside then
 number ``host.arc_count`` less ``missing``, and ``extra``, the distinct
 arcs outside, is ``distinct`` less those.  A permutation spans, and a
 loose factor does not: had it N distinct ids, all in 0..N-1, it would be
@@ -264,7 +265,7 @@ def _opened_host_counts(arcs: list, m: int, plus=frozenset(), minus=frozenset())
     when it is outside that host, and the distinct arcs less the extra ones
     number its 18m + |plus| - |minus| arcs less the missing ones."""
     union = set(arcs)
-    extra = len(_outside("JStar", union - plus, m)) + len(union & minus)
+    extra = len(_outside(union - plus, m)) + len(union & minus)
     missing = 18 * max(m, 0) + len(plus) - len(minus) - (len(union) - extra)
     return len(arcs), len(union), missing, extra
 

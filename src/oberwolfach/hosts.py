@@ -34,28 +34,30 @@ indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
 id, for the opened host's ids only.  It is an arc bijection for m >= 5,
 and ``core.relabelled`` folds factors through it.
 
-The three strip hosts have closed-form arc sets.  Each rule is written
-once, as the ``range``s of its arc codes a * width + b: ``_j_star_ranges``
-on J* ids (width 2m + 4), ``_blow_up_ranges`` on host ids (width 2m).
-Every family of arcs -- the rungs, or the junctions at one block
-difference between one pair of sides -- moves both ids with its block, so
-its codes are an arithmetic progression, and a rule is O(1) ranges built
-in O(1):
+The three strip hosts have closed-form arc sets, each written once, in
+the form its one reader uses:
 
-* J* (any m >= 1): both ids in 0..2m+3 (blocks 0..m+1), and a rung
-  (ids 2i, 2i+1) with 1 <= i <= m, or a junction between blocks i and i+d,
-  d in {1, 2}, with 0 <= i <= m-1.
-* W* (m >= 5): both ids below 2m, and a rung (same block, other side), or
-  blocks differing by +-1 or +-2 mod m.
-* H* (m >= 3): both ids below 2m, blocks differing by +-1 mod m.
+* J* (any m >= 1), on J* ids: both ids in 0..2m+3 (blocks 0..m+1), and a
+  rung (ids 2i, 2i+1) with 1 <= i <= m, or a junction between blocks i
+  and i+d, d in {1, 2}, with 0 <= i <= m-1.
+* W* (m >= 5), on host ids: each block joined completely to the blocks
+  +-1 and +-2 away mod m, plus the rung x_i <-> y_i inside each block.
+* H* (m >= 3), on host ids: each block joined completely to the blocks
+  +-1 away mod m.
 
-``arc_codes(kind, m)`` gathers a rule's ranges into one frozenset, in O(m)
-by C-level set calls, and keeps the last eight: ``admissible_ids`` tests one
-superset of it per factor, and ``_outside`` returns the id pairs whose code
-it lacks.  ``out_neighbour_bytes(kind, m)`` writes W* or H* as one row of
-out-neighbours per id, by one slice per range of the rule, so each rule is
-still written once: a byte per id up to ``BYTE_IDS`` = 256 ids, an
-unsigned ``array('I')`` above.  The checker's column kernel counts each
+J* is written as the ``range``s of its arc codes a * (2m+4) + b: every
+family of arcs -- the rungs, or the junctions at one block difference
+between one pair of sides -- moves both ids with its block, so its codes
+are an arithmetic progression.  ``arc_codes(m)`` gathers these O(1)
+ranges into one frozenset, in O(m) by C-level set calls, and keeps the
+last eight: ``admissible_ids`` tests one superset of it per factor, and
+``_outside`` returns the id pairs whose code it lacks.  W* and H* are
+written as block shifts by ``out_neighbour_bytes(kind, m)``: for each
+shift d, the successor tables x_i -> x_{i+d}, y_i -> y_{i+d} and
+x_i -> y_{i+d}, y_i -> x_{i+d}, and on W* the rung table, joined as the
+checker joins a factorization's tables, so that each id's row is its
+out-neighbours: a byte per id up to ``BYTE_IDS`` = 256 ids, an unsigned
+``array('I')`` above.  The checker's column kernel counts each
 vertex's missing heads against these rows; the complete host needs none,
 since every other id is an out-neighbour.  The certificate reader asks
 ``byte_permutation`` whether cycles are a permutation of up to 256 ids,
@@ -80,7 +82,7 @@ from array import array
 from collections import deque
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from operator import add, attrgetter, mul, setitem
+from operator import add, mul, setitem
 from typing import NamedTuple
 
 from .core import Vertex, id_arcs
@@ -195,15 +197,19 @@ def strip_vertex(i: int) -> Vertex:
 
 def _run(step: int, first: int, last: int, offset: int) -> range:
     """The codes offset + i * step for first <= i < last: the arcs of one
-    family of a rule, whose ids both move as block i does."""
+    family of J*, whose ids both move as block i does."""
     return range(offset + first * step, offset + last * step, step)
 
 
-def _j_star_ranges(m: int) -> list:
-    """The J* rule (any m >= 1) as ranges of codes a * (2m+4) + b of J* ids:
-    a rung 2i <-> 2i+1 for 1 <= i <= m, and a junction between blocks i and
-    i+d, d in {1, 2}, for 0 <= i <= m-1, all four side pairs, both ways.
-    Id 2i + s moves two per block, so each family steps by 2 * (2m+5)."""
+@lru_cache(maxsize=8)
+def arc_codes(m: int) -> frozenset:
+    """The arc codes a * (2m+4) + b of J* on m blocks (any m >= 1), (a, b)
+    an arc on J* ids: a rung 2i <-> 2i+1 for 1 <= i <= m, and a junction
+    between blocks i and i+d, d in {1, 2}, for 0 <= i <= m-1, all four side
+    pairs, both ways.  Id 2i + s moves two per block, so each family is a
+    range stepping by 2 * (2m+5).  The last eight are kept, for the tests
+    that follow and the widths a table audit alternates; they must not be
+    mutated.  Each holds 18m codes (1.1 MB at m = 1001)."""
     top = 2 * m + 4
     step = 2 * (top + 1)
     out = [_run(step, 1, m + 1, 1), _run(step, 1, m + 1, top)]  # rungs x->y, y->x
@@ -212,44 +218,7 @@ def _j_star_ranges(m: int) -> list:
             for t in (0, 1):
                 out.append(_run(step, 0, m, s * top + 2 * d + t))  # block i -> i + d
                 out.append(_run(step, 0, m, (2 * d + t) * top + s))  # block i + d -> i
-    return out
-
-
-def _blow_up_ranges(m: int, steps: tuple, rungs: bool) -> list:
-    """A blow-up rule as ranges of codes a * 2m + b of host ids (x_i = i,
-    y_i = m + i): block i joined to block (i + d) % m for d in ``steps``,
-    all four side pairs, plus the rungs x_i <-> y_i when ``rungs``.  Id
-    i + s*m moves one per block, so each family steps by 2m + 1, and a
-    junction's codes split into two runs where its head block wraps."""
-    n = 2 * m
-    step = n + 1
-    out = [_run(step, 0, m, m), _run(step, 0, m, m * n)] if rungs else []  # x->y, y->x
-    for d in steps:
-        for base in (0, m, m * n, m * n + m):  # x -> x, x -> y, y -> x, y -> y
-            out.append(_run(step, 0, m - d, base + d))  # head block i + d
-            out.append(_run(step, m - d, m, base + d - m))  # head block i + d - m
-    return out
-
-
-def _ranges(kind: str, m: int) -> list:
-    """The rule of host ``kind`` ("JStar", "WStar" or "HStar") on m blocks,
-    as ranges of arc codes: the one definition of each rule."""
-    if kind == "JStar":
-        return _j_star_ranges(m)
-    if kind == "WStar":
-        return _blow_up_ranges(m, (1, 2, m - 2, m - 1), True)
-    return _blow_up_ranges(m, (1, m - 1), False)
-
-
-@lru_cache(maxsize=8)
-def arc_codes(kind: str, m: int) -> frozenset:
-    """The arc codes of J* (``"JStar"``, J* ids, width 2m + 4), W*
-    (``"WStar"``) or H* (``"HStar"``, host ids, width 2m) on m blocks:
-    every a * width + b with (a, b) an arc, the union of the rule's ranges,
-    gathered in O(m) by C-level set calls.  The last eight are kept, for
-    the tests that follow and the widths a table audit alternates; they
-    must not be mutated.  Each holds at most 18m codes (1.1 MB at m = 1001)."""
-    return frozenset(chain.from_iterable(_ranges(kind, m)))
+    return frozenset(chain.from_iterable(out))
 
 
 BYTE_IDS = 256  # the most ids a byte holds
@@ -303,45 +272,32 @@ def successor_table(cycles, n: int):
 @lru_cache(maxsize=2)
 def out_neighbour_bytes(kind: str, m: int) -> tuple:
     """Each host id's out-neighbours on the blow-up ``kind`` (``"WStar"``
-    or ``"HStar"``) on m blocks, one row per id in id order: a
-    ``bytearray`` when the 2m ids fit in a byte, an unsigned ``array('I')``
-    otherwise.
+    or ``"HStar"``) on m blocks, one row per id in id order: ``bytes`` when
+    the 2m ids fit in a byte, an unsigned ``array('I')`` otherwise.
 
-    A blow-up is out-regular, k = 9 (W*) or 4 (H*) heads per id, and both
-    ids of a range's codes step by one, so a range is a run of tails
-    a..a+L-1 with heads b..b+L-1.  The runs, taken in order of their first
-    code, fill k rows of n heads indexed by tail: each run is one slice of
-    ``ids`` written into the first row filled up to the run's first tail,
-    and since every id has k heads, such a row always exists.  Column a of
-    the joined rows, ``grid[a::n]``, is then a's k heads.  One order's two
-    hosts are kept; the result must not be mutated."""
-    n = _width(kind, m)
-    runs = sorted(_ranges(kind, m), key=attrgetter("start"))
-    ends = [0] * (sum(map(len, runs)) // n)  # each row's first tail not yet filled
-    if n <= BYTE_IDS:
-        ids, grid = bytes(range(n)), bytearray(len(ends) * n)
-    else:
-        ids, grid = array("I", range(n)), array("I", [0]) * (len(ends) * n)
-    for run in runs:
-        a, b = divmod(run.start, n)
-        row = ends.index(a)
-        grid[row * n + a : row * n + a + len(run)] = ids[b : b + len(run)]
-        ends[row] += len(run)
+    The host is a union of successor tables over its ids ``xs`` then
+    ``ys``: for each block shift d (+-1, and on W* +-2, mod m) the same-side
+    table, x_i -> x_{i+d} and y_i -> y_{i+d}, and the cross table,
+    x_i -> y_{i+d} and y_i -> x_{i+d}, and on W* the rung table
+    x_i <-> y_i.  Joined, row a is ``grid[a::n]``, a's 9 (W*) or 4 (H*)
+    heads.  One order's two hosts are kept; the result must not be
+    mutated."""
+    n = 2 * m
+    ids = bytes(range(n)) if n <= BYTE_IDS else array("I", range(n))
+    xs, ys = ids[:m], ids[m:]
+    grid = ys + xs if kind == "WStar" else ids[:0]  # the rungs
+    for d in (1, 2, m - 2, m - 1) if kind == "WStar" else (1, m - 1):
+        rx, ry = xs[d:] + xs[:d], ys[d:] + ys[:d]
+        grid += rx + ry + ry + rx  # same side, then across
     return tuple(grid[a::n] for a in range(n))
 
 
-def _width(kind: str, m: int) -> int:
-    """The id count of host ``kind`` on m blocks: codes are a * width + b."""
-    return 2 * m + 4 if kind == "JStar" else 2 * m
-
-
-def _outside(kind: str, pairs, m: int) -> list:
-    """The id pairs (a, b) in ``pairs`` that are not arcs of host ``kind``
-    on m blocks: an id outside 0..width-1, or a code a * width + b not in
-    ``arc_codes(kind, m)`` (J* ids for "JStar" (any m >= 1), host ids for
-    "WStar" (m >= 5) and "HStar" (m >= 3))."""
-    width = _width(kind, m)
-    codes = arc_codes(kind, m)
+def _outside(pairs, m: int) -> list:
+    """The J* id pairs (a, b) in ``pairs`` that are not arcs of J* on m
+    blocks (any m >= 1): an id outside 0..2m+3, or a code a * (2m+4) + b
+    not in ``arc_codes(m)``."""
+    width = 2 * m + 4
+    codes = arc_codes(m)
     return [
         (a, b)
         for a, b in pairs
@@ -357,7 +313,7 @@ BOUNDARY = frozenset(range(4))
 def admissible_ids(cycles, m: int) -> bool:
     """Whether the cycles of J* ids ``cycles`` form an admissible factor on
     m blocks: 2m distinct ids, every arc in the opened host
-    (``arc_codes("JStar", m)``), one id of each boundary pair {b, b + 2m}
+    (``arc_codes(m)``), one id of each boundary pair {b, b + 2m}
     for b in ``BOUNDARY``, all middle blocks saturated.
 
     With all 2m ids in 0..2m+3 and one of each boundary pair present, the
@@ -372,8 +328,8 @@ def admissible_ids(cycles, m: int) -> bool:
     for b in BOUNDARY:
         if (b in named) == (b + 2 * m in named):
             return False
-    codes = map(add, map(mul, tails, repeat(_width("JStar", m))), heads)
-    return arc_codes("JStar", m).issuperset(codes)
+    codes = map(add, map(mul, tails, repeat(2 * m + 4)), heads)
+    return arc_codes(m).issuperset(codes)
 
 
 @lru_cache(maxsize=1)  # one order's image is kept

@@ -7,7 +7,8 @@ independent of the package's id code: ``DirectedCycle`` and
 ``TwoRegularDigraph`` refuse a bad cycle or factor with the messages the
 certificate reader must match.  ``ids`` and ``strip_ids`` write such
 examples as the J* ids the package works on; ``factor_objects`` and
-``verify_objects`` go between the objects and a host's ids.
+``verify_objects`` go between the objects and a host's ids, and
+``blow_up_outside`` asks a blow-up's out-neighbour rows about id pairs.
 """
 
 import re
@@ -17,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from oberwolfach.checker import verify_id_factorization
 from oberwolfach.core import CycleType, Vertex, parse_vertex
-from oberwolfach.hosts import strip_id, strip_vertex
+from oberwolfach.hosts import out_neighbour_bytes, strip_id, strip_vertex
 
 
 class Arc(NamedTuple):
@@ -278,3 +279,15 @@ def verify_objects(host, factors, ftype):
 
     id_factors = [[list(map(vid, c.vertices)) for c in f.cycles] for f in factors]
     return verify_id_factorization(host, id_factors, ftype)
+
+
+def blow_up_outside(kind: str, pairs, m: int) -> list:
+    """The host id pairs (a, b) in ``pairs`` that are not arcs of the
+    blow-up ``kind`` (``"WStar"`` or ``"HStar"``) on m blocks, as its
+    ``out_neighbour_bytes`` rows have them: an id outside 0..2m-1, or a
+    head b not in row a."""
+    rows = out_neighbour_bytes(kind, m)
+    n = 2 * m
+    return [
+        (a, b) for a, b in pairs if not (0 <= a < n and 0 <= b < n and b in rows[a])
+    ]

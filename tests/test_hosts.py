@@ -1,10 +1,10 @@
 import random
 from array import array
-from itertools import chain, permutations
+from itertools import permutations
 
 import pytest
 
-from oberwolfach import hosts
+import reference_checker as ref
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.core import Vertex, parse_cycle_type, parse_vertex
 from oberwolfach.hosts import (
@@ -17,7 +17,7 @@ from oberwolfach.hosts import (
     strip_vertex,
     successor_table,
 )
-from strip import Arc, ids
+from strip import Arc, blow_up_outside, ids
 
 # each rule's kind and the letter ``_undirected_edges_reference`` names it by
 LETTER = {"HStar": "h", "WStar": "w", "JStar": "j"}
@@ -36,9 +36,17 @@ def _host_ids(kind, m, vertices):
     return [table.get(v.text(), -1) for v in vertices]
 
 
+def _outside_of(kind, pairs, m):
+    """The id pairs in ``pairs`` outside host ``kind`` on m blocks, as the
+    package writes it: J*'s code set, a blow-up's out-neighbour rows."""
+    if kind == "JStar":
+        return _outside(pairs, m)
+    return blow_up_outside(kind, pairs, m)
+
+
 def _inside(kind, m, tail, head):
-    """Whether the rule of ``kind`` on m blocks has the arc tail -> head."""
-    return not _outside(kind, [tuple(_host_ids(kind, m, (V(tail), V(head))))], m)
+    """Whether host ``kind`` on m blocks has the arc tail -> head."""
+    return not _outside_of(kind, [tuple(_host_ids(kind, m, (V(tail), V(head))))], m)
 
 
 def test_complete_symmetric_counts():
@@ -49,7 +57,7 @@ def test_complete_symmetric_counts():
 
 
 def test_h_star_shape():
-    assert HostDescriptor("HStar", 7).arc_count == len(arc_codes("HStar", 7)) == 56
+    assert HostDescriptor("HStar", 7).arc_count == len(_rule_arcs("HStar", 7)) == 56
     assert not _inside("HStar", 7, "x0", "y0")  # no rungs
     assert _inside("HStar", 7, "x0", "y1") and _inside("HStar", 7, "y1", "x0")
     with pytest.raises(ValueError):
@@ -57,7 +65,7 @@ def test_h_star_shape():
 
 
 def test_w_star_shape():
-    assert HostDescriptor("WStar", 7).arc_count == len(arc_codes("WStar", 7)) == 126
+    assert HostDescriptor("WStar", 7).arc_count == len(_rule_arcs("WStar", 7)) == 126
     for i in range(7):
         assert _inside("WStar", 7, f"x{i}", f"y{i}")
         assert _inside("WStar", 7, f"y{i}", f"x{i}")
@@ -68,7 +76,7 @@ def test_w_star_shape():
 
 
 def test_j_star_shape():
-    assert len(arc_codes("JStar", 7)) == 126
+    assert len(arc_codes(7)) == 126
     assert HostDescriptor("JStar", 7).order == 18
     assert not _inside("JStar", 7, "x0", "y0")  # no rung at block 0
     assert _inside("JStar", 7, "x7", "y7")  # rung at block m
@@ -111,13 +119,17 @@ def _reference_arcs(kind, m):
 
 
 def _rule_arcs(kind, m):
-    """The arcs of ``arc_codes`` decoded into vertices: J* ids on JStar, the
-    host's numbering on a blow-up."""
+    """The host's arcs as the package writes them, decoded into vertices:
+    J*'s ``arc_codes`` on J* ids, a blow-up's ``out_neighbour_bytes`` rows
+    in the host's numbering."""
     if kind == "JStar":
-        width, vertex = 2 * m + 4, strip_vertex
-    else:
-        width, vertex = 2 * m, HostDescriptor(kind, m).vertex_table.__getitem__
-    return [Arc(vertex(c // width), vertex(c % width)) for c in arc_codes(kind, m)]
+        width = 2 * m + 4
+        return [
+            Arc(strip_vertex(c // width), strip_vertex(c % width)) for c in arc_codes(m)
+        ]
+    table = HostDescriptor(kind, m).vertex_table
+    rows = out_neighbour_bytes(kind, m)
+    return [Arc(table[a], table[b]) for a, row in enumerate(rows) for b in row]
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -188,12 +200,12 @@ def test_fold_of_admissible_factor():
     folded = _folded(factor, 7)
     assert sorted(v for c in folded for v in c) == list(range(14))  # W*'s ids, m = 7
     assert HostDescriptor("WStar", 7).id_by_text["x3"] in folded[1]  # middle unchanged
-    assert not _outside("WStar", _folded_arcs(factor, 7), 7)
+    assert not blow_up_outside("WStar", _folded_arcs(factor, 7), 7)
 
 
 def test_fold_rejects_garbage():
     # x0 -> x3 folds onto blocks three apart, which W* on 7 blocks does not join
-    assert _outside("WStar", _folded_arcs([ids("(x0,x3)")], 7), 7)
+    assert blow_up_outside("WStar", _folded_arcs([ids("(x0,x3)")], 7), 7)
 
 
 def _strip_arcs(m):
@@ -204,12 +216,12 @@ def _strip_arcs(m):
 
 
 def _rule_matches_reference(kind, m):
-    """The rule of ``kind`` on m blocks, asked by ``_outside`` on ids,
-    against the reference on every pair of strip vertices; a vertex with no
-    id in a blow-up's numbering is outside it."""
+    """Host ``kind`` on m blocks, asked by ``_outside_of`` on ids, against
+    the reference on every pair of strip vertices; a vertex with no id in a
+    blow-up's numbering is outside it."""
     arcs = _reference_arcs(LETTER[kind], m)
     pairs = [(tuple(_host_ids(kind, m, a)), a) for a in _strip_arcs(m)]
-    outside = set(_outside(kind, [p for p, _ in pairs], m))
+    outside = set(_outside_of(kind, [p for p, _ in pairs], m))
     for pair, a in pairs:
         assert (pair not in outside) == (a in arcs), (m, a)
 
@@ -285,31 +297,23 @@ def test_descriptor_refuses_the_sizes_builders_refuse():
         opened.vertex_table
 
 
-def _per_arc_out_neighbours(kind, m):
-    """The reference for ``out_neighbour_bytes`` on a blow-up: every code
-    of the rule's ranges decoded into its tail and head, one arc at a
-    time."""
-    n = 2 * m
-    heads = [[] for _ in range(n)]
-    for code in chain.from_iterable(hosts._ranges(kind, m)):
-        a, b = divmod(code, n)
-        heads[a].append(b)
-    return heads
-
-
 @pytest.mark.parametrize("kind, least, k", [("WStar", 5, 9), ("HStar", 3, 4)])
 def test_out_neighbour_bytes_match_the_per_arc_reference(kind, least, k):
-    """Built by runs, each id's out-neighbours are the reference's head
-    set, k distinct heads, for every order 2m up to 256 as bytes and for
-    some larger orders as an unsigned ``array('I')``."""
+    """Joined from block shifts, each id's row holds k distinct heads, and
+    the rows hold exactly the host's ``arc_count`` distinct (tail, head)
+    pairs, every one an arc by the per-arc rule, so they are its arcs: for
+    every order 2m up to 256 as bytes and for some larger orders as an
+    unsigned ``array('I')``."""
+    outside = ref.outside_w_star if kind == "WStar" else ref.outside_h_star
     for m in [*range(least, 129), 129, 130, 257, 1001]:
         got = out_neighbour_bytes(kind, m)
-        want = _per_arc_out_neighbours(kind, m)
-        assert len(got) == len(want) == 2 * m, (kind, m)
+        assert len(got) == 2 * m, (kind, m)
         assert isinstance(got[0], array) == (m > 128), (kind, m)
-        for a, (heads, expected) in enumerate(zip(got, want)):
+        for a, heads in enumerate(got):
             assert len(heads) == len(set(heads)) == k, (kind, m, a)
-            assert set(heads) == set(expected), (kind, m, a)
+        pairs = {(a, b) for a, heads in enumerate(got) for b in heads}
+        assert len(pairs) == HostDescriptor(kind, m).arc_count, (kind, m)
+        assert not outside(pairs, m), (kind, m)
 
 
 def _successor_reference(cycles, n):

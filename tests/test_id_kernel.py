@@ -1,5 +1,6 @@
-"""The checker's column kernel, at both widths, and the host rules' code
-sets against the per-cycle, per-arc reference in ``reference_checker.py``."""
+"""The checker's column kernel, at both widths, and the host rules (J*'s
+code sets, the blow-ups' out-neighbour rows) against the per-cycle,
+per-arc reference in ``reference_checker.py``."""
 
 import functools
 import math
@@ -12,7 +13,7 @@ import reference_checker as ref
 from oberwolfach.caps import w_star_id_factors
 from oberwolfach.checker import verify_id_factorization
 from oberwolfach.core import CycleType, parse_cycle_type
-from oberwolfach.hosts import HostDescriptor, arc_codes
+from oberwolfach.hosts import HostDescriptor, arc_codes, out_neighbour_bytes
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.solver import solve
 
@@ -112,19 +113,26 @@ def _rule_codes(width, outside, m):
     return {a * width + b for a, b in pairs if (a, b) not in out}
 
 
+def _row_codes(kind, m):
+    """Every code a * 2m + b with b in the blow-up's row of a."""
+    rows = out_neighbour_bytes(kind, m)
+    return {a * 2 * m + b for a, row in enumerate(rows) for b in row}
+
+
 def test_code_sets_equal_the_rules_to_41():
-    """Each host's cached code set is its rule over every id pair, and has
-    the host's arc count: J* for 1 <= m <= 41, H* from m = 3, W* from m = 5."""
+    """J*'s cached code set, and each blow-up's out-neighbour rows read as
+    codes, are the host's rule over every id pair and have its arc count:
+    J* for 1 <= m <= 41, H* from m = 3, W* from m = 5."""
     for m in range(1, 42):
-        codes = arc_codes("JStar", m)
+        codes = arc_codes(m)
         assert codes == _rule_codes(2 * m + 4, ref.outside_j_star, m), m
         assert len(codes) == 18 * m
         if m >= 3:
-            codes = arc_codes("HStar", m)
+            codes = _row_codes("HStar", m)
             assert codes == _rule_codes(2 * m, ref.outside_h_star, m), m
             assert len(codes) == 8 * m
         if m >= 5:
-            codes = arc_codes("WStar", m)
+            codes = _row_codes("WStar", m)
             assert codes == _rule_codes(2 * m, ref.outside_w_star, m), m
             assert len(codes) == 18 * m
 

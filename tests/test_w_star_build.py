@@ -42,6 +42,7 @@ from oberwolfach.hosts import (
 from oberwolfach.tables import AdmissibleDecomposition, CentrePiece
 from strip import (
     Arc,
+    blow_up_outside,
     DirectedCycle,
     DirectedPath,
     TwoRegularDigraph,
@@ -192,17 +193,17 @@ def test_id_host_rules_match_the_object_references(data):
     ids = st.integers(-6, 2 * m + 10)
     pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
     pairs += [(a, b) for a in range(-2, 2 * m + 6) for b in (a - 5, a - 1, a, a + 1, a + 4)]
-    j_out = set(_outside("JStar", pairs, m))
+    j_out = set(_outside(pairs, m))
     for a, b in pairs:
         arc = (strip_vertex(a), strip_vertex(b))
         assert ((a, b) not in j_out) == _ref_in_j_star(arc, m), (m, a, b)
     if m >= 3:
-        h_out = set(_outside("HStar", pairs, m))
+        h_out = set(blow_up_outside("HStar", pairs, m))
         for a, b in pairs:
             arc = (_host_vertex(a, m), _host_vertex(b, m))
             assert ((a, b) not in h_out) == _ref_in_h_star(arc, m), (m, a, b)
     if m >= 5:
-        w_out = set(_outside("WStar", pairs, m))
+        w_out = set(blow_up_outside("WStar", pairs, m))
         for a, b in pairs:
             arc = (_host_vertex(a, m), _host_vertex(b, m))
             assert ((a, b) not in w_out) == _ref_in_w_star(arc, m), (m, a, b)
@@ -384,7 +385,7 @@ def test_fold_matches_reference(data):
         (folded,) = relabelled([cycles], [fold_image(size)])
         named = [v for c in folded for v in c]
         arcs = [a for c in folded for a in zip(c, c[1:] + c[:1])]
-        ok = len(set(named)) == len(named) and not _outside("WStar", arcs, size)
+        ok = len(set(named)) == len(named) and not blow_up_outside("WStar", arcs, size)
         assert ok == (want[0] == "ok"), (d, size, want)
         if ok:
             table = HostDescriptor("WStar", size).vertex_table
