@@ -34,9 +34,9 @@ Check contract: every piece is checked once, where it is made, on ids.
   splices the flat list of pieces ``_decompose`` picks in one call, so no
   factor is checked twice.
 * ``w_star_id_factors`` folds each factor to host ids in canonical form
-  (``core.relabelled`` through ``hosts.fold_image``) and checks the nine
-  folded factors together against the circulant blow-up
-  host: arcs inside it, arc-disjoint and covering, spanning, and type.
+  (``core.relabelled`` through ``hosts.fold_image``) and checks nothing
+  more: the folded factors are part of ``solve``'s output, which its one
+  final check decides.
 
 Splice lemma: if A on a blocks and B on b blocks are admissible factors
 with equal external patterns, then A plus B shifted by a is admissible on
@@ -55,9 +55,9 @@ from functools import lru_cache
 from typing import Optional
 
 from . import tables
-from .checker import verify_cap_complementarity, verify_id_factorization
+from .checker import verify_cap_complementarity
 from .core import CycleType, relabelled
-from .hosts import HostDescriptor, admissible_ids, fold_image
+from .hosts import admissible_ids, fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
@@ -283,9 +283,9 @@ def w_star_id_factors(ftype: CycleType) -> list:
     cycles in canonical form (``core.relabelled``) over the
     ``WStar`` m numbering, which the order-2m complete host shares.
 
-    One ``verify_id_factorization`` against ``WStar`` m checks the folded
-    factors together: every arc in the host, arc-disjoint, covering its 18m
-    arcs, each factor spanning, each of type ``ftype``."""
+    The folded factors are returned unchecked; ``verify_id_factorization``
+    against ``WStar`` m checks them: every arc in the host, arc-disjoint,
+    covering its 18m arcs, each factor spanning, each of type ``ftype``."""
     m = ftype.order // 2
     if m < 5:
         raise ValueError(
@@ -293,9 +293,5 @@ def w_star_id_factors(ftype: CycleType) -> list:
             "than the circulant blow-up and the arc correspondence collapses"
         )
     dec = j_decompose(ftype)
-    folded = list(relabelled(dec.id_factors, [fold_image(m)]))
-    report = verify_id_factorization(HostDescriptor("WStar", m), folded, ftype)
-    if not report.passed:
-        raise ValueError(f"folded factors fail the W* check: {report.failures()}")
-    return folded
+    return list(relabelled(dec.id_factors, [fold_image(m)]))
 

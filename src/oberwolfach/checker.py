@@ -46,16 +46,17 @@ lengths with the type's.
 
 Wide columns are read as ``set``s of ints; read as UTF-16 text, the heads
 0xD800 and 0xDC00 would join into one character.  The kernel decides
-every check of a solve -- the W* check, the H* self-check and the final
-check -- and of ``verify`` on a described host.  It trusts no reader
-result: ``serialize.read_certificate`` has already tested each byte
-factor with ``hosts.byte_permutation``, and the kernel derives the test
-again from the cycles it is handed, about 3 ms of a ``certify`` benchmark
-pass, so that a fault in the reader cannot pass a certificate.
+a solve's one final check (and, only when that fails, the W* and H*
+checks that name the broken stage) and ``verify`` on a described host.
+It trusts no reader result: ``serialize.read_certificate`` has already
+tested each byte factor with ``hosts.byte_permutation``, and the kernel
+derives the test again from the cycles it is handed, about 3 ms of a
+``certify`` benchmark pass, so that a fault in the reader cannot pass a
+certificate.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or
-asked for.  ``solve``, the W* check and the H* self-check build their
-factors as such lists, and ``verify`` reads certificates straight into
+asked for.  ``solve`` builds its factors, and those of its W* and H*
+stages, as such lists, and ``verify`` reads certificates straight into
 them, into ``bytes`` cycles up to 256 vertices
 (``serialize.read_certificate``), so all of them run the same core.
 ``verify_admissible_decomposition`` likewise checks a decomposition's J*

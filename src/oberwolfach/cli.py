@@ -42,7 +42,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         check_order(args.n)
         ftype = parse_cycle_type(args.factor, args.n)
         result = solve(args.n, ftype)
-    except ValueError as exc:  # solver.DomainError is one too
+    except (ValueError, RuntimeError) as exc:  # bad input; a failed build or check
         print(f"error: {clip(str(exc), 300)}", file=sys.stderr)
         return EXIT_ERROR
     if isinstance(result, Nonexistent):

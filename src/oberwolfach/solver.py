@@ -42,12 +42,12 @@ class DomainError(ValueError):
 
 
 # A certificate of order n holds n(n-1) arcs.  Measured under CPython 3.11
-# on x86-64, one process each: at n = 4002 (16 million arcs) solve of [n]
-# took 4.2-4.8 s and peaked at 222 MB, its final check holding one 32-bit
-# successor table per factor.  ``solve --out`` writes every format factor by
-# factor and peaked there too: 222 MB for json (263 MB written), text
-# (87 MB), edges (250 MB) and dot (554 MB).  An in-process to_json, which
-# holds the factors' texts and the joined text at once, peaked at 664 MB.
+# on x86-64, one process each: at n = 4002 (16 million arcs) ``solve --out``
+# of [n] took 4.0-4.8 s and peaked at 222 MB in every format, its final
+# check holding one 32-bit successor table per factor.  Many short cycles
+# peak higher: 362 MB for [6^667], 648 MB for [2^1997,8] and, the worst,
+# 1,099 MB for [2^2001].  An in-process to_json of [n], which holds the
+# factors' texts and the joined text at once, peaked at 664 MB.
 # Larger orders are refused up front.
 MAX_ORDER = 4002
 
@@ -316,10 +316,19 @@ def round_robin_two_cycles(n: int) -> Factorization:
     return _verified(host, factors, ftype, "round robin")
 
 
-def _verified(host: HostDescriptor, factors: list, ftype: CycleType, route: str):
-    """The factorization of id factors ``factors``, after the final check."""
+def _verified(
+    host: HostDescriptor, factors: list, ftype: CycleType, route: str, parts=()
+):
+    """The factorization of id factors ``factors``, after the final check.
+    Only when it fails are ``parts``, (name, host, factors) triples, checked
+    in order, so that the error names the first that fails, else ``route``."""
     report = verify_id_factorization(host, factors, ftype)
     if not report.passed:
+        for name, part_host, part in parts:
+            part_report = verify_id_factorization(part_host, part, ftype)
+            if not part_report.passed:
+                route, report = name, part_report
+                break
         raise RuntimeError(f"{route} failed verification: {report.failures()}")
     return Factorization(host.m_or_n, ftype, tuple(factors), report)
 
@@ -337,6 +346,7 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
 
     if set(ftype.lengths) == {2}:
         return round_robin_two_cycles(n)
+    parts = []
     if n == 6:
         factors = brute_force_factorization(n, ftype)
         if isinstance(factors, Nonexistent):
@@ -350,11 +360,14 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         # image of its ids, gathered in one C-level call per side (a block
         # cycle has m >= 7 blocks, so the gather returns a tuple)
         factors = w_star_id_factors(ftype)
+        parts.append(("W*", HostDescriptor("WStar", m), factors[:9]))
         if wh.h_block_cycles:
             hids = factorize_h_star(ftype, m).id_factors
+            parts.append(("H*", HostDescriptor("HStar", m), hids))
             # one int object per id, shared by every copy's tuples
             number = list(range(n))
             xs, ys = number[:m], number[m:]
             picks = starmap(itemgetter, wh.h_block_cycles)
             factors.extend(relabelled(hids, (p(xs) + p(ys) for p in picks)))
-    return _verified(HostDescriptor("CompleteSymmetric", n), factors, ftype, "solve")
+    host = HostDescriptor("CompleteSymmetric", n)
+    return _verified(host, factors, ftype, "solve", parts)

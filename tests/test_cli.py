@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from broken_stages import STAGES, break_stage
 from oberwolfach.checker import VerificationReport
 from oberwolfach.cli import _report_json, build_parser, main
 from oberwolfach.core import parse_cycle_type, parse_vertex
@@ -249,6 +250,21 @@ def test_solve_out_unwritable_is_one_line_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_solve_failed_check_is_one_line_error(capsys, monkeypatch, tmp_path, stage):
+    """A solve whose final check fails (a RuntimeError) is one ``error:``
+    line naming the broken stage, exit 1, and no ``--out`` file."""
+    n, spec = break_stage(monkeypatch, stage)
+    out = tmp_path / "out.json"
+    assert main(["solve", "--n", str(n), "--factor", spec, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {stage} failed verification: ")
     assert not out.exists()
 
 

@@ -365,9 +365,8 @@ def test_the_column_kernel_decides_every_corruption(op, data):
     "n, spec", [(10, "[4,6]"), (38, "[38]"), (106, "[2,4,6,94]"), (254, "[4,250]")]
 )
 def test_the_column_kernel_decides_clean_solves_and_permuting_corruptions(n, spec):
-    """A solve up to n = 254 passes all its checks -- the W* check, the H*
-    self-check and the final check -- on byte tables, and its swap, drop
-    and duplicate corruptions fail the final one."""
+    """A solve up to n = 254 passes its one check, the final one, on byte
+    tables, and its swap, drop and duplicate corruptions fail that check."""
     ftype = parse_cycle_type(spec)
     factors = solve(n, ftype).id_factors
     host = HostDescriptor("CompleteSymmetric", n)

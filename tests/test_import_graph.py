@@ -55,6 +55,21 @@ def test_checker_and_hosts_import_no_builder(name):
     assert not imported & BUILDERS, sorted(imported & BUILDERS)
 
 
+def test_only_solver_imports_the_factorization_check():
+    """Each solve checks its output once, in ``solver``: no other builder
+    imports ``verify_id_factorization``, and ``hstar`` builds from ``core``
+    alone."""
+    importers = {
+        name
+        for name in BUILDERS
+        for node, _ in _package_imports(_tree(name))
+        if "verify_id_factorization" in {a.name for a in node.names}
+    }
+    assert importers == {"solver"}
+    hstar = set().union(*(names for _, names in _package_imports(_tree("hstar"))))
+    assert hstar == {"core"}
+
+
 OBJECT_CLASSES = {"Arc", "Digraph", "DirectedCycle", "TwoRegularDigraph"}
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 

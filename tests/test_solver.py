@@ -1,4 +1,5 @@
 
+import sys
 from itertools import chain
 from math import gcd
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relabel_split
-from oberwolfach import solver
+from broken_stages import STAGES, break_stage
+from oberwolfach import checker, solver
 from oberwolfach.checker import Nonexistent
 from oberwolfach.core import CycleType, canonical_id_cycles, parse_cycle_type, relabelled
 from oberwolfach.hosts import HostDescriptor
@@ -421,6 +423,48 @@ def test_build_path_never_builds_a_blow_up_host(monkeypatch):
         assert len(result.id_factors) == n - 1
         assert all(cycle_type_of(f) == ftype for f in _factors(result))
     assert folds  # the W* route was taken
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [(6, "[2,4]"), (10, "[10]"), (14, "[14]"), (30, "[2,4,24]"), (14, "[2^7]")],
+    ids=[
+        "search", "no-block-cycles", "one-block-cycle", "five-block-cycles",
+        "round-robin",
+    ],
+)
+def test_every_route_checks_its_output_once(monkeypatch, n, spec):
+    """``solve`` calls the factorization check once, on the final n-1
+    factors, on every route: no builder checks its own part.  Every package
+    module that binds ``verify_id_factorization`` is patched, so a builder
+    that checked its part again would be counted."""
+    real = checker.verify_id_factorization
+    kinds = []
+
+    def counting(host, factors, ftype):
+        kinds.append(host.kind)
+        return real(host, factors, ftype)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("oberwolfach") and vars(module).get(
+            "verify_id_factorization"
+        ) is real:
+            monkeypatch.setattr(module, "verify_id_factorization", counting)
+    result = solve(n, parse_cycle_type(spec))
+    assert result.report.passed
+    assert kinds == ["CompleteSymmetric"]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_broken_stage_fails_the_solve_and_is_named(monkeypatch, stage):
+    """A corrupted W* factor, H* factor or block cycle fails the final
+    check, and the error names the first stage whose own check fails:
+    ``solve`` when the W* and H* parts both pass."""
+    n, spec = break_stage(monkeypatch, stage)
+    with pytest.raises(RuntimeError) as failure:
+        solve(n, parse_cycle_type(spec))
+    assert str(failure.value).startswith(f"{stage} failed verification: ")
 
 
 def test_solve_h_embeddings_keep_type():
