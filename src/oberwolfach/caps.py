@@ -29,14 +29,11 @@ Check contract: every piece is checked once, where it is made, on ids.
   clauses are the audit's, and it writes each factor down as one cycle
   plus side cycles; it checks each factor's admissibility, and
   ``general_factor`` its result's cycle types; it is memoised per type.
-* ``_splice_all`` checks that every piece has the first piece's boundary
-  patterns and that each final factor is admissible.  ``j_decompose``
-  splices the flat list of pieces ``_decompose`` picks in one call, so no
-  factor is checked twice.
-* ``w_star_id_factors`` folds each factor to host ids in canonical form
-  (``core.relabelled`` through ``hosts.fold_image``) and checks nothing
-  more: the folded factors are part of ``solve``'s output, which its one
-  final check decides.
+* ``_splice`` checks that every piece has the first piece's boundary
+  patterns; ``j_decompose`` splices ``_decompose``'s pieces in one call
+  and checks each final factor once.
+* ``w_star_id_factors`` gathers the same pieces through the fold and
+  checks nothing more: ``solve``'s one final check decides its output.
 
 Splice lemma: if A on a blocks and B on b blocks are admissible factors
 with equal external patterns, then A plus B shifted by a is admissible on
@@ -44,26 +41,26 @@ a + b blocks.  A lies in blocks 0..a+1 and shifted B in a..a+b+1; in blocks
 a and a+1 the pattern equality hands each boundary vertex to exactly one of
 them, every arc stays in the larger opened host, and the new boundary
 pairs take their first vertex from A and their second from B.  By
-induction every prefix of a splice of admissible pieces with equal
-patterns is admissible, so a splice of k pieces checks admissibility once
-per factor, on the final factor, in time linear in its order.
+induction every splice of admissible pieces with equal patterns is
+admissible, so a J* splice is checked once per factor, on the final factor.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from . import tables
 from .checker import verify_cap_complementarity
-from .core import CycleType, relabelled
+from .core import CycleType, canonical_id_cycles
 from .hosts import admissible_ids, fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
 def _shifted(ids, by: int) -> tuple:
     """The J* ids ``ids`` moved ``by`` ids along the strip (2 per block);
-    every shift made while assembling and splicing goes through here."""
+    every shift made while assembling goes through here."""
     return tuple([v + by for v in ids])
 
 
@@ -164,49 +161,52 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     return dec
 
 
-def _splice_all(decs: list) -> AdmissibleDecomposition:
-    """Splice admissible pieces end to end in one pass: piece p shifted by
-    the block count of the pieces before it, 2 per block in J* ids.
-
-    Every piece must have the first piece's boundary patterns.  The pieces
-    are admissible where they were made (see the module docstring), so by
-    the splice lemma only each final factor is checked; ``admissible_ids``
-    counts its distinct ids, so shifted pieces that overlap are refused.
-    """
-    if len(decs) == 1:
-        return decs[0]
+def _splice(decs: list, image) -> list:
+    """The nine factors of the pieces ``decs`` spliced end to end, as lists
+    of cycles written through ``image``: id v of a piece k blocks along is
+    ``image[v + 2k]``, one gather per cycle from a slice of ``image`` that
+    ends at the piece's own last id 2m+3 (it is admissible where made)."""
     pattern = decs[0].patterns()
     if any(d.patterns() != pattern for d in decs[1:]):
         raise ValueError("decompositions are not compatible (patterns differ)")
-    offsets = []
-    m = 0
+    factors = [[] for _ in range(9)]
+    at = 0
     for d in decs:
-        offsets.append(2 * m)
-        m += d.m
-    factors = []
-    for j in range(9):
-        cycles = []
-        for d, offset in zip(decs, offsets):
-            if offset:
-                cycles += [_shifted(c, offset) for c in d.id_factors[j]]
-            else:
-                cycles += d.id_factors[j]
-        if not admissible_ids(cycles, m):
-            raise ValueError("spliced factor is not admissible")
-        factors.append(tuple(cycles))
-    return AdmissibleDecomposition(m, tuple(factors))
+        span = image[at : at + 2 * d.m + 4]
+        for out, cycles in zip(factors, d.id_factors):
+            out += [itemgetter(*c)(span) for c in cycles]
+        at += 2 * d.m
+    return factors
+
+
+def _splice_all(decs: list) -> AdmissibleDecomposition:
+    """Admissible pieces spliced on J* ids (``_splice``, identity image); by
+    the splice lemma only each final factor is checked, and
+    ``admissible_ids`` counts its distinct ids, so overlaps are refused."""
+    if len(decs) == 1:
+        return decs[0]
+    m = sum(d.m for d in decs)
+    factors = tuple(map(tuple, _splice(decs, range(2 * m + 4))))
+    if not all(admissible_ids(f, m) for f in factors):
+        raise ValueError("spliced factor is not admissible")
+    return AdmissibleDecomposition(m, factors)
+
+
+def _pieces(ftype: CycleType) -> list:
+    """``_decompose``'s pieces for ``ftype``; a type without any is refused."""
+    if not ftype.is_bipartite():
+        raise ValueError(f"{ftype} has an odd cycle length")
+    if ftype.order < 8:  # even, as every length is
+        raise ValueError(f"order {ftype.order} out of range (need >= 8)")
+    if set(ftype.lengths) == {2}:
+        raise ValueError("the all-2s type has no admissible decomposition here")
+    return _decompose(ftype.lengths)
 
 
 def j_decompose(ftype: CycleType) -> AdmissibleDecomposition:
     """Admissible decomposition of the opened host for any bipartite type of
     order >= 8 other than the all-2s type, with the shared boundary pattern."""
-    if not ftype.is_bipartite():
-        raise ValueError(f"{ftype} has an odd cycle length")
-    if ftype.order % 2 != 0 or ftype.order < 8:
-        raise ValueError(f"order {ftype.order} out of range (need >= 8)")
-    if set(ftype.lengths) == {2}:
-        raise ValueError("the all-2s type has no admissible decomposition here")
-    dec = _splice_all(_decompose(ftype.lengths))
+    dec = _splice_all(_pieces(ftype))
     if dec.patterns() != tables.X_PATTERN:
         raise ValueError("decomposition lost the shared boundary pattern")
     # sorted length tuples, compared without building a CycleType per factor
@@ -280,8 +280,9 @@ def _decompose(lengths: tuple) -> list:
 def w_star_id_factors(ftype: CycleType) -> list:
     """The 9 factors of an opened-host decomposition folded onto the
     circulant blow-up host of the same order, as vertex ids: each a tuple of
-    cycles in canonical form (``core.relabelled``) over the
-    ``WStar`` m numbering, which the order-2m complete host shares.
+    cycles in canonical form (``core.canonical_id_cycles``) over the
+    ``WStar`` m numbering, which the order-2m complete host shares: the
+    pieces ``j_decompose`` splices, gathered through ``hosts.fold_image``.
 
     The folded factors are returned unchecked; ``verify_id_factorization``
     against ``WStar`` m checks them: every arc in the host, arc-disjoint,
@@ -292,6 +293,5 @@ def w_star_id_factors(ftype: CycleType) -> list:
             "folding needs m >= 5: below that the opened host has more arcs "
             "than the circulant blow-up and the arc correspondence collapses"
         )
-    dec = j_decompose(ftype)
-    return list(relabelled(dec.id_factors, [fold_image(m)]))
+    return [canonical_id_cycles(f) for f in _splice(_pieces(ftype), fold_image(m))]
 

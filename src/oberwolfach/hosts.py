@@ -30,9 +30,9 @@ Two vertex numberings are used, and the package works on their ids:
   blocks 0 and 1: x0 = 0, y0 = 1, x1 = 2, y1 = 3.
 
 ``fold_image`` closes J* onto W* on the same m by reducing block
-indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, a J* id to a host
-id, for the opened host's ids only.  It is an arc bijection for m >= 5,
-and ``core.relabelled`` folds factors through it.
+indices mod m: in ids, ``(v >> 1) % m + (v & 1) * m``, for the opened
+host's ids only.  It is an arc bijection for m >= 5, and ``caps`` gathers
+each spliced piece through its slice at the piece's offset.
 
 The three strip hosts have closed-form arc sets, each written once, in
 the form its one reader uses:
@@ -333,9 +333,9 @@ def admissible_ids(cycles, m: int) -> bool:
 
 
 @lru_cache(maxsize=1)  # one order's image is kept
-def fold_image(m: int) -> dict:
-    """The fold of J* onto W* on m blocks, from the opened host's ids
-    0..2m+3 to host ids: v -> ``(v >> 1) % m + (v & 1) * m``, x_i -> i mod m
-    and y_i -> m + (i mod m).  A dict, not a list: any other id raises
-    ``KeyError``, where a list would wrap a negative id onto another block."""
-    return {v: (v >> 1) % m + (v & 1) * m for v in range(2 * m + 4)}
+def fold_image(m: int) -> tuple:
+    """The fold of J* onto W* on m blocks, a tuple indexed by the opened
+    host's ids 0..2m+3: v -> ``(v >> 1) % m + (v & 1) * m``, x_i -> i mod m
+    and y_i -> m + (i mod m).  An id above 2m+3 raises ``IndexError``, and
+    a negative one would wrap: only admissible pieces' ids are folded."""
+    return tuple((v >> 1) % m + (v & 1) * m for v in range(2 * m + 4))

@@ -320,12 +320,12 @@ def _verified(
     host: HostDescriptor, factors: list, ftype: CycleType, route: str, parts=()
 ):
     """The factorization of id factors ``factors``, after the final check.
-    Only when it fails are ``parts``, (name, host, factors) triples, checked
+    Only when it fails are ``parts``, (name, (kind, size), factors), checked
     in order, so that the error names the first that fails, else ``route``."""
     report = verify_id_factorization(host, factors, ftype)
     if not report.passed:
-        for name, part_host, part in parts:
-            part_report = verify_id_factorization(part_host, part, ftype)
+        for name, spec, part in parts:
+            part_report = verify_id_factorization(HostDescriptor(*spec), part, ftype)
             if not part_report.passed:
                 route, report = name, part_report
                 break
@@ -360,10 +360,10 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         # image of its ids, gathered in one C-level call per side (a block
         # cycle has m >= 7 blocks, so the gather returns a tuple)
         factors = w_star_id_factors(ftype)
-        parts.append(("W*", HostDescriptor("WStar", m), factors[:9]))
+        parts.append(("W*", ("WStar", m), factors[:9]))
         if wh.h_block_cycles:
             hids = factorize_h_star(ftype, m).id_factors
-            parts.append(("H*", HostDescriptor("HStar", m), hids))
+            parts.append(("H*", ("HStar", m), hids))
             # one int object per id, shared by every copy's tuples
             number = list(range(n))
             xs, ys = number[:m], number[m:]

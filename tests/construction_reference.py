@@ -1,19 +1,21 @@
-"""The W* piece planner, the centre chaining and the H* one-2-cycle route
-as they were written before they worked out their own cases: ``_decompose``
-chose table or cap family by hand for every head it peeled, centre copies
-were chained by repeated ``concat`` of growing object paths, and
-``_chain_walks`` was told its position and its length's residue mod 4.
+"""The W* piece planner, the centre chaining, the W* splice and fold and
+the H* one-2-cycle route as they were written before they worked out their
+own cases: ``_decompose`` chose table or cap family by hand for every head
+it peeled, centre copies were chained by repeated ``concat`` of growing
+object paths, every piece was copied shifted into J* ids, spliced and
+checked before the nine factors were folded onto W*, and ``_chain_walks``
+was told its position and its length's residue mod 4.
 
 The package no longer runs this; the tests keep it as the reference that
-``caps._decompose``, ``caps.assemble`` and ``hstar.factorize_h_star`` must
-match piece for piece and walk for walk.  The planner calls
-``tables.small_decomposition`` and ``caps.general_factor`` through their
-modules, so a test can patch both.
+``caps._decompose``, ``caps.assemble``, ``caps.w_star_id_factors`` and
+``hstar.factorize_h_star`` must match piece for piece and walk for walk.
+The planner calls ``tables.small_decomposition`` and ``caps.general_factor``
+through their modules, so a test can patch both.
 """
 
 from oberwolfach import caps, tables
-from oberwolfach.core import CycleType
-from oberwolfach.hosts import strip_vertex
+from oberwolfach.core import CycleType, relabelled
+from oberwolfach.hosts import admissible_ids, fold_image, strip_vertex
 from oberwolfach.hstar import _gadget_walks
 from strip import DirectedPath, concat, shift
 
@@ -89,6 +91,25 @@ def decompose(lengths: tuple) -> list:
         decs = [head] + (decompose(rest[1:]) if rest[1:] else [])
     decs += [tables.small_decomposition((2, 2, 2))] * ((mult - 2) // 3)
     return decs
+
+
+def w_star_id_factors(ftype: CycleType) -> list:
+    """The nine W* factors by the former route: the planned pieces copied
+    shifted into J* ids (``caps._shifted``, 2 per block before them) and
+    spliced, each spliced factor checked admissible, then all nine folded
+    onto W* and put in canonical form by ``core.relabelled``."""
+    m = ftype.order // 2
+    decs = decompose(ftype.lengths)
+    offsets = [2 * sum(d.m for d in decs[:p]) for p in range(len(decs))]
+    factors = []
+    for j in range(9):
+        cycles = []
+        for d, offset in zip(decs, offsets):
+            cycles += [caps._shifted(c, offset) for c in d.id_factors[j]]
+        if not admissible_ids(cycles, m):
+            raise ValueError("spliced factor is not admissible")
+        factors.append(cycles)
+    return list(relabelled(factors, [fold_image(m)]))
 
 
 def concat_centre(piece, k: int) -> list:

@@ -233,16 +233,19 @@ def test_admissible_ids_matches_the_object_reference(data):
 @settings(max_examples=200, deadline=None, database=None)
 @given(m=st.integers(5, 40), v=st.integers(-200, 200))
 def test_arithmetic_fold_reduces_the_block_mod_m(m, v):
-    """``fold_image`` sends each id v of the opened host, 0..2m+3, to the
-    host id of its vertex with block index mod m, and has no image for any
-    other id, negative ones included, which a list would have wrapped."""
+    """``fold_image`` sends each id u of the opened host, 0..2m+3, to the
+    host id of its vertex with block index mod m, at index u of a tuple.
+    Any id above 2m+3 raises ``IndexError``; a negative id is outside its
+    domain too, and the tuple would wrap it onto another block, so only
+    pieces whose ids lie in 0..2m+3 are folded
+    (``test_every_piece_lies_in_the_fold_domain``)."""
     fold = fold_image(m)
-    assert list(fold) == list(range(2 * m + 4))
-    for u in fold:
+    assert isinstance(fold, tuple) and len(fold) == 2 * m + 4
+    for u, image in enumerate(fold):
         side, index = strip_vertex(u)
-        assert _host_vertex(fold[u], m) == Vertex(side, index % m)
-    if v not in fold:
-        with pytest.raises(KeyError):
+        assert _host_vertex(image, m) == Vertex(side, index % m)
+    if v > 2 * m + 3:
+        with pytest.raises(IndexError):
             fold[v]
     assert strip_id(strip_vertex(v)) == v
 
@@ -366,8 +369,10 @@ def test_fold_matches_reference(data):
     """``fold_image`` through ``core.relabelled``, followed by the W* rule
     and a repeated-id count, accepts exactly what the former object fold
     accepted, with the same folded factor.  A vertex of side z has no J*
-    id; the reference refuses it.  An id outside the opened host's 0..2m+3
-    has no image, and the fold raises ``KeyError``."""
+    id; the reference refuses it.  An id above the opened host's 0..2m+3
+    has no image, and the fold raises ``IndexError``; a negative id, which
+    the tuple would wrap, is outside the fold's domain, and no piece has
+    one (``test_every_piece_lies_in_the_fold_domain``)."""
     m = data.draw(st.integers(5, 12))
     d = data.draw(_two_regular(m))
     assume(d is not None)
@@ -378,8 +383,11 @@ def test_fold_matches_reference(data):
         except ValueError:
             assert want[0] == "ValueError", (d, size)
             continue
-        if not all(0 <= v <= 2 * size + 3 for c in cycles for v in c):
-            with pytest.raises(KeyError):
+        named = [v for c in cycles for v in c]
+        if min(named) < 0:
+            continue
+        if max(named) > 2 * size + 3:
+            with pytest.raises(IndexError):
                 list(relabelled([cycles], [fold_image(size)]))
             continue
         (folded,) = relabelled([cycles], [fold_image(size)])
@@ -525,16 +533,22 @@ def test_concat_centre_refuses_a_path_that_does_not_chain():
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
 def test_w_star_build_is_linear(monkeypatch, spec, n):
-    """Admissibility is checked on O(n) ids in all and O(n) ids are shifted
-    while assembling and splicing, the centre copies included: no prefix
-    is re-checked or re-shifted and no chain is rebuilt."""
-    checked = []
-    shifted = []
+    """The W* route gathers O(n) ids, each piece cycle once, straight onto
+    host ids.  With ``general_factor`` warm it checks no admissibility and
+    shifts nothing; cold, ``assemble`` checks each assembled factor once
+    and shifts O(n) ids, the centre copies included, so no chain is
+    rebuilt."""
+    gathered, checked, shifted = [], [], []
+    real_itemgetter = caps.itemgetter
     real_admissible_ids = caps.admissible_ids
     real_shifted = caps._shifted
 
+    def counting_itemgetter(*ids):
+        gathered.append(len(ids))
+        return real_itemgetter(*ids)
+
     def counting_admissible_ids(cycles, m):
-        checked.append(sum(map(len, cycles)))
+        checked.append(m)
         return real_admissible_ids(cycles, m)
 
     def counting_shifted(ids, by):
@@ -542,17 +556,93 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
         shifted.append(len(out))
         return out
 
+    monkeypatch.setattr(caps, "itemgetter", counting_itemgetter)
     monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
     monkeypatch.setattr(caps, "_shifted", counting_shifted)
+    ftype = parse_cycle_type(spec, n)
     general_factor.cache_clear()
-    factors = w_star_id_factors(parse_cycle_type(spec, n))
-    assert len(factors) == 9
-    assert checked and sum(checked) <= 20 * n, sum(checked)
-    assert shifted and sum(shifted) <= 20 * n, sum(shifted)
+    cold = w_star_id_factors(ftype)
     if spec == "[1002]":
-        # s = 501 is 124 centre copies above its anchor 5, each copy of
-        # each Q and U shifted once
+        # one assembled piece of 501 blocks: s = 501 is 124 centre copies
+        # above its anchor 5, each copy of each Q and U shifted once
+        assert checked == [n // 2] * 9
         assert len(shifted) >= 9 * 2 * 124, len(shifted)
+    else:
+        assert checked == shifted == []  # six-cycle table pieces only
+    assert sum(shifted) <= 20 * n, sum(shifted)
+    for seen in (gathered, checked, shifted):
+        seen.clear()
+    assert w_star_id_factors(ftype) == cold
+    assert checked == shifted == []
+    assert len(cold) == 9 and sum(gathered) == 9 * n <= 20 * n, sum(gathered)
+
+
+def test_w_star_factors_match_the_shift_and_fold_route():
+    """Gathering each piece through the fold at its splice offset gives the
+    nine W* factors, factor for factor, that shifting every piece into J*
+    ids, splicing and then folding gave: every even type but the all-2s
+    ones at n = 10, 14, ..., 38, and ten seeded types up to n = 1002."""
+    types = [
+        CycleType(key)
+        for n in range(10, 39, 4)
+        for key in _ascending_even_types(n)
+        if key[-1] != 2
+    ]
+    assert len(types) == 1164
+    types += [_seeded_type(n, n) for n in range(102, 1003, 100)]
+    for ftype in types:
+        want = construction_reference.w_star_id_factors(ftype)
+        assert w_star_id_factors(ftype) == want, ftype
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("[8]", "folding needs m >= 5"),
+        ("[3,7]", "has an odd cycle length"),
+        ("[2^5]", "the all-2s type has no admissible decomposition here"),
+    ],
+)
+def test_w_star_route_refuses_what_it_refused(spec, message):
+    """The W* route no longer goes through ``j_decompose`` but refuses the
+    same types with the same messages."""
+    with pytest.raises(ValueError, match=message):
+        w_star_id_factors(parse_cycle_type(spec))
+
+
+def test_j_decompose_refuses_mismatched_and_overlapping_pieces(monkeypatch):
+    """``j_decompose`` still checks what it splices: pieces with other
+    boundary patterns, and a piece that meets both vertices of a boundary
+    pair (y1 and y4 on three blocks), whose splice overlaps its
+    neighbour's."""
+    dec = tables.small_decomposition((2, 2, 2))
+    bent = (ids("(y1,x2)"), ids("(y2,x4)"), ids("(x3,y4)"))
+    bad = AdmissibleDecomposition(dec.m, (bent,) + dec.id_factors[1:])
+    for pieces, message in (
+        ([dec, _permuted(dec, 1)], "patterns differ"),
+        ([dec, bad], "not admissible"),
+        ([bad, dec], "not admissible"),
+    ):
+        monkeypatch.setattr(caps, "_decompose", lambda lengths: pieces)
+        with pytest.raises(ValueError, match=message):
+            caps.j_decompose(parse_cycle_type("[2^5,4]"))
+
+
+def test_every_piece_lies_in_the_fold_domain():
+    """The gather's only inputs, the table pieces and the ``general_factor``
+    pieces of every cap-family type up to n = 62, have ids in
+    0..2m+3 on their own m blocks, where a slice of the fold (or of the
+    identity image) has an entry for each."""
+    pieces = [tables.small_decomposition(key) for key in tables.PIECES]
+    pieces.append(tables.figure_4_8_decomposition())
+    shapes = [(2 * s, *side) for s in range(2, 32) for side in ((), (2,), (2, 2), (4,))]
+    keys = [tuple(sorted(k)) for k in shapes if sum(k) <= 62]
+    family = [k for k in keys if caps._family_of(k) is not None]
+    assert len(family) == 28 + 27 + 26 + 25  # [8..62], [2,8..60], [2,2,8..58], [4,10..58]
+    pieces += [general_factor(CycleType(k)) for k in family]
+    for dec in pieces:
+        named = [v for f in dec.id_factors for c in f for v in c]
+        assert 0 <= min(named) and max(named) <= 2 * dec.m + 3, dec.m
 
 
 @pytest.mark.parametrize(
