@@ -48,12 +48,11 @@ admissible, so a J* splice is checked once per factor, on the final factor.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional
 
 from . import tables
 from .checker import verify_cap_complementarity
-from .core import CycleType, canonical_id_cycles
+from .core import CycleType, canonical_factors
 from .hosts import admissible_ids, fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
@@ -162,21 +161,21 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
 
 
 def _splice(decs: list, image) -> list:
-    """The nine factors of the pieces ``decs`` spliced end to end, as lists
-    of cycles written through ``image``: id v of a piece k blocks along is
-    ``image[v + 2k]``, one gather per cycle from a slice of ``image`` that
-    ends at the piece's own last id 2m+3 (it is admissible where made)."""
+    """The nine factors of the pieces ``decs`` spliced end to end, written
+    through ``image``: id v of a piece k blocks along is ``image[v + 2k]``.
+    Each factor is given as (gathers, span) pairs, one per piece: the
+    piece's cached ``gathers`` for that factor, one per cycle, and the
+    slice of ``image`` from the piece's offset 2k to its own last id 2m+3
+    (it is admissible where made), from which they gather."""
     pattern = decs[0].patterns()
     if any(d.patterns() != pattern for d in decs[1:]):
         raise ValueError("decompositions are not compatible (patterns differ)")
-    factors = [[] for _ in range(9)]
+    spans = []
     at = 0
     for d in decs:
-        span = image[at : at + 2 * d.m + 4]
-        for out, cycles in zip(factors, d.id_factors):
-            out += [itemgetter(*c)(span) for c in cycles]
+        spans.append(image[at : at + 2 * d.m + 4])
         at += 2 * d.m
-    return factors
+    return [list(zip(factor, spans)) for factor in zip(*[d.gathers for d in decs])]
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
@@ -186,7 +185,10 @@ def _splice_all(decs: list) -> AdmissibleDecomposition:
     if len(decs) == 1:
         return decs[0]
     m = sum(d.m for d in decs)
-    factors = tuple(map(tuple, _splice(decs, range(2 * m + 4))))
+    factors = tuple(
+        tuple(g(span) for gathers, span in parts for g in gathers)
+        for parts in _splice(decs, range(2 * m + 4))
+    )
     if not all(admissible_ids(f, m) for f in factors):
         raise ValueError("spliced factor is not admissible")
     return AdmissibleDecomposition(m, factors)
@@ -280,9 +282,10 @@ def _decompose(lengths: tuple) -> list:
 def w_star_id_factors(ftype: CycleType) -> list:
     """The 9 factors of an opened-host decomposition folded onto the
     circulant blow-up host of the same order, as vertex ids: each a tuple of
-    cycles in canonical form (``core.canonical_id_cycles``) over the
-    ``WStar`` m numbering, which the order-2m complete host shares: the
-    pieces ``j_decompose`` splices, gathered through ``hosts.fold_image``.
+    cycles in canonical form over the ``WStar`` m numbering, which the
+    order-2m complete host shares: the pieces ``j_decompose`` splices,
+    gathered through ``hosts.fold_image`` and each factor's tuples rotated
+    as they are gathered and sorted by ``core.canonical_factors``.
 
     The folded factors are returned unchecked; ``verify_id_factorization``
     against ``WStar`` m checks them: every arc in the host, arc-disjoint,
@@ -293,5 +296,5 @@ def w_star_id_factors(ftype: CycleType) -> list:
             "folding needs m >= 5: below that the opened host has more arcs "
             "than the circulant blow-up and the arc correspondence collapses"
         )
-    return [canonical_id_cycles(f) for f in _splice(_pieces(ftype), fold_image(m))]
+    return list(canonical_factors(_splice(_pieces(ftype), fold_image(m))))
 

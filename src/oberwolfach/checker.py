@@ -49,9 +49,10 @@ Wide columns are read as ``set``s of ints; read as UTF-16 text, the heads
 a solve's one final check (and, only when that fails, the W* and H*
 checks that name the broken stage) and ``verify`` on a described host.
 It trusts no reader result: ``serialize.read_certificate`` has already
-tested each byte factor with ``hosts.byte_permutation``, and the kernel
-derives the test again from the cycles it is handed, about 3 ms of a
-``certify`` benchmark pass, so that a fault in the reader cannot pass a
+tested each byte factor with ``hosts.byte_permutation``, and
+``successor_table`` makes the same test again, from the cycles the kernel
+hands it, in the call that builds the table (about 3 ms of a ``certify``
+benchmark pass), so that a fault in the reader cannot pass a
 certificate.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or

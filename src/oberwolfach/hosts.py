@@ -59,12 +59,15 @@ checker joins a factorization's tables, so that each id's row is its
 out-neighbours: a byte per id up to ``BYTE_IDS`` = 256 ids, an unsigned
 ``array('I')`` above.  The checker's column kernel counts each
 vertex's missing heads against these rows; the complete host needs none,
-since every other id is an out-neighbour.  The certificate reader asks
-``byte_permutation`` whether cycles are a permutation of up to 256 ids,
-and ``successor_table``, in the same two widths, is the one builder of a
-permutation's successor table.  ``admissible_ids`` decides whether cycles
-of J* ids are an admissible factor of the opened host: 2m distinct ids,
-one of each boundary pair {b, b + 2m}, every arc inside.
+since every other id is an out-neighbour.  Only the certificate reader
+asks ``byte_permutation`` whether cycles are a permutation of up to 256
+ids.  ``successor_table``, in the same two widths, is the one builder of
+a permutation's successor table, for the checker and the edge and DOT
+writers; up to 256 ids it makes the same test itself (a join and a
+``translate``), so that a factor costs it one call.  ``admissible_ids``
+decides whether cycles of J* ids are an admissible factor of the opened
+host: 2m distinct ids, one of each boundary pair {b, b + 2m}, every arc
+inside.
 
 A ``HostDescriptor`` names a factorization host by kind and size and is
 what the checker verifies against, so no host arc set is built to check a
@@ -228,7 +231,8 @@ _BYTE_IDS = bytes(range(BYTE_IDS))
 def byte_permutation(cycles, n: int):
     """``cycles`` joined as one ``bytes`` when their ids are a permutation
     of 0..n-1, n <= ``BYTE_IDS``: n bytes whose deletion from
-    ``bytes(range(n))`` leaves nothing; None otherwise."""
+    ``bytes(range(n))`` leaves nothing; None otherwise.  The certificate
+    reader's test; ``successor_table`` writes the same test out."""
     try:
         joined = b"".join(map(bytes, cycles))
     except (ValueError, TypeError):  # an id outside 0..255
@@ -244,20 +248,26 @@ _FILL = (1 << 8 * array("I").itemsize) - 1
 
 def successor_table(cycles, n: int):
     """The heads of ids 0..n-1 when the ids of ``cycles`` are a permutation
-    of them, else None: up to ``BYTE_IDS`` ids, ``bytes.maketrans`` of the
-    ids (``byte_permutation``) onto them shifted by one, each cycle's last
-    sent back to its first; above, each arc's head written at its tail in
-    an unsigned ``array('I')`` of ``_FILL``, none of which a permutation
-    leaves.  An id >= n fails as a tail, a negative one as a head."""
+    of them, else None.  Up to ``BYTE_IDS`` ids: the test that
+    ``byte_permutation`` makes, written out here so that a factor costs one
+    call, then ``bytes.maketrans`` of the ids joined as one ``bytes``, each
+    onto the id after it, and each cycle's last id sent back to its first.
+    Above: each arc's head written at its tail in an unsigned
+    ``array('I')`` of ``_FILL``, none of which a permutation leaves.  An
+    id >= n fails as a tail, a negative one as a head."""
     if n <= BYTE_IDS:
-        tails = byte_permutation(cycles, n)
-        if tails is None:
+        try:
+            tails = b"".join(map(bytes, cycles))
+        except (ValueError, TypeError):  # an id outside 0..255
             return None
-        table = bytearray(bytes.maketrans(tails, tails[1:] + tails[:1]))
+        if len(tails) != n or _BYTE_IDS[:n].translate(None, tails):
+            return None
+        table = bytearray(bytes.maketrans(tails[:-1], tails[1:]))
         for c in cycles:
             if c:
                 table[c[-1]] = c[0]
-        return table[:n]
+        del table[n:]
+        return table
     tails, heads = id_arcs(cycles)
     if len(tails) != n:
         return None

@@ -109,13 +109,15 @@ def _chain_walks(a: int, k: int, m: int) -> list:
 
 
 def _segment_walks(ks: list, m: int) -> list:
-    """The zig-zag 2-factor: one cycle per segment, wrapping mod m."""
+    """The zig-zag 2-factor: one cycle per segment, wrapping mod m.  The
+    ks add up to m, so a + k <= m and only the last segment's end block m
+    wraps, to block 0: each cycle's x ids are a range and its y ids a
+    slice of ``ys``."""
+    ys = [*range(m, 2 * m), m]  # y_i for i = 0..m
     cycles = []
     a = 0
     for k in ks:
-        cyc = [(a + d) % m for d in range(k)]
-        cyc += [m + (a + d) % m for d in range(k, 0, -1)]
-        cycles.append(tuple(cyc))
+        cycles.append((*range(a, a + k), *ys[a + k : a : -1]))
         a += k
     return cycles
 

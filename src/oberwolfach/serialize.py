@@ -44,10 +44,11 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
 * **Bytes up to 256 vertices.**  On the table path of a host of order
   N <= ``hosts.BYTE_IDS`` each cycle is read as one ``bytes``, an id per
   byte, and a factor is a permutation of the host's ids when
-  ``hosts.byte_permutation`` says so: the test ``hosts.successor_table``
-  makes for the checker's byte tables.  Above 256, and for a factor with
-  a token outside the table, the cycles are lists of ids, which
-  ``successor_table`` scatters into the checker's wide tables.
+  ``hosts.byte_permutation`` says so, the test that
+  ``hosts.successor_table`` makes again for the checker's byte tables.
+  Above 256, and for a factor with a token outside the table, the cycles
+  are lists of ids, which ``successor_table`` scatters into the checker's
+  wide tables.
 * **One set per other factor.**  A factor that is not such a permutation is
   distinct when its id set is as large as its total length.  A factor that
   fails this or has a cycle of fewer than 2 vertices is refused on its
@@ -70,6 +71,7 @@ import sys
 from functools import lru_cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .core import CycleType, Vertex, canonical_id_cycles, id_arcs, parse_vertex
@@ -153,17 +155,15 @@ _SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
 
 
 @lru_cache(maxsize=1)
-def _quoted_tokens(host: HostDescriptor):
+def _quoted_tokens(host: HostDescriptor) -> list:
     """``_quoted`` of ``host``'s vertex table."""
     return _quoted(host.vertex_table)
 
 
-def _quoted(vertices):
-    """The lookup of each vertex's JSON string by its place in
-    ``vertices``, its text quoted by the function ``json.dumps`` calls on a
-    lone string: a list's ``__getitem__``, which ``map`` calls faster than
-    a tuple's."""
-    return list(map(encode_basestring_ascii, map(Vertex.text, vertices))).__getitem__
+def _quoted(vertices) -> list:
+    """Each vertex's JSON string by its place in ``vertices``, its text
+    quoted by the function ``json.dumps`` calls on a lone string."""
+    return list(map(encode_basestring_ascii, map(Vertex.text, vertices)))
 
 
 def json_chunks(doc: FactorizationDocument):
@@ -171,47 +171,54 @@ def json_chunks(doc: FactorizationDocument):
     factors, each factor with the separator before it, then the rest.
 
     The text is joined with the fixed separators of ``_SEP``; only
-    ``indent`` makes the encoder run in Python, so it is handed no
-    container.  Each scalar of the other fields (``n``, the host's keys
-    and values, ``verified``) goes through ``json.dumps``, whose C encoder
-    takes a lone scalar, and the cycle lengths, ints, through ``str``.  The
-    factors, nearly all of the text, are written from their ids by nested
-    ``str.join`` calls, one ``map`` over each factor's cycles.  Each vertex
-    is quoted by the encoder's own string quoting, as
-    ``json.dumps(v.text())`` quotes it; a document on its host's own vertex
-    table (every solution) takes the quoted tokens kept for that host, one
-    that names other vertices quotes its own."""
-    dumps = json.dumps
+    ``indent`` makes the encoder run in Python, so it is handed nothing.
+    The other fields have the schema's types, so each scalar is written as
+    ``json.dumps`` writes it: ``n``, ``host.m`` and the cycle lengths,
+    ints, by ``str``, ``host.kind`` by the encoder's own string quoting and
+    ``verified`` as ``true`` or ``false``.  The factors, nearly all of the
+    text, are written from their ids by ``str.join``: a cycle's quoted
+    vertices are gathered by one ``itemgetter`` call and joined, so a
+    cycle costs two C-level calls.  A cycle of fewer than 2 ids, which only
+    a hand-built document has, is read by ``map`` instead, since the gather
+    of one id returns a bare string, which ``join`` would split.  Each
+    vertex is quoted as ``json.dumps(v.text())`` quotes it; a document on
+    its host's own vertex table (every solution) takes the quoted tokens
+    kept for that host, one that names other vertices quotes its own."""
     s0, s1, s2, s3 = _SEP
     o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
     c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
     host = doc.host
     lengths = doc.ftype.lengths
     ftype = o1 + s1.join(map(str, lengths)) + c1 if lengths else "[]"
-    members = s1.join([f"{dumps(k)}: {dumps(v)}" for k, v in host.to_json().items()])
-    head = (
-        f'{{\n  "n": {dumps(doc.n)},\n  "factor_type": {ftype},\n'
-        f'  "host": {{{s1[1:]}{members}{s0[1:]}}},\n  "factors": '
+    kind = encode_basestring_ascii(host.kind)
+    yield (
+        f'{{\n  "n": {doc.n},\n  "factor_type": {ftype},\n'
+        f'  "host": {{{s1[1:]}"kind": {kind},{s1[1:]}"m": {host.m_or_n}{s0[1:]}}},\n'
+        f'  "factors": '
     )
-    tail = f',\n  "verified": {dumps(doc.verified)}\n}}\n'
     if host.kind in DESCRIBED_KINDS and doc.vertices is host.vertex_table:
-        quoted = _quoted_tokens(host)
+        table = _quoted_tokens(host)
     else:
-        quoted = _quoted(doc.vertices)
-    tokens = partial(map, quoted)  # a cycle's quoted vertices
+        table = _quoted(doc.vertices)
+    tokens = partial(map, table.__getitem__)  # a short cycle's quoted vertices
     between = c3 + s2 + o3  # closes a cycle and opens the next
-    yield head
+    opened, closed = o2 + o3, c3 + c2  # around a factor's cycles
+    gather = min(map(len, chain.from_iterable(doc.factors)), default=2) > 1
     lead = o1
     for f in doc.factors:
         if not f:
             yield lead + "[]"
+        elif gather:
+            text = between.join([s3.join(itemgetter(*c)(table)) for c in f])
+            yield f"{lead}{opened}{text}{closed}"
         else:
-            text = f"{lead}{o2}{o3}{between.join(map(s3.join, map(tokens, f)))}{c3}{c2}"
+            text = f"{lead}{opened}{between.join(map(s3.join, map(tokens, f)))}{closed}"
             # an empty cycle comes out opened and closed; the separators hold
             # line breaks, which no quoted token does, so nothing else matches
-            yield text if all(f) else text.replace(o3 + c3, "[]")
+            yield text.replace(o3 + c3, "[]")
         lead = s1
-    yield (c1 if doc.factors else "[]") + tail
+    verified = "true" if doc.verified else "false"
+    yield f'{c1 if doc.factors else "[]"},\n  "verified": {verified}\n}}\n'
 
 
 def to_json(doc: FactorizationDocument) -> str:

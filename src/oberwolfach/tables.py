@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import CycleType, parse_vertex
@@ -169,6 +170,12 @@ class AdmissibleDecomposition(_Decomposition):
         # table pieces are shared and spliced again and again, so the
         # patterns of a decomposition are computed once
         return tuple(BOUNDARY.intersection(chain(*f)) for f in self.id_factors)
+
+    @cached_property
+    def gathers(self) -> tuple:
+        """Per factor, an ``itemgetter`` per cycle: ``caps._splice`` gathers
+        each cycle's image with it, and builds none per splice."""
+        return tuple(tuple(itemgetter(*c) for c in f) for f in self.id_factors)
 
     def cycle_types(self) -> tuple:
         return tuple(CycleType(map(len, f)) for f in self.id_factors)

@@ -4,7 +4,10 @@ own cases: ``_decompose`` chose table or cap family by hand for every head
 it peeled, centre copies were chained by repeated ``concat`` of growing
 object paths, every piece was copied shifted into J* ids, spliced and
 checked before the nine factors were folded onto W*, and ``_chain_walks``
-was told its position and its length's residue mod 4.
+was told its position and its length's residue mod 4.  Canonical form is
+written here as it was first written, each cycle rotated by joining two
+slices at its least id (``slice_canonical``), so that it is checked
+against the package's rotate-as-gathered helper, not with it.
 
 The package no longer runs this; the tests keep it as the reference that
 ``caps._decompose``, ``caps.assemble``, ``caps.w_star_id_factors`` and
@@ -14,7 +17,7 @@ through their modules, so a test can patch both.
 """
 
 from oberwolfach import caps, tables
-from oberwolfach.core import CycleType, relabelled
+from oberwolfach.core import CycleType
 from oberwolfach.hosts import admissible_ids, fold_image, strip_vertex
 from oberwolfach.hstar import _gadget_walks
 from strip import DirectedPath, concat, shift
@@ -93,11 +96,23 @@ def decompose(lengths: tuple) -> list:
     return decs
 
 
+def slice_canonical(cycles) -> tuple:
+    """Cycles of ids in canonical form: each made a tuple and rotated to
+    its least id (the first, where it repeats) by joining two slices, then
+    the cycles sorted."""
+    out = []
+    for c in map(tuple, cycles):
+        k = c.index(min(c))
+        out.append(c[k:] + c[:k])
+    return tuple(sorted(out))
+
+
 def w_star_id_factors(ftype: CycleType) -> list:
     """The nine W* factors by the former route: the planned pieces copied
     shifted into J* ids (``caps._shifted``, 2 per block before them) and
     spliced, each spliced factor checked admissible, then all nine folded
-    onto W* and put in canonical form by ``core.relabelled``."""
+    onto W* one id at a time and put in canonical form by
+    ``slice_canonical``."""
     m = ftype.order // 2
     decs = decompose(ftype.lengths)
     offsets = [2 * sum(d.m for d in decs[:p]) for p in range(len(decs))]
@@ -109,7 +124,8 @@ def w_star_id_factors(ftype: CycleType) -> list:
         if not admissible_ids(cycles, m):
             raise ValueError("spliced factor is not admissible")
         factors.append(cycles)
-    return list(relabelled(factors, [fold_image(m)]))
+    image = fold_image(m)
+    return [slice_canonical([[image[v] for v in c] for c in f]) for f in factors]
 
 
 def concat_centre(piece, k: int) -> list:

@@ -84,14 +84,17 @@ def _documents(draw):
     vertices = doc.vertices  # the host's own table until a foreign vertex joins
     for _ in range(draw(st.integers(0, 3))):
         op = draw(
-            st.sampled_from(["empty_factor", "empty_cycle", "drop", "foreign", "none"])
+            st.sampled_from(
+                ["empty_factor", "empty_cycle", "one_cycle", "drop", "foreign", "none"]
+            )
         )
         if op == "empty_factor":
             factors.insert(draw(st.integers(0, len(factors))), [])
-        elif op == "empty_cycle" and factors:
+        elif op in ("empty_cycle", "one_cycle") and factors:
             at = draw(st.integers(0, len(factors) - 1))
             cycles = list(factors[at])
-            cycles.insert(draw(st.integers(0, len(cycles))), [])
+            short = [] if op == "empty_cycle" else [draw(st.integers(0, doc.n - 1))]
+            cycles.insert(draw(st.integers(0, len(cycles))), short)
             factors[at] = cycles
         elif op == "drop" and factors:
             factors.pop(draw(st.integers(0, len(factors) - 1)))
@@ -116,7 +119,28 @@ def _documents(draw):
 @given(doc=_documents())
 def test_to_json_equals_the_encoder(doc):
     """The joined text is exactly what the json encoder writes, for empty
-    factor lists, empty factors, empty cycles and foreign vertices too."""
+    factor lists, empty factors, empty cycles, 1-cycles and foreign
+    vertices too."""
+    assert to_json(doc) == json.dumps(to_json_dict(doc), indent=2) + "\n"
+
+
+_WIDE = document_for_solution(solve(258, parse_cycle_type("[2^121,16]")))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _DOCS[1]._replace(factors=[[[3]], *_DOCS[1].factors[1:]]),
+        _DOCS[1]._replace(factors=[[[0, 1], [], [2, 3, 4]], [[5]], [[]]]),
+        _WIDE,
+        _WIDE._replace(factors=[[list(range(258))], [[257], list(range(257))]]),
+    ],
+    ids=["one-cycle", "empty-cycles", "wide-solution", "wide-256-plus"],
+)
+def test_to_json_of_hand_built_cycles_equals_the_encoder(doc):
+    """Cycles of one id or none, which a cycle's one gather cannot write
+    (the gather of one id is a bare string), and cycles of 256 ids and
+    more on a wide host are written as the json encoder writes them."""
     assert to_json(doc) == json.dumps(to_json_dict(doc), indent=2) + "\n"
 
 

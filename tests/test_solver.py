@@ -2,6 +2,7 @@
 import sys
 from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,16 @@ from hypothesis import strategies as st
 
 import relabel_split
 from broken_stages import STAGES, break_stage
+from construction_reference import slice_canonical
 from oberwolfach import checker, solver
 from oberwolfach.checker import Nonexistent
-from oberwolfach.core import CycleType, canonical_id_cycles, parse_cycle_type, relabelled
+from oberwolfach.core import (
+    CycleType,
+    canonical_factors,
+    canonical_id_cycles,
+    parse_cycle_type,
+    relabelled,
+)
 from oberwolfach.hosts import HostDescriptor
 from oberwolfach.hstar import factorize_h_star
 from oberwolfach.serialize import document_for_solution, to_json
@@ -297,6 +305,82 @@ def test_gather_relabel_matches_the_per_id_reference(data):
     got = list(relabelled(hids, images))
     assert got == [f for image in images for f in _per_id_relabel(hids, image)]
     assert all(type(c) is tuple for f in got for c in f)
+
+
+# a cycle of ids below 40: mostly 2- and 4-cycles, some long ones, and
+# some whose ids repeat
+_CYCLE = st.one_of(st.sampled_from([2, 2, 3, 4, 4, 6]), st.integers(2, 300)).flatmap(
+    lambda k: st.lists(st.integers(0, 39), min_size=k, max_size=k).map(tuple)
+)
+# an image of ids 0..39: a permutation, or a map onto a few ids, so that
+# gathered cycles repeat their least id
+_IMAGE = st.one_of(
+    st.permutations(range(40)).map(tuple),
+    st.lists(st.integers(0, 4), min_size=40, max_size=40).map(tuple),
+)
+
+
+def _gathered(cycles, image) -> list:
+    """The plain gather: each cycle's image, one id at a time."""
+    return [[image[v] for v in c] for c in cycles]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    factors=st.lists(st.lists(_CYCLE, max_size=8), min_size=1, max_size=4),
+    images=st.lists(_IMAGE, min_size=1, max_size=3),
+)
+def test_relabel_rotates_as_the_slice_reference(factors, images):
+    """Each gathered tuple rotated as it comes (a 2-cycle by a comparison,
+    a 4-cycle unpacked, a longer one by slices) and the cycles sorted is
+    ``slice_canonical`` of the plain gather, repeated least ids included,
+    and ``canonical_id_cycles`` of it."""
+    got = list(relabelled(factors, images))
+    plain = [_gathered(f, image) for image in images for f in factors]
+    assert got == [slice_canonical(f) for f in plain]
+    assert got == [canonical_id_cycles(f) for f in plain]
+
+
+@pytest.mark.parametrize(
+    "cycle, rotated",
+    [
+        ((3, 5), (3, 5)),
+        ((5, 3), (3, 5)),
+        ((9, 8, 7, 1), (1, 9, 8, 7)),
+        ((4, 1, 9, 8), (1, 9, 8, 4)),
+        ((4, 9, 1, 8), (1, 8, 4, 9)),
+        ((2, 2, 1, 1), (1, 1, 2, 2)),
+        ((6, 5, 4, 3, 2, 1), (1, 6, 5, 4, 3, 2)),
+        ((*range(300, 1, -1), 1), (1, *range(300, 1, -1))),
+    ],
+    ids=[
+        "2-up", "2-down", "4-last", "4-second", "4-third", "4-ties", "6-last", "300-last"
+    ],
+)
+def test_each_cycle_is_rotated_to_its_first_least_id(cycle, rotated):
+    """The least id first, its first occurrence where it repeats, whether
+    it comes first, second, third or last."""
+    parts = [([itemgetter(*cycle)], range(301))]  # the identity image
+    assert next(canonical_factors([parts])) == (rotated,)
+    assert canonical_id_cycles([list(cycle)]) == (rotated,)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    pieces=st.lists(
+        st.tuples(st.lists(_CYCLE, min_size=1, max_size=6), _IMAGE),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_a_factor_gathered_from_several_images_is_canonical(pieces):
+    """A W* factor is gathered piece by piece, each piece's cycles from its
+    own slice of the fold: rotated and sorted together, its cycles are
+    ``slice_canonical`` of all the plain gathers."""
+    parts = [([itemgetter(*c) for c in cycles], image) for cycles, image in pieces]
+    (got,) = canonical_factors([parts])
+    plain = [v for cycles, image in pieces for v in _gathered(cycles, image)]
+    assert got == slice_canonical(plain)
 
 
 def test_pair_jumps_validity():

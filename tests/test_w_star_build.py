@@ -533,18 +533,19 @@ def test_concat_centre_refuses_a_path_that_does_not_chain():
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
 def test_w_star_build_is_linear(monkeypatch, spec, n):
-    """The W* route gathers O(n) ids, each piece cycle once, straight onto
-    host ids.  With ``general_factor`` warm it checks no admissibility and
-    shifts nothing; cold, ``assemble`` checks each assembled factor once
-    and shifts O(n) ids, the centre copies included, so no chain is
-    rebuilt."""
-    gathered, checked, shifted = [], [], []
-    real_itemgetter = caps.itemgetter
+    """The W* route gathers each piece cycle once, straight onto host ids,
+    through gathers built once per piece (``gathers``): a cold build builds
+    them, over at most 9n ids, and a warm one builds none.  With
+    ``general_factor`` warm it checks no admissibility and shifts nothing;
+    cold, ``assemble`` checks each assembled factor once and shifts O(n)
+    ids, the centre copies included, so no chain is rebuilt."""
+    built, checked, shifted = [], [], []
+    real_itemgetter = tables.itemgetter
     real_admissible_ids = caps.admissible_ids
     real_shifted = caps._shifted
 
     def counting_itemgetter(*ids):
-        gathered.append(len(ids))
+        built.append(len(ids))
         return real_itemgetter(*ids)
 
     def counting_admissible_ids(cycles, m):
@@ -556,25 +557,29 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
         shifted.append(len(out))
         return out
 
-    monkeypatch.setattr(caps, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(tables, "itemgetter", counting_itemgetter)
     monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
     monkeypatch.setattr(caps, "_shifted", counting_shifted)
     ftype = parse_cycle_type(spec, n)
     general_factor.cache_clear()
+    tables.small_decomposition.cache_clear()  # the [6] piece's gathers too
     cold = w_star_id_factors(ftype)
     if spec == "[1002]":
         # one assembled piece of 501 blocks: s = 501 is 124 centre copies
         # above its anchor 5, each copy of each Q and U shifted once
         assert checked == [n // 2] * 9
         assert len(shifted) >= 9 * 2 * 124, len(shifted)
+        assert built == [n] * 9  # one gather per factor's one cycle
     else:
         assert checked == shifted == []  # six-cycle table pieces only
+        assert built == [6] * 9  # the one [6] piece, spliced 167 times
     assert sum(shifted) <= 20 * n, sum(shifted)
-    for seen in (gathered, checked, shifted):
+    assert sum(built) <= 9 * n <= 20 * n, sum(built)
+    for seen in (built, checked, shifted):
         seen.clear()
     assert w_star_id_factors(ftype) == cold
-    assert checked == shifted == []
-    assert len(cold) == 9 and sum(gathered) == 9 * n <= 20 * n, sum(gathered)
+    assert built == checked == shifted == []
+    assert len(cold) == 9 and all(sum(map(len, f)) == n for f in cold)
 
 
 def test_w_star_factors_match_the_shift_and_fold_route():
