@@ -139,8 +139,9 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
 
     Covers the shapes [2s] (s>=4), [2s,2] (s>=4), [2s,2,2] (s>=4) and
     [2s,4] (s>=5), via the embedded cap tables and centre chaining.  The
-    result is immutable and checked when built, so it is memoised per type,
-    like the tables it is built from.
+    result is immutable, so it is memoised per type, like its tables.
+    ``assemble`` audits the caps and checks admissibility; the type,
+    [2*anchor + 8k, side cycles], follows from the tables (``test_tables``).
     """
     fit = _family_of(ftype.lengths)
     if fit is None:
@@ -149,15 +150,12 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
     # with s at least the family's least anchor, the one of s's class is <= s
     anchor = _CAP_FAMILIES[ftype.lengths[:-1]][2][s % 4]
     k = (s - anchor) // 4
-    dec = assemble(
+    return assemble(
         tables.left_cap(),
         tables.centre_piece() if k > 0 else None,
         k,
         tables.right_cap(family, anchor),
     )
-    if dec.cycle_types() != (ftype,) * 9:
-        raise ValueError(f"assembled type mismatch for {ftype}")
-    return dec
 
 
 def _splice(decs: list, image) -> list:

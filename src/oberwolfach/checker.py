@@ -51,9 +51,8 @@ checks that name the broken stage) and ``verify`` on a described host.
 It trusts no reader result: ``serialize.read_certificate`` has already
 tested each byte factor with ``hosts.byte_permutation``, and
 ``successor_table`` makes the same test again, from the cycles the kernel
-hands it, in the call that builds the table (about 3 ms of a ``certify``
-benchmark pass), so that a fault in the reader cannot pass a
-certificate.
+hands it, in the call that builds the table, so that a fault in the reader
+cannot pass a certificate.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or
 asked for.  ``solve`` builds its factors, and those of its W* and H*

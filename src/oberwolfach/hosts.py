@@ -83,7 +83,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, mul, setitem
 from typing import NamedTuple
@@ -144,7 +144,7 @@ class HostDescriptor(_Host):
         if self.kind not in _LEAST_SIZE:
             raise ValueError(f"no arc rule for host kind {self.kind!r}")
 
-    @cached_property
+    @property
     def _numbering(self) -> tuple:
         self._described()
         size = self.m_or_n
@@ -229,14 +229,11 @@ _BYTE_IDS = bytes(range(BYTE_IDS))
 
 
 def byte_permutation(cycles, n: int):
-    """``cycles`` joined as one ``bytes`` when their ids are a permutation
-    of 0..n-1, n <= ``BYTE_IDS``: n bytes whose deletion from
-    ``bytes(range(n))`` leaves nothing; None otherwise.  The certificate
-    reader's test; ``successor_table`` writes the same test out."""
-    try:
-        joined = b"".join(map(bytes, cycles))
-    except (ValueError, TypeError):  # an id outside 0..255
-        return None
+    """The ``bytes`` cycles ``cycles`` joined as one ``bytes`` when their
+    ids are a permutation of 0..n-1, n <= ``BYTE_IDS``: n bytes whose
+    deletion from ``bytes(range(n))`` leaves nothing; None otherwise.  The
+    certificate reader's test; ``successor_table`` writes it out for ints."""
+    joined = b"".join(cycles)
     if len(joined) == n <= BYTE_IDS and not _BYTE_IDS[:n].translate(None, joined):
         return joined
     return None
@@ -279,7 +276,6 @@ def successor_table(cycles, n: int):
     return None if _FILL in table else table
 
 
-@lru_cache(maxsize=2)
 def out_neighbour_bytes(kind: str, m: int) -> tuple:
     """Each host id's out-neighbours on the blow-up ``kind`` (``"WStar"``
     or ``"HStar"``) on m blocks, one row per id in id order: ``bytes`` when
@@ -290,8 +286,8 @@ def out_neighbour_bytes(kind: str, m: int) -> tuple:
     table, x_i -> x_{i+d} and y_i -> y_{i+d}, and the cross table,
     x_i -> y_{i+d} and y_i -> x_{i+d}, and on W* the rung table
     x_i <-> y_i.  Joined, row a is ``grid[a::n]``, a's 9 (W*) or 4 (H*)
-    heads.  One order's two hosts are kept; the result must not be
-    mutated."""
+    heads.  Built on each call: a failed solve's stage check or a ``verify``
+    of a blow-up asks once per host."""
     n = 2 * m
     ids = bytes(range(n)) if n <= BYTE_IDS else array("I", range(n))
     xs, ys = ids[:m], ids[m:]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from itertools import starmap
-from operator import itemgetter, sub
+from operator import itemgetter
 from functools import lru_cache
 from typing import NamedTuple, Union
 
@@ -279,7 +279,10 @@ def wh_decompose(m: int) -> WHDecomposition:
     paired and each pair circulant is split by square switching
     (``_decompose_pair_circulant``), with no search, so the split depends
     on m alone, and the last order's is kept for the solves that follow.
-    At m = 5 there are no such jumps and no block cycles.
+    At m = 5 there are no such jumps and no block cycles.  The (m-5)/2
+    Hamiltonian cycles cover each edge of jumps 3..(m-1)/2 of K_m once and
+    none of jumps 0, 1, 2: ``tests/test_split_manifest.py`` checks this for
+    every odd m <= 2001, and a split that breaks it fails ``solve``'s check.
     """
     if m < 5 or m % 2 == 0:
         raise DomainError(f"need odd m >= 5, got {m}")
@@ -291,13 +294,6 @@ def wh_decompose(m: int) -> WHDecomposition:
     for d, e in pairs:
         for cycle in _decompose_pair_circulant(m, d, e):
             cycles.append(tuple(map(number.__getitem__, cycle)))
-    reserved = {0, 1, 2, m - 2, m - 1}
-    for cyc in cycles:
-        if len(set(cyc)) != m:
-            raise RuntimeError("block cycle is not Hamiltonian")
-        steps = set(map(sub, cyc[1:] + cyc[:1], cyc))
-        if not reserved.isdisjoint(step % m for step in steps):
-            raise RuntimeError("block cycle uses a reserved jump")
     return WHDecomposition(m, tuple(cycles))
 
 

@@ -4,7 +4,15 @@ tests that its one final check still fails and names the stage that broke.
 
 from oberwolfach import solver
 
-STAGES = ("W*", "H*", "solve")
+# each way to break a solve -> the stage its error names: a bad split
+# leaves the W* and H* parts whole, so only the final check fails
+CASES = {
+    "W*": "W*",
+    "H*": "H*",
+    "solve": "solve",
+    "repeated-block": "solve",
+    "jump-1": "solve",
+}
 
 
 def _swapped(factors: list) -> list:
@@ -15,20 +23,23 @@ def _swapped(factors: list) -> list:
     return [((head[1], head[0], *head[2:]), *cycles), *rest]
 
 
-def break_stage(monkeypatch, stage: str) -> tuple:
-    """Make ``solve`` build ``stage`` wrong and return the (n, type text)
-    whose solve then fails.
+def break_stage(monkeypatch, case: str) -> tuple:
+    """Make ``solve`` build one stage wrong, as ``case`` of ``CASES`` says,
+    and return the (n, type text) whose solve then fails.
 
     "W*" and "H*" swap two ids in the stage's first factor at (14, [14]).
-    "solve" hands (18, [18]) a split whose two block cycles (m = 9 has two)
-    are the same one, so the W* and H* factors each pass their own check
-    but their union covers that cycle's arcs twice and the other's never.
+    The others hand (18, [18]) a bad split of m = 9 (two block cycles), so
+    the W* and H* factors each pass their own check but their union does
+    not cover the host once: in "solve" the two block cycles are the same
+    one; in "repeated-block" the first visits its second block twice and
+    its first never; in "jump-1" the first is 0, 1, ..., 8, whose jump-1
+    edges W* already covers.
     """
-    if stage == "W*":
+    if case == "W*":
         build = solver.w_star_id_factors
         monkeypatch.setattr(solver, "w_star_id_factors", lambda t: _swapped(build(t)))
         return 14, "[14]"
-    if stage == "H*":
+    if case == "H*":
         build = solver.factorize_h_star
 
         def h_star(ftype, m):
@@ -39,9 +50,16 @@ def break_stage(monkeypatch, stage: str) -> tuple:
         return 14, "[14]"
     split = solver.wh_decompose
 
-    def doubled(m):
+    def broken(m):
         wh = split(m)
-        return wh._replace(h_block_cycles=wh.h_block_cycles[:1] * 2)
+        first, *rest = wh.h_block_cycles
+        if case == "solve":
+            rest = [first]
+        elif case == "repeated-block":
+            first = (first[1], *first[1:])
+        else:
+            first = tuple(range(m))
+        return wh._replace(h_block_cycles=(first, *rest))
 
-    monkeypatch.setattr(solver, "wh_decompose", doubled)
+    monkeypatch.setattr(solver, "wh_decompose", broken)
     return 18, "[18]"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broken_stages import STAGES, break_stage
+from broken_stages import CASES, break_stage
 from oberwolfach.checker import VerificationReport
 from oberwolfach.cli import _report_json, build_parser, main
 from oberwolfach.core import parse_cycle_type, parse_vertex
@@ -253,18 +253,18 @@ def test_solve_out_unwritable_is_one_line_error(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stage", STAGES)
-def test_solve_failed_check_is_one_line_error(capsys, monkeypatch, tmp_path, stage):
+@pytest.mark.parametrize("case", CASES)
+def test_solve_failed_check_is_one_line_error(capsys, monkeypatch, tmp_path, case):
     """A solve whose final check fails (a RuntimeError) is one ``error:``
     line naming the broken stage, exit 1, and no ``--out`` file."""
-    n, spec = break_stage(monkeypatch, stage)
+    n, spec = break_stage(monkeypatch, case)
     out = tmp_path / "out.json"
     assert main(["solve", "--n", str(n), "--factor", spec, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: {stage} failed verification: ")
+    assert lines[0].startswith(f"error: {CASES[case]} failed verification: ")
     assert not out.exists()
 
 

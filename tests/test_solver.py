@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relabel_split
-from broken_stages import STAGES, break_stage
+from broken_stages import CASES, break_stage
 from construction_reference import slice_canonical
 from oberwolfach import checker, solver
 from oberwolfach.checker import Nonexistent
@@ -540,15 +540,16 @@ def test_every_route_checks_its_output_once(monkeypatch, n, spec):
     assert kinds == ["CompleteSymmetric"]
 
 
-@pytest.mark.parametrize("stage", STAGES)
-def test_a_broken_stage_fails_the_solve_and_is_named(monkeypatch, stage):
-    """A corrupted W* factor, H* factor or block cycle fails the final
+@pytest.mark.parametrize("case", CASES)
+def test_a_broken_stage_fails_the_solve_and_is_named(monkeypatch, case):
+    """A corrupted W* factor, H* factor or split (a block cycle twice, one
+    that repeats a block or one on the reserved jump 1) fails the final
     check, and the error names the first stage whose own check fails:
     ``solve`` when the W* and H* parts both pass."""
-    n, spec = break_stage(monkeypatch, stage)
+    n, spec = break_stage(monkeypatch, case)
     with pytest.raises(RuntimeError) as failure:
         solve(n, parse_cycle_type(spec))
-    assert str(failure.value).startswith(f"{stage} failed verification: ")
+    assert str(failure.value).startswith(f"{CASES[case]} failed verification: ")
 
 
 def test_solve_h_embeddings_keep_type():

@@ -5,9 +5,9 @@ committed manifest.
 complete host of order n = 2m, so running every odd m up to 2001 checks
 the split on the whole supported range (n <= ``MAX_ORDER`` = 4002).
 ``fixtures/split_manifest.json`` records one SHA-256 per m of its block
-cycles, written as compact JSON.  Every split is re-checked as it is
-hashed: (m-5)/2 Hamiltonian block cycles that use none of the jumps 0, 1
-and 2 (``wh_decompose``'s own post-check) and whose m(m-5)/2 edges are
+cycles, written as compact JSON.  Every split is checked as it is hashed
+(``wh_decompose`` does not check itself): (m-5)/2 Hamiltonian block
+cycles that use none of the jumps 0, 1 and 2 and whose m(m-5)/2 edges are
 distinct, so they are exactly the edges of jumps 3..(m-1)/2 of K_m.  A
 change that alters any block cycle changes its order's digest.
 
@@ -37,17 +37,18 @@ REPLAYED = 401  # the largest m the suite replays
 def _split_digest(m: int) -> str:
     """The SHA-256 of the block cycles of ``wh_decompose(m)`` as compact
     JSON, once they are checked to split the edges of jumps 3..(m-1)/2:
-    (m-5)/2 cycles, Hamiltonian and off the jumps 0, 1 and 2 by the
-    split's own post-check, whose m(m-5) arcs, each edge both ways round,
-    are distinct."""
+    (m-5)/2 Hamiltonian cycles whose m(m-5) arcs, each edge both ways
+    round, are distinct and none on the jumps 0, 1 and 2."""
     cycles = wh_decompose(m).h_block_cycles
     assert len(cycles) == (m - 5) // 2, m
+    assert all(len(c) == len(set(c)) == m for c in cycles), m
     tails, heads = id_arcs(cycles)
     seen = bytearray(m * m)  # arc a -> b at a * m + b
     for a, b in ((tails, heads), (heads, tails)):
         codes = map(add, map(mul, a, repeat(m)), b)
         deque(map(setitem, repeat(seen), codes, repeat(1)), maxlen=0)
     assert seen.count(1) == m * (m - 5), m
+    assert not any(seen[a * m + (a + d) % m] for a in range(m) for d in (0, 1, 2)), m
     text = json.dumps([list(c) for c in cycles], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
