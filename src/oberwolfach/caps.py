@@ -19,21 +19,18 @@ so shifting by k blocks adds 2k.  The table pieces hold ids, and an
 ``AdmissibleDecomposition`` holds its factors as tuples of id cycles
 (``id_factors``) and builds no vertex objects.
 
-Check contract: every piece is checked once, where it is made, on ids.
+Check contract: the tables are checked once, and each result once.
 
-* Table decompositions are checked factor by factor with
-  ``admissible_ids`` when ``tables`` loads them (once per process, the
-  loaders are cached).
-* ``assemble`` runs the cap audit, ``checker.verify_cap_complementarity``,
-  on its caps and centre piece, so the seam-pattern, endpoint and length
-  clauses are the audit's, and it writes each factor down as one cycle
-  plus side cycles; it checks each factor's admissibility, and
-  ``general_factor`` its result's cycle types; it is memoised per type.
-* ``_splice`` checks that every piece has the first piece's boundary
-  patterns; ``j_decompose`` splices ``_decompose``'s pieces in one call
-  and checks each final factor once.
-* ``w_star_id_factors`` gathers the same pieces through the fold and
-  checks nothing more: ``solve``'s one final check decides its output.
+* The tables are constant data, audited clause by clause by
+  ``tables --check`` (``checker.verify_cap_complementarity`` and
+  ``checker.verify_admissible_decomposition``) and by ``tests/test_tables.py``.
+* ``assemble``, ``general_factor``, ``_splice`` and ``_splice_all`` build
+  from audited pieces and check nothing: they refuse only bad arguments and
+  shapes they have no piece for.
+* ``j_decompose`` splices ``_decompose``'s pieces in one call and makes one
+  ``verify_admissible_decomposition`` call on the result.
+* ``w_star_id_factors`` gathers the same pieces through the fold:
+  ``solve``'s one final check decides its output.
 
 Splice lemma: if A on a blocks and B on b blocks are admissible factors
 with equal external patterns, then A plus B shifted by a is admissible on
@@ -42,7 +39,8 @@ a and a+1 the pattern equality hands each boundary vertex to exactly one of
 them, every arc stays in the larger opened host, and the new boundary
 pairs take their first vertex from A and their second from B.  By
 induction every splice of admissible pieces with equal patterns is
-admissible, so a J* splice is checked once per factor, on the final factor.
+admissible, so a splice of audited pieces needs no check of its own: the
+one check of the result decides it.
 """
 
 from __future__ import annotations
@@ -51,9 +49,9 @@ from functools import lru_cache
 from typing import Optional
 
 from . import tables
-from .checker import verify_cap_complementarity
+from .checker import verify_admissible_decomposition
 from .core import CycleType, canonical_factors
-from .hosts import admissible_ids, fold_image
+from .hosts import fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
 
@@ -71,46 +69,36 @@ def assemble(
 ) -> AdmissibleDecomposition:
     """Glue left cap + k centre blocks + right cap into a decomposition.
 
-    The cap audit's seam-pattern and ``centre_endpoints`` clauses make each
-    path start where the one before it ends, so factor i is written
-    straight down as one cycle: L_i, copies j = 0..k-1 of Q_i, the right
-    path P_i and copies j = k-1..0 of U_i, each less its last id, followed
-    by the right cap's side cycles.  Copy j sits ell + c*j blocks along the
-    strip (c = ``centre.c``) and the right element ell + c*k blocks along,
-    in J* ids.  The audit's ``m0_constant``, ``centre_lengths`` and
-    ``right_shapes`` clauses give factor i the type [m0 + 2ck, side
-    lengths] (m0 = len(L_i) + len(P_i) - 2), and ``admissible_ids`` counts
-    its distinct ids, so copies that meet off their seams are refused.  The
-    result is an admissible decomposition of the opened host on
-    ell + c*k + r blocks.
+    Factor i is written straight down as one cycle: L_i, copies j = 0..k-1
+    of Q_i, the right path P_i and copies j = k-1..0 of U_i, each less its
+    last id, followed by the right cap's side cycles.  Copy j sits
+    ell + c*j blocks along the strip (c = ``centre.c``) and the right
+    element ell + c*k blocks along, in J* ids.  Nothing is checked here.
+    For pieces that pass the cap audit (``tables --check``), its
+    seam-pattern and ``centre_endpoints`` clauses make each path start
+    where the one before it ends, its ``m0_constant``, ``centre_lengths``
+    and ``right_shapes`` clauses give factor i the type [m0 + 2ck, side
+    lengths] (m0 = len(L_i) + len(P_i) - 2), and the result is an
+    admissible decomposition of the opened host on ell + c*k + r blocks.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > 0 and centre is None:
         raise ValueError("k > 0 requires a centre piece")
-    audit = verify_cap_complementarity(left, right, centre)
-    if not audit.passed:
-        raise ValueError(f"the pieces fail the cap audit: {audit.failures()}")
     at = 2 * left.ell
     step = 2 * centre.c if k else 0
     right_at = at + step * k
-    m = right_at // 2 + right.r
     pairs = centre.pairs if k else [((), ())] * 9
     factors = []
-    for i, (path, (q, u), (rpath, rcycles)) in enumerate(
-        zip(left.paths, pairs, right.elements), 1
-    ):
+    for path, (q, u), (rpath, rcycles) in zip(left.paths, pairs, right.elements):
         cycle = list(path[:-1])
         for j in range(k):
             cycle += _shifted(q[:-1], at + step * j)
         cycle += _shifted(rpath[:-1], right_at)
         for j in range(k - 1, -1, -1):
             cycle += _shifted(u[:-1], at + step * j)
-        factor = (tuple(cycle), *[_shifted(c, right_at) for c in rcycles])
-        if not admissible_ids(factor, m):
-            raise ValueError(f"factor {i} is not admissible")
-        factors.append(factor)
-    return AdmissibleDecomposition(m, tuple(factors))
+        factors.append((tuple(cycle), *[_shifted(c, right_at) for c in rcycles]))
+    return AdmissibleDecomposition(right_at // 2 + right.r, tuple(factors))
 
 
 # side cycles -> (family, least anchor, anchor per s mod 4), read off
@@ -139,9 +127,9 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
 
     Covers the shapes [2s] (s>=4), [2s,2] (s>=4), [2s,2,2] (s>=4) and
     [2s,4] (s>=5), via the embedded cap tables and centre chaining.  The
-    result is immutable, so it is memoised per type, like its tables.
-    ``assemble`` audits the caps and checks admissibility; the type,
-    [2*anchor + 8k, side cycles], follows from the tables (``test_tables``).
+    result is immutable, so it is memoised per type, like its tables.  It
+    is not checked: the cap audit (``tables --check``, ``test_tables``)
+    makes it admissible, of type [2*anchor + 8k, side cycles].
     """
     fit = _family_of(ftype.lengths)
     if fit is None:
@@ -163,11 +151,10 @@ def _splice(decs: list, image) -> list:
     through ``image``: id v of a piece k blocks along is ``image[v + 2k]``.
     Each factor is given as (gathers, span) pairs, one per piece: the
     piece's cached ``gathers`` for that factor, one per cycle, and the
-    slice of ``image`` from the piece's offset 2k to its own last id 2m+3
-    (it is admissible where made), from which they gather."""
-    pattern = decs[0].patterns()
-    if any(d.patterns() != pattern for d in decs[1:]):
-        raise ValueError("decompositions are not compatible (patterns differ)")
+    slice of ``image`` from the piece's offset 2k to its own last id 2m+3,
+    where an audited piece's ids lie, from which they gather.  The pieces'
+    boundary patterns are not compared: the audit gives every table piece
+    ``tables.X_PATTERN``, and the check of the result decides."""
     spans = []
     at = 0
     for d in decs:
@@ -177,9 +164,9 @@ def _splice(decs: list, image) -> list:
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
-    """Admissible pieces spliced on J* ids (``_splice``, identity image); by
-    the splice lemma only each final factor is checked, and
-    ``admissible_ids`` counts its distinct ids, so overlaps are refused."""
+    """Admissible pieces spliced on J* ids (``_splice``, identity image),
+    unchecked: by the splice lemma the result is admissible, and
+    ``j_decompose`` checks it."""
     if len(decs) == 1:
         return decs[0]
     m = sum(d.m for d in decs)
@@ -187,8 +174,6 @@ def _splice_all(decs: list) -> AdmissibleDecomposition:
         tuple(g(span) for gathers, span in parts for g in gathers)
         for parts in _splice(decs, range(2 * m + 4))
     )
-    if not all(admissible_ids(f, m) for f in factors):
-        raise ValueError("spliced factor is not admissible")
     return AdmissibleDecomposition(m, factors)
 
 
@@ -205,13 +190,15 @@ def _pieces(ftype: CycleType) -> list:
 
 def j_decompose(ftype: CycleType) -> AdmissibleDecomposition:
     """Admissible decomposition of the opened host for any bipartite type of
-    order >= 8 other than the all-2s type, with the shared boundary pattern."""
+    order >= 8 other than the all-2s type, with the shared boundary pattern,
+    after one ``verify_admissible_decomposition`` call; a result that fails
+    it raises ``ValueError`` with the report's failures."""
     dec = _splice_all(_pieces(ftype))
-    if dec.patterns() != tables.X_PATTERN:
-        raise ValueError("decomposition lost the shared boundary pattern")
-    # sorted length tuples, compared without building a CycleType per factor
-    if any(tuple(sorted(map(len, f))) != ftype.lengths for f in dec.id_factors):
-        raise ValueError("decomposition has wrong cycle type")
+    report = verify_admissible_decomposition(
+        ftype.order // 2, dec, ftype, tables.X_PATTERN
+    )
+    if not report.passed:
+        raise ValueError(f"J* failed verification: {report.failures()}")
     return dec
 
 

@@ -3,7 +3,10 @@
 Every constructive routine in this package is re-checked from first
 principles here: arc-disjointness, exact coverage, spanning, cycle types,
 admissibility, boundary patterns, and the defining clauses of the cap and
-centre-piece tables.
+centre-piece tables.  Each result the package hands out is checked once,
+here: ``solve``'s final ``verify_id_factorization`` call and
+``caps.j_decompose``'s one ``verify_admissible_decomposition`` call.  The
+constant tables are audited by ``tables --check``, not at run time.
 
 A factorization is checked by ``verify_id_factorization``, which sees only
 vertex ids: each factor is a list of cycles, each cycle a sequence of ints
@@ -48,10 +51,13 @@ Wide columns are read as ``set``s of ints; read as UTF-16 text, the heads
 0xD800 and 0xDC00 would join into one character.  The kernel decides
 a solve's one final check (and, only when that fails, the W* and H*
 checks that name the broken stage) and ``verify`` on a described host.
-It trusts no reader result: ``serialize.read_certificate`` has already
-tested each byte factor with ``hosts.byte_permutation``, and
-``successor_table`` makes the same test again, from the cycles the kernel
-hands it, in the call that builds the table, so that a fault in the reader
+It trusts no reader result, so each byte factor is tested twice, and both
+tests stay.  ``serialize.read_certificate`` tests it with
+``hosts.byte_permutation``, which fixes, before any check runs, the order
+in which the reader refuses bad factors and the count of vertices the
+factors name (``named``).  ``successor_table`` makes the same test again,
+from the cycles the kernel hands it, in the call that builds the table,
+which keeps the checker independent of the reader: a fault in the reader
 cannot pass a certificate.
 
 Every host is a ``hosts.HostDescriptor``; no host arc set is built or
@@ -60,7 +66,7 @@ stages, as such lists, and ``verify`` reads certificates straight into
 them, into ``bytes`` cycles up to 256 vertices
 (``serialize.read_certificate``), so all of them run the same core.
 ``verify_admissible_decomposition`` likewise checks a decomposition's J*
-id cycles against the opened host's rule on ids, and
+id cycles against the opened host's rule on ids and its cycle type, and
 ``verify_cap_complementarity`` checks the cap and centre tables' id paths
 clause by clause, comparing their arc unions with the same rule by
 counting.
@@ -231,15 +237,15 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
 
 
 def verify_admissible_decomposition(
-    m: int,
-    dec,
-    expected_patterns: Optional[tuple] = None,
+    m: int, dec, ftype: CycleType, expected_patterns: Optional[tuple] = None
 ) -> VerificationReport:
     """Check that ``dec`` (a ``tables.AdmissibleDecomposition``: ``m``,
     ``id_factors`` and ``patterns()``) has nine factors, cycles of J* ids,
     admissible on ``m`` blocks, that partition the arcs of the opened host:
-    the distinct arcs, less those outside it (``hosts._outside``),
-    must number its 18m arcs."""
+    the distinct arcs, less those outside it (``hosts._outside``), must
+    number its 18m arcs.  Each factor must be of type ``ftype``, and, when
+    ``expected_patterns`` is given, factor i must meet the boundary ids of
+    its entry i."""
     report = VerificationReport()
     factors = dec.id_factors
     report.add("nine_factors", len(factors) == 9, f"{len(factors)} factors")
@@ -248,6 +254,9 @@ def verify_admissible_decomposition(
     report.add("admissible", not bad, f"inadmissible factors: {bad}")
     arcs = [a for f in factors for a in zip(*id_arcs(f))]
     _add_arc_checks(report, *_opened_host_counts(arcs, m))
+    want = list(ftype.lengths)
+    types_ok = all(sorted(map(len, f)) == want for f in factors)
+    report.add("cycle_type", types_ok, f"expected {ftype.text()}")
     if expected_patterns is not None:
         got = dec.patterns()
         diff = [

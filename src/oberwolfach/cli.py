@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+import tempfile
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as quote
 
@@ -58,13 +60,40 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sys.stdout.writelines(chunks)
         return EXIT_OK
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        _write_out(args.out, chunks)
     except OSError as exc:
         reason = exc.strerror or exc
         print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
+
+
+def _write_out(path: str, chunks) -> None:
+    """Write ``chunks`` to ``path``: in place on a device or a FIFO, else whole
+    or not at all, through a new file beside the one ``path`` names (a
+    symlink's target), renamed onto it after the last chunk and removed on
+    any failure.  It keeps the old file's mode, or gets the one ``open``
+    gives (0666 less the umask); a directory that refuses new files raises."""
+    try:
+        old = os.stat(path)
+    except OSError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, stat.S_IMODE(old.st_mode) if old else 0o666 & ~umask)
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -85,11 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cert.host.m_or_n,
             tuple(tuple(tuple(map(ids.__getitem__, c)) for c in f) for f in cert.factors),
         )
-        report = verify_admissible_decomposition(cert.host.m_or_n, dec)
-        types_ok = all(
-            t.lengths == cert.ftype.lengths for t in dec.cycle_types()
-        )
-        report.add("cycle_type", types_ok, f"expected {cert.ftype.text()}")
+        report = verify_admissible_decomposition(cert.host.m_or_n, dec, cert.ftype)
     else:
         # checked against the host's description; no host arc set is built
         report = verify_id_factorization(cert.host, cert.factors, cert.ftype)
@@ -204,15 +229,15 @@ def cmd_tables(args: argparse.Namespace) -> int:
         for family, anchor in sorted(tables.RIGHT_CAPS)
     ]
     decs = [
-        (f"decomposition {CycleType(key).text()}", tables.small_decomposition(key))
+        ("decomposition", key, tables.small_decomposition(key))
         for key in tables.small_types()
     ]
-    decs.append(("decomposition figure [4,8]", tables.figure_4_8_decomposition()))
-    decs.append(("supplemental [2,4^2]", tables.supplemental_2_4_4()))
-    rows += [
-        (label, verify_admissible_decomposition(dec.m, dec, tables.X_PATTERN))
-        for label, dec in decs
-    ]
+    decs.append(("decomposition figure", (4, 8), tables.figure_4_8_decomposition()))
+    decs.append(("supplemental", (2, 4, 4), tables.supplemental_2_4_4()))
+    for what, key, dec in decs:
+        ftype = CycleType(key)
+        report = verify_admissible_decomposition(dec.m, dec, ftype, tables.X_PATTERN)
+        rows.append((f"{what} {ftype.text()}", report))
     for label, report in rows:
         print(f"{label}: {'ok' if report.passed else 'FAIL'}")
         for name, detail in report.failures():

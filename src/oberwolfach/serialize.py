@@ -46,9 +46,11 @@ is it applied to text), and ``verify`` hands its cycles to the checker.
   byte, and a factor is a permutation of the host's ids when
   ``hosts.byte_permutation`` says so, the test that
   ``hosts.successor_table`` makes again for the checker's byte tables.
-  Above 256, and for a factor with a token outside the table, the cycles
-  are lists of ids, which ``successor_table`` scatters into the checker's
-  wide tables.
+  Both tests stay: the reader's fixes, before any check runs, which
+  factors it refuses and in what order, and ``named``; the checker's
+  keeps the checker independent of the reader.  Above 256, and for a
+  factor with a token outside the table, the cycles are lists of ids,
+  which ``successor_table`` scatters into the checker's wide tables.
 * **One set per other factor.**  A factor that is not such a permutation is
   distinct when its id set is as large as its total length.  A factor that
   fails this or has a cycle of fewer than 2 vertices is refused on its

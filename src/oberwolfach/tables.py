@@ -5,11 +5,11 @@ Everything in this module is a transcribed constant: the shared nine-entry
 boundary pattern ``X_PATTERN``, the length-2 left cap and length-4 centre
 piece, sixteen right-cap tables (four families, four anchor sizes each), and
 thirteen small admissible decompositions.  Nothing here is trusted as
-written: the decomposition loaders check every factor with
-``hosts.admissible_ids`` and refuse a table that fails, and
-``checker.verify_cap_complementarity`` and
-``checker.verify_admissible_decomposition`` re-check every invariant of
-every table, which the ``tables --check`` CLI command runs as an audit.
+written, and nothing here checks it: the loaders refuse only text they
+cannot parse, and the ``tables --check`` CLI command audits every
+invariant of every table with ``checker.verify_cap_complementarity`` and
+``checker.verify_admissible_decomposition``.  A table that fails the audit
+still loads, and fails the one check of each result built from it.
 
 Table encoding: paths are strings like ``"y2 y1 x2"``, cycles are strings
 like ``"(y1 x3)"``.  Each distinct token is parsed once per process
@@ -34,8 +34,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import CycleType, parse_vertex
-from .hosts import BOUNDARY, admissible_ids, strip_id
+from .core import parse_vertex
+from .hosts import BOUNDARY, strip_id
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +176,6 @@ class AdmissibleDecomposition(_Decomposition):
         """Per factor, an ``itemgetter`` per cycle: ``caps._splice`` gathers
         each cycle's image with it, and builds none per splice."""
         return tuple(tuple(itemgetter(*c) for c in f) for f in self.id_factors)
-
-    def cycle_types(self) -> tuple:
-        return tuple(CycleType(map(len, f)) for f in self.id_factors)
 
 
 # Left cap of length 2: nine arc-disjoint paths whose union is the opened
@@ -650,14 +647,8 @@ def right_cap(family: str, anchor: int) -> RightCap:
 
 
 def _decomposition_from_rows(rows: tuple, m: int) -> AdmissibleDecomposition:
-    """The decomposition the rows spell, each factor checked with
-    ``hosts.admissible_ids``; the loaders below cache it, so the check runs
-    once per table and process."""
-    factors = tuple(tuple(map(_c, row)) for row in rows)
-    for i, factor in enumerate(factors, 1):
-        if not admissible_ids(factor, m):
-            raise ValueError(f"table row {i} is not admissible on {m} blocks")
-    return AdmissibleDecomposition(m, factors)
+    """The decomposition on ``m`` blocks that the rows spell, unchecked."""
+    return AdmissibleDecomposition(m, tuple(tuple(map(_c, row)) for row in rows))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import pytest
 import construction_reference
 import reference_checker
 
-from oberwolfach import tables
+from oberwolfach import caps, tables
 from oberwolfach.caps import (
     _family_of,
     _splice_all,
@@ -81,9 +81,10 @@ def test_splice_worked_example():
 def test_splice_all_two_cycles_with_itself():
     small = tables.small_decomposition((2, 2, 2))
     doubled = _splice_all([small, small])
-    report = verify_admissible_decomposition(6, doubled, tables.X_PATTERN)
+    report = verify_admissible_decomposition(
+        6, doubled, CycleType([2] * 6), tables.X_PATTERN
+    )
     assert report.passed
-    assert all(t.lengths == (2,) * 6 for t in doubled.cycle_types())
 
 
 def test_splice_order_additivity_and_associativity():
@@ -97,13 +98,18 @@ def test_splice_order_additivity_and_associativity():
     assert strip_factors(left) == strip_factors(right) == strip_factors(flat)
 
 
-def test_splice_rejects_incompatible():
+def test_splice_rejects_incompatible(monkeypatch):
+    """The splice of pieces whose last factors have other boundary patterns
+    ({x0, x1, y1} against {y0, x1}) is refused by ``j_decompose``'s one
+    check: that factor holds y4 twice, so it is not admissible."""
     a = AdmissibleDecomposition(4, (PIECE_2_6,) * 9)
     shuffled = AdmissibleDecomposition(
         3, (PIECE_6,) * 8 + ((ids("(y0,x2,x4,y3,x1,y2)"),),)
     )
-    with pytest.raises(ValueError):
-        _splice_all([a, shuffled])
+    monkeypatch.setattr(caps, "_decompose", lambda lengths: [a, shuffled])
+    refusal = r"'admissible', 'inadmissible factors: \[8\]'"
+    with pytest.raises(ValueError, match=refusal):
+        j_decompose(parse_cycle_type("[2,6,6]"))
 
 
 def test_internal_pattern_worked_example():
@@ -155,9 +161,8 @@ def test_concat_centre_k3_satisfies_all_conditions():
 
 def test_assemble_k0():
     dec = assemble(tables.left_cap(), None, 0, tables.right_cap("L", 4))
-    report = verify_admissible_decomposition(4, dec, tables.X_PATTERN)
+    report = verify_admissible_decomposition(4, dec, CycleType([8]), tables.X_PATTERN)
     assert report.passed
-    assert all(t.lengths == (8,) for t in dec.cycle_types())
 
 
 def test_assemble_k1_with_side_cycle():
@@ -165,9 +170,8 @@ def test_assemble_k1_with_side_cycle():
         tables.left_cap(), tables.centre_piece(), 1, tables.right_cap("L4", 5)
     )
     assert dec.m == 11
-    report = verify_admissible_decomposition(11, dec, tables.X_PATTERN)
-    assert report.passed
-    assert all(t.lengths == (4, 18) for t in dec.cycle_types())
+    ftype = CycleType([4, 18])
+    assert verify_admissible_decomposition(11, dec, ftype, tables.X_PATTERN).passed
 
 
 def _right_cap_with_row(i, row):
@@ -185,18 +189,24 @@ def _right_cap_with_row(i, row):
         ("m0_constant", 8, ("y0 y1",)),  # one path a vertex shorter
     ],
 )
-def test_assemble_refuses_caps_that_fail_the_audit(clause, i, row):
+def test_j_decompose_refuses_caps_that_fail_the_audit(monkeypatch, clause, i, row):
+    """A right cap that fails a clause of the cap audit (``tables --check``)
+    is assembled unchecked, and ``j_decompose``'s one check refuses what it
+    builds, with no centre copy ([8]) and with one ([16])."""
     right = _right_cap_with_row(i, row)
-    with pytest.raises(ValueError, match=f"cap audit: .*'{clause}'"):
-        assemble(tables.left_cap(), None, 0, right)
-    with pytest.raises(ValueError, match=f"cap audit: .*'{clause}'"):
-        assemble(tables.left_cap(), tables.centre_piece(), 1, right)
+    audit = verify_cap_complementarity(tables.left_cap(), right, tables.centre_piece())
+    assert clause in [name for name, _ in audit.failures()]
+    monkeypatch.setattr(tables, "right_cap", lambda family, anchor: right)
+    monkeypatch.setattr(caps, "general_factor", general_factor.__wrapped__)  # uncached
+    for spec in ("[8]", "[16]"):
+        with pytest.raises(ValueError, match=r"J\* failed verification: .*'admissible'"):
+            j_decompose(parse_cycle_type(spec))
 
 
 def test_general_factor_examples():
     dec = general_factor(parse_cycle_type("[16,2]"))
     assert dec.m == 9
-    assert all(t.lengths == (2, 16) for t in dec.cycle_types())
+    assert {tuple(sorted(map(len, f))) for f in dec.id_factors} == {(2, 16)}
     dec = general_factor(parse_cycle_type("[10,4]"))
     assert cycle_from_text("(x6,y7,y6,x8)") in strip_factors(dec)[0].cycles
     with pytest.raises(ValueError, match="is not a cap-family shape"):
@@ -241,9 +251,7 @@ def test_small_factor_examples():
         [cycle_from_text("(y1,x2,y2,x3)"), cycle_from_text("(y3,x4,y4,x6,y6,x5,x7,y5)")]
     )
     dec = tables.small_decomposition((2, 2, 2))
-    assert all(
-        t.lengths == (2, 2, 2) for t in dec.cycle_types()
-    )
+    assert {tuple(map(len, f)) for f in dec.id_factors} == {(2, 2, 2)}
     with pytest.raises(KeyError):
         tables.small_decomposition((2, 8))
 
@@ -253,10 +261,9 @@ def test_j_decompose_examples():
         ftype = parse_cycle_type(spec)
         dec = j_decompose(ftype)
         report = verify_admissible_decomposition(
-            ftype.order // 2, dec, tables.X_PATTERN
+            ftype.order // 2, dec, ftype, tables.X_PATTERN
         )
         assert report.passed, (spec, report.failures())
-        assert all(t == ftype for t in dec.cycle_types())
 
 
 def test_j_decompose_domain():
@@ -316,7 +323,7 @@ def test_the_planner_decomposes_every_shape_it_reads():
         ftype = CycleType(lengths)
         dec = j_decompose(ftype)
         report = verify_admissible_decomposition(
-            ftype.order // 2, dec, tables.X_PATTERN
+            ftype.order // 2, dec, ftype, tables.X_PATTERN
         )
         assert report.passed, (lengths, report.failures())
         count += 1

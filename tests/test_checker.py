@@ -74,7 +74,10 @@ def test_admissible_decomposition_named_failure():
     # a factor carrying both y0 and y3 violates the one-of-two rule
     bad_factor = (ids("(y0,x1,y3,x3,x2,y2)"),)
     report = verify_admissible_decomposition(
-        3, type(dec)(3, (bad_factor,) + dec.id_factors[1:]), tables.X_PATTERN
+        3,
+        type(dec)(3, (bad_factor,) + dec.id_factors[1:]),
+        parse_cycle_type("[6]"),
+        tables.X_PATTERN,
     )
     assert not report.passed
     assert "admissible" in [n for n, _ in report.failures()]

@@ -2,15 +2,19 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broken_stages import CASES, break_stage
+from broken_stages import BENT_2_2_2, CASES, break_stage, patch_table
+from oberwolfach import serialize, tables
 from oberwolfach.checker import VerificationReport
 from oberwolfach.cli import _report_json, build_parser, main
 from oberwolfach.core import parse_cycle_type, parse_vertex
@@ -135,6 +139,31 @@ def test_a_failing_supplemental_row_prints_its_checks(capsys, monkeypatch):
     assert lines[-1] == "16 cap rows + 13 decomposition rows + 1 supplemental"
 
 
+def test_tables_check_reports_a_non_admissible_table_row(capsys, monkeypatch):
+    """A table row that is not admissible loads, and ``tables --check``
+    prints its table's ``FAIL`` line and its ``admissible`` line, exit 1,
+    with no traceback."""
+    patch_table(monkeypatch, (2, 2, 2), BENT_2_2_2)
+    assert main(["tables", "--check"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    at = lines.index("decomposition [2^3]: FAIL")
+    assert lines[at + 1] == "    admissible: inadmissible factors: [0]"
+    assert err == ""
+
+
+def test_tables_check_reports_a_table_of_another_type(capsys, monkeypatch):
+    """The [2,6] rows under the [4^2] key, on the same four blocks, fail
+    only the ``cycle_type`` clause."""
+    patch_table(monkeypatch, (4, 4), tables.PIECES[(2, 6)])
+    assert main(["tables", "--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "FAIL" in line or line[:1] == " "] == [
+        "decomposition [4^2]: FAIL",
+        "    cycle_type: expected [4^2]",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -251,6 +280,124 @@ def test_solve_out_unwritable_is_one_line_error(capsys, tmp_path):
     assert err.startswith("error: cannot write ")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+SOLVE_14 = ["solve", "--n", "14", "--factor", "[14]"]
+
+
+def _solved(capsys) -> str:
+    """The certificate ``SOLVE_14`` writes to standard output."""
+    assert main(SOLVE_14) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [OSError(28, "No space left on device"), KeyboardInterrupt()],
+    ids=["disk-full", "interrupt"],
+)
+def test_a_failed_write_keeps_the_earlier_out_file(capsys, monkeypatch, tmp_path, fault):
+    """A write that fails after 3 chunks, by a full disk or an interrupt,
+    leaves the earlier file's bytes and no temporary file beside it."""
+    out = tmp_path / "out.json"
+    out.write_text("earlier\n")
+    real = serialize.FORMATS["json"]
+
+    def failing(doc):
+        for i, chunk in enumerate(real(doc)):
+            if i == 3:
+                raise fault
+            yield chunk
+
+    monkeypatch.setitem(serialize.FORMATS, "json", failing)
+    if isinstance(fault, OSError):
+        assert main([*SOLVE_14, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No space left on device\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main([*SOLVE_14, "--out", str(out)])
+    assert out.read_text() == "earlier\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_solve_out_dev_full_is_one_error_line(capsys):
+    assert main([*SOLVE_14, "--out", "/dev/full"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: cannot write /dev/full: No space left on device\n")
+
+
+def test_a_device_or_fifo_out_is_written_in_place(capsys, monkeypatch, tmp_path):
+    """``/dev/null`` and a FIFO, read by a thread, get every byte, written in
+    place: no temporary file is made, so no rename can replace them."""
+    want = _solved(capsys)
+    written = []
+    real = serialize.FORMATS["json"]
+
+    def recorded(doc):
+        for chunk in real(doc):
+            written.append(chunk)
+            yield chunk
+
+    def refused(**kwargs):
+        raise AssertionError("a temporary file was made")
+
+    monkeypatch.setitem(serialize.FORMATS, "json", recorded)
+    monkeypatch.setattr(tempfile, "mkstemp", refused)
+    assert main([*SOLVE_14, "--out", os.devnull]) == 0
+    assert "".join(written) == want
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main([*SOLVE_14, "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert got == [want]
+
+
+def test_solve_out_replaces_a_symlinks_target_and_keeps_its_mode(capsys, tmp_path):
+    """``--out`` naming a symlink replaces the file it points to, which
+    keeps its mode, and leaves the link a link."""
+    want = _solved(capsys)
+    target = tmp_path / "target.json"
+    target.write_text("earlier\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main([*SOLVE_14, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == want
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+
+def test_a_new_out_file_gets_the_mode_open_gives(tmp_path):
+    """A new ``--out`` file is 0666 less the umask, as ``open`` makes it,
+    not the 0600 of a temporary file."""
+    out = tmp_path / "new.json"
+    umask = os.umask(0o027)
+    try:
+        assert main([*SOLVE_14, "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_out_in_a_directory_that_refuses_new_files_is_kept(capsys, monkeypatch, tmp_path):
+    """A writable ``--out`` in a directory where no file can be made is not
+    written in place, which would lose it to a failed write: exit 1, one
+    ``error:`` line, and the file keeps its bytes."""
+    out = tmp_path / "out.json"
+    out.write_text("earlier\n")
+
+    def refused(**kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refused)
+    assert main([*SOLVE_14, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert out.read_text() == "earlier\n"
 
 
 @pytest.mark.parametrize("case", CASES)

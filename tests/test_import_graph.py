@@ -12,6 +12,7 @@ that has to be hidden there marks an import cycle.  The package
 
 import ast
 import re
+import sys
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import oberwolfach
+from oberwolfach import caps, checker, tables
+from oberwolfach.core import parse_cycle_type
 
 PACKAGE = Path(oberwolfach.__file__).resolve().parent
 BUILDERS = {"caps", "hstar", "solver", "tables"}
@@ -68,6 +71,62 @@ def test_only_solver_imports_the_factorization_check():
     assert importers == {"solver"}
     hstar = set().union(*(names for _, names in _package_imports(_tree("hstar"))))
     assert hstar == {"core"}
+
+
+# each check a builder could run -> the builders that import it: a result
+# is checked once, where it is handed out, and the constant tables by the
+# ``tables --check`` audit, never by a builder at run time
+CHECK_IMPORTERS = {
+    "verify_id_factorization": {"solver"},
+    "verify_admissible_decomposition": {"caps"},
+    "verify_cap_complementarity": set(),
+    "admissible_ids": set(),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_IMPORTERS))
+def test_each_check_is_imported_where_a_result_is_handed_out(check):
+    importers = {
+        name
+        for name in BUILDERS
+        for node, _ in _package_imports(_tree(name))
+        if check in {a.name for a in node.names}
+    }
+    assert importers == CHECK_IMPORTERS[check]
+
+
+def test_the_table_loaders_import_nothing_from_the_checker():
+    loaders = set().union(*(names for _, names in _package_imports(_tree("tables"))))
+    assert "checker" not in loaders
+
+
+@pytest.mark.parametrize(
+    "spec", ["[8]", "[2,4^2]", "[2^3,4]", "[2,4,6,8,10]", "[26,4]"]
+)
+def test_j_decompose_checks_its_result_once(monkeypatch, spec):
+    """``j_decompose`` makes exactly one checker call, with its pieces
+    loaded and assembled in the call.  Every package module but the checker
+    that binds one of the checks above is patched, so a builder that
+    checked a piece or a splice on its own would be counted."""
+    calls = []
+    for name in CHECK_IMPORTERS:
+        real = getattr(checker, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        for module in list(sys.modules.values()):
+            ours = getattr(module, "__name__", "").startswith("oberwolfach")
+            if ours and module is not checker and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counting)
+    # uncached, so each call loads the tables and assembles the cap pieces
+    monkeypatch.setattr(caps, "general_factor", caps.general_factor.__wrapped__)
+    load = tables.small_decomposition.__wrapped__
+    monkeypatch.setattr(tables, "small_decomposition", load)
+    for _ in range(2):
+        caps.j_decompose(parse_cycle_type(spec))
+    assert calls == ["verify_admissible_decomposition"] * 2
 
 
 OBJECT_CLASSES = {"Arc", "Digraph", "DirectedCycle", "TwoRegularDigraph"}

@@ -17,13 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import construction_reference
-from oberwolfach import caps, tables
+from oberwolfach import caps, checker, tables
 from oberwolfach.caps import (
     _splice_all,
     general_factor,
     w_star_id_factors,
 )
-from oberwolfach.checker import verify_cap_complementarity
+from oberwolfach.checker import (
+    verify_admissible_decomposition,
+    verify_cap_complementarity,
+)
 from oberwolfach.core import (
     CycleType,
     Vertex,
@@ -409,42 +412,22 @@ def _permuted(dec, shift_by):
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_splice_all_matches_pairwise_fold(data):
+    """The one-pass splice builds what the pairwise fold builds; where the
+    fold refuses a pattern mismatch, the one-pass splice, which checks
+    nothing, builds a decomposition that is not admissible, which the one
+    check of the result (``verify_admissible_decomposition``) refuses."""
     decs = data.draw(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=6))
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(decs) - 1))
         decs[i] = _permuted(decs[i], data.draw(st.integers(1, 8)))
-    got, want = _outcome(_splice_all, decs), _outcome(_ref_splice_all, decs)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert got[1].m == want[1].m
-        assert strip_factors(got[1]) == strip_factors(want[1])
-
-
-def test_splice_all_refuses_a_pattern_mismatch():
-    dec = tables.small_decomposition((6,))
-    with pytest.raises(ValueError, match="patterns differ"):
-        _splice_all([dec, dec, _permuted(dec, 1)])
-
-
-def test_splice_refuses_a_non_admissible_input():
-    """A piece with the right patterns but an inadmissible factor (y1 and
-    y4 on three blocks, no y3) makes the final factor inadmissible."""
-    dec = tables.small_decomposition((2, 2, 2))
-    bent = (ids("(y1,x2)"), ids("(y2,x4)"), ids("(x3,y4)"))
-    bad = AdmissibleDecomposition(dec.m, (bent,) + dec.id_factors[1:])
-    assert bad.patterns() == dec.patterns()
-    with pytest.raises(ValueError, match="not admissible"):
-        _splice_all([dec, bad])
-    with pytest.raises(ValueError, match="not admissible"):
-        _splice_all([bad, dec])
-
-
-def test_a_non_admissible_table_row_is_refused_at_load():
-    rows = list(tables.SMALL_DECOMPS[(2, 2, 2)])
-    assert tables._decomposition_from_rows(tuple(rows), 3).m == 3
-    rows[0] = ("(y1 x2)", "(y2 x4)", "(x3 y4)")  # y1 and y4, no y3
-    with pytest.raises(ValueError, match="not admissible"):
-        tables._decomposition_from_rows(tuple(rows), 3)
+    got, want = _splice_all(decs), _outcome(_ref_splice_all, decs)
+    if want[0] == "ok":
+        assert got.m == want[1].m
+        assert strip_factors(got) == strip_factors(want[1])
+    else:
+        ftype = CycleType(map(len, got.id_factors[0]))
+        report = verify_admissible_decomposition(got.m, got, ftype)
+        assert "admissible" in dict(report.failures()), want
 
 
 def _mutated_centre(piece, op, i):
@@ -468,24 +451,27 @@ def _mutated_centre(piece, op, i):
 @pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("op", ["none", "short_q", "short_u", "swap", "touch"])
 def test_concat_centre_matches_repeated_concat(k, op):
-    """Each piece goes through ``assemble``: one that fails the cap audit
-    is refused there, before it is chained; one that passes assembles as
-    the reference chaining by repeated ``concat`` does."""
+    """Each piece goes through ``assemble``, which checks nothing: one that
+    fails the cap audit is chained all the same, into a decomposition that
+    is not admissible, which the one check of the result refuses; one that
+    passes assembles as the reference chaining by repeated ``concat``
+    does."""
     left, right = tables.left_cap(), tables.right_cap("L", 4)
     piece = tables.centre_piece()
+    ftype = CycleType([8 + 8 * k])
     for i in range(9) if op != "none" else [0]:
         try:
             mutated = _mutated_centre(piece, op, i)
         except ValueError:
             continue  # the mutation itself repeats a vertex
-        built = _outcome(caps.assemble, left, mutated, k, right)
+        built = caps.assemble(left, mutated, k, right)
         if not verify_cap_complementarity(left, right, mutated).passed:
-            assert built[0] == "ValueError", (op, i, k)
-            assert built[1].startswith("the pieces fail the cap audit"), built
+            report = verify_admissible_decomposition(4 + 4 * k, built, ftype)
+            assert "admissible" in dict(report.failures()), (op, i, k)
             continue
         want = _outcome(_ref_assemble, left, mutated, k, right)
-        assert built[0] == want[0] == "ok", (op, i, k, built, want)
-        assert built[1].id_factors == want[1]
+        assert want[0] == "ok", (op, i, k, want)
+        assert built.id_factors == want[1]
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -524,11 +510,16 @@ def test_a_doubled_centre_piece_chains_as_two_copies(k):
 
 def test_concat_centre_refuses_a_path_that_does_not_chain():
     """A centre Q that does not end four blocks after it starts is refused
-    by the audit's endpoint clause before ``assemble`` chains it."""
+    by the audit's endpoint clause (``tables --check``); ``assemble``
+    chains it unchecked, and the one check of the result refuses what it
+    builds."""
     left, right = tables.left_cap(), tables.right_cap("L", 4)
     mutated = _mutated_centre(tables.centre_piece(), "short_q", 0)
-    with pytest.raises(ValueError, match="centre_endpoints"):
-        caps.assemble(left, mutated, 2, right)
+    audit = verify_cap_complementarity(left, right, mutated)
+    assert "centre_endpoints" in dict(audit.failures())
+    dec = caps.assemble(left, mutated, 2, right)
+    report = verify_admissible_decomposition(12, dec, CycleType([24]), tables.X_PATTERN)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("spec, n", [("[6^167]", 1002), ("[1002]", 1002)])
@@ -536,21 +527,21 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
     """The W* route gathers each piece cycle once, straight onto host ids,
     through gathers built once per piece (``gathers``): a cold build builds
     them, over at most 9n ids, and a warm one builds none.  With
-    ``general_factor`` warm it checks no admissibility and shifts nothing;
-    cold, ``assemble`` checks each assembled factor once and shifts O(n)
-    ids, the centre copies included, so no chain is rebuilt."""
+    ``general_factor`` warm it shifts nothing; cold, ``assemble`` shifts
+    O(n) ids, the centre copies included, so no chain is rebuilt.  Cold or
+    warm, it makes no check: ``solve``'s final check decides its output."""
     built, checked, shifted = [], [], []
     real_itemgetter = tables.itemgetter
-    real_admissible_ids = caps.admissible_ids
+    real_check = caps.verify_admissible_decomposition
     real_shifted = caps._shifted
 
     def counting_itemgetter(*ids):
         built.append(len(ids))
         return real_itemgetter(*ids)
 
-    def counting_admissible_ids(cycles, m):
+    def counting_check(m, dec, ftype, patterns=None):
         checked.append(m)
-        return real_admissible_ids(cycles, m)
+        return real_check(m, dec, ftype, patterns)
 
     def counting_shifted(ids, by):
         out = real_shifted(ids, by)
@@ -558,20 +549,20 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
         return out
 
     monkeypatch.setattr(tables, "itemgetter", counting_itemgetter)
-    monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
+    monkeypatch.setattr(caps, "verify_admissible_decomposition", counting_check)
     monkeypatch.setattr(caps, "_shifted", counting_shifted)
     ftype = parse_cycle_type(spec, n)
     general_factor.cache_clear()
     tables.small_decomposition.cache_clear()  # the [6] piece's gathers too
     cold = w_star_id_factors(ftype)
+    assert checked == []
     if spec == "[1002]":
         # one assembled piece of 501 blocks: s = 501 is 124 centre copies
         # above its anchor 5, each copy of each Q and U shifted once
-        assert checked == [n // 2] * 9
         assert len(shifted) >= 9 * 2 * 124, len(shifted)
         assert built == [n] * 9  # one gather per factor's one cycle
     else:
-        assert checked == shifted == []  # six-cycle table pieces only
+        assert shifted == []  # six-cycle table pieces only
         assert built == [6] * 9  # the one [6] piece, spliced 167 times
     assert sum(shifted) <= 20 * n, sum(shifted)
     assert sum(built) <= 9 * n <= 20 * n, sum(built)
@@ -616,21 +607,33 @@ def test_w_star_route_refuses_what_it_refused(spec, message):
 
 
 def test_j_decompose_refuses_mismatched_and_overlapping_pieces(monkeypatch):
-    """``j_decompose`` still checks what it splices: pieces with other
-    boundary patterns, and a piece that meets both vertices of a boundary
-    pair (y1 and y4 on three blocks), whose splice overlaps its
-    neighbour's."""
+    """``j_decompose`` checks what it splices, once, and names the check
+    that fails: pieces with other boundary patterns, whose splice overlaps
+    at the seam, or whose shared patterns are not ``tables.X_PATTERN``, and
+    a piece that meets both vertices of a boundary pair (y1 and y4 on three
+    blocks), whose splice overlaps its neighbour's."""
     dec = tables.small_decomposition((2, 2, 2))
     bent = (ids("(y1,x2)"), ids("(y2,x4)"), ids("(x3,y4)"))
     bad = AdmissibleDecomposition(dec.m, (bent,) + dec.id_factors[1:])
-    for pieces, message in (
-        ([dec, _permuted(dec, 1)], "patterns differ"),
-        ([dec, bad], "not admissible"),
-        ([bad, dec], "not admissible"),
+    every = list(range(9))
+    bent_factor = ("admissible", "inadmissible factors: [0]")
+    for pieces, failures in (
+        ([dec, _permuted(dec, 1)], [("admissible", f"inadmissible factors: {every}")]),
+        ([_permuted(dec, 1)] * 2, [("pattern", f"pattern mismatch at entries {every}")]),
+        ([dec, bad], [bent_factor, ("coverage", "missing 2, extra 2")]),
+        (
+            [bad, dec],
+            [
+                bent_factor,
+                ("arc_disjoint", "108 arcs used, 106 distinct"),
+                ("coverage", "missing 2, extra 0"),
+            ],
+        ),
     ):
-        monkeypatch.setattr(caps, "_decompose", lambda lengths: pieces)
-        with pytest.raises(ValueError, match=message):
-            caps.j_decompose(parse_cycle_type("[2^5,4]"))
+        monkeypatch.setattr(caps, "_pieces", lambda ftype: pieces)
+        with pytest.raises(ValueError) as refusal:
+            caps.j_decompose(parse_cycle_type("[2^6]"))
+        assert str(refusal.value) == f"J* failed verification: {failures}"
 
 
 def test_every_piece_lies_in_the_fold_domain():
@@ -673,21 +676,31 @@ def test_general_factor_is_memoised_per_type():
 
 @pytest.mark.parametrize("spec", ["[2,4,6,8,10]", "[4,6,8,12]"])
 def test_a_nested_type_is_spliced_once(monkeypatch, spec):
-    """``j_decompose`` splices the flat list of pieces in one call, so once
-    the pieces are loaded each of the nine final factors is checked for
-    admissibility once, and no inner splice re-checks its own factors."""
+    """``j_decompose`` splices the flat list of pieces in one call, and its
+    one check tests each of the nine final factors for admissibility once,
+    cold or warm: no piece and no inner splice is checked on its own."""
     ftype = parse_cycle_type(spec)
-    caps.j_decompose(ftype)  # load the tables and the cap-family pieces
-    checked = []
-    real_admissible_ids = caps.admissible_ids
+    spliced, checked = [], []
+    real_splice = caps._splice
+    real_admissible_ids = checker.admissible_ids
+
+    def counting_splice(decs, image):
+        spliced.append(len(decs))
+        return real_splice(decs, image)
 
     def counting_admissible_ids(cycles, m):
         checked.append(m)
         return real_admissible_ids(cycles, m)
 
-    monkeypatch.setattr(caps, "admissible_ids", counting_admissible_ids)
-    caps.j_decompose(ftype)
-    assert checked == [ftype.order // 2] * 9
+    monkeypatch.setattr(caps, "_splice", counting_splice)
+    monkeypatch.setattr(checker, "admissible_ids", counting_admissible_ids)
+    general_factor.cache_clear()
+    for _ in range(2):
+        caps.j_decompose(ftype)
+        assert len(spliced) == 1 and spliced[0] > 1
+        assert checked == [ftype.order // 2] * 9
+        spliced.clear()
+        checked.clear()
 
 
 def _ascending_even_types(order: int):
