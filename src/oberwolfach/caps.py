@@ -27,10 +27,10 @@ Check contract: the tables are checked once, and each result once.
 * ``assemble``, ``general_factor``, ``_splice`` and ``_splice_all`` build
   from audited pieces and check nothing: they refuse only bad arguments and
   shapes they have no piece for.
-* ``j_decompose`` splices ``_decompose``'s pieces in one call and makes one
-  ``verify_admissible_decomposition`` call on the result.
-* ``w_star_id_factors`` gathers the same pieces through the fold:
-  ``solve``'s one final check decides its output.
+* ``j_decompose`` splices ``_decompose``'s pieces by one ``_splice`` call
+  and makes one ``verify_admissible_decomposition`` call on the result.
+* ``w_star_id_factors`` splices the same pieces by ``_splice`` through the
+  fold, as gathered: ``solve``'s one final check decides its output.
 
 Splice lemma: if A on a blocks and B on b blocks are admissible factors
 with equal external patterns, then A plus B shifted by a is admissible on
@@ -50,7 +50,7 @@ from typing import Optional
 
 from . import tables
 from .checker import verify_admissible_decomposition
-from .core import CycleType, canonical_factors
+from .core import CycleType
 from .hosts import fold_image
 from .tables import AdmissibleDecomposition, CentrePiece, LeftCap, RightCap
 
@@ -149,32 +149,33 @@ def general_factor(ftype: CycleType) -> AdmissibleDecomposition:
 def _splice(decs: list, image) -> list:
     """The nine factors of the pieces ``decs`` spliced end to end, written
     through ``image``: id v of a piece k blocks along is ``image[v + 2k]``.
-    Each factor is given as (gathers, span) pairs, one per piece: the
-    piece's cached ``gathers`` for that factor, one per cycle, and the
-    slice of ``image`` from the piece's offset 2k to its own last id 2m+3,
-    where an audited piece's ids lie, from which they gather.  The pieces'
-    boundary patterns are not compared: the audit gives every table piece
+    Factor i is a tuple of the pieces' factor-i cycles in splice order, each
+    gathered by the piece's cached ``gathers`` from the slice of ``image``
+    at 2k up to its own last id 2m+3; an id past that raises ``ValueError``.
+    Patterns are not compared: the audit gives every table piece
     ``tables.X_PATTERN``, and the check of the result decides."""
     spans = []
     at = 0
     for d in decs:
         spans.append(image[at : at + 2 * d.m + 4])
         at += 2 * d.m
-    return [list(zip(factor, spans)) for factor in zip(*[d.gathers for d in decs])]
+    try:
+        return [
+            tuple([g(span) for gathers, span in zip(factor, spans) for g in gathers])
+            for factor in zip(*[d.gathers for d in decs])
+        ]
+    except IndexError:
+        raise ValueError("a piece names an id past its blocks") from None
 
 
 def _splice_all(decs: list) -> AdmissibleDecomposition:
-    """Admissible pieces spliced on J* ids (``_splice``, identity image),
-    unchecked: by the splice lemma the result is admissible, and
-    ``j_decompose`` checks it."""
+    """Admissible pieces spliced on J* ids (``_splice`` through the
+    identity ``range``), unchecked: by the splice lemma the result is
+    admissible, and ``j_decompose`` checks it."""
     if len(decs) == 1:
         return decs[0]
     m = sum(d.m for d in decs)
-    factors = tuple(
-        tuple(g(span) for gathers, span in parts for g in gathers)
-        for parts in _splice(decs, range(2 * m + 4))
-    )
-    return AdmissibleDecomposition(m, factors)
+    return AdmissibleDecomposition(m, tuple(_splice(decs, range(2 * m + 4))))
 
 
 def _pieces(ftype: CycleType) -> list:
@@ -267,10 +268,9 @@ def _decompose(lengths: tuple) -> list:
 def w_star_id_factors(ftype: CycleType) -> list:
     """The 9 factors of an opened-host decomposition folded onto the
     circulant blow-up host of the same order, as vertex ids: each a tuple of
-    cycles in canonical form over the ``WStar`` m numbering, which the
-    order-2m complete host shares: the pieces ``j_decompose`` splices,
-    gathered through ``hosts.fold_image`` and each factor's tuples rotated
-    as they are gathered and sorted by ``core.canonical_factors``.
+    cycles over the ``WStar`` m numbering, which the order-2m complete host
+    shares, as ``_splice`` gathers ``j_decompose``'s pieces through
+    ``hosts.fold_image``.
 
     The folded factors are returned unchecked; ``verify_id_factorization``
     against ``WStar`` m checks them: every arc in the host, arc-disjoint,
@@ -281,5 +281,5 @@ def w_star_id_factors(ftype: CycleType) -> list:
             "folding needs m >= 5: below that the opened host has more arcs "
             "than the circulant blow-up and the arc correspondence collapses"
         )
-    return list(canonical_factors(_splice(_pieces(ftype), fold_image(m))))
+    return _splice(_pieces(ftype), fold_image(m))
 

@@ -6,10 +6,10 @@ and hashable.  Everything else is vertex ids: a cycle is a sequence of
 ints, a factor a list of cycles, and a host's numbering
 (``hosts.HostDescriptor``) or a document's vertex list says which vertex an
 id names; ``relabelled`` maps factors through images of ids (tuples or
-lists), and ``canonical_factors`` puts gathered cycles in canonical form
-as they are gathered.  The text forms used everywhere (serialisation,
-CLI, tables) are ``x3`` / ``y11`` for vertices and ``(x0,x1,y2)`` for
-cycles.
+lists), and ``canonical_id_cycles`` puts the cycles of a factor in the
+canonical form the certificate writers write.  The text forms used
+everywhere (serialisation, CLI, tables) are ``x3`` / ``y11`` for vertices
+and ``(x0,x1,y2)`` for cycles.
 """
 
 from __future__ import annotations
@@ -61,63 +61,51 @@ def parse_vertex(token: str) -> Vertex:
     return Vertex(token[0], int(token[1:]))
 
 
-def canonical_factors(factors: Iterable) -> Iterator[tuple]:
-    """Factors of gathered cycles, each in canonical form.  A factor is
-    given as pairs (gathers, image): its cycles are the tuples that each
-    ``itemgetter`` of ``gathers`` takes from ``image``.  Each is rotated to
-    start at its least id as it is gathered, then the factor's cycles are
-    sorted.  Where ids number vertices in sort order (as
-    ``hosts.HostDescriptor`` does) this is the order of the vertices too.
-    A 2-cycle is rotated by one comparison, a 4-cycle by comparing its
-    unpacked ids, and a longer one by joining two of its slices at its
-    least id (the first, where it repeats)."""
-    for parts in factors:
-        out = []
-        for gathers, image in parts:
-            for g in gathers:
-                c = g(image)
-                size = len(c)
-                if size == 2:
-                    if c[1] < c[0]:
-                        c = c[::-1]
-                elif size == 4:
-                    a, b, x, y = c
-                    if b < a or x < a or y < a:  # a is not the first least id
-                        if b <= x and b <= y:
-                            c = (b, x, y, a)
-                        elif x <= y:
-                            c = (x, y, a, b)
-                        else:
-                            c = (y, a, b, x)
-                else:
-                    least = min(c)
-                    if c[0] != least:
-                        k = c.index(least)
-                        c = c[k:] + c[:k]
-                out.append(c)
-        out.sort()
-        yield tuple(out)
-
-
 def canonical_id_cycles(cycles: Iterable) -> tuple:
-    """Cycles given as sequences of ids (lists, ``bytes``, tuples of
-    ``Vertex``) in canonical form, by ``canonical_factors``: the list of
-    the cycles made tuples is the image, and cycle i is gathered from it
-    by ``itemgetter(i)``."""
-    cycles = list(map(tuple, cycles))
-    parts = [(map(itemgetter, range(len(cycles))), cycles)]
-    return next(canonical_factors([parts]))
+    """Cycles given as sequences of ids (tuples, lists, ``bytes``, tuples of
+    ``Vertex``) as tuples in canonical form: each rotated to its least id
+    (the first, where it repeats), then sorted, which is vertex order where
+    ids number vertices in sort order (``hosts.HostDescriptor``).  A
+    2-cycle is rotated by one comparison, a 4-cycle by comparing its
+    unpacked ids, a longer one by joining two slices at its least id; a
+    cycle of one id or none is left as it is."""
+    out = []
+    for c in cycles:
+        size = len(c)
+        if size == 2:
+            a, b = c
+            c = (b, a) if b < a else (a, b)
+        elif size == 4:
+            a, b, x, y = c
+            if not (b < a or x < a or y < a):  # a is the first least id
+                c = (a, b, x, y)
+            elif b <= x and b <= y:
+                c = (b, x, y, a)
+            elif x <= y:
+                c = (x, y, a, b)
+            else:
+                c = (y, a, b, x)
+        else:
+            c = tuple(c)
+            if size > 2:
+                least = min(c)
+                if c[0] != least:
+                    k = c.index(least)
+                    c = c[k:] + c[:k]
+        out.append(c)
+    out.sort()
+    return tuple(out)
 
 
 def relabelled(factors: Iterable, images: Iterable) -> Iterator[tuple]:
     """``factors`` (cycles of ids) relabelled through each image in
-    ``images`` in turn, id v to ``image[v]``, each in canonical form.
-    Each cycle is compiled once into an ``itemgetter``, which gathers its
-    image out of a tuple or list in one C-level call, and
-    ``canonical_factors`` rotates each gathered tuple as it comes; a cycle
-    needs two ids or more, or the gather returns a bare int."""
+    ``images`` in turn, id v to ``image[v]``: each factor a tuple of its
+    cycles' images, in the order and rotation of ``factors``.  Each cycle
+    is compiled once into an ``itemgetter``, which gathers its image out of
+    a tuple or list in one C-level call; a cycle needs two ids or more, or
+    the gather returns a bare int."""
     gathers = [[itemgetter(*c) for c in f] for f in factors]
-    return canonical_factors([(f, image)] for image in images for f in gathers)
+    return (tuple([g(image) for g in f]) for image in images for f in gathers)
 
 
 def id_arcs(cycles) -> tuple:

@@ -8,16 +8,16 @@ JSON schema::
 
 A certificate is one document type, ``FactorizationDocument``, on vertex
 ids: the factors are lists of cycles of ids, and ``vertices`` maps each id
-to its vertex.  The solver's ids are in canonical form (each cycle from its
-least vertex, cycles sorted), so serialisation is deterministic.  Each
-format's writer in ``FORMATS`` yields a head, one chunk per factor, then a
-tail, so a certificate is written one factor's text at a time; ``render``
-joins them.  ``json_chunks`` writes a document's ids as read (``to_json``
-joins its text), so re-serialising a parsed file reproduces it byte for
-byte.  The text, edge-list and DOT writers rank each factor's ids by vertex
-as they write it, the cycles in canonical form and the arcs sorted (a
-permutation's read off ``hosts.successor_table``), whatever order a read
-document's ids are in.
+to its vertex.  Each format's writer in ``FORMATS`` yields a head, one
+chunk per factor, then a tail, so a certificate is written one factor's
+text at a time; ``render`` joins them.  The bytes depend only on each
+factor's set of cycles: ``json_chunks`` (``to_json`` joins its text) and
+``text_chunks`` put each factor in canonical form as they write it
+(``core.canonical_id_cycles``), so re-serialising a canonical file
+reproduces it byte for byte, and the edge-list and DOT writers sort the
+arcs (a permutation's read off ``hosts.successor_table``).  Text, edges
+and DOT rank the ids by vertex first, whatever order a read document's
+ids are in.
 
 Certificates are read by one reader, ``read_certificate`` (``from_json``
 is it applied to text), and ``verify`` hands its cycles to the checker.
@@ -178,14 +178,16 @@ def json_chunks(doc: FactorizationDocument):
     ``json.dumps`` writes it: ``n``, ``host.m`` and the cycle lengths,
     ints, by ``str``, ``host.kind`` by the encoder's own string quoting and
     ``verified`` as ``true`` or ``false``.  The factors, nearly all of the
-    text, are written from their ids by ``str.join``: a cycle's quoted
-    vertices are gathered by one ``itemgetter`` call and joined, so a
-    cycle costs two C-level calls.  A cycle of fewer than 2 ids, which only
-    a hand-built document has, is read by ``map`` instead, since the gather
-    of one id returns a bare string, which ``join`` would split.  Each
-    vertex is quoted as ``json.dumps(v.text())`` quotes it; a document on
-    its host's own vertex table (every solution) takes the quoted tokens
-    kept for that host, one that names other vertices quotes its own."""
+    text, are written from their ids by ``str.join``, each in canonical
+    form on its ids (in a read document, foreign vertices after the
+    host's, whatever their vertex order): a cycle's quoted vertices are
+    gathered by one ``itemgetter`` call and joined, so a cycle costs two
+    C-level calls.  A cycle of fewer than 2 ids, which only a hand-built
+    document has, is read by ``map`` instead, since the gather of one id
+    returns a bare string, which ``join`` would split.  Each vertex is
+    quoted as ``json.dumps(v.text())`` quotes it; a document on its host's
+    own vertex table (every solution) takes the quoted tokens kept for that
+    host, one that names other vertices quotes its own."""
     s0, s1, s2, s3 = _SEP
     o1, o2, o3 = "[" + s1[1:], "[" + s2[1:], "[" + s3[1:]
     c1, c2, c3 = s0[1:] + "]", s1[1:] + "]", s2[1:] + "]"
@@ -198,7 +200,7 @@ def json_chunks(doc: FactorizationDocument):
         f'  "host": {{{s1[1:]}"kind": {kind},{s1[1:]}"m": {host.m_or_n}{s0[1:]}}},\n'
         f'  "factors": '
     )
-    if host.kind in DESCRIBED_KINDS and doc.vertices is host.vertex_table:
+    if _on_host_table(doc):
         table = _quoted_tokens(host)
     else:
         table = _quoted(doc.vertices)
@@ -207,7 +209,7 @@ def json_chunks(doc: FactorizationDocument):
     opened, closed = o2 + o3, c3 + c2  # around a factor's cycles
     gather = min(map(len, chain.from_iterable(doc.factors)), default=2) > 1
     lead = o1
-    for f in doc.factors:
+    for f in map(canonical_id_cycles, doc.factors):
         if not f:
             yield lead + "[]"
         elif gather:
@@ -391,17 +393,23 @@ def from_json(text: str) -> FactorizationDocument:
     return read_certificate(parse_json(text))
 
 
+def _on_host_table(doc: FactorizationDocument) -> bool:
+    """Whether ``doc``'s ids are its host's, in vertex order (a solution's)."""
+    return doc.host.kind in DESCRIBED_KINDS and doc.vertices is doc.host.vertex_table
+
+
 def _ranked(doc: FactorizationDocument) -> tuple:
     """The factors, each made when it is taken, with each id replaced by its
     vertex's place in the sort order of ``doc.vertices``, and the vertices'
     texts in that order.  On these ranks, id order is vertex order, also for
-    a read document whose foreign vertices got ids after the host's."""
+    a read document whose foreign vertices got ids after the host's; on its
+    host's own table each id is its rank, and nothing is sorted."""
     vertices = doc.vertices
+    if _on_host_table(doc):
+        return doc.factors, list(map(Vertex.text, vertices))
     order = sorted(range(len(vertices)), key=vertices.__getitem__)
-    factors = doc.factors  # as they are where every id is its rank
-    if order != list(range(len(order))):
-        rank = sorted(range(len(order)), key=order.__getitem__).__getitem__
-        factors = ([list(map(rank, c)) for c in f] for f in factors)
+    rank = sorted(range(len(order)), key=order.__getitem__).__getitem__
+    factors = ([list(map(rank, c)) for c in f] for f in doc.factors)
     return factors, [vertices[i].text() for i in order]
 
 

@@ -13,8 +13,8 @@ Three routes:
   of the remaining ones.
 
 Every route builds the factors as tuples of vertex ids of the complete
-host (``hosts.HostDescriptor`` numbering) in canonical form, and every
-returned factorization carries the report of one final check on those ids.
+host (``hosts.HostDescriptor`` numbering), as gathered, and every returned
+factorization carries the report of one final check on those ids.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class WHDecomposition(NamedTuple):
 class Factorization(NamedTuple):
     """A verified factorization of the order-n complete symmetric digraph.
 
-    ``id_factors`` holds the n-1 factors as tuples of cycles, each a tuple
-    of the complete host's vertex ids (``hosts.HostDescriptor`` numbering)
-    in canonical form; id i names the vertex
+    ``id_factors`` holds the n-1 factors as built and checked: tuples of
+    cycles, each a tuple of the complete host's vertex ids
+    (``hosts.HostDescriptor`` numbering) as gathered; id i names the vertex
     ``HostDescriptor("CompleteSymmetric", n).vertex_table[i]``."""
 
     n: int
@@ -355,7 +355,10 @@ def solve(n: int, ftype: CycleType) -> Union[Factorization, Nonexistent]:
         # ``relabelled`` copies the H* factors onto block cycle b by the
         # image of its ids, gathered in one C-level call per side (a block
         # cycle has m >= 7 blocks, so the gather returns a tuple)
-        factors = w_star_id_factors(ftype)
+        try:
+            factors = w_star_id_factors(ftype)
+        except ValueError as exc:  # a table piece names an id off its blocks
+            raise RuntimeError(f"W* failed verification: {exc}") from None
         parts.append(("W*", ("WStar", m), factors[:9]))
         if wh.h_block_cycles:
             hids = factorize_h_star(ftype, m).id_factors

@@ -12,6 +12,7 @@ from oberwolfach import solver, tables
 CASES = {
     "W*": "W*",
     "table-row": "W*",
+    "table-id": "W*",
     "H*": "H*",
     "solve": "solve",
     "repeated-block": "solve",
@@ -22,6 +23,9 @@ CASES = {
 # the [2^3] table with row 1 not admissible on its three blocks: y1 and
 # y4, no y3
 BENT_2_2_2 = (("(y1 x2)", "(y2 x4)", "(x3 y4)"), *tables.PIECES[(2, 2, 2)][1:])
+
+# the [6] table with row 1 naming x5, past its three blocks' last id x4
+BENT_6 = (("(y1 x2 x5 y2 x3 y3)",), *tables.PIECES[(6,)][1:])
 
 
 def patch_table(monkeypatch, key: tuple, rows: tuple) -> None:
@@ -46,7 +50,9 @@ def break_stage(monkeypatch, case: str) -> tuple:
 
     "W*" and "H*" swap two ids in the stage's first factor at (14, [14]).
     "table-row" loads the [2^3] table as ``BENT_2_2_2``, which the W*
-    build of (14, [2^3,8]) splices unchecked.  The others hand (18, [18]) a
+    build of (14, [2^3,8]) splices unchecked; "table-id" loads the [6]
+    table as ``BENT_6``, whose id past its blocks the W* build of
+    (14, [2,6,6]) cannot gather.  The others hand (18, [18]) a
     bad split of m = 9 (two block cycles), so the W* and H* factors each
     pass their own check but their union does not cover the host once: in
     "solve" the two block cycles are the same one; in "repeated-block" the
@@ -60,6 +66,9 @@ def break_stage(monkeypatch, case: str) -> tuple:
     if case == "table-row":
         patch_table(monkeypatch, (2, 2, 2), BENT_2_2_2)
         return 14, "[2^3,8]"
+    if case == "table-id":
+        patch_table(monkeypatch, (6,), BENT_6)
+        return 14, "[2,6,6]"
     if case == "H*":
         build = solver.factorize_h_star
 

@@ -6,8 +6,9 @@ object paths, every piece was copied shifted into J* ids, spliced and
 checked before the nine factors were folded onto W*, and ``_chain_walks``
 was told its position and its length's residue mod 4.  Canonical form is
 written here as it was first written, each cycle rotated by joining two
-slices at its least id (``slice_canonical``), so that it is checked
-against the package's rotate-as-gathered helper, not with it.
+slices at its least id (``slice_canonical``), so that the package's one
+canonical helper, ``core.canonical_id_cycles``, which the tests apply to
+the factors the package gathers, is checked against it, not with it.
 
 The package no longer runs this; the tests keep it as the reference that
 ``caps._decompose``, ``caps.assemble``, ``caps.w_star_id_factors`` and

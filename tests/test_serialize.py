@@ -1,12 +1,17 @@
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oberwolfach
+from oberwolfach import core, serialize
 from oberwolfach.cli import main
 from oberwolfach.core import Vertex, parse_cycle_type
 from oberwolfach.hosts import HostDescriptor
@@ -21,15 +26,28 @@ from oberwolfach.solver import solve
 from strip import factor_objects
 
 
+def _canonical_on_ids(cycles) -> list:
+    """Each cycle from its least id (the first, where it repeats), a cycle
+    of one id or none as it is, then the cycles sorted."""
+    out = []
+    for c in map(tuple, cycles):
+        k = c.index(min(c)) if c else 0
+        out.append(c[k:] + c[:k])
+    return sorted(out)
+
+
 def to_json_dict(doc):
     """The document as the JSON object ``to_json`` writes: the reference
-    ``to_json`` is checked against."""
+    ``to_json`` is checked against.  Each factor is in canonical form on its
+    ids, which for a document with foreign vertices is not vertex order."""
     text = [v.text() for v in doc.vertices]
     return {
         "n": doc.n,
         "factor_type": list(doc.ftype.lengths),
         "host": doc.host.to_json(),
-        "factors": [[[text[i] for i in c] for c in f] for f in doc.factors],
+        "factors": [
+            [[text[i] for i in c] for c in _canonical_on_ids(f)] for f in doc.factors
+        ],
         "verified": doc.verified,
     }
 
@@ -144,6 +162,43 @@ def test_to_json_of_hand_built_cycles_equals_the_encoder(doc):
     assert to_json(doc) == json.dumps(to_json_dict(doc), indent=2) + "\n"
 
 
+def test_the_other_writers_keep_one_id_and_empty_cycles():
+    """The hand-built documents above with a cycle of one id or none: text
+    writes such a cycle as it is, first in its factor where it sorts
+    first, and edges and dot write a one-id cycle's loop and nothing for an
+    empty one."""
+    header = "n=10 type=[4,6] host=CompleteSymmetric(10) verified=True\n"
+    empty = _DOCS[1]._replace(factors=[[[0, 1], [], [2, 3, 4]], [[5]], [[]]])
+    assert render(empty, "text") == (
+        header + "F1: () (x0,x1) (x2,x3,x4)\nF2: (y0)\nF3: ()\n"
+    )
+    arcs = [(1, "x0", "x1"), (1, "x1", "x0"), (1, "x2", "x3"), (1, "x3", "x4")]
+    arcs += [(1, "x4", "x2"), (2, "y0", "y0")]
+    assert render(empty, "edges") == "".join(f"{i} {a} {b}\n" for i, a, b in arcs)
+    assert render(empty, "dot") == "digraph factorization_10 {\n" + "".join(
+        f'  "{a}" -> "{b}" [factor={i}];\n' for i, a, b in arcs
+    ) + "}\n"
+    one = _DOCS[1]._replace(factors=[[[3]], *_DOCS[1].factors[1:]])
+    whole = {fmt: render(_DOCS[1], fmt).splitlines(True) for fmt in FORMATS}
+    assert render(one, "text") == "".join([header, "F1: (x3)\n", *whole["text"][2:]])
+    rest = [line for line in whole["edges"] if not line.startswith("1 ")]
+    assert render(one, "edges") == "".join(["1 x3 x3\n", *rest])
+    rest = [line for line in whole["dot"] if "[factor=1]" not in line]
+    assert render(one, "dot") == "".join(
+        [rest[0], '  "x3" -> "x3" [factor=1];\n', *rest[1:]]
+    )
+
+
+def test_json_takes_canonical_form_on_ids_and_text_on_vertices():
+    """A cycle through a host vertex (y4, id 9) and two foreign ones (x50
+    and x7, ids 10 and 11 of the n = 10 host): json starts it at its least
+    id, text at its least vertex."""
+    vertices = [*_DOCS[1].vertices, Vertex("x", 50), Vertex("x", 7)]
+    doc = _DOCS[1]._replace(factors=[[[11, 10, 9]]], vertices=vertices)
+    assert json.loads(to_json(doc))["factors"] == [[["y4", "x7", "x50"]]]
+    assert render(doc, "text").splitlines()[1] == "F1: (x7,x50,y4)"
+
+
 # SHA-256 of ``solve --format text|edges|dot`` on stdout, fixed when the
 # renderers wrote from factor objects; the id renderers must match them.
 # The text hashes were fixed again in 0.3.0, whose header line has no seed.
@@ -168,6 +223,83 @@ def test_solve_renderings_are_pinned(capsys, n, spec, fmt):
     assert main(["solve", "--n", str(n), "--factor", spec, "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[n, spec, fmt]
+
+
+def _shuffled(doc, seed: int):
+    """``doc`` with each factor's cycles shuffled and each cycle rotated."""
+    rng = random.Random(seed)
+    factors = []
+    for f in doc.factors:
+        cycles = []
+        for c in f:
+            k = rng.randrange(len(c))
+            cycles.append(c[k:] + c[:k])
+        rng.shuffle(cycles)
+        factors.append(cycles)
+    return doc._replace(factors=factors)
+
+
+def _assert_the_writers_ignore_cycle_order(doc, seed: int) -> None:
+    shuffled = _shuffled(doc, seed)
+    for fmt in FORMATS:
+        assert render(shuffled, fmt) == render(doc, fmt), fmt
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_the_writers_ignore_cycle_order(data):
+    """Shuffling a solution's cycles within each factor and rotating each
+    cycle changes no byte of any format, for a drawn even type at an order
+    up to 62."""
+    n = data.draw(st.sampled_from(range(6, 63, 4)))
+    parts, left = [], n
+    while left:
+        part = 2 * data.draw(st.integers(1, left // 2))
+        parts.append(part)
+        left -= part
+    result = solve(n, parse_cycle_type(str(parts), n))
+    if hasattr(result, "id_factors"):  # (6, [6]) has none
+        seed = data.draw(st.integers(0, 2**32))
+        _assert_the_writers_ignore_cycle_order(document_for_solution(result), seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_writers_ignore_cycle_order_on_a_wide_solution(seed):
+    """The same on ``_WIDE``, of order 258, above the byte tables' 256."""
+    _assert_the_writers_ignore_cycle_order(_WIDE, seed)
+
+
+def test_canonical_form_is_made_once_by_the_writers(monkeypatch):
+    """No route of ``solve`` makes canonical form; json and text make it
+    once per factor as they write it, edges and dot never: every package
+    module that binds ``canonical_id_cycles`` is patched to count.  A
+    solution is on its host's own vertex table, so no writer sorts its
+    vertices (``serialize`` calls no ``sorted``)."""
+    calls = []
+    real = core.canonical_id_cycles
+
+    def counting(cycles):
+        calls.append(None)
+        return real(cycles)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a writer sorted a solution's vertices or arcs")
+
+    for info in pkgutil.iter_modules(oberwolfach.__path__):
+        module = importlib.import_module(f"oberwolfach.{info.name}")
+        if hasattr(module, "canonical_id_cycles"):
+            monkeypatch.setattr(module, "canonical_id_cycles", counting)
+    monkeypatch.setattr(serialize, "sorted", no_sort, raising=False)
+    round_robin = solve(14, parse_cycle_type("[2^7]"))
+    assert calls == []
+    split = solve(22, parse_cycle_type("[2^3,4^2,8]"))  # W* and two H* copies
+    assert calls == []
+    for result in (round_robin, split):
+        doc = document_for_solution(result)
+        for fmt, per_factor in (("json", 1), ("text", 1), ("edges", 0), ("dot", 0)):
+            calls.clear()
+            render(doc, fmt)
+            assert len(calls) == per_factor * (result.n - 1), fmt
 
 
 _SOLVED_TEXTS = [to_json(doc) for doc in _DOCS]

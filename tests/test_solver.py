@@ -2,7 +2,6 @@
 import sys
 from itertools import chain
 from math import gcd
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from oberwolfach import checker, solver
 from oberwolfach.checker import Nonexistent
 from oberwolfach.core import (
     CycleType,
-    canonical_factors,
     canonical_id_cycles,
     parse_cycle_type,
     relabelled,
@@ -272,10 +270,8 @@ def test_solve_refuses_orders_below_2(n):
 
 def _per_id_relabel(hids, image):
     """The reference for ``core.relabelled``: each H* cycle mapped
-    through ``image`` one id at a time, then put in canonical form."""
-    return [
-        canonical_id_cycles([list(map(image.__getitem__, c)) for c in f]) for f in hids
-    ]
+    through ``image`` one id at a time, then the factor in canonical form."""
+    return [slice_canonical([list(map(image.__getitem__, c)) for c in f]) for f in hids]
 
 
 @st.composite
@@ -303,7 +299,8 @@ def test_gather_relabel_matches_the_per_id_reference(data):
         st.lists(st.permutations(range(2 * m)).map(tuple), min_size=1, max_size=3)
     )
     got = list(relabelled(hids, images))
-    assert got == [f for image in images for f in _per_id_relabel(hids, image)]
+    want = [f for image in images for f in _per_id_relabel(hids, image)]
+    assert [canonical_id_cycles(f) for f in got] == want
     assert all(type(c) is tuple for f in got for c in f)
 
 
@@ -330,15 +327,18 @@ def _gathered(cycles, image) -> list:
     factors=st.lists(st.lists(_CYCLE, max_size=8), min_size=1, max_size=4),
     images=st.lists(_IMAGE, min_size=1, max_size=3),
 )
-def test_relabel_rotates_as_the_slice_reference(factors, images):
-    """Each gathered tuple rotated as it comes (a 2-cycle by a comparison,
-    a 4-cycle unpacked, a longer one by slices) and the cycles sorted is
-    ``slice_canonical`` of the plain gather, repeated least ids included,
-    and ``canonical_id_cycles`` of it."""
+def test_relabel_gathers_and_the_helper_rotates_as_the_slice_reference(
+    factors, images
+):
+    """``relabelled`` returns the plain gather, each cycle a tuple in its
+    factor's order and rotation; ``canonical_id_cycles`` of it (a 2-cycle
+    rotated by a comparison, a 4-cycle unpacked, a longer one by slices,
+    the cycles sorted) is ``slice_canonical`` of it, repeated least ids
+    included."""
     got = list(relabelled(factors, images))
     plain = [_gathered(f, image) for image in images for f in factors]
-    assert got == [slice_canonical(f) for f in plain]
-    assert got == [canonical_id_cycles(f) for f in plain]
+    assert got == [tuple(map(tuple, f)) for f in plain]
+    assert [canonical_id_cycles(f) for f in got] == [slice_canonical(f) for f in plain]
 
 
 @pytest.mark.parametrize(
@@ -352,35 +352,23 @@ def test_relabel_rotates_as_the_slice_reference(factors, images):
         ((2, 2, 1, 1), (1, 1, 2, 2)),
         ((6, 5, 4, 3, 2, 1), (1, 6, 5, 4, 3, 2)),
         ((*range(300, 1, -1), 1), (1, *range(300, 1, -1))),
+        ((7,), (7,)),
+        ((), ()),
     ],
     ids=[
-        "2-up", "2-down", "4-last", "4-second", "4-third", "4-ties", "6-last", "300-last"
+        "2-up", "2-down", "4-last", "4-second", "4-third", "4-ties", "6-last",
+        "300-last", "one-id", "empty",
     ],
 )
 def test_each_cycle_is_rotated_to_its_first_least_id(cycle, rotated):
     """The least id first, its first occurrence where it repeats, whether
-    it comes first, second, third or last."""
-    parts = [([itemgetter(*cycle)], range(301))]  # the identity image
-    assert next(canonical_factors([parts])) == (rotated,)
-    assert canonical_id_cycles([list(cycle)]) == (rotated,)
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(
-    pieces=st.lists(
-        st.tuples(st.lists(_CYCLE, min_size=1, max_size=6), _IMAGE),
-        min_size=1,
-        max_size=5,
-    )
-)
-def test_a_factor_gathered_from_several_images_is_canonical(pieces):
-    """A W* factor is gathered piece by piece, each piece's cycles from its
-    own slice of the fold: rotated and sorted together, its cycles are
-    ``slice_canonical`` of all the plain gathers."""
-    parts = [([itemgetter(*c) for c in cycles], image) for cycles, image in pieces]
-    (got,) = canonical_factors([parts])
-    plain = [v for cycles, image in pieces for v in _gathered(cycles, image)]
-    assert got == slice_canonical(plain)
+    it comes first, second, third or last; a cycle of one id or none is
+    left as it is.  Tuples, lists and ``bytes`` give the same tuple."""
+    forms = [cycle, list(cycle)]
+    if all(v < 256 for v in cycle):
+        forms.append(bytes(cycle))
+    for c in forms:
+        assert canonical_id_cycles([c]) == (rotated,)
 
 
 def test_pair_jumps_validity():
@@ -441,11 +429,13 @@ def _circle_method(n):
 
 def test_round_robin_turns_factor_0_as_the_circle_method_writes_each(monkeypatch):
     """Factor 0 relabelled through the wheel's turns is, factor for factor,
-    the circle method's factor r, for every even n up to 398.  The final
-    check is skipped here (the round robin tests above run it)."""
+    the circle method's factor r in canonical form, for every even n up to
+    398.  The final check is skipped here (the round robin tests above run
+    it)."""
     monkeypatch.setattr(solver, "_verified", lambda host, factors, ftype, route: factors)
     for n in range(2, 399, 2):
-        assert round_robin_two_cycles(n) == _circle_method(n), n
+        got = [canonical_id_cycles(f) for f in round_robin_two_cycles(n)]
+        assert got == _circle_method(n), n
 
 
 def test_small_order_nonexistent():

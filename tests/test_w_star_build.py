@@ -269,7 +269,9 @@ def _per_id_fold(factors, m):
     """The reference fold: each J* id v mapped to (v >> 1) % m + (v & 1) * m
     one id at a time, each factor then put in canonical form."""
     return [
-        canonical_id_cycles([[(v >> 1) % m + (v & 1) * m for v in c] for c in f])
+        construction_reference.slice_canonical(
+            [[(v >> 1) % m + (v & 1) * m for v in c] for c in f]
+        )
         for f in factors
     ]
 
@@ -291,7 +293,8 @@ def test_fold_through_relabelled_matches_the_per_id_reference():
     decs += [caps.j_decompose(_seeded_type(2 * m, m)) for m in range(5, 42)]
     for dec in decs:
         got = list(relabelled(dec.id_factors, [fold_image(dec.m)]))
-        assert got == _per_id_fold(dec.id_factors, dec.m), dec.m
+        want = _per_id_fold(dec.id_factors, dec.m)
+        assert [canonical_id_cycles(f) for f in got] == want, dec.m
 
 
 def _real_factors():
@@ -575,9 +578,10 @@ def test_w_star_build_is_linear(monkeypatch, spec, n):
 
 def test_w_star_factors_match_the_shift_and_fold_route():
     """Gathering each piece through the fold at its splice offset gives the
-    nine W* factors, factor for factor, that shifting every piece into J*
-    ids, splicing and then folding gave: every even type but the all-2s
-    ones at n = 10, 14, ..., 38, and ten seeded types up to n = 1002."""
+    nine W* factors, factor for factor and in canonical form, that shifting
+    every piece into J* ids, splicing and then folding gave: every even
+    type but the all-2s ones at n = 10, 14, ..., 38, and ten seeded types
+    up to n = 1002."""
     types = [
         CycleType(key)
         for n in range(10, 39, 4)
@@ -588,7 +592,56 @@ def test_w_star_factors_match_the_shift_and_fold_route():
     types += [_seeded_type(n, n) for n in range(102, 1003, 100)]
     for ftype in types:
         want = construction_reference.w_star_id_factors(ftype)
-        assert w_star_id_factors(ftype) == want, ftype
+        got = [canonical_id_cycles(f) for f in w_star_id_factors(ftype)]
+        assert got == want, ftype
+
+
+@st.composite
+def _pieces_and_image(draw):
+    """Pieces of 1..6 blocks, each nine factors of cycles of 2..6 ids among
+    its own 0..2m+3, and an image with an entry for every id of their
+    splice; sometimes one id is moved 1..20 past its piece's blocks."""
+    decs = []
+    for m in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
+        cycle = st.lists(st.integers(0, 2 * m + 3), min_size=2, max_size=6)
+        factors = draw(
+            st.lists(st.lists(cycle, min_size=1, max_size=3), min_size=9, max_size=9)
+        )
+        decs.append(AdmissibleDecomposition(m, factors))
+    total = sum(d.m for d in decs)
+    image = draw(st.lists(st.integers(0, 99), min_size=2 * total + 4).map(tuple))
+    past = None
+    if draw(st.booleans()):
+        past = draw(st.integers(0, len(decs) - 1))
+        dec = decs[past]
+        factors = [list(map(list, f)) for f in dec.id_factors]
+        f = draw(st.integers(0, 8))
+        factors[f][0][0] = 2 * dec.m + 3 + draw(st.integers(1, 20))
+        decs[past] = AdmissibleDecomposition(dec.m, factors)
+    return decs, image, past
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_pieces_and_image())
+def test_splice_gathers_each_piece_at_its_offset(case):
+    """``_splice`` returns factor i as the cycles of factor i of each piece
+    in splice order, each in its own rotation, id v of a piece k blocks
+    along mapped to ``image[v + 2k]``, whatever the image holds; an id past
+    its piece's last id 2m+3 raises ``ValueError``, even where the image has
+    an entry for it."""
+    decs, image, past = case
+    if past is not None:
+        with pytest.raises(ValueError, match="^a piece names an id past its blocks$"):
+            caps._splice(decs, image)
+        return
+    want = []
+    for i in range(9):
+        cycles, at = [], 0
+        for d in decs:
+            cycles += [tuple(image[v + at] for v in c) for c in d.id_factors[i]]
+            at += 2 * d.m
+        want.append(tuple(cycles))
+    assert caps._splice(decs, image) == want
 
 
 @pytest.mark.parametrize(
@@ -658,13 +711,14 @@ def test_every_piece_lies_in_the_fold_domain():
 )
 def test_w_star_factors_are_interned(spec):
     """The W* factors are ids of the numbering the complete host of the
-    same order shares, each vertex once, in canonical form: the library
-    edge builds them on that host's interned vertices."""
+    same order shares, each vertex once, each factor a tuple of tuples as
+    gathered: the library edge builds them on that host's interned
+    vertices."""
     ftype = parse_cycle_type(spec)
     table = HostDescriptor("CompleteSymmetric", ftype.order).vertex_table
     for f in w_star_id_factors(ftype):
         assert sorted(v for c in f for v in c) == list(range(len(table)))
-        assert f == canonical_id_cycles(f)
+        assert type(f) is tuple and all(type(c) is tuple for c in f)
 
 
 def test_general_factor_is_memoised_per_type():
