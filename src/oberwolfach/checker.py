@@ -73,8 +73,17 @@ counting.
 
 The checker imports only ``core`` and ``hosts``, the numberings and rules
 it judges by, and none of the modules that build what it judges; the
-pieces and decompositions it is handed are read through their fields and
-methods (``id_factors``, ``patterns``, ``internal_patterns``).
+pieces and decompositions it is handed are read through their data fields
+only (``ell``, ``paths``, ``r``, ``side_lengths``, ``elements``, ``c``,
+``pairs``, ``m``, ``id_factors``).  The patterns it compares are computed
+here from their ids, as sets of boundary ids (``hosts.BOUNDARY``: x0 = 0,
+y0 = 1, x1 = 2, y1 = 3).  A factor's or left-cap path's boundary pattern is
+the boundary ids it meets.  A piece's seam pattern, where its paths cross
+the seam with the next piece, has a (first, second, absent) entry per path:
+a left-cap path's ends and the seam ids inside it, moved back by ``ell``
+blocks; a right-cap path's terminal and source and the boundary ids its
+element leaves out; a centre pair's U terminal, Q source and the boundary
+ids the pair leaves out.
 
 ``brute_force_factorization`` is an exhaustive backtracking search over
 the complete host of a tiny order, on its vertex ids, used to confirm
@@ -84,7 +93,7 @@ nonexistence claims and to cross-check the solver at order 6.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .core import CycleType, canonical_id_cycles, cycle_type_text, id_arcs
@@ -239,13 +248,13 @@ def _column_counts(host: HostDescriptor, factors: Iterable, want: list) -> tuple
 def verify_admissible_decomposition(
     m: int, dec, ftype: CycleType, expected_patterns: Optional[tuple] = None
 ) -> VerificationReport:
-    """Check that ``dec`` (a ``tables.AdmissibleDecomposition``: ``m``,
-    ``id_factors`` and ``patterns()``) has nine factors, cycles of J* ids,
-    admissible on ``m`` blocks, that partition the arcs of the opened host:
-    the distinct arcs, less those outside it (``hosts._outside``), must
-    number its 18m arcs.  Each factor must be of type ``ftype``, and, when
-    ``expected_patterns`` is given, factor i must meet the boundary ids of
-    its entry i."""
+    """Check that ``dec`` (a ``tables.AdmissibleDecomposition``, read
+    through its fields ``m`` and ``id_factors``) has nine factors, cycles
+    of J* ids, admissible on ``m`` blocks, that partition the arcs of the
+    opened host: the distinct arcs, less those outside it
+    (``hosts._outside``), must number its 18m arcs.  Each factor must be of
+    type ``ftype``, and, when ``expected_patterns`` is given, the boundary
+    ids factor i meets, taken here from its cycles, must be its entry i."""
     report = VerificationReport()
     factors = dec.id_factors
     report.add("nine_factors", len(factors) == 9, f"{len(factors)} factors")
@@ -258,11 +267,10 @@ def verify_admissible_decomposition(
     types_ok = all(sorted(map(len, f)) == want for f in factors)
     report.add("cycle_type", types_ok, f"expected {ftype.text()}")
     if expected_patterns is not None:
-        got = dec.patterns()
         diff = [
             i
-            for i, (a, b) in enumerate(zip(got, tuple(expected_patterns)))
-            if a != b
+            for i, (f, want) in enumerate(zip(factors, expected_patterns))
+            if BOUNDARY.intersection(chain.from_iterable(f)) != want
         ]
         report.add("pattern", not diff, f"pattern mismatch at entries {diff}")
     return report
@@ -288,20 +296,31 @@ def _is_opened_host(arcs: list, m: int, plus: set, minus: set) -> bool:
 
 def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
     """Check every defining clause of the cap (and centre piece) tables:
-    ``tables.LeftCap``, ``RightCap`` and ``CentrePiece`` pieces, whose paths
-    and cycles are tuples of J* ids (vertex (s, j) is 2j + s)."""
+    ``tables.LeftCap``, ``RightCap`` and ``CentrePiece`` pieces, read
+    through their data fields, whose paths and cycles are tuples of J* ids
+    (vertex (s, j) is 2j + s).  The left cap's boundary patterns and the
+    three pieces' seam patterns (the module docstring defines both) are
+    computed here from those ids: the right cap's outer blocks must
+    complement the left boundary pattern, and the right and centre seam
+    patterns must equal the left cap's."""
     report = VerificationReport()
     x0y0 = {(0, 1)}
 
     # Left cap clauses.
     ell = left.ell
     seam = range(2 * ell, 2 * ell + 4)
+    back = -2 * ell  # moves the seam blocks back onto the boundary
     larcs: list = []
+    left_patterns = []
+    seams = []
     ok = True
     for p in left.paths:
         larcs += zip(p, p[1:])
         if not (p[0] in seam and p[-1] in seam):
             ok = False
+        left_patterns.append(BOUNDARY.intersection(p))
+        inside = frozenset(v + back for v in p[1:-1] if v in seam)
+        seams.append((p[0] + back, p[-1] + back, inside))
     report.add("left_endpoints", ok, "sources/terminals in the seam blocks")
     middles = set(range(4, 2 * ell))  # both sides of blocks 2..ell-1
     report.add("left_middles", all(middles <= set(p) for p in left.paths))
@@ -319,7 +338,7 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
     boundary_ok = True
     ends_ok = True
     middles_ok = True
-    left_patterns = left.patterns()
+    right_seams = []
     for idx, (path, cycles) in enumerate(right.elements):
         rarcs += zip(path, path[1:])
         rarcs += zip(*id_arcs(cycles))
@@ -338,6 +357,7 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
             ends_ok = False
         if not middles <= seen:
             middles_ok = False
+        right_seams.append((path[-1], path[0], BOUNDARY - seen))
     report.add("right_shapes", shapes_ok, "one path plus the declared side cycles")
     report.add("right_boundary", boundary_ok, "outer blocks complement the pattern")
     report.add("right_endpoints", ends_ok)
@@ -349,12 +369,7 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
     )
 
     # Matching seam patterns and the constant joined length.
-    seams = left.internal_patterns()
-    report.add(
-        "patterns_match",
-        seams == right.internal_patterns(),
-        "left/right seam patterns",
-    )
+    report.add("patterns_match", seams == right_seams, "left/right seam patterns")
     m0s = {len(p) + len(e[0]) - 2 for p, e in zip(left.paths, right.elements)}
     report.add("m0_constant", len(m0s) == 1, f"m0 values {sorted(m0s)}")
 
@@ -366,6 +381,7 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
         ends_ok = True
         one_of_ok = True
         middles_ok = True
+        centre_seams = []
         for q, u in centre.pairs:
             carcs += zip(q, q[1:])
             carcs += zip(u, u[1:])
@@ -380,6 +396,7 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
             if u[0] - 2 * c not in BOUNDARY or u[-1] != u[0] - 2 * c:
                 ends_ok = False
             present = set(q) | set(u)
+            centre_seams.append((u[-1], q[0], BOUNDARY - present))
             for w in BOUNDARY - {q[0], u[-1]}:
                 if (w in present) == (w + 2 * c in present):
                     one_of_ok = False
@@ -397,9 +414,7 @@ def verify_cap_complementarity(left, right, centre=None) -> VerificationReport:
             f"{len(carcs)} arcs vs {18 * c} expected",
         )
         report.add(
-            "centre_patterns_match",
-            centre.internal_patterns() == seams,
-            "centre seam patterns",
+            "centre_patterns_match", centre_seams == seams, "centre seam patterns"
         )
     return report
 

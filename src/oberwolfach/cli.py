@@ -31,7 +31,7 @@ from .checker import (
     verify_id_factorization,
 )
 from .core import CycleType, clip, parse_cycle_type
-from .hosts import DESCRIBED_KINDS, strip_id, strip_vertex
+from .hosts import BOUNDARY, DESCRIBED_KINDS, strip_id, strip_vertex
 from .solver import check_order, solve
 
 EXIT_OK = 0
@@ -219,7 +219,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         return EXIT_OK
     left = tables.left_cap()
     centre = tables.centre_piece()
-    pattern_ok = left.patterns() == tables.X_PATTERN
+    pattern_ok = tuple(BOUNDARY.intersection(p) for p in left.paths) == tables.X_PATTERN
     print(f"left cap pattern: {'ok' if pattern_ok else 'FAIL'}")
     rows = [
         (

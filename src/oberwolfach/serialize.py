@@ -156,7 +156,7 @@ def document_for_solution(solution) -> FactorizationDocument:
 _SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=4)  # as many tables as ``hosts._vertex_numbering`` keeps
 def _quoted_tokens(host: HostDescriptor) -> list:
     """``_quoted`` of ``host``'s vertex table."""
     return _quoted(host.vertex_table)

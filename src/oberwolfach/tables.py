@@ -18,24 +18,21 @@ s -> 2b + s), so every piece below holds tuples of ids: ``LeftCap.paths``,
 ``RightCap.elements``, ``CentrePiece.pairs`` and
 ``AdmissibleDecomposition.id_factors``.  A path or cycle that repeats a
 vertex is refused when it is parsed.  The loaders are cached, so each
-table is read once per process.  The pieces are named tuples.
-
-Patterns are frozensets of boundary ids (``hosts.BOUNDARY``: x0 = 0,
-y0 = 1, x1 = 2, y1 = 3).  ``AdmissibleDecomposition.patterns`` and
-``LeftCap.patterns`` give the boundary ids each factor or path meets; the
-seam pattern of a cap or centre piece (``internal_patterns``) says where
-its paths cross the seam with the next piece.
+table is read once per process.  The pieces are named tuples of data; the
+one thing they compute is ``AdmissibleDecomposition.gathers``, the splice's
+cached ``itemgetter``s.  The boundary and seam patterns the audit compares
+are computed by the checker from these fields, not here, so the audit
+shares no code with the tables it judges.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from .core import parse_vertex
-from .hosts import BOUNDARY, strip_id
+from .hosts import strip_id
 
 
 @lru_cache(maxsize=None)
@@ -84,39 +81,12 @@ X_PATTERN = tuple(
 )
 
 
-class InternalPatternEntry(NamedTuple):
-    """Normalised (source-end, terminal-end, absent-set) seam description,
-    in boundary ids."""
-
-    first: int
-    second: int
-    absent: frozenset
-
-
 class LeftCap(NamedTuple):
     """Nine arc-disjoint paths whose union is the width-``ell`` opened host
     minus the arc x_ell -> y_ell; path endpoints sit in blocks ell, ell+1."""
 
     ell: int
     paths: tuple  # 9 id paths
-
-    def patterns(self) -> tuple:
-        """The boundary ids each path meets."""
-        return tuple(BOUNDARY.intersection(p) for p in self.paths)
-
-    def internal_patterns(self) -> tuple:
-        """Path i's ends and the seam ids it passes through, moved back by
-        ``ell`` blocks onto the boundary."""
-        seam = set(range(2 * self.ell, 2 * self.ell + 4))
-        back = -2 * self.ell
-        return tuple(
-            InternalPatternEntry(
-                p[0] + back,
-                p[-1] + back,
-                frozenset(v + back for v in seam.intersection(p[1:-1])),
-            )
-            for p in self.paths
-        )
 
 
 class RightCap(NamedTuple):
@@ -127,14 +97,6 @@ class RightCap(NamedTuple):
     side_lengths: tuple  # lengths of the side cycles
     elements: tuple  # 9 of (id path, tuple of id cycles)
 
-    def internal_patterns(self) -> tuple:
-        """Each path's terminal and source, and the boundary ids the element
-        leaves out."""
-        return tuple(
-            InternalPatternEntry(p[-1], p[0], BOUNDARY.difference(p, *cycles))
-            for p, cycles in self.elements
-        )
-
 
 class CentrePiece(NamedTuple):
     """Nine pairs of vertex-disjoint paths bridging ``c`` blocks; the union
@@ -142,14 +104,6 @@ class CentrePiece(NamedTuple):
 
     c: int
     pairs: tuple  # 9 of (Q, U), id paths
-
-    def internal_patterns(self) -> tuple:
-        """Each U's terminal, Q's source, and the boundary ids the pair
-        leaves out."""
-        return tuple(
-            InternalPatternEntry(u[-1], q[0], BOUNDARY.difference(q, u))
-            for q, u in self.pairs
-        )
 
 
 class _Decomposition(NamedTuple):
@@ -160,16 +114,6 @@ class _Decomposition(NamedTuple):
 class AdmissibleDecomposition(_Decomposition):
     """Nine admissible factors partitioning the arcs of the opened host on
     ``m`` blocks, each a tuple of cycles of J* ids."""
-
-    def patterns(self) -> tuple:
-        """The boundary ids each factor meets."""
-        return self._patterns
-
-    @cached_property
-    def _patterns(self) -> tuple:
-        # table pieces are shared and spliced again and again, so the
-        # patterns of a decomposition are computed once
-        return tuple(BOUNDARY.intersection(chain(*f)) for f in self.id_factors)
 
     @cached_property
     def gathers(self) -> tuple:

@@ -9,6 +9,10 @@ certificate reader must match.  ``ids`` and ``strip_ids`` write such
 examples as the J* ids the package works on; ``factor_objects`` and
 ``verify_objects`` go between the objects and a host's ids, and
 ``blow_up_outside`` asks a blow-up's out-neighbour rows about id pairs.
+``factor_patterns`` and the three ``*_seam_pattern`` functions restate the
+boundary and seam patterns of the paper's cap figures on vertex objects,
+apart from the checker's id arithmetic, so the tests pin the tables and
+the splice against the stated patterns independently of it.
 """
 
 import re
@@ -291,3 +295,55 @@ def blow_up_outside(kind: str, pairs, m: int) -> list:
     return [
         (a, b) for a, b in pairs if not (0 <= a < n and 0 <= b < n and b in rows[a])
     ]
+
+
+# the boundary: both sides of blocks 0 and 1
+BOUNDARY_VERTICES = frozenset(Vertex(s, i) for s in "xy" for i in (0, 1))
+
+
+def vertex_set(text: str) -> frozenset:
+    """``"x0 y1"`` as a set of vertices."""
+    return frozenset(_tokens(text, "{", "}"))
+
+
+def factor_patterns(dec) -> tuple:
+    """The boundary vertices each factor of a decomposition meets."""
+    return tuple(BOUNDARY_VERTICES & f.vertices() for f in strip_factors(dec))
+
+
+def _path(id_path) -> DirectedPath:
+    return DirectedPath(map(strip_vertex, id_path))
+
+
+def left_seam_pattern(cap) -> tuple:
+    """Per path of a left cap of width ell: its source, its terminal and
+    the vertices of blocks ell and ell + 1 strictly inside it, all shifted
+    back by ell blocks onto the boundary."""
+    entries = []
+    for p in map(_path, cap.paths):
+        inside = (v for v in p.vertices[1:-1] if v.index - cap.ell in (0, 1))
+        back = shift(p.source, -cap.ell), shift(p.terminal, -cap.ell)
+        entries.append((*back, frozenset(shift(v, -cap.ell) for v in inside)))
+    return tuple(entries)
+
+
+def right_seam_pattern(cap) -> tuple:
+    """Per element of a right cap: its path's terminal and source, and the
+    boundary vertices neither the path nor its side cycles meet."""
+    entries = []
+    for p, cycles in cap.elements:
+        path = _path(p)
+        met = set(path.vertices).union(*(map(strip_vertex, c) for c in cycles))
+        entries.append((path.terminal, path.source, BOUNDARY_VERTICES - met))
+    return tuple(entries)
+
+
+def centre_seam_pattern(piece) -> tuple:
+    """Per pair (Q, U) of a centre piece: U's terminal, Q's source, and the
+    boundary vertices neither path meets."""
+    entries = []
+    for q, u in piece.pairs:
+        q, u = _path(q), _path(u)
+        met = set(q.vertices) | set(u.vertices)
+        entries.append((u.terminal, q.source, BOUNDARY_VERTICES - met))
+    return tuple(entries)

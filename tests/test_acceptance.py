@@ -35,12 +35,14 @@ from strip import (
     cycle_from_text,
     cycle_type_of,
     factor_objects,
+    factor_patterns,
     ids,
     path_from_text,
     shift,
     strip_factors,
     two_regular_from_arcs,
     verify_objects,
+    vertex_set,
 )
 
 
@@ -180,7 +182,7 @@ def test_criterion_5_micro_examples():
     spliced = _splice_all([a, b])
     assert cycle_type_of(strip_factors(spliced)[0]).lengths == (2, 6, 6)
     assert admissible_ids(spliced.id_factors[0], 7)
-    assert spliced.patterns()[0] == frozenset(ids("x0 x1 y1"))
+    assert factor_patterns(spliced)[0] == vertex_set("x0 x1 y1")
     # the length-10 joined cycle
     left = path_from_text("<y2,x0,y1,x1,x3>")
     right = path_from_text("<x1,y2,y3,y1,x0,x2,y0>")

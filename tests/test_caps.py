@@ -1,4 +1,5 @@
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from oberwolfach.checker import (
     verify_cap_complementarity,
     verify_id_factorization,
 )
-from oberwolfach.core import CycleType, parse_cycle_type
+from oberwolfach.core import CycleType, parse_cycle_type, parse_vertex
 from oberwolfach.hosts import BOUNDARY, HostDescriptor, admissible_ids, strip_id
 from oberwolfach.tables import (
     AdmissibleDecomposition,
@@ -29,16 +30,19 @@ from oberwolfach.tables import (
 )
 from strip import (
     TwoRegularDigraph,
+    centre_seam_pattern,
     concat,
     cycle_from_text,
     cycle_type_of,
+    factor_patterns,
     ids,
+    left_seam_pattern,
     path_from_text,
+    right_seam_pattern,
     shift,
     strip_factors,
+    vertex_set,
 )
-
-X0, Y0, X1, Y1 = sorted(BOUNDARY)
 
 # the two compatible pieces shown saturating the same boundary vertices, as
 # cycles of J* ids
@@ -48,12 +52,12 @@ PIECE_6 = (ids("(x0,x2,y3,x1,y2,y1)"),)
 
 def test_external_pattern_examples():
     def pattern(factor):
-        return AdmissibleDecomposition(1, (factor,)).patterns()[0]
+        return factor_patterns(AdmissibleDecomposition(1, (factor,)))[0]
 
-    assert pattern(PIECE_2_6) == {X0, X1, Y1}
-    assert pattern(PIECE_6) == {X0, X1, Y1}
+    assert pattern(PIECE_2_6) == vertex_set("x0 x1 y1")
+    assert pattern(PIECE_6) == vertex_set("x0 x1 y1")
     assert pattern((ids("(x2,y3)"),)) == frozenset()
-    assert tables.X_PATTERN[3] == {X0, X1, Y0, Y1} == BOUNDARY
+    assert tables.X_PATTERN[3] == BOUNDARY
 
 
 def test_is_admissible():
@@ -72,7 +76,7 @@ def test_splice_worked_example():
     spliced = _splice_all([a, b])
     assert spliced.m == 7
     assert admissible_ids(spliced.id_factors[0], 7)
-    assert spliced.patterns()[0] == {X0, X1, Y1}
+    assert factor_patterns(spliced)[0] == vertex_set("x0 x1 y1")
     factor = strip_factors(spliced)[0]
     assert cycle_type_of(factor).lengths == (2, 6, 6)
     assert cycle_from_text("(x4,x6,y7,x5,y6,y5)") in factor.cycles
@@ -115,10 +119,10 @@ def test_splice_rejects_incompatible(monkeypatch):
 def test_internal_pattern_worked_example():
     # the length-4/length-6 cap pair from the running example
     left = LeftCap(2, (ids("<y2,x0,y1,x1,x3>"),) * 9)
-    entry = left.internal_patterns()[0]
-    assert entry == (Y0, X1, frozenset())
+    entry = left_seam_pattern(left)[0]
+    assert entry == (parse_vertex("y0"), parse_vertex("x1"), frozenset())
     right = RightCap(3, (), ((ids("<x1,y2,y3,y1,x0,x2,y0>"), ()),) * 9)
-    assert right.internal_patterns()[0] == entry
+    assert right_seam_pattern(right)[0] == entry
 
 
 def test_worked_example_ten_cycle():
@@ -144,7 +148,7 @@ def test_concat_centre():
     assert doubled.c == 8
     assert all(len(q) + len(u) - 2 == 16 for q, u in doubled.pairs)
     tripled = _chained(centre, 3)
-    assert tripled.internal_patterns() == centre.internal_patterns()
+    assert centre_seam_pattern(tripled) == centre_seam_pattern(centre)
 
 
 def test_concat_centre_k3_satisfies_all_conditions():
@@ -201,6 +205,50 @@ def test_j_decompose_refuses_caps_that_fail_the_audit(monkeypatch, clause, i, ro
     for spec in ("[8]", "[16]"):
         with pytest.raises(ValueError, match=r"J\* failed verification: .*'admissible'"):
             j_decompose(parse_cycle_type(spec))
+
+
+def _data_only(piece):
+    """A copy of a table piece that holds its data fields and nothing else."""
+    return SimpleNamespace(**piece._asdict())
+
+
+def test_the_audit_reads_the_pieces_data_only():
+    """The cap and decomposition audits compute every pattern they compare
+    from the pieces' data fields: plain copies of the pieces, with no
+    method, get the same reports (so the same failure lists) as the pieces,
+    on the tables and on right caps that fail the audit."""
+    left, centre = tables.left_cap(), tables.centre_piece()
+    tabled = [tables.right_cap(*key) for key in sorted(tables.RIGHT_CAPS)]
+    cap = tables.right_cap("L", 4)
+    first, second, *rest = cap.elements
+    swapped = cap._replace(elements=(second, first, *rest))
+    corrupted = [
+        swapped,
+        _right_cap_with_row(3, ("x1 y1",)),
+        _right_cap_with_row(8, ("y0 y1",)),
+    ]
+    for right in tabled + corrupted:
+        real = verify_cap_complementarity(left, right, centre)
+        assert real.passed == (right in tabled)
+        data = verify_cap_complementarity(*map(_data_only, (left, right, centre)))
+        assert data == real
+    failed = verify_cap_complementarity(left, swapped, centre).failures()
+    assert [name for name, _ in failed] == [
+        "right_boundary",
+        "patterns_match",
+        "m0_constant",
+    ]
+    decs = [(key, tables.small_decomposition(key)) for key in tables.small_types()]
+    decs.append(((4, 8), tables.figure_4_8_decomposition()))
+    decs.append(((2, 4, 4), tables.supplemental_2_4_4()))
+    rotated = tables.X_PATTERN[1:] + tables.X_PATTERN[:1]
+    for key, dec in decs:
+        ftype = CycleType(key)
+        for want in (tables.X_PATTERN, rotated):
+            real = verify_admissible_decomposition(dec.m, dec, ftype, want)
+            assert real.passed == (want is tables.X_PATTERN)
+            data = verify_admissible_decomposition(dec.m, _data_only(dec), ftype, want)
+            assert data == real
 
 
 def test_general_factor_examples():

@@ -123,6 +123,15 @@ def test_tables_check_output_is_pinned():
     )
 
 
+def test_tables_dump_output_is_pinned():
+    """The external-audit export of every embedded table, byte for byte."""
+    proc = run_cli("tables", "--dump")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "59c95b1042a448aa4dbf0226efe60a8c789a61c9c203d95272e43626edc40754"
+    )
+
+
 def test_a_failing_supplemental_row_prints_its_checks(capsys, monkeypatch):
     from oberwolfach import cli, tables
 

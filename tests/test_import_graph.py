@@ -100,6 +100,18 @@ def test_the_table_loaders_import_nothing_from_the_checker():
     assert "checker" not in loaders
 
 
+def test_the_tables_import_only_strip_id_from_hosts():
+    """The tables are data: the checker computes the patterns its audit
+    compares, so ``tables`` takes no boundary or rule from ``hosts``."""
+    taken = {
+        alias.name
+        for node, names in _package_imports(_tree("tables"))
+        if "hosts" in names
+        for alias in node.names
+    }
+    assert taken == {"strip_id"}
+
+
 @pytest.mark.parametrize(
     "spec", ["[8]", "[2,4^2]", "[2^3,4]", "[2,4,6,8,10]", "[26,4]"]
 )

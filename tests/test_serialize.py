@@ -418,3 +418,19 @@ def test_a_document_with_no_arcs_renders_as_before(factors, text):
     assert render(doc, "text") == header + text
     assert render(doc, "edges") == "\n"
     assert render(doc, "dot") == "digraph factorization_6 {\n}\n"
+
+
+def test_the_quoted_vertex_tables_of_four_hosts_are_kept():
+    """``to_json`` keeps the quoted vertex tables of as many hosts as
+    ``hosts._vertex_numbering`` keeps vertex tables, four: solutions at
+    four orders written twice in turn quote each table once."""
+    docs = [
+        document_for_solution(solve(n, parse_cycle_type(f"[{n}]")))
+        for n in (10, 14, 18, 22)
+    ]
+    serialize._quoted_tokens.cache_clear()
+    for _ in range(2):
+        for doc in docs:
+            to_json(doc)
+    info = serialize._quoted_tokens.cache_info()
+    assert (info.hits, info.misses) == (4, 4)

@@ -8,13 +8,21 @@ from oberwolfach.checker import (
     verify_admissible_decomposition,
     verify_cap_complementarity,
 )
-from oberwolfach.core import CycleType
-from strip import ids, strip_factors
+from oberwolfach.core import CycleType, parse_vertex
+from oberwolfach.hosts import strip_vertex
+from strip import (
+    BOUNDARY_VERTICES,
+    centre_seam_pattern,
+    left_seam_pattern,
+    right_seam_pattern,
+    strip_factors,
+)
 
 
 def entry(first, second, absent):
-    """A seam pattern entry written with vertex names, as J* ids."""
-    return (*ids(f"{first} {second}"), frozenset(ids(" ".join(absent))))
+    """A seam pattern entry written with vertex names, as vertices."""
+    absent = frozenset(map(parse_vertex, absent))
+    return (parse_vertex(first), parse_vertex(second), absent)
 
 
 # The seam pattern stated for each of the nine cap elements.
@@ -32,15 +40,22 @@ STATED_INTERNAL = (
 
 
 def test_left_cap_boundary_pattern_is_shared():
-    assert tables.left_cap().patterns() == tables.X_PATTERN
+    paths = [set(map(strip_vertex, p)) for p in tables.left_cap().paths]
+    shared = [frozenset(map(strip_vertex, p)) for p in tables.X_PATTERN]
+    assert [BOUNDARY_VERTICES & p for p in paths] == shared
 
 
 def test_left_cap_internal_patterns_match_stated():
-    assert tables.left_cap().internal_patterns() == STATED_INTERNAL
+    assert left_seam_pattern(tables.left_cap()) == STATED_INTERNAL
 
 
 def test_centre_internal_patterns_match_stated():
-    assert tables.centre_piece().internal_patterns() == STATED_INTERNAL
+    assert centre_seam_pattern(tables.centre_piece()) == STATED_INTERNAL
+
+
+@pytest.mark.parametrize("family,anchor", sorted(tables.RIGHT_CAPS))
+def test_right_cap_seam_patterns_match_stated(family, anchor):
+    assert right_seam_pattern(tables.right_cap(family, anchor)) == STATED_INTERNAL
 
 
 @pytest.mark.parametrize("family,anchor", sorted(tables.RIGHT_CAPS))

@@ -49,6 +49,7 @@ from strip import (
     DirectedCycle,
     DirectedPath,
     TwoRegularDigraph,
+    factor_patterns,
     ids,
     shift,
     shift_vertex,
@@ -119,7 +120,7 @@ def _ref_fold(g, m):
 
 
 def _ref_splice(a, b):
-    if a.patterns() != b.patterns():
+    if factor_patterns(a) != factor_patterns(b):
         raise ValueError("decompositions are not compatible (patterns differ)")
     m = a.m + b.m
     factors = []
